@@ -7,7 +7,8 @@
 //     singleton sets survive the other apps — the regime where contexts
 //     land strictly between warm and cold);
 //   * memo hit rate: analyzer requests vs. analyses actually run across a
-//     full interleaved search in context mode;
+//     full interleaved search in context mode, and entry classes vs.
+//     contexts (masks sharing an aged entry state share one re-analysis);
 //   * end-to-end objective delta: interleaved_search under the binary
 //     cold/warm model vs. schedule-dependent WCETs, on both systems. On
 //     the exact case study the paper's layout is adversarial (every app
@@ -64,6 +65,7 @@ struct SearchOutcome {
   int designs = 0;
   std::uint64_t ctx_requests = 0;
   std::uint64_t ctx_analyses = 0;
+  std::uint64_t ctx_reanalyses = 0;
 };
 
 SearchOutcome run_search(const core::SystemModel& sys,
@@ -82,6 +84,7 @@ SearchOutcome run_search(const core::SystemModel& sys,
   if (const auto* an = ev.context_analyzer()) {
     out.ctx_requests = an->stats().context_requests;
     out.ctx_analyses = an->stats().context_analyses;
+    out.ctx_reanalyses = an->stats().reanalyses;
   }
   return out;
 }
@@ -119,9 +122,11 @@ void bench_context_cost(const char* label, const core::SystemModel& sys,
   const double hit_us = seconds_since(t1) /
                         static_cast<double>(reps) /
                         static_cast<double>(analyses) * 1e6;
-  std::printf("%-24s %3zu contexts  analyze %8.2fus  memo hit %7.3fus"
-              "  (checksum %llu)\n",
-              label, analyses, cold_us, hit_us,
+  std::printf("%-24s %3zu contexts  %3llu entry classes  analyze %8.2fus"
+              "  memo hit %7.3fus  (checksum %llu)\n",
+              label, analyses,
+              static_cast<unsigned long long>(analyzer->stats().reanalyses),
+              cold_us, hit_us,
               static_cast<unsigned long long>(sum % 1000000));
 
   // Ordering invariant across every context (cheap, always on).
@@ -213,7 +218,8 @@ int main(int argc, char** argv) {
                 ctx.result.best_evaluation.pall,
                 ctx.result.best.to_string().c_str(), ctx.secs, delta);
     std::printf("  %-24s context memo: %llu requests, %llu analyses "
-                "(hit rate %.1f%%), %d designs run\n",
+                "(hit rate %.1f%%), entry classes / contexts %llu/%llu, "
+                "%d designs run\n",
                 "", static_cast<unsigned long long>(ctx.ctx_requests),
                 static_cast<unsigned long long>(ctx.ctx_analyses),
                 ctx.ctx_requests > 0
@@ -222,6 +228,8 @@ int main(int argc, char** argv) {
                                               ctx.ctx_analyses) /
                           static_cast<double>(ctx.ctx_requests)
                     : 0.0,
+                static_cast<unsigned long long>(ctx.ctx_reanalyses),
+                static_cast<unsigned long long>(ctx.ctx_analyses),
                 ctx.designs);
     if (expect_equal) {
       // The paper's layout evicts everything: context == cold, so every

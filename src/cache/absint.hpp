@@ -191,6 +191,12 @@ public:
   /// \throws std::out_of_range if set_index is not a valid set.
   void age_set(std::size_t set_index, std::uint32_t amount);
 
+  /// Read-only view of one set's tracked (line, age) entries.
+  /// \pre set_index < config().num_sets().
+  const LineAgeSet& set_entries(std::size_t set_index) const noexcept {
+    return sets_state_[set_index];
+  }
+
   /// Number of tracked lines over all sets.
   std::size_t tracked_lines() const noexcept;
 

@@ -1,6 +1,7 @@
 #include "cache/schedule_wcet.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -96,6 +97,16 @@ ScheduleWcetAnalyzer::ScheduleWcetAnalyzer(
     st->steady = analyze_static_steady_wcet(st->program, config_, &st->memo,
                                             64, first_miss_);
     st->footprint = compute_footprint(st->program.root, config_);
+    const AbstractCacheState& must = st->steady.generic_exit.must();
+    const auto ways = static_cast<std::uint32_t>(config_.ways());
+    for (std::size_t s = 0; s < config_.num_sets(); ++s) {
+      const LineAgeSet& entries = must.set_entries(s);
+      if (entries.empty()) continue;
+      std::uint32_t youngest = ways;
+      for (const LineAge& e : entries) youngest = std::min(youngest, e.age);
+      st->live.push_back(LiveSet{static_cast<std::uint32_t>(s),
+                                 ways - youngest});
+    }
     apps_.push_back(std::move(st));
   }
 }
@@ -129,34 +140,90 @@ std::vector<sched::AppWcet> ScheduleWcetAnalyzer::app_wcets() const {
   return out;
 }
 
+void ScheduleWcetAnalyzer::entry_key_locked(AppState& st,
+                                            std::uint64_t mask) const {
+  st.key.clear();
+  st.amounts.clear();
+  for (const LiveSet& ls : st.live) {
+    // Distinct lines over the interferers' sorted lines in this set: a
+    // k-way merge that stops at the cap (every entry evicted beyond it).
+    st.heads.clear();
+    for (std::uint64_t m = mask; m != 0; m &= m - 1) {
+      const std::vector<std::uint64_t>& lines =
+          apps_[static_cast<std::size_t>(std::countr_zero(m))]
+              ->footprint.lines_per_set[ls.set];
+      if (!lines.empty()) {
+        st.heads.emplace_back(lines.data(), lines.data() + lines.size());
+      }
+    }
+    std::uint32_t count = 0;
+    if (st.heads.size() == 1) {
+      const auto d = static_cast<std::size_t>(st.heads[0].second -
+                                              st.heads[0].first);
+      count = static_cast<std::uint32_t>(std::min<std::size_t>(d, ls.cap));
+    } else {
+      while (count < ls.cap && !st.heads.empty()) {
+        std::uint64_t next = *st.heads[0].first;
+        for (const auto& h : st.heads) next = std::min(next, *h.first);
+        for (std::size_t i = 0; i < st.heads.size();) {
+          auto& h = st.heads[i];
+          if (*h.first == next && ++h.first == h.second) {
+            h = st.heads.back();
+            st.heads.pop_back();
+          } else {
+            ++i;
+          }
+        }
+        ++count;
+      }
+    }
+    st.amounts.push_back(count);
+    for (; count >= 0x80; count >>= 7) {
+      st.key.push_back(static_cast<char>(0x80 | (count & 0x7f)));
+    }
+    st.key.push_back(static_cast<char>(count));
+  }
+}
+
 const ContextWcet& ScheduleWcetAnalyzer::compute_context_locked(
     AppState& st, std::uint64_t mask) const {
   ++context_analyses_;
-  ContextWcet out;
+  // Only a fresh context is written: published ones may be read unlocked.
+  const auto publish = [&](ContextWcet& out) -> const ContextWcet& {
+    out.seconds = static_cast<double>(out.cycles) * config_.cycle_seconds();
+    return *st.contexts.emplace(mask, &out).first->second;
+  };
   if (mask == 0) {
-    out.analysis = st.steady.warm;
-    out.cycles = st.steady.warm.wcet_cycles;
-    out.naturally_ordered = true;
-  } else {
-    // Entry derivation: the app's generic exit state aged through the
-    // union footprint of every interfering app, then a full re-analysis
-    // from that entry (memoized subtrees resolve through st.memo).
-    CacheFootprint interference;
-    for (std::size_t a = 0; a < apps_.size(); ++a) {
-      if ((mask >> a) & 1u) merge_footprint(interference, apps_[a]->footprint);
-    }
-    CachePair entry = st.steady.generic_exit;
-    age_through_interference(entry, interference);
-    out.analysis = analyze_static_wcet(st.program, config_, entry, &st.memo,
-                                       first_miss_);
-    const std::uint64_t raw = out.analysis.wcet_cycles;
-    const std::uint64_t warm = st.steady.warm.wcet_cycles;
-    const std::uint64_t cold = st.steady.cold.wcet_cycles;
-    out.naturally_ordered = raw >= warm && raw <= cold;
-    out.cycles = std::min(std::max(raw, warm), cold);
+    st.warm.analysis = st.steady.warm;
+    st.warm.cycles = st.steady.warm.wcet_cycles;
+    st.warm.naturally_ordered = true;
+    return publish(st.warm);
   }
-  out.seconds = static_cast<double>(out.cycles) * config_.cycle_seconds();
-  return st.contexts.emplace(mask, std::move(out)).first->second;
+  entry_key_locked(st, mask);
+  if (const auto it = st.classes.find(st.key); it != st.classes.end()) {
+    return *st.contexts.emplace(mask, &it->second).first->second;
+  }
+  // Entry derivation: the app's generic exit state with every live set
+  // aged by its key — the same must state as aging through the merged
+  // interference footprint (see the file header) — then a full
+  // re-analysis from that entry (memoized subtrees resolve through
+  // st.memo).
+  CachePair entry = st.steady.generic_exit;
+  for (std::size_t i = 0; i < st.live.size(); ++i) {
+    if (st.amounts[i] != 0) {
+      entry.age_interference_set(st.live[i].set, st.amounts[i]);
+    }
+  }
+  ContextWcet out;
+  out.analysis = analyze_static_wcet(st.program, config_, entry, &st.memo,
+                                     first_miss_);
+  const std::uint64_t raw = out.analysis.wcet_cycles;
+  const std::uint64_t warm = st.steady.warm.wcet_cycles;
+  const std::uint64_t cold = st.steady.cold.wcet_cycles;
+  out.naturally_ordered = raw >= warm && raw <= cold;
+  out.cycles = std::min(std::max(raw, warm), cold);
+  ++reanalyses_;
+  return publish(st.classes.emplace(st.key, std::move(out)).first->second);
 }
 
 const ContextWcet& ScheduleWcetAnalyzer::analyze_context(
@@ -176,13 +243,14 @@ const ContextWcet& ScheduleWcetAnalyzer::analyze_context(
     // concurrent lookups (even of the same app) never serialize.
     std::shared_lock<std::shared_mutex> lock(st.mu);
     const auto it = st.contexts.find(mask);
-    if (it != st.contexts.end()) return it->second;
+    if (it != st.contexts.end()) return *it->second;
   }
   std::unique_lock<std::shared_mutex> lock(st.mu);
   const auto it = st.contexts.find(mask);  // raced compute may have landed
-  if (it != st.contexts.end()) return it->second;
+  if (it != st.contexts.end()) return *it->second;
   // References stay valid after the lock drops: unordered_map never
-  // invalidates references on rehash, and entries are never erased.
+  // invalidates references on rehash, entries are never erased, and the
+  // warm context is written once, before its first pointer is published.
   return compute_context_locked(st, mask);
 }
 
@@ -212,7 +280,8 @@ sched::ContextWcetTable ScheduleWcetAnalyzer::full_table() const {
 }
 
 ScheduleWcetAnalyzer::Stats ScheduleWcetAnalyzer::stats() const {
-  return Stats{context_requests_.load(), context_analyses_.load()};
+  return Stats{context_requests_.load(), context_analyses_.load(),
+               reanalyses_.load()};
 }
 
 }  // namespace catsched::cache

@@ -24,7 +24,20 @@
 ///      the re-fetch after whatever the interference evicted;
 ///   3. re-analyze the program from that entry state through the existing
 ///      analyze_static_wcet(program, entry, memo) path — the shared
-///      per-app StaticAnalysisMemo turns repeated contexts into lookups.
+///      per-app StaticAnalysisMemo turns repeated loop fixpoints into
+///      lookups.
+///
+/// merge_footprint + age_through_interference is the reference form of
+/// step 2. The analyzer derives the same entry state without building the
+/// union: only the sets where the generic exit's must state holds entries
+/// ("live" sets) can change, and aging live set `s` by any amount at or
+/// above its cap `ways - (youngest age in s)` evicts every entry in it,
+/// while below the cap the youngest entry survives at an age that tells
+/// the amounts apart. So the per-live-set key min(d_s, cap_s) — a capped
+/// distinct-line count read straight off the interferers' sorted per-set
+/// footprints — is equal for two masks exactly when their entry states
+/// are, and step 3 runs once per distinct key ("entry class"); every
+/// other mask of the class shares its bit-identical result.
 ///
 /// Soundness contract (gtest-enforced, randomized + differential):
 ///   warm <= context(mask) <= cold for every mask, and no concrete CacheSim
@@ -34,7 +47,9 @@
 #include <cstdint>
 #include <memory>
 #include <shared_mutex>
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cache/program.hpp"
@@ -88,8 +103,9 @@ struct ContextWcet {
 /// The schedule-dependent WCET engine for one application set on one
 /// shared cache. Thread-safe and lazily memoized: analyze_context computes
 /// each (app, mask) bound exactly once — concurrent searches observe
-/// bit-identical values — and repeated loop fixpoints across contexts of
-/// one app resolve through a shared StaticAnalysisMemo. Locking is per
+/// bit-identical values — masks with the same entry class share one
+/// re-analysis, and repeated loop fixpoints across classes of one app
+/// resolve through a shared StaticAnalysisMemo. Locking is per
 /// app (shared_mutex: memoized lookups take the shared side and proceed
 /// concurrently; only a first-time analysis of the SAME app serializes),
 /// so the parallel searches' hot path — pure memo hits — never contends
@@ -145,25 +161,51 @@ public:
   /// \throws std::invalid_argument if num_apps() > 12.
   sched::ContextWcetTable full_table() const;
 
-  /// Lazy-memoization counters (requests vs. analyses actually run), for
-  /// the benches' hit-rate reporting.
+  /// Lazy-memoization counters, for the benches' hit-rate reporting. All
+  /// three are deterministic: the same at every thread count.
   struct Stats {
-    std::uint64_t context_requests = 0;
-    std::uint64_t context_analyses = 0;
+    std::uint64_t context_requests = 0;  ///< analyze_context calls
+    std::uint64_t context_analyses = 0;  ///< distinct (app, mask) computed
+    /// Entry classes actually re-analyzed (distinct aged entry states over
+    /// the non-zero masks computed); the other analyses reused a class.
+    std::uint64_t reanalyses = 0;
   };
   Stats stats() const;
 
 private:
+  /// Per live set (see the file header), the capped interference count,
+  /// LEB128-encoded into a byte string: one byte per set below 128 ways,
+  /// so a class costs little next to its ContextWcet.
+  using EntryKey = std::string;
+  struct LiveSet {
+    std::uint32_t set = 0;
+    std::uint32_t cap = 0;  ///< ways - youngest must age in the set
+  };
+
   struct AppState {
     StructuredProgram program;
     StaticSteadyWcet steady;
     CacheFootprint footprint;
+    /// Sets where steady.generic_exit's must state holds entries, ascending.
+    std::vector<LiveSet> live;
     StaticAnalysisMemo memo;  ///< shared across this app's contexts
-    std::unordered_map<std::uint64_t, ContextWcet> contexts;
-    /// Guards memo + contexts (shared = lookup, exclusive = compute).
+    ContextWcet warm;         ///< mask 0, filled on its first request
+    std::unordered_map<EntryKey, ContextWcet> classes;
+    /// Every computed mask, pointing at `warm` or into `classes`.
+    std::unordered_map<std::uint64_t, const ContextWcet*> contexts;
+    /// Scratch for the exclusive side: the capped counts per live set and
+    /// their encoding.
+    std::vector<std::uint32_t> amounts;
+    EntryKey key;
+    /// Scratch: unmerged tails of the interferers' lines in one set.
+    std::vector<std::pair<const std::uint64_t*, const std::uint64_t*>> heads;
+    /// Guards memo + contexts + classes + scratch (shared = lookup,
+    /// exclusive = compute).
     mutable std::shared_mutex mu;
   };
 
+  /// Fills st.amounts and st.key for \p mask (non-zero, canonical).
+  void entry_key_locked(AppState& st, std::uint64_t mask) const;
   const ContextWcet& compute_context_locked(AppState& st,
                                             std::uint64_t mask) const;
 
@@ -173,6 +215,7 @@ private:
   std::vector<std::unique_ptr<AppState>> apps_;
   mutable std::atomic<std::uint64_t> context_requests_{0};
   mutable std::atomic<std::uint64_t> context_analyses_{0};
+  mutable std::atomic<std::uint64_t> reanalyses_{0};
 };
 
 }  // namespace catsched::cache

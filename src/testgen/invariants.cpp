@@ -168,17 +168,18 @@ InvariantReport check_invariants(const core::SystemModel& model,
     }
   }
 
+  std::vector<cache::StructuredProgram> lifted;
+  lifted.reserve(n);
+  for (const core::Application& a : model.apps) {
+    lifted.push_back(a.has_structured()
+                         ? a.structured
+                         : cache::StructuredProgram{
+                               a.program.name,
+                               cache::Stmt::block(a.program.trace)});
+  }
+
   // ---------------------- A2. first-miss (persistence) soundness surface
   {
-    std::vector<cache::StructuredProgram> lifted;
-    lifted.reserve(n);
-    for (const core::Application& a : model.apps) {
-      lifted.push_back(a.has_structured()
-                           ? a.structured
-                           : cache::StructuredProgram{
-                                 a.program.name,
-                                 cache::Stmt::block(a.program.trace)});
-    }
     // FM-off twin: the abstract walk is mode-independent, so its cold
     // bound must equal the FM analyzer's AM-only column bit-for-bit, and
     // its warm bound can never be tighter than the FM one.
@@ -255,6 +256,7 @@ InvariantReport check_invariants(const core::SystemModel& model,
   const std::uint64_t all_masks = (std::uint64_t{1} << n);
   for (std::size_t app = 0; app < n; ++app) {
     const std::uint64_t warm_cy = analyzer->analyze_context(app, 0).cycles;
+    cache::StaticAnalysisMemo reference_memo;
     for (std::uint64_t mask = 0; mask < all_masks; ++mask) {
       if ((mask >> app) & 1u) continue;  // canonical: own bit never set
       const cache::ContextWcet& cw = analyzer->analyze_context(app, mask);
@@ -263,6 +265,24 @@ InvariantReport check_invariants(const core::SystemModel& model,
                             cw.seconds <= wcets[app].cold_seconds,
                         "wcet-ordering", loc(app, mask))) {
         return rep;
+      }
+      if (mask != 0) {
+        // The analyzer re-analyzes one mask per entry class; the reference
+        // derivation ages the generic exit through the merged footprint.
+        cache::CacheFootprint interference;
+        for (std::size_t a = 0; a < n; ++a) {
+          if ((mask >> a) & 1u) {
+            cache::merge_footprint(interference, analyzer->footprint(a));
+          }
+        }
+        cache::CachePair entry = analyzer->base(app).generic_exit;
+        cache::age_through_interference(entry, interference);
+        const cache::StaticWcetResult ref = cache::analyze_static_wcet(
+            lifted[app], model.cache_config, entry, &reference_memo);
+        if (!fail.require(ref.wcet_cycles == cw.analysis.wcet_cycles,
+                          "context-reference", loc(app, mask))) {
+          return rep;
+        }
       }
       if (opts.inject_failure && mask != 0) {
         // Deliberately FALSE: interference can only slow a task down, so

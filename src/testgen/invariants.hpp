@@ -81,7 +81,7 @@ struct InvariantReport {
 
 /// Check ids, in execution order (groups early-exit on first failure):
 ///   wcet-pair, analyzer-base, fm-le-am, fm-memo, fm-replay,
-///   wcet-ordering, injected-context-below-warm,
+///   wcet-ordering, context-reference, injected-context-below-warm,
 ///   wcet-monotonic, replay-bound, timing-cold-fallback,
 ///   timing-schedule-vs-seq, timing-delta, timing-rotation, edf-util,
 ///   edf-vs-rta, rta-crpd-monotone, preemptive-timing, neighbor-eval,

@@ -6,8 +6,10 @@
 ///        CacheSim replay of the same interference sequences (trace and
 ///        sampled structured paths), context-mask derivation, the
 ///        context-sensitive derive_timing overloads, analyzer memo
-///        determinism at 1/2/4 threads, and evaluator/search bit-identity
-///        in context mode (neighbor path and serial-vs-parallel search).
+///        determinism at 1/2/4 threads, the entry-class dedup against the
+///        reference merge-and-age derivation on generated systems, and
+///        evaluator/search bit-identity in context mode (neighbor path and
+///        serial-vs-parallel search).
 
 #include <gtest/gtest.h>
 
@@ -28,6 +30,7 @@
 #include "core/interleaved_codesign.hpp"
 #include "core/parallel.hpp"
 #include "sched/timing.hpp"
+#include "testgen/generator.hpp"
 
 namespace {
 
@@ -514,13 +517,154 @@ TEST(Analyzer, MemoHitDeterminismAcrossThreads) {
           << threads << " threads, worker " << t;
     }
     // Compute-once: every pair analyzed exactly once however many threads
-    // raced on it; the repeats are pure memo hits.
+    // raced on it; the repeats are pure memo hits. The entry classes
+    // re-analyzed depend only on the masks computed, not on their order.
     const auto stats = analyzer->stats();
     EXPECT_EQ(stats.context_analyses, 12u) << threads << " threads";
     EXPECT_EQ(stats.context_requests,
               static_cast<std::uint64_t>(threads) * 24u)
         << threads << " threads";
+    EXPECT_EQ(stats.reanalyses, ref->stats().reanalyses)
+        << threads << " threads";
   }
+}
+
+/// The apps of a generated system as the analyzer sees them (structured
+/// tree if any, else the trace lifted to one block).
+std::vector<cache::StructuredProgram> analyzer_programs(const SystemModel& m) {
+  std::vector<cache::StructuredProgram> out;
+  for (const Application& a : m.apps) {
+    out.push_back(a.has_structured()
+                      ? a.structured
+                      : cache::StructuredProgram{
+                            a.program.name, cache::Stmt::block(a.program.trace)});
+  }
+  return out;
+}
+
+/// Reference entry derivation: the generic exit aged through the merged
+/// footprint of every interfering app.
+cache::CachePair reference_entry(const cache::ScheduleWcetAnalyzer& an,
+                                 std::size_t app, std::uint64_t mask) {
+  cache::CacheFootprint interference;
+  for (std::size_t a = 0; a < an.num_apps(); ++a) {
+    if ((mask >> a) & 1u) cache::merge_footprint(interference, an.footprint(a));
+  }
+  cache::CachePair entry = an.base(app).generic_exit;
+  cache::age_through_interference(entry, interference);
+  return entry;
+}
+
+TEST(Analyzer, EntryClassesMatchReferenceDerivationBitForBit) {
+  catsched::testgen::GeneratorConfig g;
+  g.min_apps = 4;
+  g.max_apps = 6;
+  g.set_choices = {16, 32};
+  g.branchy_chance = 0.5;
+  for (const std::size_t ways : {1u, 2u, 4u, 8u}) {
+    g.way_choices = {ways};
+    for (std::uint64_t seed = 500; seed < 503; ++seed) {
+      const SystemModel model = catsched::testgen::generate_system(g, seed).model;
+      const std::vector<cache::StructuredProgram> programs =
+          analyzer_programs(model);
+      const cache::CacheConfig& c = model.cache_config;
+      const std::size_t n = programs.size();
+      for (const cache::FirstMiss fm :
+           {cache::FirstMiss::on, cache::FirstMiss::off}) {
+        const cache::ScheduleWcetAnalyzer an(programs, c, fm);
+        std::uint64_t classes = 0;
+        std::uint64_t nonzero = 0;
+        for (std::size_t app = 0; app < n; ++app) {
+          const std::uint64_t warm = an.base(app).warm.wcet_cycles;
+          const std::uint64_t cold = an.base(app).cold.wcet_cycles;
+          cache::StaticAnalysisMemo memo;
+          std::vector<cache::CachePair> entries;
+          std::vector<const cache::ContextWcet*> results;
+          for (std::uint64_t mask = 1; mask < (std::uint64_t{1} << n); ++mask) {
+            if ((mask >> app) & 1u) continue;
+            const std::string where = "ways " + std::to_string(ways) +
+                                      " seed " + std::to_string(seed) +
+                                      " app " + std::to_string(app) +
+                                      " mask " + std::to_string(mask);
+            const cache::ContextWcet& got = an.analyze_context(app, mask);
+            entries.push_back(reference_entry(an, app, mask));
+            results.push_back(&got);
+            ++nonzero;
+            const cache::StaticWcetResult ref = cache::analyze_static_wcet(
+                programs[app], c, entries.back(), &memo, fm);
+            const std::uint64_t cycles =
+                std::min(std::max(ref.wcet_cycles, warm), cold);
+            EXPECT_EQ(got.cycles, cycles) << where;
+            EXPECT_TRUE(same_bits(
+                got.seconds, static_cast<double>(cycles) * c.cycle_seconds()))
+                << where;
+            EXPECT_EQ(got.naturally_ordered,
+                      ref.wcet_cycles >= warm && ref.wcet_cycles <= cold)
+                << where;
+            EXPECT_EQ(got.analysis.wcet_cycles, ref.wcet_cycles) << where;
+            EXPECT_EQ(got.analysis.am_only_cycles, ref.am_only_cycles) << where;
+            EXPECT_EQ(got.analysis.first_miss, ref.first_miss) << where;
+            EXPECT_EQ(got.analysis.not_classified, ref.not_classified) << where;
+          }
+          // A class is shared exactly when the reference entries coincide.
+          for (std::size_t i = 0; i < entries.size(); ++i) {
+            bool first_of_class = true;
+            for (std::size_t j = 0; j < entries.size(); ++j) {
+              const bool same_entry = entries[i] == entries[j];
+              EXPECT_EQ(same_entry, results[i] == results[j])
+                  << "ways " << ways << " seed " << seed << " app " << app
+                  << " masks #" << i << ", #" << j;
+              if (j < i && same_entry) first_of_class = false;
+            }
+            if (first_of_class) ++classes;
+          }
+        }
+        const cache::ScheduleWcetAnalyzer::Stats stats = an.stats();
+        EXPECT_EQ(stats.context_analyses, nonzero);
+        EXPECT_EQ(stats.reanalyses, classes)
+            << "ways " << ways << " seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(Analyzer, EntryClassCapSitsAtTheYoungestSurvivor) {
+  // 4 sets x 4 ways. App 0 ends in a branch over two set-0 lines, so its
+  // generic exit keeps only line 0, at must age 1: set 0's cap is 3.
+  const cache::CacheConfig c = cfg(16, 4);
+  std::vector<cache::StructuredProgram> programs(3);
+  programs[0].root = cache::Stmt::seq(
+      {cache::Stmt::block({0}),
+       cache::Stmt::branch(cache::Stmt::block({4}), cache::Stmt::block({8}))});
+  programs[1].root = cache::Stmt::block({12, 16, 20});  // 3 set-0 lines
+  programs[2].root = cache::Stmt::block({24});          // 1 more
+  const cache::ScheduleWcetAnalyzer an(programs, c);
+  ASSERT_EQ(an.base(0).generic_exit.must().age(0), 1u);
+
+  // 3 and 4 interfering lines both reach the cap: one class. 1 does not.
+  EXPECT_TRUE(reference_entry(an, 0, 0b010) == reference_entry(an, 0, 0b110));
+  EXPECT_FALSE(reference_entry(an, 0, 0b100) == reference_entry(an, 0, 0b010));
+  const cache::ContextWcet& three = an.analyze_context(0, 0b010);
+  EXPECT_EQ(&an.analyze_context(0, 0b110), &three);
+  EXPECT_NE(&an.analyze_context(0, 0b100), &three);
+  EXPECT_EQ(an.stats().context_analyses, 3u);
+  EXPECT_EQ(an.stats().reanalyses, 2u);
+}
+
+TEST(Analyzer, CollapsingMasksShareOneReanalysis) {
+  catsched::testgen::GeneratorConfig g;
+  g.min_apps = g.max_apps = 6;
+  g.set_choices = {32};
+  g.way_choices = {2};
+  g.branchy_chance = 0.5;
+  const SystemModel model = catsched::testgen::generate_system(g, 41).model;
+  const auto an = model.make_context_analyzer();
+  (void)an->full_table();
+  const cache::ScheduleWcetAnalyzer::Stats stats = an->stats();
+  // 6 apps x 32 masks each, 6 of them mask 0 (never re-analyzed).
+  EXPECT_EQ(stats.context_analyses, 6u * 32u);
+  EXPECT_LT(stats.reanalyses, stats.context_analyses - 6u);
+  EXPECT_GT(stats.reanalyses, 0u);
 }
 
 /// Three branchy structured apps on 8 sets x 2 ways whose arm lines never
