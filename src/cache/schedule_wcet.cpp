@@ -157,24 +157,17 @@ void ScheduleWcetAnalyzer::entry_key_locked(AppState& st,
       }
     }
     std::uint32_t count = 0;
-    if (st.heads.size() == 1) {
-      const auto d = static_cast<std::size_t>(st.heads[0].second -
-                                              st.heads[0].first);
-      count = static_cast<std::uint32_t>(std::min<std::size_t>(d, ls.cap));
-    } else {
-      while (count < ls.cap && !st.heads.empty()) {
-        std::uint64_t next = *st.heads[0].first;
-        for (const auto& h : st.heads) next = std::min(next, *h.first);
-        for (std::size_t i = 0; i < st.heads.size();) {
-          auto& h = st.heads[i];
-          if (*h.first == next && ++h.first == h.second) {
-            h = st.heads.back();
-            st.heads.pop_back();
-          } else {
-            ++i;
-          }
+    for (; count < ls.cap && !st.heads.empty(); ++count) {
+      std::uint64_t next = *st.heads[0].first;
+      for (const auto& h : st.heads) next = std::min(next, *h.first);
+      for (std::size_t i = 0; i < st.heads.size();) {
+        auto& h = st.heads[i];
+        if (*h.first == next && ++h.first == h.second) {
+          h = st.heads.back();
+          st.heads.pop_back();
+        } else {
+          ++i;
         }
-        ++count;
       }
     }
     st.amounts.push_back(count);
