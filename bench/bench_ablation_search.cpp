@@ -41,7 +41,7 @@ int main() {
     std::printf("  tolerance %.3f: reached (%d, %d) value %.4f with %d "
                 "evaluations\n",
                 tol, res.best[0], res.best[1], res.best_value,
-                res.evaluations);
+                res.new_evaluations);
   }
   {
     // Multi-start with zero tolerance also escapes.

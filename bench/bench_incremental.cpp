@@ -204,7 +204,8 @@ int main(int argc, char** argv) {
   const bool same = s1.found == s2.found &&
                     s1.best.to_string() == s2.best.to_string() &&
                     s1.best_evaluation.pall == s2.best_evaluation.pall &&
-                    s1.path == s2.path && s1.evaluations == s2.evaluations;
+                    s1.path == s2.path &&
+                    s1.unique_evaluations == s2.unique_evaluations;
   std::printf("  from-scratch  %8.2fs  best=%s  Pall=%.4f\n", scratch_secs,
               s1.best.to_string().c_str(), s1.best_evaluation.pall);
   std::printf("  incremental   %8.2fs  best=%s  Pall=%.4f  (%s)\n", inc_secs,

@@ -35,7 +35,7 @@ bool same_result(const core::InterleavedSearchResult& a,
                  const core::InterleavedSearchResult& b) {
   return a.found == b.found && a.best.to_string() == b.best.to_string() &&
          a.best_evaluation.pall == b.best_evaluation.pall &&
-         a.steps == b.steps && a.evaluations == b.evaluations &&
+         a.steps == b.steps && a.unique_evaluations == b.unique_evaluations &&
          a.path == b.path;
 }
 
@@ -121,7 +121,8 @@ int main(int argc, char** argv) {
   std::printf("  serial    %8.2fs  best=%s  Pall=%.4f  (%d distinct, %d "
               "steps)\n",
               serial_secs, serial.best.to_string().c_str(),
-              serial.best_evaluation.pall, serial.evaluations, serial.steps);
+              serial.best_evaluation.pall, serial.unique_evaluations,
+              serial.steps);
   std::printf("            design memo: %d designs / %d requests "
               "(%.1f%% hits)\n",
               serial_counters.runs, serial_counters.requests,

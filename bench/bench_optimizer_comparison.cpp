@@ -1,20 +1,22 @@
 // Optimizer comparison (extends the paper's Sec. V search-efficiency
 // claim): the hybrid gradient search of Sec. IV versus genuine simulated
 // annealing, a genetic algorithm, and the exhaustive baseline, all on the
-// automotive case study. Reported per method: best schedule found, its
-// Pall, unique expensive evaluations spent, and wall time.
+// automotive case study. Annealing and the GA are the portfolio's
+// SearchDrivers, each raced alone through opt::race_drivers. Reported per
+// method: best schedule found, its Pall, unique expensive evaluations
+// spent, and wall time.
 //
 // The PSO design budget is trimmed symmetrically for every method (the
 // comparison is about search efficiency, not absolute performance).
 
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "core/case_study.hpp"
 #include "core/codesign.hpp"
-#include "opt/anneal.hpp"
-#include "opt/genetic.hpp"
+#include "opt/portfolio.hpp"
 
 using namespace catsched;
 using clock_type = std::chrono::steady_clock;
@@ -71,40 +73,38 @@ int main() {
            hy.schedules_evaluated, secs);
   }
 
-  // Simulated annealing.
-  {
+  // Simulated annealing and the GA: one driver each, raced alone.
+  const auto race_alone = [&](const char* method, auto make_driver) {
     core::Evaluator ev(sys, trimmed_options());
     opt::EvalCache cache(core::make_objective(ev));
-    const auto cheap = core::make_cheap_feasible(ev);
-    opt::AnnealOptions aopts;
+    const std::unique_ptr<opt::SearchDriver> driver =
+        make_driver(core::make_cheap_feasible(ev));
+    opt::PortfolioOptions race;
+    race.max_rounds = 1000;  // the drivers' own budgets end the race
+    race.elimination_rounds = 0;
+    const auto t0 = clock_type::now();
+    const auto res = opt::race_drivers({driver.get()}, cache, race);
+    const double secs =
+        std::chrono::duration<double>(clock_type::now() - t0).count();
+    report(method, res.best, res.best_value, res.new_evaluations, secs);
+    std::printf("               (%d rounds, %d proposals)\n", res.rounds,
+                res.strategies.front().proposals);
+  };
+  race_alone("annealing", [](const opt::CheapFeasible& cheap) {
+    opt::AnnealDriverOptions aopts;
     aopts.iterations = 120;
     aopts.initial_temperature = 0.05;
     aopts.cooling = 0.97;
     aopts.max_value = 8;
-    const auto t0 = clock_type::now();
-    const auto res = anneal_search(cache, cheap, {1, 1, 1}, aopts);
-    const double secs =
-        std::chrono::duration<double>(clock_type::now() - t0).count();
-    report("annealing", res.best, res.best_value, res.evaluations, secs);
-    std::printf("               (accepted %d moves, %d uphill)\n",
-                res.accepted_moves, res.uphill_accepts);
-  }
-
-  // Genetic algorithm.
-  {
-    core::Evaluator ev(sys, trimmed_options());
-    opt::EvalCache cache(core::make_objective(ev));
-    const auto cheap = core::make_cheap_feasible(ev);
-    opt::GaOptions gopts;
+    return opt::make_anneal_driver("annealing", cheap, {1, 1, 1}, aopts);
+  });
+  race_alone("genetic", [&](const opt::CheapFeasible& cheap) {
+    opt::GeneticDriverOptions gopts;
     gopts.population = 10;
     gopts.generations = 8;
     gopts.max_value = 8;
-    const auto t0 = clock_type::now();
-    const auto res = genetic_search(cache, cheap, sys.num_apps(), gopts);
-    const double secs =
-        std::chrono::duration<double>(clock_type::now() - t0).count();
-    report("genetic", res.best, res.best_value, res.evaluations, secs);
-  }
+    return opt::make_genetic_driver("genetic", cheap, sys.num_apps(), gopts);
+  });
 
   std::printf("\npaper reference: hybrid reaches the optimum with 9 and 18 "
               "evaluations vs 76 exhaustive.\n");

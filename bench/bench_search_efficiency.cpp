@@ -53,7 +53,7 @@ int main() {
       std::printf("  start %zu (%s): reached (%d, %d, %d) Pall=%.4f, "
                   "%d new schedule evaluations, %d moves\n",
                   i, i == 0 ? "4,2,2" : "1,2,1", run.best[0], run.best[1],
-                  run.best[2], run.best_value, run.evaluations, run.steps);
+                  run.best[2], run.best_value, run.new_evaluations, run.steps);
     }
     std::printf("  combined: best %s Pall=%.4f with %d unique evaluations "
                 "[%.1f s]   (paper: 9 and 18 evaluations of 76)\n",

@@ -446,7 +446,6 @@ InterleavedSearchResult interleaved_search(
   // count is bit-identical between a fresh run, a cut-short run at the
   // same step, and a resumed run at completion.
   res.unique_evaluations = static_cast<int>(seen.size());
-  res.evaluations = res.unique_evaluations;
   return res;
 }
 

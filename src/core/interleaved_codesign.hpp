@@ -65,8 +65,6 @@ struct InterleavedSearchResult {
   /// Distinct schedules in the published search state (see the
   /// evaluation-count naming scheme in opt/discrete_search.hpp).
   int unique_evaluations = 0;
-  /// \deprecated Same value as unique_evaluations (the pre-scheme name).
-  int evaluations = 0;
   std::vector<std::string> path;  ///< accepted schedules, start first
   /// Anytime/checkpoint observability (defaults = nothing fired).
   RunTelemetry telemetry;

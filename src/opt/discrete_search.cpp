@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/snapshot.hpp"
+#include "opt/portfolio.hpp"
 
 namespace catsched::opt {
 
@@ -195,6 +196,9 @@ HybridResult hybrid_search(EvalCache& cache, const CheapFeasible& cheap,
   }
   std::vector<int> cur = start;
   EvalOutcome cur_out = cache.evaluate(cur, &run_misses);
+  if (budget != nullptr) {  // the start's miss is charged like a step's
+    budget->note_evaluations(static_cast<std::uint64_t>(run_misses.load()));
+  }
   res.path.push_back(cur);
   std::unordered_set<std::vector<int>, core::VectorHash> visited{cur};
 
@@ -323,7 +327,6 @@ HybridResult hybrid_search(EvalCache& cache, const CheapFeasible& cheap,
   }
 
   res.new_evaluations = run_misses.load();
-  res.evaluations = res.new_evaluations;
   return res;
 }
 
@@ -363,7 +366,6 @@ MultiStartResult hybrid_search_multistart(
   cache.save_checkpoint();
   res.telemetry.checkpoints_written = cache.checkpoints_written();
   res.unique_evaluations = cache.unique_evaluations();
-  res.total_unique_evaluations = res.unique_evaluations;
   return res;
 }
 
@@ -414,65 +416,76 @@ std::vector<std::vector<int>> enumerate_feasible(const CheapFeasible& cheap,
   }
 }
 
+namespace {
+
+/// The exhaustive baseline as a SearchDriver: proposes the enumerated
+/// region in fixed 256-point blocks, in enumeration order (the anytime
+/// quantum — a budget trip discards the partial block), and reduces each
+/// observed block into \p out's table and counters in the same order.
+class BlockEnumerationDriver final : public SearchDriver {
+ public:
+  static constexpr std::size_t kBlock = 256;
+
+  BlockEnumerationDriver(std::vector<std::vector<int>> region,
+                         ExhaustiveResult& out)
+      : SearchDriver("exhaustive"), region_(std::move(region)), out_(out) {
+    out_.all.reserve(region_.size());
+  }
+
+  int blocks() const {
+    return static_cast<int>((region_.size() + kBlock - 1) / kBlock);
+  }
+
+ protected:
+  std::vector<std::vector<int>> propose() override {
+    const auto begin = region_.begin() + static_cast<std::ptrdiff_t>(next_);
+    const std::size_t end = std::min(next_ + kBlock, region_.size());
+    return {begin, region_.begin() + static_cast<std::ptrdiff_t>(end)};
+  }
+
+  void observe(const std::vector<std::vector<int>>& points,
+               const std::vector<const EvalOutcome*>& outcomes) override {
+    for (std::size_t k = 0; k < points.size(); ++k) {
+      note(points[k], *outcomes[k]);
+      ++out_.enumerated;
+      if (outcomes[k]->feasible) ++out_.control_feasible;
+      out_.all.emplace_back(points[k], *outcomes[k]);
+    }
+    next_ += points.size();
+    if (next_ == region_.size()) finish();
+  }
+
+ private:
+  std::vector<std::vector<int>> region_;
+  ExhaustiveResult& out_;
+  std::size_t next_ = 0;  ///< first region index not yet observed
+};
+
+}  // namespace
+
 ExhaustiveResult exhaustive_search(const DiscreteObjective& objective,
                                    const CheapFeasible& cheap,
                                    std::size_t dims,
                                    const HybridOptions& opts,
                                    core::ThreadPool* pool) {
-  // Enumerate serially (cheap), then evaluate the region in fixed-size
-  // blocks through a memo cache: each block is fanned across the pool into
+  // Enumerate serially (cheap), then race the block driver alone through
+  // the portfolio's round loop: each block is fanned across the pool into
   // index-addressed slots and reduced serially in enumeration order —
-  // bit-identical to the serial scan. The block structure is the anytime
-  // quantum (budget checked between blocks; a mid-block trip discards the
-  // partial block) and the checkpoint cadence rides the cache's journal.
-  std::vector<std::vector<int>> region = enumerate_feasible(cheap, dims, opts);
-  EvalCache cache(objective);
+  // bit-identical to the serial scan. The round cap is the block count,
+  // so no region is ever cut short by the default cap.
   ExhaustiveResult res;
-  if (!opts.anytime.checkpoint_path.empty()) {
-    cache.enable_checkpoints(opts.anytime.checkpoint_path,
-                             opts.anytime.checkpoint_every, opts.anytime.fault);
-    res.telemetry.resumed = cache.try_resume(&res.telemetry.used_fallback);
-  }
-  core::RunBudget* budget = opts.anytime.budget;
-  constexpr std::size_t kBlock = 256;
-  res.all.reserve(region.size());
-  for (std::size_t begin = 0; begin < region.size(); begin += kBlock) {
-    if (budget != nullptr && budget->cancelled()) {
-      res.telemetry.stop = budget->reason();
-      break;
-    }
-    const std::size_t end = std::min(begin + kBlock, region.size());
-    std::vector<const std::vector<int>*> batch;
-    batch.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) batch.push_back(&region[i]);
-    std::atomic<int> misses{0};
-    const std::vector<const EvalOutcome*> outcomes =
-        cache.evaluate_batch(batch, pool, &misses, nullptr, budget);
-    if (budget != nullptr && budget->cancelled()) {
-      // Partial block: discard, keep blocks 0..k.
-      res.telemetry.stop = budget->reason();
-      break;
-    }
-    if (budget != nullptr) {
-      budget->note_evaluations(static_cast<std::uint64_t>(misses.load()));
-    }
-    for (std::size_t i = begin; i < end; ++i) {
-      const EvalOutcome& out = *outcomes[i - begin];
-      ++res.enumerated;
-      if (out.feasible) {
-        ++res.control_feasible;
-        if (!res.found_feasible || out.value > res.best_value) {
-          res.found_feasible = true;
-          res.best_value = out.value;
-          res.best = region[i];
-        }
-      }
-      res.all.emplace_back(std::move(region[i]), out);
-    }
-  }
-  cache.save_checkpoint();
-  res.telemetry.checkpoints_written = cache.checkpoints_written();
-  res.unique_evaluations = cache.unique_evaluations();
+  BlockEnumerationDriver driver(enumerate_feasible(cheap, dims, opts), res);
+  PortfolioOptions race;
+  race.max_rounds = driver.blocks();
+  race.elimination_rounds = 0;
+  race.anytime = opts.anytime;
+  EvalCache cache(objective);
+  PortfolioResult raced = race_drivers({&driver}, cache, race, pool);
+  res.best = std::move(raced.best);
+  res.best_value = raced.best_value;
+  res.found_feasible = raced.found_feasible;
+  res.telemetry = raced.telemetry;
+  res.unique_evaluations = raced.unique_evaluations;
   return res;
 }
 

@@ -30,8 +30,6 @@ namespace catsched::opt {
 //                            state at return (the paper's "evaluated
 //                            schedules" accounting: a point costs once,
 //                            however many runs or threads touch it).
-// Fields predating the scheme are kept with a deprecation note and mirror
-// one of the two meanings bit-exactly.
 
 /// Outcome of one (expensive) objective evaluation at an integer point.
 struct EvalOutcome {
@@ -52,9 +50,14 @@ using NeighborObjective = std::function<EvalOutcome(
     const std::vector<int>& base, const std::vector<int>& point)>;
 
 /// Cheap pre-filter known before any control evaluation (paper eq. (4),
-/// the idle-time constraint). Must be monotone: if p is feasible, so is
-/// every q <= p componentwise (true for cache-aware timing, where every
-/// sampling period grows with every mi).
+/// the idle-time constraint). Must be a pure function of the point. It
+/// need NOT be downward-closed: raising m_i from 1 to 2 swaps app i's
+/// idle-gap task from the cold to the warm WCET and can turn an
+/// infeasible point feasible ((2,6,1) is infeasible but (2,6,2) feasible
+/// in the DATE'18 case study). What the searches rely on is the weaker
+/// property that raising a coordinate that is already >= 2 never turns an
+/// infeasible point feasible (the app's own h_max is then constant while
+/// every other app's grows); enumerate_feasible's growing scan stops on it.
 using CheapFeasible = std::function<bool(const std::vector<int>&)>;
 
 /// The persistable form of a cache: every completed (point, outcome)
@@ -199,8 +202,6 @@ struct HybridResult {
   bool found_feasible = false;
   int steps = 0;                       ///< accepted moves
   int new_evaluations = 0;             ///< memo misses this run won
-  /// \deprecated Same value as new_evaluations (the pre-scheme name).
-  int evaluations = 0;
   std::vector<std::vector<int>> path;  ///< accepted points, start first
   /// Anytime observability; only `stop` is meaningful for a single run
   /// (checkpointing lives on the cache the caller owns).
@@ -228,8 +229,6 @@ struct MultiStartResult {
   HybridResult combined;
   std::vector<HybridResult> runs;
   int unique_evaluations = 0;  ///< distinct points in the shared cache
-  /// \deprecated Same value as unique_evaluations (the pre-scheme name).
-  int total_unique_evaluations = 0;
   /// Anytime/checkpoint observability (defaults = nothing fired).
   core::RunTelemetry telemetry;
 };
@@ -248,7 +247,8 @@ MultiStartResult hybrid_search_multistart(
     core::ThreadPool* pool = nullptr,
     const NeighborObjective& neighbor = nullptr);
 
-/// Exhaustive enumeration of the cheap-feasible (downward-closed) region.
+/// Exhaustive enumeration of the cheap-feasible region (see CheapFeasible
+/// for its shape).
 struct ExhaustiveResult {
   std::vector<int> best;
   double best_value = 0.0;
@@ -267,9 +267,10 @@ struct ExhaustiveResult {
 /// \p dims, each value in [min_value, max_value]. With a \p pool the
 /// enumerated region is fanned across the workers and reduced serially in
 /// enumeration order, so the result (including the full `all` table) is
-/// bit-identical to the serial run. The region is processed in fixed-size
-/// blocks through an internal EvalCache: opts.anytime.budget is consulted
-/// between blocks (and at pool chunk claims within one),
+/// bit-identical to the serial run. The region is raced as 256-point
+/// blocks, one per round, through the portfolio's round loop
+/// (opt::race_drivers) on an internal EvalCache: opts.anytime.budget is
+/// consulted between blocks (and at pool chunk claims within one),
 /// opts.anytime.checkpoint_path arms table snapshots on that cache and
 /// resumes from an existing file.
 /// \throws std::invalid_argument if dims == 0.

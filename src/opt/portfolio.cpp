@@ -52,28 +52,11 @@ std::vector<std::unique_ptr<SearchDriver>> build_roster(
 
 }  // namespace
 
-PortfolioResult portfolio_search(const DiscreteObjective& objective,
-                                 const CheapFeasible& cheap,
-                                 const std::vector<std::vector<int>>& starts,
-                                 const PortfolioOptions& opts,
-                                 core::ThreadPool* pool,
-                                 const NeighborObjective& neighbor) {
-  if (starts.empty()) {
-    throw std::invalid_argument("portfolio_search: no starts");
-  }
+PortfolioResult race_drivers(const std::vector<SearchDriver*>& roster,
+                             EvalCache& cache, const PortfolioOptions& opts,
+                             core::ThreadPool* pool) {
   PortfolioResult res;
   core::RunBudget* budget = opts.anytime.budget;
-  if (budget != nullptr && budget->cancelled()) {
-    res.telemetry.stop = budget->reason();
-    return res;  // fired before the race started: do no work
-  }
-
-  // The roster validates every start (bounds + cheap filter) up front, so
-  // a bad input throws before any cache state exists.
-  std::vector<std::unique_ptr<SearchDriver>> roster =
-      build_roster(cheap, starts, opts);
-
-  EvalCache cache(objective, neighbor);
   if (!opts.anytime.checkpoint_path.empty()) {
     cache.enable_checkpoints(opts.anytime.checkpoint_path,
                              opts.anytime.checkpoint_every,
@@ -146,14 +129,12 @@ PortfolioResult portfolio_search(const DiscreteObjective& objective,
       res.telemetry.stop = budget->reason();
       break;
     }
+    // The shared pot: the race is charged for its memo misses only — a
+    // resumed run replays at zero budget cost until new ground.
+    const int misses = run_misses.exchange(0);
+    res.new_evaluations += misses;
     if (budget != nullptr) {
-      // The shared pot: the race is charged for its memo misses only —
-      // a resumed run replays at zero budget cost until new ground.
-      const int misses = run_misses.exchange(0);
-      res.new_evaluations += misses;
       budget->note_evaluations(static_cast<std::uint64_t>(misses));
-    } else {
-      res.new_evaluations += run_misses.exchange(0);
     }
 
     // Phase C (serial, fixed order): observe, fold incumbents, retire.
@@ -204,6 +185,33 @@ PortfolioResult portfolio_search(const DiscreteObjective& objective,
     res.strategies.push_back(std::move(rep));
   }
   return res;
+}
+
+PortfolioResult portfolio_search(const DiscreteObjective& objective,
+                                 const CheapFeasible& cheap,
+                                 const std::vector<std::vector<int>>& starts,
+                                 const PortfolioOptions& opts,
+                                 core::ThreadPool* pool,
+                                 const NeighborObjective& neighbor) {
+  if (starts.empty()) {
+    throw std::invalid_argument("portfolio_search: no starts");
+  }
+  if (opts.anytime.budget != nullptr && opts.anytime.budget->cancelled()) {
+    PortfolioResult res;
+    res.telemetry.stop = opts.anytime.budget->reason();
+    return res;  // fired before the race started: do no work
+  }
+  // The roster validates every start (bounds + cheap filter) up front, so
+  // a bad input throws before any cache state exists.
+  const std::vector<std::unique_ptr<SearchDriver>> roster =
+      build_roster(cheap, starts, opts);
+  std::vector<SearchDriver*> drivers;
+  drivers.reserve(roster.size());
+  for (const std::unique_ptr<SearchDriver>& d : roster) {
+    drivers.push_back(d.get());
+  }
+  EvalCache cache(objective, neighbor);
+  return race_drivers(drivers, cache, opts, pool);
 }
 
 }  // namespace catsched::opt

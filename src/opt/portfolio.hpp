@@ -94,6 +94,17 @@ struct PortfolioResult {
   core::RunTelemetry telemetry;
 };
 
+/// The one round loop behind every search in this header and behind
+/// opt::exhaustive_search: races \p roster (its order is the tie-break
+/// order) against \p cache in the deterministic rounds described above.
+/// Reads only opts.max_rounds, opts.elimination_rounds and opts.anytime;
+/// a checkpoint path arms \p cache and resumes it from an existing file.
+/// `strategies` reports the roster in order. Drivers stay owned by the
+/// caller, which may read their state after the race.
+PortfolioResult race_drivers(const std::vector<SearchDriver*>& roster,
+                             EvalCache& cache, const PortfolioOptions& opts,
+                             core::ThreadPool* pool = nullptr);
+
 /// Race the standard roster from \p starts: one hybrid walk per start,
 /// plus one beam / pattern / anneal / genetic strategy (beam, pattern and
 /// anneal launch from the first start; the GA seeds its own population).

@@ -398,9 +398,13 @@ class GeneticDriver final : public SearchDriver {
         ok = cheap_(chrom);
       }
       if (!ok) {
-        // All-min is cheap-feasible whenever any point is (monotone
-        // filter) — the deterministic backstop for a tight region.
+        // The deterministic backstop for a tight region — but never a
+        // proposal the filter rejects (the filter is not downward-closed).
         std::fill(chrom.begin(), chrom.end(), opts_.min_value);
+        if (!cheap_(chrom)) {
+          throw std::runtime_error(
+              "genetic driver: could not draw a cheap-feasible population");
+        }
       }
       population_.push_back(std::move(chrom));
     }

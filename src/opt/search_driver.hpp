@@ -15,9 +15,11 @@
 /// lives in the cache's batch evaluation, whose results are bit-identical
 /// at every thread count. Drivers therefore never see thread timing.
 ///
-/// Monotone-move note: stochastic drivers resample proposals through the
-/// CheapFeasible filter, so the observed/RNG-consumed sequence is a pure
-/// function of the filter and the outcomes — never of evaluation order.
+/// Filter note: stochastic drivers resample proposals through the
+/// CheapFeasible filter (a pure predicate, not necessarily downward-closed
+/// — see opt/discrete_search.hpp), so the observed/RNG-consumed sequence
+/// is a pure function of the filter and the outcomes — never of
+/// evaluation order. Every proposal is in-bounds and cheap-feasible.
 
 #include <cstdint>
 #include <memory>
@@ -75,8 +77,7 @@ class SearchDriver {
   void finish() { finished_ = true; }
 
   /// Shared walk ordering: infeasible points rank a full unit below their
-  /// value so random walks can cross them but never prefer one (the same
-  /// rule the SA/GA baselines use).
+  /// value so random walks can cross them but never prefer one.
   static double walk_value(const EvalOutcome& out) {
     return out.feasible ? out.value : out.value - 1.0;
   }
@@ -133,9 +134,8 @@ struct AnnealDriverOptions {
 /// from the current point; observation scans them in order, cooling once
 /// per proposal, and the FIRST accepted move (improvements always, losses
 /// with probability exp(delta/T) on walk_value) becomes the new current
-/// point — the rest of the round only feeds best-tracking. RNG is
-/// SplitMix64 (the std-engine baseline in opt/anneal.cpp predates the
-/// determinism policy).
+/// point — the rest of the round only feeds best-tracking. At a zero
+/// temperature only non-worsening moves are accepted. RNG is SplitMix64.
 std::unique_ptr<SearchDriver> make_anneal_driver(
     std::string name, CheapFeasible cheap, std::vector<int> start,
     const AnnealDriverOptions& opts);
@@ -158,10 +158,12 @@ struct GeneticDriverOptions {
 /// assigns walk_value fitness and breeds the next generation (tournament
 /// selection, uniform crossover, +-1 mutation with cheap-feasibility
 /// repair, elitism). Half the initial population is biased low (genes in
-/// [min, min+3]) like the opt/genetic.cpp baseline; all randomness is
-/// SplitMix64. The all-min point (cheap-feasible whenever anything is —
-/// the filter is monotone) backstops failed initial draws.
-/// \throws std::invalid_argument if dims == 0 or population < 2.
+/// [min, min+3]); all randomness is SplitMix64. The all-min point
+/// backstops an initial draw that found nothing cheap-feasible, when the
+/// filter accepts it.
+/// \throws std::invalid_argument if dims == 0 or population < 2, or
+///         std::runtime_error if an initial draw and the all-min backstop
+///         are both cheap-infeasible.
 std::unique_ptr<SearchDriver> make_genetic_driver(
     std::string name, CheapFeasible cheap, std::size_t dims,
     const GeneticDriverOptions& opts);

@@ -693,7 +693,8 @@ InvariantReport check_invariants(const core::SystemModel& model,
           core::interleaved_search(ep, il_start, sopts, &pool);
       const bool il_ok =
           il_p.found == il_s.found && il_p.steps == il_s.steps &&
-          il_p.evaluations == il_s.evaluations && il_p.path == il_s.path &&
+          il_p.unique_evaluations == il_s.unique_evaluations &&
+          il_p.path == il_s.path &&
           (!il_s.found ||
            (il_p.best == il_s.best &&
             same_bits(il_p.best_evaluation.pall, il_s.best_evaluation.pall)));

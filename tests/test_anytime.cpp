@@ -170,7 +170,7 @@ TEST(AnytimeInterleaved, EvalLimitCutMatchesMaxStepsRun) {
   EXPECT_EQ(capped.telemetry.stop, core::StopReason::completed);
   EXPECT_EQ(cut.best.to_string(), capped.best.to_string());
   EXPECT_EQ(bits(cut.best_evaluation.pall), bits(capped.best_evaluation.pall));
-  EXPECT_EQ(cut.evaluations, capped.evaluations);
+  EXPECT_EQ(cut.unique_evaluations, capped.unique_evaluations);
   EXPECT_EQ(cut.path, capped.path);
   EXPECT_EQ(cut.steps, capped.steps);
 }
@@ -187,7 +187,7 @@ TEST(AnytimeInterleaved, PreFiredBudgetReturnsBeforeAnyEvaluation) {
       opts);
   EXPECT_EQ(res.telemetry.stop, core::StopReason::stop_requested);
   EXPECT_FALSE(res.found);
-  EXPECT_EQ(res.evaluations, 0);
+  EXPECT_EQ(res.unique_evaluations, 0);
   EXPECT_EQ(res.steps, 0);
 }
 
@@ -336,7 +336,7 @@ TEST(CheckpointResume, InterleavedResumesBitIdentical) {
   ASSERT_TRUE(resumed.found);
   EXPECT_EQ(ref.best.to_string(), resumed.best.to_string());
   EXPECT_EQ(bits(ref.best_evaluation.pall), bits(resumed.best_evaluation.pall));
-  EXPECT_EQ(ref.evaluations, resumed.evaluations);
+  EXPECT_EQ(ref.unique_evaluations, resumed.unique_evaluations);
   EXPECT_EQ(ref.path, resumed.path);
 }
 
@@ -417,7 +417,7 @@ TEST(CheckpointResume, FaultPlanCorruptionIsDetectedOnResume) {
   EXPECT_TRUE(resumed.telemetry.used_fallback);
   EXPECT_EQ(ref.best.to_string(), resumed.best.to_string());
   EXPECT_EQ(bits(ref.best_evaluation.pall), bits(resumed.best_evaluation.pall));
-  EXPECT_EQ(ref.evaluations, resumed.evaluations);
+  EXPECT_EQ(ref.unique_evaluations, resumed.unique_evaluations);
 }
 
 }  // namespace

@@ -416,7 +416,8 @@ TEST(IncrementalSearch, BitIdenticalToFromScratchAtEveryThreadCount) {
                           inc.best_evaluation.pall))
         << threads << " threads";
     EXPECT_EQ(scratch.steps, inc.steps) << threads << " threads";
-    EXPECT_EQ(scratch.evaluations, inc.evaluations) << threads << " threads";
+    EXPECT_EQ(scratch.unique_evaluations, inc.unique_evaluations)
+        << threads << " threads";
     EXPECT_EQ(scratch.path, inc.path) << threads << " threads";
     // Same design work: the delta path must never run a design the
     // from-scratch path memoized, and its memo counters never exceed the

@@ -139,7 +139,7 @@ TEST(InterleavedSearch, MatchesOrBeatsPeriodicStart) {
   const auto res = interleaved_search(evaluator, start, opts);
   ASSERT_TRUE(res.found);
   EXPECT_GE(res.best_evaluation.pall, start_pall - 1e-9);
-  EXPECT_GE(res.evaluations, 1);
+  EXPECT_GE(res.unique_evaluations, 1);
   EXPECT_FALSE(res.path.empty());
 }
 
@@ -172,7 +172,8 @@ TEST(InterleavedSearch, ParallelIsBitIdenticalToSerial) {
     EXPECT_EQ(serial.steps, parallel.steps) << "chunk " << chunk;
     // "Distinct schedules evaluated" must agree exactly, and so must the
     // whole accepted path (the serial-reduction guarantee).
-    EXPECT_EQ(serial.evaluations, parallel.evaluations) << "chunk " << chunk;
+    EXPECT_EQ(serial.unique_evaluations, parallel.unique_evaluations)
+        << "chunk " << chunk;
     EXPECT_EQ(serial.path, parallel.path) << "chunk " << chunk;
     // Same design work done: each timing pattern designed exactly once.
     EXPECT_EQ(serial_ev.designs_run(), parallel_ev.designs_run())
@@ -204,7 +205,7 @@ TEST(InterleavedSearch, EvaluatorScheduleMemoDeduplicatesAcrossSearches) {
   EXPECT_EQ(ev.designs_run(), designs_after_first);
   EXPECT_EQ(ev.schedule_evaluations(), schedules_after_first);
   // The repeat search still reports its own full accounting.
-  EXPECT_EQ(second.evaluations, first.evaluations);
+  EXPECT_EQ(second.unique_evaluations, first.unique_evaluations);
   EXPECT_EQ(second.path, first.path);
 }
 

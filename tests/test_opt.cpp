@@ -143,7 +143,7 @@ TEST(HybridSearch, ClimbsToOptimumFromBothPaperStarts) {
     const auto res = hybrid_search(cache, cheap_box, start, opts);
     EXPECT_TRUE(res.found_feasible);
     EXPECT_EQ(res.best, (std::vector<int>{3, 2, 3})) << "start " << start[0];
-    EXPECT_GT(res.evaluations, 0);
+    EXPECT_GT(res.new_evaluations, 0);
   }
 }
 
@@ -154,7 +154,7 @@ TEST(HybridSearch, MemoSharedAcrossStarts) {
   EXPECT_EQ(ms.combined.best, (std::vector<int>{3, 2, 3}));
   // Shared memo: total unique evaluations < sum of independent runs.
   int sum_runs = 0;
-  for (const auto& r : ms.runs) sum_runs += r.evaluations;
+  for (const auto& r : ms.runs) sum_runs += r.new_evaluations;
   EXPECT_EQ(ms.unique_evaluations, sum_runs);
   EXPECT_LT(ms.unique_evaluations, 2 * 30);
 }
@@ -203,6 +203,21 @@ TEST(HybridSearch, SkipsControlInfeasibleMoves) {
   for (const auto& p : res.path) EXPECT_NE(p[0], 2);
 }
 
+TEST(HybridSearch, BudgetIsChargedEveryMissIncludingTheStart) {
+  // The budget sees exactly the memo misses the run won — the start point's
+  // included — so an evaluation cap cannot overshoot by one per start.
+  catsched::core::RunBudget budget;
+  HybridOptions opts;
+  opts.max_value = 8;
+  opts.anytime.budget = &budget;
+  EvalCache cache(bowl);
+  const auto res = hybrid_search(cache, cheap_box, {1, 2, 1}, opts);
+  EXPECT_EQ(res.telemetry.stop, catsched::core::StopReason::completed);
+  EXPECT_GT(res.new_evaluations, 0);
+  EXPECT_EQ(budget.evaluations(),
+            static_cast<std::uint64_t>(res.new_evaluations));
+}
+
 TEST(HybridSearch, RejectsInfeasibleStart) {
   EvalCache cache(bowl);
   EXPECT_THROW(hybrid_search(cache, cheap_box, {9, 9, 9}, {}),
@@ -230,6 +245,23 @@ TEST(Exhaustive, FindsGlobalOptimumAndCounts) {
   EXPECT_NEAR(res.best_value, 1.0, 1e-12);
   EXPECT_EQ(res.enumerated, static_cast<int>(res.all.size()));
   EXPECT_EQ(res.control_feasible, res.enumerated);  // all feasible here
+}
+
+TEST(Exhaustive, LargeRegionIsNeverCutByTheRoundCap) {
+  // 300 x 300 = 90000 points = 352 blocks, past the default round cap
+  // of the shared round loop: every block must still be reduced.
+  const auto flat = [](const std::vector<int>& m) {
+    return EvalOutcome{-0.001 * m[0] - 0.002 * m[1], true};
+  };
+  const auto all = [](const std::vector<int>&) { return true; };
+  HybridOptions opts;
+  opts.max_value = 300;
+  const auto res = exhaustive_search(flat, all, 2, opts);
+  EXPECT_EQ(res.enumerated, 300 * 300);
+  EXPECT_EQ(res.unique_evaluations, res.enumerated);
+  EXPECT_EQ(res.telemetry.stop, catsched::core::StopReason::completed);
+  EXPECT_EQ(res.best, (std::vector<int>{1, 1}));
+  EXPECT_EQ(res.all.back().first, (std::vector<int>{300, 300}));
 }
 
 TEST(Exhaustive, HybridNeedsFewerEvaluationsThanExhaustive) {

@@ -435,8 +435,8 @@ TEST(SerialParallelEquivalence, MultiStartHybridMatchesSerial) {
     EXPECT_EQ(serial.search.runs[i].best_value,
               parallel.search.runs[i].best_value)
         << "run " << i;
-    serial_sum += serial.search.runs[i].evaluations;
-    parallel_sum += parallel.search.runs[i].evaluations;
+    serial_sum += serial.search.runs[i].new_evaluations;
+    parallel_sum += parallel.search.runs[i].new_evaluations;
   }
   // Each unique point is charged to exactly one run in both modes (the
   // per-run split may differ under races, the sum never does).

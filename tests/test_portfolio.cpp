@@ -1,14 +1,19 @@
 // Tests for the racing metaheuristic portfolio (opt/portfolio.hpp) and the
 // SearchDriver proposal-batch interface beneath it: serial-vs-parallel
 // bit-identity at several thread counts, kill-and-resume through the shared
-// EvalCache journal, deterministic strategy elimination, and the contract
-// that the portfolio's hybrid lane matches the standalone hybrid search.
+// EvalCache journal, deterministic strategy elimination, the contract
+// that the portfolio's hybrid lane matches the standalone hybrid search,
+// and each driver's own behaviour when raced alone through race_drivers.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <system_error>
+#include <tuple>
 #include <vector>
 
 #include "core/parallel.hpp"
@@ -296,21 +301,93 @@ TEST(Portfolio, RejectsBadStarts) {
 }
 
 // ------------------------------------------------- individual drivers
+//
+// Each driver races alone through the shared runner (race_drivers). The
+// stochastic properties are asserted for every seed of kSeeds, not for one
+// hand-picked seed.
+
+namespace {
+
+const std::vector<std::uint64_t> kSeeds{1, 2, 3, 4, 5, 6, 7, 8};
+
+bool cheap_all(const std::vector<int>&) { return true; }
+
+/// Smooth unimodal bowl with maximum 1.0 at (5, 7).
+EvalOutcome bowl57(const std::vector<int>& m) {
+  const double d0 = m[0] - 5.0;
+  const double d1 = m[1] - 7.0;
+  return EvalOutcome{1.0 - 0.01 * (d0 * d0 + d1 * d1), true};
+}
+
+/// Feasible wedge m0 + m1 <= 9: excludes bowl57's optimum. The best wedge
+/// points, (3,6) and (4,5), both score 1 - 0.01 * 5.
+bool wedge(const std::vector<int>& m) { return m[0] + m[1] <= 9; }
+constexpr double kWedgeBest = 1.0 - 0.01 * 5.0;
+
+/// Rugged landscape: global max 10 at (8,8); planted local max 2 at (2,2)
+/// whose neighbors all score below it (greedy from (2,2) is stuck, but the
+/// barrier is shallow enough for a warm annealer to cross).
+EvalOutcome rugged(const std::vector<int>& m) {
+  double v = 10.0 - std::abs(m[0] - 8.0) - std::abs(m[1] - 8.0);
+  if (m[0] == 2 && m[1] == 2) v += 4.0;
+  return EvalOutcome{v, true};
+}
+
+/// Points with m0 in {4,5,6} are control-infeasible (eq. (3)) but sit on
+/// the only path from (1,7) to the optimum at (9,7).
+EvalOutcome gap(const std::vector<int>& m) {
+  const bool ok = m[0] < 4 || m[0] > 6;
+  return EvalOutcome{
+      1.0 - 0.02 * std::abs(m[0] - 9.0) - 0.02 * std::abs(m[1] - 7.0), ok};
+}
+
+/// Race one driver alone: no elimination, and a round cap the drivers'
+/// own budgets always reach first.
+PortfolioResult race_alone(SearchDriver& driver, EvalCache& cache) {
+  PortfolioOptions o;
+  o.max_rounds = 100000;
+  o.elimination_rounds = 0;
+  return race_drivers({&driver}, cache, o);
+}
+
+PortfolioResult race_alone(const std::unique_ptr<SearchDriver>& driver,
+                           const DiscreteObjective& objective) {
+  EvalCache cache(objective);
+  return race_alone(*driver, cache);
+}
+
+/// Classic sequential annealing (one proposal per round), so the walk may
+/// move on every proposal while it is still warm.
+AnnealDriverOptions anneal_opts(std::uint64_t seed, int iterations,
+                                double temperature, double cooling) {
+  AnnealDriverOptions o;
+  o.batch = 1;
+  o.seed = seed;
+  o.iterations = iterations;
+  o.initial_temperature = temperature;
+  o.cooling = cooling;
+  return o;
+}
+
+GeneticDriverOptions genetic_opts(std::uint64_t seed, int population,
+                                  int generations, int max_value) {
+  GeneticDriverOptions o;
+  o.seed = seed;
+  o.population = population;
+  o.generations = generations;
+  o.max_value = max_value;
+  return o;
+}
+
+}  // namespace
 
 TEST(SearchDriver, PatternDriverContractsToTheOptimum) {
   auto drv = make_pattern_driver("pattern", cheap_box, {1, 1, 1},
                                  PatternDriverOptions{4, 1, 8, 100});
-  EvalCache cache(bowl);
-  while (!drv->finished()) {
-    const auto batch = drv->propose_batch();
-    if (batch.empty()) break;
-    std::vector<const EvalOutcome*> outs;
-    outs.reserve(batch.size());
-    for (const auto& p : batch) outs.push_back(&cache.evaluate(p));
-    drv->observe_batch(batch, outs);
-  }
-  EXPECT_TRUE(drv->found_feasible());
-  EXPECT_EQ(drv->best(), (std::vector<int>{3, 2, 3}));
+  const auto res = race_alone(drv, bowl);
+  EXPECT_TRUE(drv->finished());
+  EXPECT_TRUE(res.found_feasible);
+  EXPECT_EQ(res.best, (std::vector<int>{3, 2, 3}));
 }
 
 TEST(SearchDriver, BeamWiderThanOneDominatesNarrowBeamOnTheRoughLandscape) {
@@ -318,60 +395,171 @@ TEST(SearchDriver, BeamWiderThanOneDominatesNarrowBeamOnTheRoughLandscape) {
     BeamDriverOptions o;
     o.width = width;
     o.max_value = 8;
-    auto drv = make_beam_driver("beam", cheap_wide, {1, 1}, o);
-    EvalCache cache(two_basins);
-    while (!drv->finished()) {
-      const auto batch = drv->propose_batch();
-      if (batch.empty()) break;
-      std::vector<const EvalOutcome*> outs;
-      outs.reserve(batch.size());
-      for (const auto& p : batch) outs.push_back(&cache.evaluate(p));
-      drv->observe_batch(batch, outs);
-    }
-    return drv->best_value();
+    return race_alone(make_beam_driver("beam", cheap_wide, {1, 1}, o),
+                      two_basins)
+        .best_value;
   };
   // A wider frontier can only see more of the move graph per round.
   EXPECT_GE(run_beam(3), run_beam(1));
 }
 
 TEST(SearchDriver, StochasticDriversAreSeedDeterministic) {
-  const auto run = [&](auto&& make) {
-    auto drv = make();
+  // Serial evaluation journals first-seen points in proposal order; with
+  // the round and proposal counts that fingerprints the proposal stream.
+  const auto run = [&](const std::unique_ptr<SearchDriver>& drv) {
     EvalCache cache(two_basins);
-    std::vector<std::vector<std::vector<int>>> proposals;
-    while (!drv->finished()) {
-      const auto batch = drv->propose_batch();
-      if (batch.empty()) break;
-      proposals.push_back(batch);
-      std::vector<const EvalOutcome*> outs;
-      outs.reserve(batch.size());
-      for (const auto& p : batch) outs.push_back(&cache.evaluate(p));
-      drv->observe_batch(batch, outs);
-    }
-    return proposals;
+    const auto res = race_alone(*drv, cache);
+    std::vector<std::vector<int>> journal;
+    for (const auto& entry : cache.dump_table()) journal.push_back(entry.first);
+    return std::make_tuple(journal, res.best, res.rounds, drv->proposals());
   };
-  AnnealDriverOptions sa;
-  sa.iterations = 24;
-  sa.max_value = 8;
-  sa.seed = 7;
-  const auto a = run([&] {
-    return make_anneal_driver("sa", cheap_wide, {2, 2}, sa);
-  });
-  const auto b = run([&] {
-    return make_anneal_driver("sa", cheap_wide, {2, 2}, sa);
-  });
-  EXPECT_EQ(a, b);
+  for (const std::uint64_t seed : kSeeds) {
+    AnnealDriverOptions sa;  // default batch: several proposals per round
+    sa.iterations = 24;
+    sa.max_value = 8;
+    sa.seed = seed;
+    EXPECT_EQ(run(make_anneal_driver("sa", cheap_wide, {2, 2}, sa)),
+              run(make_anneal_driver("sa", cheap_wide, {2, 2}, sa)))
+        << "seed " << seed;
+    const GeneticDriverOptions ga = genetic_opts(seed, 6, 4, 8);
+    EXPECT_EQ(run(make_genetic_driver("ga", cheap_wide, 2, ga)),
+              run(make_genetic_driver("ga", cheap_wide, 2, ga)))
+        << "seed " << seed;
+  }
+}
+
+TEST(SearchDriver, AnnealAndGeneticConvergeOnTheBowl) {
+  for (const std::uint64_t seed : kSeeds) {
+    const auto sa = race_alone(
+        make_anneal_driver("sa", cheap_all, {1, 1},
+                           anneal_opts(seed, 600, 0.05, 0.97)),
+        bowl57);
+    ASSERT_TRUE(sa.found_feasible) << "seed " << seed;
+    EXPECT_EQ(sa.best, (std::vector<int>{5, 7})) << "seed " << seed;
+    EXPECT_NEAR(sa.best_value, 1.0, 1e-12);
+
+    const auto ga = race_alone(
+        make_genetic_driver("ga", cheap_all, 2, genetic_opts(seed, 16, 30, 16)),
+        bowl57);
+    ASSERT_TRUE(ga.found_feasible) << "seed " << seed;
+    EXPECT_EQ(ga.best, (std::vector<int>{5, 7})) << "seed " << seed;
+  }
+}
+
+TEST(SearchDriver, AnnealAndGeneticRespectTheCheapWedge) {
+  const auto check = [](const std::unique_ptr<SearchDriver>& drv,
+                        std::uint64_t seed) {
+    EvalCache cache(bowl57);
+    const auto res = race_alone(*drv, cache);
+    ASSERT_TRUE(res.found_feasible) << drv->name() << " seed " << seed;
+    EXPECT_NEAR(res.best_value, kWedgeBest, 1e-12)
+        << drv->name() << " seed " << seed;
+    // Every proposal, not only the best, is cheap-feasible.
+    for (const auto& entry : cache.dump_table()) {
+      EXPECT_TRUE(wedge(entry.first)) << drv->name() << " seed " << seed;
+    }
+  };
+  for (const std::uint64_t seed : kSeeds) {
+    check(make_anneal_driver("sa", wedge, {1, 1},
+                             anneal_opts(seed, 800, 0.05, 0.97)),
+          seed);
+    check(make_genetic_driver("ga", wedge, 2, genetic_opts(seed, 16, 25, 16)),
+          seed);
+  }
+}
+
+TEST(SearchDriver, AnnealCrossesTheInfeasibleGapWithoutChoosingIt) {
+  for (const std::uint64_t seed : kSeeds) {
+    AnnealDriverOptions o = anneal_opts(seed, 2000, 1.0, 0.9995);
+    o.max_value = 12;
+    EvalCache cache(gap);
+    auto drv = make_anneal_driver("sa", cheap_all, {1, 7}, o);
+    const auto res = race_alone(*drv, cache);
+    ASSERT_TRUE(res.found_feasible) << "seed " << seed;
+    EXPECT_EQ(res.best, (std::vector<int>{9, 7})) << "seed " << seed;
+    // The walk did evaluate gap points on its way across.
+    bool crossed = false;
+    for (const auto& entry : cache.dump_table()) {
+      crossed = crossed || !entry.second.feasible;
+    }
+    EXPECT_TRUE(crossed) << "seed " << seed;
+  }
+}
+
+TEST(SearchDriver, AnnealEscapesThePlantedPeakOnlyWhenWarm) {
+  for (const std::uint64_t seed : kSeeds) {
+    const auto warm = race_alone(
+        make_anneal_driver("sa", cheap_all, {2, 2},
+                           anneal_opts(seed, 1500, 2.0, 0.998)),
+        rugged);
+    EXPECT_EQ(warm.best, (std::vector<int>{8, 8})) << "seed " << seed;
+
+    // Zero temperature accepts no worsening move: the planted peak, whose
+    // every neighbor scores lower, holds the walk.
+    const auto cold = race_alone(
+        make_anneal_driver("sa", cheap_all, {2, 2},
+                           anneal_opts(seed, 400, 0.0, 0.97)),
+        rugged);
+    EXPECT_EQ(cold.best, (std::vector<int>{2, 2})) << "seed " << seed;
+    EXPECT_EQ(cold.best_value, 2.0);
+  }
+}
+
+TEST(SearchDriver, GeneticFindsTheGlobalPeakOnTheRuggedLandscape) {
+  for (const std::uint64_t seed : kSeeds) {
+    const auto res = race_alone(
+        make_genetic_driver("ga", cheap_all, 2, genetic_opts(seed, 20, 25, 12)),
+        rugged);
+    EXPECT_EQ(res.best, (std::vector<int>{8, 8})) << "seed " << seed;
+  }
+}
+
+TEST(SearchDriver, RejectsBadStartsAndDegenerateArguments) {
+  const auto none = [](const std::vector<int>&) { return false; };
+  const AnnealDriverOptions sa;
+  EXPECT_THROW(make_anneal_driver("sa", cheap_all, {}, sa),
+               std::invalid_argument);
+  EXPECT_THROW(make_anneal_driver("sa", cheap_all, {0, 5}, sa),
+               std::invalid_argument);
+  EXPECT_THROW(make_anneal_driver("sa", none, {1, 1}, sa),
+               std::invalid_argument);
 
   GeneticDriverOptions ga;
-  ga.population = 6;
-  ga.generations = 4;
-  ga.max_value = 8;
-  ga.seed = 7;
-  const auto c = run([&] {
-    return make_genetic_driver("ga", cheap_wide, 2, ga);
-  });
-  const auto d = run([&] {
-    return make_genetic_driver("ga", cheap_wide, 2, ga);
-  });
-  EXPECT_EQ(c, d);
+  EXPECT_THROW(make_genetic_driver("ga", cheap_all, 0, ga),
+               std::invalid_argument);
+  ga.population = 1;
+  EXPECT_THROW(make_genetic_driver("ga", cheap_all, 2, ga),
+               std::invalid_argument);
+}
+
+TEST(SearchDriver, GeneticThrowsWhenNoFeasibleIndividualExists) {
+  // Not even the all-min backstop passes the filter: proposing it would
+  // break the "proposals are cheap-feasible" contract.
+  const auto none = [](const std::vector<int>&) { return false; };
+  EXPECT_THROW(make_genetic_driver("ga", none, 2, {}), std::runtime_error);
+  const auto not_min = [](const std::vector<int>& m) { return m[0] == 7; };
+  GeneticDriverOptions tight;
+  tight.max_repair_tries = 1;
+  EXPECT_THROW(make_genetic_driver("ga", not_min, 2, tight),
+               std::runtime_error);
+}
+
+TEST(SearchDriver, SharedCacheChargesOnlyNewPoints) {
+  // Two annealing races through one cache: the second pays only for points
+  // the first did not visit (the paper's evaluation accounting).
+  for (const std::uint64_t seed : kSeeds) {
+    EvalCache cache(bowl57);
+    auto first = make_anneal_driver("sa", cheap_all, {1, 1},
+                                    anneal_opts(seed, 300, 0.05, 0.97));
+    const auto r1 = race_alone(*first, cache);
+    EXPECT_EQ(r1.new_evaluations, cache.unique_evaluations());
+    const int after_first = cache.unique_evaluations();
+    auto second = make_anneal_driver("sa", cheap_all, {1, 1},
+                                     anneal_opts(seed + 100, 300, 0.05, 0.97));
+    const auto r2 = race_alone(*second, cache);
+    EXPECT_EQ(cache.unique_evaluations(), after_first + r2.new_evaluations);
+    EXPECT_EQ(r2.unique_evaluations, cache.unique_evaluations());
+    EXPECT_LE(r2.new_evaluations, after_first)
+        << "seed " << seed;  // heavy reuse on the same bowl
+  }
 }

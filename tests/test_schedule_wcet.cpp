@@ -906,7 +906,8 @@ TEST(InterleavedSearch, SerialAndParallelBitIdenticalWithContexts) {
         same_bits(serial.best_evaluation.pall, par.best_evaluation.pall))
         << threads << " threads";
     EXPECT_EQ(serial.path, par.path) << threads << " threads";
-    EXPECT_EQ(serial.evaluations, par.evaluations) << threads << " threads";
+    EXPECT_EQ(serial.unique_evaluations, par.unique_evaluations)
+        << threads << " threads";
   }
 }
 

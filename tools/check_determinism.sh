@@ -43,8 +43,6 @@ src/cache/structure.cpp
 src/control/kalman.cpp
 src/control/robustness.cpp
 src/core/jitter.cpp
-src/opt/anneal.cpp
-src/opt/genetic.cpp
 src/opt/pso.cpp
 "
 

@@ -42,7 +42,7 @@ int main() {
     const auto& run = hy.search.runs[i];
     std::printf("  start %zu: best=(%d,%d,%d) value=%.4f new evals=%d steps=%d\n",
                 i, run.best[0], run.best[1], run.best[2], run.best_value,
-                run.evaluations, run.steps);
+                run.new_evaluations, run.steps);
   }
   return 0;
 }
