@@ -61,7 +61,7 @@ int main() {
            ex.details.enumerated, secs);
   }
 
-  // Hybrid (paper Sec. IV), two parallel starts.
+  // Hybrid (paper Sec. IV), two lock-step starts.
   {
     core::Evaluator ev(sys, trimmed_options());
     const auto t0 = clock_type::now();

@@ -46,7 +46,8 @@ int main() {
         core::find_optimal_schedule(ev, {{4, 2, 2}, {1, 2, 1}}, hopts);
     const double secs =
         std::chrono::duration<double>(clock::now() - t0).count();
-    std::printf("\nhybrid search (two parallel starts, tolerance %.3f):\n",
+    std::printf("\nhybrid search (two lock-step lanes, tolerance %.3f; a "
+                "point costs the first lane to propose it):\n",
                 hopts.tolerance);
     for (std::size_t i = 0; i < hy.search.runs.size(); ++i) {
       const auto& run = hy.search.runs[i];

@@ -24,17 +24,18 @@ opt::DiscreteObjective make_objective(Evaluator& evaluator);
 /// Adapter: the delta-aware neighbor objective — evaluates an m +- e_i
 /// point incrementally from its base schedule's pattern, reusing per-app
 /// evaluations where unchanged. Bit-identical to make_objective (the
-/// evaluator's neighbor path contract); hybrid_search batches route memo
-/// misses through it.
+/// evaluator's neighbor path contract); the hybrid lanes' +-1 proposals
+/// route their memo misses through it.
 opt::NeighborObjective make_neighbor_objective(Evaluator& evaluator);
 
 /// Adapter: the cheap pre-filter (idle-time feasibility, eq. (4)).
 opt::CheapFeasible make_cheap_feasible(const Evaluator& evaluator);
 
-/// Run the hybrid search (Sec. IV) from the given start schedules. With a
-/// \p pool, starts run concurrently and each step's neighbor candidates
-/// are batched across the workers; results are bit-identical to the serial
-/// run (see opt::hybrid_search_multistart).
+/// Run the hybrid search (Sec. IV) from the given start schedules, one
+/// lock-step lane per start. With a \p pool, each round's neighbor
+/// candidates of all lanes are batched across the workers; results,
+/// including the per-start evaluation split, are bit-identical to the
+/// serial run (see opt::hybrid_search_multistart).
 /// \throws std::invalid_argument if starts is empty.
 CodesignResult find_optimal_schedule(
     Evaluator& evaluator, const std::vector<std::vector<int>>& starts,

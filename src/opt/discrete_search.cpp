@@ -1,9 +1,9 @@
 #include "opt/discrete_search.hpp"
 
 #include <algorithm>
-#include <optional>
+#include <memory>
 #include <stdexcept>
-#include <unordered_set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -39,49 +39,31 @@ EvaluationTable decode_evaluation_table(
   return table;
 }
 
-const EvalOutcome& EvalCache::evaluate(const std::vector<int>& p,
-                                       std::atomic<int>* misses) {
-  bool computed = false;
-  const EvalOutcome& out = cache_.get_or_compute(p, [&] {
-    computed = true;
-    return objective_(p);
-  });
-  if (computed) {
-    if (misses != nullptr) misses->fetch_add(1);
-    record(p, out);
-  }
-  return out;
-}
-
-const EvalOutcome& EvalCache::evaluate_neighbor_of(
-    const std::vector<int>& base, const std::vector<int>& p,
-    std::atomic<int>* misses) {
-  if (!neighbor_) return evaluate(p, misses);
-  bool computed = false;
+const EvalOutcome& EvalCache::evaluate_one(const std::vector<int>* base,
+                                           const std::vector<int>& p,
+                                           bool& missed) {
   // The neighbor objective is bit-identical to the plain one (its
   // contract), so whichever path wins the memo slot stores the same value.
   const EvalOutcome& out = cache_.get_or_compute(p, [&] {
-    computed = true;
-    return neighbor_(base, p);
+    missed = true;
+    return base != nullptr && neighbor_ ? neighbor_(*base, p) : objective_(p);
   });
-  if (computed) {
-    if (misses != nullptr) misses->fetch_add(1);
-    record(p, out);
-  }
+  if (missed) record(p, out);
   return out;
 }
 
-std::vector<const EvalOutcome*> EvalCache::evaluate_batch(
-    const std::vector<const std::vector<int>*>& points, core::ThreadPool* pool,
-    std::atomic<int>* misses, const std::vector<int>* base,
+std::vector<EvalCache::BatchSlot> EvalCache::evaluate_batch(
+    const std::vector<const std::vector<int>*>& points,
+    const std::vector<const std::vector<int>*>& bases, core::ThreadPool* pool,
     const core::RunBudget* budget) {
-  std::vector<const EvalOutcome*> out(points.size(), nullptr);
+  if (bases.size() != points.size()) {
+    throw std::invalid_argument("evaluate_batch: one base per point");
+  }
+  std::vector<BatchSlot> out(points.size());
   core::parallel_for(
       pool, points.size(), 0,
       [&](std::size_t i) {
-        out[i] = base != nullptr
-                     ? &evaluate_neighbor_of(*base, *points[i], misses)
-                     : &evaluate(*points[i], misses);
+        out[i].outcome = &evaluate_one(bases[i], *points[i], out[i].missed);
       },
       budget);
   return out;
@@ -162,11 +144,28 @@ int EvalCache::checkpoints_written() const {
 
 namespace {
 
-bool in_bounds(const std::vector<int>& p, const HybridOptions& opts) {
-  for (int v : p) {
-    if (v < opts.min_value || v > opts.max_value) return false;
-  }
-  return true;
+/// One lane's walk as a HybridResult: bests and cost from its race report,
+/// path and step count from the driver itself.
+HybridResult lane_result(const HybridDriver& lane,
+                         const StrategyReport& report) {
+  HybridResult r;
+  r.best = report.best;
+  r.best_value = report.best_value;
+  r.found_feasible = report.found_feasible;
+  r.steps = lane.steps();
+  r.new_evaluations = report.new_evaluations;
+  r.path = lane.path();
+  return r;
+}
+
+/// Runner options for hybrid lanes: round 0 evaluates the starts, then one
+/// round per step, never retiring a lane.
+PortfolioOptions lane_race(const HybridOptions& opts) {
+  PortfolioOptions race;
+  race.max_rounds = std::max(opts.max_steps, 0) + 1;
+  race.elimination_rounds = 0;
+  race.anytime = opts.anytime;
+  return race;
 }
 
 }  // namespace
@@ -174,159 +173,12 @@ bool in_bounds(const std::vector<int>& p, const HybridOptions& opts) {
 HybridResult hybrid_search(EvalCache& cache, const CheapFeasible& cheap,
                            const std::vector<int>& start,
                            const HybridOptions& opts, core::ThreadPool* pool) {
-  if (start.empty()) {
-    throw std::invalid_argument("hybrid_search: empty start");
-  }
-  if (!in_bounds(start, opts) || !cheap(start)) {
-    throw std::invalid_argument("hybrid_search: start point infeasible");
-  }
-  const std::size_t n = start.size();
-  // Count the points THIS run computes (memo misses it wins), not a global
-  // cache-size delta — under parallel multistart the latter would absorb
-  // other runs' concurrent insertions.
-  std::atomic<int> run_misses{0};
-  core::RunBudget* budget = opts.anytime.budget;
-
-  HybridResult res;
-  if (budget != nullptr && budget->cancelled()) {
-    // Fired before this run started (e.g. a later start in a cancelled
-    // multistart): report the reason, do no work.
-    res.telemetry.stop = budget->reason();
-    return res;
-  }
-  std::vector<int> cur = start;
-  EvalOutcome cur_out = cache.evaluate(cur, &run_misses);
-  if (budget != nullptr) {  // the start's miss is charged like a step's
-    budget->note_evaluations(static_cast<std::uint64_t>(run_misses.load()));
-  }
-  res.path.push_back(cur);
-  std::unordered_set<std::vector<int>, core::VectorHash> visited{cur};
-
-  auto consider_best = [&](const std::vector<int>& p, const EvalOutcome& o) {
-    if (o.feasible && (!res.found_feasible || o.value > res.best_value)) {
-      res.found_feasible = true;
-      res.best_value = o.value;
-      res.best = p;
-    }
-  };
-  consider_best(cur, cur_out);
-
-  for (int step = 0; step < opts.max_steps; ++step) {
-    // Anytime check, quantized to the step boundary: stop-flag and
-    // evaluation-cap trips land here deterministically (evaluations are
-    // noted only at the end of a completed step), so a run cut short after
-    // k steps matches a max_steps = k run bit for bit.
-    if (budget != nullptr && budget->cancelled()) {
-      res.telemetry.stop = budget->reason();
-      break;
-    }
-    // Build the per-dimension 1-D quadratic models: evaluate both discrete
-    // neighbors where feasible; the model's gradient at the current point
-    // is the central (or one-sided) difference. All candidate neighbors of
-    // the step are batched through the pool; the order of consider_best and
-    // the step decision below are serial, keeping the run bit-identical to
-    // a pool-less one.
-    struct Neighbor {
-      std::size_t dim;
-      int dir;
-      std::vector<int> point;
-    };
-    std::vector<Neighbor> neighbors;
-    neighbors.reserve(2 * n);
-    for (std::size_t i = 0; i < n; ++i) {
-      std::vector<int> pm = cur;
-      pm[i] -= 1;
-      if (in_bounds(pm, opts) && cheap(pm)) {
-        neighbors.push_back(Neighbor{i, -1, std::move(pm)});
-      }
-      std::vector<int> pp = cur;
-      pp[i] += 1;
-      if (in_bounds(pp, opts) && cheap(pp)) {
-        neighbors.push_back(Neighbor{i, +1, std::move(pp)});
-      }
-    }
-    std::vector<const std::vector<int>*> batch;
-    batch.reserve(neighbors.size());
-    for (const Neighbor& nb : neighbors) batch.push_back(&nb.point);
-    // Every candidate is a +-1 neighbor of cur: memo misses take the
-    // delta-aware path when the cache has one (bit-identical results).
-    const int misses_before = run_misses.load();
-    const std::vector<const EvalOutcome*> outcomes =
-        cache.evaluate_batch(batch, pool, &run_misses, &cur, budget);
-    if (budget != nullptr && budget->cancelled()) {
-      // A deadline (or external stop) fired mid-batch: some slots are
-      // null. Discard the whole batch — finished evaluations stay in the
-      // cache, but no decision is made from a partial neighborhood, so the
-      // result is exactly the last completed step's.
-      res.telemetry.stop = budget->reason();
-      break;
-    }
-    if (budget != nullptr) {
-      budget->note_evaluations(
-          static_cast<std::uint64_t>(run_misses.load() - misses_before));
-    }
-
-    std::vector<std::optional<double>> f_minus(n);
-    std::vector<std::optional<double>> f_plus(n);
-    for (std::size_t k = 0; k < neighbors.size(); ++k) {
-      consider_best(neighbors[k].point, *outcomes[k]);
-      (neighbors[k].dir < 0 ? f_minus : f_plus)[neighbors[k].dim] =
-          outcomes[k]->value;
-    }
-
-    struct Move {
-      std::size_t dim;
-      int dir;
-      double gradient;  // predicted improvement per unit step
-    };
-    std::vector<Move> moves;
-    for (std::size_t i = 0; i < n; ++i) {
-      double grad;
-      if (f_minus[i] && f_plus[i]) {
-        grad = (*f_plus[i] - *f_minus[i]) / 2.0;
-      } else if (f_plus[i]) {
-        grad = *f_plus[i] - cur_out.value;
-      } else if (f_minus[i]) {
-        grad = cur_out.value - *f_minus[i];
-      } else {
-        continue;
-      }
-      // Propose every existing neighbor, scored by the model's predicted
-      // gain along that direction; negative-gain moves stay in the list so
-      // the tolerance (the simulated-annealing feature) can take them when
-      // nothing better exists.
-      if (f_plus[i]) moves.push_back(Move{i, +1, grad});
-      if (f_minus[i]) moves.push_back(Move{i, -1, -grad});
-    }
-    std::sort(moves.begin(), moves.end(), [](const Move& a, const Move& b) {
-      return a.gradient > b.gradient;
-    });
-
-    // Take the best-gradient direction whose target is feasible, unvisited
-    // and not worse than the tolerance allows (Sec. IV: feasibility first,
-    // then second-best direction and so on).
-    bool moved = false;
-    for (const Move& mv : moves) {
-      std::vector<int> next = cur;
-      next[mv.dim] += mv.dir;
-      if (visited.count(next)) continue;
-      // Memo hit (batched above), but count defensively via run_misses.
-      const EvalOutcome& out = cache.evaluate(next, &run_misses);
-      consider_best(next, out);
-      if (!out.feasible) continue;  // eq. (3) violated: try next direction
-      if (out.value + opts.tolerance < cur_out.value) continue;
-      cur = next;
-      cur_out = out;
-      visited.insert(cur);
-      res.path.push_back(cur);
-      ++res.steps;
-      moved = true;
-      break;
-    }
-    if (!moved) break;
-  }
-
-  res.new_evaluations = run_misses.load();
+  HybridDriver lane("hybrid", cheap, start, opts);
+  PortfolioOptions race = lane_race(opts);
+  race.anytime.checkpoint_path.clear();  // the caller owns the cache
+  const PortfolioResult raced = race_drivers({&lane}, cache, race, pool);
+  HybridResult res = lane_result(lane, raced.strategies.front());
+  res.telemetry.stop = raced.telemetry.stop;
   return res;
 }
 
@@ -334,24 +186,31 @@ MultiStartResult hybrid_search_multistart(
     const DiscreteObjective& objective, const CheapFeasible& cheap,
     const std::vector<std::vector<int>>& starts, const HybridOptions& opts,
     core::ThreadPool* pool, const NeighborObjective& neighbor) {
-  EvalCache cache(objective, neighbor);
-  MultiStartResult res;
-  if (!opts.anytime.checkpoint_path.empty()) {
-    cache.enable_checkpoints(opts.anytime.checkpoint_path,
-                             opts.anytime.checkpoint_every, opts.anytime.fault);
-    // Resume-by-replay: preload the table and rerun every start — memo
-    // hits fast-forward each run to where the previous process died, so
-    // the final combined result (and the unique-evaluation total) is
-    // bit-identical to an uninterrupted run. Only the per-run
-    // `new_evaluations` split shifts (preloaded points cost nobody).
-    res.telemetry.resumed = cache.try_resume(&res.telemetry.used_fallback);
+  // Every start is validated (bounds + cheap filter) before any cache
+  // state exists.
+  std::vector<std::unique_ptr<HybridDriver>> lanes;
+  std::vector<SearchDriver*> roster;
+  for (std::size_t i = 0; i < starts.size(); ++i) {
+    lanes.push_back(std::make_unique<HybridDriver>(
+        "hybrid:" + std::to_string(i), cheap, starts[i], opts));
+    roster.push_back(lanes.back().get());
   }
-  res.runs.resize(starts.size());
-  core::parallel_for(pool, starts.size(), [&](std::size_t i) {
-    res.runs[i] = hybrid_search(cache, cheap, starts[i], opts, pool);
-  });
-  // Deterministic reduction: combine in start order regardless of which
-  // run finished first.
+  EvalCache cache(objective, neighbor);
+  const PortfolioResult raced =
+      race_drivers(roster, cache, lane_race(opts), pool);
+
+  MultiStartResult res;
+  res.telemetry = raced.telemetry;
+  res.unique_evaluations = raced.unique_evaluations;
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    res.runs.push_back(lane_result(*lanes[i], raced.strategies[i]));
+    // A lane still walking when the budget fired was cut short.
+    if (!lanes[i]->finished()) {
+      res.runs.back().telemetry.stop = res.telemetry.stop;
+    }
+  }
+  // Deterministic reduction in start order (strict >: the earliest start
+  // keeps a tie).
   for (const HybridResult& r : res.runs) {
     if (r.found_feasible &&
         (!res.combined.found_feasible ||
@@ -359,13 +218,7 @@ MultiStartResult hybrid_search_multistart(
       res.combined = r;
     }
   }
-  if (opts.anytime.budget != nullptr && opts.anytime.budget->cancelled()) {
-    res.telemetry.stop = opts.anytime.budget->reason();
-    res.combined.telemetry.stop = res.telemetry.stop;
-  }
-  cache.save_checkpoint();
-  res.telemetry.checkpoints_written = cache.checkpoints_written();
-  res.unique_evaluations = cache.unique_evaluations();
+  res.combined.telemetry.stop = res.telemetry.stop;
   return res;
 }
 

@@ -76,9 +76,9 @@ EvaluationTable decode_evaluation_table(
 /// "evaluated schedules" count matches the paper's accounting (a schedule
 /// costs only once, even across parallel searches).
 ///
-/// Thread-safe: concurrent evaluate() calls on the same point run the
-/// objective exactly once (compute-once memo); the objective itself must
-/// tolerate concurrent calls on *distinct* points.
+/// Thread-safe: concurrent evaluate_batch() calls on the same point run
+/// the objective exactly once (compute-once memo); the objective itself
+/// must tolerate concurrent calls on *distinct* points.
 ///
 /// Checkpointing: with enable_checkpoints(), the cache journals every
 /// completed evaluation and snapshots the journal to disk each time it has
@@ -90,38 +90,35 @@ EvaluationTable decode_evaluation_table(
 /// to the bit-identical final result (see tests/test_anytime.cpp).
 class EvalCache {
 public:
-  /// With a non-null \p neighbor objective, batch evaluations that carry a
-  /// base point route memo misses through it (the delta-aware path);
-  /// results must be bit-identical to \p objective (see NeighborObjective).
+  /// With a non-null \p neighbor objective, batch slots that carry a base
+  /// point route memo misses through it (the delta-aware path); results
+  /// must be bit-identical to \p objective (see NeighborObjective).
   explicit EvalCache(DiscreteObjective objective,
                      NeighborObjective neighbor = nullptr)
       : objective_(std::move(objective)), neighbor_(std::move(neighbor)) {}
 
-  /// Evaluate through the cache. The reference stays valid for the cache's
-  /// lifetime. If \p misses is non-null it is incremented when THIS call
-  /// ran the objective (a memo miss) — the per-run cost accounting.
-  const EvalOutcome& evaluate(const std::vector<int>& p,
-                              std::atomic<int>* misses = nullptr);
+  /// One slot of a batch evaluation.
+  struct BatchSlot {
+    /// Valid for the cache's lifetime; null when the budget skipped it.
+    const EvalOutcome* outcome = nullptr;
+    bool missed = false;  ///< this slot ran the objective (a memo miss)
+  };
 
-  /// Same, evaluating a memo miss as a neighbor of \p base when the
-  /// delta-aware objective is configured.
-  const EvalOutcome& evaluate_neighbor_of(const std::vector<int>& base,
-                                          const std::vector<int>& p,
-                                          std::atomic<int>* misses = nullptr);
-
-  /// Batch objective API: evaluate every point (duplicates deduplicated by
-  /// the memo) concurrently on \p pool — serially when pool is null — and
-  /// return the outcomes in input order. Points are taken by pointer so
-  /// callers batch without copying their candidate vectors. A non-null
-  /// \p base marks every point as its neighbor (delta-aware misses).
+  /// Batch objective API: evaluate every point concurrently on \p pool —
+  /// serially when pool is null — and return one slot per point, in input
+  /// order. Points are taken by pointer so callers batch without copying
+  /// their candidate vectors. \p bases holds one entry per point: a
+  /// non-null base marks that point as its neighbor (a delta-aware miss).
+  /// A point repeated in the batch is computed once and only the slot
+  /// that computed it reports `missed` — the per-caller cost accounting.
   /// A non-null \p budget short-circuits the batch at chunk granularity
-  /// once it fires; skipped points leave their slot null — callers must
-  /// treat the whole batch as discarded (the anytime searches do).
-  std::vector<const EvalOutcome*> evaluate_batch(
+  /// once it fires; skipped slots stay null — callers must treat the
+  /// whole batch as discarded (the anytime searches do).
+  /// \throws std::invalid_argument if bases and points differ in size.
+  std::vector<BatchSlot> evaluate_batch(
       const std::vector<const std::vector<int>*>& points,
-      core::ThreadPool* pool, std::atomic<int>* misses = nullptr,
-      const std::vector<int>* base = nullptr,
-      const core::RunBudget* budget = nullptr);
+      const std::vector<const std::vector<int>*>& bases,
+      core::ThreadPool* pool, const core::RunBudget* budget = nullptr);
 
   /// Distinct points evaluated so far (includes preloaded entries).
   int unique_evaluations() const {
@@ -135,7 +132,6 @@ public:
   /// before the search starts; enabling twice keeps the first config.
   void enable_checkpoints(std::string path, int every,
                           core::FaultPlan* fault = nullptr);
-  bool checkpoints_enabled() const { return !path_.empty(); }
 
   /// Load \p path (or its .prev fallback) and preload the table. Returns
   /// false when no checkpoint exists yet; rethrows core::SnapshotError
@@ -159,6 +155,10 @@ public:
   int checkpoints_written() const;
 
 private:
+  /// Memo lookup of \p p, computed through \p base's neighbor path when
+  /// one is given; \p missed reports whether THIS call ran the objective.
+  const EvalOutcome& evaluate_one(const std::vector<int>* base,
+                                  const std::vector<int>& p, bool& missed);
   /// Journal a completed evaluation; auto-saves when the cadence is due.
   void record(const std::vector<int>& p, const EvalOutcome& out);
   void save_locked();  ///< requires journal_mu_ held
@@ -208,14 +208,17 @@ struct HybridResult {
   core::RunTelemetry telemetry;
 };
 
-/// One hybrid search from \p start. Evaluations go through \p cache; the
-/// run's `new_evaluations` field reports how many *new* points it cost.
-/// With a \p pool, each step's <= 2n neighbor candidates are evaluated
-/// concurrently; the accepted path and best point are bit-identical to the
-/// serial run (the step decision itself stays sequential).
+/// One hybrid search from \p start: the hybrid driver (opt::HybridDriver,
+/// the one implementation of the Sec. IV walk) raced alone through
+/// opt::race_drivers on \p cache. The run's `new_evaluations` field reports
+/// how many *new* points it cost. With a \p pool, each step's <= 2n
+/// neighbor candidates are evaluated concurrently; the accepted path and
+/// best point are bit-identical to the serial run (the step decision
+/// itself stays sequential).
 /// opts.anytime.budget makes the run anytime (checked per step; a
 /// mid-batch deadline discards the partial batch — its finished
-/// evaluations stay in the cache).
+/// evaluations stay in the cache). opts.anytime's checkpoint path is
+/// ignored: the caller owns the cache.
 /// \throws std::invalid_argument if start is empty, out of bounds, or
 ///         cheap-infeasible.
 HybridResult hybrid_search(EvalCache& cache, const CheapFeasible& cheap,
@@ -223,7 +226,7 @@ HybridResult hybrid_search(EvalCache& cache, const CheapFeasible& cheap,
                            const HybridOptions& opts,
                            core::ThreadPool* pool = nullptr);
 
-/// Multi-start driver: runs hybrid_search from every start against one
+/// Multi-start driver: runs the hybrid walk from every start against one
 /// shared cache and combines the best feasible outcome.
 struct MultiStartResult {
   HybridResult combined;
@@ -233,14 +236,19 @@ struct MultiStartResult {
   core::RunTelemetry telemetry;
 };
 
-/// With a \p pool the starts run concurrently against one shared
-/// thread-safe cache. Best point, best value and the total unique
-/// evaluation count are bit-identical to the serial run (each run's path
-/// depends only on objective values, which are memoized deterministically).
-/// Only the per-run `new_evaluations` split may differ: each run counts
-/// the points it computed itself (the sum over runs always equals
-/// unique_evaluations), so a point raced by two runs is charged to
-/// whichever won the memo slot.
+/// The starts race as lock-step hybrid lanes through opt::race_drivers on
+/// one internal cache: each round evaluates the union of every live
+/// lane's neighborhood in one batch (on \p pool when given), so results
+/// are bit-identical at every thread count — paths, bests, the unique
+/// evaluation total and the per-run `new_evaluations` split alike. A
+/// point costs the first lane, in start order, that proposed it in the
+/// round it was first evaluated; the split sums to unique_evaluations
+/// (minus preloaded points on a resume). `combined` is the best run in
+/// start order (strict >). opts.anytime is the runner's: the budget is
+/// consulted per round, the checkpoint path arms the cache and resumes
+/// from an existing file.
+/// \throws std::invalid_argument if any start is empty, out of bounds,
+///         or cheap-infeasible.
 MultiStartResult hybrid_search_multistart(
     const DiscreteObjective& objective, const CheapFeasible& cheap,
     const std::vector<std::vector<int>>& starts, const HybridOptions& opts,

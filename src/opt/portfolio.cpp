@@ -1,8 +1,9 @@
 #include "opt/portfolio.hpp"
 
-#include <atomic>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <unordered_map>
 #include <utility>
 
 namespace catsched::opt {
@@ -22,8 +23,8 @@ std::vector<std::unique_ptr<SearchDriver>> build_roster(
   hybrid.min_value = opts.min_value;
   hybrid.max_value = opts.max_value;
   for (std::size_t i = 0; i < starts.size(); ++i) {
-    roster.push_back(make_hybrid_driver("hybrid:" + std::to_string(i), cheap,
-                                        starts[i], hybrid));
+    roster.push_back(std::make_unique<HybridDriver>(
+        "hybrid:" + std::to_string(i), cheap, starts[i], hybrid));
   }
   BeamDriverOptions beam = opts.beam;
   beam.tolerance = opts.tolerance;
@@ -63,12 +64,12 @@ PortfolioResult race_drivers(const std::vector<SearchDriver*>& roster,
                              opts.anytime.fault);
     res.telemetry.resumed = cache.try_resume(&res.telemetry.used_fallback);
   }
-  std::atomic<int> run_misses{0};
 
   // consecutive rounds each strategy has trailed the incumbent
   std::vector<int> behind_rounds(roster.size(), 0);
   std::vector<bool> eliminated(roster.size(), false);
   std::vector<int> rounds_raced(roster.size(), 0);
+  std::vector<int> new_evaluations(roster.size(), 0);
   std::vector<std::size_t> live;
   live.reserve(roster.size());
   for (std::size_t i = 0; i < roster.size(); ++i) live.push_back(i);
@@ -96,7 +97,7 @@ PortfolioResult race_drivers(const std::vector<SearchDriver*>& roster,
     struct RoundEntry {
       std::size_t idx;
       std::vector<std::vector<int>> points;
-      std::vector<const EvalOutcome*> outcomes;
+      std::vector<std::size_t> slots;  // each point's union batch slot
     };
     std::vector<RoundEntry> entries;
     entries.reserve(live.size());
@@ -108,38 +109,55 @@ PortfolioResult race_drivers(const std::vector<SearchDriver*>& roster,
     }
     if (entries.empty()) break;  // everyone converged this round
 
-    // Phase B: evaluate each strategy's batch through the shared memo —
-    // the pool fans each batch out; misses cost once race-wide, and a
-    // driver with a delta anchor routes its misses through the
-    // delta-aware objective. A budget trip mid-phase discards the whole
-    // round (finished evaluations stay in the cache for a resume).
-    bool tripped = false;
+    // Phase B: one batch over the union of the round's proposals, deduped
+    // in roster order, then proposal order. Each point goes through its
+    // first proposer's delta anchor and a memo miss is charged to that
+    // proposer, so misses cost once race-wide and the per-driver split is
+    // the same at every thread count. A budget trip mid-phase discards the
+    // whole round (finished evaluations stay in the cache for a resume).
+    std::vector<const std::vector<int>*> points;
+    std::vector<const std::vector<int>*> bases;
+    std::vector<std::size_t> owner;  // roster index of each slot's proposer
+    std::unordered_map<std::vector<int>, std::size_t, core::VectorHash> slot_of;
     for (RoundEntry& e : entries) {
-      std::vector<const std::vector<int>*> refs;
-      refs.reserve(e.points.size());
-      for (const std::vector<int>& p : e.points) refs.push_back(&p);
-      e.outcomes = cache.evaluate_batch(refs, pool, &run_misses,
-                                        roster[e.idx]->anchor(), budget);
-      if (budget != nullptr && budget->cancelled()) {
-        tripped = true;
-        break;
+      e.slots.reserve(e.points.size());
+      for (const std::vector<int>& p : e.points) {
+        const auto [it, fresh] = slot_of.emplace(p, points.size());
+        if (fresh) {
+          points.push_back(&p);
+          bases.push_back(roster[e.idx]->anchor());
+          owner.push_back(e.idx);
+        }
+        e.slots.push_back(it->second);
       }
     }
-    if (tripped) {
+    const std::vector<EvalCache::BatchSlot> slots =
+        cache.evaluate_batch(points, bases, pool, budget);
+    // The shared pot: the race is charged for its memo misses only — a
+    // resumed run replays at zero budget cost until new ground. Misses of
+    // a discarded round still count: those points stay in the cache.
+    int misses = 0;
+    for (std::size_t k = 0; k < slots.size(); ++k) {
+      if (slots[k].missed) {
+        ++misses;
+        ++new_evaluations[owner[k]];
+      }
+    }
+    res.new_evaluations += misses;
+    if (budget != nullptr && budget->cancelled()) {
       res.telemetry.stop = budget->reason();
       break;
     }
-    // The shared pot: the race is charged for its memo misses only — a
-    // resumed run replays at zero budget cost until new ground.
-    const int misses = run_misses.exchange(0);
-    res.new_evaluations += misses;
     if (budget != nullptr) {
       budget->note_evaluations(static_cast<std::uint64_t>(misses));
     }
 
     // Phase C (serial, fixed order): observe, fold incumbents, retire.
-    for (RoundEntry& e : entries) {
-      roster[e.idx]->observe_batch(e.points, e.outcomes);
+    for (const RoundEntry& e : entries) {
+      std::vector<const EvalOutcome*> outcomes;
+      outcomes.reserve(e.slots.size());
+      for (const std::size_t k : e.slots) outcomes.push_back(slots[k].outcome);
+      roster[e.idx]->observe_batch(e.points, outcomes);
       ++rounds_raced[e.idx];
       fold_incumbent(*roster[e.idx]);
     }
@@ -166,11 +184,10 @@ PortfolioResult race_drivers(const std::vector<SearchDriver*>& roster,
         res.best_value, res.found_feasible});
   }
 
-  // Misses from a discarded round are still points this race won (they
-  // stay in the cache/journal) — fold them into the per-run cost split.
-  res.new_evaluations += run_misses.exchange(0);
-  cache.save_checkpoint();
-  res.telemetry.checkpoints_written = cache.checkpoints_written();
+  if (!opts.anytime.checkpoint_path.empty()) {
+    cache.save_checkpoint();
+    res.telemetry.checkpoints_written = cache.checkpoints_written();
+  }
   res.unique_evaluations = cache.unique_evaluations();
   res.strategies.reserve(roster.size());
   for (std::size_t i = 0; i < roster.size(); ++i) {
@@ -181,6 +198,7 @@ PortfolioResult race_drivers(const std::vector<SearchDriver*>& roster,
     rep.found_feasible = roster[i]->found_feasible();
     rep.rounds = rounds_raced[i];
     rep.proposals = roster[i]->proposals();
+    rep.new_evaluations = new_evaluations[i];
     rep.eliminated = eliminated[i];
     res.strategies.push_back(std::move(rep));
   }

@@ -12,8 +12,9 @@
 /// order — the only parallelism is inside the cache's batch evaluation,
 /// which is bit-identical at every thread count):
 ///   1. every live driver proposes a batch;
-///   2. the batches are evaluated through the shared memo (misses only
-///      cost once, duplicates across strategies dedup);
+///   2. the union of the batches, deduplicated in strategy order, is
+///      evaluated as one batch through the shared memo (misses only cost
+///      once; each is charged to the point's first proposer);
 ///   3. every driver observes its own outcomes;
 ///   4. a strategy whose best has trailed the incumbent for
 ///      `elimination_rounds` consecutive rounds is retired (the incumbent
@@ -65,6 +66,9 @@ struct StrategyReport {
   bool found_feasible = false;
   int rounds = 0;     ///< rounds this strategy participated in
   int proposals = 0;  ///< points it proposed over its lifetime
+  /// Memo misses charged to it: a point evaluated in a round costs its
+  /// first proposer in roster order (the same at every thread count).
+  int new_evaluations = 0;
   bool eliminated = false;  ///< retired by the race (vs. self-converged)
 };
 
@@ -95,10 +99,12 @@ struct PortfolioResult {
 };
 
 /// The one round loop behind every search in this header and behind
+/// opt::hybrid_search, opt::hybrid_search_multistart and
 /// opt::exhaustive_search: races \p roster (its order is the tie-break
 /// order) against \p cache in the deterministic rounds described above.
 /// Reads only opts.max_rounds, opts.elimination_rounds and opts.anytime;
-/// a checkpoint path arms \p cache and resumes it from an existing file.
+/// a checkpoint path arms \p cache, resumes it from an existing file and
+/// saves it on return; without one the runner neither arms nor saves.
 /// `strategies` reports the roster in order. Drivers stay owned by the
 /// caller, which may read their state after the race.
 PortfolioResult race_drivers(const std::vector<SearchDriver*>& roster,

@@ -70,131 +70,6 @@ std::vector<std::size_t> rank_desc(const std::vector<double>& score) {
 }
 
 // ---------------------------------------------------------------------------
-// Hybrid: the paper's gradient walk, one neighborhood per round.
-// ---------------------------------------------------------------------------
-
-class HybridDriver final : public SearchDriver {
- public:
-  HybridDriver(std::string name, CheapFeasible cheap, std::vector<int> start,
-               const HybridOptions& opts)
-      : SearchDriver(std::move(name)),
-        cheap_(std::move(cheap)),
-        opts_(opts),
-        cur_(std::move(start)) {
-    require_start("hybrid driver", cheap_, cur_, opts_.min_value,
-                  opts_.max_value);
-    visited_.insert(cur_);
-  }
-
-  const std::vector<int>* anchor() const override {
-    return seeded_ ? &cur_ : nullptr;
-  }
-
- protected:
-  std::vector<std::vector<int>> propose() override {
-    if (!seeded_) return {cur_};  // round 0: evaluate the start itself
-    if (steps_ >= opts_.max_steps) return {};
-    pending_.clear();
-    std::vector<std::vector<int>> batch;
-    const std::size_t n = cur_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      for (int dir : {-1, +1}) {
-        std::vector<int> p = cur_;
-        p[i] += dir;
-        if (!in_box(p, opts_.min_value, opts_.max_value) || !cheap_(p)) {
-          continue;
-        }
-        pending_.push_back(Pending{i, dir});
-        batch.push_back(std::move(p));
-      }
-    }
-    return batch;  // empty = boxed in: converged
-  }
-
-  void observe(const std::vector<std::vector<int>>& points,
-               const std::vector<const EvalOutcome*>& outcomes) override {
-    if (!seeded_) {
-      cur_out_ = *outcomes[0];
-      note(points[0], cur_out_);
-      seeded_ = true;
-      return;
-    }
-    // Identical decision rule to hybrid_search (opt/discrete_search.cpp):
-    // per-dimension central/one-sided differences, every existing neighbor
-    // proposed as a move scored by the model's predicted gain, sorted, the
-    // first unvisited feasible within-tolerance target taken.
-    const std::size_t n = cur_.size();
-    std::vector<std::optional<double>> f_minus(n);
-    std::vector<std::optional<double>> f_plus(n);
-    std::vector<const EvalOutcome*> minus_out(n, nullptr);
-    std::vector<const EvalOutcome*> plus_out(n, nullptr);
-    for (std::size_t k = 0; k < points.size(); ++k) {
-      note(points[k], *outcomes[k]);
-      if (pending_[k].dir < 0) {
-        f_minus[pending_[k].dim] = outcomes[k]->value;
-        minus_out[pending_[k].dim] = outcomes[k];
-      } else {
-        f_plus[pending_[k].dim] = outcomes[k]->value;
-        plus_out[pending_[k].dim] = outcomes[k];
-      }
-    }
-    struct Move {
-      std::size_t dim;
-      int dir;
-      double gradient;
-    };
-    std::vector<Move> moves;
-    for (std::size_t i = 0; i < n; ++i) {
-      double grad;
-      if (f_minus[i] && f_plus[i]) {
-        grad = (*f_plus[i] - *f_minus[i]) / 2.0;
-      } else if (f_plus[i]) {
-        grad = *f_plus[i] - cur_out_.value;
-      } else if (f_minus[i]) {
-        grad = cur_out_.value - *f_minus[i];
-      } else {
-        continue;
-      }
-      if (f_plus[i]) moves.push_back(Move{i, +1, grad});
-      if (f_minus[i]) moves.push_back(Move{i, -1, -grad});
-    }
-    std::sort(moves.begin(), moves.end(), [](const Move& a, const Move& b) {
-      return a.gradient > b.gradient;
-    });
-    for (const Move& mv : moves) {
-      std::vector<int> next = cur_;
-      next[mv.dim] += mv.dir;
-      if (visited_.count(next) != 0) continue;
-      const EvalOutcome& out =
-          *(mv.dir < 0 ? minus_out[mv.dim] : plus_out[mv.dim]);
-      if (!out.feasible) continue;
-      if (out.value + opts_.tolerance < cur_out_.value) continue;
-      cur_ = std::move(next);
-      cur_out_ = out;
-      visited_.insert(cur_);
-      ++steps_;
-      return;
-    }
-    finish();  // no acceptable move: local optimum
-  }
-
- private:
-  struct Pending {
-    std::size_t dim;
-    int dir;
-  };
-
-  CheapFeasible cheap_;
-  HybridOptions opts_;
-  std::vector<int> cur_;
-  EvalOutcome cur_out_;
-  bool seeded_ = false;
-  int steps_ = 0;
-  std::vector<Pending> pending_;
-  std::unordered_set<std::vector<int>, core::VectorHash> visited_;
-};
-
-// ---------------------------------------------------------------------------
 // Beam: the move-ordering variant — expand the top-k, not only the argmax.
 // ---------------------------------------------------------------------------
 
@@ -555,12 +430,103 @@ class PatternDriver final : public SearchDriver {
 
 }  // namespace
 
-std::unique_ptr<SearchDriver> make_hybrid_driver(std::string name,
-                                                 CheapFeasible cheap,
-                                                 std::vector<int> start,
-                                                 const HybridOptions& opts) {
-  return std::make_unique<HybridDriver>(std::move(name), std::move(cheap),
-                                        std::move(start), opts);
+// ---------------------------------------------------------------------------
+// Hybrid: the paper's gradient walk, one neighborhood per round.
+// ---------------------------------------------------------------------------
+
+HybridDriver::HybridDriver(std::string name, CheapFeasible cheap,
+                           std::vector<int> start, const HybridOptions& opts)
+    : SearchDriver(std::move(name)),
+      cheap_(std::move(cheap)),
+      opts_(opts),
+      cur_(std::move(start)) {
+  require_start("hybrid driver", cheap_, cur_, opts_.min_value,
+                opts_.max_value);
+  visited_.insert(cur_);
+}
+
+std::vector<std::vector<int>> HybridDriver::propose() {
+  if (!seeded_) return {cur_};  // round 0: evaluate the start itself
+  if (steps_ >= opts_.max_steps) return {};
+  pending_.clear();
+  std::vector<std::vector<int>> batch;
+  const std::size_t n = cur_.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    for (int dir : {-1, +1}) {
+      std::vector<int> p = cur_;
+      p[i] += dir;
+      if (!in_box(p, opts_.min_value, opts_.max_value) || !cheap_(p)) {
+        continue;
+      }
+      pending_.push_back(Pending{i, dir});
+      batch.push_back(std::move(p));
+    }
+  }
+  return batch;  // empty = boxed in: converged
+}
+
+void HybridDriver::observe(const std::vector<std::vector<int>>& points,
+                           const std::vector<const EvalOutcome*>& outcomes) {
+  if (!seeded_) {
+    cur_out_ = *outcomes[0];
+    note(points[0], cur_out_);
+    path_.push_back(cur_);
+    seeded_ = true;
+    return;
+  }
+  const std::size_t n = cur_.size();
+  std::vector<const EvalOutcome*> minus_out(n, nullptr);
+  std::vector<const EvalOutcome*> plus_out(n, nullptr);
+  for (std::size_t k = 0; k < points.size(); ++k) {
+    note(points[k], *outcomes[k]);
+    (pending_[k].dir < 0 ? minus_out : plus_out)[pending_[k].dim] =
+        outcomes[k];
+  }
+  struct Move {
+    std::size_t dim;
+    int dir;
+    double gradient;  // predicted improvement per unit step
+  };
+  std::vector<Move> moves;
+  for (std::size_t i = 0; i < n; ++i) {
+    const EvalOutcome* minus = minus_out[i];
+    const EvalOutcome* plus = plus_out[i];
+    double grad;
+    if (minus != nullptr && plus != nullptr) {
+      grad = (plus->value - minus->value) / 2.0;
+    } else if (plus != nullptr) {
+      grad = plus->value - cur_out_.value;
+    } else if (minus != nullptr) {
+      grad = cur_out_.value - minus->value;
+    } else {
+      continue;
+    }
+    // Negative-gain moves stay in the list so the tolerance (the
+    // simulated-annealing feature) can take them when nothing better
+    // exists.
+    if (plus != nullptr) moves.push_back(Move{i, +1, grad});
+    if (minus != nullptr) moves.push_back(Move{i, -1, -grad});
+  }
+  std::stable_sort(moves.begin(), moves.end(),
+                   [](const Move& a, const Move& b) {
+                     return a.gradient > b.gradient;
+                   });
+  // Sec. IV: feasibility first, then the second-best direction and so on.
+  for (const Move& mv : moves) {
+    std::vector<int> next = cur_;
+    next[mv.dim] += mv.dir;
+    if (visited_.count(next) != 0) continue;
+    const EvalOutcome& out = *(mv.dir < 0 ? minus_out : plus_out)[mv.dim];
+    if (!out.feasible) continue;
+    if (out.value + opts_.tolerance < cur_out_.value) continue;
+    cur_ = std::move(next);
+    cur_out_ = out;
+    visited_.insert(cur_);
+    path_.push_back(cur_);
+    ++steps_;
+    return;
+  }
+  finish();  // no acceptable move: local optimum
 }
 
 std::unique_ptr<SearchDriver> make_beam_driver(std::string name,

@@ -24,8 +24,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
+#include "core/parallel.hpp"
 #include "opt/discrete_search.hpp"
 
 namespace catsched::opt {
@@ -91,14 +93,59 @@ class SearchDriver {
   int proposals_ = 0;
 };
 
-/// Steepest-ascent hybrid (paper Sec. IV) in driver form: per round the
-/// +-1 neighborhood of the current point, the per-dimension quadratic-model
-/// gradient rule picking the move. Bit-identical walk to hybrid_search on
-/// the same cache (opts.anytime is ignored — the portfolio owns anytime).
-std::unique_ptr<SearchDriver> make_hybrid_driver(std::string name,
-                                                 CheapFeasible cheap,
-                                                 std::vector<int> start,
-                                                 const HybridOptions& opts);
+/// The paper's Sec. IV hybrid walk — the repo's one implementation of it;
+/// opt::hybrid_search and opt::hybrid_search_multistart race it through
+/// opt::race_drivers, and the portfolio runs one lane per start. Round 0
+/// evaluates the start. Every later round proposes the in-box,
+/// cheap-feasible +-1 neighborhood of the current point (anchored there,
+/// so misses take the delta-aware path), then picks the move by the
+/// per-dimension quadratic-model rule:
+///   * each dimension's gradient is the central difference when both
+///     neighbors exist, else the one-sided difference against the current
+///     value;
+///   * every existing neighbor becomes a move scored by its predicted gain
+///     (+gradient for +1, -gradient for -1), sorted descending, ties in
+///     move order (dimension ascending, the +1 move first);
+///   * the first move whose target is unvisited, control-feasible and at
+///     most opts.tolerance below the current value is taken.
+/// No acceptable move finishes the walk; opts.max_steps caps accepted
+/// moves. opts.anytime is ignored (the runner owns the budget).
+class HybridDriver final : public SearchDriver {
+ public:
+  /// \throws std::invalid_argument if start is empty, out of bounds or
+  ///         cheap-infeasible.
+  HybridDriver(std::string name, CheapFeasible cheap, std::vector<int> start,
+               const HybridOptions& opts);
+
+  const std::vector<int>* anchor() const override {
+    return seeded_ ? &cur_ : nullptr;
+  }
+
+  /// Accepted points, start first (empty until round 0 is observed).
+  const std::vector<std::vector<int>>& path() const { return path_; }
+  int steps() const { return steps_; }  ///< accepted moves
+
+ protected:
+  std::vector<std::vector<int>> propose() override;
+  void observe(const std::vector<std::vector<int>>& points,
+               const std::vector<const EvalOutcome*>& outcomes) override;
+
+ private:
+  struct Pending {
+    std::size_t dim;
+    int dir;
+  };
+
+  CheapFeasible cheap_;
+  HybridOptions opts_;
+  std::vector<int> cur_;
+  EvalOutcome cur_out_;
+  bool seeded_ = false;
+  int steps_ = 0;
+  std::vector<std::vector<int>> path_;
+  std::vector<Pending> pending_;
+  std::unordered_set<std::vector<int>, core::VectorHash> visited_;
+};
 
 /// The beam (move-ordering) variant of the hybrid walk.
 struct BeamDriverOptions {

@@ -613,9 +613,9 @@ InvariantReport check_invariants(const core::SystemModel& model,
         core::interleaved_search(es, il_start, sopts, nullptr);
 
     // Portfolio race, fuzz-sized: elimination off so the hybrid lanes run
-    // to self-convergence (they replicate hybrid_search move for move),
-    // which makes "portfolio best >= multistart best" a hard invariant on
-    // the same starts/box/step budget.
+    // to self-convergence (the same HybridDriver walk the multistart
+    // races), which makes "portfolio best >= multistart best" a hard
+    // invariant on the same starts/box/step budget.
     opt::PortfolioOptions popts;
     popts.min_value = hopts.min_value;
     popts.max_value = hopts.max_value;
@@ -656,7 +656,9 @@ InvariantReport check_invariants(const core::SystemModel& model,
                               ms_s.best_evaluation.pall);
       }
       for (std::size_t r = 0; hybrid_ok && r < ms_s.search.runs.size(); ++r) {
-        hybrid_ok = ms_p.search.runs[r].path == ms_s.search.runs[r].path;
+        hybrid_ok = ms_p.search.runs[r].path == ms_s.search.runs[r].path &&
+                    ms_p.search.runs[r].new_evaluations ==
+                        ms_s.search.runs[r].new_evaluations;
       }
       if (!fail.require(hybrid_ok, "search-hybrid",
                         "multi-start diverged at " +

@@ -194,22 +194,39 @@ TEST(AnytimeInterleaved, PreFiredBudgetReturnsBeforeAnyEvaluation) {
 // ------------------------------------------------ hybrid cancellation
 
 TEST(AnytimeHybrid, CancelledRunsAreReproducible) {
-  auto run_once = [&](std::uint64_t max_evals) {
-    core::Evaluator ev(reduced_system(), fast_options());
+  // The starts race as lock-step lanes and the cap is checked per round,
+  // so the cut lands on the same round at every thread count.
+  auto run_once = [&](std::uint64_t max_evals, core::ThreadPool* pool) {
+    core::Evaluator ev(reduced_system(), fast_options(), pool);
     core::RunBudget budget;
     budget.set_max_evaluations(max_evals);
     opt::HybridOptions o = hybrid_opts();
     o.anytime.budget = &budget;
-    return core::find_optimal_schedule(ev, kStarts, o);
+    return core::find_optimal_schedule(ev, kStarts, o, pool);
   };
-  const auto a = run_once(6);
-  const auto b = run_once(6);
+  const auto a = run_once(6, nullptr);
+  const auto b = run_once(6, nullptr);
   EXPECT_EQ(a.search.telemetry.stop, core::StopReason::evaluation_limit);
   EXPECT_EQ(a.found, b.found);
   EXPECT_EQ(a.schedules_evaluated, b.schedules_evaluated);
   if (a.found) {
     EXPECT_EQ(a.best_schedule.to_string(), b.best_schedule.to_string());
     EXPECT_EQ(bits(a.best_evaluation.pall), bits(b.best_evaluation.pall));
+  }
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    core::ThreadPool pool(threads);
+    const auto p = run_once(6, &pool);
+    EXPECT_EQ(p.search.telemetry.stop, core::StopReason::evaluation_limit)
+        << threads << " threads";
+    EXPECT_EQ(p.found, a.found) << threads << " threads";
+    EXPECT_EQ(p.schedules_evaluated, a.schedules_evaluated)
+        << threads << " threads";
+    if (a.found && p.found) {
+      EXPECT_EQ(p.best_schedule.to_string(), a.best_schedule.to_string())
+          << threads << " threads";
+      EXPECT_EQ(bits(p.best_evaluation.pall), bits(a.best_evaluation.pall))
+          << threads << " threads";
+    }
   }
 }
 

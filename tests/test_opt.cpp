@@ -1,13 +1,23 @@
 // Unit tests for the optimizer substrate: PSO, pattern search, the hybrid
-// discrete search (paper Sec. IV) and exhaustive enumeration.
+// discrete search (paper Sec. IV) — including a seeded differential of the
+// searches' hybrid walks against a plain reference walk — and exhaustive
+// enumeration.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <string>
 
+#include "core/parallel.hpp"
 #include "opt/discrete_search.hpp"
 #include "opt/pattern_search.hpp"
+#include "opt/portfolio.hpp"
 #include "opt/pso.hpp"
+#include "reference_walk.hpp"
+#include "testgen/rng.hpp"
 
 using namespace catsched::opt;
 
@@ -105,9 +115,11 @@ TEST(EvalCache, CountsUniqueEvaluations) {
     ++calls;
     return EvalOutcome{static_cast<double>(p[0]), true};
   });
-  cache.evaluate({1});
-  cache.evaluate({1});
-  cache.evaluate({2});
+  const std::vector<int> one{1};
+  const std::vector<int> two{2};
+  for (const std::vector<int>* p : {&one, &one, &two}) {
+    cache.evaluate_batch({p}, {nullptr}, nullptr);
+  }
   EXPECT_EQ(calls, 2);
   EXPECT_EQ(cache.unique_evaluations(), 2);
 }
@@ -224,6 +236,181 @@ TEST(HybridSearch, RejectsInfeasibleStart) {
                std::invalid_argument);
   EXPECT_THROW(hybrid_search(cache, cheap_box, {}, {}),
                std::invalid_argument);
+}
+
+// ------------------------------------------- hybrid walk vs. reference
+
+namespace {
+
+/// A seeded landscape over [1, 6]^dims (2-4 dims): values on a 1/32 grid,
+/// noise plus a bowl toward a random peak whose slope is 0 (a rough
+/// plateau), 1 or 2 grid steps per unit, so gradients tie often (the move
+/// order decides) and single-grid drops sit inside a 0.05 tolerance while
+/// double ones do not; about one point in eight is control-infeasible.
+struct Landscape {
+  static constexpr int kHi = 6;
+  std::size_t dims = 0;
+  std::vector<EvalOutcome> table;
+
+  EvalOutcome operator()(const std::vector<int>& m) const {
+    std::size_t index = 0;
+    for (int v : m) index = index * kHi + static_cast<std::size_t>(v - 1);
+    return table[index];
+  }
+
+  /// Cheap wedge: the coordinate sum is capped, cutting the box diagonal.
+  bool wedge(const std::vector<int>& m) const {
+    int sum = 0;
+    for (int v : m) sum += v;
+    return sum <= 3 * static_cast<int>(dims) + 3;
+  }
+};
+
+Landscape draw_landscape(std::uint64_t seed) {
+  catsched::testgen::SplitMix64 rng(seed);
+  Landscape land;
+  land.dims = 2 + rng.index(3);
+  std::vector<int> peak(land.dims);
+  for (int& v : peak) v = static_cast<int>(rng.range(1, Landscape::kHi));
+  const int slope = static_cast<int>(rng.range(0, 2));
+  std::size_t points = 1;
+  for (std::size_t i = 0; i < land.dims; ++i) points *= Landscape::kHi;
+  land.table.resize(points);
+  for (std::size_t index = 0; index < points; ++index) {
+    int dist = 0;
+    std::size_t rest = index;
+    for (std::size_t i = land.dims; i-- > 0;) {
+      const int v = 1 + static_cast<int>(rest % Landscape::kHi);
+      rest /= Landscape::kHi;
+      dist += std::abs(v - peak[i]);
+    }
+    const double value =
+        static_cast<double>(rng.range(0, 4) - slope * dist) / 32.0;
+    land.table[index] = EvalOutcome{value, !rng.chance(0.125)};
+  }
+  return land;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Three starts inside the wedge: the low corner and two random points.
+std::vector<std::vector<int>> draw_starts(const Landscape& land,
+                                          std::uint64_t seed) {
+  catsched::testgen::SplitMix64 rng(seed ^ 0x5EEDu);
+  std::vector<std::vector<int>> starts{std::vector<int>(land.dims, 1)};
+  while (starts.size() < 3) {
+    std::vector<int> p(land.dims);
+    for (int& v : p) v = static_cast<int>(rng.range(1, Landscape::kHi));
+    if (land.wedge(p)) starts.push_back(p);
+  }
+  return starts;
+}
+
+void expect_walk(const catsched::testref::ReferenceWalk& ref,
+                 const std::vector<std::vector<int>>& path, int steps,
+                 const std::vector<int>& best, double best_value,
+                 bool found_feasible, const std::string& where) {
+  EXPECT_EQ(path, ref.path) << where;
+  EXPECT_EQ(steps, ref.steps) << where;
+  EXPECT_EQ(found_feasible, ref.found_feasible) << where;
+  EXPECT_EQ(best, ref.best) << where;
+  EXPECT_EQ(bits(best_value), bits(ref.best_value)) << where;
+}
+
+}  // namespace
+
+TEST(HybridReference, SearchesWalkTheReferenceRuleAtEveryThreadCount) {
+  std::vector<std::unique_ptr<catsched::core::ThreadPool>> pools;
+  pools.push_back(nullptr);  // serial
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    pools.push_back(std::make_unique<catsched::core::ThreadPool>(threads));
+  }
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    const Landscape land = draw_landscape(seed);
+    const DiscreteObjective f = [&land](const std::vector<int>& m) {
+      return land(m);
+    };
+    const CheapFeasible cheap = [&land](const std::vector<int>& m) {
+      return land.wedge(m);
+    };
+    const std::vector<std::vector<int>> starts = draw_starts(land, seed);
+    for (const double tolerance : {0.0, 0.05}) {
+      HybridOptions opts;
+      opts.tolerance = tolerance;
+      opts.max_value = Landscape::kHi;
+      std::vector<catsched::testref::ReferenceWalk> refs;
+      for (const auto& start : starts) {
+        refs.push_back(catsched::testref::reference_walk(f, cheap, start,
+                                                         opts));
+      }
+      for (std::size_t t = 0; t < pools.size(); ++t) {
+        catsched::core::ThreadPool* pool = pools[t].get();
+        const std::string tag = "seed " + std::to_string(seed) + " tol " +
+                                std::to_string(tolerance) + " pool " +
+                                std::to_string(t);
+        for (std::size_t i = 0; i < starts.size(); ++i) {
+          EvalCache cache(f);
+          const HybridResult solo =
+              hybrid_search(cache, cheap, starts[i], opts, pool);
+          expect_walk(refs[i], solo.path, solo.steps, solo.best,
+                      solo.best_value, solo.found_feasible,
+                      tag + " hybrid_search start " + std::to_string(i));
+        }
+        const MultiStartResult ms =
+            hybrid_search_multistart(f, cheap, starts, opts, pool);
+        for (std::size_t i = 0; i < starts.size(); ++i) {
+          const HybridResult& run = ms.runs[i];
+          expect_walk(refs[i], run.path, run.steps, run.best, run.best_value,
+                      run.found_feasible,
+                      tag + " multistart run " + std::to_string(i));
+        }
+
+        // The portfolio's roster: one hybrid lane per start racing the
+        // other strategies on one cache, elimination off.
+        PortfolioOptions popts;
+        popts.max_value = Landscape::kHi;
+        popts.tolerance = tolerance;
+        popts.elimination_rounds = 0;
+        popts.anneal.iterations = 16;
+        popts.genetic.population = 6;
+        popts.genetic.generations = 3;
+        std::vector<std::unique_ptr<SearchDriver>> roster;
+        for (std::size_t i = 0; i < starts.size(); ++i) {
+          roster.push_back(std::make_unique<HybridDriver>(
+              "hybrid:" + std::to_string(i), cheap, starts[i], opts));
+        }
+        BeamDriverOptions beam;
+        beam.max_value = Landscape::kHi;
+        roster.push_back(make_beam_driver("beam", cheap, starts[0], beam));
+        AnnealDriverOptions anneal = popts.anneal;
+        anneal.max_value = Landscape::kHi;
+        roster.push_back(
+            make_anneal_driver("anneal", cheap, starts[0], anneal));
+        GeneticDriverOptions genetic = popts.genetic;
+        genetic.max_value = Landscape::kHi;
+        roster.push_back(
+            make_genetic_driver("genetic", cheap, land.dims, genetic));
+        std::vector<SearchDriver*> drivers;
+        for (const auto& d : roster) drivers.push_back(d.get());
+        EvalCache shared(f);
+        race_drivers(drivers, shared, popts, pool);
+        for (std::size_t i = 0; i < starts.size(); ++i) {
+          const auto& lane = static_cast<const HybridDriver&>(*roster[i]);
+          expect_walk(refs[i], lane.path(), lane.steps(), lane.best(),
+                      lane.best_value(), lane.found_feasible(),
+                      tag + " raced lane " + std::to_string(i));
+        }
+        const PortfolioResult pf =
+            portfolio_search(f, cheap, starts, popts, pool);
+        for (std::size_t i = 0; i < starts.size(); ++i) {
+          const StrategyReport& lane = pf.strategies[i];
+          EXPECT_EQ(lane.best, refs[i].best) << tag << " portfolio lane " << i;
+          EXPECT_EQ(bits(lane.best_value), bits(refs[i].best_value))
+              << tag << " portfolio lane " << i;
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------ exhaustive

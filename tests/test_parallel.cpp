@@ -296,7 +296,8 @@ TEST(EvalCache, ConcurrentEvaluationsDeduplicate) {
   ThreadPool pool(8);
   pool.parallel_for(400, [&](std::size_t i) {
     const std::vector<int> p{static_cast<int>(i % 10), static_cast<int>(i % 7)};
-    const opt::EvalOutcome& out = cache.evaluate(p);
+    const opt::EvalOutcome& out =
+        *cache.evaluate_batch({&p}, {nullptr}, nullptr).front().outcome;
     ASSERT_EQ(out.value, static_cast<double>(p[0] + p[1]));
   });
   // 10 x 7 distinct points; every extra call was a memo hit.
@@ -315,15 +316,17 @@ TEST(EvalCache, BatchKeepsInputOrderAndDeduplicates) {
   for (int k = 0; k < 50; ++k) points.push_back({k % 5});
   std::vector<const std::vector<int>*> batch;
   for (const auto& p : points) batch.push_back(&p);
-  std::atomic<int> misses{0};
-  const auto outs = cache.evaluate_batch(batch, &pool, &misses);
+  const std::vector<const std::vector<int>*> bases(batch.size(), nullptr);
+  const auto outs = cache.evaluate_batch(batch, bases, &pool);
   ASSERT_EQ(outs.size(), batch.size());
+  int misses = 0;
   for (std::size_t k = 0; k < batch.size(); ++k) {
-    ASSERT_EQ(outs[k]->value, static_cast<double>(points[k][0]));
+    ASSERT_EQ(outs[k].outcome->value, static_cast<double>(points[k][0]));
+    if (outs[k].missed) ++misses;
   }
   EXPECT_EQ(objective_calls.load(), 5);
-  // Per-caller miss accounting matches the objective-call count.
-  EXPECT_EQ(misses.load(), 5);
+  // Per-slot miss accounting matches the objective-call count.
+  EXPECT_EQ(misses, 5);
 }
 
 // ------------------------------------- serial vs parallel co-design results
@@ -435,11 +438,15 @@ TEST(SerialParallelEquivalence, MultiStartHybridMatchesSerial) {
     EXPECT_EQ(serial.search.runs[i].best_value,
               parallel.search.runs[i].best_value)
         << "run " << i;
+    // The starts race as lock-step lanes: a point costs the first lane
+    // that proposed it in its round, whatever the thread count.
+    EXPECT_EQ(serial.search.runs[i].new_evaluations,
+              parallel.search.runs[i].new_evaluations)
+        << "run " << i;
     serial_sum += serial.search.runs[i].new_evaluations;
     parallel_sum += parallel.search.runs[i].new_evaluations;
   }
-  // Each unique point is charged to exactly one run in both modes (the
-  // per-run split may differ under races, the sum never does).
+  // Each unique point is charged to exactly one run in both modes.
   EXPECT_EQ(serial_sum, serial.search.unique_evaluations);
   EXPECT_EQ(parallel_sum, parallel.search.unique_evaluations);
 }

@@ -2,7 +2,7 @@
 // SearchDriver proposal-batch interface beneath it: serial-vs-parallel
 // bit-identity at several thread counts, kill-and-resume through the shared
 // EvalCache journal, deterministic strategy elimination, the contract
-// that the portfolio's hybrid lane matches the standalone hybrid search,
+// that the portfolio's hybrid lane walks the reference Sec. IV rule,
 // and each driver's own behaviour when raced alone through race_drivers.
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include "core/parallel.hpp"
 #include "core/run_budget.hpp"
 #include "opt/portfolio.hpp"
+#include "reference_walk.hpp"
 
 using namespace catsched;
 using namespace catsched::opt;
@@ -159,9 +160,9 @@ TEST(Portfolio, BitIdenticalAcrossThreadCounts) {
 }
 
 TEST(Portfolio, HybridLaneMatchesStandaloneHybridSearch) {
-  // With elimination off the hybrid lane runs to self-convergence; its
-  // walk replicates hybrid_search decision-for-decision, so its lane best
-  // equals the standalone result and the portfolio can only add to it.
+  // With elimination off the hybrid lane runs to self-convergence along
+  // the Sec. IV rule, so its lane best equals the reference walk's and the
+  // portfolio can only add to it.
   PortfolioOptions opts = small_opts();
   opts.elimination_rounds = 0;
   const auto res = portfolio_search(bowl, cheap_box, kStarts, opts);
@@ -170,14 +171,14 @@ TEST(Portfolio, HybridLaneMatchesStandaloneHybridSearch) {
   hopts.max_value = opts.max_value;
   hopts.max_steps = opts.hybrid_max_steps;
   for (std::size_t i = 0; i < kStarts.size(); ++i) {
-    EvalCache cache(bowl);
-    const auto solo = hybrid_search(cache, cheap_box, kStarts[i], hopts);
+    const auto ref =
+        testref::reference_walk(bowl, cheap_box, kStarts[i], hopts);
     const StrategyReport& lane = res.strategies[i];
     EXPECT_EQ(lane.name, "hybrid:" + std::to_string(i));
-    EXPECT_EQ(lane.found_feasible, solo.found_feasible);
-    EXPECT_EQ(lane.best, solo.best);
-    EXPECT_EQ(lane.best_value, solo.best_value);
-    EXPECT_GE(res.best_value, solo.best_value);
+    EXPECT_EQ(lane.found_feasible, ref.found_feasible);
+    EXPECT_EQ(lane.best, ref.best);
+    EXPECT_EQ(lane.best_value, ref.best_value);
+    EXPECT_GE(res.best_value, ref.best_value);
   }
 }
 
