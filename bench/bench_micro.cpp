@@ -226,6 +226,71 @@ void BM_AbstractCacheEquality(benchmark::State& state) {
 }
 BENCHMARK(BM_AbstractCacheEquality);
 
+// The same kernels at the generated population's geometry (512 sets x 8
+// ways), where a per-set storage layout would pay for every empty set. The
+// states are exit states of branchy random programs, so they carry the
+// joined, partly filled contents the WCET fixpoint actually copies.
+cache::CacheConfig population_cache() {
+  cache::CacheConfig cfg = sys().cache_config;
+  cfg.num_lines = 4096;
+  cfg.associativity = 8;
+  return cfg;
+}
+
+cache::StructuredProgram branchy_program(std::uint32_t seed) {
+  cache::RandomProgramOptions opts;
+  opts.seed = seed;
+  opts.max_depth = 3;
+  opts.branch_probability = 0.6;
+  opts.max_loop_bound = 6;
+  opts.max_block_lines = 16;
+  opts.address_lines = 4096;
+  return cache::make_random_program("bench", opts);
+}
+
+cache::CachePair population_exit_state(std::uint32_t seed) {
+  return cache::analyze_static_wcet(branchy_program(seed), population_cache())
+      .exit_state;
+}
+
+void BM_StaticWcetAnalysis_512x8(benchmark::State& state) {
+  const auto prog = branchy_program(42);
+  const cache::CacheConfig cfg = population_cache();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache::analyze_static_wcet(prog, cfg));
+  }
+}
+BENCHMARK(BM_StaticWcetAnalysis_512x8);
+
+void BM_AbstractCacheCopy_512x8(benchmark::State& state) {
+  const cache::CachePair pair = population_exit_state(42);
+  for (auto _ : state) {
+    cache::CachePair copy = pair;
+    benchmark::DoNotOptimize(copy);
+  }
+}
+BENCHMARK(BM_AbstractCacheCopy_512x8);
+
+void BM_AbstractCacheJoin_512x8(benchmark::State& state) {
+  const cache::CachePair a = population_exit_state(42);
+  const cache::CachePair b = population_exit_state(43);
+  for (auto _ : state) {
+    cache::CachePair joined = a;  // copy included: the fixpoint's pattern
+    joined.join(b);
+    benchmark::DoNotOptimize(joined);
+  }
+}
+BENCHMARK(BM_AbstractCacheJoin_512x8);
+
+void BM_AbstractCacheEquality_512x8(benchmark::State& state) {
+  const cache::CachePair a = population_exit_state(42);
+  const cache::CachePair b = a;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(a == b);
+  }
+}
+BENCHMARK(BM_AbstractCacheEquality_512x8);
+
 // ---------------------------------------------------------- design kernels
 // The controller-design hot path (ISSUE 3): everything design_controller
 // runs per PSO particle, plus the full design. Regressions here multiply

@@ -7,8 +7,6 @@
 
 namespace catsched::cache {
 
-// ----------------------------------------------------------- LineAgeSet
-
 namespace {
 
 /// First entry with entry.line >= line in the sorted range [first, last).
@@ -21,50 +19,6 @@ It line_lower_bound(It first, It last, std::uint64_t line) noexcept {
 
 }  // namespace
 
-const LineAge* LineAgeSet::find(std::uint64_t line) const noexcept {
-  const LineAge* it = line_lower_bound(begin(), end(), line);
-  return (it != end() && it->line == line) ? it : nullptr;
-}
-
-LineAge* LineAgeSet::find(std::uint64_t line) noexcept {
-  LineAge* it = line_lower_bound(begin(), end(), line);
-  return (it != end() && it->line == line) ? it : nullptr;
-}
-
-void LineAgeSet::insert(std::uint64_t line, std::uint32_t age) {
-  const std::size_t pos =
-      static_cast<std::size_t>(line_lower_bound(begin(), end(), line) - begin());
-  if (size_ == kInline && spill_.empty()) {
-    // Spill: move the inline entries to the heap (sticky; see header).
-    spill_.reserve(2 * kInline);
-    spill_.assign(inline_.begin(), inline_.end());
-  }
-  if (!spill_.empty() && spill_.size() < size_ + 1) {
-    spill_.resize(std::max<std::size_t>(size_ + 1, 2 * spill_.size()));
-  }
-  LineAge* d = data();
-  for (std::size_t i = size_; i > pos; --i) d[i] = d[i - 1];
-  d[pos] = LineAge{line, age};
-  ++size_;
-}
-
-void LineAgeSet::append(LineAge entry) {
-  if (size_ == kInline && spill_.empty()) {
-    spill_.reserve(2 * kInline);
-    spill_.assign(inline_.begin(), inline_.end());
-  }
-  if (!spill_.empty() && spill_.size() < size_ + 1) {
-    spill_.resize(std::max<std::size_t>(size_ + 1, 2 * spill_.size()));
-  }
-  data()[size_++] = entry;
-}
-
-bool LineAgeSet::operator==(const LineAgeSet& other) const noexcept {
-  return size_ == other.size_ && std::equal(begin(), end(), other.begin());
-}
-
-// --------------------------------------------------- AbstractCacheState
-
 AbstractCacheState::AbstractCacheState(const CacheConfig& config, Kind kind)
     : config_(config), kind_(kind) {
   ways_ = config.ways();
@@ -75,11 +29,61 @@ AbstractCacheState::AbstractCacheState(const CacheConfig& config, Kind kind)
   }
   sets_ = config.num_sets();
   if ((sets_ & (sets_ - 1)) == 0) set_mask_ = sets_ - 1;
-  sets_state_.resize(sets_);
+  begin_.assign(sets_ + 1, 0);
+}
+
+const LineAge* AbstractCacheState::find(std::uint64_t line) const noexcept {
+  const std::size_t s = set_of(line);
+  const LineAge* first = entries_.data() + begin_[s];
+  const LineAge* last = entries_.data() + begin_[s + 1];
+  const LineAge* it = line_lower_bound(first, last, line);
+  return (it != last && it->line == line) ? it : nullptr;
+}
+
+void AbstractCacheState::commit_set(std::size_t s, std::size_t kept,
+                                    std::optional<std::uint64_t> line) {
+  const auto first = entries_.begin() + begin_[s];
+  const auto last = entries_.begin() + begin_[s + 1];
+  auto kept_end = first + static_cast<std::ptrdiff_t>(kept);
+  if (line.has_value()) {
+    const auto pos = line_lower_bound(first, kept_end, *line);
+    if (kept_end == last) {
+      // No slot was freed: one insert, which is the whole structural change.
+      entries_.insert(pos, LineAge{*line, 0});
+      for (std::size_t t = s + 1; t <= sets_; ++t) ++begin_[t];
+      return;
+    }
+    // Reuse the first freed slot: shift the larger survivors up by one.
+    std::move_backward(pos, kept_end, kept_end + 1);
+    *pos = LineAge{*line, 0};
+    ++kept_end;
+  }
+  if (kept_end == last) return;
+  const auto removed = static_cast<std::uint32_t>(last - kept_end);
+  entries_.erase(kept_end, last);
+  for (std::size_t t = s + 1; t <= sets_; ++t) begin_[t] -= removed;
+}
+
+void AbstractCacheState::rebuild_offsets() noexcept {
+  // begin_[t] for every set t in (previous entry's set, this entry's set]
+  // is this entry's index; sets after the last entry start at the end.
+  std::size_t t = 0;
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    const std::size_t s = set_of(entries_[i].line);
+    if (s < t) continue;
+    std::fill(begin_.begin() + static_cast<std::ptrdiff_t>(t),
+              begin_.begin() + static_cast<std::ptrdiff_t>(s + 1),
+              static_cast<std::uint32_t>(i));
+    t = s + 1;
+  }
+  std::fill(begin_.begin() + static_cast<std::ptrdiff_t>(t), begin_.end(),
+            static_cast<std::uint32_t>(entries_.size()));
 }
 
 void AbstractCacheState::access(std::uint64_t line) {
-  LineAgeSet& set = sets_state_[set_of(line)];
+  const std::size_t s = set_of(line);
+  LineAge* const first = entries_.data() + begin_[s];
+  LineAge* const last = entries_.data() + begin_[s + 1];
   if (kind_ == Kind::persistence) {
     // Conflict-counter update: every OTHER tracked line of the set took one
     // more conflicting access, saturating at the top (= ways). The sweep is
@@ -90,16 +94,17 @@ void AbstractCacheState::access(std::uint64_t line) {
     // line's bound and re-counting it would only lose precision (this is
     // what keeps refetch bursts like a,a,b,b from saturating the set).
     const std::uint32_t top = static_cast<std::uint32_t>(ways_);
-    LineAge* self = set.find(line);
+    LineAge* self = line_lower_bound(first, last, line);
+    if (self == last || self->line != line) self = nullptr;
     if (self == nullptr || self->age != 0) {
-      for (LineAge& e : set) {
-        if (e.line != line && e.age < top) ++e.age;
+      for (LineAge* e = first; e != last; ++e) {
+        if (e->line != line && e->age < top) ++e->age;
       }
     }
     if (self != nullptr) {
       self->age = 0;
     } else {
-      set.insert(line, 0);
+      commit_set(s, static_cast<std::size_t>(last - first), line);
     }
     return;
   }
@@ -107,13 +112,17 @@ void AbstractCacheState::access(std::uint64_t line) {
     // Direct-mapped: whatever the prior contents, the accessed line evicts
     // every other tracked line (must holds at most one entry; in a may set
     // every other entry has lower bound 0 <= lb(line), so all age out) and
-    // the set collapses to {line, age 0} for both kinds.
-    set.truncate(0);
-    set.append(LineAge{line, 0});
+    // the set collapses to {line, age 0} for both kinds. The usual case,
+    // one entry already, is overwritten in place.
+    if (last - first == 1) {
+      *first = LineAge{line, 0};
+    } else {
+      commit_set(s, 0, line);
+    }
     return;
   }
-  const LineAge* hit = set.find(line);
-  const bool tracked = hit != nullptr;
+  const LineAge* hit = line_lower_bound(first, last, line);
+  const bool tracked = hit != last && hit->line == line;
   const std::uint32_t ways = static_cast<std::uint32_t>(ways_);
   const std::uint32_t accessed_age = tracked ? hit->age : ways;
   const bool is_must = kind_ == Kind::must;
@@ -123,32 +132,30 @@ void AbstractCacheState::access(std::uint64_t line) {
   // by one (if the accessed line is untracked, everything ages).
   // May: lower bounds advance only when ageing is certain, i.e.
   // lb(m) <= lb(accessed) (see Ferdinand's update; an untracked accessed
-  // line is a definite miss, which ages every line).
-  LineAge* out = set.begin();
-  for (LineAge* it = set.begin(); it != set.end(); ++it) {
+  // line is a definite miss, which ages every line). The accessed line
+  // itself is never dropped, so a tracked one survives the pass.
+  LineAge* out = first;
+  for (LineAge* it = first; it != last; ++it) {
     LineAge e = *it;
-    if (e.line != line) {
+    if (e.line == line) {
+      e.age = 0;
+    } else {
       const bool ages = is_must ? e.age < accessed_age
                                 : (!tracked || e.age <= accessed_age);
       if (ages && ++e.age >= ways) continue;  // bound hit associativity
     }
     *out++ = e;
   }
-  set.truncate(static_cast<std::size_t>(out - set.begin()));
-
-  if (LineAge* self = set.find(line)) {
-    self->age = 0;
-  } else {
-    set.insert(line, 0);
-  }
+  commit_set(s, static_cast<std::size_t>(out - first),
+             tracked ? std::nullopt : std::optional<std::uint64_t>(line));
 }
 
 bool AbstractCacheState::contains(std::uint64_t line) const noexcept {
-  return sets_state_[set_of(line)].find(line) != nullptr;
+  return find(line) != nullptr;
 }
 
 std::size_t AbstractCacheState::age(std::uint64_t line) const noexcept {
-  const LineAge* e = sets_state_[set_of(line)].find(line);
+  const LineAge* e = find(line);
   return e != nullptr ? e->age : ways_;
 }
 
@@ -156,79 +163,69 @@ void AbstractCacheState::join(const AbstractCacheState& other) {
   if (kind_ != other.kind_ || sets_ != other.sets_ || ways_ != other.ways_) {
     throw std::invalid_argument("AbstractCacheState::join: mismatched states");
   }
-  for (std::size_t s = 0; s < sets_; ++s) {
-    LineAgeSet& mine = sets_state_[s];
-    const LineAgeSet& theirs = other.sets_state_[s];
-    if (kind_ == Kind::must) {
-      // Intersection with maximal (most pessimistic) age: a sorted merge
-      // written back in place (the result is a subset of `mine`).
-      LineAge* out = mine.begin();
-      const LineAge* a = mine.begin();
-      const LineAge* a_end = mine.end();
-      const LineAge* b = theirs.begin();
-      const LineAge* b_end = theirs.end();
-      while (a != a_end && b != b_end) {
-        if (a->line < b->line) {
-          ++a;
-        } else if (b->line < a->line) {
-          ++b;
-        } else {
-          *out++ = LineAge{a->line, std::max(a->age, b->age)};
-          ++a;
-          ++b;
-        }
+  // One linear merge over both (set, line)-sorted arrays, then one pass to
+  // rebuild the offsets. Must's result is a subset of this state and the
+  // unions' a superset, so an unchanged size means unchanged lines and
+  // offsets, and the rebuild is skipped.
+  const auto before = [this](const LineAge& a, const LineAge& b) {
+    const std::size_t sa = set_of(a.line);
+    const std::size_t sb = set_of(b.line);
+    return sa != sb ? sa < sb : a.line < b.line;
+  };
+  const LineAge* a = entries_.data();
+  const LineAge* const a_end = a + entries_.size();
+  const LineAge* b = other.entries_.data();
+  const LineAge* const b_end = b + other.entries_.size();
+  if (kind_ == Kind::must) {
+    // Intersection with maximal (most pessimistic) age, written back in
+    // place (the result is a subset of this state).
+    LineAge* out = entries_.data();
+    while (a != a_end && b != b_end) {
+      if (a->line == b->line) {
+        *out++ = LineAge{a->line, std::max(a->age, b->age)};
+        ++a;
+        ++b;
+      } else if (before(*a, *b)) {
+        ++a;
+      } else {
+        ++b;
       }
-      mine.truncate(static_cast<std::size_t>(out - mine.begin()));
-    } else if (kind_ == Kind::persistence) {
-      // Union with MAXIMAL age (both are upper bounds on the conflict
-      // count). One-sided entries survive — on the path that never
-      // accessed the line the first-miss claim is vacuous — but their age
-      // is bumped to at least 1: age 0 must keep certifying "most recent
-      // access of this set on EVERY joined path" (access() skips its aging
-      // sweep on that certificate), and the untracked side cannot vouch.
-      if (mine.empty() && theirs.empty()) continue;
-      LineAgeSet merged;
-      const LineAge* a = mine.begin();
-      const LineAge* a_end = mine.end();
-      const LineAge* b = theirs.begin();
-      const LineAge* b_end = theirs.end();
-      while (a != a_end || b != b_end) {
-        if (b == b_end || (a != a_end && a->line < b->line)) {
-          merged.append(LineAge{a->line, std::max(a->age, 1u)});
-          ++a;
-        } else if (a == a_end || b->line < a->line) {
-          merged.append(LineAge{b->line, std::max(b->age, 1u)});
-          ++b;
-        } else {
-          merged.append(LineAge{a->line, std::max(a->age, b->age)});
-          ++a;
-          ++b;
-        }
-      }
-      mine = std::move(merged);
+    }
+    const auto kept = static_cast<std::size_t>(out - entries_.data());
+    if (kept == entries_.size()) return;
+    entries_.resize(kept);
+    rebuild_offsets();
+    return;
+  }
+  if (b == b_end && kind_ == Kind::may) return;
+  // May: union with minimal (most optimistic) age. Persistence: union with
+  // MAXIMAL age (both are upper bounds on the conflict count); one-sided
+  // entries survive — on the path that never accessed the line the
+  // first-miss claim is vacuous — but their age is bumped to at least 1:
+  // age 0 must keep certifying "most recent access of this set on EVERY
+  // joined path" (access() skips its aging sweep on that certificate), and
+  // the untracked side cannot vouch.
+  const std::uint32_t floor = kind_ == Kind::persistence ? 1u : 0u;
+  std::vector<LineAge> merged;
+  merged.reserve(entries_.size() + other.entries_.size());
+  while (a != a_end || b != b_end) {
+    if (b == b_end || (a != a_end && before(*a, *b))) {
+      merged.push_back(LineAge{a->line, std::max(a->age, floor)});
+      ++a;
+    } else if (a == a_end || a->line != b->line) {
+      merged.push_back(LineAge{b->line, std::max(b->age, floor)});
+      ++b;
     } else {
-      // Union with minimal (most optimistic) age: sorted merge into a
-      // scratch set (the union can outgrow `mine`).
-      if (theirs.empty()) continue;
-      LineAgeSet merged;
-      const LineAge* a = mine.begin();
-      const LineAge* a_end = mine.end();
-      const LineAge* b = theirs.begin();
-      const LineAge* b_end = theirs.end();
-      while (a != a_end || b != b_end) {
-        if (b == b_end || (a != a_end && a->line < b->line)) {
-          merged.append(*a++);
-        } else if (a == a_end || b->line < a->line) {
-          merged.append(*b++);
-        } else {
-          merged.append(LineAge{a->line, std::min(a->age, b->age)});
-          ++a;
-          ++b;
-        }
-      }
-      mine = std::move(merged);
+      merged.push_back(LineAge{a->line, kind_ == Kind::may
+                                            ? std::min(a->age, b->age)
+                                            : std::max(a->age, b->age)});
+      ++a;
+      ++b;
     }
   }
+  const bool grew = merged.size() != entries_.size();
+  entries_ = std::move(merged);
+  if (grew) rebuild_offsets();
 }
 
 void AbstractCacheState::age_set(std::size_t set_index, std::uint32_t amount) {
@@ -236,35 +233,35 @@ void AbstractCacheState::age_set(std::size_t set_index, std::uint32_t amount) {
     throw std::out_of_range("AbstractCacheState::age_set: set out of range");
   }
   if (amount == 0) return;
-  LineAgeSet& set = sets_state_[set_index];
+  LineAge* const first = entries_.data() + begin_[set_index];
+  LineAge* const last = entries_.data() + begin_[set_index + 1];
   const std::uint32_t ways = static_cast<std::uint32_t>(ways_);
   if (kind_ == Kind::persistence) {
     // Saturating advance: conflict counters cap at the top (= ways) and
     // entries are never dropped (a saturated line is simply no longer
     // persistent; "tracked" must keep meaning "accessed at some point").
-    for (LineAge& e : set) {
-      e.age = (amount >= ways || e.age >= ways - amount) ? ways
-                                                         : e.age + amount;
+    for (LineAge* e = first; e != last; ++e) {
+      e->age = (amount >= ways || e->age >= ways - amount) ? ways
+                                                           : e->age + amount;
     }
     return;
   }
   // One compaction pass (same shape as access()): advance every bound,
   // drop entries that reach the associativity. Entries stay sorted by line
   // (ages change uniformly), so no re-sort is needed.
-  LineAge* out = set.begin();
-  for (LineAge* it = set.begin(); it != set.end(); ++it) {
+  LineAge* out = first;
+  for (LineAge* it = first; it != last; ++it) {
     LineAge e = *it;
     if (amount >= ways || e.age + amount >= ways) continue;  // evicted
     e.age += amount;
     *out++ = e;
   }
-  set.truncate(static_cast<std::size_t>(out - set.begin()));
+  commit_set(set_index, static_cast<std::size_t>(out - first), std::nullopt);
 }
 
-std::size_t AbstractCacheState::tracked_lines() const noexcept {
-  std::size_t n = 0;
-  for (const LineAgeSet& set : sets_state_) n += set.size();
-  return n;
+void AbstractCacheState::clear() noexcept {
+  entries_.clear();
+  std::fill(begin_.begin(), begin_.end(), 0u);
 }
 
 namespace {
@@ -281,18 +278,17 @@ constexpr std::uint64_t hash_mix(std::uint64_t x) noexcept {
 }  // namespace
 
 std::size_t AbstractCacheState::hash() const noexcept {
-  // Entries are kept sorted per set, so iterating them yields a canonical
-  // sequence: equal states (operator==) produce identical streams.
+  // Entries are kept sorted by (set, line), so iterating them yields a
+  // canonical sequence: equal states (operator==) produce identical streams.
   const std::uint64_t kind_tag = kind_ == Kind::must  ? 1u
                                  : kind_ == Kind::may ? 2u
                                                       : 3u;
   std::uint64_t h = 0x8f1bbcdcbfa53e0bull ^ kind_tag;
-  h = hash_mix(h ^ sets_state_.size());
-  for (std::size_t s = 0; s < sets_state_.size(); ++s) {
-    for (const LineAge& e : sets_state_[s]) {
-      h = hash_mix(h ^ (static_cast<std::uint64_t>(s) << 32 ^ e.age));
-      h = hash_mix(h ^ e.line);
-    }
+  h = hash_mix(h ^ sets_);
+  for (const LineAge& e : entries_) {
+    const std::uint64_t s = set_of(e.line);
+    h = hash_mix(h ^ (s << 32 ^ e.age));
+    h = hash_mix(h ^ e.line);
   }
   return static_cast<std::size_t>(h);
 }
@@ -335,10 +331,7 @@ Classification CachePair::classify_and_access(std::uint64_t line) {
   return c;
 }
 
-void CachePair::reset_persistence() {
-  persistence_ =
-      AbstractCacheState(must_.config(), AbstractCacheState::Kind::persistence);
-}
+void CachePair::reset_persistence() { persistence_.clear(); }
 
 void CachePair::join(const CachePair& other) {
   must_.join(other.must_);

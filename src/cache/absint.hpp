@@ -18,79 +18,21 @@
 ///        whatever the concrete entry cache holds — see the Kind doc below
 ///        for why carrying it across runs would also break monotonicity.
 
-#include <array>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "cache/cache_model.hpp"
 
 namespace catsched::cache {
 
-/// One tracked cache line with its age bound.
+/// One tracked cache line with its age bound: the element of an
+/// AbstractCacheState's flat entry array (see its storage note).
 struct LineAge {
   std::uint64_t line = 0;
   std::uint32_t age = 0;
   bool operator==(const LineAge&) const = default;
-};
-
-/// Flat per-set storage for an abstract cache set: line/age entries kept
-/// sorted by line. Entries live in a fixed inline array (no allocation) up
-/// to kInline and spill to the heap beyond it — a must set never exceeds
-/// the associativity, so for the common configurations every WCET-fixpoint
-/// access/join/compare is allocation-free; only a may set can briefly grow
-/// past the associativity at join points (its join is a union).
-class LineAgeSet {
-public:
-  static constexpr std::size_t kInline = 4;
-
-  LineAgeSet() = default;
-  LineAgeSet(const LineAgeSet&) = default;
-  LineAgeSet(LineAgeSet&&) = default;
-  LineAgeSet& operator=(const LineAgeSet&) = default;
-  LineAgeSet& operator=(LineAgeSet&&) = default;
-
-  std::size_t size() const noexcept { return size_; }
-  bool empty() const noexcept { return size_ == 0; }
-
-  const LineAge* begin() const noexcept { return data(); }
-  const LineAge* end() const noexcept { return data() + size_; }
-  LineAge* begin() noexcept { return data(); }
-  LineAge* end() noexcept { return data() + size_; }
-
-  /// Entry for \p line, or nullptr.
-  const LineAge* find(std::uint64_t line) const noexcept;
-  LineAge* find(std::uint64_t line) noexcept;
-
-  /// Insert (line, age) keeping the sort; \p line must not be present.
-  void insert(std::uint64_t line, std::uint32_t age);
-
-  /// Append an entry whose line is greater than every present line (the
-  /// fast path for building a set in sorted order, e.g. merge joins).
-  void append(LineAge entry);
-
-  /// Drop every entry at index >= n (after an in-place compaction).
-  void truncate(std::size_t n) noexcept {
-    size_ = static_cast<std::uint32_t>(n);
-  }
-
-  void clear() noexcept { size_ = 0; }
-
-  /// Logical (storage-independent) equality: same sorted entry sequence.
-  bool operator==(const LineAgeSet& other) const noexcept;
-
-private:
-  const LineAge* data() const noexcept {
-    return spill_.empty() ? inline_.data() : spill_.data();
-  }
-  LineAge* data() noexcept {
-    return spill_.empty() ? inline_.data() : spill_.data();
-  }
-
-  std::uint32_t size_ = 0;
-  std::array<LineAge, kInline> inline_{};
-  // Sticky heap mode: once spilled, entries stay in spill_ (capacity is
-  // retained across clears, so a hot may set allocates once).
-  std::vector<LineAge> spill_;
 };
 
 /// One abstract cache state: per set, an age bound for every tracked line.
@@ -128,10 +70,15 @@ private:
 /// same-set lines x,y,z the trace z,x,y,z,x really misses twice on x, yet
 /// conditional aging would keep age(x) < 2 and wrongly certify it.
 ///
-/// Storage is flat (see LineAgeSet): the WCET fixpoint's access/join/==
-/// inner loops run over contiguous line/age pairs instead of std::map
-/// nodes, which removes every per-access allocation and makes state copies
-/// (the dominant cost of loop fixpoints) plain memcpy-sized.
+/// Storage is two flat arrays of trivially copyable elements: every tracked
+/// entry in one vector sorted by (set, line), plus `num_sets + 1` offsets
+/// where `begin_[s]` is the first entry of set `s`, so a set's range is an
+/// O(1) lookup. access() and age_set() rewrite that range in place and then
+/// make at most one insert or erase, shifting the later offsets by the net
+/// change; join() is one linear merge of both arrays plus one offset
+/// rebuild. Copy, ==, hash and destruction cost what the state tracks plus
+/// one small offset array, not one container per cache set — most sets of
+/// a large cache are empty.
 class AbstractCacheState {
 public:
   enum class Kind { must, may, persistence };
@@ -167,9 +114,7 @@ public:
   /// last loaded (its conflict bound never reached the associativity), so
   /// any access point to it misses at most once over the analyzed run.
   bool persistent(std::uint64_t line) const noexcept {
-    return kind_ == Kind::persistence &&
-           sets_state_[set_of(line)].find(line) != nullptr &&
-           age(line) < ways_;
+    return kind_ == Kind::persistence && age(line) < ways_;
   }
 
   /// Join with another state of the same kind and configuration.
@@ -193,12 +138,16 @@ public:
 
   /// Read-only view of one set's tracked (line, age) entries.
   /// \pre set_index < config().num_sets().
-  const LineAgeSet& set_entries(std::size_t set_index) const noexcept {
-    return sets_state_[set_index];
+  std::span<const LineAge> set_entries(std::size_t set_index) const noexcept {
+    return {entries_.data() + begin_[set_index],
+            entries_.data() + begin_[set_index + 1]};
   }
 
   /// Number of tracked lines over all sets.
-  std::size_t tracked_lines() const noexcept;
+  std::size_t tracked_lines() const noexcept { return entries_.size(); }
+
+  /// Drop every tracked line (back to the cold state).
+  void clear() noexcept;
 
   /// Strong hash over the exact abstract contents (kind plus every
   /// (set, line, age) entry): equal states hash equal, so states can key
@@ -215,14 +164,29 @@ private:
                                                    : line % sets_);
   }
 
+  /// Entry for \p line, or nullptr.
+  const LineAge* find(std::uint64_t line) const noexcept;
+
+  /// Finish an in-place update of set \p s whose first \p kept entries
+  /// survive: insert \p line at age 0 in sorted position if given (it must
+  /// not be among the survivors), drop the rest of the old range and shift
+  /// the later sets' offsets by the net change.
+  void commit_set(std::size_t s, std::size_t kept,
+                  std::optional<std::uint64_t> line);
+
+  /// Recompute every set offset from the sorted entries.
+  void rebuild_offsets() noexcept;
+
   CacheConfig config_;
   Kind kind_ = Kind::must;
   std::size_t sets_ = 0;
   std::size_t ways_ = 0;
   std::uint64_t set_mask_ = 0;  ///< sets_ - 1 when sets_ is a power of two
-  // Flat sorted-by-line sets keep operator== and join deterministic (same
-  // iteration order as the previous std::map storage) without node churn.
-  std::vector<LineAgeSet> sets_state_;
+  // Both arrays are canonical for the logical contents (entries sorted by
+  // (set, line), offsets derived from them), so the defaulted operator==
+  // is logical equality and hash() streams entries in a fixed order.
+  std::vector<LineAge> entries_;
+  std::vector<std::uint32_t> begin_;  ///< sets_ + 1 offsets into entries_
 };
 
 /// Static classification of one instruction-fetch access point.

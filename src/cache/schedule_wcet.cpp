@@ -100,7 +100,7 @@ ScheduleWcetAnalyzer::ScheduleWcetAnalyzer(
     const AbstractCacheState& must = st->steady.generic_exit.must();
     const auto ways = static_cast<std::uint32_t>(config_.ways());
     for (std::size_t s = 0; s < config_.num_sets(); ++s) {
-      const LineAgeSet& entries = must.set_entries(s);
+      const std::span<const LineAge> entries = must.set_entries(s);
       if (entries.empty()) continue;
       std::uint32_t youngest = ways;
       for (const LineAge& e : entries) youngest = std::min(youngest, e.age);

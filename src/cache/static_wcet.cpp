@@ -194,7 +194,7 @@ StaticWcetResult analyze_static_wcet(const StructuredProgram& program,
                                      const std::optional<CachePair>& entry,
                                      StaticAnalysisMemo* memo,
                                      FirstMiss first_miss) {
-  CachePair state = entry.value_or(CachePair(config));
+  CachePair state = entry ? *entry : CachePair(config);
   // First-miss guarantees are per run: "not accessed yet" is true for
   // every line at run start whatever the entry cache holds, and a
   // persistence state carried across runs can analyze LOOSER than the

@@ -352,16 +352,19 @@ TEST(AbsintSoundness, JoinCoversBothConcreteStates) {
 }
 
 // --------------------------------------------------------------------------
-// Differential check of the flat (sorted line/age array) domain against an
-// independent std::map reference implementation of Ferdinand's transfer
-// functions — the storage the domain used before the flat rewrite. Any
-// divergence in tracked lines, ages, or join results over randomized traces
-// with joins is a bug in one of the two.
+// Differential check of the flat domain (one (set, line)-sorted entry array
+// plus per-set offsets) against an independent std::map-per-set reference
+// implementation of the transfer functions of all three kinds. Any
+// divergence in tracked lines, ages, entry order or join results over
+// randomized traces with joins and interference aging is a bug in one of
+// the two.
 
-/// Reference (map-based) must/may state with the original transfer code.
+using Kind = AbstractCacheState::Kind;
+
+/// Reference (map-per-set) must/may/persistence state.
 class MapRefState {
  public:
-  MapRefState(const CacheConfig& config, AbstractCacheState::Kind kind)
+  MapRefState(const CacheConfig& config, Kind kind)
       : kind_(kind), sets_(config.num_sets()), ways_(config.ways()),
         sets_state_(sets_) {}
 
@@ -369,8 +372,18 @@ class MapRefState {
     auto& set = sets_state_[line % sets_];
     const auto it = set.find(line);
     const bool tracked = it != set.end();
+    if (kind_ == Kind::persistence) {
+      // Unconditional conflict count, except a re-access at age 0.
+      if (!tracked || it->second != 0) {
+        for (auto& [other, age] : set) {
+          if (other != line && age < ways_) ++age;
+        }
+      }
+      set[line] = 0;
+      return;
+    }
     const std::size_t accessed_age = tracked ? it->second : ways_;
-    const bool is_must = kind_ == AbstractCacheState::Kind::must;
+    const bool is_must = kind_ == Kind::must;
     for (auto m = set.begin(); m != set.end();) {
       const bool ages = is_must
                             ? m->second < accessed_age
@@ -390,7 +403,7 @@ class MapRefState {
     for (std::size_t s = 0; s < sets_; ++s) {
       auto& mine = sets_state_[s];
       const auto& theirs = other.sets_state_[s];
-      if (kind_ == AbstractCacheState::Kind::must) {
+      if (kind_ == Kind::must) {
         for (auto it = mine.begin(); it != mine.end();) {
           const auto jt = theirs.find(it->first);
           if (jt == theirs.end()) {
@@ -400,7 +413,7 @@ class MapRefState {
             ++it;
           }
         }
-      } else {
+      } else if (kind_ == Kind::may) {
         for (const auto& [line, age] : theirs) {
           const auto it = mine.find(line);
           if (it == mine.end()) {
@@ -409,7 +422,34 @@ class MapRefState {
             it->second = std::min(it->second, age);
           }
         }
+      } else {
+        // Union at max age; one-sided entries are bumped to at least 1.
+        for (auto& [line, age] : mine) {
+          if (theirs.count(line) == 0) age = std::max<std::size_t>(age, 1);
+        }
+        for (const auto& [line, age] : theirs) {
+          const auto it = mine.find(line);
+          if (it == mine.end()) {
+            mine.emplace(line, std::max<std::size_t>(age, 1));
+          } else {
+            it->second = std::max(it->second, age);
+          }
+        }
       }
+    }
+  }
+
+  void age_set(std::size_t s, std::size_t amount) {
+    auto& set = sets_state_[s];
+    for (auto it = set.begin(); it != set.end();) {
+      it->second += amount;
+      if (kind_ == Kind::persistence) {
+        it->second = std::min(it->second, ways_);  // saturate, never drop
+      } else if (it->second >= ways_) {
+        it = set.erase(it);
+        continue;
+      }
+      ++it;
     }
   }
 
@@ -419,13 +459,17 @@ class MapRefState {
     return it != set.end() ? it->second : ways_;
   }
 
+  bool contains(std::uint64_t line) const {
+    return sets_state_[line % sets_].count(line) != 0;
+  }
+
   std::size_t tracked_lines() const {
     std::size_t n = 0;
     for (const auto& set : sets_state_) n += set.size();
     return n;
   }
 
-  /// Every (line, age) pair over all sets, for exhaustive comparison.
+  /// Every (line, age) pair in (set, line) order, for exhaustive comparison.
   std::vector<std::pair<std::uint64_t, std::size_t>> entries() const {
     std::vector<std::pair<std::uint64_t, std::size_t>> out;
     for (const auto& set : sets_state_) {
@@ -435,16 +479,29 @@ class MapRefState {
   }
 
  private:
-  AbstractCacheState::Kind kind_;
+  Kind kind_;
   std::size_t sets_;
   std::size_t ways_;
   std::vector<std::map<std::uint64_t, std::size_t>> sets_state_;
 };
 
+/// The flat state's entries in (set, line) order, read set by set.
+std::vector<std::pair<std::uint64_t, std::size_t>> flat_entries(
+    const AbstractCacheState& flat) {
+  std::vector<std::pair<std::uint64_t, std::size_t>> out;
+  for (std::size_t s = 0; s < flat.config().num_sets(); ++s) {
+    for (const auto& e : flat.set_entries(s)) out.emplace_back(e.line, e.age);
+  }
+  return out;
+}
+
 void expect_equivalent(const AbstractCacheState& flat, const MapRefState& ref,
                        std::uint64_t max_line, const char* what) {
   ASSERT_EQ(flat.tracked_lines(), ref.tracked_lines()) << what;
+  ASSERT_EQ(flat_entries(flat), ref.entries()) << what;
   for (std::uint64_t line = 0; line <= max_line; ++line) {
+    ASSERT_EQ(flat.contains(line), ref.contains(line))
+        << what << " line " << line;
     ASSERT_EQ(flat.age(line), ref.age(line)) << what << " line " << line;
   }
 }
@@ -455,53 +512,111 @@ class FlatVsMapDifferential
 TEST_P(FlatVsMapDifferential, RandomTracesWithJoinsMatchReference) {
   const auto [lines, assoc] = GetParam();
   const CacheConfig cfg = small_cache(lines, assoc);
+  const std::size_t sets = cfg.num_sets();
+  const std::size_t ways = cfg.ways();
   const std::uint64_t max_line = 3 * lines;
+  // Enough accesses that every set sees several conflicting lines, so
+  // inserts and evictions move the offsets of many sets.
+  const int steps = static_cast<int>(std::max<std::size_t>(80, 2 * lines));
   std::mt19937_64 rng(lines * 1000 + assoc);
   std::uniform_int_distribution<std::uint64_t> addr(0, max_line);
+  std::uniform_int_distribution<std::size_t> pick_set(0, sets - 1);
+  std::uniform_int_distribution<std::uint32_t> amount(0, ways + 1);
+  std::uniform_int_distribution<int> coin(0, 9);
 
-  for (const auto kind :
-       {AbstractCacheState::Kind::must, AbstractCacheState::Kind::may}) {
+  // One transfer on both implementations: mostly accesses, with an
+  // interference aging of a random set interleaved now and then.
+  const auto step = [&](AbstractCacheState& flat, MapRefState& ref) {
+    if (coin(rng) == 0) {
+      const std::size_t s = pick_set(rng);
+      const std::uint32_t a = amount(rng);
+      flat.age_set(s, a);
+      ref.age_set(s, a);
+    } else {
+      const std::uint64_t line = addr(rng);
+      flat.access(line);
+      ref.access(line);
+    }
+  };
+
+  for (const auto kind : {Kind::must, Kind::may, Kind::persistence}) {
     for (int trial = 0; trial < 20; ++trial) {
       AbstractCacheState flat_a(cfg, kind);
       AbstractCacheState flat_b(cfg, kind);
       MapRefState ref_a(cfg, kind);
       MapRefState ref_b(cfg, kind);
-      // Two diverging access paths...
-      for (int i = 0; i < 80; ++i) {
-        const std::uint64_t la = addr(rng);
-        const std::uint64_t lb = addr(rng);
-        flat_a.access(la);
-        ref_a.access(la);
-        flat_b.access(lb);
-        ref_b.access(lb);
+      // Two diverging paths...
+      for (int i = 0; i < steps; ++i) {
+        step(flat_a, ref_a);
+        step(flat_b, ref_b);
       }
       expect_equivalent(flat_a, ref_a, max_line, "pre-join A");
       expect_equivalent(flat_b, ref_b, max_line, "pre-join B");
-      // ...joined (may-union can outgrow the associativity), then more
-      // accesses to age the joined state back down.
+      // ...joined (the unions can outgrow the associativity), then more
+      // transfers to age the joined state back down.
       flat_a.join(flat_b);
       ref_a.join(ref_b);
       expect_equivalent(flat_a, ref_a, max_line, "post-join");
-      for (int i = 0; i < 40; ++i) {
-        const std::uint64_t line = addr(rng);
-        flat_a.access(line);
-        ref_a.access(line);
-      }
-      expect_equivalent(flat_a, ref_a, max_line, "post-join access");
-      // Equality operator agrees with the reference notion of equality.
-      AbstractCacheState replay(cfg, kind);
-      EXPECT_EQ(flat_a == replay, ref_a.entries() == MapRefState(cfg, kind).entries());
+      for (int i = 0; i < steps / 2; ++i) step(flat_a, ref_a);
+      expect_equivalent(flat_a, ref_a, max_line, "post-join transfers");
+      // Equality and hash agree with the reference notion of equality.
+      const AbstractCacheState copy = flat_a;
+      EXPECT_TRUE(copy == flat_a);
+      EXPECT_EQ(copy.hash(), flat_a.hash());
+      const AbstractCacheState cold(cfg, kind);
+      EXPECT_EQ(flat_a == cold, ref_a.tracked_lines() == 0);
     }
   }
 }
 
+TEST_P(FlatVsMapDifferential, SameContentsFromDifferentHistoriesAreCanonical) {
+  const auto [lines, assoc] = GetParam();
+  const CacheConfig cfg = small_cache(lines, assoc);
+  const std::size_t sets = cfg.num_sets();
+  const auto ways = static_cast<std::uint32_t>(cfg.ways());
+  std::mt19937_64 rng(lines * 7 + assoc);
+  std::uniform_int_distribution<std::uint64_t> addr(0, 3 * lines);
+  std::vector<std::uint64_t> trace(std::max<std::size_t>(40, 2 * lines));
+  for (auto& line : trace) line = addr(rng);
+
+  // Must/may: filled then emptied by interference aging equals untouched.
+  for (const auto kind : {Kind::must, Kind::may}) {
+    AbstractCacheState filled(cfg, kind);
+    for (const auto line : trace) filled.access(line);
+    ASSERT_GT(filled.tracked_lines(), 0u);
+    for (std::size_t s = 0; s < sets; ++s) filled.age_set(s, ways);
+    const AbstractCacheState untouched(cfg, kind);
+    EXPECT_TRUE(filled == untouched);
+    EXPECT_EQ(filled.hash(), untouched.hash());
+  }
+  // Persistence never drops entries, but saturation erases the order in
+  // which the lines were first seen: forward and reversed traces end equal.
+  AbstractCacheState forward(cfg, Kind::persistence);
+  AbstractCacheState reversed(cfg, Kind::persistence);
+  for (const auto line : trace) forward.access(line);
+  for (auto it = trace.rbegin(); it != trace.rend(); ++it) reversed.access(*it);
+  for (std::size_t s = 0; s < sets; ++s) {
+    forward.age_set(s, ways);
+    reversed.age_set(s, ways);
+  }
+  EXPECT_TRUE(forward == reversed);
+  EXPECT_EQ(forward.hash(), reversed.hash());
+  // A join that changes nothing keeps the state canonical too.
+  AbstractCacheState joined = forward;
+  joined.join(reversed);
+  EXPECT_TRUE(joined == forward);
+  EXPECT_EQ(joined.hash(), forward.hash());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Configs, FlatVsMapDifferential,
-    ::testing::Values(std::make_tuple(8, 1),    // direct-mapped (fast path)
-                      std::make_tuple(128, 1),  // the paper's configuration
-                      std::make_tuple(8, 2),    // 2-way
-                      std::make_tuple(16, 4),   // 4-way
-                      std::make_tuple(12, 2),   // non-power-of-two sets
-                      std::make_tuple(8, 0)));  // fully associative
+    ::testing::Values(std::make_tuple(8, 1),     // direct-mapped (fast path)
+                      std::make_tuple(128, 1),   // the paper's configuration
+                      std::make_tuple(8, 2),     // 2-way
+                      std::make_tuple(16, 4),    // 4-way
+                      std::make_tuple(12, 2),    // non-power-of-two sets
+                      std::make_tuple(8, 0),     // fully associative
+                      std::make_tuple(4096, 8),  // 512 sets x 8 ways
+                      std::make_tuple(600, 4)));  // 150 sets (not 2^k)
 
 }  // namespace
