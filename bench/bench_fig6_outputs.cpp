@@ -14,9 +14,8 @@ using namespace catsched;
 
 namespace {
 
-control::SimResult rerun(const core::SystemModel& sys, std::size_t app,
-                         const core::ScheduleEvaluation& ev,
-                         double horizon) {
+control::SimTrace rerun(const core::SystemModel& sys, std::size_t app,
+                        const core::ScheduleEvaluation& ev, double horizon) {
   const auto& a = sys.apps[app];
   const auto& intervals = ev.timing.apps[app].intervals;
   control::SwitchedSimulator sim(a.plant, intervals, 1e-4);
@@ -29,7 +28,9 @@ control::SimResult rerun(const core::SystemModel& sys, std::size_t app,
   so.start_phase = at.longest_interval();
   so.hold_first_interval = true;
   so.settle_on_samples = false;
-  return sim.simulate(ev.apps[app].design.gains, eq.x, eq.u, so);
+  control::SimTrace trace;
+  sim.simulate(ev.apps[app].design.gains, eq.x, eq.u, so, &trace);
+  return trace;
 }
 
 }  // namespace

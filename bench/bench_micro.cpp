@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -18,6 +19,8 @@
 #include "linalg/lyap.hpp"
 #include "linalg/svd.hpp"
 #include "sched/timing.hpp"
+#include "testgen/generator.hpp"
+#include "testgen/invariants.hpp"
 
 using namespace catsched;
 
@@ -78,7 +81,9 @@ void BM_Eigenvalues(benchmark::State& state) {
 }
 BENCHMARK(BM_Eigenvalues)->Arg(3)->Arg(6)->Arg(12);
 
-void BM_SwitchedSimulation(benchmark::State& state) {
+/// Case-study app 0 under (3,2,3) at dense_dt = 1e-4 with fixed gains;
+/// \p trace, when non-null, also records the trajectory.
+void switched_simulation(benchmark::State& state, control::SimTrace* trace) {
   const auto timing = sched::derive_timing(sys().analyze_wcets(),
                                            sched::PeriodicSchedule({3, 2, 3}));
   const auto& a = sys().apps[0];
@@ -93,10 +98,24 @@ void BM_SwitchedSimulation(benchmark::State& state) {
   so.r = a.r;
   so.horizon = 40e-3;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.simulate(g, eq.x, eq.u, so));
+    benchmark::DoNotOptimize(sim.simulate(g, eq.x, eq.u, so, trace));
+    benchmark::ClobberMemory();
   }
 }
+
+// The metrics-only simulation the PSO objective runs.
+void BM_SwitchedSimulation(benchmark::State& state) {
+  switched_simulation(state, nullptr);
+}
 BENCHMARK(BM_SwitchedSimulation);
+
+// The same simulation recording its dense and sampled trace (plots, CSV).
+void BM_SwitchedSimulationTrace(benchmark::State& state) {
+  control::SimTrace trace;
+  switched_simulation(state, &trace);
+  benchmark::DoNotOptimize(trace.y.data());
+}
+BENCHMARK(BM_SwitchedSimulationTrace);
 
 void BM_Svd(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -311,29 +330,79 @@ void BM_DlqrSolve(benchmark::State& state) {
 BENCHMARK(BM_DlqrSolve);
 
 // One PSO particle's full evaluation: closed-loop monodromy + spectral
-// radius (stability barrier), exact feedforward, then the dense switched
-// simulation — the body design_cost runs thousands of times per design.
-void BM_PsoParticleEval(benchmark::State& state) {
-  const auto timing = sched::derive_timing(sys().analyze_wcets(),
-                                           sched::PeriodicSchedule({3, 2, 3}));
-  const auto& a = sys().apps[0];
-  control::SwitchedSimulator sim(a.plant, timing.apps[0].intervals, 1e-4);
-  const control::Equilibrium eq = control::equilibrium_at(a.plant, a.y0);
-  std::vector<linalg::Matrix> k(sim.num_phases(),
-                                linalg::Matrix{{-1e-4, -1e-6}});
+// radius (stability barrier), exact feedforward, then the metrics-only
+// switched simulation — the body design_cost runs thousands of times per
+// design.
+void pso_particle_eval(benchmark::State& state,
+                       const control::ContinuousLTI& plant,
+                       const std::vector<sched::Interval>& intervals,
+                       double dense_dt, const std::vector<linalg::Matrix>& k,
+                       double y0, double r, double horizon) {
+  control::SwitchedSimulator sim(plant, intervals, dense_dt);
+  const control::Equilibrium eq = control::equilibrium_at(plant, y0);
   control::SimOptions so;
-  so.r = a.r;
-  so.horizon = 1.6 * a.smax;
+  so.r = r;
+  so.horizon = horizon;
   for (auto _ : state) {
     const double rho =
         linalg::spectral_radius(control::closed_loop_monodromy(sim.phases(), k));
     benchmark::DoNotOptimize(rho);
-    auto f = control::exact_feedforward(sim.phases(), a.plant.c, k);
+    auto f = control::exact_feedforward(sim.phases(), plant.c, k);
     control::PhaseGains g{k, f ? *f : std::vector<double>(k.size(), 0.0)};
     benchmark::DoNotOptimize(sim.simulate(g, eq.x, eq.u, so));
   }
 }
+
+// Case-study geometry: app 0 under (3,2,3), dense_dt = 1e-4, so every
+// interval spans many dense substeps.
+void BM_PsoParticleEval(benchmark::State& state) {
+  const auto timing = sched::derive_timing(sys().analyze_wcets(),
+                                           sched::PeriodicSchedule({3, 2, 3}));
+  const auto& a = sys().apps[0];
+  pso_particle_eval(state, a.plant, timing.apps[0].intervals, 1e-4,
+                    std::vector<linalg::Matrix>(
+                        timing.apps[0].intervals.size(),
+                        linalg::Matrix{{-1e-4, -1e-6}}),
+                    a.y0, a.r, 1.6 * a.smax);
+}
 BENCHMARK(BM_PsoParticleEval);
+
+// population_search geometry: testgen seed 1 of perfbench's pinned
+// population (3 apps, branchy_chance 0.35), its order-3 app 0 under
+// (3,2,2), dense_dt = max(fuzz dense_dt, 1.6 max smax / 400) = 2 ms. Every
+// interval (0.53, 0.011 and 1.42 ms) is shorter than dense_dt, so each
+// segment is one substep. The particle is the gains a design under those
+// options returns: stable, settling within the horizon (after smax).
+void BM_PsoParticleEvalPopulation(benchmark::State& state) {
+  testgen::GeneratorConfig gen;
+  gen.max_apps = 3;
+  gen.branchy_chance = 0.35;
+  const core::SystemModel model = testgen::generate_system(gen, 1).model;
+  const core::Application& a = model.apps[0];
+  double max_smax = 0.0;
+  for (const core::Application& app : model.apps) {
+    max_smax = std::max(max_smax, app.smax);
+  }
+  control::DesignOptions opts = testgen::fuzz_design_options();
+  opts.dense_dt = std::max(opts.dense_dt, 1.6 * max_smax / 400.0);
+  const auto timing = sched::derive_timing(model.analyze_wcets(),
+                                           sched::PeriodicSchedule({3, 2, 2}));
+  control::DesignSpec spec;
+  spec.plant = a.plant;
+  spec.umax = a.umax;
+  spec.r = a.r;
+  spec.y0 = a.y0;
+  spec.smax = a.smax;
+  const control::DesignResult design =
+      control::design_controller(spec, timing.apps[0].intervals, opts);
+  if (a.plant.order() != 3 || !design.settled) {
+    state.SkipWithError("pinned system changed: no settling order-3 app 0");
+    return;
+  }
+  pso_particle_eval(state, a.plant, timing.apps[0].intervals, opts.dense_dt,
+                    design.gains.k, a.y0, a.r, opts.horizon_factor * a.smax);
+}
+BENCHMARK(BM_PsoParticleEvalPopulation);
 
 void BM_FullControllerDesign(benchmark::State& state) {
   const auto timing = sched::derive_timing(sys().analyze_wcets(),

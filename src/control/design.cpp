@@ -19,13 +19,30 @@ namespace catsched::control {
 namespace {
 
 /// Shared evaluation context so the PSO objective and the final metric
-/// report use identical code paths.
+/// report use identical code paths. Every design is scored on the
+/// worst-case step response: the reference steps at the start of the
+/// longest interval, the input held through it.
 struct EvalContext {
+  EvalContext(const DesignSpec& s, const std::vector<sched::Interval>& ivs,
+              const DesignOptions& o)
+      : spec(s),
+        opts(o),
+        sim(s.plant, ivs, o.dense_dt),
+        eq(equilibrium_at(s.plant, s.y0)) {
+    sched::AppTiming at;
+    at.intervals = ivs;
+    sim_opts.r = s.r;
+    sim_opts.horizon = o.horizon_factor * s.smax;
+    sim_opts.start_phase = at.longest_interval();
+    sim_opts.hold_first_interval = true;
+    sim_opts.settle_band = s.settle_band;
+    sim_opts.settle_on_samples = o.settle_on_samples;
+  }
+
   const DesignSpec& spec;
-  const SwitchedSimulator& sim;
   const DesignOptions& opts;
-  Matrix x0;
-  double u_prev0;
+  SwitchedSimulator sim;
+  Equilibrium eq;
   SimOptions sim_opts;
 
   std::optional<std::vector<double>> feedforward(
@@ -50,7 +67,7 @@ std::vector<Matrix> unpack_gains(const std::vector<double>& theta,
 double design_cost(const EvalContext& ctx, const std::vector<double>& theta) {
   const std::size_t m = ctx.sim.num_phases();
   const std::size_t l = ctx.spec.plant.order();
-  const std::vector<Matrix> k = unpack_gains(theta, m, l);
+  std::vector<Matrix> k = unpack_gains(theta, m, l);
 
   const double rho = linalg::spectral_radius(closed_loop_monodromy(
       ctx.sim.phases(), k));
@@ -58,13 +75,12 @@ double design_cost(const EvalContext& ctx, const std::vector<double>& theta) {
   if (rho >= 1.0 - ctx.opts.stability_margin) {
     return 1.0e3 * horizon * (1.0 + rho);  // graded push toward stability
   }
-  const auto f = ctx.feedforward(k);
+  auto f = ctx.feedforward(k);
   if (!f) {
     return 1.0e3 * horizon * (1.0 + rho);
   }
-  PhaseGains gains{k, *f};
-  const SimResult sr = ctx.sim.simulate(gains, ctx.x0, ctx.u_prev0,
-                                        ctx.sim_opts);
+  const SimResult sr = ctx.sim.simulate({std::move(k), std::move(*f)},
+                                        ctx.eq.x, ctx.eq.u, ctx.sim_opts);
   double cost;
   if (sr.diverged) {
     cost = 5.0e2 * horizon;
@@ -73,13 +89,7 @@ double design_cost(const EvalContext& ctx, const std::vector<double>& theta) {
   } else {
     // Settling time is piecewise constant in the gains; a small integral
     // absolute error term breaks plateau ties toward robust centers.
-    double iae = 0.0;
-    const double rref = std::max(std::abs(ctx.sim_opts.r), 1e-12);
-    for (std::size_t i = 1; i < sr.t.size(); ++i) {
-      iae += std::abs(sr.y[i] - ctx.sim_opts.r) / rref *
-             (sr.t[i] - sr.t[i - 1]);
-    }
-    cost = sr.settling_time + 0.05 * iae;
+    cost = sr.settling_time + 0.05 * sr.iae;
   }
   if (sr.u_max_abs > ctx.spec.umax) {
     cost += 50.0 * horizon * (sr.u_max_abs / ctx.spec.umax - 1.0);
@@ -94,20 +104,20 @@ DesignResult report_for(const EvalContext& ctx,
   const std::size_t l = ctx.spec.plant.order();
   DesignResult res;
   res.pso_evaluations = pso_evaluations;
-  const std::vector<Matrix> k = unpack_gains(theta, m, l);
+  std::vector<Matrix> k = unpack_gains(theta, m, l);
   res.spectral_radius = linalg::spectral_radius(
       closed_loop_monodromy(ctx.sim.phases(), k));
-  const auto f = ctx.feedforward(k);
+  auto f = ctx.feedforward(k);
   if (!f || res.spectral_radius >= 1.0 - ctx.opts.stability_margin) {
     res.settled = false;
     res.feasible = false;
     res.settling_time = std::numeric_limits<double>::infinity();
-    res.gains = PhaseGains{k, std::vector<double>(m, 0.0)};
+    res.gains = PhaseGains{std::move(k), std::vector<double>(m, 0.0)};
     return res;
   }
-  res.gains = PhaseGains{k, *f};
+  res.gains = PhaseGains{std::move(k), std::move(*f)};
   const SimResult sr =
-      ctx.sim.simulate(res.gains, ctx.x0, ctx.u_prev0, ctx.sim_opts);
+      ctx.sim.simulate(res.gains, ctx.eq.x, ctx.eq.u, ctx.sim_opts);
   res.settling_time =
       sr.settled ? sr.settling_time : std::numeric_limits<double>::infinity();
   res.settled = sr.settled;
@@ -134,20 +144,8 @@ DesignResult design_controller(const DesignSpec& spec,
     throw std::invalid_argument("design_controller: no intervals");
   }
 
-  SwitchedSimulator sim(spec.plant, intervals, opts.dense_dt);
-  const Equilibrium eq = equilibrium_at(spec.plant, spec.y0);
-
-  sched::AppTiming at;
-  at.intervals = intervals;
-
-  EvalContext ctx{spec, sim, opts, eq.x, eq.u, SimOptions{}};
-  ctx.sim_opts.r = spec.r;
-  ctx.sim_opts.horizon = opts.horizon_factor * spec.smax;
-  ctx.sim_opts.start_phase = at.longest_interval();
-  ctx.sim_opts.hold_first_interval = true;
-  ctx.sim_opts.settle_band = spec.settle_band;
-  ctx.sim_opts.settle_on_samples = opts.settle_on_samples;
-  ctx.sim_opts.dense_dt = opts.dense_dt;
+  const EvalContext ctx(spec, intervals, opts);
+  const SwitchedSimulator& sim = ctx.sim;
 
   // Stage A (paper's PSO-over-poles spirit): scan a grid of closed-loop
   // pole patterns on the average-rate surrogate, recover gains with
@@ -375,18 +373,7 @@ DesignResult evaluate_gains(const DesignSpec& spec,
   if (gains.k.size() != m) {
     throw std::invalid_argument("evaluate_gains: gain/interval mismatch");
   }
-  SwitchedSimulator sim(spec.plant, intervals, opts.dense_dt);
-  const Equilibrium eq = equilibrium_at(spec.plant, spec.y0);
-  sched::AppTiming at;
-  at.intervals = intervals;
-  EvalContext ctx{spec, sim, opts, eq.x, eq.u, SimOptions{}};
-  ctx.sim_opts.r = spec.r;
-  ctx.sim_opts.horizon = opts.horizon_factor * spec.smax;
-  ctx.sim_opts.start_phase = at.longest_interval();
-  ctx.sim_opts.hold_first_interval = true;
-  ctx.sim_opts.settle_band = spec.settle_band;
-  ctx.sim_opts.settle_on_samples = opts.settle_on_samples;
-  ctx.sim_opts.dense_dt = opts.dense_dt;
+  const EvalContext ctx(spec, intervals, opts);
 
   std::vector<double> theta(m * l);
   for (std::size_t j = 0; j < m; ++j) {

@@ -31,6 +31,22 @@ void check_gain_dims(const std::vector<PhaseDynamics>& phases,
   }
 }
 
+/// settling_time() read one point at a time: the earliest point after the
+/// last violation of |y - r| <= tol; unsettled while the latest violates.
+struct SettlingScan {
+  double r;
+  double tol;
+  SettlingInfo at{std::numeric_limits<double>::infinity(), false};
+
+  void see(double t, double y) {
+    if (std::abs(y - r) > tol) {
+      at = {std::numeric_limits<double>::infinity(), false};
+    } else if (!at.settled) {
+      at = {t, true};
+    }
+  }
+};
+
 }  // namespace
 
 Matrix closed_loop_monodromy(const std::vector<PhaseDynamics>& phases,
@@ -158,23 +174,19 @@ std::optional<std::vector<double>> per_interval_feedforward(
 SwitchedSimulator::SwitchedSimulator(const ContinuousLTI& plant,
                                      std::vector<sched::Interval> intervals,
                                      double dense_dt)
-    : plant_(plant), intervals_(std::move(intervals)) {
+    : plant_(plant) {
   plant_.validate();
-  if (intervals_.empty()) {
+  if (intervals.empty()) {
     throw std::invalid_argument("SwitchedSimulator: no intervals");
   }
   if (dense_dt <= 0.0) {
     throw std::invalid_argument("SwitchedSimulator: dense_dt must be > 0");
   }
-  phases_ = discretize_phases(plant_, intervals_);
+  phases_ = discretize_phases(plant_, intervals);
   dense_.reserve(phases_.size());
   auto make_segment = [&](double span) {
     Segment seg;
-    if (span <= 1e-15) {
-      seg.steps = 0;
-      seg.dt = 0.0;
-      return seg;
-    }
+    if (span <= 1e-15) return seg;
     seg.steps = std::max<std::size_t>(
         1, static_cast<std::size_t>(std::llround(std::ceil(span / dense_dt))));
     seg.dt = span / static_cast<double>(seg.steps);
@@ -184,16 +196,16 @@ SwitchedSimulator::SwitchedSimulator(const ContinuousLTI& plant,
     return seg;
   };
   for (const PhaseDynamics& pd : phases_) {
-    PhaseDense d;
-    d.before = make_segment(pd.tau);
-    d.after = make_segment(pd.h - pd.tau);
-    dense_.push_back(d);
+    dense_.push_back({make_segment(pd.tau), make_segment(pd.h - pd.tau)});
+    period_ += pd.h;
+    period_steps_ += dense_.back().before.steps + dense_.back().after.steps;
   }
 }
 
 SimResult SwitchedSimulator::simulate(const PhaseGains& gains,
                                       const Matrix& x0, double u_prev0,
-                                      const SimOptions& opts) const {
+                                      const SimOptions& opts,
+                                      SimTrace* trace) const {
   check_gain_dims(phases_, gains.k);
   if (gains.f.size() != phases_.size()) {
     throw std::invalid_argument("simulate: F count != phase count");
@@ -205,110 +217,116 @@ SimResult SwitchedSimulator::simulate(const PhaseGains& gains,
   if (opts.start_phase >= phases_.size()) {
     throw std::invalid_argument("simulate: start_phase out of range");
   }
+  if (opts.settle_on_samples && !(opts.horizon > 0.0)) {
+    throw std::invalid_argument("simulate: no sample before the horizon");
+  }
 
+  if (trace != nullptr) {
+    // The loop stops at the first interval boundary at or past the
+    // horizon, so horizon / period + 2 periods bound what it traverses.
+    const std::size_t periods =
+        static_cast<std::size_t>(std::max(0.0, opts.horizon) / period_) + 2;
+    *trace = SimTrace{};
+    for (auto* v : {&trace->t, &trace->y}) {
+      v->reserve(periods * period_steps_ + 1);
+    }
+    for (auto* v : {&trace->ts, &trace->ys, &trace->u}) {
+      v->reserve(periods * phases_.size());
+    }
+  }
+
+  // Every metric is streamed point by point, in the order and with the
+  // arithmetic of a post-hoc walk over the stored trace.
   SimResult res;
-  const std::size_t est =
-      static_cast<std::size_t>(opts.horizon / opts.dense_dt) + 16;
-  res.t.reserve(est);
-  res.y.reserve(est);
-  // Actuation-grained traces: one entry per traversed interval. Reserve
-  // from the known horizon and period so the while loop below never grows
-  // them (satellite of ISSUE 3: no reallocation in the step loop).
-  double period = 0.0;
-  for (const auto& iv : intervals_) period += iv.h;
-  const std::size_t est_acts =
-      period > 0.0 ? static_cast<std::size_t>(opts.horizon / period + 1.0) *
-                             intervals_.size() +
-                         2
-                   : 16;
-  res.ts.reserve(est_acts);
-  res.ys.reserve(est_acts);
-  res.u.reserve(est_acts);
+  const double r = opts.r;
+  const double rref = std::max(std::abs(r), 1e-12);
+  double tail_err = 0.0;
+  std::size_t tail_cnt = 0;
+  SettlingScan settling{r, opts.settle_band * rref};
+  double t = 0.0;
+  double yv = 0.0;
+  const auto see_dense = [&] {
+    if (trace != nullptr) {
+      trace->t.push_back(t);
+      trace->y.push_back(yv);
+    }
+    const double err = std::abs(yv - r) / rref;
+    if (t >= 0.8 * opts.horizon) {
+      tail_err += err;
+      ++tail_cnt;
+    }
+    if (!opts.settle_on_samples) settling.see(t, yv);
+    return err;
+  };
 
-  // State workspaces reused across every dense substep: the inner loop
-  // below runs ~horizon/dense_dt times per candidate and must not allocate
-  // (Matrix is small-buffer-optimized, so x/xn live on this frame).
-  Matrix x = x0;
-  Matrix xn(l, 1);
-  // Row-times-column with the exact skip-zero/accumulation order of
-  // operator*, so traces stay bit-identical to the temporary-based code.
-  const auto row_dot = [l](const Matrix& row, const Matrix& col) {
+  // Row-times-column with operator*'s skip-zero rule and accumulation
+  // order, so every value is bit-identical to the Matrix expressions.
+  const auto dot = [l](const double* row, const double* col) {
     double s = 0.0;
     for (std::size_t q = 0; q < l; ++q) {
-      const double rq = row(0, q);
-      if (rq == 0.0) continue;
-      s += rq * col(q, 0);
+      if (row[q] == 0.0) continue;
+      s += row[q] * col[q];
     }
     return s;
   };
-  double u_prev = u_prev0;
-  double t = 0.0;
-  std::size_t phase = opts.start_phase;
-  bool first = true;
-  res.t.push_back(0.0);
-  res.y.push_back(row_dot(plant_.c, x));
+  std::vector<double> state(2 * l);
+  double* x = state.data();
+  double* xn = x + l;
+  std::copy(x0.data(), x0.data() + l, x);
+  yv = dot(plant_.c.data(), x);
+  see_dense();
 
-  auto run_segment = [&](const Segment& seg, double u) {
-    for (std::size_t s = 0; s < seg.steps; ++s) {
-      multiply_into(xn, seg.e, x);     // xn = E x
-      axpy_into(xn, u, seg.pb);        // xn += u * (Phi B)
-      std::swap(x, xn);
-      t += seg.dt;
-      const double yv = row_dot(plant_.c, x);
-      res.t.push_back(t);
-      res.y.push_back(yv);
-      if (std::abs(yv) > opts.divergence_bound) {
-        res.diverged = true;
-        return false;
+  // Dense substeps xn = E x + u (Phi B): multiply_into then axpy_into.
+  const auto run_segment = [&](const Segment& seg, double u) {
+    for (std::size_t s = 0; s < seg.steps && !res.diverged; ++s) {
+      for (std::size_t i = 0; i < l; ++i) {
+        xn[i] = dot(seg.e.data() + i * l, x) + u * seg.pb.data()[i];
       }
+      std::swap(x, xn);
+      const double t_prev = t;
+      t += seg.dt;
+      yv = dot(plant_.c.data(), x);
+      res.iae += see_dense() * (t - t_prev);
+      res.diverged = std::abs(yv) > opts.divergence_bound;
     }
-    return true;
   };
 
+  double u_prev = u_prev0;
+  std::size_t phase = opts.start_phase;
+  bool first = true;
   while (t < opts.horizon && !res.diverged) {
-    res.ts.push_back(t);  // sensing instant of this interval's task
-    res.ys.push_back(row_dot(plant_.c, x));
+    // Sensing instant of this interval's task: the last dense output.
+    if (trace != nullptr) {
+      trace->ts.push_back(t);
+      trace->ys.push_back(yv);
+    }
+    if (opts.settle_on_samples) settling.see(t, yv);
     double u_new;
     if (first && opts.hold_first_interval) {
       // The task in flight when the reference steps still targets the old
       // reference: at the old equilibrium its output equals u_prev0.
       u_new = u_prev;
     } else {
-      u_new = row_dot(gains.k[phase], x) + gains.f[phase] * opts.r;
+      u_new = dot(gains.k[phase].data(), x) + gains.f[phase] * r;
     }
     if (opts.clamp_u) {
       u_new = std::clamp(u_new, -*opts.clamp_u, *opts.clamp_u);
     }
-    res.u.push_back(u_new);
+    if (trace != nullptr) trace->u.push_back(u_new);
     res.u_max_abs = std::max(res.u_max_abs, std::abs(u_new));
-    if (!run_segment(dense_[phase].before, u_prev)) break;
-    if (!run_segment(dense_[phase].after, u_new)) break;
+    run_segment(dense_[phase].before, u_prev);
+    run_segment(dense_[phase].after, u_new);
     u_prev = u_new;
     phase = (phase + 1) % phases_.size();
     first = false;
   }
 
-  const SettlingInfo si =
-      opts.settle_on_samples
-          ? settling_time(res.ts, res.ys, opts.r, opts.settle_band)
-          : settling_time(res.t, res.y, opts.r, opts.settle_band);
-  res.settling_time = si.time;
-  res.settled = si.settled && !res.diverged;
-
+  res.settling_time = settling.at.time;
+  res.settled = settling.at.settled && !res.diverged;
   // Mean relative error over the trailing 20% of the trace (smooth measure
   // used by the design search to rank non-settling candidates).
-  const double t_tail = 0.8 * opts.horizon;
-  double err = 0.0;
-  std::size_t cnt = 0;
-  const double rref = std::max(std::abs(opts.r), 1e-12);
-  for (std::size_t i = 0; i < res.t.size(); ++i) {
-    if (res.t[i] >= t_tail) {
-      err += std::abs(res.y[i] - opts.r) / rref;
-      ++cnt;
-    }
-  }
-  res.tail_error = cnt > 0 ? err / static_cast<double>(cnt)
-                           : std::numeric_limits<double>::infinity();
+  res.tail_error = tail_cnt > 0 ? tail_err / static_cast<double>(tail_cnt)
+                                : std::numeric_limits<double>::infinity();
   return res;
 }
 
@@ -318,27 +336,9 @@ SettlingInfo settling_time(const std::vector<double>& t,
   if (t.size() != y.size() || t.empty()) {
     throw std::invalid_argument("settling_time: bad trace");
   }
-  const double tol = band * std::max(std::abs(r), 1e-12);
-  // Scan backwards for the last violation.
-  std::size_t last_violation = t.size();  // sentinel: none
-  for (std::size_t i = t.size(); i-- > 0;) {
-    if (std::abs(y[i] - r) > tol) {
-      last_violation = i;
-      break;
-    }
-  }
-  SettlingInfo si;
-  if (last_violation == t.size()) {
-    si.time = t.front();
-    si.settled = true;
-  } else if (last_violation + 1 >= t.size()) {
-    si.time = std::numeric_limits<double>::infinity();
-    si.settled = false;
-  } else {
-    si.time = t[last_violation + 1];
-    si.settled = true;
-  }
-  return si;
+  SettlingScan scan{r, band * std::max(std::abs(r), 1e-12)};
+  for (std::size_t i = 0; i < t.size(); ++i) scan.see(t[i], y[i]);
+  return scan.at;
 }
 
 }  // namespace catsched::control

@@ -68,24 +68,32 @@ struct SimOptions {
   bool settle_on_samples = true;  ///< paper Sec. II-A measures settling on
                                   ///< the sampled output y[k]; false uses
                                   ///< the dense trajectory (stricter)
-  double dense_dt = 1.0e-4;       ///< target dense-output resolution [s]
   double divergence_bound = 1e9;  ///< |y| beyond this aborts as diverged
   std::optional<double> clamp_u;  ///< optional actuator saturation level
 };
 
-/// Dense simulation trace and derived metrics.
+/// Metrics of one simulated step response, all streamed while stepping.
+/// Every number equals what the post-hoc reading of the matching SimTrace
+/// gives: settling_time/settled are settling_time() on (ts, ys) or (t, y),
+/// tail_error and iae walk the dense points in order.
 struct SimResult {
-  std::vector<double> t;  ///< dense time stamps (starting at 0)
-  std::vector<double> y;  ///< dense outputs
-  std::vector<double> u;  ///< applied input after each actuation
-  std::vector<double> ts; ///< sensing instants t_k
-  std::vector<double> ys; ///< sampled outputs y[k]
   double settling_time = 0.0;  ///< first time after which |y-r| stays within
                                ///< the band; infinity if never
   bool settled = false;
   double u_max_abs = 0.0;  ///< max |u| over all actuated inputs
   bool diverged = false;
   double tail_error = 0.0;  ///< mean |y-r|/|r| over the last 20% of horizon
+  double iae = 0.0;  ///< sum of |y_i-r|/|r| (t_i - t_{i-1}) over dense i >= 1
+};
+
+/// The trajectory of one simulation, written only when the caller asks for
+/// it (plots, CSV export, tests); the design search never stores it.
+struct SimTrace {
+  std::vector<double> t;  ///< dense time stamps (starting at 0)
+  std::vector<double> y;  ///< dense outputs
+  std::vector<double> u;  ///< applied input after each actuation
+  std::vector<double> ts; ///< sensing instants t_k
+  std::vector<double> ys; ///< sampled outputs y[k]
 };
 
 /// Simulator for one application's switched closed loop. Discretizes the
@@ -104,16 +112,20 @@ public:
 
   /// Simulate a reference step from the equilibrium (x0, u_prev0) under
   /// per-phase gains. The step occurs at the start of opts.start_phase.
-  /// \throws std::invalid_argument on gain dimension mismatch.
+  /// With a non-null \p trace the trajectory is stored there too, replacing
+  /// its contents; without one, only the two state buffers are allocated.
+  /// \throws std::invalid_argument on gain dimension mismatch, or when
+  ///         settling is read on samples and the horizon leaves none.
   SimResult simulate(const PhaseGains& gains, const Matrix& x0,
-                     double u_prev0, const SimOptions& opts) const;
+                     double u_prev0, const SimOptions& opts,
+                     SimTrace* trace = nullptr) const;
 
 private:
   struct Segment {
     Matrix e;    // substep state transition
     Matrix pb;   // substep input effect Phi(dt) * B
-    std::size_t steps;
-    double dt;
+    std::size_t steps = 0;
+    double dt = 0.0;
   };
   struct PhaseDense {
     Segment before;  // [0, tau): previous input active
@@ -121,9 +133,10 @@ private:
   };
 
   ContinuousLTI plant_;
-  std::vector<sched::Interval> intervals_;
   std::vector<PhaseDynamics> phases_;
   std::vector<PhaseDense> dense_;
+  double period_ = 0.0;            // schedule period: sum of interval h
+  std::size_t period_steps_ = 0;   // dense substeps per period
 };
 
 /// Settling time of a sampled trajectory: the earliest time t_s such that

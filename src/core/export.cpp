@@ -43,9 +43,10 @@ void write_csv(const std::string& path,
   }
 }
 
-void write_sim_trace(const std::string& stem, const control::SimResult& sim) {
-  write_csv(stem + "_dense.csv", {"t", "y"}, {sim.t, sim.y});
-  write_csv(stem + "_samples.csv", {"t_k", "y_k"}, {sim.ts, sim.ys});
+void write_sim_trace(const std::string& stem,
+                     const control::SimTrace& trace) {
+  write_csv(stem + "_dense.csv", {"t", "y"}, {trace.t, trace.y});
+  write_csv(stem + "_samples.csv", {"t_k", "y_k"}, {trace.ts, trace.ys});
 }
 
 std::string write_gnuplot_script(const std::string& path,

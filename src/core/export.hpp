@@ -24,7 +24,7 @@ void write_csv(const std::string& path,
 /// as separate files "<stem>_dense.csv" / "<stem>_samples.csv").
 /// \throws as write_csv.
 void write_sim_trace(const std::string& stem,
-                     const control::SimResult& sim);
+                     const control::SimTrace& trace);
 
 /// Emit a minimal gnuplot script plotting selected CSV columns against the
 /// first column. Returns the script text and writes it to \p path.

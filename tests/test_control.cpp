@@ -5,15 +5,24 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "control/c2d.hpp"
 #include "control/design.hpp"
 #include "control/lti.hpp"
 #include "control/pole_place.hpp"
+#include "control/scenarios.hpp"
 #include "control/switched.hpp"
 #include "linalg/eig.hpp"
 #include "linalg/expm.hpp"
 #include "linalg/lu.hpp"
+#include "reference_sim.hpp"
+#include "testgen/rng.hpp"
 
 using namespace catsched;
 using namespace catsched::control;
@@ -283,11 +292,12 @@ TEST(Feedforward, ExactHoldsReferenceAtAllSamples) {
   so.r = 0.26;
   so.horizon = 200e-3;
   so.hold_first_interval = false;
-  const SimResult sr = sim.simulate(gains, Matrix(2, 1), 0.0, so);
+  SimTrace tr;
+  const SimResult sr = sim.simulate(gains, Matrix(2, 1), 0.0, so, &tr);
   ASSERT_FALSE(sr.diverged);
   // Last few samples must sit on the reference.
-  for (std::size_t i = sr.ys.size() - 6; i < sr.ys.size(); ++i) {
-    EXPECT_NEAR(sr.ys[i], so.r, 2e-4 * so.r) << "sample " << i;
+  for (std::size_t i = tr.ys.size() - 6; i < tr.ys.size(); ++i) {
+    EXPECT_NEAR(tr.ys[i], so.r, 2e-4 * so.r) << "sample " << i;
   }
 }
 
@@ -325,8 +335,9 @@ TEST(Simulator, EquilibriumIsFixedPoint) {
   SimOptions so;
   so.r = 1500.0;
   so.horizon = 20e-3;
-  const SimResult sr = sim.simulate({k, *f}, eq.x, eq.u, so);
-  for (double y : sr.y) EXPECT_NEAR(y, 1500.0, 1e-6 * 1500.0);
+  SimTrace tr;
+  const SimResult sr = sim.simulate({k, *f}, eq.x, eq.u, so, &tr);
+  for (double y : tr.y) EXPECT_NEAR(y, 1500.0, 1e-6 * 1500.0);
   EXPECT_TRUE(sr.settled);
   EXPECT_NEAR(sr.settling_time, 0.0, 1e-12);
 }
@@ -346,7 +357,8 @@ TEST(Simulator, DenseTrajectoryMatchesPhaseDynamicsAtSamples) {
   so.r = 100.0;
   so.horizon = 10e-3;
   so.hold_first_interval = false;
-  const SimResult sr = sim.simulate({k, *f}, Matrix(2, 1), 0.0, so);
+  SimTrace tr;
+  sim.simulate({k, *f}, Matrix(2, 1), 0.0, so, &tr);
 
   // Manual reference recurrence.
   Matrix x(2, 1);
@@ -359,8 +371,8 @@ TEST(Simulator, DenseTrajectoryMatchesPhaseDynamicsAtSamples) {
     u_prev = u_new;
     phase = (phase + 1) % 2;
     // Find the matching sample in the dense sim (sensing instants ts).
-    ASSERT_GT(sr.ys.size(), step + 1);
-    EXPECT_NEAR(sr.ys[step + 1], (p.c * x)(0, 0), 1e-7 * std::abs(so.r))
+    ASSERT_GT(tr.ys.size(), step + 1);
+    EXPECT_NEAR(tr.ys[step + 1], (p.c * x)(0, 0), 1e-7 * std::abs(so.r))
         << "step " << step;
   }
 }
@@ -376,10 +388,11 @@ TEST(Simulator, HoldFirstIntervalKeepsOldInput) {
   so.r = 2.0;
   so.horizon = 0.1;
   so.hold_first_interval = true;
-  const SimResult sr = sim.simulate({k, *f}, eq.x, eq.u, so);
+  SimTrace tr;
+  const SimResult sr = sim.simulate({k, *f}, eq.x, eq.u, so, &tr);
   // During the entire first interval the output stays at the old level.
-  for (std::size_t i = 0; i < sr.t.size() && sr.t[i] <= 2e-3 + 1e-9; ++i) {
-    EXPECT_NEAR(sr.y[i], 1.0, 1e-9);
+  for (std::size_t i = 0; i < tr.t.size() && tr.t[i] <= 2e-3 + 1e-9; ++i) {
+    EXPECT_NEAR(tr.y[i], 1.0, 1e-9);
   }
   EXPECT_TRUE(sr.settled);
   EXPECT_GT(sr.settling_time, 2e-3 * 0.9);
@@ -415,6 +428,198 @@ TEST(Simulator, InputClampRespected) {
   so.clamp_u = 0.5;
   const SimResult sr = sim.simulate({k, *f}, Matrix(1, 1), 0.0, so);
   EXPECT_LE(sr.u_max_abs, 0.5 + 1e-12);
+}
+
+// ------------------------------------- simulator vs. reference (bit-exact)
+
+namespace {
+
+std::uint64_t bits(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+void expect_same_bits(const std::vector<double>& got,
+                      const std::vector<double>& want, const char* what,
+                      const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << what << " " << where;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(bits(got[i]), bits(want[i])) << what << "[" << i << "] " << where;
+  }
+}
+
+void expect_same_metrics(const SimResult& got, const SimResult& want,
+                         const std::string& where) {
+  EXPECT_EQ(bits(got.settling_time), bits(want.settling_time)) << where;
+  EXPECT_EQ(got.settled, want.settled) << where;
+  EXPECT_EQ(bits(got.u_max_abs), bits(want.u_max_abs)) << where;
+  EXPECT_EQ(got.diverged, want.diverged) << where;
+  EXPECT_EQ(bits(got.tail_error), bits(want.tail_error)) << where;
+  EXPECT_EQ(bits(got.iae), bits(want.iae)) << where;
+}
+
+/// Runs simulate with and without a trace and checks both against the
+/// reference simulator, field by field and bit by bit; returns the
+/// reference metrics. \p tr is reused across calls, so stale contents must
+/// be replaced.
+SimResult check_against_reference(const ContinuousLTI& plant,
+                             const std::vector<sched::Interval>& ivs,
+                             double dense_dt, const PhaseGains& gains,
+                             const Matrix& x0, double u_prev0,
+                             const SimOptions& so, SimTrace& tr,
+                             const std::string& where) {
+  const testref::ReferenceSim ref = testref::reference_simulate(
+      plant, ivs, dense_dt, gains, x0, u_prev0, so);
+  const SwitchedSimulator sim(plant, ivs, dense_dt);
+  expect_same_metrics(sim.simulate(gains, x0, u_prev0, so), ref.metrics,
+                      where + " (metrics only)");
+  expect_same_metrics(sim.simulate(gains, x0, u_prev0, so, &tr), ref.metrics,
+                      where + " (traced)");
+  expect_same_bits(tr.t, ref.trace.t, "t", where);
+  expect_same_bits(tr.y, ref.trace.y, "y", where);
+  expect_same_bits(tr.u, ref.trace.u, "u", where);
+  expect_same_bits(tr.ts, ref.trace.ts, "ts", where);
+  expect_same_bits(tr.ys, ref.trace.ys, "ys", where);
+  // The forward settling_time() agrees with the backward-scan reference.
+  for (const auto* pts : {&ref.trace.t, &ref.trace.ts}) {
+    if (pts->empty()) continue;
+    const auto& ys = pts == &ref.trace.t ? ref.trace.y : ref.trace.ys;
+    const SettlingInfo a = settling_time(*pts, ys, so.r, so.settle_band);
+    const SettlingInfo b =
+        testref::reference_settling_time(*pts, ys, so.r, so.settle_band);
+    EXPECT_EQ(bits(a.time), bits(b.time)) << where;
+    EXPECT_EQ(a.settled, b.settled) << where;
+  }
+  return ref.metrics;
+}
+
+}  // namespace
+
+TEST(Simulator, FusedLoopMatchesReferenceBitForBit) {
+  // Seeded sweep: every plant family (orders 1-3), intervals longer and
+  // shorter than dense_dt with tau = 0 and tau = h segments, settled,
+  // unsettled-at-end and diverging gains, clamp and hold on and off, both
+  // settling readings.
+  testgen::SplitMix64 rng(20181016);
+  int settled = 0;
+  int unsettled = 0;
+  int diverged = 0;
+  SimTrace tr;
+  for (const PlantFamily family : kAllPlantFamilies) {
+    const double w0 = rng.real(30.0, 150.0);
+    const double zeta = rng.real(0.15, 0.7);
+    const ContinuousLTI plant =
+        make_family_plant(family, w0, zeta, rng.real(0.5, 3.0));
+    const std::size_t l = plant.order();
+    const double hp = family_default_period(family, w0, zeta);
+    std::vector<sched::Interval> ivs(1 + rng.index(3));
+    for (std::size_t j = 0; j < ivs.size(); ++j) {
+      ivs[j].h = hp * rng.real(0.4, 2.0);
+      ivs[j].tau =
+          j == 0 ? 0.0 : (j == 1 ? ivs[j].h : rng.real(0.0, ivs[j].h));
+    }
+    const auto phases = discretize_phases(plant, ivs);
+    std::vector<Matrix> k;
+    for (const auto& pd : phases) {
+      std::vector<std::complex<double>> poles;
+      if (l == 1) {
+        poles = {{0.6, 0.0}};
+      } else {
+        poles = {{0.6, 0.2}, {0.6, -0.2}};
+        if (l == 3) poles.push_back({0.4, 0.0});
+      }
+      k.push_back(place_poles(pd.ad, pd.btot, poles));
+    }
+    // A tau = h phase can leave the exact feedforward singular; any F
+    // serves the comparison, tracking is only needed for coverage.
+    const std::vector<double> f =
+        exact_feedforward(phases, plant.c, k)
+            .value_or(std::vector<double>(ivs.size(), 1.0));
+    Matrix x0(l, 1);
+    for (std::size_t i = 0; i < l; ++i) x0(i, 0) = rng.real(-0.2, 0.2);
+
+    // Exactly tracking; a 10% feedforward offset that never enters the
+    // band; gains blown up past stability.
+    std::vector<Matrix> k_hot = k;
+    for (Matrix& kj : k_hot) kj *= 12.0;
+    const std::vector<double> f_off = [&] {
+      std::vector<double> v = f;
+      for (double& fj : v) fj *= 1.1;
+      return v;
+    }();
+    const std::vector<PhaseGains> variants = {
+        {k, f}, {k, f_off}, {k_hot, f}};
+    for (std::size_t g = 0; g < variants.size(); ++g) {
+      for (const double dense_dt : {hp / 16.0, hp * 2.5}) {
+        for (int mask = 0; mask < 8; ++mask) {
+          SimOptions so;
+          so.r = rng.real(0.5, 2.0);
+          so.horizon = 60.0 * hp;
+          so.start_phase = rng.index(ivs.size());
+          if (mask & 1) so.clamp_u = rng.real(0.5, 4.0);
+          so.hold_first_interval = (mask & 2) != 0;
+          so.settle_on_samples = (mask & 4) != 0;
+          so.divergence_bound = 1e3;
+          const std::string where =
+              std::string(plant_family_name(family)) + " gains " +
+              std::to_string(g) + " dt " + std::to_string(dense_dt) +
+              " mask " + std::to_string(mask);
+          const SimResult sr =
+              check_against_reference(plant, ivs, dense_dt, variants[g], x0,
+                                      rng.real(-1.0, 1.0), so, tr, where);
+          settled += sr.settled;
+          unsettled += !sr.settled && !sr.diverged;
+          diverged += sr.diverged;
+        }
+      }
+    }
+  }
+  EXPECT_GT(settled, 0);
+  EXPECT_GT(unsettled, 0);
+  EXPECT_GT(diverged, 0);
+}
+
+TEST(Simulator, StructuralZerosAreSkippedLikeOperatorStar) {
+  // An unobservable, uncontrolled mode that starts at infinity: C, K and
+  // the substep matrix hold exact zeros against it, so (as with
+  // operator*) it never reaches the output. Adding 0 * inf would turn
+  // every output into NaN.
+  ContinuousLTI p;
+  p.a = Matrix{{-40.0, 0.0}, {0.0, -25.0}};
+  p.b = Matrix{{60.0}, {0.0}};
+  p.c = Matrix{{1.0, 0.0}};
+  const std::vector<sched::Interval> ivs = uniform_intervals(2, 2e-3, 5e-4);
+  const PhaseGains gains{{Matrix{{-0.3, 0.0}}, Matrix{{-0.2, 0.0}}},
+                         {0.9, 0.8}};
+  const Matrix x0 =
+      Matrix::column({0.1, std::numeric_limits<double>::infinity()});
+  SimTrace tr;
+  for (const bool on_samples : {true, false}) {
+    SimOptions so;
+    so.horizon = 0.1;
+    so.settle_on_samples = on_samples;
+    check_against_reference(p, ivs, 1e-4, gains, x0, 0.0, so, tr,
+                            on_samples ? "samples" : "dense");
+    EXPECT_TRUE(std::isfinite(tr.y.back()));
+  }
+}
+
+TEST(Simulator, HorizonWithoutSamples) {
+  // No interval starts before a zero horizon: settling on samples has no
+  // trace to read and is rejected; the dense reading sees the t = 0 point.
+  const ContinuousLTI p = first_order();
+  const SwitchedSimulator sim(p, uniform_intervals(1, 2e-3, 0.0));
+  const PhaseGains gains{{Matrix{{-0.2}}}, {0.5}};
+  SimOptions so;
+  so.horizon = 0.0;
+  EXPECT_THROW(sim.simulate(gains, Matrix(1, 1), 0.0, so),
+               std::invalid_argument);
+  so.settle_on_samples = false;
+  SimTrace tr;
+  check_against_reference(p, uniform_intervals(1, 2e-3, 0.0), 1e-4, gains,
+                          Matrix(1, 1), 0.0, so, tr, "zero horizon");
+  EXPECT_EQ(tr.t.size(), 1u);
 }
 
 // --------------------------------------------------------------- settling

@@ -119,9 +119,9 @@ TEST(CrossModule, ExportRoundTripsARealSimulation) {
   catsched::control::SimOptions so;
   so.r = app.r;
   so.horizon = 5e-3;
-  const auto trace = sim.simulate(eval.apps[0].design.gains,
-                                  catsched::linalg::Matrix::zero(2, 1), 0.0,
-                                  so);
+  catsched::control::SimTrace trace;
+  sim.simulate(eval.apps[0].design.gains,
+               catsched::linalg::Matrix::zero(2, 1), 0.0, so, &trace);
 
   const std::string stem = std::string(::testing::TempDir()) + "xmod";
   catsched::core::write_sim_trace(stem, trace);
