@@ -12,12 +12,9 @@
 #include "cache/structure.hpp"
 #include "cache/wcet.hpp"
 #include "control/design.hpp"
-#include "control/lqr.hpp"
 #include "core/case_study.hpp"
 #include "linalg/eig.hpp"
 #include "linalg/expm.hpp"
-#include "linalg/lyap.hpp"
-#include "linalg/svd.hpp"
 #include "sched/timing.hpp"
 #include "testgen/generator.hpp"
 #include "testgen/invariants.hpp"
@@ -116,51 +113,6 @@ void BM_SwitchedSimulationTrace(benchmark::State& state) {
   benchmark::DoNotOptimize(trace.y.data());
 }
 BENCHMARK(BM_SwitchedSimulationTrace);
-
-void BM_Svd(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  linalg::Matrix a(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      a(i, j) = std::cos(static_cast<double>(i * 17 + j * 5));
-    }
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::svd(a));
-  }
-}
-BENCHMARK(BM_Svd)->Arg(4)->Arg(8)->Arg(16);
-
-void BM_DiscreteLyapunov(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  linalg::Matrix a(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      a(i, j) = 0.4 * std::sin(static_cast<double>(i * 13 + j * 3)) /
-                static_cast<double>(n);
-    }
-  }
-  const linalg::Matrix q = linalg::Matrix::identity(n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(linalg::solve_discrete_lyapunov(a, q));
-  }
-}
-BENCHMARK(BM_DiscreteLyapunov)->Arg(4)->Arg(8)->Arg(12);
-
-void BM_PeriodicLqr(benchmark::State& state) {
-  const auto timing = sched::derive_timing(sys().analyze_wcets(),
-                                           sched::PeriodicSchedule({3, 2, 3}));
-  const auto raw = control::discretize_phases(sys().apps[0].plant,
-                                              timing.apps[0].intervals);
-  const auto phases = control::augment_phases(raw);
-  const std::size_t nz = phases[0].a.rows();
-  const linalg::Matrix q = linalg::Matrix::identity(nz);
-  const linalg::Matrix r{{1.0}};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(control::periodic_lqr(phases, q, r));
-  }
-}
-BENCHMARK(BM_PeriodicLqr);
 
 void BM_StaticWcetAnalysis(benchmark::State& state) {
   cache::RandomProgramOptions opts;
@@ -314,20 +266,6 @@ BENCHMARK(BM_AbstractCacheEquality_512x8);
 // The controller-design hot path (ISSUE 3): everything design_controller
 // runs per PSO particle, plus the full design. Regressions here multiply
 // into every schedule the search engines touch.
-
-void BM_DlqrSolve(benchmark::State& state) {
-  const auto timing = sched::derive_timing(sys().analyze_wcets(),
-                                           sched::PeriodicSchedule({3, 2, 3}));
-  const auto raw = control::discretize_phases(sys().apps[0].plant,
-                                              timing.apps[0].intervals);
-  const auto ph = control::augment_phase(raw[0]);
-  const linalg::Matrix q = linalg::Matrix::identity(ph.a.rows());
-  const linalg::Matrix r{{1.0}};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(control::dlqr(ph.a, ph.b, q, r));
-  }
-}
-BENCHMARK(BM_DlqrSolve);
 
 // One PSO particle's full evaluation: closed-loop monodromy + spectral
 // radius (stability barrier), exact feedforward, then the metrics-only

@@ -9,6 +9,8 @@
 #include <utility>
 #include <vector>
 
+#include "testgen/rng.hpp"
+
 namespace catsched::cache {
 
 Stmt Stmt::block(std::vector<std::uint64_t> lines) {
@@ -138,7 +140,7 @@ Program flatten_to_program(const StructuredProgram& program) {
 
 namespace {
 
-void sample_one(const Stmt& stmt, std::mt19937& rng,
+void sample_one(const Stmt& stmt, testgen::SplitMix64& rng,
                 std::vector<std::uint64_t>& out) {
   switch (stmt.kind) {
     case Stmt::Kind::block:
@@ -147,11 +149,9 @@ void sample_one(const Stmt& stmt, std::mt19937& rng,
     case Stmt::Kind::seq:
       for (const auto& c : stmt.children) sample_one(c, rng, out);
       return;
-    case Stmt::Kind::branch: {
-      std::bernoulli_distribution coin(0.5);
-      sample_one(stmt.children[coin(rng) ? 0 : 1], rng, out);
+    case Stmt::Kind::branch:
+      sample_one(stmt.children[rng.chance(0.5) ? 0 : 1], rng, out);
       return;
-    }
     case Stmt::Kind::loop:
       for (int i = 0; i < stmt.bound; ++i) {
         sample_one(stmt.children[0], rng, out);
@@ -165,7 +165,7 @@ void sample_one(const Stmt& stmt, std::mt19937& rng,
 std::vector<std::vector<std::uint64_t>> sample_paths(const Stmt& root,
                                                      std::size_t count,
                                                      std::uint32_t seed) {
-  std::mt19937 rng(seed);
+  testgen::SplitMix64 rng(seed);
   std::vector<std::vector<std::uint64_t>> paths(count);
   for (auto& p : paths) sample_one(root, rng, p);
   return paths;

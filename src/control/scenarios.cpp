@@ -1,143 +1,9 @@
 #include "control/scenarios.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
-#include <string>
-#include <vector>
-
-#include "control/lti.hpp"
 
 namespace catsched::control {
-
-namespace {
-
-void check_args(const std::vector<sched::Interval>& intervals,
-                const PhaseGains& gains, const char* who) {
-  if (intervals.empty() || gains.phases() != intervals.size()) {
-    throw std::invalid_argument(std::string(who) +
-                                ": gain count must match interval count");
-  }
-}
-
-}  // namespace
-
-DisturbanceResult disturbance_rejection(
-    const ContinuousLTI& plant, const std::vector<sched::Interval>& intervals,
-    const PhaseGains& gains, double r, const DisturbanceOptions& opts) {
-  check_args(intervals, gains, "disturbance_rejection");
-  if (opts.horizon <= opts.at_time + opts.duration) {
-    throw std::invalid_argument(
-        "disturbance_rejection: horizon ends before the disturbance does");
-  }
-  const auto phases = discretize_phases(plant, intervals);
-
-  // Closed-loop steady state at reference r: iterate one hyperperiod until
-  // converged (cheap and works for any stable gain set).
-  const Equilibrium eq = equilibrium_at(plant, r);
-  Matrix x = eq.x;
-  double u_prev = eq.u;
-  for (int warm = 0; warm < 200; ++warm) {
-    for (std::size_t j = 0; j < phases.size(); ++j) {
-      const double u = (gains.k[j] * x)(0, 0) + gains.f[j] * r;
-      x = phases[j].ad * x + phases[j].b1 * u_prev + phases[j].b2 * u;
-      u_prev = u;
-    }
-  }
-
-  const double scale = std::abs(r) > 0.0 ? std::abs(r) : 1.0;
-  const double t_off = opts.at_time + opts.duration;
-
-  DisturbanceResult res;
-  double t = 0.0;
-  std::size_t j = 0;
-  double last_outside_after_off = -1.0;
-  bool any_sample_after_off = false;
-  bool left_band = false;
-  while (t <= opts.horizon) {
-    const double y = (plant.c * x)(0, 0);
-    const double dev = std::abs(y - r);
-    res.peak_deviation = std::max(res.peak_deviation, dev);
-    if (dev > opts.band * scale) {
-      left_band = true;
-      if (t >= t_off) last_outside_after_off = t;
-    }
-    if (t >= t_off) any_sample_after_off = true;
-
-    const double u = (gains.k[j] * x)(0, 0) + gains.f[j] * r;
-    res.u_max_abs = std::max(res.u_max_abs, std::abs(u));
-    // The disturbance acts on the plant input over every interval it
-    // overlaps: both the held and the fresh input segments see it.
-    const bool disturbed =
-        t < t_off && (t + phases[j].h) > opts.at_time;
-    const double d = disturbed ? opts.magnitude : 0.0;
-    x = phases[j].ad * x + phases[j].b1 * (u_prev + d) +
-        phases[j].b2 * (u + d);
-    u_prev = u;
-    t += phases[j].h;
-    j = (j + 1) % phases.size();
-  }
-
-  if (!left_band) {
-    res.recovered = true;
-    res.recovery_time = 0.0;  // the disturbance never pushed y out
-  } else if (any_sample_after_off && last_outside_after_off < 0.0) {
-    res.recovered = true;  // back inside by the first post-disturbance sample
-    res.recovery_time = 0.0;
-  } else if (last_outside_after_off >= 0.0 &&
-             last_outside_after_off < opts.horizon - 1e-12) {
-    res.recovered = true;
-    res.recovery_time = last_outside_after_off - t_off;
-  } else {
-    res.recovered = false;
-    res.recovery_time = std::numeric_limits<double>::infinity();
-  }
-  return res;
-}
-
-TrackingResult track_reference(const ContinuousLTI& plant,
-                               const std::vector<sched::Interval>& intervals,
-                               const PhaseGains& gains,
-                               const ReferenceSignal& ref, double horizon,
-                               double warmup) {
-  check_args(intervals, gains, "track_reference");
-  if (warmup < 0.0 || warmup >= 1.0) {
-    throw std::invalid_argument("track_reference: warmup must be in [0, 1)");
-  }
-  const auto phases = discretize_phases(plant, intervals);
-
-  TrackingResult res;
-  Matrix x = Matrix::zero(plant.order(), 1);
-  double u_prev = 0.0;
-  double t = 0.0;
-  std::size_t j = 0;
-  double sum2 = 0.0;
-  std::size_t counted = 0;
-  const double t_start = warmup * horizon;
-  while (t <= horizon) {
-    const double rk = ref(t);
-    const double y = (plant.c * x)(0, 0);
-    if (t >= t_start) {
-      const double e = y - rk;
-      sum2 += e * e;
-      ++counted;
-      res.max_error = std::max(res.max_error, std::abs(e));
-    }
-    const double u = (gains.k[j] * x)(0, 0) + gains.f[j] * rk;
-    res.u_max_abs = std::max(res.u_max_abs, std::abs(u));
-    x = phases[j].ad * x + phases[j].b1 * u_prev + phases[j].b2 * u;
-    u_prev = u;
-    t += phases[j].h;
-    j = (j + 1) % phases.size();
-  }
-  if (counted > 0) {
-    res.rms_error = std::sqrt(sum2 / static_cast<double>(counted));
-  }
-  return res;
-}
-
-// ------------------------------------------------------- plant families
 
 const char* plant_family_name(PlantFamily family) {
   switch (family) {

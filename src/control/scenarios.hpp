@@ -1,16 +1,11 @@
 #pragma once
 /// \file scenarios.hpp
-/// \brief Closed-loop evaluation scenarios beyond the reference step the
-///        paper measures: input-disturbance rejection (the "perturbations"
-///        its idle-time constraint guards against, Sec. II-A), tracking of
-///        time-varying references (ramp, sinusoid) under the switched
-///        schedule-induced timing, and the parameterized plant families the
-///        workload generator (src/testgen) samples its applications from.
+/// \brief The parameterized plant families the workload generator
+///        (src/testgen) samples its applications from.
 
 #include <array>
-#include <functional>
 
-#include "control/switched.hpp"
+#include "control/lti.hpp"
 
 namespace catsched::control {
 
@@ -62,53 +57,5 @@ double family_timescale(PlantFamily family, double w0, double zeta);
 /// fraction of the characteristic timescale, well inside the stable
 /// sampling regime.
 double family_default_period(PlantFamily family, double w0, double zeta);
-
-/// An additive step disturbance on the plant input.
-struct DisturbanceOptions {
-  double magnitude = 1.0;   ///< d added to the applied input
-  double at_time = 0.0;     ///< disturbance onset [s]
-  double duration = 0.05;   ///< how long it acts [s]
-  double horizon = 1.0;     ///< total simulated time [s]
-  double band = 0.02;       ///< recovery band, relative to |r| (or 1 if r=0)
-};
-
-/// Outcome of a disturbance-rejection run.
-struct DisturbanceResult {
-  double peak_deviation = 0.0;  ///< max |y - r| during/after the hit
-  double recovery_time = 0.0;   ///< time from disturbance END back into the
-                                ///< band (inf if never); 0 if never left
-  bool recovered = false;
-  double u_max_abs = 0.0;
-};
-
-/// Start in the closed loop's steady state at reference \p r, inject the
-/// disturbance, and measure the sampled recovery. Disturbance windows are
-/// aligned to interval boundaries (it acts on every interval it overlaps).
-/// \throws std::invalid_argument on gain/interval mismatch or a horizon
-///         that ends before the disturbance.
-DisturbanceResult disturbance_rejection(
-    const ContinuousLTI& plant, const std::vector<sched::Interval>& intervals,
-    const PhaseGains& gains, double r, const DisturbanceOptions& opts);
-
-/// A time-varying reference signal.
-using ReferenceSignal = std::function<double(double)>;
-
-/// Tracking-quality metrics on the sampled closed loop following r(t):
-/// u[k] = K_j x[k] + F_j r(t_k).
-struct TrackingResult {
-  double rms_error = 0.0;   ///< sqrt(mean (y[k] - r(t_k))^2), after warmup
-  double max_error = 0.0;   ///< max |y[k] - r(t_k)|, after warmup
-  double u_max_abs = 0.0;
-};
-
-/// Simulate tracking of \p ref over \p horizon seconds; the first
-/// \p warmup fraction of samples is excluded from the error statistics
-/// (initial transient).
-/// \throws std::invalid_argument on mismatches or warmup outside [0, 1).
-TrackingResult track_reference(const ContinuousLTI& plant,
-                               const std::vector<sched::Interval>& intervals,
-                               const PhaseGains& gains,
-                               const ReferenceSignal& ref, double horizon,
-                               double warmup = 0.2);
 
 }  // namespace catsched::control

@@ -38,7 +38,7 @@ private:
   /// Row permutation with the same small-buffer strategy as Matrix: the
   /// design hot path factors 2x2..8x8 systems millions of times per
   /// search, so pivots of small systems live inline (no allocation);
-  /// larger systems (Kronecker solves) spill to the heap. Selecting the
+  /// larger systems spill to the heap. Selecting the
   /// buffer per access (rather than keeping a pointer to the active one)
   /// lets the implicit copy/move special members stay correct without a
   /// user-defined rebind step.

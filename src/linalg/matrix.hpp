@@ -17,7 +17,7 @@ namespace catsched::linalg {
 /// object — no heap allocation — because the controller-design hot path
 /// (discretization, monodromy, feedforward, dense simulation) churns
 /// through millions of 2x2..5x5 temporaries per schedule search. Larger
-/// matrices (lifted systems, Kronecker solves) spill to the heap
+/// matrices (lifted systems) spill to the heap
 /// transparently. Storage is an implementation detail: value semantics,
 /// the API, and every numerical result are identical in both modes (the
 /// differential test in tests/test_matrix_sbo.cpp enforces this).

@@ -3,10 +3,9 @@
 /// \brief Preemptive earliest-deadline-first simulation: the dynamic
 ///        scheduling policy the paper's Sec. VI contrasts with its static
 ///        schedules. Produces the per-job timing a dynamic schedule
-///        actually delivers (releases are periodic, completions jitter), to
-///        be checked against arbitrary-switching stability (control/jsr.hpp)
-///        rather than optimized (the paper's point: dynamic timing is hard
-///        to exploit, one falls back to guarantees).
+///        actually delivers (releases are periodic, completions jitter);
+///        the fuzz harness checks it against the preemptive response-time
+///        analysis.
 
 #include <cstddef>
 #include <vector>

@@ -671,34 +671,4 @@ bool idle_feasible(const ScheduleTiming& timing,
   return true;
 }
 
-std::vector<ScheduledTask> build_timeline(const std::vector<AppWcet>& wcets,
-                                          const InterleavedSchedule& schedule,
-                                          std::size_t periods) {
-  validate_wcets(wcets, schedule.num_apps());
-  const std::vector<std::size_t> seq = schedule.task_sequence();
-  std::vector<ScheduledTask> out;
-  out.reserve(seq.size() * periods);
-  double t = 0.0;
-  for (std::size_t p = 0; p < periods; ++p) {
-    std::size_t burst_pos = 0;
-    for (std::size_t k = 0; k < seq.size(); ++k) {
-      const std::size_t global_prev_app =
-          (p == 0 && k == 0)
-              ? static_cast<std::size_t>(-1)  // very first task: cold
-              : seq[(k + seq.size() - 1) % seq.size()];
-      const bool warm = (global_prev_app == seq[k]);
-      burst_pos = warm ? burst_pos + 1 : 0;
-      ScheduledTask st;
-      st.app = seq[k];
-      st.burst_pos = burst_pos;
-      st.warm = warm;
-      st.start = t;
-      t += warm ? wcets[seq[k]].warm_seconds : wcets[seq[k]].cold_seconds;
-      st.end = t;
-      out.push_back(st);
-    }
-  }
-  return out;
-}
-
 }  // namespace catsched::sched

@@ -254,19 +254,4 @@ ScheduleTiming derive_timing_rotation(
 bool idle_feasible(const ScheduleTiming& timing,
                    const std::vector<double>& tidle);
 
-/// One task instance on the shared processor timeline.
-struct ScheduledTask {
-  std::size_t app = 0;
-  std::size_t burst_pos = 0;  ///< position within its consecutive burst
-  bool warm = false;
-  double start = 0.0;  ///< sensing instant
-  double end = 0.0;    ///< actuation instant (start + WCET)
-};
-
-/// Expand `periods` schedule periods into an absolute-time task list
-/// (steady-state WCETs; period 0 starts at t = 0 with its first task).
-std::vector<ScheduledTask> build_timeline(const std::vector<AppWcet>& wcets,
-                                          const InterleavedSchedule& schedule,
-                                          std::size_t periods);
-
 }  // namespace catsched::sched

@@ -1,164 +1,18 @@
 /// \file test_scenarios.cpp
-/// \brief Disturbance-rejection and reference-tracking scenario tests, plus
-///        the ASCII Gantt renderer.
+/// \brief Plant-family tests: the controllability, equilibrium and
+///        timescale contracts the workload generator relies on.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <string>
 
 #include "control/c2d.hpp"
-#include "control/design.hpp"
 #include "control/lti.hpp"
 #include "control/scenarios.hpp"
-#include "sched/gantt.hpp"
 
 namespace {
 
 using catsched::control::ContinuousLTI;
-using catsched::control::DesignOptions;
-using catsched::control::DesignSpec;
-using catsched::control::disturbance_rejection;
-using catsched::control::DisturbanceOptions;
-using catsched::control::PhaseGains;
-using catsched::control::track_reference;
-using catsched::linalg::Matrix;
-using catsched::sched::Interval;
-
-struct Fixture {
-  DesignSpec spec;
-  std::vector<Interval> intervals;
-  PhaseGains gains;
-};
-
-const Fixture& fixture() {
-  static const Fixture fx = [] {
-    Fixture f;
-    f.spec.plant.a = Matrix{{0.0, 1.0}, {0.0, -10.0}};
-    f.spec.plant.b = Matrix{{0.0}, {200.0}};
-    f.spec.plant.c = Matrix{{1.0, 0.0}};
-    f.spec.umax = 50.0;
-    f.spec.r = 0.3;
-    f.spec.smax = 0.5;
-    f.intervals = {{0.010, 0.010, false}, {0.026, 0.006, true}};
-    DesignOptions opts;
-    opts.pso.particles = 24;
-    opts.pso.iterations = 40;
-    opts.pso_restarts = 1;
-    opts.scale_budget_with_dims = false;
-    f.gains = catsched::control::design_controller(f.spec, f.intervals,
-                                                   opts)
-                  .gains;
-    return f;
-  }();
-  return fx;
-}
-
-TEST(Disturbance, ZeroMagnitudeNeverLeavesTheBand) {
-  const auto& fx = fixture();
-  DisturbanceOptions opts;
-  opts.magnitude = 0.0;
-  opts.at_time = 0.1;
-  opts.duration = 0.05;
-  opts.horizon = 0.6;
-  const auto res = disturbance_rejection(fx.spec.plant, fx.intervals,
-                                         fx.gains, fx.spec.r, opts);
-  EXPECT_TRUE(res.recovered);
-  EXPECT_NEAR(res.recovery_time, 0.0, 1e-12);
-  EXPECT_LT(res.peak_deviation, 0.02 * fx.spec.r + 1e-9);
-}
-
-TEST(Disturbance, StepHitIsRejectedAndRecoveryMeasured) {
-  const auto& fx = fixture();
-  DisturbanceOptions opts;
-  opts.magnitude = 5.0;
-  opts.at_time = 0.1;
-  opts.duration = 0.08;
-  opts.horizon = 1.0;
-  const auto res = disturbance_rejection(fx.spec.plant, fx.intervals,
-                                         fx.gains, fx.spec.r, opts);
-  EXPECT_GT(res.peak_deviation, 0.02 * fx.spec.r);  // it really hit
-  EXPECT_TRUE(res.recovered);
-  EXPECT_GT(res.recovery_time, 0.0);
-  EXPECT_LT(res.recovery_time, 0.5);
-}
-
-TEST(Disturbance, LargerHitDeviatesMore) {
-  const auto& fx = fixture();
-  DisturbanceOptions small;
-  small.magnitude = 2.0;
-  small.at_time = 0.1;
-  small.duration = 0.08;
-  small.horizon = 1.0;
-  DisturbanceOptions large = small;
-  large.magnitude = 8.0;
-  const auto rs = disturbance_rejection(fx.spec.plant, fx.intervals,
-                                        fx.gains, fx.spec.r, small);
-  const auto rl = disturbance_rejection(fx.spec.plant, fx.intervals,
-                                        fx.gains, fx.spec.r, large);
-  EXPECT_GT(rl.peak_deviation, rs.peak_deviation);
-}
-
-TEST(Disturbance, RejectsHorizonEndingInsideTheHit) {
-  const auto& fx = fixture();
-  DisturbanceOptions opts;
-  opts.at_time = 0.1;
-  opts.duration = 0.2;
-  opts.horizon = 0.25;
-  EXPECT_THROW(disturbance_rejection(fx.spec.plant, fx.intervals, fx.gains,
-                                     fx.spec.r, opts),
-               std::invalid_argument);
-}
-
-TEST(Tracking, ConstantReferenceMatchesStepBehaviour) {
-  const auto& fx = fixture();
-  const auto res = track_reference(
-      fx.spec.plant, fx.intervals, fx.gains,
-      [&](double) { return fx.spec.r; }, 1.2, 0.5);
-  EXPECT_LT(res.rms_error, 0.01 * fx.spec.r);  // settled long before 50%
-}
-
-TEST(Tracking, SlowRampIsFollowedCloselyFastSineIsNot) {
-  const auto& fx = fixture();
-  const auto ramp = track_reference(
-      fx.spec.plant, fx.intervals, fx.gains,
-      [](double t) { return 0.1 * t; }, 2.0, 0.3);
-  // Steady ramp-following error exists but stays small vs signal scale.
-  EXPECT_LT(ramp.rms_error, 0.05);
-
-  const auto slow_sine = track_reference(
-      fx.spec.plant, fx.intervals, fx.gains,
-      [](double t) { return 0.2 * std::sin(2.0 * M_PI * 0.5 * t); }, 2.0,
-      0.3);
-  const auto fast_sine = track_reference(
-      fx.spec.plant, fx.intervals, fx.gains,
-      [](double t) { return 0.2 * std::sin(2.0 * M_PI * 8.0 * t); }, 2.0,
-      0.3);
-  // Bandwidth is finite: tracking a faster reference is strictly worse.
-  EXPECT_GT(fast_sine.rms_error, slow_sine.rms_error);
-}
-
-TEST(Tracking, RejectsBadWarmup) {
-  const auto& fx = fixture();
-  EXPECT_THROW(track_reference(fx.spec.plant, fx.intervals, fx.gains,
-                               [](double) { return 1.0; }, 1.0, 1.0),
-               std::invalid_argument);
-}
-
-TEST(Gantt, RendersColdAndWarmDistinctly) {
-  using catsched::sched::InterleavedSchedule;
-  using catsched::sched::PeriodicSchedule;
-  const std::vector<catsched::sched::AppWcet> wcets = {{300e-6, 100e-6},
-                                                       {200e-6, 80e-6}};
-  const auto schedule =
-      InterleavedSchedule::from_periodic(PeriodicSchedule({2, 2}));
-  const std::string strip = catsched::sched::render_gantt(wcets, schedule, 2);
-  // Cold leader 'A' and warm follower 'a' both appear; same for B.
-  EXPECT_NE(strip.find('A'), std::string::npos);
-  EXPECT_NE(strip.find('a'), std::string::npos);
-  EXPECT_NE(strip.find('B'), std::string::npos);
-  EXPECT_NE(strip.find('b'), std::string::npos);
-  EXPECT_NE(strip.find("us"), std::string::npos);
-}
 
 TEST(PlantFamilies, EveryFamilyIsControllableAtItsDefaultDiscretization) {
   // The workload generator's validity contract: any family instance it can
@@ -255,15 +109,6 @@ TEST(PlantFamilies, RejectsDegenerateParameters) {
   EXPECT_THROW(
       make_family_plant(PlantFamily::damped_integrator, 100.0, 0.3, 0.0),
       std::invalid_argument);
-}
-
-TEST(Gantt, RejectsDegenerateInput) {
-  EXPECT_THROW(catsched::sched::render_gantt({}, 2), std::invalid_argument);
-  std::vector<catsched::sched::ScheduledTask> tl(1);
-  tl[0].app = 5;  // out of range for num_apps = 2
-  tl[0].start = 0.0;
-  tl[0].end = 1.0;
-  EXPECT_THROW(catsched::sched::render_gantt(tl, 2), std::invalid_argument);
 }
 
 }  // namespace

@@ -153,22 +153,6 @@ TEST(Timing, RejectsBadWcets) {
                std::invalid_argument);  // count mismatch
 }
 
-TEST(Timeline, BuildTimelineStartsColdThenSteady) {
-  const auto tl = build_timeline(
-      kDate18, InterleavedSchedule::from_periodic(PeriodicSchedule({2, 1, 1})),
-      2);
-  ASSERT_EQ(tl.size(), 8u);
-  // Very first task is cold even though in steady state it would be led
-  // into by C3 (different app), which also makes it cold here.
-  EXPECT_FALSE(tl[0].warm);
-  EXPECT_TRUE(tl[1].warm);
-  EXPECT_NEAR(tl[1].end - tl[1].start, kDate18[0].warm_seconds, 1e-15);
-  // Tasks are contiguous.
-  for (std::size_t k = 1; k < tl.size(); ++k) {
-    EXPECT_NEAR(tl[k].start, tl[k - 1].end, 1e-15);
-  }
-}
-
 // Parameterized sweep: for every (m1, m2) burst combination, timing
 // invariants hold (period consistency, tau <= h, warm flags pattern).
 class TimingSweep : public ::testing::TestWithParam<std::pair<int, int>> {};

@@ -74,6 +74,18 @@ TEST(EnumeratePaths, ThrowsOnExplosion) {
                std::length_error);
 }
 
+TEST(SamplePaths, KnownAnswerForFixedSeed) {
+  // Pins the coin: every branch decision is one SplitMix64 chance(0.5)
+  // draw, in path order, so a failing fuzz seed replays on any standard
+  // library. loop(3) { if {1} else {2} }; if {3} else {4}.
+  const Stmt root = Stmt::seq(
+      {Stmt::loop(Stmt::branch(Stmt::block({1}), Stmt::block({2})), 3),
+       Stmt::branch(Stmt::block({3}), Stmt::block({4}))});
+  const std::vector<std::vector<std::uint64_t>> expected = {
+      {2, 1, 1, 3}, {1, 2, 1, 4}, {1, 2, 1, 3}, {2, 2, 2, 3}};
+  EXPECT_EQ(catsched::cache::sample_paths(root, 4, 42), expected);
+}
+
 TEST(FlattenToProgram, RejectsBranches) {
   StructuredProgram p;
   p.root = Stmt::branch(Stmt::block({1}), Stmt::block({2}));
