@@ -4,10 +4,10 @@
 // control performance on the case study, and at what evaluation cost.
 //
 // The search is the largest design space in the codebase, so this bench
-// also sweeps it over 1/2/4/8 worker threads (chunked parallel_for batch
-// evaluation, core/interleaved_codesign), asserting at every width that
-// the accepted path, best schedule, Pall, and the distinct-evaluation
-// count are bit-identical to the serial baseline.
+// also sweeps it over 1/2/4/8 worker threads (each round's neighbors are
+// one opt::race_drivers batch, core/interleaved_codesign), asserting at
+// every width that the accepted path, best schedule, Pall, and the
+// distinct-evaluation count are bit-identical to the serial baseline.
 //
 //   ./build/bench/bench_interleaved          # full budget, periodic stage A
 //   ./build/bench/bench_interleaved --fast   # smoke mode (CI): reduced

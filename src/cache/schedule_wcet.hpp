@@ -110,7 +110,7 @@ struct ContextWcet {
 /// concurrently; only a first-time analysis of the SAME app serializes),
 /// so the parallel searches' hot path — pure memo hits — never contends
 /// across apps. Implements sched::ContextWcetLookup, so it plugs straight
-/// into the context-sensitive derive_timing/expand_timing overloads.
+/// into the context-sensitive derive_timing overloads.
 class ScheduleWcetAnalyzer final : public sched::ContextWcetLookup {
 public:
   /// \p first_miss selects whether bounds may exploit the persistence

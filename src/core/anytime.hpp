@@ -4,12 +4,11 @@
 ///        supports cooperative budgets and checkpoint/resume embeds ONE
 ///        `AnytimeOptions` (instead of four hand-copied knobs) and reports
 ///        through ONE `RunTelemetry` (instead of four drifting result
-///        fields). The semantics — budget quantization to step boundaries,
-///        resume-by-replay through a journal or published-state overlay —
-///        are defined by the engines (opt/discrete_search,
-///        core/interleaved_codesign, opt/portfolio); this header only pins
-///        the common shape so drivers, benches and tools handle every
-///        engine uniformly.
+///        fields). The semantics — budget quantization to round
+///        boundaries, resume-by-replay through the EvalCache journal — are
+///        defined by the one round loop every engine runs on
+///        (opt::race_drivers); this header only pins the common shape so
+///        drivers, benches and tools handle every engine uniformly.
 
 #include <string>
 
@@ -31,12 +30,11 @@ struct AnytimeOptions {
   /// run_budget.hpp). Null = no budget.
   RunBudget* budget = nullptr;
   /// Checkpoint file: empty = off. An existing file is resumed from
-  /// automatically by the engines that own their persistent state
-  /// (multistart/exhaustive/portfolio via the EvalCache journal, the
-  /// interleaved search via its published-state overlay).
+  /// automatically by the engines that own their cache (multistart,
+  /// exhaustive, portfolio, interleaved), all through the EvalCache
+  /// journal.
   std::string checkpoint_path;
-  /// New completed evaluations (or accepted steps, for the interleaved
-  /// engine) between snapshots.
+  /// New completed evaluations between snapshots.
   int checkpoint_every = 16;
   FaultPlan* fault = nullptr;  ///< snapshot corruption hook (tests)
 };

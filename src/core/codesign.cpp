@@ -7,9 +7,9 @@ namespace catsched::core {
 
 opt::DiscreteObjective make_objective(Evaluator& evaluator) {
   return [&evaluator](const std::vector<int>& m) {
-    // Through the evaluator's schedule memo: the delta path anchors on the
-    // base schedule's cached evaluation, so the plain objective must land
-    // its results in the same place (also dedups across searches).
+    // Through the evaluator's schedule memo: the anchored path hints with
+    // the base schedule's cached evaluation, so the plain objective must
+    // land its results in the same place (also dedups across searches).
     const ScheduleEvaluation& ev = evaluator.evaluate_cached(
         sched::InterleavedSchedule::from_periodic(sched::PeriodicSchedule(m)));
     return opt::EvalOutcome{ev.pall, ev.feasible()};
@@ -19,8 +19,13 @@ opt::DiscreteObjective make_objective(Evaluator& evaluator) {
 opt::NeighborObjective make_neighbor_objective(Evaluator& evaluator) {
   return [&evaluator](const std::vector<int>& base,
                       const std::vector<int>& point) {
-    const ScheduleEvaluation& ev = evaluator.evaluate_periodic_move(
-        sched::PeriodicSchedule(base), sched::PeriodicSchedule(point));
+    const auto lift = [](const std::vector<int>& m) {
+      return sched::InterleavedSchedule::from_periodic(
+          sched::PeriodicSchedule(m));
+    };
+    const sched::InterleavedSchedule s = lift(point);
+    const ScheduleEvaluation& ev = evaluator.evaluate_cached(
+        s, s.to_string(), evaluator.evaluate_cached(lift(base)));
     return opt::EvalOutcome{ev.pall, ev.feasible()};
   };
 }

@@ -21,11 +21,12 @@ struct CodesignResult {
 /// Adapter: the expensive discrete objective (full schedule evaluation).
 opt::DiscreteObjective make_objective(Evaluator& evaluator);
 
-/// Adapter: the delta-aware neighbor objective — evaluates an m +- e_i
-/// point incrementally from its base schedule's pattern, reusing per-app
-/// evaluations where unchanged. Bit-identical to make_objective (the
-/// evaluator's neighbor path contract); the hybrid lanes' +-1 proposals
-/// route their memo misses through it.
+/// Adapter: the anchored neighbor objective — evaluates a point through the
+/// evaluator's hinted evaluate_cached against its base schedule's
+/// evaluation, reusing per-app evaluations whose timing is unchanged.
+/// Bit-identical to make_objective (the hinted path's contract); anchored
+/// proposals (the hybrid lanes' +-1 neighborhoods) route their memo misses
+/// through it.
 opt::NeighborObjective make_neighbor_objective(Evaluator& evaluator);
 
 /// Adapter: the cheap pre-filter (idle-time feasibility, eq. (4)).

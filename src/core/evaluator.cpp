@@ -67,68 +67,12 @@ sched::ScheduleTiming Evaluator::derive(
                   : sched::derive_timing(wcets_, s);
 }
 
-sched::TimingPattern Evaluator::expand(
-    const sched::InterleavedSchedule& s) const {
-  return context_ ? sched::expand_timing(wcets_, *context_, s)
-                  : sched::expand_timing(wcets_, s);
-}
-
-sched::ScheduleTiming Evaluator::derive_neighbor_timing(
-    const sched::TimingPattern& base, const sched::TaskMove& move,
-    std::vector<bool>* app_unchanged) const {
-  if (!context_) {
-    return sched::derive_timing_delta(wcets_, base, move, app_unchanged);
-  }
-  // Context mode: a one-task move can flip interference masks of tasks far
-  // from the edit (the burst-opening task of every app whose gap the move
-  // lands in), so the moved sequence is re-derived from scratch and the
-  // reuse flags are recovered by comparison — the same contract the delta
-  // path's app_unchanged carries.
-  const std::size_t num_apps = base.timing.apps.size();
-  sched::ScheduleTiming timing = sched::derive_timing(
-      wcets_, *context_, sched::apply_move(base.seq, move), num_apps);
-  if (app_unchanged != nullptr) {
-    app_unchanged->resize(num_apps);
-    for (std::size_t i = 0; i < num_apps; ++i) {
-      (*app_unchanged)[i] =
-          timing.apps[i].intervals == base.timing.apps[i].intervals;
-    }
-  }
-  return timing;
-}
-
-sched::ScheduleTiming Evaluator::derive_neighbor_timing(
-    const sched::TimingPattern& base, const sched::BlockRotation& rot,
-    std::vector<bool>* app_unchanged) const {
-  if (!context_) {
-    return sched::derive_timing_rotation(wcets_, base, rot, app_unchanged);
-  }
-  // Context mode: a rotation moves whole blocks between interference gaps,
-  // flipping masks of tasks far outside the rotated range — same recovery
-  // as the one-task-move overload above.
-  const std::size_t num_apps = base.timing.apps.size();
-  sched::ScheduleTiming timing = sched::derive_timing(
-      wcets_, *context_, sched::apply_rotation(base.seq, rot), num_apps);
-  if (app_unchanged != nullptr) {
-    app_unchanged->resize(num_apps);
-    for (std::size_t i = 0; i < num_apps; ++i) {
-      (*app_unchanged)[i] =
-          timing.apps[i].intervals == base.timing.apps[i].intervals;
-    }
-  }
-  return timing;
-}
-
 bool Evaluator::idle_feasible(const sched::PeriodicSchedule& s) const {
   return idle_feasible(sched::InterleavedSchedule::from_periodic(s));
 }
 
 bool Evaluator::idle_feasible(const sched::InterleavedSchedule& s) const {
   return sched::idle_feasible(derive(s), tidle_);
-}
-
-bool Evaluator::idle_feasible(const sched::ScheduleTiming& timing) const {
-  return sched::idle_feasible(timing, tidle_);
 }
 
 AppEvaluation Evaluator::evaluate_app(
@@ -163,7 +107,7 @@ AppEvaluation Evaluator::evaluate_app_keyed(
                          ? 1.0 - ev.settling_time / a.smax
                          : -std::numeric_limits<double>::infinity();
     ev.feasible = ev.design.feasible && ev.performance >= 0.0;
-    // Fingerprint for the delta path: neighbors whose quantized pattern
+    // Fingerprint for the hinted path: schedules whose quantized pattern
     // matches reuse this evaluation without a design-memo round trip.
     ev.pattern_key = memo_key.second;
     ev.pattern_hash = VectorHash{}(memo_key.second);
@@ -192,14 +136,41 @@ ScheduleEvaluation Evaluator::evaluate(const sched::InterleavedSchedule& s,
       base_hint.timing.apps.size() != napps) {
     return evaluate(s);  // unusable hint (e.g. default-constructed)
   }
-  sched::ScheduleTiming timing = derive(s);
-  std::vector<bool> unchanged(napps);
-  for (std::size_t i = 0; i < napps; ++i) {
-    unchanged[i] =
-        timing.apps[i].intervals == base_hint.timing.apps[i].intervals;
+  ++neighbor_evaluations_;
+  ScheduleEvaluation out;
+  out.timing = derive(s);
+  out.idle_feasible = sched::idle_feasible(out.timing, tidle_);
+  // Same fan-out/serial-reduction shape as evaluate(): reused apps cost a
+  // copy, changed apps re-enter the design memo — so parallel runs stay
+  // bit-identical to serial and to the unhinted evaluation.
+  std::vector<AppEvaluation> evs(napps);
+  const auto body = [&](std::size_t i) {
+    const AppEvaluation& prior = base_hint.apps[i];
+    const std::vector<sched::Interval>& intervals =
+        out.timing.apps[i].intervals;
+    if (intervals == base_hint.timing.apps[i].intervals) {
+      // Identical interval list: the quantized key would match too, so
+      // skip re-quantization entirely.
+      evs[i] = prior;
+      ++apps_reused_;
+      return;
+    }
+    std::vector<std::int64_t> key = quantize_intervals(intervals);
+    if (VectorHash{}(key) == prior.pattern_hash && key == prior.pattern_key) {
+      // Sub-picosecond drift only: same design problem as the base.
+      evs[i] = prior;
+      ++apps_reused_;
+      return;
+    }
+    evs[i] = evaluate_app_keyed(i, intervals, std::move(key));
+  };
+  if (pool_ == nullptr) {
+    for (std::size_t i = 0; i < napps; ++i) body(i);
+  } else {
+    parallel_for(pool_, napps, body);
   }
-  return evaluate_neighbor_from_timing(base_hint, std::move(timing),
-                                       unchanged);
+  reduce_apps(out, evs);
+  return out;
 }
 
 const ScheduleEvaluation& Evaluator::evaluate_cached(
@@ -250,122 +221,6 @@ ScheduleEvaluation Evaluator::evaluate(const sched::InterleavedSchedule& s) {
   }
   reduce_apps(out, evs);
   return out;
-}
-
-const sched::TimingPattern& Evaluator::timing_pattern(
-    const sched::InterleavedSchedule& s, const std::string& key) {
-  return pattern_memo_.get_or_compute(key, [&] { return expand(s); });
-}
-
-ScheduleEvaluation Evaluator::evaluate_neighbor_from_timing(
-    const ScheduleEvaluation& base_eval, sched::ScheduleTiming&& timing,
-    const std::vector<bool>& app_unchanged) {
-  ++neighbor_evaluations_;
-  ScheduleEvaluation out;
-  out.timing = std::move(timing);
-  out.idle_feasible = sched::idle_feasible(out.timing, tidle_);
-  const std::size_t napps = model_.num_apps();
-  // Same fan-out/serial-reduction shape as evaluate(): reused apps cost a
-  // copy, changed apps re-enter the design memo — so parallel runs stay
-  // bit-identical to serial and to the from-scratch evaluation.
-  std::vector<AppEvaluation> evs(napps);
-  const auto body = [&](std::size_t i) {
-    const AppEvaluation& prior = base_eval.apps[i];
-    if (app_unchanged[i]) {
-      // Interval list provably identical to the base schedule's: the
-      // quantized key would match too, so skip re-quantization entirely.
-      evs[i] = prior;
-      ++apps_reused_;
-      return;
-    }
-    std::vector<std::int64_t> key =
-        quantize_intervals(out.timing.apps[i].intervals);
-    if (VectorHash{}(key) == prior.pattern_hash && key == prior.pattern_key) {
-      // Sub-picosecond drift only: same design problem as the base.
-      evs[i] = prior;
-      ++apps_reused_;
-      return;
-    }
-    evs[i] = evaluate_app_keyed(i, out.timing.apps[i].intervals,
-                                std::move(key));
-  };
-  if (pool_ == nullptr) {
-    for (std::size_t i = 0; i < napps; ++i) body(i);
-  } else {
-    parallel_for(pool_, napps, body);
-  }
-  reduce_apps(out, evs);
-  return out;
-}
-
-ScheduleEvaluation Evaluator::evaluate_neighbor(
-    const sched::TimingPattern& base_pattern,
-    const ScheduleEvaluation& base_eval, const sched::TaskMove& move) {
-  std::vector<bool> unchanged;
-  sched::ScheduleTiming timing =
-      derive_neighbor_timing(base_pattern, move, &unchanged);
-  return evaluate_neighbor_from_timing(base_eval, std::move(timing),
-                                       unchanged);
-}
-
-ScheduleEvaluation Evaluator::evaluate_neighbor(
-    const ScheduleEvaluation& base_eval, sched::ScheduleTiming&& timing,
-    const std::vector<bool>& app_unchanged) {
-  return evaluate_neighbor_from_timing(base_eval, std::move(timing),
-                                       app_unchanged);
-}
-
-const ScheduleEvaluation& Evaluator::evaluate_neighbor_cached(
-    const ScheduleEvaluation& base_eval, sched::ScheduleTiming&& timing,
-    const std::vector<bool>& app_unchanged, const std::string& key) {
-  return schedule_memo_.get_or_compute(key, [&] {
-    return evaluate_neighbor_from_timing(base_eval, std::move(timing),
-                                         app_unchanged);
-  });
-}
-
-const ScheduleEvaluation& Evaluator::evaluate_periodic_move(
-    const sched::PeriodicSchedule& base, const sched::PeriodicSchedule& moved) {
-  const auto moved_il = sched::InterleavedSchedule::from_periodic(moved);
-  const std::string moved_key = moved_il.to_string();
-  // Locate the single +-1 burst difference; anything else (different app
-  // count, multi-dimension change, |step| > 1) falls back to the full path.
-  std::size_t dim = base.num_apps();
-  int step = 0;
-  bool delta_ok = base.num_apps() == moved.num_apps();
-  for (std::size_t i = 0; delta_ok && i < base.num_apps(); ++i) {
-    const int d = moved.burst(i) - base.burst(i);
-    if (d == 0) continue;
-    if (step != 0 || (d != 1 && d != -1)) {
-      delta_ok = false;
-    } else {
-      dim = i;
-      step = d;
-    }
-  }
-  if (!delta_ok || step == 0) return evaluate_cached(moved_il, moved_key);
-
-  const auto base_il = sched::InterleavedSchedule::from_periodic(base);
-  const std::string base_key = base_il.to_string();
-  const ScheduleEvaluation& base_eval = evaluate_cached(base_il, base_key);
-  const sched::TimingPattern& pattern = timing_pattern(base_il, base_key);
-  // Task position: end of burst `dim` (bursts are laid out in app order).
-  std::size_t prefix = 0;
-  for (std::size_t i = 0; i < dim; ++i) {
-    prefix += static_cast<std::size_t>(base.burst(i));
-  }
-  sched::TaskMove move;
-  move.app = dim;
-  if (step > 0) {
-    move.kind = sched::TaskMove::Kind::insert;
-    move.pos = prefix + static_cast<std::size_t>(base.burst(dim));
-  } else {
-    move.kind = sched::TaskMove::Kind::remove;
-    move.pos = prefix + static_cast<std::size_t>(base.burst(dim)) - 1;
-  }
-  return schedule_memo_.get_or_compute(moved_key, [&] {
-    return evaluate_neighbor(pattern, base_eval, move);
-  });
 }
 
 }  // namespace catsched::core

@@ -36,7 +36,7 @@ struct EvaluatorOptions {
   /// Context bounds are sound and sit in [warm, cold], so they can only
   /// shorten periods — schedules the cold/warm pair rejects on idle time
   /// can become feasible. Off (the default) keeps the paper's binary
-  /// model and the PR 4 incremental delta path bit-identically.
+  /// model bit-identically.
   bool context_wcets = false;
 
   /// Fault injection (tests and the robustness tools only): every
@@ -57,7 +57,7 @@ struct AppEvaluation {
   double performance = 0.0;    ///< P_i = 1 - s_i / s_i^max (paper eq. (2))
   bool feasible = false;       ///< P_i >= 0 and design feasible (eq. (3))
   /// Quantized timing pattern this evaluation was designed for, and its
-  /// fingerprint: evaluate_neighbor compares a neighbor app's fingerprint
+  /// fingerprint: the hinted evaluation compares an app's fingerprint
   /// against these to reuse the evaluation without a design-memo round trip.
   std::vector<std::int64_t> pattern_key;
   std::uint64_t pattern_hash = 0;
@@ -80,8 +80,8 @@ struct ScheduleEvaluation {
 ///
 /// Thread-safe: evaluate() and evaluate_cached() may be called
 /// concurrently (the design and schedule memos are sharded compute-once
-/// maps, the counters are atomic), which is what the parallel search
-/// engines in opt/discrete_search and core/interleaved_codesign rely on.
+/// maps, the counters are atomic), which is what the batch evaluation of
+/// opt::race_drivers relies on.
 /// Results are deterministic: a design is computed exactly once per timing
 /// pattern and design_controller itself is deterministic.
 class Evaluator {
@@ -119,19 +119,16 @@ public:
   /// Cheap feasibility: idle-time constraint only (paper eq. (4)).
   bool idle_feasible(const sched::PeriodicSchedule& s) const;
   bool idle_feasible(const sched::InterleavedSchedule& s) const;
-  /// Same check on an already-derived timing (the incremental path derives
-  /// timing once via derive_timing_delta and filters on it directly).
-  bool idle_feasible(const sched::ScheduleTiming& timing) const;
 
   /// Full evaluation: per-app holistic controller design + Pall.
   ScheduleEvaluation evaluate(const sched::PeriodicSchedule& s);
   ScheduleEvaluation evaluate(const sched::InterleavedSchedule& s);
 
-  /// Full evaluation with a base hint: timing is derived from scratch (the
-  /// schedule need not be a one-task move of the base — segment swaps are
-  /// the main caller), but apps whose interval lists match the hint's are
-  /// reused without re-quantization, and quantized-fingerprint matches skip
-  /// the design-memo round trip. Bit-identical to evaluate(s) for ANY hint
+  /// Full evaluation with a base hint (the anchored evaluation every
+  /// search's neighbor objective takes): timing is derived from scratch,
+  /// but apps whose interval lists match the hint's are reused without
+  /// re-quantization, and quantized-fingerprint matches skip the
+  /// design-memo round trip. Bit-identical to evaluate(s) for ANY hint
   /// (matching lists imply the same design-memo entry).
   ScheduleEvaluation evaluate(const sched::InterleavedSchedule& s,
                               const ScheduleEvaluation& base_hint);
@@ -142,68 +139,6 @@ public:
   const ScheduleEvaluation& evaluate_cached(
       const sched::InterleavedSchedule& s, const std::string& key,
       const ScheduleEvaluation& base_hint);
-
-  /// Expanded per-task pattern of a base schedule, memoized on the
-  /// canonical key (s.to_string()); the anchor every delta evaluation of
-  /// its neighbors starts from. Reference stays valid for the evaluator's
-  /// lifetime.
-  const sched::TimingPattern& timing_pattern(
-      const sched::InterleavedSchedule& s, const std::string& key);
-
-  /// Timing of the one-task-move neighbor of \p base, in whichever WCET
-  /// mode this evaluator runs: binary mode takes the incremental
-  /// derive_timing_delta path verbatim; context mode re-derives the moved
-  /// sequence from scratch (a move can change interference masks far from
-  /// the edit) and recovers \p app_unchanged by comparing interval lists
-  /// against the base pattern — same flags, same downstream reuse. The
-  /// searches call this instead of derive_timing_delta so both modes flow
-  /// through one pre-filter path.
-  /// \throws std::invalid_argument like derive_timing_delta.
-  sched::ScheduleTiming derive_neighbor_timing(
-      const sched::TimingPattern& base, const sched::TaskMove& move,
-      std::vector<bool>* app_unchanged) const;
-
-  /// Same mode dispatch for the segment-swap neighbor class: binary mode
-  /// takes sched::derive_timing_rotation (the incremental block-rotation
-  /// delta), context mode re-derives the rotated sequence from scratch and
-  /// recovers \p app_unchanged by interval-list comparison.
-  /// \throws std::invalid_argument like derive_timing_rotation.
-  sched::ScheduleTiming derive_neighbor_timing(
-      const sched::TimingPattern& base, const sched::BlockRotation& rot,
-      std::vector<bool>* app_unchanged) const;
-
-  /// Delta-aware evaluation of the one-task-move neighbor of a base
-  /// schedule: derives timing incrementally from \p base_pattern and reuses
-  /// \p base_eval's AppEvaluations for every app whose interval list is
-  /// provably unchanged (no re-quantization) or whose quantized fingerprint
-  /// matches (no design-memo round trip). Bit-identical to evaluate() on
-  /// the moved schedule (gtest-enforced differentially).
-  ScheduleEvaluation evaluate_neighbor(
-      const sched::TimingPattern& base_pattern,
-      const ScheduleEvaluation& base_eval, const sched::TaskMove& move);
-
-  /// Same, for callers that already ran derive_timing_delta (e.g. to check
-  /// idle feasibility first, as the interleaved search's pre-filter does):
-  /// completes the evaluation from the derived timing without re-deriving.
-  ScheduleEvaluation evaluate_neighbor(const ScheduleEvaluation& base_eval,
-                                       sched::ScheduleTiming&& timing,
-                                       const std::vector<bool>& app_unchanged);
-
-  /// Memoized neighbor evaluation for callers that pre-derived the moved
-  /// timing (the interleaved search's idle pre-filter already ran the
-  /// delta): on a schedule-memo miss the evaluation is completed from
-  /// \p timing + \p app_unchanged; on a hit they are discarded. \p key is
-  /// the canonical string of the MOVED schedule.
-  const ScheduleEvaluation& evaluate_neighbor_cached(
-      const ScheduleEvaluation& base_eval, sched::ScheduleTiming&& timing,
-      const std::vector<bool>& app_unchanged, const std::string& key);
-
-  /// Delta-aware periodic m +- e_i evaluation used by the hybrid search:
-  /// routes through the schedule memo, evaluating the moved point as a
-  /// one-task neighbor of \p base (falls back to a full evaluation if the
-  /// points are not single-burst neighbors). Bit-identical to evaluate().
-  const ScheduleEvaluation& evaluate_periodic_move(
-      const sched::PeriodicSchedule& base, const sched::PeriodicSchedule& moved);
 
   /// Memoized whole-schedule evaluation, keyed on the canonical segment
   /// string: however many searches (or threads) revisit a segment pattern,
@@ -222,13 +157,13 @@ public:
   int designs_run() const noexcept { return designs_run_.load(); }
   /// Number of per-application design requests (incl. memo hits).
   int design_requests() const noexcept { return design_requests_.load(); }
-  /// Evaluations completed against a base (one-task deltas and hinted
-  /// swap fallbacks; schedule-memo misses taken by the incremental path).
+  /// Evaluations completed against a base hint (schedule-memo misses taken
+  /// by the anchored path).
   int neighbor_evaluations() const noexcept {
     return neighbor_evaluations_.load();
   }
   /// AppEvaluations reused from a base evaluation without touching the
-  /// design memo (delta-proven unchanged or fingerprint match).
+  /// design memo (identical interval list or fingerprint match).
   int apps_reused() const noexcept { return apps_reused_.load(); }
 
 private:
@@ -237,15 +172,11 @@ private:
   AppEvaluation evaluate_app_keyed(std::size_t app,
                                    const std::vector<sched::Interval>& intervals,
                                    std::vector<std::int64_t> key);
-  /// The serial Pall reduction shared by evaluate() and the neighbor path
-  /// (one code path = bit-identical sums).
+  /// The serial Pall reduction shared by both evaluate() paths (one code
+  /// path = bit-identical sums).
   void reduce_apps(ScheduleEvaluation& out, std::vector<AppEvaluation>& evs);
   /// Mode dispatch: binary or context-sensitive timing derivation.
   sched::ScheduleTiming derive(const sched::InterleavedSchedule& s) const;
-  sched::TimingPattern expand(const sched::InterleavedSchedule& s) const;
-  ScheduleEvaluation evaluate_neighbor_from_timing(
-      const ScheduleEvaluation& base_eval, sched::ScheduleTiming&& timing,
-      const std::vector<bool>& app_unchanged);
 
   using MemoKey = std::pair<std::size_t, std::vector<std::int64_t>>;
 
@@ -261,7 +192,6 @@ private:
   std::vector<double> tidle_;  ///< per-app idle-time limits (fixed by model)
   ConcurrentMemoMap<MemoKey, AppEvaluation, IndexedVectorHash> memo_;
   ConcurrentMemoMap<std::string, ScheduleEvaluation> schedule_memo_;
-  ConcurrentMemoMap<std::string, sched::TimingPattern> pattern_memo_;
   std::atomic<int> designs_run_{0};
   std::atomic<int> design_requests_{0};
   std::atomic<int> neighbor_evaluations_{0};

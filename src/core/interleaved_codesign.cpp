@@ -1,15 +1,13 @@
 #include "core/interleaved_codesign.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "core/snapshot.hpp"
+#include "opt/portfolio.hpp"
 
 namespace catsched::core {
 
@@ -177,275 +175,155 @@ std::vector<InterleavedSchedule> interleaved_neighbors(
   return out;
 }
 
-namespace {
-
-/// Published search state as a snapshot payload: per entry the canonical
-/// key, the Pall bits, and the two feasibility flags — exactly what the
-/// serial reduction reads, so a resumed run can consume the entry without
-/// re-running its controller designs.
-std::vector<std::uint8_t> encode_interleaved_state(
-    const std::unordered_map<std::string, const ScheduleEvaluation*>& seen) {
-  SnapshotWriter w;
-  w.put_u64(seen.size());
-  // Emit in sorted key order: the payload bytes must not depend on the
-  // hash map's (implementation-defined) iteration order, so identical
-  // search states always produce identical snapshot files.
-  std::vector<const std::string*> keys;
-  keys.reserve(seen.size());
-  for (const auto& entry : seen)  // determinism-ok: sorted below
-    keys.push_back(&entry.first);
-  std::sort(keys.begin(), keys.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
-  for (const std::string* key : keys) {
-    const ScheduleEvaluation* eval = seen.at(*key);
-    w.put_string(*key);
-    w.put_f64(eval->pall);
-    w.put_u8(eval->idle_feasible ? 1 : 0);
-    w.put_u8(eval->control_feasible ? 1 : 0);
+std::vector<int> encode_interleaved(const InterleavedSchedule& s) {
+  std::vector<int> point;
+  point.reserve(2 * s.segments().size());
+  for (const Segment& seg : s.segments()) {
+    point.push_back(static_cast<int>(seg.app));
+    point.push_back(seg.count);
   }
-  return w.take();
+  return point;
 }
 
-/// Inverse of encode_interleaved_state. The reconstructed evaluations are
-/// *synthetic*: apps stays empty (the marker the search upgrades on), but
-/// pall and the feasibility bits round-trip bit-exactly — all the
-/// reduction ever compares.
-std::unordered_map<std::string, ScheduleEvaluation> decode_interleaved_state(
-    const std::vector<std::uint8_t>& payload) {
-  SnapshotReader r(payload);
-  const std::uint64_t count = r.get_u64();
-  std::unordered_map<std::string, ScheduleEvaluation> overlay;
-  overlay.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::string key = r.get_string();
-    ScheduleEvaluation ev;
-    ev.pall = r.get_f64();
-    ev.idle_feasible = r.get_u8() != 0;
-    ev.control_feasible = r.get_u8() != 0;
-    overlay.emplace(std::move(key), std::move(ev));
+InterleavedSchedule decode_interleaved(const std::vector<int>& point,
+                                       std::size_t num_apps) {
+  if (point.size() % 2 != 0) {
+    throw std::invalid_argument("decode_interleaved: odd point length");
   }
-  return overlay;
+  std::vector<Segment> segs;
+  segs.reserve(point.size() / 2);
+  // A negative app index wraps to a huge one, which the schedule's own
+  // validation rejects.
+  for (std::size_t k = 0; k < point.size(); k += 2) {
+    segs.push_back(Segment{static_cast<std::size_t>(point[k]), point[k + 1]});
+  }
+  return InterleavedSchedule(std::move(segs), num_apps);
 }
 
-}  // namespace
+opt::DiscreteObjective make_interleaved_objective(Evaluator& evaluator) {
+  return [&evaluator](const std::vector<int>& point) {
+    const ScheduleEvaluation& ev = evaluator.evaluate_cached(
+        decode_interleaved(point, evaluator.model().num_apps()));
+    return opt::EvalOutcome{ev.pall, ev.feasible()};
+  };
+}
+
+opt::NeighborObjective make_interleaved_neighbor_objective(
+    Evaluator& evaluator) {
+  return [&evaluator](const std::vector<int>& base,
+                      const std::vector<int>& point) {
+    const std::size_t n = evaluator.model().num_apps();
+    const InterleavedSchedule s = decode_interleaved(point, n);
+    const ScheduleEvaluation& ev = evaluator.evaluate_cached(
+        s, s.to_string(),
+        evaluator.evaluate_cached(decode_interleaved(base, n)));
+    return opt::EvalOutcome{ev.pall, ev.feasible()};
+  };
+}
+
+opt::CheapFeasible make_interleaved_cheap_feasible(const Evaluator& evaluator) {
+  return [&evaluator](const std::vector<int>& point) {
+    return evaluator.idle_feasible(
+        decode_interleaved(point, evaluator.model().num_apps()));
+  };
+}
+
+InterleavedDriver::InterleavedDriver(std::string name,
+                                     opt::CheapFeasible cheap,
+                                     const InterleavedSchedule& start,
+                                     const InterleavedSearchOptions& opts)
+    : SearchDriver(std::move(name)),
+      cheap_(std::move(cheap)),
+      opts_(opts),
+      num_apps_(start.num_apps()),
+      cur_(encode_interleaved(start)) {
+  if (!cheap_(cur_)) {
+    throw std::invalid_argument(
+        "interleaved driver: start violates the idle-time constraint");
+  }
+}
+
+std::vector<std::vector<int>> InterleavedDriver::propose() {
+  if (!seeded_) return {cur_};  // round 0: evaluate the start itself
+  if (steps_ >= opts_.max_steps) return {};
+  std::vector<std::vector<int>> batch;
+  for (const InterleavedSchedule& nb :
+       interleaved_neighbors(decode_interleaved(cur_, num_apps_), opts_)) {
+    std::vector<int> p = encode_interleaved(nb);
+    if (cheap_(p)) batch.push_back(std::move(p));
+  }
+  return batch;  // empty = every neighbor idle-infeasible: converged
+}
+
+void InterleavedDriver::observe(
+    const std::vector<std::vector<int>>& points,
+    const std::vector<const opt::EvalOutcome*>& outcomes) {
+  if (!seeded_) {
+    cur_out_ = *outcomes[0];
+    note(points[0], cur_out_);
+    path_.push_back(cur_);
+    seeded_ = true;
+    return;
+  }
+  // Steepest ascent, reduced in neighbor order (strict >: the first of
+  // equal neighbors wins) — the order is fixed by propose(), so the move
+  // never depends on evaluation order or thread count.
+  const opt::EvalOutcome* next = nullptr;
+  std::size_t next_k = 0;
+  for (std::size_t k = 0; k < points.size(); ++k) {
+    if (!outcomes[k]->feasible) continue;
+    if (next == nullptr || outcomes[k]->value > next->value) {
+      next = outcomes[k];
+      next_k = k;
+    }
+  }
+  if (next == nullptr) {
+    finish();
+    return;
+  }
+  const double gain = next->value - cur_out_.value;
+  if (gain <= 0.0 &&
+      (-gain > opts_.tolerance || points[next_k] == cur_)) {
+    finish();  // local optimum
+    return;
+  }
+  cur_ = points[next_k];
+  cur_out_ = *next;
+  path_.push_back(cur_);
+  ++steps_;
+  note(cur_, cur_out_);
+  if (gain <= 0.0 && opts_.tolerance == 0.0) finish();
+}
 
 InterleavedSearchResult interleaved_search(
     Evaluator& evaluator, const InterleavedSchedule& start,
     const InterleavedSearchOptions& opts, ThreadPool* pool) {
-  if (!evaluator.idle_feasible(start)) {
-    throw std::invalid_argument(
-        "interleaved_search: start violates the idle-time constraint");
-  }
+  InterleavedDriver lane("interleaved",
+                         make_interleaved_cheap_feasible(evaluator), start,
+                         opts);
+  // Round 0 evaluates the start, then one round per step.
+  opt::PortfolioOptions race;
+  race.max_rounds = std::max(opts.max_steps, 0) + 1;
+  race.elimination_rounds = 0;
+  race.anytime = opts.anytime;
+  opt::EvalCache cache(make_interleaved_objective(evaluator),
+                       make_interleaved_neighbor_objective(evaluator));
+  const opt::PortfolioResult raced =
+      opt::race_drivers({&lane}, cache, race, pool);
 
   InterleavedSearchResult res;
-  RunBudget* budget = opts.anytime.budget;
-  if (budget != nullptr && budget->cancelled()) {
-    res.telemetry.stop = budget->reason();
-    return res;
+  res.telemetry = raced.telemetry;
+  res.steps = lane.steps();
+  res.unique_evaluations = raced.unique_evaluations;
+  for (const std::vector<int>& p : lane.path()) {
+    res.path.push_back(decode_interleaved(p, lane.num_apps()).to_string());
   }
-
-  // Resume: preload the previous process's published evaluations. They
-  // enter `seen` below as overlay values owned here — the batch shortcut
-  // serves them without touching the evaluator, so replaying the search
-  // fast-forwards to the kill point at reduction speed.
-  std::unordered_map<std::string, ScheduleEvaluation> overlay;
-  if (!opts.anytime.checkpoint_path.empty() &&
-      snapshot_exists(opts.anytime.checkpoint_path)) {
-    overlay = decode_interleaved_state(
-        load_snapshot_file(opts.anytime.checkpoint_path,
-                           kSnapshotKindInterleaved,
-                           &res.telemetry.used_fallback));
-    res.telemetry.resumed = true;
-  }
-  // Dedup on the canonical string so re-visits cost nothing and the
-  // evaluation count matches "distinct schedules evaluated" for THIS
-  // search. The values point into the evaluator's own schedule memo, so
-  // patterns shared with other searches (or earlier steps) are still
-  // computed only once process-wide. Both maps are sharded compute-once
-  // structures, so concurrent batch evaluation below needs no extra locks.
-  ConcurrentMemoMap<std::string, const ScheduleEvaluation*> memo;
-  const auto evaluate =
-      [&](const InterleavedSchedule& s) -> const ScheduleEvaluation& {
-    const std::string key = s.to_string();
-    return *memo.get_or_compute(
-        key, [&] { return &evaluator.evaluate_cached(s, key); });
-  };
-
-  // Schedules already evaluated in earlier steps, keyed by canonical
-  // string: neighborhoods of consecutive steps overlap heavily, and a
-  // re-visited neighbor needs no timing derivation at all — only the
-  // finished evaluation for the reduction. Mutated ONLY between batches
-  // (serial), read-only inside them, so the batch needs no locks; values
-  // point into the evaluator's schedule memo (valid for its lifetime) or
-  // into the resume overlay above (owned by this frame, never mutated).
-  std::unordered_map<std::string, const ScheduleEvaluation*> seen;
-  seen.reserve(overlay.size());
-  for (const auto& [key, eval] : overlay)  // determinism-ok: order-free copy
-    seen.emplace(key, &eval);
-
-  // Snapshots are written at the serial publish points only (so a
-  // checkpoint never contains a half-published batch), every
-  // opts.checkpoint_every iterations and once more on exit; unchanged
-  // state is never rewritten.
-  std::size_t saved_seen_size = seen.size();
-  const auto save_checkpoint = [&] {
-    if (opts.anytime.checkpoint_path.empty() ||
-        seen.size() == saved_seen_size) {
-      return;
-    }
-    write_snapshot_file(opts.anytime.checkpoint_path, kSnapshotKindInterleaved,
-                        encode_interleaved_state(seen), opts.anytime.fault);
-    saved_seen_size = seen.size();
-    ++res.telemetry.checkpoints_written;
-  };
-
-  InterleavedSchedule current = start;
-  std::string current_key = current.to_string();
-  ScheduleEvaluation current_eval = evaluate(current);
-  seen.emplace(current_key, &evaluator.evaluate_cached(current, current_key));
-  res.path.push_back(current_key);
-  if (current_eval.feasible()) {
-    res.best = current;
-    res.best_evaluation = current_eval;
+  if (lane.found_feasible()) {
     res.found = true;
+    res.best = decode_interleaved(lane.best(), lane.num_apps());
+    // A memo hit, except on a resume whose best came from the checkpoint.
+    res.best_evaluation = evaluator.evaluate_cached(res.best);
   }
-
-  int last_saved_step = 0;
-  for (int step = 0; step < opts.max_steps; ++step) {
-    // Anytime check, quantized to the step boundary: stop-flag and
-    // evaluation-cap trips land here deterministically (evaluations are
-    // noted only when a completed batch publishes), so a run cut short
-    // after k accepted steps matches a max_steps = k run bit for bit.
-    if (budget != nullptr && budget->cancelled()) {
-      res.telemetry.stop = budget->reason();
-      break;
-    }
-    auto neighbors = interleaved_neighbor_moves(current, opts);
-    const sched::TimingPattern* pattern =
-        opts.incremental ? &evaluator.timing_pattern(current, current_key)
-                         : nullptr;
-    // Steepest ascent: derive each neighbor's timing, idle pre-filter it,
-    // and evaluate the survivors, all inside one batch fanned over the
-    // pool into index-addressed slots (idle-infeasible neighbors leave
-    // their slot null and never touch the schedule memo). In incremental
-    // mode delta-representable neighbors derive through the evaluator's
-    // mode dispatch — the partial delta re-derivation under binary WCETs,
-    // a from-scratch context-sensitive derivation under context WCETs —
-    // and carry the result into the evaluation so it is not re-derived.
-    // Memo hits return instantly, misses run the delta completion or the
-    // full WCET + design pipeline — high variance, hence the small
-    // chunks. The reduction below walks the slots serially in neighbor
-    // order, so the chosen move — and with it the whole accepted path —
-    // is bit-identical to the serial run AND to the from-scratch
-    // (incremental=false) run.
-    std::vector<const ScheduleEvaluation*> evals(neighbors.size(), nullptr);
-    std::vector<std::string> keys(neighbors.size());
-    parallel_for(pool, neighbors.size(), opts.chunk, [&](std::size_t k) {
-      InterleavedNeighbor& cand = neighbors[k];
-      const std::string& key = keys[k] = cand.schedule.to_string();
-      // Step-overlap shortcut: a neighbor evaluated in an earlier step
-      // skips derivation and idle-filtering entirely (the reduction only
-      // consults eval.feasible(); idle-infeasible schedules never made it
-      // into `seen`, so they re-derive and re-filter — same outcome).
-      if (const auto it = seen.find(key); it != seen.end()) {
-        evals[k] = it->second;
-        return;
-      }
-      if (pattern != nullptr && (cand.move || cand.rotation)) {
-        std::vector<bool> unchanged;
-        sched::ScheduleTiming timing =
-            cand.move ? evaluator.derive_neighbor_timing(*pattern, *cand.move,
-                                                         &unchanged)
-                      : evaluator.derive_neighbor_timing(
-                            *pattern, *cand.rotation, &unchanged);
-        if (!evaluator.idle_feasible(timing)) return;
-        evals[k] = memo.get_or_compute(key, [&] {
-          return &evaluator.evaluate_neighbor_cached(
-              current_eval, std::move(timing), unchanged, key);
-        });
-        return;
-      }
-      if (!evaluator.idle_feasible(cand.schedule)) return;
-      if (pattern == nullptr) {
-        evals[k] = memo.get_or_compute(
-            key, [&] { return &evaluator.evaluate_cached(cand.schedule, key); });
-        return;
-      }
-      // Descriptor-free fallback (incremental mode; wrap-around swaps and
-      // merge-rotated removals): full timing derivation, but apps whose
-      // patterns survive the edit reuse the current evaluations
-      // (bit-identical to the plain path for any hint).
-      evals[k] = memo.get_or_compute(key, [&] {
-        return &evaluator.evaluate_cached(cand.schedule, key, current_eval);
-      });
-    }, budget);
-    if (budget != nullptr && budget->cancelled()) {
-      // A deadline (or external stop) fired mid-batch: slots are only
-      // partially filled. Discard the batch without publishing — finished
-      // evaluations stay in the evaluator's memo, but the returned state
-      // is exactly the last completed step's.
-      res.telemetry.stop = budget->reason();
-      break;
-    }
-    // Serial (between batches): publish this step's evaluations for the
-    // next step's shortcut.
-    std::size_t published = 0;
-    for (std::size_t k = 0; k < neighbors.size(); ++k) {
-      if (evals[k] != nullptr &&
-          seen.emplace(std::move(keys[k]), evals[k]).second) {
-        ++published;
-      }
-    }
-    if (budget != nullptr) {
-      budget->note_evaluations(static_cast<std::uint64_t>(published));
-    }
-    if (step - last_saved_step >= opts.anytime.checkpoint_every) {
-      save_checkpoint();
-      last_saved_step = step;
-    }
-    const InterleavedSchedule* next = nullptr;
-    ScheduleEvaluation next_eval;
-    for (std::size_t k = 0; k < neighbors.size(); ++k) {
-      if (evals[k] == nullptr) continue;  // idle-infeasible
-      const ScheduleEvaluation& eval = *evals[k];
-      if (!eval.feasible()) continue;
-      if (next == nullptr || eval.pall > next_eval.pall) {
-        next = &neighbors[k].schedule;
-        next_eval = eval;
-      }
-    }
-    if (next == nullptr) break;
-    const double gain = next_eval.pall - current_eval.pall;
-    if (gain <= 0.0 && -gain > opts.tolerance) break;  // local optimum
-    if (gain <= 0.0 && next->to_string() == current_key) break;
-    current = *next;
-    current_key = current.to_string();
-    current_eval = next_eval;
-    if (current_eval.apps.empty()) {
-      // The accepted neighbor was served by the resume overlay (synthetic:
-      // Pall + feasibility only). The next step's delta evaluations anchor
-      // on the current schedule's full per-app state, so upgrade it here —
-      // a deterministic re-evaluation that cannot change the accepted path
-      // (the overlay's Pall bits are exact).
-      current_eval = evaluator.evaluate_cached(current, current_key);
-    }
-    res.path.push_back(current_key);
-    ++res.steps;
-    if (current_eval.feasible() &&
-        (!res.found || current_eval.pall > res.best_evaluation.pall)) {
-      res.best = current;
-      res.best_evaluation = current_eval;
-      res.found = true;
-    }
-    if (gain <= 0.0 && opts.tolerance == 0.0) break;
-  }
-  save_checkpoint();
-  // Published entries, not memo.size(): the memo can hold a discarded
-  // partial batch (mid-batch cancellation) and misses overlay-served
-  // entries on a resume — `seen` is the same set on every path, so the
-  // count is bit-identical between a fresh run, a cut-short run at the
-  // same step, and a resumed run at completion.
-  res.unique_evaluations = static_cast<int>(seen.size());
   return res;
 }
 

@@ -6,23 +6,21 @@
 ///        by the same expensive evaluation as the periodic search, with a
 ///        hill climb + tolerance acceptance rule.
 ///
-/// Parallel/serial contract: with a ThreadPool each step's feasible
-/// neighbor candidates are batch-evaluated through a chunked parallel_for
-/// into index-addressed slots and reduced serially in neighbor order, and
-/// every evaluation goes through the Evaluator's sharded compute-once
-/// schedule memo — so the accepted path, best schedule, and the
-/// distinct-evaluation count are bit-identical to the serial run (enforced
-/// by test_interleaved_search). The pool is opt-in; the default (nullptr)
-/// evaluates serially, exactly like core/codesign.
+/// The walk is a SearchDriver (InterleavedDriver) over encoded schedules
+/// (encode_interleaved), so it runs on the repo's one round loop,
+/// opt::race_drivers: the serial propose/observe split, the union batch
+/// evaluated through one EvalCache, the budget, the EvalCache journal as
+/// checkpoint, and bit-identity at every thread count all come from there.
+/// interleaved_search races one such driver alone.
 
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/anytime.hpp"
 #include "core/evaluator.hpp"
-#include "core/fault.hpp"
-#include "core/run_budget.hpp"
+#include "opt/search_driver.hpp"
 
 namespace catsched::core {
 
@@ -32,28 +30,11 @@ struct InterleavedSearchOptions {
   int max_steps = 60;          ///< accepted moves cap
   int max_segments = 8;        ///< segment-count cap (schedule complexity)
   int max_burst = 16;          ///< per-segment count cap
-  std::size_t chunk = 0;       ///< parallel_for chunk size (0 = default);
-                               ///< candidates have high cost variance
-                               ///< (feasibility early-outs), so small
-                               ///< chunks keep workers from starving
-  /// Delta-aware neighbor evaluation: neighbors expressible as a one-task
-  /// move or a block rotation (non-wrapping segment swaps) re-derive
-  /// timing incrementally from the current schedule's pattern and reuse
-  /// its per-app evaluations where the pattern is unchanged. Bit-identical
-  /// to the from-scratch path (gtest-enforced); off = the pre-incremental
-  /// behavior, kept for differential tests and benchmarking.
-  bool incremental = true;
 
-  /// Shared anytime/checkpoint knobs (see core/anytime.hpp). The snapshot
-  /// stores every *published* evaluation as (canonical key, Pall,
-  /// feasibility bits); an existing file is resumed from automatically:
-  /// published entries are preloaded as lightweight overlay evaluations,
-  /// so the replayed search fast-forwards through them and only re-runs
-  /// the controller designs of schedules it actually accepts — converging
-  /// to the bit-identical final result of an uninterrupted run (see
-  /// tests/test_anytime.cpp). checkpoint_every here counts accepted steps
-  /// between snapshots, not evaluations (hence the tighter default).
-  AnytimeOptions anytime{nullptr, {}, 4, nullptr};
+  /// Shared anytime/checkpoint knobs (see core/anytime.hpp), handed to
+  /// opt::race_drivers verbatim: the checkpoint is the EvalCache journal of
+  /// encoded schedules and an existing file is resumed from automatically.
+  AnytimeOptions anytime;
 };
 
 /// Outcome of the interleaved search.
@@ -62,8 +43,8 @@ struct InterleavedSearchResult {
   ScheduleEvaluation best_evaluation;
   bool found = false;
   int steps = 0;
-  /// Distinct schedules in the published search state (see the
-  /// evaluation-count naming scheme in opt/discrete_search.hpp).
+  /// Distinct schedules in the search's cache (see the evaluation-count
+  /// naming scheme in opt/discrete_search.hpp).
   int unique_evaluations = 0;
   std::vector<std::string> path;  ///< accepted schedules, start first
   /// Anytime/checkpoint observability (defaults = nothing fired).
@@ -74,12 +55,12 @@ struct InterleavedSearchResult {
 ///  * `move` iff the neighbor's task sequence is exactly the base sequence
 ///    with one task inserted/removed (grow/shrink/insert/remove moves; a
 ///    removal whose segment merge wraps around the period rotates the
-///    sequence and gets no descriptor) — consumed by derive_timing_delta;
+///    sequence and gets no descriptor) — input of derive_timing_delta;
 ///  * `rotation` iff it is the base sequence with one contiguous block
-///    left-rotated (non-wrapping segment swaps) — consumed by
+///    left-rotated (non-wrapping segment swaps) — input of
 ///    derive_timing_rotation.
 /// Either descriptor reproduces the from-scratch derivation bit-for-bit;
-/// neighbors with neither (wrapping swaps) take the from-scratch path.
+/// neighbors with neither (wrapping swaps) have no delta form.
 struct InterleavedNeighbor {
   sched::InterleavedSchedule schedule;
   std::optional<sched::TaskMove> move;
@@ -97,17 +78,83 @@ std::vector<sched::InterleavedSchedule> interleaved_neighbors(
     const sched::InterleavedSchedule& schedule,
     const InterleavedSearchOptions& opts = {});
 
-/// Same neighbors in the same order, each with its task-move descriptor
-/// when delta-representable (the incremental search path consumes these).
+/// Same neighbors in the same order, each with its delta descriptor when
+/// delta-representable (the sched:: delta derivations consume these).
 std::vector<InterleavedNeighbor> interleaved_neighbor_moves(
     const sched::InterleavedSchedule& schedule,
     const InterleavedSearchOptions& opts = {});
 
-/// Steepest-ascent local search from \p start over interleaved schedules,
-/// evaluating through \p evaluator (idle-infeasible neighbors are skipped
-/// before any controller design runs). With a \p pool, each step's
-/// feasible neighbors are evaluated concurrently and reduced serially —
-/// bit-identical results to the serial run (see the file header).
+/// A schedule as a search point: its segments' (app, count) pairs,
+/// flattened in segment order. The segment list is exactly what
+/// to_string() prints, so equal points are equal schedules.
+std::vector<int> encode_interleaved(const sched::InterleavedSchedule& s);
+
+/// Inverse of encode_interleaved.
+/// \throws std::invalid_argument on an odd length or an invalid schedule.
+sched::InterleavedSchedule decode_interleaved(const std::vector<int>& point,
+                                              std::size_t num_apps);
+
+/// Adapters over encoded schedules, the interleaved counterparts of
+/// core::make_objective / make_neighbor_objective / make_cheap_feasible:
+/// the full evaluation through the evaluator's schedule memo, the anchored
+/// evaluation (the hinted evaluate_cached against the base's evaluation,
+/// bit-identical to the plain one), and the idle-time filter (eq. (4)).
+opt::DiscreteObjective make_interleaved_objective(Evaluator& evaluator);
+opt::NeighborObjective make_interleaved_neighbor_objective(
+    Evaluator& evaluator);
+opt::CheapFeasible make_interleaved_cheap_feasible(const Evaluator& evaluator);
+
+/// Steepest-ascent walk over interleaved schedules as a SearchDriver.
+/// Round 0 evaluates the start. Every later round proposes the current
+/// schedule's interleaved_neighbors that pass the idle filter, anchored at
+/// the current point. Observation takes the feasible neighbor of highest
+/// Pall (strict >, neighbor order breaking ties) and stops instead when
+/// there is none, when it loses more than opts.tolerance, or when it is
+/// the current schedule without a gain; a move that gains nothing under a
+/// zero tolerance is taken and then stops the walk. opts.max_steps caps
+/// accepted moves. Only the start and accepted schedules feed
+/// best-so-far. opts.anytime is ignored (the runner owns the budget).
+class InterleavedDriver final : public opt::SearchDriver {
+ public:
+  /// \throws std::invalid_argument if \p cheap rejects the start.
+  InterleavedDriver(std::string name, opt::CheapFeasible cheap,
+                    const sched::InterleavedSchedule& start,
+                    const InterleavedSearchOptions& opts);
+
+  const std::vector<int>* anchor() const override {
+    return seeded_ ? &cur_ : nullptr;
+  }
+
+  /// Accepted points, start first (empty until round 0 is observed).
+  const std::vector<std::vector<int>>& path() const { return path_; }
+  int steps() const { return steps_; }  ///< accepted moves
+  std::size_t num_apps() const { return num_apps_; }
+
+ protected:
+  std::vector<std::vector<int>> propose() override;
+  void observe(const std::vector<std::vector<int>>& points,
+               const std::vector<const opt::EvalOutcome*>& outcomes) override;
+
+ private:
+  opt::CheapFeasible cheap_;
+  InterleavedSearchOptions opts_;
+  std::size_t num_apps_;
+  std::vector<int> cur_;
+  opt::EvalOutcome cur_out_;
+  bool seeded_ = false;
+  int steps_ = 0;
+  std::vector<std::vector<int>> path_;
+};
+
+/// Steepest-ascent local search from \p start over interleaved schedules:
+/// one InterleavedDriver raced alone through opt::race_drivers on a fresh
+/// EvalCache over \p evaluator (idle-infeasible neighbors are filtered
+/// before any controller design runs). With a \p pool each round's
+/// neighbors are evaluated concurrently; the result is bit-identical to
+/// the serial run. opts.anytime is the runner's: the budget is consulted
+/// per round, the checkpoint path arms the cache's journal
+/// (checkpoint_every counting evaluations) and resumes from an existing
+/// file.
 /// \throws std::invalid_argument if start is idle-infeasible.
 InterleavedSearchResult interleaved_search(
     Evaluator& evaluator, const sched::InterleavedSchedule& start,

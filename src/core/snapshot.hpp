@@ -47,11 +47,11 @@ namespace catsched::core {
 /// reader rejects other versions (no silent migration).
 inline constexpr std::uint32_t kSnapshotVersion = 1;
 
-/// Payload-kind registry. Each checkpointing subsystem owns one constant;
-/// the reader rejects a kind mismatch so e.g. an interleaved checkpoint
-/// can never be fed to a hybrid resume.
+/// Payload-kind registry. Every search checkpoints through the EvalCache
+/// journal (opt::encode_evaluation_table), so there is one kind; the
+/// reader still rejects a kind mismatch, so a file of any other kind is
+/// refused, never misparsed.
 inline constexpr std::uint32_t kSnapshotKindEvaluationTable = 1;
-inline constexpr std::uint32_t kSnapshotKindInterleaved = 2;
 
 /// What exactly a snapshot read rejected.
 enum class SnapshotErrc : std::uint8_t {

@@ -27,6 +27,14 @@ EvaluationTable decode_evaluation_table(
     const std::vector<std::uint8_t>& payload) {
   core::SnapshotReader r(payload);
   const std::uint64_t count = r.get_u64();
+  // Smallest entry: an empty point's u64 count, the f64 value and the u8
+  // flag. Bound the forged-count case before reserving (division avoids
+  // overflow), as get_int_vector does.
+  constexpr std::size_t kMinEntryBytes = 8 + 8 + 1;
+  if (count > r.remaining() / kMinEntryBytes) {
+    throw core::SnapshotError(core::SnapshotErrc::truncated,
+                              "evaluation table count exceeds payload");
+  }
   EvaluationTable table;
   table.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {

@@ -40,12 +40,13 @@ struct EvalOutcome {
 /// Expensive objective over integer decision vectors (m1..mn), maximized.
 using DiscreteObjective = std::function<EvalOutcome(const std::vector<int>&)>;
 
-/// Optional delta-aware objective: evaluate `point` as a neighbor of
-/// `base` (the searches only pass single-dimension +-1 moves). MUST return
-/// a result bit-identical to the plain objective on `point` — the memo
+/// Optional anchored objective: evaluate `point` as a neighbor of `base`
+/// (the driver's anchor — any point, not only a +-1 move). MUST return a
+/// result bit-identical to the plain objective on `point` — the memo
 /// stores whichever path computed a point first, so any divergence would
-/// leak across runs. Implementations fall back internally when the pair is
-/// not delta-representable (core::make_neighbor_objective does).
+/// leak across runs. core::make_neighbor_objective and
+/// core::make_interleaved_neighbor_objective hint the evaluator with the
+/// base's evaluation, which is bit-identical for any base.
 using NeighborObjective = std::function<EvalOutcome(
     const std::vector<int>& base, const std::vector<int>& point)>;
 
@@ -91,7 +92,7 @@ EvaluationTable decode_evaluation_table(
 class EvalCache {
 public:
   /// With a non-null \p neighbor objective, batch slots that carry a base
-  /// point route memo misses through it (the delta-aware path); results
+  /// point route memo misses through it (the anchored path); results
   /// must be bit-identical to \p objective (see NeighborObjective).
   explicit EvalCache(DiscreteObjective objective,
                      NeighborObjective neighbor = nullptr)
@@ -108,7 +109,7 @@ public:
   /// serially when pool is null — and return one slot per point, in input
   /// order. Points are taken by pointer so callers batch without copying
   /// their candidate vectors. \p bases holds one entry per point: a
-  /// non-null base marks that point as its neighbor (a delta-aware miss).
+  /// non-null base marks that point as its neighbor (an anchored miss).
   /// A point repeated in the batch is computed once and only the slot
   /// that computed it reports `missed` — the per-caller cost accounting.
   /// A non-null \p budget short-circuits the batch at chunk granularity

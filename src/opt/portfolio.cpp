@@ -111,7 +111,7 @@ PortfolioResult race_drivers(const std::vector<SearchDriver*>& roster,
 
     // Phase B: one batch over the union of the round's proposals, deduped
     // in roster order, then proposal order. Each point goes through its
-    // first proposer's delta anchor and a memo miss is charged to that
+    // first proposer's anchor and a memo miss is charged to that
     // proposer, so misses cost once race-wide and the per-driver split is
     // the same at every thread count. A budget trip mid-phase discards the
     // whole round (finished evaluations stay in the cache for a resume).

@@ -99,9 +99,10 @@ struct PortfolioResult {
 };
 
 /// The one round loop behind every search in this header and behind
-/// opt::hybrid_search, opt::hybrid_search_multistart and
-/// opt::exhaustive_search: races \p roster (its order is the tie-break
-/// order) against \p cache in the deterministic rounds described above.
+/// opt::hybrid_search, opt::hybrid_search_multistart,
+/// opt::exhaustive_search and core::interleaved_search: races \p roster
+/// (its order is the tie-break order) against \p cache in the
+/// deterministic rounds described above.
 /// Reads only opts.max_rounds, opts.elimination_rounds and opts.anytime;
 /// a checkpoint path arms \p cache, resumes it from an existing file and
 /// saves it on return; without one the runner neither arms nor saves.

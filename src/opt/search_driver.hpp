@@ -64,9 +64,11 @@ class SearchDriver {
   void observe_batch(const std::vector<std::vector<int>>& points,
                      const std::vector<const EvalOutcome*>& outcomes);
 
-  /// Optional delta anchor: when every point of the next batch is a +-1
-  /// neighbor of one base point, return it and the cache routes misses
-  /// through the delta-aware objective. Null = no common base.
+  /// Optional anchor: when every point of the next batch is a neighbor of
+  /// one base point (a +-1 move for the hybrid lanes, a segment move for
+  /// the interleaved walk), return it and the cache routes misses through
+  /// the neighbor objective, which evaluates them hinted by the base's
+  /// evaluation. Null = no common base.
   virtual const std::vector<int>* anchor() const { return nullptr; }
 
  protected:
@@ -98,7 +100,7 @@ class SearchDriver {
 /// opt::race_drivers, and the portfolio runs one lane per start. Round 0
 /// evaluates the start. Every later round proposes the in-box,
 /// cheap-feasible +-1 neighborhood of the current point (anchored there,
-/// so misses take the delta-aware path), then picks the move by the
+/// so misses take the anchored path), then picks the move by the
 /// per-dimension quadratic-model rule:
 ///   * each dimension's gradient is the central difference when both
 ///     neighbors exist, else the one-sided difference against the current

@@ -94,9 +94,8 @@ void classify_sequence_contexts(const std::vector<AppWcet>& wcets,
                                 const std::vector<std::size_t>& seq,
                                 std::size_t num_apps,
                                 std::vector<unsigned char>& warm,
-                                std::vector<double>& exec,
-                                std::vector<std::uint64_t>& masks) {
-  masks = compute_context_masks(seq, num_apps);
+                                std::vector<double>& exec) {
+  const std::vector<std::uint64_t> masks = compute_context_masks(seq, num_apps);
   const std::size_t t_count = seq.size();
   warm.resize(t_count);
   exec.resize(t_count);
@@ -242,10 +241,8 @@ ScheduleTiming derive_timing(const std::vector<AppWcet>& wcets,
   validate_wcets(wcets, num_apps);
   std::vector<unsigned char> warm;
   std::vector<double> exec;
-  std::vector<std::uint64_t> masks;
   std::vector<double> start;
-  classify_sequence_contexts(wcets, contexts, seq, num_apps, warm, exec,
-                             masks);
+  classify_sequence_contexts(wcets, contexts, seq, num_apps, warm, exec);
   const double period = accumulate_starts(exec, start);
   return build_intervals(num_apps, seq, warm, exec, start, period);
 }
@@ -253,28 +250,6 @@ ScheduleTiming derive_timing(const std::vector<AppWcet>& wcets,
 TimingPattern expand_timing(const std::vector<AppWcet>& wcets,
                             const InterleavedSchedule& schedule) {
   return expand_timing(wcets, schedule.task_sequence(), schedule.num_apps());
-}
-
-TimingPattern expand_timing(const std::vector<AppWcet>& wcets,
-                            const ContextWcetLookup& contexts,
-                            const InterleavedSchedule& schedule) {
-  return expand_timing(wcets, contexts, schedule.task_sequence(),
-                       schedule.num_apps());
-}
-
-TimingPattern expand_timing(const std::vector<AppWcet>& wcets,
-                            const ContextWcetLookup& contexts,
-                            const std::vector<std::size_t>& seq,
-                            std::size_t num_apps) {
-  validate_wcets(wcets, num_apps);
-  TimingPattern p;
-  p.seq = seq;
-  classify_sequence_contexts(wcets, contexts, p.seq, num_apps, p.warm, p.exec,
-                             p.masks);
-  p.period = accumulate_starts(p.exec, p.start);
-  p.timing =
-      build_intervals(num_apps, p.seq, p.warm, p.exec, p.start, p.period);
-  return p;
 }
 
 TimingPattern expand_timing(const std::vector<AppWcet>& wcets,

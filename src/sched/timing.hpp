@@ -162,9 +162,6 @@ struct TimingPattern {
   std::vector<unsigned char> warm;  ///< steady-state warm classification
   std::vector<double> exec;         ///< per-task WCET (warm or cold)
   std::vector<double> start;        ///< task start offsets within the period
-  /// Per-task interference masks (see compute_context_masks); only filled
-  /// by the context-sensitive expand_timing overloads, empty otherwise.
-  std::vector<std::uint64_t> masks;
   double period = 0.0;
   ScheduleTiming timing;            ///< == derive_timing of the schedule
 };
@@ -179,16 +176,6 @@ TimingPattern expand_timing(const std::vector<AppWcet>& wcets,
                             const std::vector<std::size_t>& seq,
                             std::size_t num_apps);
 
-/// Context-sensitive pattern expansion (fills TimingPattern::masks);
-/// pattern.timing == derive_timing(wcets, contexts, ...) bit-for-bit.
-TimingPattern expand_timing(const std::vector<AppWcet>& wcets,
-                            const ContextWcetLookup& contexts,
-                            const InterleavedSchedule& schedule);
-TimingPattern expand_timing(const std::vector<AppWcet>& wcets,
-                            const ContextWcetLookup& contexts,
-                            const std::vector<std::size_t>& seq,
-                            std::size_t num_apps);
-
 /// Incremental re-derivation: timing of the schedule obtained by applying
 /// \p move to \p base, bit-identical to derive_timing on the moved task
 /// sequence (differentially gtest-enforced). Only the affected warm/cold
@@ -200,8 +187,8 @@ TimingPattern expand_timing(const std::vector<AppWcet>& wcets,
 /// that app's interval list is value-identical to the base schedule's (the
 /// evaluator uses this to reuse the app's design without re-quantizing).
 /// Binary cold/warm only: under context-sensitive WCETs a one-task move
-/// can change interference masks far from the edit, so the evaluator's
-/// derive_neighbor_timing re-derives from scratch in that mode instead.
+/// can change interference masks far from the edit, so no delta form
+/// exists in that mode.
 /// \throws std::invalid_argument on an out-of-range move, or a removal
 ///         that would leave an app with no task.
 ScheduleTiming derive_timing_delta(const std::vector<AppWcet>& wcets,
@@ -243,7 +230,7 @@ std::vector<std::size_t> apply_rotation(const std::vector<std::size_t>& seq,
 /// interval list is copied wholesale and patched in place. \p app_unchanged
 /// receives per-app flags exactly like derive_timing_delta.
 /// Binary cold/warm only (see derive_timing_delta for the context-mode
-/// rationale — the evaluator re-derives from scratch there).
+/// rationale).
 /// \throws std::invalid_argument on an out-of-range or degenerate rotation.
 ScheduleTiming derive_timing_rotation(
     const std::vector<AppWcet>& wcets, const TimingPattern& base,

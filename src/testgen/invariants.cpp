@@ -536,17 +536,15 @@ InvariantReport check_invariants(const core::SystemModel& model,
     core::Evaluator ev(model, design);
     const std::string key = inter.to_string();
     const core::ScheduleEvaluation& base_eval = ev.evaluate_cached(inter, key);
-    const sched::TimingPattern& pattern = ev.timing_pattern(inter, key);
-    const auto neighbors = core::interleaved_neighbor_moves(inter, iopts);
-    int checked = 0;
-    for (const core::InterleavedNeighbor& nb : neighbors) {
-      if (!nb.move || checked >= 3) continue;
-      ++checked;
-      const core::ScheduleEvaluation delta =
-          ev.evaluate_neighbor(pattern, base_eval, *nb.move);
-      const core::ScheduleEvaluation scratch = ev.evaluate(nb.schedule);
-      if (!fail.require(eval_equal(delta, scratch), "neighbor-eval",
-                        nb.schedule.to_string())) {
+    const auto neighbors = core::interleaved_neighbors(inter, iopts);
+    // The anchored path every search's neighbor objective takes: hinted by
+    // the base's evaluation, it must equal the from-scratch evaluation.
+    for (std::size_t k = 0; k < neighbors.size() && k < 3; ++k) {
+      const core::ScheduleEvaluation& hinted = ev.evaluate_cached(
+          neighbors[k], neighbors[k].to_string(), base_eval);
+      const core::ScheduleEvaluation scratch = ev.evaluate(neighbors[k]);
+      if (!fail.require(eval_equal(hinted, scratch), "neighbor-eval",
+                        neighbors[k].to_string())) {
         return rep;
       }
     }
@@ -569,18 +567,16 @@ InvariantReport check_invariants(const core::SystemModel& model,
     const std::string key = inter.to_string();
     const core::ScheduleEvaluation& base_eval =
         evc.evaluate_cached(inter, key);
-    const sched::TimingPattern& pattern = evc.timing_pattern(inter, key);
-    const auto neighbors = core::interleaved_neighbor_moves(inter, iopts);
-    for (const core::InterleavedNeighbor& nb : neighbors) {
-      if (!nb.move) continue;
-      const core::ScheduleEvaluation delta =
-          evc.evaluate_neighbor(pattern, base_eval, *nb.move);
-      const core::ScheduleEvaluation scratch = evc.evaluate(nb.schedule);
-      if (!fail.require(eval_equal(delta, scratch), "neighbor-eval-context",
-                        nb.schedule.to_string())) {
+    // One context-mode neighbor: scratch re-derivation is pricey.
+    const auto neighbors = core::interleaved_neighbors(inter, iopts);
+    if (!neighbors.empty()) {
+      const core::ScheduleEvaluation& hinted = evc.evaluate_cached(
+          neighbors.front(), neighbors.front().to_string(), base_eval);
+      const core::ScheduleEvaluation scratch = evc.evaluate(neighbors.front());
+      if (!fail.require(eval_equal(hinted, scratch), "neighbor-eval-context",
+                        neighbors.front().to_string())) {
         return rep;
       }
-      break;  // one context-mode neighbor: scratch re-derivation is pricey
     }
   }
 

@@ -2,7 +2,7 @@
 //
 //   * cooperative cancellation is step-quantized and deterministic — an
 //     interleaved run cut short by an evaluation budget after k accepted
-//     steps is bit-identical (best schedule, Pall bits, published
+//     steps is bit-identical (best schedule, Pall bits, distinct
 //     evaluation count, accepted path) to an uninterrupted max_steps = k
 //     run, and cancelled runs reproduce themselves exactly;
 //   * a fired budget returns best-so-far with a structured StopReason,
@@ -149,9 +149,9 @@ TEST(AnytimeInterleaved, EvalLimitCutMatchesMaxStepsRun) {
   const auto start = sched::InterleavedSchedule::from_periodic(
       sched::PeriodicSchedule({1, 1}));
 
-  // Cut the search at the first budget check after the first publish: the
-  // eval limit only trips at publish points, so the cut lands exactly on a
-  // step boundary.
+  // Cut the search at the first budget check after the first completed
+  // round: the eval limit is only noted when a round completes, so the cut
+  // lands exactly on a step boundary.
   core::RunBudget budget;
   budget.set_max_evaluations(1);
   core::InterleavedSearchOptions copts;
@@ -161,7 +161,7 @@ TEST(AnytimeInterleaved, EvalLimitCutMatchesMaxStepsRun) {
   ASSERT_GE(cut.steps, 0);
 
   // An uninterrupted run capped at exactly that many accepted steps must
-  // be bit-identical: same best schedule, same Pall bits, same published
+  // be bit-identical: same best schedule, same Pall bits, same distinct
   // evaluation count, same accepted path.
   core::Evaluator ev2(reduced_system(), fast_options());
   core::InterleavedSearchOptions kopts;

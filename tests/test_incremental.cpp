@@ -1,10 +1,10 @@
 /// \file test_incremental.cpp
 /// \brief Incremental re-evaluation tests: derive_timing_delta must be
 ///        bit-identical to from-scratch derivation over randomized move
-///        sequences, Evaluator::evaluate_neighbor bit-identical to
-///        evaluate(), the interleaved/hybrid searches bit-identical with
-///        incremental evaluation on vs. off (at 1/2/4 threads) with memo
-///        counters never exceeding the from-scratch counts, quantization
+///        sequences, the hinted (anchored) evaluation bit-identical to
+///        evaluate(), the interleaved/hybrid searches bit-identical with the
+///        anchored neighbor objective on vs. off (at 1/2/4 threads) with
+///        memo counters never exceeding the plain counts, quantization
 ///        rejecting degenerate intervals, and the static-WCET subtree memo
 ///        differential.
 
@@ -24,6 +24,7 @@
 #include "core/codesign.hpp"
 #include "core/interleaved_codesign.hpp"
 #include "core/parallel.hpp"
+#include "opt/portfolio.hpp"
 #include "sched/timing.hpp"
 
 namespace {
@@ -31,7 +32,8 @@ namespace {
 using catsched::core::Application;
 using catsched::core::Evaluator;
 using catsched::core::interleaved_neighbor_moves;
-using catsched::core::interleaved_search;
+using catsched::core::interleaved_neighbors;
+using catsched::core::InterleavedDriver;
 using catsched::core::InterleavedSearchOptions;
 using catsched::core::quantize_intervals;
 using catsched::core::ScheduleEvaluation;
@@ -318,35 +320,32 @@ TEST(EvaluateNeighbor, BitIdenticalToFromScratchEvaluation) {
   const InterleavedSchedule base({{0, 2}, {1, 2}}, 2);
   const std::string base_key = base.to_string();
   const ScheduleEvaluation& base_eval = ev.evaluate_cached(base, base_key);
-  const TimingPattern& pattern = ev.timing_pattern(base, base_key);
 
   InterleavedSearchOptions opts;
   opts.max_segments = 4;
   opts.max_burst = 4;
-  int delta_neighbors = 0;
-  for (const auto& nb : interleaved_neighbor_moves(base, opts)) {
-    if (!nb.move) continue;
-    ++delta_neighbors;
-    const ScheduleEvaluation via_delta =
-        ev.evaluate_neighbor(pattern, base_eval, *nb.move);
-    ScheduleEvaluation scratch = ev.evaluate(nb.schedule);
-    ASSERT_TRUE(timing_identical(via_delta.timing, scratch.timing))
-        << nb.schedule.to_string();
-    ASSERT_TRUE(same_bits(via_delta.pall, scratch.pall))
-        << nb.schedule.to_string();
-    ASSERT_EQ(via_delta.idle_feasible, scratch.idle_feasible);
-    ASSERT_EQ(via_delta.control_feasible, scratch.control_feasible);
-    ASSERT_EQ(via_delta.apps.size(), scratch.apps.size());
+  int checked = 0;
+  for (const InterleavedSchedule& nb : interleaved_neighbors(base, opts)) {
+    ++checked;
+    const ScheduleEvaluation& hinted =
+        ev.evaluate_cached(nb, nb.to_string(), base_eval);
+    ScheduleEvaluation scratch = ev.evaluate(nb);
+    ASSERT_TRUE(timing_identical(hinted.timing, scratch.timing))
+        << nb.to_string();
+    ASSERT_TRUE(same_bits(hinted.pall, scratch.pall)) << nb.to_string();
+    ASSERT_EQ(hinted.idle_feasible, scratch.idle_feasible);
+    ASSERT_EQ(hinted.control_feasible, scratch.control_feasible);
+    ASSERT_EQ(hinted.apps.size(), scratch.apps.size());
     for (std::size_t i = 0; i < scratch.apps.size(); ++i) {
       ASSERT_TRUE(
-          same_bits(via_delta.apps[i].performance, scratch.apps[i].performance));
-      ASSERT_TRUE(same_bits(via_delta.apps[i].settling_time,
+          same_bits(hinted.apps[i].performance, scratch.apps[i].performance));
+      ASSERT_TRUE(same_bits(hinted.apps[i].settling_time,
                             scratch.apps[i].settling_time));
-      ASSERT_EQ(via_delta.apps[i].feasible, scratch.apps[i].feasible);
-      ASSERT_EQ(via_delta.apps[i].pattern_key, scratch.apps[i].pattern_key);
+      ASSERT_EQ(hinted.apps[i].feasible, scratch.apps[i].feasible);
+      ASSERT_EQ(hinted.apps[i].pattern_key, scratch.apps[i].pattern_key);
     }
   }
-  ASSERT_GT(delta_neighbors, 0);
+  ASSERT_GT(checked, 0);
 }
 
 TEST(EvaluateNeighbor, SwapHintReusesUntouchedApps) {
@@ -387,41 +386,67 @@ TEST(EvaluateNeighbor, SwapHintReusesUntouchedApps) {
   }
 }
 
+/// Outcome of one InterleavedDriver raced alone on \p ev: its path, best
+/// point and value, and the cache's distinct-point count.
+struct InterleavedRace {
+  std::vector<std::vector<int>> path;
+  std::vector<int> best;
+  double best_value = 0.0;
+  bool found = false;
+  int unique_evaluations = 0;
+};
+
+InterleavedRace race_interleaved(Evaluator& ev,
+                                 const InterleavedSchedule& start,
+                                 const InterleavedSearchOptions& opts,
+                                 bool anchored,
+                                 catsched::core::ThreadPool* pool) {
+  InterleavedDriver lane(
+      "interleaved", catsched::core::make_interleaved_cheap_feasible(ev),
+      start, opts);
+  opt::EvalCache cache(
+      catsched::core::make_interleaved_objective(ev),
+      anchored ? catsched::core::make_interleaved_neighbor_objective(ev)
+               : nullptr);
+  opt::PortfolioOptions race;
+  race.elimination_rounds = 0;
+  const opt::PortfolioResult r = opt::race_drivers({&lane}, cache, race, pool);
+  return {lane.path(), r.best, r.best_value, r.found_feasible,
+          r.unique_evaluations};
+}
+
 TEST(IncrementalSearch, BitIdenticalToFromScratchAtEveryThreadCount) {
   const auto start =
       InterleavedSchedule::from_periodic(PeriodicSchedule({1, 1}));
-  InterleavedSearchOptions scratch_opts;
-  scratch_opts.max_steps = 3;
-  scratch_opts.max_segments = 4;
-  scratch_opts.max_burst = 4;
-  scratch_opts.incremental = false;
+  InterleavedSearchOptions opts;
+  opts.max_steps = 3;
+  opts.max_segments = 4;
+  opts.max_burst = 4;
 
+  // Baseline: the same race without a neighbor objective, so every miss
+  // takes the plain from-scratch evaluation.
   Evaluator scratch_ev(tiny_system(), fast_options());
-  const auto scratch =
-      interleaved_search(scratch_ev, start, scratch_opts);
+  const InterleavedRace scratch =
+      race_interleaved(scratch_ev, start, opts, false, nullptr);
   ASSERT_TRUE(scratch.found);
+  EXPECT_EQ(scratch_ev.neighbor_evaluations(), 0);
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{4}}) {
     catsched::core::ThreadPool pool(threads);
-    InterleavedSearchOptions inc_opts = scratch_opts;
-    inc_opts.incremental = true;
     Evaluator inc_ev(tiny_system(), fast_options());
-    const auto inc = interleaved_search(inc_ev, start, inc_opts,
-                                        threads == 1 ? nullptr : &pool);
+    const InterleavedRace inc = race_interleaved(
+        inc_ev, start, opts, true, threads == 1 ? nullptr : &pool);
     ASSERT_EQ(scratch.found, inc.found) << threads << " threads";
-    EXPECT_EQ(scratch.best.to_string(), inc.best.to_string())
+    EXPECT_EQ(scratch.best, inc.best) << threads << " threads";
+    EXPECT_TRUE(same_bits(scratch.best_value, inc.best_value))
         << threads << " threads";
-    EXPECT_TRUE(same_bits(scratch.best_evaluation.pall,
-                          inc.best_evaluation.pall))
-        << threads << " threads";
-    EXPECT_EQ(scratch.steps, inc.steps) << threads << " threads";
     EXPECT_EQ(scratch.unique_evaluations, inc.unique_evaluations)
         << threads << " threads";
     EXPECT_EQ(scratch.path, inc.path) << threads << " threads";
-    // Same design work: the delta path must never run a design the
-    // from-scratch path memoized, and its memo counters never exceed the
-    // from-scratch counts.
+    // Same design work: the anchored path must never run a design the
+    // plain path memoized, and its memo counters never exceed the plain
+    // counts.
     EXPECT_EQ(scratch_ev.designs_run(), inc_ev.designs_run())
         << threads << " threads";
     EXPECT_LE(inc_ev.design_requests(), scratch_ev.design_requests())

@@ -2,23 +2,30 @@
 /// \brief Interleaved-schedule search tests: neighbor-move validity
 ///        (invariants preserved, caps respected), the local search on a
 ///        small synthetic system (must match or beat its periodic start),
-///        and the parallel contract — pooled runs at several chunk sizes
-///        must be bit-identical to the serial run.
+///        the parallel contract — pooled runs at several thread counts
+///        must be bit-identical to the serial run — and two interleaved
+///        lanes raced through opt::race_drivers on one cache.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/case_study.hpp"
 #include "core/interleaved_codesign.hpp"
 #include "core/parallel.hpp"
+#include "opt/portfolio.hpp"
 
 namespace {
 
 using catsched::core::Application;
+using catsched::core::decode_interleaved;
 using catsched::core::Evaluator;
 using catsched::core::interleaved_neighbors;
 using catsched::core::interleaved_search;
+using catsched::core::InterleavedDriver;
 using catsched::core::InterleavedSearchOptions;
 using catsched::core::SystemModel;
 using catsched::sched::InterleavedSchedule;
@@ -27,6 +34,7 @@ using catsched::sched::Segment;
 namespace cache = catsched::cache;
 namespace control = catsched::control;
 namespace linalg = catsched::linalg;
+namespace opt = catsched::opt;
 
 TEST(InterleavedNeighbors, AllNeighborsSatisfyInvariants) {
   const InterleavedSchedule s({{0, 2}, {1, 1}, {0, 1}, {2, 3}}, 3);
@@ -157,30 +165,28 @@ TEST(InterleavedSearch, ParallelIsBitIdenticalToSerial) {
   const auto serial = interleaved_search(serial_ev, start, opts);
   ASSERT_TRUE(serial.found);
 
-  catsched::core::ThreadPool pool(4);
-  for (const std::size_t chunk :
-       {std::size_t{0}, std::size_t{1}, std::size_t{100}}) {
-    InterleavedSearchOptions popts = opts;
-    popts.chunk = chunk;
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    catsched::core::ThreadPool pool(threads);
     Evaluator parallel_ev(tiny_system(), fast_options());
-    const auto parallel = interleaved_search(parallel_ev, start, popts, &pool);
-    ASSERT_EQ(serial.found, parallel.found) << "chunk " << chunk;
+    const auto parallel = interleaved_search(parallel_ev, start, opts, &pool);
+    ASSERT_EQ(serial.found, parallel.found) << threads << " threads";
     EXPECT_EQ(serial.best.to_string(), parallel.best.to_string())
-        << "chunk " << chunk;
+        << threads << " threads";
     EXPECT_EQ(serial.best_evaluation.pall, parallel.best_evaluation.pall)
-        << "chunk " << chunk;
-    EXPECT_EQ(serial.steps, parallel.steps) << "chunk " << chunk;
+        << threads << " threads";
+    EXPECT_EQ(serial.steps, parallel.steps) << threads << " threads";
     // "Distinct schedules evaluated" must agree exactly, and so must the
     // whole accepted path (the serial-reduction guarantee).
     EXPECT_EQ(serial.unique_evaluations, parallel.unique_evaluations)
-        << "chunk " << chunk;
-    EXPECT_EQ(serial.path, parallel.path) << "chunk " << chunk;
+        << threads << " threads";
+    EXPECT_EQ(serial.path, parallel.path) << threads << " threads";
     // Same design work done: each timing pattern designed exactly once.
     EXPECT_EQ(serial_ev.designs_run(), parallel_ev.designs_run())
-        << "chunk " << chunk;
+        << threads << " threads";
     EXPECT_EQ(serial_ev.schedule_evaluations(),
               parallel_ev.schedule_evaluations())
-        << "chunk " << chunk;
+        << threads << " threads";
   }
 }
 
@@ -207,6 +213,91 @@ TEST(InterleavedSearch, EvaluatorScheduleMemoDeduplicatesAcrossSearches) {
   // The repeat search still reports its own full accounting.
   EXPECT_EQ(second.unique_evaluations, first.unique_evaluations);
   EXPECT_EQ(second.path, first.path);
+}
+
+/// Accepted path of one lane as canonical strings (interleaved_search's
+/// path format).
+std::vector<std::string> lane_path(const InterleavedDriver& lane) {
+  std::vector<std::string> out;
+  for (const std::vector<int>& p : lane.path()) {
+    out.push_back(decode_interleaved(p, lane.num_apps()).to_string());
+  }
+  return out;
+}
+
+TEST(InterleavedSearch, TwoLanesRaceOnOneCache) {
+  // The runner races the interleaved space with no extra code: two lanes
+  // from different starts share one cache, the race is bit-identical at
+  // every thread count, and each lane walks exactly its standalone path.
+  const std::vector<InterleavedSchedule> starts{
+      InterleavedSchedule::from_periodic(PeriodicSchedule({1, 1})),
+      InterleavedSchedule::from_periodic(PeriodicSchedule({2, 1}))};
+  InterleavedSearchOptions opts;
+  opts.max_steps = 3;
+  opts.max_segments = 4;
+  opts.max_burst = 4;
+
+  std::vector<std::vector<std::string>> standalone;
+  for (const InterleavedSchedule& s : starts) {
+    Evaluator ev(tiny_system(), fast_options());
+    standalone.push_back(interleaved_search(ev, s, opts).path);
+  }
+
+  struct Race {
+    opt::PortfolioResult result;
+    std::vector<std::vector<std::string>> paths;
+  };
+  const auto race = [&](catsched::core::ThreadPool* pool) {
+    Evaluator ev(tiny_system(), fast_options(), pool);
+    std::vector<std::unique_ptr<InterleavedDriver>> lanes;
+    std::vector<opt::SearchDriver*> roster;
+    for (std::size_t i = 0; i < starts.size(); ++i) {
+      lanes.push_back(std::make_unique<InterleavedDriver>(
+          "interleaved:" + std::to_string(i),
+          catsched::core::make_interleaved_cheap_feasible(ev), starts[i],
+          opts));
+      roster.push_back(lanes.back().get());
+    }
+    opt::EvalCache cache(
+        catsched::core::make_interleaved_objective(ev),
+        catsched::core::make_interleaved_neighbor_objective(ev));
+    opt::PortfolioOptions popts;
+    popts.elimination_rounds = 0;
+    Race r{opt::race_drivers(roster, cache, popts, pool), {}};
+    for (const auto& lane : lanes) r.paths.push_back(lane_path(*lane));
+    return r;
+  };
+
+  const Race serial = race(nullptr);
+  ASSERT_TRUE(serial.result.found_feasible);
+  EXPECT_EQ(serial.paths, standalone);
+  // Every point in the shared cache is charged to exactly one lane.
+  int charged = 0;
+  for (const opt::StrategyReport& s : serial.result.strategies) {
+    charged += s.new_evaluations;
+  }
+  EXPECT_EQ(charged, serial.result.unique_evaluations);
+
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    catsched::core::ThreadPool pool(threads);
+    const Race par = race(&pool);
+    EXPECT_EQ(par.paths, serial.paths) << threads << " threads";
+    EXPECT_EQ(par.result.best, serial.result.best) << threads << " threads";
+    EXPECT_EQ(par.result.best_value, serial.result.best_value)
+        << threads << " threads";
+    EXPECT_EQ(par.result.winner, serial.result.winner)
+        << threads << " threads";
+    EXPECT_EQ(par.result.rounds, serial.result.rounds)
+        << threads << " threads";
+    EXPECT_EQ(par.result.unique_evaluations,
+              serial.result.unique_evaluations)
+        << threads << " threads";
+    for (std::size_t i = 0; i < starts.size(); ++i) {
+      EXPECT_EQ(par.result.strategies[i].new_evaluations,
+                serial.result.strategies[i].new_evaluations)
+          << threads << " threads, lane " << i;
+    }
+  }
 }
 
 TEST(InterleavedSearch, ThrowsOnIdleInfeasibleStart) {

@@ -37,7 +37,7 @@ namespace {
 using catsched::core::Application;
 using catsched::core::Evaluator;
 using catsched::core::EvaluatorOptions;
-using catsched::core::interleaved_neighbor_moves;
+using catsched::core::interleaved_neighbors;
 using catsched::core::interleaved_search;
 using catsched::core::InterleavedSearchOptions;
 using catsched::core::ScheduleEvaluation;
@@ -49,7 +49,6 @@ using catsched::sched::derive_timing;
 using catsched::sched::InterleavedSchedule;
 using catsched::sched::PeriodicSchedule;
 using catsched::sched::ScheduleTiming;
-using catsched::sched::TimingPattern;
 namespace cache = catsched::cache;
 namespace control = catsched::control;
 namespace linalg = catsched::linalg;
@@ -411,11 +410,6 @@ TEST(DeriveTiming, ColdLookupMatchesBinaryBitForBit) {
   const ScheduleTiming binary = derive_timing(wcets, seq, 3);
   const ScheduleTiming ctx = derive_timing(wcets, table, seq, 3);
   EXPECT_TRUE(timing_identical(binary, ctx));
-
-  const TimingPattern p =
-      catsched::sched::expand_timing(wcets, table, seq, 3);
-  EXPECT_TRUE(timing_identical(p.timing, binary));
-  EXPECT_EQ(p.masks.size(), seq.size());
 }
 
 TEST(DeriveTiming, ContextBoundsShortenPeriods) {
@@ -852,32 +846,20 @@ TEST(Evaluator, ContextNeighborPathBitIdenticalToFromScratch) {
   const InterleavedSchedule base({{0, 2}, {1, 2}}, 2);
   const std::string base_key = base.to_string();
   const ScheduleEvaluation& base_eval = ev.evaluate_cached(base, base_key);
-  const TimingPattern& pattern = ev.timing_pattern(base, base_key);
-  EXPECT_EQ(pattern.masks.size(), pattern.seq.size());
 
   InterleavedSearchOptions opts;
   opts.max_segments = 4;
   opts.max_burst = 4;
   int checked = 0;
-  for (const auto& nb : interleaved_neighbor_moves(base, opts)) {
-    if (!nb.move) continue;
+  for (const InterleavedSchedule& nb : interleaved_neighbors(base, opts)) {
     ++checked;
-    std::vector<bool> unchanged;
-    ScheduleTiming timing =
-        ev.derive_neighbor_timing(pattern, *nb.move, &unchanged);
-    const ScheduleEvaluation scratch = ev.evaluate(nb.schedule);
-    ASSERT_TRUE(timing_identical(timing, scratch.timing))
-        << nb.schedule.to_string();
-    for (std::size_t a = 0; a < unchanged.size(); ++a) {
-      ASSERT_EQ(unchanged[a], timing.apps[a].intervals ==
-                                  pattern.timing.apps[a].intervals);
-    }
-    const ScheduleEvaluation via_delta =
-        ev.evaluate_neighbor(pattern, base_eval, *nb.move);
-    ASSERT_TRUE(timing_identical(via_delta.timing, scratch.timing));
-    ASSERT_TRUE(same_bits(via_delta.pall, scratch.pall))
-        << nb.schedule.to_string();
-    ASSERT_EQ(via_delta.feasible(), scratch.feasible());
+    const ScheduleEvaluation scratch = ev.evaluate(nb);
+    const ScheduleEvaluation& hinted =
+        ev.evaluate_cached(nb, nb.to_string(), base_eval);
+    ASSERT_TRUE(timing_identical(hinted.timing, scratch.timing))
+        << nb.to_string();
+    ASSERT_TRUE(same_bits(hinted.pall, scratch.pall)) << nb.to_string();
+    ASSERT_EQ(hinted.feasible(), scratch.feasible());
   }
   EXPECT_GT(checked, 0);
 }

@@ -17,6 +17,7 @@
 
 #include "core/fault.hpp"
 #include "core/snapshot.hpp"
+#include "opt/discrete_search.hpp"
 
 namespace {
 
@@ -117,6 +118,23 @@ TEST(SnapshotCodec, HostileVectorCountRejectedNotAllocated) {
   } catch (const SnapshotError& e) {
     EXPECT_EQ(e.code(), SnapshotErrc::truncated);
   }
+
+  // Same for the evaluation-table entry count (the checkpoint payload): a
+  // count far beyond the payload must not reach the table's reserve().
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 40, std::numeric_limits<std::uint64_t>::max()}) {
+    SnapshotWriter t;
+    t.put_u64(count);
+    t.put_int_vector({1, 2});
+    t.put_f64(0.5);
+    t.put_u8(1);
+    try {
+      catsched::opt::decode_evaluation_table(t.bytes());
+      FAIL() << "hostile table count " << count << " accepted";
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.code(), SnapshotErrc::truncated) << count;
+    }
+  }
 }
 
 TEST(SnapshotFraming, RoundTripPreservesPayloadAndKind) {
@@ -144,8 +162,8 @@ TEST(SnapshotFraming, RejectionsCarryTypedCodes) {
   bad_version[4] ^= 0x01;
   EXPECT_EQ(code_of(bad_version, 1), SnapshotErrc::bad_version);
 
-  // Kind mismatch: a valid interleaved snapshot fed to a resume expecting
-  // an evaluation table must be refused, not misparsed.
+  // Kind mismatch: a valid snapshot of another kind fed to a resume
+  // expecting an evaluation table must be refused, not misparsed.
   EXPECT_EQ(code_of(framed, 3), SnapshotErrc::bad_kind);
 
   auto truncated = framed;

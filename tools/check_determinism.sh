@@ -23,11 +23,10 @@
 #
 #   3. Range-for iteration over std::unordered_ containers — iteration
 #      order is unspecified, so any reduction over it is a portability
-#      hazard. Iterate a sorted/vector mirror instead (see
-#      encode_interleaved_state, which emits snapshot entries in sorted
-#      key order). A provably order-FREE use (e.g. copying one map into
-#      another) may carry a `determinism-ok: <reason>` comment on the
-#      flagged line to suppress the finding.
+#      hazard. Iterate a sorted or index-ordered vector mirror instead.
+#      A provably order-FREE use (e.g. copying one map into another) may
+#      carry a `determinism-ok: <reason>` comment on the flagged line to
+#      suppress the finding.
 #
 # Tests and benches are out of scope: gtest sweeps may use std RNGs freely
 # (they assert properties, not pinned sequences).

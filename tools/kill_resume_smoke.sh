@@ -30,7 +30,7 @@ fail=0
 
 # The invariant part of a RESULT line: strip the fields that legitimately
 # differ between a fresh and a resumed run (stop/resumed/fallback/
-# checkpoint counters); best schedule, Pall bit pattern, and the published
+# checkpoint counters); best schedule, Pall bit pattern, and the distinct
 # evaluation count must match exactly.
 invariant() {
   sed -E 's/ stop=[a-z_]+| resumed=[0-9]+| fallback=[0-9]+| checkpoints=[0-9]+//g'

@@ -14,7 +14,13 @@
 // one. --crash-at-eval N simulates a hard death (std::_Exit(137), no
 // destructors, no flushes) in the middle of the Nth controller design;
 // --corrupt-at-save N damages the Nth checkpoint write to exercise the
-// checksum-reject + .prev-fallback path.
+// checksum-reject + .prev-fallback path. A malformed numeric flag value
+// (negative, non-numeric, trailing characters, out of range) prints the
+// usage and exits with status 2.
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -101,6 +107,29 @@ struct Args {
   std::exit(2);
 }
 
+/// Whole-token unsigned decimal: strtoull alone would wrap "-1" to 2^64-1
+/// and read "abc" as 0, both of which mean "no limit" to the budget.
+std::uint64_t parse_count(const char* text, const char* argv0) {
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) usage(argv0);
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (errno == ERANGE || *end != '\0') usage(argv0);
+  return v;
+}
+
+/// Whole-token, finite, non-negative seconds.
+double parse_seconds(const char* text, const char* argv0) {
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v) ||
+      v < 0.0) {
+    usage(argv0);
+  }
+  return v;
+}
+
 Args parse_args(int argc, char** argv) {
   Args a;
   for (int i = 1; i < argc; ++i) {
@@ -114,15 +143,17 @@ Args parse_args(int argc, char** argv) {
     } else if (arg == "--checkpoint") {
       a.checkpoint = value();
     } else if (arg == "--checkpoint-every") {
-      a.checkpoint_every = std::atoi(value());
+      const std::uint64_t every = parse_count(value(), argv[0]);
+      if (every < 1 || every > INT_MAX) usage(argv[0]);
+      a.checkpoint_every = static_cast<int>(every);
     } else if (arg == "--max-seconds") {
-      a.max_seconds = std::atof(value());
+      a.max_seconds = parse_seconds(value(), argv[0]);
     } else if (arg == "--max-evals") {
-      a.max_evals = std::strtoull(value(), nullptr, 10);
+      a.max_evals = parse_count(value(), argv[0]);
     } else if (arg == "--crash-at-eval") {
-      a.crash_at_eval = std::strtoull(value(), nullptr, 10);
+      a.crash_at_eval = parse_count(value(), argv[0]);
     } else if (arg == "--corrupt-at-save") {
-      a.corrupt_at_save = std::strtoull(value(), nullptr, 10);
+      a.corrupt_at_save = parse_count(value(), argv[0]);
     } else {
       usage(argv[0]);
     }
