@@ -185,38 +185,41 @@ std::vector<int> encode_interleaved(const InterleavedSchedule& s) {
   return point;
 }
 
+namespace {
+
+/// The (app, count) pairs of an even-length point as segments. A negative
+/// app index wraps to a huge one, which the schedule's own validation
+/// rejects.
+std::vector<Segment> point_segments(const std::vector<int>& point) {
+  std::vector<Segment> segs;
+  segs.reserve(point.size() / 2);
+  for (std::size_t k = 0; k + 1 < point.size(); k += 2) {
+    segs.push_back(Segment{static_cast<std::size_t>(point[k]), point[k + 1]});
+  }
+  return segs;
+}
+
+}  // namespace
+
 InterleavedSchedule decode_interleaved(const std::vector<int>& point,
                                        std::size_t num_apps) {
   if (point.size() % 2 != 0) {
     throw std::invalid_argument("decode_interleaved: odd point length");
   }
-  std::vector<Segment> segs;
-  segs.reserve(point.size() / 2);
-  // A negative app index wraps to a huge one, which the schedule's own
-  // validation rejects.
-  for (std::size_t k = 0; k < point.size(); k += 2) {
-    segs.push_back(Segment{static_cast<std::size_t>(point[k]), point[k + 1]});
-  }
-  return InterleavedSchedule(std::move(segs), num_apps);
+  return InterleavedSchedule(point_segments(point), num_apps);
+}
+
+opt::PointCheck interleaved_point_check(std::size_t num_apps) {
+  return [num_apps](const std::vector<int>& point) {
+    return point.size() % 2 == 0 &&
+           InterleavedSchedule::is_valid(point_segments(point), num_apps);
+  };
 }
 
 opt::DiscreteObjective make_interleaved_objective(Evaluator& evaluator) {
   return [&evaluator](const std::vector<int>& point) {
     const ScheduleEvaluation& ev = evaluator.evaluate_cached(
         decode_interleaved(point, evaluator.model().num_apps()));
-    return opt::EvalOutcome{ev.pall, ev.feasible()};
-  };
-}
-
-opt::NeighborObjective make_interleaved_neighbor_objective(
-    Evaluator& evaluator) {
-  return [&evaluator](const std::vector<int>& base,
-                      const std::vector<int>& point) {
-    const std::size_t n = evaluator.model().num_apps();
-    const InterleavedSchedule s = decode_interleaved(point, n);
-    const ScheduleEvaluation& ev = evaluator.evaluate_cached(
-        s, s.to_string(),
-        evaluator.evaluate_cached(decode_interleaved(base, n)));
     return opt::EvalOutcome{ev.pall, ev.feasible()};
   };
 }
@@ -306,8 +309,8 @@ InterleavedSearchResult interleaved_search(
   race.max_rounds = std::max(opts.max_steps, 0) + 1;
   race.elimination_rounds = 0;
   race.anytime = opts.anytime;
-  opt::EvalCache cache(make_interleaved_objective(evaluator),
-                       make_interleaved_neighbor_objective(evaluator));
+  opt::EvalCache cache(make_interleaved_objective(evaluator), nullptr,
+                       interleaved_point_check(lane.num_apps()));
   const opt::PortfolioResult raced =
       opt::race_drivers({&lane}, cache, race, pool);
 

@@ -50,7 +50,9 @@ inline constexpr std::uint32_t kSnapshotVersion = 1;
 /// Payload-kind registry. Every search checkpoints through the EvalCache
 /// journal (opt::encode_evaluation_table), so there is one kind; the
 /// reader still rejects a kind mismatch, so a file of any other kind is
-/// refused, never misparsed.
+/// refused, never misparsed. A table written by a search over another
+/// space (periodic vs interleaved points) is refused on resume by the
+/// cache's point check, with the same bad_kind code.
 inline constexpr std::uint32_t kSnapshotKindEvaluationTable = 1;
 
 /// What exactly a snapshot read rejected.

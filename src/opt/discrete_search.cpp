@@ -47,6 +47,10 @@ EvaluationTable decode_evaluation_table(
   return table;
 }
 
+PointCheck has_dims(std::size_t dims) {
+  return [dims](const std::vector<int>& p) { return p.size() == dims; };
+}
+
 const EvalOutcome& EvalCache::evaluate_one(const std::vector<int>* base,
                                            const std::vector<int>& p,
                                            bool& missed) {
@@ -98,7 +102,17 @@ bool EvalCache::try_resume(bool* used_fallback) {
   }
   const std::vector<std::uint8_t> payload = core::load_snapshot_file(
       path, core::kSnapshotKindEvaluationTable, used_fallback);
-  preload(decode_evaluation_table(payload));
+  const EvaluationTable table = decode_evaluation_table(payload);
+  if (fits_) {
+    for (const auto& entry : table) {
+      if (!fits_(entry.first)) {
+        throw core::SnapshotError(
+            core::SnapshotErrc::bad_kind,
+            "checkpoint holds a point of another search space: " + path);
+      }
+    }
+  }
+  preload(table);
   return true;
 }
 
@@ -203,7 +217,8 @@ MultiStartResult hybrid_search_multistart(
         "hybrid:" + std::to_string(i), cheap, starts[i], opts));
     roster.push_back(lanes.back().get());
   }
-  EvalCache cache(objective, neighbor);
+  EvalCache cache(objective, neighbor,
+                  starts.empty() ? nullptr : has_dims(starts.front().size()));
   const PortfolioResult raced =
       race_drivers(roster, cache, lane_race(opts), pool);
 
@@ -340,7 +355,7 @@ ExhaustiveResult exhaustive_search(const DiscreteObjective& objective,
   race.max_rounds = driver.blocks();
   race.elimination_rounds = 0;
   race.anytime = opts.anytime;
-  EvalCache cache(objective);
+  EvalCache cache(objective, nullptr, has_dims(dims));
   PortfolioResult raced = race_drivers({&driver}, cache, race, pool);
   res.best = std::move(raced.best);
   res.best_value = raced.best_value;

@@ -44,9 +44,8 @@ using DiscreteObjective = std::function<EvalOutcome(const std::vector<int>&)>;
 /// (the driver's anchor — any point, not only a +-1 move). MUST return a
 /// result bit-identical to the plain objective on `point` — the memo
 /// stores whichever path computed a point first, so any divergence would
-/// leak across runs. core::make_neighbor_objective and
-/// core::make_interleaved_neighbor_objective hint the evaluator with the
-/// base's evaluation, which is bit-identical for any base.
+/// leak across runs. core::make_neighbor_objective hints the evaluator
+/// with the base's evaluation, which is bit-identical for any base.
 using NeighborObjective = std::function<EvalOutcome(
     const std::vector<int>& base, const std::vector<int>& point)>;
 
@@ -65,6 +64,15 @@ using CheapFeasible = std::function<bool(const std::vector<int>&)>;
 /// pair. This is what a checkpoint stores and what a resumed run preloads
 /// — the searches themselves replay deterministically through it.
 using EvaluationTable = std::vector<std::pair<std::vector<int>, EvalOutcome>>;
+
+/// Shape test for a point of one search space (e.g. "has num_apps
+/// coordinates"). A checkpoint is input from outside the program; this is
+/// how a resume tells a file written by a search over another space.
+using PointCheck = std::function<bool(const std::vector<int>&)>;
+
+/// The PointCheck of a space of \p dims coordinates (the periodic
+/// schedules: one burst length per application).
+PointCheck has_dims(std::size_t dims);
 
 /// Serialize an evaluation table as a snapshot payload (values travel as
 /// IEEE-754 bit patterns — bit-exact round trip) / parse one back.
@@ -94,9 +102,14 @@ public:
   /// With a non-null \p neighbor objective, batch slots that carry a base
   /// point route memo misses through it (the anchored path); results
   /// must be bit-identical to \p objective (see NeighborObjective).
+  /// A non-null \p fits vets every point a resumed checkpoint holds
+  /// (see try_resume).
   explicit EvalCache(DiscreteObjective objective,
-                     NeighborObjective neighbor = nullptr)
-      : objective_(std::move(objective)), neighbor_(std::move(neighbor)) {}
+                     NeighborObjective neighbor = nullptr,
+                     PointCheck fits = nullptr)
+      : objective_(std::move(objective)),
+        neighbor_(std::move(neighbor)),
+        fits_(std::move(fits)) {}
 
   /// One slot of a batch evaluation.
   struct BatchSlot {
@@ -136,7 +149,10 @@ public:
 
   /// Load \p path (or its .prev fallback) and preload the table. Returns
   /// false when no checkpoint exists yet; rethrows core::SnapshotError
-  /// when both the primary and the fallback are damaged.
+  /// when both the primary and the fallback are damaged, and throws
+  /// core::SnapshotError (bad_kind) without preloading anything when the
+  /// cache's \p fits check rejects a loaded point — the file belongs to a
+  /// search over another space.
   bool try_resume(bool* used_fallback = nullptr);
 
   /// Insert already-known outcomes (a loaded checkpoint, a peer's table).
@@ -166,6 +182,7 @@ private:
 
   DiscreteObjective objective_;
   NeighborObjective neighbor_;
+  PointCheck fits_;
   core::ConcurrentMemoMap<std::vector<int>, EvalOutcome, core::VectorHash>
       cache_;
   /// Completed evaluations only, appended after the objective returned —

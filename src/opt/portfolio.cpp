@@ -228,7 +228,7 @@ PortfolioResult portfolio_search(const DiscreteObjective& objective,
   for (const std::unique_ptr<SearchDriver>& d : roster) {
     drivers.push_back(d.get());
   }
-  EvalCache cache(objective, neighbor);
+  EvalCache cache(objective, neighbor, has_dims(starts.front().size()));
   return race_drivers(drivers, cache, opts, pool);
 }
 

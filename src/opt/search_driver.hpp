@@ -65,10 +65,9 @@ class SearchDriver {
                      const std::vector<const EvalOutcome*>& outcomes);
 
   /// Optional anchor: when every point of the next batch is a neighbor of
-  /// one base point (a +-1 move for the hybrid lanes, a segment move for
-  /// the interleaved walk), return it and the cache routes misses through
-  /// the neighbor objective, which evaluates them hinted by the base's
-  /// evaluation. Null = no common base.
+  /// one base point (a +-1 move of a periodic point), return it and the
+  /// cache routes misses through the neighbor objective, which evaluates
+  /// them hinted by the base's evaluation. Null = no common base.
   virtual const std::vector<int>* anchor() const { return nullptr; }
 
  protected:

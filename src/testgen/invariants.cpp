@@ -537,8 +537,8 @@ InvariantReport check_invariants(const core::SystemModel& model,
     const std::string key = inter.to_string();
     const core::ScheduleEvaluation& base_eval = ev.evaluate_cached(inter, key);
     const auto neighbors = core::interleaved_neighbors(inter, iopts);
-    // The anchored path every search's neighbor objective takes: hinted by
-    // the base's evaluation, it must equal the from-scratch evaluation.
+    // The hinted evaluation (the anchored path of the neighbor objective)
+    // on interleaved neighbors: it must equal the from-scratch one.
     for (std::size_t k = 0; k < neighbors.size() && k < 3; ++k) {
       const core::ScheduleEvaluation& hinted = ev.evaluate_cached(
           neighbors[k], neighbors[k].to_string(), base_eval);

@@ -149,16 +149,17 @@ TEST(AnytimeInterleaved, EvalLimitCutMatchesMaxStepsRun) {
   const auto start = sched::InterleavedSchedule::from_periodic(
       sched::PeriodicSchedule({1, 1}));
 
-  // Cut the search at the first budget check after the first completed
-  // round: the eval limit is only noted when a round completes, so the cut
-  // lands exactly on a step boundary.
+  // Cut the search at the first budget check after the first accepted
+  // step: round 0 charges the start, round 1 at least one neighbor, and
+  // the eval limit is only noted when a round completes, so the cut lands
+  // exactly on a step boundary.
   core::RunBudget budget;
-  budget.set_max_evaluations(1);
+  budget.set_max_evaluations(2);
   core::InterleavedSearchOptions copts;
   copts.anytime.budget = &budget;
   const auto cut = core::interleaved_search(ev, start, copts);
   EXPECT_EQ(cut.telemetry.stop, core::StopReason::evaluation_limit);
-  ASSERT_GE(cut.steps, 0);
+  ASSERT_GE(cut.steps, 1);
 
   // An uninterrupted run capped at exactly that many accepted steps must
   // be bit-identical: same best schedule, same Pall bits, same distinct
@@ -355,6 +356,63 @@ TEST(CheckpointResume, InterleavedResumesBitIdentical) {
   EXPECT_EQ(bits(ref.best_evaluation.pall), bits(resumed.best_evaluation.pall));
   EXPECT_EQ(ref.unique_evaluations, resumed.unique_evaluations);
   EXPECT_EQ(ref.path, resumed.path);
+}
+
+/// The code of the SnapshotError \p run throws (fails if it throws none).
+template <typename Run>
+core::SnapshotErrc snapshot_error_of(Run run) {
+  try {
+    run();
+  } catch (const core::SnapshotError& e) {
+    return e.code();
+  }
+  ADD_FAILURE() << "no SnapshotError thrown";
+  return core::SnapshotErrc::io_error;
+}
+
+TEST(CheckpointResume, CheckpointOfOtherSearchSpaceIsRefused) {
+  // Periodic and interleaved searches share one payload kind; the point
+  // check of the resuming search tells their tables apart.
+  const auto start = sched::InterleavedSchedule::from_periodic(
+      sched::PeriodicSchedule({1, 1}));
+  {
+    TempCheckpoint ck("interleaved_to_hybrid");
+    core::Evaluator ev(reduced_system(), fast_options());
+    core::RunBudget budget;
+    budget.set_max_evaluations(1);
+    core::InterleavedSearchOptions o;
+    o.anytime.budget = &budget;
+    o.anytime.checkpoint_path = ck.str();
+    core::interleaved_search(ev, start, o);
+    ASSERT_TRUE(core::snapshot_exists(ck.str()));
+
+    core::Evaluator ev2(reduced_system(), fast_options());
+    opt::HybridOptions h = hybrid_opts();
+    h.anytime.checkpoint_path = ck.str();
+    EXPECT_EQ(snapshot_error_of(
+                  [&] { core::find_optimal_schedule(ev2, kStarts, h); }),
+              core::SnapshotErrc::bad_kind);
+    EXPECT_EQ(ev2.schedule_evaluations(), 0);
+  }
+  {
+    TempCheckpoint ck("hybrid_to_interleaved");
+    core::Evaluator ev(reduced_system(), fast_options());
+    core::RunBudget budget;
+    budget.set_max_evaluations(1);
+    opt::HybridOptions h = hybrid_opts();
+    h.anytime.budget = &budget;
+    h.anytime.checkpoint_path = ck.str();
+    core::find_optimal_schedule(ev, kStarts, h);
+    ASSERT_TRUE(core::snapshot_exists(ck.str()));
+
+    core::Evaluator ev2(reduced_system(), fast_options());
+    core::InterleavedSearchOptions o;
+    o.anytime.checkpoint_path = ck.str();
+    EXPECT_EQ(snapshot_error_of(
+                  [&] { core::interleaved_search(ev2, start, o); }),
+              core::SnapshotErrc::bad_kind);
+    EXPECT_EQ(ev2.schedule_evaluations(), 0);
+  }
 }
 
 TEST(CheckpointResume, CorruptedCheckpointFallsBackToPrevAndConverges) {

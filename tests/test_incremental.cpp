@@ -2,7 +2,7 @@
 /// \brief Incremental re-evaluation tests: derive_timing_delta must be
 ///        bit-identical to from-scratch derivation over randomized move
 ///        sequences, the hinted (anchored) evaluation bit-identical to
-///        evaluate(), the interleaved/hybrid searches bit-identical with the
+///        evaluate(), the hybrid searches bit-identical with the
 ///        anchored neighbor objective on vs. off (at 1/2/4 threads) with
 ///        memo counters never exceeding the plain counts, quantization
 ///        rejecting degenerate intervals, and the static-WCET subtree memo
@@ -24,7 +24,6 @@
 #include "core/codesign.hpp"
 #include "core/interleaved_codesign.hpp"
 #include "core/parallel.hpp"
-#include "opt/portfolio.hpp"
 #include "sched/timing.hpp"
 
 namespace {
@@ -33,7 +32,6 @@ using catsched::core::Application;
 using catsched::core::Evaluator;
 using catsched::core::interleaved_neighbor_moves;
 using catsched::core::interleaved_neighbors;
-using catsched::core::InterleavedDriver;
 using catsched::core::InterleavedSearchOptions;
 using catsched::core::quantize_intervals;
 using catsched::core::ScheduleEvaluation;
@@ -386,64 +384,54 @@ TEST(EvaluateNeighbor, SwapHintReusesUntouchedApps) {
   }
 }
 
-/// Outcome of one InterleavedDriver raced alone on \p ev: its path, best
-/// point and value, and the cache's distinct-point count.
-struct InterleavedRace {
-  std::vector<std::vector<int>> path;
-  std::vector<int> best;
-  double best_value = 0.0;
-  bool found = false;
-  int unique_evaluations = 0;
-};
-
-InterleavedRace race_interleaved(Evaluator& ev,
-                                 const InterleavedSchedule& start,
-                                 const InterleavedSearchOptions& opts,
-                                 bool anchored,
-                                 catsched::core::ThreadPool* pool) {
-  InterleavedDriver lane(
-      "interleaved", catsched::core::make_interleaved_cheap_feasible(ev),
-      start, opts);
-  opt::EvalCache cache(
-      catsched::core::make_interleaved_objective(ev),
-      anchored ? catsched::core::make_interleaved_neighbor_objective(ev)
-               : nullptr);
-  opt::PortfolioOptions race;
-  race.elimination_rounds = 0;
-  const opt::PortfolioResult r = opt::race_drivers({&lane}, cache, race, pool);
-  return {lane.path(), r.best, r.best_value, r.found_feasible,
-          r.unique_evaluations};
+/// The hybrid lanes raced from \p starts on \p ev, with the anchored
+/// neighbor objective or without it (every miss then takes the plain
+/// evaluation).
+opt::MultiStartResult race_hybrid(Evaluator& ev,
+                                  const std::vector<std::vector<int>>& starts,
+                                  const opt::HybridOptions& opts,
+                                  bool anchored,
+                                  catsched::core::ThreadPool* pool) {
+  return opt::hybrid_search_multistart(
+      catsched::core::make_objective(ev),
+      catsched::core::make_cheap_feasible(ev), starts, opts, pool,
+      anchored ? catsched::core::make_neighbor_objective(ev) : nullptr);
 }
 
 TEST(IncrementalSearch, BitIdenticalToFromScratchAtEveryThreadCount) {
-  const auto start =
-      InterleavedSchedule::from_periodic(PeriodicSchedule({1, 1}));
-  InterleavedSearchOptions opts;
-  opts.max_steps = 3;
-  opts.max_segments = 4;
-  opts.max_burst = 4;
+  // The anchored path is the periodic lanes' (the interleaved walk names
+  // no anchor): the race with the neighbor objective must match the race
+  // without it at every thread count.
+  opt::HybridOptions opts;
+  opts.max_value = 4;
+  const std::vector<std::vector<int>> starts{{1, 1}, {2, 1}};
 
-  // Baseline: the same race without a neighbor objective, so every miss
-  // takes the plain from-scratch evaluation.
   Evaluator scratch_ev(tiny_system(), fast_options());
-  const InterleavedRace scratch =
-      race_interleaved(scratch_ev, start, opts, false, nullptr);
-  ASSERT_TRUE(scratch.found);
+  const opt::MultiStartResult scratch =
+      race_hybrid(scratch_ev, starts, opts, false, nullptr);
+  ASSERT_TRUE(scratch.combined.found_feasible);
   EXPECT_EQ(scratch_ev.neighbor_evaluations(), 0);
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{4}}) {
     catsched::core::ThreadPool pool(threads);
     Evaluator inc_ev(tiny_system(), fast_options());
-    const InterleavedRace inc = race_interleaved(
-        inc_ev, start, opts, true, threads == 1 ? nullptr : &pool);
-    ASSERT_EQ(scratch.found, inc.found) << threads << " threads";
-    EXPECT_EQ(scratch.best, inc.best) << threads << " threads";
-    EXPECT_TRUE(same_bits(scratch.best_value, inc.best_value))
+    const opt::MultiStartResult inc = race_hybrid(
+        inc_ev, starts, opts, true, threads == 1 ? nullptr : &pool);
+    ASSERT_EQ(scratch.combined.found_feasible, inc.combined.found_feasible)
+        << threads << " threads";
+    EXPECT_EQ(scratch.combined.best, inc.combined.best)
+        << threads << " threads";
+    EXPECT_TRUE(same_bits(scratch.combined.best_value,
+                          inc.combined.best_value))
         << threads << " threads";
     EXPECT_EQ(scratch.unique_evaluations, inc.unique_evaluations)
         << threads << " threads";
-    EXPECT_EQ(scratch.path, inc.path) << threads << " threads";
+    ASSERT_EQ(scratch.runs.size(), inc.runs.size());
+    for (std::size_t i = 0; i < scratch.runs.size(); ++i) {
+      EXPECT_EQ(scratch.runs[i].path, inc.runs[i].path)
+          << threads << " threads, start " << i;
+    }
     // Same design work: the anchored path must never run a design the
     // plain path memoized, and its memo counters never exceed the plain
     // counts.

@@ -258,9 +258,7 @@ TEST(InterleavedSearch, TwoLanesRaceOnOneCache) {
           opts));
       roster.push_back(lanes.back().get());
     }
-    opt::EvalCache cache(
-        catsched::core::make_interleaved_objective(ev),
-        catsched::core::make_interleaved_neighbor_objective(ev));
+    opt::EvalCache cache(catsched::core::make_interleaved_objective(ev));
     opt::PortfolioOptions popts;
     popts.elimination_rounds = 0;
     Race r{opt::race_drivers(roster, cache, popts, pool), {}};

@@ -16,7 +16,8 @@
 // --corrupt-at-save N damages the Nth checkpoint write to exercise the
 // checksum-reject + .prev-fallback path. A malformed numeric flag value
 // (negative, non-numeric, trailing characters, out of range) prints the
-// usage and exits with status 2.
+// usage and exits with status 2; a checkpoint that cannot be resumed
+// (both images damaged, or written by another search) exits with status 1.
 #include <cctype>
 #include <cerrno>
 #include <climits>
@@ -34,6 +35,7 @@
 #include "core/fault.hpp"
 #include "core/interleaved_codesign.hpp"
 #include "core/run_budget.hpp"
+#include "core/snapshot.hpp"
 
 using namespace catsched;
 
@@ -178,11 +180,7 @@ void print_result(const Args& args, const std::string& best, double pall,
               checkpoints);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Args args = parse_args(argc, argv);
-
+int run_search(const Args& args) {
   core::RunBudget budget;
   if (args.max_seconds > 0.0) budget.set_deadline_after(args.max_seconds);
   if (args.max_evals > 0) budget.set_max_evaluations(args.max_evals);
@@ -242,4 +240,18 @@ int main(int argc, char** argv) {
                res.search.telemetry.stop, res.search.telemetry.resumed, res.search.telemetry.used_fallback,
                res.search.telemetry.checkpoints_written);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const Args args = parse_args(argc, argv);
+  try {
+    return run_search(args);
+  } catch (const core::SnapshotError& e) {
+    // Both checkpoint images damaged, or written by another search.
+    std::fprintf(stderr, "%s: checkpoint refused (%s): %s\n", argv[0],
+                 core::to_string(e.code()), e.what());
+    return 1;
+  }
 }
