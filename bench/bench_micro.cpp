@@ -309,9 +309,14 @@ BENCHMARK(BM_PsoParticleEval);
 // population (3 apps, branchy_chance 0.35), its order-3 app 0 under
 // (3,2,2), dense_dt = max(fuzz dense_dt, 1.6 max smax / 400) = 2 ms. Every
 // interval (0.53, 0.011 and 1.42 ms) is shorter than dense_dt, so each
-// segment is one substep. The particle is the gains a design under those
-// options returns: stable, settling within the horizon (after smax).
-void BM_PsoParticleEvalPopulation(benchmark::State& state) {
+// segment is one substep.
+struct PopulationDesign {
+  control::DesignSpec spec;
+  std::vector<sched::Interval> intervals;
+  control::DesignOptions opts;
+};
+
+PopulationDesign population_design() {
   testgen::GeneratorConfig gen;
   gen.max_apps = 3;
   gen.branchy_chance = 0.35;
@@ -321,26 +326,48 @@ void BM_PsoParticleEvalPopulation(benchmark::State& state) {
   for (const core::Application& app : model.apps) {
     max_smax = std::max(max_smax, app.smax);
   }
-  control::DesignOptions opts = testgen::fuzz_design_options();
-  opts.dense_dt = std::max(opts.dense_dt, 1.6 * max_smax / 400.0);
-  const auto timing = sched::derive_timing(model.analyze_wcets(),
-                                           sched::PeriodicSchedule({3, 2, 2}));
-  control::DesignSpec spec;
-  spec.plant = a.plant;
-  spec.umax = a.umax;
-  spec.r = a.r;
-  spec.y0 = a.y0;
-  spec.smax = a.smax;
+  PopulationDesign d;
+  d.opts = testgen::fuzz_design_options();
+  d.opts.dense_dt = std::max(d.opts.dense_dt, 1.6 * max_smax / 400.0);
+  d.intervals = sched::derive_timing(model.analyze_wcets(),
+                                     sched::PeriodicSchedule({3, 2, 2}))
+                    .apps[0]
+                    .intervals;
+  d.spec.plant = a.plant;
+  d.spec.umax = a.umax;
+  d.spec.r = a.r;
+  d.spec.y0 = a.y0;
+  d.spec.smax = a.smax;
+  return d;
+}
+
+// The particle is the gains a design under those options returns: stable,
+// settling within the horizon (after smax).
+void BM_PsoParticleEvalPopulation(benchmark::State& state) {
+  const PopulationDesign d = population_design();
   const control::DesignResult design =
-      control::design_controller(spec, timing.apps[0].intervals, opts);
-  if (a.plant.order() != 3 || !design.settled) {
+      control::design_controller(d.spec, d.intervals, d.opts);
+  if (d.spec.plant.order() != 3 || !design.settled) {
     state.SkipWithError("pinned system changed: no settling order-3 app 0");
     return;
   }
-  pso_particle_eval(state, a.plant, timing.apps[0].intervals, opts.dense_dt,
-                    design.gains.k, a.y0, a.r, opts.horizon_factor * a.smax);
+  pso_particle_eval(state, d.spec.plant, d.intervals, d.opts.dense_dt,
+                    design.gains.k, d.spec.y0, d.spec.r,
+                    d.opts.horizon_factor * d.spec.smax);
 }
 BENCHMARK(BM_PsoParticleEvalPopulation);
+
+// One full design (grid, PSO, compass polish) at that geometry with the
+// fuzz design budget: the unit of work population_search repeats (673
+// designs in one traced run).
+void BM_FullControllerDesignPopulation(benchmark::State& state) {
+  const PopulationDesign d = population_design();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        control::design_controller(d.spec, d.intervals, d.opts));
+  }
+}
+BENCHMARK(BM_FullControllerDesignPopulation)->Unit(benchmark::kMillisecond);
 
 void BM_FullControllerDesign(benchmark::State& state) {
   const auto timing = sched::derive_timing(sys().analyze_wcets(),

@@ -62,25 +62,11 @@ std::vector<Matrix> unpack_gains(const std::vector<double>& theta,
   return k;
 }
 
-/// Objective for the PSO: stability barrier, then worst-case settling time
-/// with a graded input-saturation penalty. Lower is better.
-double design_cost(const EvalContext& ctx, const std::vector<double>& theta) {
-  const std::size_t m = ctx.sim.num_phases();
-  const std::size_t l = ctx.spec.plant.order();
-  std::vector<Matrix> k = unpack_gains(theta, m, l);
-
-  const double rho = linalg::spectral_radius(closed_loop_monodromy(
-      ctx.sim.phases(), k));
+/// design_cost's score of a simulated step response: worst-case settling
+/// time with a small IAE tie-breaker, a graded floor for responses that
+/// never settle or diverge, plus a graded input-saturation penalty.
+double response_cost(const EvalContext& ctx, const SimResult& sr) {
   const double horizon = ctx.sim_opts.horizon;
-  if (rho >= 1.0 - ctx.opts.stability_margin) {
-    return 1.0e3 * horizon * (1.0 + rho);  // graded push toward stability
-  }
-  auto f = ctx.feedforward(k);
-  if (!f) {
-    return 1.0e3 * horizon * (1.0 + rho);
-  }
-  const SimResult sr = ctx.sim.simulate({std::move(k), std::move(*f)},
-                                        ctx.eq.x, ctx.eq.u, ctx.sim_opts);
   double cost;
   if (sr.diverged) {
     cost = 5.0e2 * horizon;
@@ -95,6 +81,54 @@ double design_cost(const EvalContext& ctx, const std::vector<double>& theta) {
     cost += 50.0 * horizon * (sr.u_max_abs / ctx.spec.umax - 1.0);
   }
   return cost;
+}
+
+/// A lower bound on response_cost of every run that has streamed
+/// \p so_far: response_cost itself, at the cheapest completion of each
+/// branch. A run that settles does so no earlier than so_far.settling_time
+/// with no less IAE; one that does not settle scores at least its zero
+/// tail error floor 2H; the diverged branch (500 H) lies above that floor.
+///
+/// Why it never exceeds the final cost: every input only grows as the run
+/// goes on. IAE sums non-negative terms, u_max_abs is a running maximum,
+/// and the settling time only moves later. response_cost is non-decreasing
+/// in each input, and IEEE rounding is monotone, so each rounded step of
+/// the final cost is at least its counterpart here; the saturation term,
+/// added to both branches alike, commutes with the min.
+double response_cost_floor(const EvalContext& ctx, SimResult so_far) {
+  so_far.settled = true;
+  const double settles = response_cost(ctx, so_far);
+  so_far.settled = false;
+  so_far.tail_error = 0.0;
+  return std::min(settles, response_cost(ctx, so_far));
+}
+
+/// Objective for the PSO: stability barrier, then response_cost. Lower is
+/// better. Returns the exact cost when it is below \p bound, and otherwise
+/// some value >= bound: the simulation stops once response_cost_floor
+/// reaches the bound.
+double design_cost(const EvalContext& ctx, const std::vector<double>& theta,
+                   double bound) {
+  const std::size_t m = ctx.sim.num_phases();
+  const std::size_t l = ctx.spec.plant.order();
+  std::vector<Matrix> k = unpack_gains(theta, m, l);
+
+  const double rho = linalg::spectral_radius(closed_loop_monodromy(
+      ctx.sim.phases(), k));
+  const double horizon = ctx.sim_opts.horizon;
+  if (rho >= 1.0 - ctx.opts.stability_margin) {
+    return 1.0e3 * horizon * (1.0 + rho);  // graded push toward stability
+  }
+  auto f = ctx.feedforward(k);
+  if (!f) {
+    return 1.0e3 * horizon * (1.0 + rho);
+  }
+  const SimResult sr = ctx.sim.simulate(
+      {std::move(k), std::move(*f)}, ctx.eq.x, ctx.eq.u, ctx.sim_opts,
+      nullptr, bound, [&ctx](const SimResult& so_far) {
+        return response_cost_floor(ctx, so_far);
+      });
+  return sr.abandoned ? response_cost_floor(ctx, sr) : response_cost(ctx, sr);
 }
 
 DesignResult report_for(const EvalContext& ctx,
@@ -247,7 +281,8 @@ DesignResult design_controller(const DesignSpec& spec,
   std::vector<char> grid_failed(grid.size(), 0);
   core::parallel_for(pool, grid.size(), [&](std::size_t i) {
     try {
-      grid_cost[i] = design_cost(ctx, grid[i]);
+      grid_cost[i] =
+          design_cost(ctx, grid[i], std::numeric_limits<double>::infinity());
     } catch (const std::runtime_error&) {
       grid_failed[i] = 1;
     }
@@ -286,14 +321,15 @@ DesignResult design_controller(const DesignSpec& spec,
     hi[d] = center[d] + half;
   }
 
-  const auto objective = [&](const std::vector<double>& theta) {
+  const auto objective = [&](const std::vector<double>& theta,
+                             double bound) {
     // Same policy as the seed grid: a numerically degenerate candidate
     // (QR non-convergence in the stability barrier) is penalized out of
     // contention, never fatal, while logic_errors propagate. The PSO
     // batch hook below routes through this exact callable so serial and
     // pooled runs stay bit-identical.
     try {
-      return design_cost(ctx, theta);
+      return design_cost(ctx, theta, bound);
     } catch (const std::runtime_error&) {
       return std::numeric_limits<double>::infinity();
     }
@@ -313,9 +349,10 @@ DesignResult design_controller(const DesignSpec& spec,
     // loop (the objective is pure, including its exception policy).
     pso.batch_eval = [&objective,
                       pool](const std::vector<std::vector<double>>& xs,
+                            const std::vector<double>& bounds,
                             std::vector<double>& costs) {
       core::parallel_for(pool, xs.size(), [&](std::size_t i) {
-        costs[i] = objective(xs[i]);
+        costs[i] = objective(xs[i], bounds[i]);
       });
     };
   }

@@ -61,6 +61,8 @@ struct DesignResult {
   double u_max_abs = 0.0;
   double spectral_radius = 0.0;  ///< of the closed-loop monodromy
   bool feasible = false;  ///< settled within smax, |u| within umax, stable
+  /// Objective evaluations of the whole design: seed grid, PSO and compass
+  /// polish, including evaluations cut short by their bound.
   int pso_evaluations = 0;
 };
 
@@ -74,6 +76,10 @@ struct DesignResult {
 /// serially, so the result is bit-identical to the serial run at every
 /// thread count (the determinism contract of core/parallel.hpp, enforced
 /// by tests/test_design_batch.cpp).
+///
+/// The PSO and the polish evaluate each candidate bounded by the cost it
+/// must beat (opt::Objective's contract): its simulation stops once the
+/// cost provably cannot, which changes no result bit.
 /// \throws std::invalid_argument on bad spec/intervals.
 DesignResult design_controller(const DesignSpec& spec,
                                const std::vector<sched::Interval>& intervals,

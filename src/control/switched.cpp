@@ -204,8 +204,9 @@ SwitchedSimulator::SwitchedSimulator(const ContinuousLTI& plant,
 
 SimResult SwitchedSimulator::simulate(const PhaseGains& gains,
                                       const Matrix& x0, double u_prev0,
-                                      const SimOptions& opts,
-                                      SimTrace* trace) const {
+                                      const SimOptions& opts, SimTrace* trace,
+                                      double bound,
+                                      const CostLowerBound& lower_bound) const {
   check_gain_dims(phases_, gains.k);
   if (gains.f.size() != phases_.size()) {
     throw std::invalid_argument("simulate: F count != phase count");
@@ -291,6 +292,8 @@ SimResult SwitchedSimulator::simulate(const PhaseGains& gains,
     }
   };
 
+  const bool bounded =
+      lower_bound && bound < std::numeric_limits<double>::infinity();
   double u_prev = u_prev0;
   std::size_t phase = opts.start_phase;
   bool first = true;
@@ -314,6 +317,15 @@ SimResult SwitchedSimulator::simulate(const PhaseGains& gains,
     }
     if (trace != nullptr) trace->u.push_back(u_new);
     res.u_max_abs = std::max(res.u_max_abs, std::abs(u_new));
+    if (bounded) {
+      // Every point up to t is seen. If the scan is outside the band now,
+      // the point at t violated it, so any final settling time is later.
+      res.settling_time = settling.at.settled ? settling.at.time : t;
+      if (lower_bound(res) >= bound) {
+        res.abandoned = true;
+        return res;
+      }
+    }
     run_segment(dense_[phase].before, u_prev);
     run_segment(dense_[phase].after, u_new);
     u_prev = u_new;

@@ -6,6 +6,8 @@
 ///        design, and dense-output simulation with settling-time
 ///        measurement.
 
+#include <functional>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -84,7 +86,19 @@ struct SimResult {
   bool diverged = false;
   double tail_error = 0.0;  ///< mean |y-r|/|r| over the last 20% of horizon
   double iae = 0.0;  ///< sum of |y_i-r|/|r| (t_i - t_{i-1}) over dense i >= 1
+  /// The run stopped early because the caller's cost could no longer beat
+  /// its bound (see SwitchedSimulator::simulate). Then only u_max_abs, iae
+  /// and settling_time (the earliest settling time still possible) hold,
+  /// as streamed up to the sampling instant that stopped the run.
+  bool abandoned = false;
 };
+
+/// A caller's lower bound on its cost of a step response, given the
+/// metrics streamed so far: u_max_abs and iae as accumulated, and
+/// settling_time the earliest settling time the rest of the run can give
+/// (the settling candidate while the scan is inside the band, else the
+/// current time). Each of these only grows as the run goes on.
+using CostLowerBound = std::function<double(const SimResult& so_far)>;
 
 /// The trajectory of one simulation, written only when the caller asks for
 /// it (plots, CSV export, tests); the design search never stores it.
@@ -114,11 +128,19 @@ public:
   /// per-phase gains. The step occurs at the start of opts.start_phase.
   /// With a non-null \p trace the trajectory is stored there too, replacing
   /// its contents; without one, only the two state buffers are allocated.
+  ///
+  /// With a finite \p bound and a \p lower_bound, the run checks
+  /// lower_bound once per sampling instant and stops as soon as it reaches
+  /// \p bound, returning the metrics so far with abandoned set (and a
+  /// truncated trace). A run that is not abandoned is bit-identical to the
+  /// unbounded one.
   /// \throws std::invalid_argument on gain dimension mismatch, or when
   ///         settling is read on samples and the horizon leaves none.
-  SimResult simulate(const PhaseGains& gains, const Matrix& x0,
-                     double u_prev0, const SimOptions& opts,
-                     SimTrace* trace = nullptr) const;
+  SimResult simulate(
+      const PhaseGains& gains, const Matrix& x0, double u_prev0,
+      const SimOptions& opts, SimTrace* trace = nullptr,
+      double bound = std::numeric_limits<double>::infinity(),
+      const CostLowerBound& lower_bound = {}) const;
 
 private:
   struct Segment {

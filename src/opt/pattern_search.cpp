@@ -2,23 +2,23 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 namespace catsched::opt {
 
-PatternSearchResult pattern_search(
-    const std::function<double(const std::vector<double>&)>& f,
-    const std::vector<double>& x0, const PatternSearchOptions& opts) {
+PatternSearchResult pattern_search(const Objective& f,
+                                   const std::vector<double>& x0,
+                                   const PatternSearchOptions& opts) {
   if (x0.empty()) {
     throw std::invalid_argument("pattern_search: empty start point");
   }
   const std::size_t d = x0.size();
   PatternSearchResult res;
   res.x = x0;
-  res.cost = f(res.x);
+  res.cost = f(res.x, std::numeric_limits<double>::infinity());
   res.evaluations = 1;
 
   double scale = 0.0;
@@ -40,7 +40,7 @@ PatternSearchResult pattern_search(
         if (res.evaluations >= opts.max_evaluations) break;
         std::vector<double> cand = res.x;
         cand[i] += sgn * step[i];
-        const double c = f(cand);
+        const double c = f(cand, res.cost);
         ++res.evaluations;
         if (c < res.cost) {
           res.cost = c;

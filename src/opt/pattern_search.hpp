@@ -5,8 +5,9 @@
 ///        constant, so a deterministic descent-to-plateau removes the
 ///        swarm's run-to-run variance from schedule comparisons.
 
-#include <functional>
 #include <vector>
+
+#include "opt/pso.hpp"
 
 namespace catsched::opt {
 
@@ -25,10 +26,12 @@ struct PatternSearchResult {
 
 /// Minimize f from x0 by cycling coordinates with +-step moves (step is
 /// per-coordinate, proportional to max(|x0_i|, scale)); halve the step when
-/// a full sweep yields no improvement. Fully deterministic.
+/// a full sweep yields no improvement. Fully deterministic. x0 is
+/// evaluated unbounded; every candidate after it is bounded by the
+/// incumbent's cost, which is all the acceptance test compares against.
 /// \throws std::invalid_argument if x0 is empty.
-PatternSearchResult pattern_search(
-    const std::function<double(const std::vector<double>&)>& f,
-    const std::vector<double>& x0, const PatternSearchOptions& opts = {});
+PatternSearchResult pattern_search(const Objective& f,
+                                   const std::vector<double>& x0,
+                                   const PatternSearchOptions& opts = {});
 
 }  // namespace catsched::opt

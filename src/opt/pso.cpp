@@ -66,11 +66,14 @@ PsoResult pso_minimize(const Objective& f, const std::vector<double>& lo,
   auto evaluate_all = [&]() {
     // Evaluate the whole generation into index-addressed slots (possibly
     // in parallel via the batch hook), then reduce serially in particle
-    // order — bit-identical to the one-at-a-time loop.
+    // order — bit-identical to the one-at-a-time loop. A particle's cost
+    // matters only if it beats the particle's own best, which is never
+    // below the global best, so that best bounds its evaluation (+infinity
+    // in generation 0).
     if (opts.batch_eval) {
-      opts.batch_eval(x, costs);
+      opts.batch_eval(x, pbest_cost, costs);
     } else {
-      for (std::size_t i = 0; i < n; ++i) costs[i] = f(x[i]);
+      for (std::size_t i = 0; i < n; ++i) costs[i] = f(x[i], pbest_cost[i]);
     }
     for (std::size_t i = 0; i < n; ++i) {
       const double c = costs[i];

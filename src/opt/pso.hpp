@@ -25,14 +25,16 @@ struct PsoOptions {
   int stall_iterations = 25;
   double stall_tolerance = 1e-9;
   /// Optional batched objective: fill costs[i] with the objective at
-  /// positions[i] (costs is pre-sized to positions.size()). When set, every
-  /// swarm generation is evaluated through this hook instead of calling the
-  /// scalar objective particle-by-particle — the controller design uses it
-  /// to fan particles across a thread pool. The swarm update itself never
-  /// changes: costs feed the exact same serial pbest/gbest reduction, so a
-  /// batch evaluator that returns f(positions[i]) exactly (e.g. the same
+  /// positions[i] under bounds[i] (costs is pre-sized to positions.size()).
+  /// When set, every swarm generation is evaluated through this hook
+  /// instead of calling the scalar objective particle-by-particle — the
+  /// controller design uses it to fan particles across a thread pool. The
+  /// swarm update itself never changes: costs feed the exact same serial
+  /// pbest/gbest reduction, so a batch evaluator that returns
+  /// f(positions[i], bounds[i]) under the Objective contract (e.g. the same
   /// pure objective run on worker threads) leaves results bit-identical.
   std::function<void(const std::vector<std::vector<double>>& positions,
+                     const std::vector<double>& bounds,
                      std::vector<double>& costs)>
       batch_eval;
 };
@@ -45,8 +47,16 @@ struct PsoResult {
   int iterations_run = 0;
 };
 
-/// Objective: R^d -> R, minimized.
-using Objective = std::function<double(const std::vector<double>&)>;
+/// Objective f(x, bound): R^d -> R, minimized. It returns f(x) bit-exactly
+/// when f(x) < bound, and otherwise any value >= bound, so an expensive
+/// objective may stop evaluating a point once it provably cannot beat the
+/// bound. Each minimizer passes a bound that decides every comparison it
+/// makes with the returned cost (pso_minimize: the particle's own best,
+/// +infinity until it has one; pattern_search: the incumbent's cost,
+/// +infinity for the start point), so results and evaluation counts are
+/// those of the exact f. An evaluation cut short still counts as one.
+using Objective =
+    std::function<double(const std::vector<double>& x, double bound)>;
 
 /// Minimize \p f over the box [lo, hi]^d. Seed positions (clamped to the
 /// box) are injected as the first particles; remaining particles are drawn

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -494,17 +495,90 @@ SimResult check_against_reference(const ContinuousLTI& plant,
   return ref.metrics;
 }
 
+/// design_cost's score of a step response (control/design.cpp), written
+/// out again: settling time plus 0.05 IAE when settled, 2H plus the capped
+/// tail error when not, 500H when diverged, plus the saturation term.
+double full_design_cost(const SimResult& sr, double horizon, double umax) {
+  double cost;
+  if (sr.diverged) {
+    cost = 5.0e2 * horizon;
+  } else if (!sr.settled) {
+    cost = 2.0 * horizon + std::min(sr.tail_error, 1.0e3) * horizon;
+  } else {
+    cost = sr.settling_time + 0.05 * sr.iae;
+  }
+  if (sr.u_max_abs > umax) {
+    cost += 50.0 * horizon * (sr.u_max_abs / umax - 1.0);
+  }
+  return cost;
+}
+
+/// The running lower bound of design_cost, in its plain form:
+/// min(ts_lb + 0.05 iae, 2H) + sat(u_max).
+double design_cost_floor(const SimResult& so_far, double horizon,
+                         double umax) {
+  double cost =
+      std::min(so_far.settling_time + 0.05 * so_far.iae, 2.0 * horizon);
+  if (so_far.u_max_abs > umax) {
+    cost += 50.0 * horizon * (so_far.u_max_abs / umax - 1.0);
+  }
+  return cost;
+}
+
+/// Bounded runs against the reference metrics \p ref: unbounded with the
+/// floor installed, then at bounds around the full cost. A run may stop
+/// early only when the full cost reaches the bound, and a run that does
+/// not stop is bit-identical to the reference. Returns how many stopped.
+int check_bounded_runs(const ContinuousLTI& plant,
+                       const std::vector<sched::Interval>& ivs,
+                       double dense_dt, const PhaseGains& gains,
+                       const Matrix& x0, double u_prev0, const SimOptions& so,
+                       const SimResult& ref, const std::string& where) {
+  const SwitchedSimulator sim(plant, ivs, dense_dt);
+  int abandoned = 0;
+  // An input bound the response stays within, and one it exceeds.
+  const double u_ref = std::max(ref.u_max_abs, 1e-3);
+  for (const double umax : {2.0 * u_ref, 0.5 * u_ref}) {
+    const CostLowerBound floor = [&](const SimResult& so_far) {
+      return design_cost_floor(so_far, so.horizon, umax);
+    };
+    const double full = full_design_cost(ref, so.horizon, umax);
+    const std::string at = where + " umax " + std::to_string(umax);
+    const SimResult open = sim.simulate(gains, x0, u_prev0, so, nullptr,
+                                        std::numeric_limits<double>::infinity(),
+                                        floor);
+    EXPECT_FALSE(open.abandoned) << at;
+    expect_same_metrics(open, ref, at + " bound inf");
+    for (const double frac : {0.5, 0.9, 0.999, 1.0, 1.001}) {
+      const double bound = frac * full;
+      const SimResult sr =
+          sim.simulate(gains, x0, u_prev0, so, nullptr, bound, floor);
+      const std::string here = at + " bound " + std::to_string(frac);
+      if (sr.abandoned) {
+        ++abandoned;
+        EXPECT_GE(full, bound) << here;
+        EXPECT_GE(design_cost_floor(sr, so.horizon, umax), bound) << here;
+      } else {
+        expect_same_metrics(sr, ref, here);
+      }
+    }
+  }
+  return abandoned;
+}
+
 }  // namespace
 
 TEST(Simulator, FusedLoopMatchesReferenceBitForBit) {
   // Seeded sweep: every plant family (orders 1-3), intervals longer and
   // shorter than dense_dt with tau = 0 and tau = h segments, settled,
   // unsettled-at-end and diverging gains, clamp and hold on and off, both
-  // settling readings.
+  // settling readings. Each case is also run bounded by design_cost's
+  // running floor, at bounds around its full cost.
   testgen::SplitMix64 rng(20181016);
   int settled = 0;
   int unsettled = 0;
   int diverged = 0;
+  int abandoned = 0;
   SimTrace tr;
   for (const PlantFamily family : kAllPlantFamilies) {
     const double w0 = rng.real(30.0, 150.0);
@@ -565,9 +639,12 @@ TEST(Simulator, FusedLoopMatchesReferenceBitForBit) {
               std::string(plant_family_name(family)) + " gains " +
               std::to_string(g) + " dt " + std::to_string(dense_dt) +
               " mask " + std::to_string(mask);
+          const double u_prev0 = rng.real(-1.0, 1.0);
           const SimResult sr =
               check_against_reference(plant, ivs, dense_dt, variants[g], x0,
-                                      rng.real(-1.0, 1.0), so, tr, where);
+                                      u_prev0, so, tr, where);
+          abandoned += check_bounded_runs(plant, ivs, dense_dt, variants[g],
+                                          x0, u_prev0, so, sr, where);
           settled += sr.settled;
           unsettled += !sr.settled && !sr.diverged;
           diverged += sr.diverged;
@@ -578,6 +655,7 @@ TEST(Simulator, FusedLoopMatchesReferenceBitForBit) {
   EXPECT_GT(settled, 0);
   EXPECT_GT(unsettled, 0);
   EXPECT_GT(diverged, 0);
+  EXPECT_GT(abandoned, 0);
 }
 
 TEST(Simulator, StructuralZerosAreSkippedLikeOperatorStar) {

@@ -160,6 +160,23 @@ TEST(Date18Integration, RoundRobinVsCacheAware) {
                        rr.apps[i].settling_time;
     EXPECT_GT(imp, 0.10) << "app " << i;
   }
+  // Table III as bench_table3_control prints it, pinned to 1e-9 relative:
+  // each app's settling time under both schedules, then both Pall values
+  // (printed 0.5571 and 0.6278).
+  const auto near = [](double got, double want) {
+    return std::abs(got - want) <= 1e-9 * std::abs(want);
+  };
+  const double rr_settle[] = {0.013413299999999989, 0.0090128941176470662,
+                              0.012550049999999978};
+  const double ca_settle[] = {0.0099960452380952382, 0.008461293548387103,
+                              0.0099814388888888762};
+  ASSERT_EQ(rr.apps.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_PRED2(near, rr.apps[i].settling_time, rr_settle[i]) << "app " << i;
+    EXPECT_PRED2(near, ca.apps[i].settling_time, ca_settle[i]) << "app " << i;
+  }
+  EXPECT_PRED2(near, rr.pall, 0.55708364145658285);
+  EXPECT_PRED2(near, ca.pall, 0.62784680628093537);
 }
 
 TEST(Date18Integration, FeasibleRegionContainsPaperSchedules) {

@@ -9,7 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "control/design.hpp"
@@ -149,33 +154,56 @@ TEST(DesignBatch, PooledEvaluatorIsBitIdenticalToSerial) {
   }
 }
 
+/// Rosenbrock as an exact objective: it ignores the bound, which the
+/// Objective contract allows.
+double rosenbrock(const std::vector<double>& x, double /*bound*/) {
+  double s = 0.0;
+  for (std::size_t i = 0; i + 1 < x.size(); ++i) {
+    const double a = x[i + 1] - x[i] * x[i];
+    const double b = 1.0 - x[i];
+    s += 100.0 * a * a + b * b;
+  }
+  return s;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_same_result(const opt::PsoResult& got, const opt::PsoResult& want,
+                        const std::string& where) {
+  ASSERT_EQ(got.x.size(), want.x.size()) << where;
+  for (std::size_t i = 0; i < got.x.size(); ++i) {
+    EXPECT_EQ(bits(got.x[i]), bits(want.x[i])) << where << " x[" << i << "]";
+  }
+  EXPECT_EQ(bits(got.cost), bits(want.cost)) << where;
+  EXPECT_EQ(got.evaluations, want.evaluations) << where;
+}
+
+opt::PsoOptions rosenbrock_swarm() {
+  opt::PsoOptions o;
+  o.particles = 12;
+  o.iterations = 40;
+  o.seed = 1234;
+  return o;
+}
+
 // The swarm update consumes costs through a serial index-ordered reduction,
 // so any batch evaluator returning f(positions[i]) exactly — regardless of
 // the order it fills the slots — leaves the optimum bit-identical.
 TEST(DesignBatch, PsoBatchHookIsOrderInvariant) {
-  const auto rosenbrock = [](const std::vector<double>& x) {
-    double s = 0.0;
-    for (std::size_t i = 0; i + 1 < x.size(); ++i) {
-      const double a = x[i + 1] - x[i] * x[i];
-      const double b = 1.0 - x[i];
-      s += 100.0 * a * a + b * b;
-    }
-    return s;
-  };
   const std::vector<double> lo(4, -2.0);
   const std::vector<double> hi(4, 2.0);
-  opt::PsoOptions base;
-  base.particles = 12;
-  base.iterations = 40;
-  base.seed = 1234;
+  const opt::PsoOptions base = rosenbrock_swarm();
 
   const auto plain = opt::pso_minimize(rosenbrock, lo, hi, base);
 
   // Reverse-order fill: same values, opposite completion order.
   opt::PsoOptions batched = base;
   batched.batch_eval = [&](const std::vector<std::vector<double>>& xs,
+                           const std::vector<double>& bounds,
                            std::vector<double>& costs) {
-    for (std::size_t i = xs.size(); i-- > 0;) costs[i] = rosenbrock(xs[i]);
+    for (std::size_t i = xs.size(); i-- > 0;) {
+      costs[i] = rosenbrock(xs[i], bounds[i]);
+    }
   };
   const auto rev = opt::pso_minimize(rosenbrock, lo, hi, batched);
   EXPECT_EQ(plain.x, rev.x);
@@ -187,14 +215,70 @@ TEST(DesignBatch, PsoBatchHookIsOrderInvariant) {
     ThreadPool pool(threads);
     opt::PsoOptions pooled = base;
     pooled.batch_eval = [&](const std::vector<std::vector<double>>& xs,
+                            const std::vector<double>& bounds,
                             std::vector<double>& costs) {
-      pool.parallel_for(xs.size(),
-                        [&](std::size_t i) { costs[i] = rosenbrock(xs[i]); });
+      pool.parallel_for(xs.size(), [&](std::size_t i) {
+        costs[i] = rosenbrock(xs[i], bounds[i]);
+      });
     };
     const auto par = opt::pso_minimize(rosenbrock, lo, hi, pooled);
     EXPECT_EQ(plain.x, par.x);
     EXPECT_EQ(plain.cost, par.cost);
     EXPECT_EQ(plain.evaluations, par.evaluations);
+  }
+}
+
+// The weakest objective the contract allows — exact below the bound,
+// bound + 1e6 (or +infinity) at or above it — leaves the swarm
+// bit-identical to the exact objective: each particle is bounded by its
+// own best, which is never below the global best, so every comparison the
+// reduction makes is already decided. Checked serially, through a
+// reverse-fill batch hook and through 2- and 4-thread pools.
+TEST(DesignBatch, PsoBoundedObjectiveKeepsEveryBit) {
+  const std::vector<double> lo(4, -2.0);
+  const std::vector<double> hi(4, 2.0);
+  const opt::PsoOptions base = rosenbrock_swarm();
+  const auto exact = opt::pso_minimize(rosenbrock, lo, hi, base);
+
+  for (const double beyond : {1e6, std::numeric_limits<double>::infinity()}) {
+    std::atomic<int> cut{0};
+    const opt::Objective adversarial = [&](const std::vector<double>& x,
+                                           double bound) {
+      const double c = rosenbrock(x, bound);
+      if (c < bound) return c;
+      ++cut;
+      return bound + beyond;
+    };
+    const std::string tail = beyond < 1e300 ? "+1e6" : "+inf";
+    expect_same_result(opt::pso_minimize(adversarial, lo, hi, base), exact,
+                       "serial " + tail);
+
+    opt::PsoOptions reversed = base;
+    reversed.batch_eval = [&](const std::vector<std::vector<double>>& xs,
+                              const std::vector<double>& bounds,
+                              std::vector<double>& costs) {
+      for (std::size_t i = xs.size(); i-- > 0;) {
+        costs[i] = adversarial(xs[i], bounds[i]);
+      }
+    };
+    expect_same_result(opt::pso_minimize(adversarial, lo, hi, reversed),
+                       exact, "reverse fill " + tail);
+
+    for (const std::size_t threads : {2u, 4u}) {
+      ThreadPool pool(threads);
+      opt::PsoOptions pooled = base;
+      pooled.batch_eval = [&](const std::vector<std::vector<double>>& xs,
+                              const std::vector<double>& bounds,
+                              std::vector<double>& costs) {
+        pool.parallel_for(xs.size(), [&](std::size_t i) {
+          costs[i] = adversarial(xs[i], bounds[i]);
+        });
+      };
+      expect_same_result(opt::pso_minimize(adversarial, lo, hi, pooled),
+                         exact,
+                         std::to_string(threads) + " threads " + tail);
+    }
+    EXPECT_GT(cut.load(), 0) << tail;  // the bounded path was taken
   }
 }
 

@@ -8,8 +8,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "core/parallel.hpp"
 #include "opt/discrete_search.hpp"
@@ -23,19 +25,23 @@ using namespace catsched::opt;
 
 namespace {
 
-double sphere(const std::vector<double>& x) {
+// Exact objectives: they ignore the bound, which the Objective contract
+// allows.
+double sphere(const std::vector<double>& x, double /*bound*/) {
   double s = 0.0;
   for (double v : x) s += (v - 1.5) * (v - 1.5);
   return s;
 }
 
-double rosenbrock(const std::vector<double>& x) {
+double rosenbrock(const std::vector<double>& x, double /*bound*/) {
   double s = 0.0;
   for (std::size_t i = 0; i + 1 < x.size(); ++i) {
     s += 100.0 * std::pow(x[i + 1] - x[i] * x[i], 2) + std::pow(1 - x[i], 2);
   }
   return s;
 }
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 }  // namespace
 
@@ -105,6 +111,40 @@ TEST(PatternSearch, DeterministicAndBounded) {
   EXPECT_EQ(a.x, b.x);
   EXPECT_LE(a.evaluations, 100);
   EXPECT_THROW(pattern_search(sphere, {}), std::invalid_argument);
+}
+
+TEST(PatternSearch, BoundedObjectiveKeepsEveryBit) {
+  // The weakest objective the contract allows: exact below the bound, and
+  // bound + 1e6 (or +infinity) at or above it. The search bounds each
+  // candidate by the incumbent it is compared against, so x, cost and the
+  // evaluation count must not change by a bit.
+  using Fn = double (*)(const std::vector<double>&, double);
+  const std::vector<std::pair<Fn, std::vector<double>>> cases = {
+      {sphere, {0.0, 0.0, 0.3}}, {rosenbrock, {-1.0, 1.0}}};
+  for (const auto& [f, x0] : cases) {
+    PatternSearchOptions opts;
+    opts.max_evaluations = 600;
+    const PatternSearchResult exact = pattern_search(f, x0, opts);
+    for (const double beyond :
+         {1e6, std::numeric_limits<double>::infinity()}) {
+      int cut = 0;
+      const Objective adversarial = [&](const std::vector<double>& x,
+                                        double bound) {
+        const double c = f(x, bound);
+        if (c < bound) return c;
+        ++cut;
+        return bound + beyond;
+      };
+      const PatternSearchResult got = pattern_search(adversarial, x0, opts);
+      ASSERT_EQ(got.x.size(), exact.x.size());
+      for (std::size_t i = 0; i < got.x.size(); ++i) {
+        EXPECT_EQ(bits(got.x[i]), bits(exact.x[i])) << i;
+      }
+      EXPECT_EQ(bits(got.cost), bits(exact.cost));
+      EXPECT_EQ(got.evaluations, exact.evaluations);
+      EXPECT_GT(cut, 0);  // the bounded path was taken
+    }
+  }
 }
 
 // ----------------------------------------------------------- EvalCache
@@ -290,8 +330,6 @@ Landscape draw_landscape(std::uint64_t seed) {
   }
   return land;
 }
-
-std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 /// Three starts inside the wedge: the low corner and two random points.
 std::vector<std::vector<int>> draw_starts(const Landscape& land,
