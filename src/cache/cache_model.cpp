@@ -1,7 +1,6 @@
 #include "cache/cache_model.hpp"
 
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -41,22 +40,6 @@ bool CacheSim::access(std::uint64_t line_addr) {
   ++misses_;
   cycles_ += config_.miss_cycles;
   return false;
-}
-
-bool CacheSim::access(std::uint64_t line_addr,
-                      std::optional<std::uint64_t>& evicted) {
-  evicted.reset();
-  const std::size_t set = set_of(line_addr);
-  const Way& lru = lines_[set * ways_ + (ways_ - 1)];
-  // A miss replaces the LRU way; capture it before the plain access (which
-  // stays the single source of truth for LRU movement and the counters)
-  // shifts it out. The capture is only an eviction if the access misses
-  // while the set is full.
-  const bool lru_valid = lru.valid;
-  const std::uint64_t lru_tag = lru.tag;
-  const bool hit = access(line_addr);
-  if (!hit && lru_valid) evicted = lru_tag;
-  return hit;
 }
 
 std::uint64_t CacheSim::run_trace(const std::vector<std::uint64_t>& lines) {

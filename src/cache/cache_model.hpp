@@ -10,7 +10,6 @@
 /// 100-cycle miss, 20 MHz clock.
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 namespace catsched::cache {
@@ -39,8 +38,8 @@ struct CacheConfig {
   /// THE set-mapping function of this cache: which set a line address
   /// falls into. CacheSim and AbstractCacheState keep private mask-based
   /// fast paths that must compute exactly this (differentially tested);
-  /// everything without a hot loop (footprints in cache/schedule_wcet,
-  /// CRPD set scans) should call this instead of re-deriving the formula.
+  /// everything without a hot loop (footprints in cache/schedule_wcet)
+  /// should call this instead of re-deriving the formula.
   std::size_t set_of(std::uint64_t line) const noexcept {
     return static_cast<std::size_t>(line % num_sets());
   }
@@ -60,12 +59,6 @@ public:
   /// Fetch one cache line. Returns true on hit. Updates LRU state and the
   /// hit/miss/cycle counters.
   bool access(std::uint64_t line_addr);
-
-  /// Same, additionally reporting the line a miss evicted (nullopt on a
-  /// hit or when the replaced way was invalid). Lets residency-tracking
-  /// analyses (cache/crpd's useful-cache-block scan) maintain their sets
-  /// incrementally instead of rescanning the cache per access.
-  bool access(std::uint64_t line_addr, std::optional<std::uint64_t>& evicted);
 
   /// Fetch a whole trace of line addresses; returns cycles consumed by it.
   std::uint64_t run_trace(const std::vector<std::uint64_t>& lines);

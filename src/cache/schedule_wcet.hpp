@@ -13,8 +13,8 @@
 ///      for a burst of any length);
 ///   2. age its must state through the interfering programs' union cache
 ///      footprint (per set, `d` distinct conflicting lines age a surviving
-///      LRU line by at most `d` — the CRPD evicting-cache-block argument,
-///      see cache/crpd); the may state is left untouched (interference
+///      LRU line by at most `d` — the CRPD evicting-cache-block
+///      argument); the may state is left untouched (interference
 ///      never inserts this app's lines, so "possibly cached" can only
 ///      shrink concretely — keeping the superset is sound, and may only
 ///      affects AM/NC reporting, never the cycle bound), and so is the

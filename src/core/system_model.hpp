@@ -35,9 +35,8 @@ struct Application {
   /// When present (see has_structured), the WCET analyses bound EVERY path
   /// of this tree via the static must/may/persistence analysis, and
   /// `program.trace` must hold ONE concrete path of it (by convention a
-  /// maximal-access path) — the trace stays required because preemption
-  /// costs (cache/crpd), replay invariants, and shrinking all consume a
-  /// concrete path.
+  /// maximal-access path) — the trace stays required because replay
+  /// invariants and shrinking both consume a concrete path.
   cache::StructuredProgram structured;
   double weight = 1.0;     ///< w_i, sum over apps must be 1
   double smax = 1.0;       ///< settling deadline s_i^max [s] (also s_i^0)

@@ -5,15 +5,12 @@
 #include <numeric>
 #include <sstream>
 
-#include "cache/crpd.hpp"
 #include "cache/schedule_wcet.hpp"
 #include "cache/wcet.hpp"
 #include "core/codesign.hpp"
 #include "core/interleaved_codesign.hpp"
 #include "core/parallel.hpp"
 #include "opt/portfolio.hpp"
-#include "sched/edf.hpp"
-#include "sched/preemptive.hpp"
 #include "testgen/rng.hpp"
 
 namespace catsched::testgen {
@@ -454,63 +451,8 @@ InvariantReport check_invariants(const core::SystemModel& model,
     }
   }
 
-  // ------------------------------------- E. EDF / preemptive consistency
+  // ------------------------------------ E. round-robin idle feasibility
   {
-    std::vector<sched::EdfTask> etasks(n);
-    std::vector<sched::PreemptiveTask> ptasks(n);
-    double max_period = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      etasks[i] = {tidle[i], wcets[i].cold_seconds};
-      ptasks[i] = {tidle[i], wcets[i].cold_seconds, 0.0};
-      max_period = std::max(max_period, tidle[i]);
-    }
-    const sched::RtaResult rta0 = sched::response_time_analysis_rm(ptasks);
-    const sched::EdfSimResult edf =
-        sched::simulate_edf(etasks, 12.0 * max_period);
-    if (!fail.require(same_bits(rta0.utilization, edf.utilization),
-                      "edf-util", "RM and EDF disagree on utilization")) {
-      return rep;
-    }
-    // EDF is optimal on a preemptive uniprocessor: anything RM schedules
-    // (a fortiori, with utilization margin against the simulator's float
-    // accumulation) cannot miss under EDF.
-    if (rta0.all_schedulable && rta0.utilization <= 0.95) {
-      if (!fail.require(!edf.any_miss, "edf-vs-rta",
-                        "RM-schedulable set missed a deadline under EDF")) {
-        return rep;
-      }
-    }
-    // CRPD can only lengthen responses.
-    std::vector<sched::PreemptiveTask> crpd_tasks = ptasks;
-    for (std::size_t i = 0; i < n; ++i) {
-      double gamma = 0.0;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (j == i) continue;
-        gamma = std::max(gamma, cache::crpd_bound_seconds(
-                                    model.apps[j].program,
-                                    model.apps[i].program,
-                                    model.cache_config));
-      }
-      crpd_tasks[i].crpd = gamma;
-    }
-    const sched::RtaResult rta1 = sched::response_time_analysis_rm(crpd_tasks);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!fail.require(rta1.response[i].value >= rta0.response[i].value,
-                        "rta-crpd-monotone",
-                        "CRPD shortened response of task " +
-                            std::to_string(i))) {
-        return rep;
-      }
-    }
-    rep.preemption_feasible = rta1.all_schedulable;
-    if (rta1.all_schedulable) {
-      const sched::ScheduleTiming pt =
-          sched::preemptive_timing(crpd_tasks, rta1);
-      if (!fail.require(sched::idle_feasible(pt, tidle), "preemptive-timing",
-                        "h = tidle violates the idle constraint")) {
-        return rep;
-      }
-    }
     const sched::ScheduleTiming rr =
         sched::derive_timing(wcets, sched::PeriodicSchedule(
                                         std::vector<int>(n, 1)));

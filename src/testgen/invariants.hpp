@@ -6,13 +6,12 @@
 ///        monotonicity of the schedule-dependent WCET engine, concrete
 ///        replay never exceeding its bound, binary/context timing
 ///        derivation identities, delta-vs-scratch and serial-vs-parallel
-///        bit-identity of the search stack, evaluator memo-count sanity,
-///        and EDF/RM feasibility consistency. check_invariants is a pure
-///        function of (model, seed, options): the schedules it exercises
-///        are drawn deterministically from the seed, so a failure report
-///        is reproducible from its printed seed alone and remains
-///        meaningful on the shrunk copies of the model the greedy shrinker
-///        proposes.
+///        bit-identity of the search stack, and evaluator memo-count
+///        sanity. check_invariants is a pure function of (model, seed,
+///        options): the schedules it exercises are drawn deterministically
+///        from the seed, so a failure report is reproducible from its
+///        printed seed alone and remains meaningful on the shrunk copies of
+///        the model the greedy shrinker proposes.
 
 #include <cstdint>
 #include <functional>
@@ -65,8 +64,6 @@ struct InvariantReport {
   bool searches_checked = false;
   /// The interleaved search beat the best periodic schedule's Pall.
   bool interleaving_won = false;
-  /// RM + CRPD meets every app's tidle used as its period.
-  bool preemption_feasible = false;
   /// The all-ones round-robin schedule is idle-feasible.
   bool rr_feasible = false;
   double best_periodic_pall = 0.0;
@@ -83,8 +80,7 @@ struct InvariantReport {
 ///   wcet-pair, analyzer-base, fm-le-am, fm-memo, fm-replay,
 ///   wcet-ordering, context-reference, injected-context-below-warm,
 ///   wcet-monotonic, replay-bound, timing-cold-fallback,
-///   timing-schedule-vs-seq, timing-delta, timing-rotation, edf-util,
-///   edf-vs-rta, rta-crpd-monotone, preemptive-timing, neighbor-eval,
+///   timing-schedule-vs-seq, timing-delta, timing-rotation, neighbor-eval,
 ///   neighbor-eval-context, memo-counts, search-hybrid,
 ///   search-exhaustive, search-interleaved, search-portfolio.
 InvariantReport check_invariants(const core::SystemModel& model,

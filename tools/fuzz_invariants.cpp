@@ -4,11 +4,11 @@
 // SystemModel (testgen/generator) whose full invariant surface is
 // re-checked (testgen/invariants) — WCET ordering/monotonicity, concrete
 // replay bounds, timing-derivation identities, evaluator delta/memo
-// contracts, EDF/RM consistency, and (on a stride of seeds) the
-// serial-vs-parallel bit-identity of every search engine. A failure
-// prints the offending seed, shrinks the system (testgen/shrink), and
-// exits nonzero; the summary aggregates where context WCETs, interleaving
-// and preemption actually pay across the sweep.
+// contracts, and (on a stride of seeds) the serial-vs-parallel
+// bit-identity of every search engine. A failure prints the offending
+// seed, shrinks the system (testgen/shrink), and exits nonzero; the
+// summary aggregates, over the seeds that completed, where context WCETs,
+// interleaving and first-miss analysis actually pay across the sweep.
 //
 // Usage:
 //   fuzz_invariants [--seeds N] [--start S] [--search-stride K]
@@ -16,7 +16,7 @@
 //                   [--max-seconds S] [--inject-failure]
 //                   [--inject-eval-fault] [--seed X]
 //
-//   --seeds N          sweep N consecutive seeds (default 100)
+//   --seeds N          sweep N >= 1 consecutive seeds (default 100)
 //   --start S          first seed of the sweep (default 1)
 //   --search-stride K  run the expensive search-identity tier on every
 //                      K-th seed (default 8; 1 = every seed)
@@ -27,7 +27,7 @@
 //                      checked between seeds): the sweep stops cleanly at
 //                      the deadline, reports how many seeds completed and
 //                      the StopReason, and exits 0 — an interrupted sweep
-//                      is a valid (anytime) sweep
+//                      is a valid (anytime) sweep; 0 = no budget
 //   --inject-failure   self-test: assert a deliberately false invariant,
 //                      proving the failure path (seed print + shrink) works
 //   --inject-eval-fault  self-test: inject a controller-design fault
@@ -37,11 +37,15 @@
 //   --seed X           replay one seed: generate twice, compare
 //                      fingerprints, run the full invariant surface
 //                      (searches included), print the report
+//
+// A malformed numeric value (negative, non-numeric, trailing characters,
+// out of range, or --seeds 0) exits with status 2.
 
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -51,6 +55,7 @@
 #include "testgen/generator.hpp"
 #include "testgen/invariants.hpp"
 #include "testgen/shrink.hpp"
+#include "flag_parse.hpp"
 
 namespace {
 
@@ -73,14 +78,17 @@ struct Args {
   std::string summary_file;
 };
 
+[[noreturn]] void bad_value(const std::string& s, const char* flag) {
+  std::cerr << "fuzz_invariants: bad value for " << flag << ": " << s
+            << "\n";
+  std::exit(2);
+}
+
 std::uint64_t parse_u64(const std::string& s, const char* flag) {
-  try {
-    return std::stoull(s);
-  } catch (const std::exception&) {
-    std::cerr << "fuzz_invariants: bad value for " << flag << ": " << s
-              << "\n";
-    std::exit(2);
-  }
+  const std::optional<std::uint64_t> v =
+      catsched::tools::parse_count(s.c_str());
+  if (!v) bad_value(s, flag);
+  return *v;
 }
 
 Args parse_args(int argc, char** argv) {
@@ -95,7 +103,9 @@ Args parse_args(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--seeds") {
-      a.seeds = parse_u64(next(), "--seeds");
+      const std::string value = next();
+      a.seeds = parse_u64(value, "--seeds");
+      if (a.seeds == 0) bad_value(value, "--seeds");
     } else if (arg == "--start") {
       a.start = parse_u64(next(), "--start");
     } else if (arg == "--search-stride") {
@@ -108,7 +118,11 @@ Args parse_args(int argc, char** argv) {
       a.seeds = 8;
       a.search_stride = 4;
     } else if (arg == "--max-seconds") {
-      a.max_seconds = std::atof(next().c_str());
+      const std::string value = next();
+      const std::optional<double> v =
+          catsched::tools::parse_seconds(value.c_str());
+      if (!v) bad_value(value, "--max-seconds");
+      a.max_seconds = *v;
     } else if (arg == "--inject-failure") {
       a.inject = true;
     } else if (arg == "--inject-eval-fault") {
@@ -191,7 +205,6 @@ int replay(const Args& args) {
   std::cout << "PASS (context_strict=" << rep.context_strict
             << " searches_checked=" << rep.searches_checked
             << " interleaving_won=" << rep.interleaving_won
-            << " preemption_feasible=" << rep.preemption_feasible
             << " fm_apps=" << rep.fm_apps
             << " fm_tightened=" << rep.fm_tightened_apps
             << " fm_reduction_cycles=" << rep.fm_reduction_cycles << ")\n";
@@ -259,7 +272,6 @@ int main(int argc, char** argv) {
   std::uint64_t context_strict = 0;
   std::uint64_t searches_checked = 0;
   std::uint64_t interleaving_won = 0;
-  std::uint64_t preemption_feasible = 0;
   std::uint64_t rr_feasible = 0;
   std::uint64_t fm_apps = 0;
   std::uint64_t fm_tightened = 0;
@@ -289,7 +301,6 @@ int main(int argc, char** argv) {
     context_strict += rep.context_strict ? 1 : 0;
     searches_checked += rep.searches_checked ? 1 : 0;
     interleaving_won += rep.interleaving_won ? 1 : 0;
-    preemption_feasible += rep.preemption_feasible ? 1 : 0;
     rr_feasible += rep.rr_feasible ? 1 : 0;
     fm_apps += rep.fm_apps;
     fm_tightened += rep.fm_tightened_apps;
@@ -301,7 +312,9 @@ int main(int argc, char** argv) {
   }
 
   std::ostringstream summary;
-  const double pct = 100.0 / static_cast<double>(args.seeds);
+  // Rates are over the seeds that completed: a budgeted sweep may stop
+  // long before args.seeds.
+  const double pct = passed > 0 ? 100.0 / static_cast<double>(passed) : 0.0;
   summary << "catsched invariant fuzz summary\n"
           << "seeds: [" << args.start << ", " << args.start + args.seeds
           << ")\n"
@@ -309,8 +322,11 @@ int main(int argc, char** argv) {
   if (args.max_seconds > 0.0) {
     summary << "wall-clock budget: " << args.max_seconds
             << "s, stop reason: "
-            << catsched::core::to_string(budget.reason()) << " (" << passed
-            << " seeds completed before the budget fired)\n";
+            << catsched::core::to_string(budget.reason());
+    if (budget.reason() != catsched::core::StopReason::completed) {
+      summary << " (" << passed << " seeds completed before the budget fired)";
+    }
+    summary << "\n";
   }
   summary
           << "context WCET strictly between warm and cold: " << context_strict
@@ -319,8 +335,6 @@ int main(int argc, char** argv) {
           << " systems\n"
           << "interleaving beat best periodic: " << interleaving_won << "/"
           << searches_checked << "\n"
-          << "preemptive RM+CRPD feasible at T=tidle: " << preemption_feasible
-          << " (" << static_cast<double>(preemption_feasible) * pct << "%)\n"
           << "round-robin (all-ones) idle-feasible: " << rr_feasible << " ("
           << static_cast<double>(rr_feasible) * pct << "%)\n"
           << "first-miss tightened the bound on " << fm_tightened << "/"

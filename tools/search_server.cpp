@@ -18,14 +18,12 @@
 // (negative, non-numeric, trailing characters, out of range) prints the
 // usage and exits with status 2; a checkpoint that cannot be resumed
 // (both images damaged, or written by another search) exits with status 1.
-#include <cctype>
-#include <cerrno>
 #include <climits>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <bit>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,6 +34,7 @@
 #include "core/interleaved_codesign.hpp"
 #include "core/run_budget.hpp"
 #include "core/snapshot.hpp"
+#include "flag_parse.hpp"
 
 using namespace catsched;
 
@@ -109,27 +108,16 @@ struct Args {
   std::exit(2);
 }
 
-/// Whole-token unsigned decimal: strtoull alone would wrap "-1" to 2^64-1
-/// and read "abc" as 0, both of which mean "no limit" to the budget.
 std::uint64_t parse_count(const char* text, const char* argv0) {
-  if (!std::isdigit(static_cast<unsigned char>(text[0]))) usage(argv0);
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (errno == ERANGE || *end != '\0') usage(argv0);
-  return v;
+  const std::optional<std::uint64_t> v = tools::parse_count(text);
+  if (!v) usage(argv0);
+  return *v;
 }
 
-/// Whole-token, finite, non-negative seconds.
 double parse_seconds(const char* text, const char* argv0) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v) ||
-      v < 0.0) {
-    usage(argv0);
-  }
-  return v;
+  const std::optional<double> v = tools::parse_seconds(text);
+  if (!v) usage(argv0);
+  return *v;
 }
 
 Args parse_args(int argc, char** argv) {
