@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "cache/static_wcet.hpp"
@@ -267,28 +268,26 @@ BENCHMARK(BM_AbstractCacheEquality_512x8);
 // runs per PSO particle, plus the full design. Regressions here multiply
 // into every schedule the search engines touch.
 
-// One PSO particle's full evaluation: closed-loop monodromy + spectral
-// radius (stability barrier), exact feedforward, then the metrics-only
-// switched simulation — the body design_cost runs thousands of times per
-// design.
+// One PSO particle: the objective design_controller minimizes
+// (control::DesignObjective) on one candidate. At bound +infinity that is
+// the spectral radius of the closed-loop monodromy, the exact feedforward,
+// then the metrics-only switched simulation -- the body the design search
+// runs thousands of times per design.
 void pso_particle_eval(benchmark::State& state,
-                       const control::ContinuousLTI& plant,
-                       const std::vector<sched::Interval>& intervals,
-                       double dense_dt, const std::vector<linalg::Matrix>& k,
-                       double y0, double r, double horizon) {
-  control::SwitchedSimulator sim(plant, intervals, dense_dt);
-  const control::Equilibrium eq = control::equilibrium_at(plant, y0);
-  control::SimOptions so;
-  so.r = r;
-  so.horizon = horizon;
+                       const control::DesignObjective& objective,
+                       const std::vector<double>& theta, double bound) {
   for (auto _ : state) {
-    const double rho =
-        linalg::spectral_radius(control::closed_loop_monodromy(sim.phases(), k));
-    benchmark::DoNotOptimize(rho);
-    auto f = control::exact_feedforward(sim.phases(), plant.c, k);
-    control::PhaseGains g{k, f ? *f : std::vector<double>(k.size(), 0.0)};
-    benchmark::DoNotOptimize(sim.simulate(g, eq.x, eq.u, so));
+    benchmark::DoNotOptimize(objective(theta, bound));
   }
+}
+
+/// The flattened gains vector the objective takes: theta[j * l + q].
+std::vector<double> flatten_gains(const std::vector<linalg::Matrix>& k) {
+  std::vector<double> theta;
+  for (const linalg::Matrix& kj : k) {
+    theta.insert(theta.end(), kj.data(), kj.data() + kj.size());
+  }
+  return theta;
 }
 
 // Case-study geometry: app 0 under (3,2,3), dense_dt = 1e-4, so every
@@ -297,11 +296,18 @@ void BM_PsoParticleEval(benchmark::State& state) {
   const auto timing = sched::derive_timing(sys().analyze_wcets(),
                                            sched::PeriodicSchedule({3, 2, 3}));
   const auto& a = sys().apps[0];
-  pso_particle_eval(state, a.plant, timing.apps[0].intervals, 1e-4,
-                    std::vector<linalg::Matrix>(
-                        timing.apps[0].intervals.size(),
-                        linalg::Matrix{{-1e-4, -1e-6}}),
-                    a.y0, a.r, 1.6 * a.smax);
+  control::DesignSpec spec;
+  spec.plant = a.plant;
+  spec.umax = a.umax;
+  spec.r = a.r;
+  spec.y0 = a.y0;
+  spec.smax = a.smax;
+  const auto& intervals = timing.apps[0].intervals;
+  const control::DesignObjective objective(spec, intervals);
+  pso_particle_eval(state, objective,
+                    flatten_gains(std::vector<linalg::Matrix>(
+                        intervals.size(), linalg::Matrix{{-1e-4, -1e-6}})),
+                    std::numeric_limits<double>::infinity());
 }
 BENCHMARK(BM_PsoParticleEval);
 
@@ -342,8 +348,9 @@ PopulationDesign population_design() {
 }
 
 // The particle is the gains a design under those options returns: stable,
-// settling within the horizon (after smax).
-void BM_PsoParticleEvalPopulation(benchmark::State& state) {
+// settling within the horizon (after smax). \p bound_factor scales its cost
+// into the bound it is evaluated at (+infinity: unbounded).
+void population_particle_eval(benchmark::State& state, double bound_factor) {
   const PopulationDesign d = population_design();
   const control::DesignResult design =
       control::design_controller(d.spec, d.intervals, d.opts);
@@ -351,11 +358,33 @@ void BM_PsoParticleEvalPopulation(benchmark::State& state) {
     state.SkipWithError("pinned system changed: no settling order-3 app 0");
     return;
   }
-  pso_particle_eval(state, d.spec.plant, d.intervals, d.opts.dense_dt,
-                    design.gains.k, d.spec.y0, d.spec.r,
-                    d.opts.horizon_factor * d.spec.smax);
+  const control::DesignObjective objective(d.spec, d.intervals, d.opts);
+  const std::vector<double> theta = flatten_gains(design.gains.k);
+  const double inf = std::numeric_limits<double>::infinity();
+  pso_particle_eval(
+      state, objective, theta,
+      bound_factor == inf ? inf : bound_factor * objective(theta, inf));
+}
+
+void BM_PsoParticleEvalPopulation(benchmark::State& state) {
+  population_particle_eval(state, std::numeric_limits<double>::infinity());
 }
 BENCHMARK(BM_PsoParticleEvalPopulation);
+
+// The same particle bounded just below its cost, as a candidate that
+// cannot beat its bound: the run is abandoned, and its stability is never
+// checked.
+void BM_PsoParticleEvalPopulationReject(benchmark::State& state) {
+  population_particle_eval(state, 0.99);
+}
+BENCHMARK(BM_PsoParticleEvalPopulationReject);
+
+// Bounded just above its cost, as a candidate that beats its bound: the
+// full run, then the spectral radius.
+void BM_PsoParticleEvalPopulationAccept(benchmark::State& state) {
+  population_particle_eval(state, 1.01);
+}
+BENCHMARK(BM_PsoParticleEvalPopulationAccept);
 
 // One full design (grid, PSO, compass polish) at that geometry with the
 // fuzz design budget: the unit of work population_search repeats (673

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -18,55 +19,22 @@ namespace catsched::control {
 
 namespace {
 
-/// Shared evaluation context so the PSO objective and the final metric
-/// report use identical code paths. Every design is scored on the
-/// worst-case step response: the reference steps at the start of the
-/// longest interval, the input held through it.
-struct EvalContext {
-  EvalContext(const DesignSpec& s, const std::vector<sched::Interval>& ivs,
-              const DesignOptions& o)
-      : spec(s),
-        opts(o),
-        sim(s.plant, ivs, o.dense_dt),
-        eq(equilibrium_at(s.plant, s.y0)) {
-    sched::AppTiming at;
-    at.intervals = ivs;
-    sim_opts.r = s.r;
-    sim_opts.horizon = o.horizon_factor * s.smax;
-    sim_opts.start_phase = at.longest_interval();
-    sim_opts.hold_first_interval = true;
-    sim_opts.settle_band = s.settle_band;
-    sim_opts.settle_on_samples = o.settle_on_samples;
-  }
-
-  const DesignSpec& spec;
-  const DesignOptions& opts;
-  SwitchedSimulator sim;
-  Equilibrium eq;
-  SimOptions sim_opts;
-
-  std::optional<std::vector<double>> feedforward(
-      const std::vector<Matrix>& k) const {
-    return opts.exact_feedforward
-               ? exact_feedforward(sim.phases(), spec.plant.c, k)
-               : per_interval_feedforward(sim.phases(), spec.plant.c, k);
-  }
-};
-
-std::vector<Matrix> unpack_gains(const std::vector<double>& theta,
-                                 std::size_t m, std::size_t l) {
-  std::vector<Matrix> k(m, Matrix(1, l));
+/// Write \p theta into \p k as m rows of 1 x l, reusing their storage.
+void unpack_gains(std::vector<Matrix>& k, const std::vector<double>& theta,
+                  std::size_t m, std::size_t l) {
+  k.resize(m);
   for (std::size_t j = 0; j < m; ++j) {
+    k[j].resize(1, l);
     for (std::size_t q = 0; q < l; ++q) k[j](0, q) = theta[j * l + q];
   }
-  return k;
 }
 
-/// design_cost's score of a simulated step response: worst-case settling
-/// time with a small IAE tie-breaker, a graded floor for responses that
-/// never settle or diverge, plus a graded input-saturation penalty.
-double response_cost(const EvalContext& ctx, const SimResult& sr) {
-  const double horizon = ctx.sim_opts.horizon;
+/// The score of a simulated step response over \p horizon: worst-case
+/// settling time with a small IAE tie-breaker, a graded floor for
+/// responses that never settle or diverge, plus a graded input-saturation
+/// penalty above \p umax.
+inline double response_cost(const SimResult& sr, double horizon,
+                            double umax) {
   double cost;
   if (sr.diverged) {
     cost = 5.0e2 * horizon;
@@ -77,8 +45,8 @@ double response_cost(const EvalContext& ctx, const SimResult& sr) {
     // absolute error term breaks plateau ties toward robust centers.
     cost = sr.settling_time + 0.05 * sr.iae;
   }
-  if (sr.u_max_abs > ctx.spec.umax) {
-    cost += 50.0 * horizon * (sr.u_max_abs / ctx.spec.umax - 1.0);
+  if (sr.u_max_abs > umax) {
+    cost += 50.0 * horizon * (sr.u_max_abs / umax - 1.0);
   }
   return cost;
 }
@@ -95,74 +63,130 @@ double response_cost(const EvalContext& ctx, const SimResult& sr) {
 /// in each input, and IEEE rounding is monotone, so each rounded step of
 /// the final cost is at least its counterpart here; the saturation term,
 /// added to both branches alike, commutes with the min.
-double response_cost_floor(const EvalContext& ctx, SimResult so_far) {
+inline double response_cost_floor(SimResult so_far, double horizon,
+                                  double umax) {
   so_far.settled = true;
-  const double settles = response_cost(ctx, so_far);
+  const double settles = response_cost(so_far, horizon, umax);
   so_far.settled = false;
   so_far.tail_error = 0.0;
-  return std::min(settles, response_cost(ctx, so_far));
+  return std::min(settles, response_cost(so_far, horizon, umax));
 }
 
-/// Objective for the PSO: stability barrier, then response_cost. Lower is
-/// better. Returns the exact cost when it is below \p bound, and otherwise
-/// some value >= bound: the simulation stops once response_cost_floor
-/// reaches the bound.
-double design_cost(const EvalContext& ctx, const std::vector<double>& theta,
-                   double bound) {
-  const std::size_t m = ctx.sim.num_phases();
-  const std::size_t l = ctx.spec.plant.order();
-  std::vector<Matrix> k = unpack_gains(theta, m, l);
+}  // namespace
 
-  const double rho = linalg::spectral_radius(closed_loop_monodromy(
-      ctx.sim.phases(), k));
-  const double horizon = ctx.sim_opts.horizon;
-  if (rho >= 1.0 - ctx.opts.stability_margin) {
-    return 1.0e3 * horizon * (1.0 + rho);  // graded push toward stability
-  }
-  auto f = ctx.feedforward(k);
-  if (!f) {
-    return 1.0e3 * horizon * (1.0 + rho);
-  }
-  const SimResult sr = ctx.sim.simulate(
-      {std::move(k), std::move(*f)}, ctx.eq.x, ctx.eq.u, ctx.sim_opts,
-      nullptr, bound, [&ctx](const SimResult& so_far) {
-        return response_cost_floor(ctx, so_far);
-      });
-  return sr.abandoned ? response_cost_floor(ctx, sr) : response_cost(ctx, sr);
+DesignObjective::DesignObjective(const DesignSpec& spec,
+                                 const std::vector<sched::Interval>& intervals,
+                                 const DesignOptions& opts)
+    : sim_(spec.plant, intervals, opts.dense_dt),
+      eq_(equilibrium_at(spec.plant, spec.y0)),
+      umax_(spec.umax),
+      smax_(spec.smax),
+      stability_margin_(opts.stability_margin),
+      exact_feedforward_(opts.exact_feedforward) {
+  sched::AppTiming at;
+  at.intervals = intervals;
+  sim_opts_.r = spec.r;
+  sim_opts_.horizon = opts.horizon_factor * spec.smax;
+  sim_opts_.start_phase = at.longest_interval();
+  sim_opts_.hold_first_interval = true;
+  sim_opts_.settle_band = spec.settle_band;
+  sim_opts_.settle_on_samples = opts.settle_on_samples;
 }
 
-DesignResult report_for(const EvalContext& ctx,
-                        const std::vector<double>& theta,
-                        int pso_evaluations) {
-  const std::size_t m = ctx.sim.num_phases();
-  const std::size_t l = ctx.spec.plant.order();
+/// The feedforward of \p gains' feedback rows into gains.f; false when
+/// its system is singular.
+bool DesignObjective::feedforward(PhaseGains& gains) const {
+  if (exact_feedforward_) {
+    return exact_feedforward_into(gains.f, sim_.phases(), sim_.plant().c,
+                                  gains.k);
+  }
+  auto f = per_interval_feedforward(sim_.phases(), sim_.plant().c, gains.k);
+  if (!f) return false;
+  gains.f = std::move(*f);
+  return true;
+}
+
+/// response_cost of the simulated step response, or, once its running
+/// floor reaches \p bound, that floor (>= bound).
+double DesignObjective::simulated_cost(const PhaseGains& gains,
+                                       double bound) const {
+  const double horizon = sim_opts_.horizon;
+  const double umax = umax_;
+  const auto floor = [horizon, umax](const SimResult& so_far) {
+    return response_cost_floor(so_far, horizon, umax);
+  };
+  const SimResult sr = sim_.simulate(gains, eq_.x, eq_.u, sim_opts_, bound,
+                                     floor);
+  return sr.abandoned ? floor(sr) : response_cost(sr, horizon, umax);
+}
+
+double DesignObjective::cost(const std::vector<double>& theta,
+                             double bound) const {
+  // The candidate's gains, in storage this thread reuses call after call.
+  thread_local PhaseGains gains;
+  unpack_gains(gains.k, theta, sim_.num_phases(), sim_.plant().order());
+  // The stability barrier: no unstable or singular candidate costs less.
+  const double barrier = 1.0e3 * sim_opts_.horizon;
+  const double unstable = 1.0 - stability_margin_;
+  if (!(bound <= barrier)) {
+    // Such a candidate can still beat the bound, so its exact barrier
+    // counts: the spectral radius comes first.
+    const double rho = linalg::spectral_radius(
+        closed_loop_monodromy(sim_.phases(), gains.k));
+    if (rho >= unstable || !feedforward(gains)) {
+      return barrier * (1.0 + rho);  // graded push toward stability
+    }
+    return simulated_cost(gains, bound);
+  }
+  // Stability last: an unstable or singular candidate cannot beat the
+  // bound, so only a cost below it needs the eigen-solve. A NaN cost is
+  // checked too; it stands for a stable candidate only.
+  if (!feedforward(gains)) return barrier;
+  const double simulated = simulated_cost(gains, bound);
+  if (simulated >= bound) return simulated;
+  const double rho = linalg::spectral_radius(
+      closed_loop_monodromy(sim_.phases(), gains.k));
+  return rho >= unstable ? barrier * (1.0 + rho) : simulated;
+}
+
+double DesignObjective::operator()(const std::vector<double>& theta,
+                                   double bound) const {
+  // logic_errors (dimension mismatches) still propagate: those are bugs.
+  try {
+    return cost(theta, bound);
+  } catch (const std::runtime_error&) {
+    return std::numeric_limits<double>::infinity();
+  }
+}
+
+DesignResult DesignObjective::report(const std::vector<double>& theta,
+                                     int pso_evaluations) const {
+  const std::size_t m = sim_.num_phases();
   DesignResult res;
   res.pso_evaluations = pso_evaluations;
-  std::vector<Matrix> k = unpack_gains(theta, m, l);
+  PhaseGains gains;
+  unpack_gains(gains.k, theta, m, sim_.plant().order());
   res.spectral_radius = linalg::spectral_radius(
-      closed_loop_monodromy(ctx.sim.phases(), k));
-  auto f = ctx.feedforward(k);
-  if (!f || res.spectral_radius >= 1.0 - ctx.opts.stability_margin) {
+      closed_loop_monodromy(sim_.phases(), gains.k));
+  if (!feedforward(gains) ||
+      res.spectral_radius >= 1.0 - stability_margin_) {
     res.settled = false;
     res.feasible = false;
     res.settling_time = std::numeric_limits<double>::infinity();
-    res.gains = PhaseGains{std::move(k), std::vector<double>(m, 0.0)};
+    gains.f.assign(m, 0.0);
+    res.gains = std::move(gains);
     return res;
   }
-  res.gains = PhaseGains{std::move(k), std::move(*f)};
-  const SimResult sr =
-      ctx.sim.simulate(res.gains, ctx.eq.x, ctx.eq.u, ctx.sim_opts);
+  res.gains = std::move(gains);
+  const SimResult sr = sim_.simulate(res.gains, eq_.x, eq_.u, sim_opts_);
   res.settling_time =
       sr.settled ? sr.settling_time : std::numeric_limits<double>::infinity();
   res.settled = sr.settled;
   res.u_max_abs = sr.u_max_abs;
-  res.feasible = sr.settled && !sr.diverged &&
-                 sr.settling_time <= ctx.spec.smax &&
-                 sr.u_max_abs <= ctx.spec.umax * (1.0 + 1e-9);
+  res.feasible = sr.settled && !sr.diverged && sr.settling_time <= smax_ &&
+                 sr.u_max_abs <= umax_ * (1.0 + 1e-9);
   return res;
 }
-
-}  // namespace
 
 DesignResult design_controller(const DesignSpec& spec,
                                const std::vector<sched::Interval>& intervals,
@@ -178,8 +202,8 @@ DesignResult design_controller(const DesignSpec& spec,
     throw std::invalid_argument("design_controller: no intervals");
   }
 
-  const EvalContext ctx(spec, intervals, opts);
-  const SwitchedSimulator& sim = ctx.sim;
+  const DesignObjective objective(spec, intervals, opts);
+  const SwitchedSimulator& sim = objective.simulator();
 
   // Stage A (paper's PSO-over-poles spirit): scan a grid of closed-loop
   // pole patterns on the average-rate surrogate, recover gains with
@@ -195,7 +219,7 @@ DesignResult design_controller(const DesignSpec& spec,
   const PhaseDynamics avg = discretize_interval(spec.plant, h_bar, tau_bar);
 
   // Candidate generation is serial and deterministic; the expensive part —
-  // design_cost, a full switched simulation per candidate — is batched
+  // the objective, a full switched simulation per candidate — is batched
   // below into index-addressed slots (parallel when a pool is given) and
   // ranked in generation order, identical to evaluating inline.
   std::vector<std::vector<double>> grid;
@@ -282,7 +306,7 @@ DesignResult design_controller(const DesignSpec& spec,
   core::parallel_for(pool, grid.size(), [&](std::size_t i) {
     try {
       grid_cost[i] =
-          design_cost(ctx, grid[i], std::numeric_limits<double>::infinity());
+          objective.cost(grid[i], std::numeric_limits<double>::infinity());
     } catch (const std::runtime_error&) {
       grid_failed[i] = 1;
     }
@@ -321,19 +345,6 @@ DesignResult design_controller(const DesignSpec& spec,
     hi[d] = center[d] + half;
   }
 
-  const auto objective = [&](const std::vector<double>& theta,
-                             double bound) {
-    // Same policy as the seed grid: a numerically degenerate candidate
-    // (QR non-convergence in the stability barrier) is penalized out of
-    // contention, never fatal, while logic_errors propagate. The PSO
-    // batch hook below routes through this exact callable so serial and
-    // pooled runs stay bit-identical.
-    try {
-      return design_cost(ctx, theta, bound);
-    } catch (const std::runtime_error&) {
-      return std::numeric_limits<double>::infinity();
-    }
-  };
   // Scale the swarm with problem dimension and restart with fresh draws;
   // the evaluation cost is tiny next to the paper's MATLAB runtimes.
   opt::PsoOptions pso = opts.pso;
@@ -366,9 +377,9 @@ DesignResult design_controller(const DesignSpec& spec,
   }
   for (int restart = 0; restart < std::max(1, opts.pso_restarts); ++restart) {
     pso.seed = opts.pso.seed + 7919 * static_cast<std::uint64_t>(restart);
-    const opt::PsoResult pr = opt::pso_minimize(objective, lo, hi, pso,
-                                                restart == 0 ? seeds
-                                                             : std::vector<std::vector<double>>{best});
+    const opt::PsoResult pr = opt::pso_minimize(
+        std::cref(objective), lo, hi, pso,
+        restart == 0 ? seeds : std::vector<std::vector<double>>{best});
     evals += pr.evaluations;
     if (pr.cost < best_cost) {
       best_cost = pr.cost;
@@ -381,10 +392,11 @@ DesignResult design_controller(const DesignSpec& spec,
   opt::PatternSearchOptions ps;
   ps.initial_step = 0.2;
   ps.max_evaluations = 3000;
-  const opt::PatternSearchResult pol = opt::pattern_search(objective, best, ps);
+  const opt::PatternSearchResult pol =
+      opt::pattern_search(std::cref(objective), best, ps);
   evals += pol.evaluations;
   if (pol.cost < best_cost) best = pol.x;
-  return report_for(ctx, best, evals);
+  return objective.report(best, evals);
 }
 
 std::vector<DesignResult> design_batch(
@@ -410,13 +422,13 @@ DesignResult evaluate_gains(const DesignSpec& spec,
   if (gains.k.size() != m) {
     throw std::invalid_argument("evaluate_gains: gain/interval mismatch");
   }
-  const EvalContext ctx(spec, intervals, opts);
+  const DesignObjective objective(spec, intervals, opts);
 
   std::vector<double> theta(m * l);
   for (std::size_t j = 0; j < m; ++j) {
     for (std::size_t q = 0; q < l; ++q) theta[j * l + q] = gains.k[j](0, q);
   }
-  return report_for(ctx, theta, 0);
+  return objective.report(theta, 0);
 }
 
 }  // namespace catsched::control

@@ -66,6 +66,60 @@ struct DesignResult {
   int pso_evaluations = 0;
 };
 
+/// The objective design_controller minimizes: the cost of a candidate's
+/// flattened per-phase gains theta (theta[j * l + q] = K_j(0, q)), scored
+/// on the worst-case step response (the reference steps at the start of
+/// the longest interval). Lower is better:
+///   - a candidate whose closed-loop monodromy has spectral radius
+///     rho >= 1 - stability_margin, or whose feedforward is singular,
+///     costs 1e3 H (1 + rho), with H = horizon_factor * smax the
+///     simulated horizon;
+///   - any other costs its worst-case settling time plus 0.05 IAE when it
+///     settles, 2 H plus the capped tail error when it does not, 500 H
+///     when it diverges, plus a graded input-saturation penalty.
+///
+/// Calls follow opt::Objective's contract: the exact cost when it is
+/// below \p bound, otherwise some value >= bound. Since no unstable or
+/// singular candidate costs less than 1e3 H, a call with bound <= 1e3 H
+/// simulates first and checks stability only for a cost below the bound.
+class DesignObjective {
+public:
+  /// \throws std::invalid_argument on a bad plant, intervals or dense_dt.
+  DesignObjective(const DesignSpec& spec,
+                  const std::vector<sched::Interval>& intervals,
+                  const DesignOptions& opts = {});
+
+  /// The cost of \p theta, or some value >= \p bound. A candidate whose
+  /// stability check fails numerically (QR non-convergence on a
+  /// degenerate closed loop) costs +infinity: out of contention, never
+  /// fatal. Thread-safe; every thread keeps its own candidate workspace.
+  double operator()(const std::vector<double>& theta, double bound) const;
+
+  /// operator() with that numerical failure left to propagate as
+  /// std::runtime_error (the seed grid drops such candidates).
+  double cost(const std::vector<double>& theta, double bound) const;
+
+  /// What design_controller reports for \p theta, unbounded.
+  DesignResult report(const std::vector<double>& theta,
+                      int pso_evaluations) const;
+
+  const SwitchedSimulator& simulator() const noexcept { return sim_; }
+  /// The simulated horizon H.
+  double horizon() const noexcept { return sim_opts_.horizon; }
+
+private:
+  bool feedforward(PhaseGains& gains) const;
+  double simulated_cost(const PhaseGains& gains, double bound) const;
+
+  SwitchedSimulator sim_;
+  Equilibrium eq_;
+  SimOptions sim_opts_;
+  double umax_;
+  double smax_;
+  double stability_margin_;
+  bool exact_feedforward_;
+};
+
 /// Design per-phase gains for the application over the given schedule
 /// timing intervals and report the worst-case settling time (reference step
 /// at the start of the longest interval, the paper's conservative phase).
@@ -77,9 +131,10 @@ struct DesignResult {
 /// thread count (the determinism contract of core/parallel.hpp, enforced
 /// by tests/test_design_batch.cpp).
 ///
-/// The PSO and the polish evaluate each candidate bounded by the cost it
-/// must beat (opt::Objective's contract): its simulation stops once the
-/// cost provably cannot, which changes no result bit.
+/// The seed grid, the PSO and the polish all score candidates with one
+/// DesignObjective. The PSO and the polish bound each candidate by the
+/// cost it must beat (opt::Objective's contract): its simulation stops
+/// once the cost provably cannot, which changes no result bit.
 /// \throws std::invalid_argument on bad spec/intervals.
 DesignResult design_controller(const DesignSpec& spec,
                                const std::vector<sched::Interval>& intervals,

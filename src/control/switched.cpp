@@ -31,22 +31,6 @@ void check_gain_dims(const std::vector<PhaseDynamics>& phases,
   }
 }
 
-/// settling_time() read one point at a time: the earliest point after the
-/// last violation of |y - r| <= tol; unsettled while the latest violates.
-struct SettlingScan {
-  double r;
-  double tol;
-  SettlingInfo at{std::numeric_limits<double>::infinity(), false};
-
-  void see(double t, double y) {
-    if (std::abs(y - r) > tol) {
-      at = {std::numeric_limits<double>::infinity(), false};
-    } else if (!at.settled) {
-      at = {t, true};
-    }
-  }
-};
-
 }  // namespace
 
 Matrix closed_loop_monodromy(const std::vector<PhaseDynamics>& phases,
@@ -108,35 +92,62 @@ Matrix lifted_closed_loop(const std::vector<PhaseDynamics>& phases,
 std::optional<std::vector<double>> exact_feedforward(
     const std::vector<PhaseDynamics>& phases, const Matrix& c,
     const std::vector<Matrix>& k) {
+  std::vector<double> f;
+  if (!exact_feedforward_into(f, phases, c, k)) return std::nullopt;
+  return f;
+}
+
+bool exact_feedforward_into(std::vector<double>& f,
+                            const std::vector<PhaseDynamics>& phases,
+                            const Matrix& c, const std::vector<Matrix>& k) {
   check_gain_dims(phases, k);
   const std::size_t m = phases.size();
   const std::size_t l = phases.front().ad.rows();
   if (c.rows() != 1 || c.cols() != l) {
     throw std::invalid_argument("exact_feedforward: C must be 1 x l");
   }
+  // The system, its right-hand side, the solution and the factorization
+  // keep their storage across calls on this thread.
+  struct Workspace {
+    Matrix sys;
+    Matrix rhs;
+    Matrix sol;
+    linalg::LU lu;
+  };
+  thread_local Workspace ws;
   // Unknowns: [x_0 .. x_{m-1}, F_0 .. F_{m-1}] for unit reference.
   const std::size_t n = m * l + m;
-  Matrix sys(n, n);
-  Matrix rhs(n, 1);
+  Matrix& sys = ws.sys;
+  Matrix& rhs = ws.rhs;
+  sys.resize(n, n);
+  rhs.resize(n, 1);
+  std::fill(sys.data(), sys.data() + sys.size(), 0.0);
+  std::fill(rhs.data(), rhs.data() + rhs.size(), 0.0);
   auto xcol = [&](std::size_t j) { return j * l; };
   auto fcol = [&](std::size_t j) { return m * l + j; };
+  // Entry (i, q) of the product of an l x 1 column and a 1 x l row, as
+  // operator* forms it: accumulated onto 0.0, skipped for a zero b_i.
+  const auto outer = [](double bi, double kq) {
+    return bi == 0.0 ? 0.0 : 0.0 + bi * kq;
+  };
   // Dynamics rows: x_{j+1} = (A_j + B2_j K_j) x_j + B1_j K_{j-1} x_{j-1}
   //                + B2_j F_j + B1_j F_{j-1}   (indices cyclic).
   for (std::size_t j = 0; j < m; ++j) {
     const std::size_t jn = (j + 1) % m;
     const std::size_t jp = (j + m - 1) % m;
     const std::size_t row = j * l;
+    const PhaseDynamics& pd = phases[j];
     // x_{j+1} coefficient: identity.
     for (std::size_t i = 0; i < l; ++i) sys(row + i, xcol(jn) + i) += 1.0;
-    const Matrix axx = phases[j].ad + phases[j].b2 * k[j];
-    const Matrix axp = phases[j].b1 * k[jp];
     for (std::size_t i = 0; i < l; ++i) {
+      const double b2 = pd.b2(i, 0);
+      const double b1 = pd.b1(i, 0);
       for (std::size_t q = 0; q < l; ++q) {
-        sys(row + i, xcol(j) + q) -= axx(i, q);
-        sys(row + i, xcol(jp) + q) -= axp(i, q);
+        sys(row + i, xcol(j) + q) -= pd.ad(i, q) + outer(b2, k[j](0, q));
+        sys(row + i, xcol(jp) + q) -= outer(b1, k[jp](0, q));
       }
-      sys(row + i, fcol(j)) -= phases[j].b2(i, 0);
-      sys(row + i, fcol(jp)) -= phases[j].b1(i, 0);
+      sys(row + i, fcol(j)) -= b2;
+      sys(row + i, fcol(jp)) -= b1;
     }
   }
   // Output rows: C x_j = 1.
@@ -145,12 +156,12 @@ std::optional<std::vector<double>> exact_feedforward(
     for (std::size_t q = 0; q < l; ++q) sys(row, xcol(j) + q) = c(0, q);
     rhs(row, 0) = 1.0;
   }
-  linalg::LU lu(sys);
-  if (lu.singular()) return std::nullopt;
-  const Matrix sol = lu.solve(rhs);
-  std::vector<double> f(m);
-  for (std::size_t j = 0; j < m; ++j) f[j] = sol(fcol(j), 0);
-  return f;
+  ws.lu.factor(sys);
+  if (ws.lu.singular()) return false;
+  ws.lu.solve_into(ws.sol, rhs);
+  f.resize(m);
+  for (std::size_t j = 0; j < m; ++j) f[j] = ws.sol(fcol(j), 0);
+  return true;
 }
 
 std::optional<std::vector<double>> per_interval_feedforward(
@@ -179,7 +190,7 @@ SwitchedSimulator::SwitchedSimulator(const ContinuousLTI& plant,
   if (intervals.empty()) {
     throw std::invalid_argument("SwitchedSimulator: no intervals");
   }
-  if (dense_dt <= 0.0) {
+  if (!(dense_dt > 0.0)) {
     throw std::invalid_argument("SwitchedSimulator: dense_dt must be > 0");
   }
   phases_ = discretize_phases(plant_, intervals);
@@ -187,8 +198,14 @@ SwitchedSimulator::SwitchedSimulator(const ContinuousLTI& plant,
   auto make_segment = [&](double span) {
     Segment seg;
     if (span <= 1e-15) return seg;
+    // llround can count up to 2^63 - 1 substeps; NaN and beyond fail.
+    const double steps = std::ceil(span / dense_dt);
+    if (!(steps < 0x1p63)) {
+      throw std::invalid_argument(
+          "SwitchedSimulator: dense_dt too small for the intervals");
+    }
     seg.steps = std::max<std::size_t>(
-        1, static_cast<std::size_t>(std::llround(std::ceil(span / dense_dt))));
+        1, static_cast<std::size_t>(std::llround(steps)));
     seg.dt = span / static_cast<double>(seg.steps);
     const auto pair = linalg::expm_with_integral(plant_.a, seg.dt);
     seg.e = pair.ad;
@@ -202,11 +219,8 @@ SwitchedSimulator::SwitchedSimulator(const ContinuousLTI& plant,
   }
 }
 
-SimResult SwitchedSimulator::simulate(const PhaseGains& gains,
-                                      const Matrix& x0, double u_prev0,
-                                      const SimOptions& opts, SimTrace* trace,
-                                      double bound,
-                                      const CostLowerBound& lower_bound) const {
+void SwitchedSimulator::check_run(const PhaseGains& gains, const Matrix& x0,
+                                  const SimOptions& opts) const {
   check_gain_dims(phases_, gains.k);
   if (gains.f.size() != phases_.size()) {
     throw std::invalid_argument("simulate: F count != phase count");
@@ -221,125 +235,35 @@ SimResult SwitchedSimulator::simulate(const PhaseGains& gains,
   if (opts.settle_on_samples && !(opts.horizon > 0.0)) {
     throw std::invalid_argument("simulate: no sample before the horizon");
   }
+}
 
-  if (trace != nullptr) {
-    // The loop stops at the first interval boundary at or past the
-    // horizon, so horizon / period + 2 periods bound what it traverses.
-    const std::size_t periods =
-        static_cast<std::size_t>(std::max(0.0, opts.horizon) / period_) + 2;
-    *trace = SimTrace{};
-    for (auto* v : {&trace->t, &trace->y}) {
-      v->reserve(periods * period_steps_ + 1);
-    }
-    for (auto* v : {&trace->ts, &trace->ys, &trace->u}) {
-      v->reserve(periods * phases_.size());
-    }
+void SwitchedSimulator::start_trace(SimTrace& trace,
+                                    const SimOptions& opts) const {
+  // The loop stops at the first interval boundary at or past the horizon,
+  // so horizon / period + 2 periods bound what it traverses.
+  const std::size_t periods =
+      static_cast<std::size_t>(std::max(0.0, opts.horizon) / period_) + 2;
+  trace = SimTrace{};
+  for (auto* v : {&trace.t, &trace.y}) {
+    v->reserve(periods * period_steps_ + 1);
   }
-
-  // Every metric is streamed point by point, in the order and with the
-  // arithmetic of a post-hoc walk over the stored trace.
-  SimResult res;
-  const double r = opts.r;
-  const double rref = std::max(std::abs(r), 1e-12);
-  double tail_err = 0.0;
-  std::size_t tail_cnt = 0;
-  SettlingScan settling{r, opts.settle_band * rref};
-  double t = 0.0;
-  double yv = 0.0;
-  const auto see_dense = [&] {
-    if (trace != nullptr) {
-      trace->t.push_back(t);
-      trace->y.push_back(yv);
-    }
-    const double err = std::abs(yv - r) / rref;
-    if (t >= 0.8 * opts.horizon) {
-      tail_err += err;
-      ++tail_cnt;
-    }
-    if (!opts.settle_on_samples) settling.see(t, yv);
-    return err;
-  };
-
-  // Row-times-column with operator*'s skip-zero rule and accumulation
-  // order, so every value is bit-identical to the Matrix expressions.
-  const auto dot = [l](const double* row, const double* col) {
-    double s = 0.0;
-    for (std::size_t q = 0; q < l; ++q) {
-      if (row[q] == 0.0) continue;
-      s += row[q] * col[q];
-    }
-    return s;
-  };
-  std::vector<double> state(2 * l);
-  double* x = state.data();
-  double* xn = x + l;
-  std::copy(x0.data(), x0.data() + l, x);
-  yv = dot(plant_.c.data(), x);
-  see_dense();
-
-  // Dense substeps xn = E x + u (Phi B): multiply_into then axpy_into.
-  const auto run_segment = [&](const Segment& seg, double u) {
-    for (std::size_t s = 0; s < seg.steps && !res.diverged; ++s) {
-      for (std::size_t i = 0; i < l; ++i) {
-        xn[i] = dot(seg.e.data() + i * l, x) + u * seg.pb.data()[i];
-      }
-      std::swap(x, xn);
-      const double t_prev = t;
-      t += seg.dt;
-      yv = dot(plant_.c.data(), x);
-      res.iae += see_dense() * (t - t_prev);
-      res.diverged = std::abs(yv) > opts.divergence_bound;
-    }
-  };
-
-  const bool bounded =
-      lower_bound && bound < std::numeric_limits<double>::infinity();
-  double u_prev = u_prev0;
-  std::size_t phase = opts.start_phase;
-  bool first = true;
-  while (t < opts.horizon && !res.diverged) {
-    // Sensing instant of this interval's task: the last dense output.
-    if (trace != nullptr) {
-      trace->ts.push_back(t);
-      trace->ys.push_back(yv);
-    }
-    if (opts.settle_on_samples) settling.see(t, yv);
-    double u_new;
-    if (first && opts.hold_first_interval) {
-      // The task in flight when the reference steps still targets the old
-      // reference: at the old equilibrium its output equals u_prev0.
-      u_new = u_prev;
-    } else {
-      u_new = dot(gains.k[phase].data(), x) + gains.f[phase] * r;
-    }
-    if (opts.clamp_u) {
-      u_new = std::clamp(u_new, -*opts.clamp_u, *opts.clamp_u);
-    }
-    if (trace != nullptr) trace->u.push_back(u_new);
-    res.u_max_abs = std::max(res.u_max_abs, std::abs(u_new));
-    if (bounded) {
-      // Every point up to t is seen. If the scan is outside the band now,
-      // the point at t violated it, so any final settling time is later.
-      res.settling_time = settling.at.settled ? settling.at.time : t;
-      if (lower_bound(res) >= bound) {
-        res.abandoned = true;
-        return res;
-      }
-    }
-    run_segment(dense_[phase].before, u_prev);
-    run_segment(dense_[phase].after, u_new);
-    u_prev = u_new;
-    phase = (phase + 1) % phases_.size();
-    first = false;
+  for (auto* v : {&trace.ts, &trace.ys, &trace.u}) {
+    v->reserve(periods * phases_.size());
   }
+}
 
-  res.settling_time = settling.at.time;
-  res.settled = settling.at.settled && !res.diverged;
-  // Mean relative error over the trailing 20% of the trace (smooth measure
-  // used by the design search to rank non-settling candidates).
-  res.tail_error = tail_cnt > 0 ? tail_err / static_cast<double>(tail_cnt)
-                                : std::numeric_limits<double>::infinity();
-  return res;
+SimResult SwitchedSimulator::simulate(const PhaseGains& gains,
+                                      const Matrix& x0, double u_prev0,
+                                      const SimOptions& opts,
+                                      SimTrace* trace) const {
+  check_run(gains, x0, opts);
+  const double inf = std::numeric_limits<double>::infinity();
+  if (trace == nullptr) {
+    return run_order<false>(gains, x0, u_prev0, opts, nullptr, inf,
+                            Unbounded{});
+  }
+  start_trace(*trace, opts);
+  return run_order<true>(gains, x0, u_prev0, opts, trace, inf, Unbounded{});
 }
 
 SettlingInfo settling_time(const std::vector<double>& t,
@@ -348,7 +272,7 @@ SettlingInfo settling_time(const std::vector<double>& t,
   if (t.size() != y.size() || t.empty()) {
     throw std::invalid_argument("settling_time: bad trace");
   }
-  SettlingScan scan{r, band * std::max(std::abs(r), 1e-12)};
+  detail::SettlingScan scan{r, band * std::max(std::abs(r), 1e-12)};
   for (std::size_t i = 0; i < t.size(); ++i) scan.see(t[i], y[i]);
   return scan.at;
 }

@@ -13,12 +13,15 @@ namespace {
 constexpr double kPivotEps = 1e-13;
 }  // namespace
 
-LU::LU(const Matrix& a) : lu_(a) {
+void LU::factor(const Matrix& a) {
   if (!a.is_square()) {
     throw std::invalid_argument("LU: matrix must be square");
   }
+  lu_ = a;
+  singular_ = false;
+  det_ = 0.0;
   const std::size_t n = a.rows();
-  if (n > piv_inline_.size()) piv_spill_.resize(n);
+  piv_spill_.resize(n > piv_inline_.size() ? n : 0);
   for (std::size_t i = 0; i < n; ++i) piv(i) = static_cast<std::uint32_t>(i);
   // Scale reference for the singularity threshold.
   const double scale = std::max(lu_.max_abs(), 1.0);
@@ -58,6 +61,12 @@ LU::LU(const Matrix& a) : lu_(a) {
 }
 
 Matrix LU::solve(const Matrix& b) const {
+  Matrix x;
+  solve_into(x, b);
+  return x;
+}
+
+void LU::solve_into(Matrix& x, const Matrix& b) const {
   const std::size_t n = lu_.rows();
   if (b.rows() != n) {
     throw std::invalid_argument("LU::solve: rhs row count mismatch");
@@ -66,7 +75,7 @@ Matrix LU::solve(const Matrix& b) const {
     throw std::domain_error("LU::solve: matrix is singular");
   }
   const std::size_t k = b.cols();
-  Matrix x(n, k);
+  x.resize(n, k);
   // Apply permutation: x = P*b.
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < k; ++j) x(i, j) = b(piv(i), j);
@@ -89,7 +98,6 @@ Matrix LU::solve(const Matrix& b) const {
     const double d = lu_(ii, ii);
     for (std::size_t j = 0; j < k; ++j) x(ii, j) /= d;
   }
-  return x;
 }
 
 Matrix LU::inverse() const {

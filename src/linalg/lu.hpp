@@ -14,11 +14,20 @@ namespace catsched::linalg {
 ///
 /// Built once, reused for repeated solves against different right-hand
 /// sides (the schedule evaluator solves the same steady-state system for
-/// several references).
+/// several references). A workspace LU is refactored in place and solves
+/// into a caller's buffer, so a hot loop that factors one system per call
+/// allocates nothing once its buffers have grown to size.
 class LU {
 public:
+  /// The factorization of the 0 x 0 matrix: a workspace to factor() into.
+  LU() = default;
+
   /// Factor \p a. \throws std::invalid_argument if not square.
-  explicit LU(const Matrix& a);
+  explicit LU(const Matrix& a) { factor(a); }
+
+  /// Factor \p a in place of the current factorization, reusing its
+  /// storage. \throws std::invalid_argument if not square.
+  void factor(const Matrix& a);
 
   /// True if a pivot fell below the singularity threshold.
   bool singular() const noexcept { return singular_; }
@@ -27,6 +36,10 @@ public:
   /// \throws std::invalid_argument on dimension mismatch,
   ///         std::domain_error if the matrix is singular.
   Matrix solve(const Matrix& b) const;
+
+  /// solve() into \p x, which is re-dimensioned to n x k and overwritten
+  /// (same arithmetic). \p x must not alias \p b. Same exceptions.
+  void solve_into(Matrix& x, const Matrix& b) const;
 
   /// Determinant of A (0.0 when flagged singular).
   double determinant() const noexcept { return det_; }

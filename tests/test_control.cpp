@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "control/pole_place.hpp"
 #include "control/scenarios.hpp"
 #include "control/switched.hpp"
+#include "core/parallel.hpp"
 #include "linalg/eig.hpp"
 #include "linalg/expm.hpp"
 #include "linalg/lu.hpp"
@@ -59,6 +61,37 @@ std::vector<sched::Interval> uniform_intervals(std::size_t m, double h,
     iv.warm = true;
   }
   return ivs;
+}
+
+/// Order-n plant in controllable companion form with real poles at
+/// -w0 (1 + i / 2), i = 0..n-1, and unit DC gain.
+ContinuousLTI companion(std::size_t n, double w0) {
+  // Characteristic polynomial coefficients, lowest order first.
+  std::vector<double> poly{1.0};
+  for (std::size_t i = 0; i < n; ++i) {
+    const double p = w0 * (1.0 + 0.5 * static_cast<double>(i));
+    std::vector<double> next(poly.size() + 1, 0.0);
+    for (std::size_t d = 0; d < poly.size(); ++d) {
+      next[d] += p * poly[d];
+      next[d + 1] += poly[d];
+    }
+    poly = next;
+  }
+  ContinuousLTI plant;
+  plant.a = Matrix(n, n);
+  for (std::size_t i = 0; i + 1 < n; ++i) plant.a(i, i + 1) = 1.0;
+  for (std::size_t d = 0; d < n; ++d) plant.a(n - 1, d) = -poly[d];
+  plant.b = Matrix(n, 1);
+  plant.b(n - 1, 0) = poly[0];
+  plant.c = Matrix(1, n);
+  plant.c(0, 0) = 1.0;
+  return plant;
+}
+
+std::uint64_t bits(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
 }
 
 }  // namespace
@@ -318,6 +351,150 @@ TEST(Feedforward, PerIntervalReducesToStaticForUniform) {
   EXPECT_NEAR((*fe)[0], (*f)[0], 1e-9);
 }
 
+namespace {
+
+/// exact_feedforward as written with Matrix temporaries and a fresh
+/// linalg::LU per call: the reference the workspace version must match
+/// bit for bit.
+std::optional<std::vector<double>> reference_exact_feedforward(
+    const std::vector<PhaseDynamics>& phases, const Matrix& c,
+    const std::vector<Matrix>& k) {
+  const std::size_t m = phases.size();
+  const std::size_t l = phases.front().ad.rows();
+  const std::size_t n = m * l + m;
+  Matrix sys(n, n);
+  Matrix rhs(n, 1);
+  auto xcol = [&](std::size_t j) { return j * l; };
+  auto fcol = [&](std::size_t j) { return m * l + j; };
+  for (std::size_t j = 0; j < m; ++j) {
+    const std::size_t jn = (j + 1) % m;
+    const std::size_t jp = (j + m - 1) % m;
+    const std::size_t row = j * l;
+    for (std::size_t i = 0; i < l; ++i) sys(row + i, xcol(jn) + i) += 1.0;
+    const Matrix axx = phases[j].ad + phases[j].b2 * k[j];
+    const Matrix axp = phases[j].b1 * k[jp];
+    for (std::size_t i = 0; i < l; ++i) {
+      for (std::size_t q = 0; q < l; ++q) {
+        sys(row + i, xcol(j) + q) -= axx(i, q);
+        sys(row + i, xcol(jp) + q) -= axp(i, q);
+      }
+      sys(row + i, fcol(j)) -= phases[j].b2(i, 0);
+      sys(row + i, fcol(jp)) -= phases[j].b1(i, 0);
+    }
+  }
+  for (std::size_t j = 0; j < m; ++j) {
+    const std::size_t row = m * l + j;
+    for (std::size_t q = 0; q < l; ++q) sys(row, xcol(j) + q) = c(0, q);
+    rhs(row, 0) = 1.0;
+  }
+  linalg::LU lu(sys);
+  if (lu.singular()) return std::nullopt;
+  const Matrix sol = lu.solve(rhs);
+  std::vector<double> f(m);
+  for (std::size_t j = 0; j < m; ++j) f[j] = sol(fcol(j), 0);
+  return f;
+}
+
+struct FeedforwardCase {
+  std::vector<PhaseDynamics> phases;
+  Matrix c;
+  std::vector<Matrix> k;
+  std::string where;
+};
+
+/// Plants of orders 1-4 over 1-6 phases; tau = 0, tau = h and split
+/// phases; zero, random and partly zero gains. The integrating plant
+/// under zero gains has a pole at +1, which leaves the steady-state
+/// system singular.
+std::vector<FeedforwardCase> feedforward_cases() {
+  testgen::SplitMix64 rng(20260417);
+  const std::vector<ContinuousLTI> plants = {
+      first_order(), oscillator(),
+      make_family_plant(PlantFamily::damped_integrator, 40.0, 0.5, 1.0),
+      make_family_plant(PlantFamily::resonant_with_actuator_lag, 60.0, 0.3,
+                        2.0),
+      companion(4, 80.0)};
+  std::vector<FeedforwardCase> cases;
+  for (const ContinuousLTI& plant : plants) {
+    const std::size_t l = plant.order();
+    for (std::size_t m = 1; m <= 6; ++m) {
+      for (int timing = 0; timing < 3; ++timing) {
+        std::vector<sched::Interval> ivs(m);
+        for (std::size_t j = 0; j < m; ++j) {
+          ivs[j].h = rng.real(0.5e-3, 3e-3);
+          // timing 0: mixed; 1: every tau = h; 2: every tau = 0.
+          const std::size_t kind = timing == 0 ? j % 3 : timing;
+          ivs[j].tau = kind == 1 ? ivs[j].h
+                                 : (kind == 2 ? 0.0 : rng.real(0.0, ivs[j].h));
+        }
+        const auto phases = discretize_phases(plant, ivs);
+        for (int gains = 0; gains < 3; ++gains) {
+          std::vector<Matrix> k;
+          for (std::size_t j = 0; j < m; ++j) {
+            Matrix kj(1, l);
+            for (std::size_t q = 0; q < l; ++q) {
+              // gains 0: zero; 1: random; 2: random with zero entries.
+              if (gains == 1 || (gains == 2 && (j + q) % 2 == 0)) {
+                kj(0, q) = rng.real(-2.0, 2.0) / std::pow(10.0, q);
+              }
+            }
+            k.push_back(kj);
+          }
+          cases.push_back({phases, plant.c, k,
+                           "order " + std::to_string(l) + " m " +
+                               std::to_string(m) + " timing " +
+                               std::to_string(timing) + " gains " +
+                               std::to_string(gains)});
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+void expect_same_feedforward(
+    const std::optional<std::vector<double>>& got,
+    const std::optional<std::vector<double>>& want,
+    const std::string& where) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << where;
+  if (!want) return;
+  ASSERT_EQ(got->size(), want->size()) << where;
+  for (std::size_t j = 0; j < want->size(); ++j) {
+    EXPECT_EQ(bits((*got)[j]), bits((*want)[j])) << where << " F" << j;
+  }
+}
+
+}  // namespace
+
+TEST(Feedforward, ExactMatchesMatrixReferenceBitForBit) {
+  const std::vector<FeedforwardCase> cases = feedforward_cases();
+  std::vector<std::optional<std::vector<double>>> want;
+  int singular = 0;
+  for (const FeedforwardCase& fc : cases) {
+    want.push_back(reference_exact_feedforward(fc.phases, fc.c, fc.k));
+    singular += !want.back().has_value();
+  }
+  EXPECT_GT(singular, 0);
+  EXPECT_LT(singular, static_cast<int>(cases.size()));
+  // Serially (one workspace growing and shrinking across sizes), then
+  // from four pool threads, each with its own workspace.
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const FeedforwardCase& fc = cases[i];
+    expect_same_feedforward(exact_feedforward(fc.phases, fc.c, fc.k),
+                            want[i], fc.where + " (serial)");
+  }
+  core::ThreadPool pool(4);
+  std::vector<std::optional<std::vector<double>>> got(cases.size());
+  for (int pass = 0; pass < 3; ++pass) {
+    core::parallel_for(&pool, cases.size(), [&](std::size_t i) {
+      got[i] = exact_feedforward(cases[i].phases, cases[i].c, cases[i].k);
+    });
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      expect_same_feedforward(got[i], want[i], cases[i].where + " (pool)");
+    }
+  }
+}
+
 // ------------------------------------------------------------- simulation
 
 TEST(Simulator, EquilibriumIsFixedPoint) {
@@ -435,12 +612,6 @@ TEST(Simulator, InputClampRespected) {
 
 namespace {
 
-std::uint64_t bits(double v) {
-  std::uint64_t b;
-  std::memcpy(&b, &v, sizeof b);
-  return b;
-}
-
 void expect_same_bits(const std::vector<double>& got,
                       const std::vector<double>& want, const char* what,
                       const std::string& where) {
@@ -495,8 +666,8 @@ SimResult check_against_reference(const ContinuousLTI& plant,
   return ref.metrics;
 }
 
-/// design_cost's score of a step response (control/design.cpp), written
-/// out again: settling time plus 0.05 IAE when settled, 2H plus the capped
+/// The design objective's score of a step response (response_cost in
+/// control/design.cpp), written out again: settling time plus 0.05 IAE when settled, 2H plus the capped
 /// tail error when not, 500H when diverged, plus the saturation term.
 double full_design_cost(const SimResult& sr, double horizon, double umax) {
   double cost;
@@ -513,7 +684,7 @@ double full_design_cost(const SimResult& sr, double horizon, double umax) {
   return cost;
 }
 
-/// The running lower bound of design_cost, in its plain form:
+/// The running lower bound of that score, in its plain form:
 /// min(ts_lb + 0.05 iae, 2H) + sat(u_max).
 double design_cost_floor(const SimResult& so_far, double horizon,
                          double umax) {
@@ -539,20 +710,20 @@ int check_bounded_runs(const ContinuousLTI& plant,
   // An input bound the response stays within, and one it exceeds.
   const double u_ref = std::max(ref.u_max_abs, 1e-3);
   for (const double umax : {2.0 * u_ref, 0.5 * u_ref}) {
-    const CostLowerBound floor = [&](const SimResult& so_far) {
+    const auto floor = [&](const SimResult& so_far) {
       return design_cost_floor(so_far, so.horizon, umax);
     };
     const double full = full_design_cost(ref, so.horizon, umax);
     const std::string at = where + " umax " + std::to_string(umax);
-    const SimResult open = sim.simulate(gains, x0, u_prev0, so, nullptr,
-                                        std::numeric_limits<double>::infinity(),
-                                        floor);
+    const SimResult open = sim.simulate(
+        gains, x0, u_prev0, so, std::numeric_limits<double>::infinity(),
+        floor);
     EXPECT_FALSE(open.abandoned) << at;
     expect_same_metrics(open, ref, at + " bound inf");
     for (const double frac : {0.5, 0.9, 0.999, 1.0, 1.001}) {
       const double bound = frac * full;
       const SimResult sr =
-          sim.simulate(gains, x0, u_prev0, so, nullptr, bound, floor);
+          sim.simulate(gains, x0, u_prev0, so, bound, floor);
       const std::string here = at + " bound " + std::to_string(frac);
       if (sr.abandoned) {
         ++abandoned;
@@ -569,24 +740,34 @@ int check_bounded_runs(const ContinuousLTI& plant,
 }  // namespace
 
 TEST(Simulator, FusedLoopMatchesReferenceBitForBit) {
-  // Seeded sweep: every plant family (orders 1-3), intervals longer and
-  // shorter than dense_dt with tau = 0 and tau = h segments, settled,
-  // unsettled-at-end and diverging gains, clamp and hold on and off, both
-  // settling readings. Each case is also run bounded by design_cost's
-  // running floor, at bounds around its full cost.
+  // Seeded sweep: every plant family (orders 1-3, one fixed-order loop
+  // each) and companion-form plants of orders 4 and 5 (the run-time-order
+  // loop), intervals longer and shorter than dense_dt with tau = 0 and
+  // tau = h segments, settled, unsettled-at-end and diverging gains, clamp
+  // and hold on and off, both settling readings. Each case is also run
+  // bounded by the design objective's running floor, at bounds around its
+  // full cost.
   testgen::SplitMix64 rng(20181016);
   int settled = 0;
   int unsettled = 0;
   int diverged = 0;
   int abandoned = 0;
   SimTrace tr;
-  for (const PlantFamily family : kAllPlantFamilies) {
+  const std::size_t families = kAllPlantFamilies.size();
+  for (std::size_t p = 0; p < families + 2; ++p) {
     const double w0 = rng.real(30.0, 150.0);
     const double zeta = rng.real(0.15, 0.7);
+    const double gain = rng.real(0.5, 3.0);
+    const bool family_plant = p < families;
+    const PlantFamily family = kAllPlantFamilies[family_plant ? p : 0];
     const ContinuousLTI plant =
-        make_family_plant(family, w0, zeta, rng.real(0.5, 3.0));
+        family_plant ? make_family_plant(family, w0, zeta, gain)
+                     : companion(p - families + 4, w0);
     const std::size_t l = plant.order();
-    const double hp = family_default_period(family, w0, zeta);
+    const double hp =
+        family_plant ? family_default_period(family, w0, zeta) : 0.3 / w0;
+    const std::string name = family_plant ? plant_family_name(family)
+                                          : "companion " + std::to_string(l);
     std::vector<sched::Interval> ivs(1 + rng.index(3));
     for (std::size_t j = 0; j < ivs.size(); ++j) {
       ivs[j].h = hp * rng.real(0.4, 2.0);
@@ -601,7 +782,9 @@ TEST(Simulator, FusedLoopMatchesReferenceBitForBit) {
         poles = {{0.6, 0.0}};
       } else {
         poles = {{0.6, 0.2}, {0.6, -0.2}};
-        if (l == 3) poles.push_back({0.4, 0.0});
+        for (std::size_t q = 2; q < l; ++q) {
+          poles.push_back({0.4 - 0.1 * static_cast<double>(q - 2), 0.0});
+        }
       }
       k.push_back(place_poles(pd.ad, pd.btot, poles));
     }
@@ -636,7 +819,7 @@ TEST(Simulator, FusedLoopMatchesReferenceBitForBit) {
           so.settle_on_samples = (mask & 4) != 0;
           so.divergence_bound = 1e3;
           const std::string where =
-              std::string(plant_family_name(family)) + " gains " +
+              name + " gains " +
               std::to_string(g) + " dt " + std::to_string(dense_dt) +
               " mask " + std::to_string(mask);
           const double u_prev0 = rng.real(-1.0, 1.0);
@@ -698,6 +881,21 @@ TEST(Simulator, HorizonWithoutSamples) {
   check_against_reference(p, uniform_intervals(1, 2e-3, 0.0), 1e-4, gains,
                           Matrix(1, 1), 0.0, so, tr, "zero horizon");
   EXPECT_EQ(tr.t.size(), 1u);
+}
+
+TEST(Simulator, RejectsNanDenseDt) {
+  // NaN passes a `dense_dt <= 0` test; its substep count would not fit a
+  // long long, and the run would never end.
+  EXPECT_THROW(SwitchedSimulator(first_order(), uniform_intervals(1, 2e-3, 0.0),
+                                 std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+}
+
+TEST(Simulator, RejectsUncountableSubsteps) {
+  // 2e-3 / 1e-300 substeps: more than llround can represent.
+  EXPECT_THROW(SwitchedSimulator(first_order(), uniform_intervals(1, 2e-3, 0.0),
+                                 1e-300),
+               std::invalid_argument);
 }
 
 // --------------------------------------------------------------- settling
@@ -780,6 +978,68 @@ TEST(Design, InfeasibleWhenDeadlineImpossible) {
   opts.pso.iterations = 10;
   const DesignResult res = design_controller(spec, ivs, opts);
   EXPECT_FALSE(res.feasible);
+}
+
+TEST(Design, RejectsNanDenseDt) {
+  DesignSpec spec;
+  spec.plant = first_order();
+  spec.smax = 0.1;
+  DesignOptions opts;
+  opts.dense_dt = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(design_controller(spec, uniform_intervals(1, 2e-3, 0.0), opts),
+               std::invalid_argument);
+}
+
+TEST(Design, ObjectiveKeepsBoundContract) {
+  // opt::Objective's contract at every kind of bound: below, at and above
+  // the exact cost, the 1e3 H stability barrier that decides whether the
+  // spectral radius comes first or last, twice that, and none. Scaling
+  // the designed gains reaches unstable candidates. The input bound is
+  // generous, so an unstable response that diverges scores 500 H in
+  // simulation, below the barrier it must be charged.
+  DesignSpec spec;
+  spec.plant = oscillator(110.0, 0.2, 3.0e6);
+  spec.umax = 1.0e6;
+  spec.r = 2000.0;
+  spec.smax = 17.5e-3;
+  std::vector<sched::Interval> ivs(2);
+  ivs[0] = {645.25e-6, 645.25e-6, false};
+  ivs[1] = {3204.7e-6, 175.0e-6, true};
+  DesignOptions opts;
+  opts.pso.particles = 16;
+  opts.pso.iterations = 20;
+  opts.scale_budget_with_dims = false;
+  const DesignResult designed = design_controller(spec, ivs, opts);
+  const DesignObjective objective(spec, ivs, opts);
+  const std::size_t l = spec.plant.order();
+  std::vector<double> theta;
+  for (const Matrix& kj : designed.gains.k) {
+    for (std::size_t q = 0; q < l; ++q) theta.push_back(kj(0, q));
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  const double barrier = 1.0e3 * objective.horizon();
+  int stable = 0;
+  int unstable = 0;
+  for (const double scale : {0.5, 1.0, 3.0, 12.0}) {
+    std::vector<double> x = theta;
+    for (double& v : x) v *= scale;
+    const double exact = objective(x, inf);
+    ASSERT_FALSE(std::isnan(exact)) << scale;
+    (exact >= barrier ? unstable : stable) += 1;
+    for (const double bound : {0.5 * exact, 0.999 * exact, 1.001 * exact,
+                               barrier, 2.0 * barrier, inf}) {
+      const double got = objective(x, bound);
+      const std::string where = "scale " + std::to_string(scale) +
+                                " bound " + std::to_string(bound);
+      if (exact < bound) {
+        EXPECT_EQ(bits(got), bits(exact)) << where;
+      } else {
+        EXPECT_GE(got, bound) << where;
+      }
+    }
+  }
+  EXPECT_GT(stable, 0);
+  EXPECT_GT(unstable, 0);
 }
 
 TEST(Design, RejectsBadSpec) {
