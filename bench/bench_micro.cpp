@@ -420,8 +420,8 @@ BENCHMARK(BM_FullControllerDesign)->Unit(benchmark::kMillisecond);
 
 // Custom main so CI can run `bench_micro --fast`: a smoke pass (tiny
 // min_time) that still executes every kernel, failing the build on compile
-// or runtime regressions in the design/cache hot paths (mirrors
-// bench_interleaved --fast).
+// or runtime regressions in the design/cache hot paths (like the other
+// benches' --fast).
 int main(int argc, char** argv) {
   std::vector<char*> args;
   bool fast = false;

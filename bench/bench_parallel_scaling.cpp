@@ -65,9 +65,10 @@ double hit_pct(const RunResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool fast = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fast") == 0) fast = true;
+  const bool fast = argc == 2 && std::strcmp(argv[1], "--fast") == 0;
+  if (argc > 1 && !fast) {
+    std::fprintf(stderr, "usage: %s [--fast]\n", argv[0]);
+    return 2;
   }
   const core::SystemModel sys = core::date18_case_study();
   const control::DesignOptions design =

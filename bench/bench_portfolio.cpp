@@ -50,9 +50,10 @@ int evals_to_reach(const opt::PortfolioResult& res, double target,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool fast = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fast") == 0) fast = true;
+  const bool fast = argc == 2 && std::strcmp(argv[1], "--fast") == 0;
+  if (argc > 1 && !fast) {
+    std::fprintf(stderr, "usage: %s [--fast]\n", argv[0]);
+    return 2;
   }
 
   testgen::GeneratorConfig gcfg;

@@ -4,8 +4,10 @@
 ///        or fully-associative) cache with LRU replacement, replayed against
 ///        instruction-fetch line traces to obtain execution cycle counts.
 ///
-/// This is the platform substrate replacing the paper's Infineon XC23xxB +
-/// static WCET analysis (see DESIGN.md, substitution table). Defaults match
+/// This is the platform substrate replacing the paper's Infineon XC23xxB
+/// measurements: the hardware is not available, so its timings come from
+/// trace replay here, and the abstract-interpretation bound sits beside it
+/// (docs/ARCHITECTURE.md, *Static cache analysis*). Defaults match
 /// the paper's experimental configuration: 128 lines x 16 B, 1-cycle hit,
 /// 100-cycle miss, 20 MHz clock.
 

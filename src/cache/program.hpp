@@ -48,7 +48,8 @@ Program make_looped_program(std::string name, std::size_t lines,
                             std::size_t iterations,
                             std::uint64_t base_line = 0);
 
-/// Parameters of the exact-calibration layout (DESIGN.md section 4).
+/// Parameters of the exact-calibration layout (the one the case study uses
+/// to reproduce Table I; see core/case_study.cpp for the per-app numbers).
 ///
 /// The program consists of:
 ///  * \p singleton_lines lines, each mapped to its own cache set (sets

@@ -81,8 +81,7 @@ DesignObjective::DesignObjective(const DesignSpec& spec,
       eq_(equilibrium_at(spec.plant, spec.y0)),
       umax_(spec.umax),
       smax_(spec.smax),
-      stability_margin_(opts.stability_margin),
-      exact_feedforward_(opts.exact_feedforward) {
+      stability_margin_(opts.stability_margin) {
   sched::AppTiming at;
   at.intervals = intervals;
   sim_opts_.r = spec.r;
@@ -96,14 +95,8 @@ DesignObjective::DesignObjective(const DesignSpec& spec,
 /// The feedforward of \p gains' feedback rows into gains.f; false when
 /// its system is singular.
 bool DesignObjective::feedforward(PhaseGains& gains) const {
-  if (exact_feedforward_) {
-    return exact_feedforward_into(gains.f, sim_.phases(), sim_.plant().c,
-                                  gains.k);
-  }
-  auto f = per_interval_feedforward(sim_.phases(), sim_.plant().c, gains.k);
-  if (!f) return false;
-  gains.f = std::move(*f);
-  return true;
+  return exact_feedforward_into(gains.f, sim_.phases(), sim_.plant().c,
+                                gains.k);
 }
 
 /// response_cost of the simulated step response, or, once its running

@@ -11,7 +11,8 @@
 /// matrix's poles under the block-diagonal gain structure is a structured
 /// inverse eigenvalue problem, so this implementation runs the PSO over the
 /// gain entries directly -- an equivalent parameterization with the same
-/// objective and constraints (see DESIGN.md substitution table). Classic
+/// objective and constraints (the paper omits its extended Ackermann
+/// formula, so it cannot be reproduced as written). Classic
 /// Ackermann solutions on the average-rate system seed the swarm.
 
 #include "control/switched.hpp"
@@ -38,7 +39,6 @@ struct DesignOptions {
   opt::PsoOptions pso{};
   double dense_dt = 1.0e-4;      ///< dense simulation resolution
   double horizon_factor = 1.6;   ///< sim horizon = factor * smax
-  bool exact_feedforward = true; ///< false = paper eq. (17) per-interval FF
   bool settle_on_samples = true; ///< measure settling on y[k] (Sec. II-A)
   double stability_margin = 1e-9;
   /// Pole-pattern grid for the Ackermann seeding stage (average-rate
@@ -117,7 +117,6 @@ private:
   double umax_;
   double smax_;
   double stability_margin_;
-  bool exact_feedforward_;
 };
 
 /// Design per-phase gains for the application over the given schedule
@@ -158,8 +157,9 @@ std::vector<DesignResult> design_batch(
     const std::vector<DesignProblem>& problems, const DesignOptions& opts = {},
     core::ThreadPool* pool = nullptr);
 
-/// Evaluate a fixed set of gains against a spec/timing (used by ablation
-/// benches and tests): same metrics as design_controller, no search.
+/// Evaluate a fixed set of gains against a spec/timing (used by the
+/// perfbench particle-cost layer and tests): same metrics as
+/// design_controller, no search.
 DesignResult evaluate_gains(const DesignSpec& spec,
                             const std::vector<sched::Interval>& intervals,
                             const PhaseGains& gains,

@@ -21,12 +21,4 @@ using linalg::Matrix;
 Matrix place_poles(const Matrix& a, const Matrix& b,
                    const std::vector<std::complex<double>>& poles);
 
-/// Paper eq. (11)/(17): static feedforward for zero steady-state tracking
-/// error of the single-rate closed loop x+ = (A + B K) x + B F r:
-///   F = 1 / (C (I - A - B K)^{-1} B).
-/// \throws std::domain_error if (I - A - B K) is singular or the DC gain
-///         is zero (uncontrollable output at DC).
-double static_feedforward(const Matrix& a, const Matrix& b, const Matrix& c,
-                          const Matrix& k);
-
 }  // namespace catsched::control

@@ -164,24 +164,6 @@ bool exact_feedforward_into(std::vector<double>& f,
   return true;
 }
 
-std::optional<std::vector<double>> per_interval_feedforward(
-    const std::vector<PhaseDynamics>& phases, const Matrix& c,
-    const std::vector<Matrix>& k) {
-  check_gain_dims(phases, k);
-  const std::size_t l = phases.front().ad.rows();
-  std::vector<double> f;
-  f.reserve(phases.size());
-  for (std::size_t j = 0; j < phases.size(); ++j) {
-    Matrix m = Matrix::identity(l) - phases[j].ad - phases[j].btot * k[j];
-    linalg::LU lu(m);
-    if (lu.singular()) return std::nullopt;
-    const Matrix dc = c * lu.solve(phases[j].btot);
-    if (std::abs(dc(0, 0)) < 1e-14) return std::nullopt;
-    f.push_back(1.0 / dc(0, 0));
-  }
-  return f;
-}
-
 SwitchedSimulator::SwitchedSimulator(const ContinuousLTI& plant,
                                      std::vector<sched::Interval> intervals,
                                      double dense_dt)

@@ -61,14 +61,6 @@ bool exact_feedforward_into(std::vector<double>& f,
                             const std::vector<PhaseDynamics>& phases,
                             const Matrix& c, const std::vector<Matrix>& k);
 
-/// Paper eq. (17): per-interval feedforward
-///   F_j = 1 / (C (I - A_j - B_j K_j)^{-1} B_j),  B_j = B1_j + B2_j.
-/// Exact for uniform sampling; leaves a small DC ripple under switching
-/// (see DESIGN.md substitution table; compared in the ablation bench).
-std::optional<std::vector<double>> per_interval_feedforward(
-    const std::vector<PhaseDynamics>& phases, const Matrix& c,
-    const std::vector<Matrix>& k);
-
 /// Options for closed-loop simulation.
 struct SimOptions {
   double r = 1.0;                 ///< reference after the step

@@ -6,8 +6,8 @@
 ///        instruction cache.
 ///
 /// The program images are synthetic worst-case-path traces calibrated so
-/// that the simulated WCETs reproduce Table I exactly (see DESIGN.md for
-/// the derivation: the paper's cycle deltas decompose as 99 x {92,95,104}
+/// that the simulated WCETs reproduce Table I exactly (the derivation is in
+/// case_study.cpp: the paper's cycle deltas decompose as 99 x {92,95,104}
 /// misses-turned-hits under the stated 1/100-cycle hit/miss costs). The
 /// plants are standard 2nd-order models with parameters calibrated so the
 /// round-robin settling times sit near Table III.

@@ -189,7 +189,8 @@ TEST(Wcet, WarmRunReusesCache) {
 
 TEST(Wcet, ProgramLargerThanCacheStillBenefits) {
   // Larger-than-cache sequential program in a direct-mapped cache: the
-  // classic wraparound leaves 2(L-128) warm misses (DESIGN.md analysis).
+  // classic wraparound leaves 2(L-128) warm misses: lines 128..L-1 evict
+  // lines 0..L-129 and are evicted by them again on the next run.
   const cc::Program p = cc::make_sequential_program("big", 150, 1);
   const cc::WcetResult w = cc::analyze_wcet(p, small_cache(128, 1));
   EXPECT_EQ(w.cold_cycles, 150u * 100u);

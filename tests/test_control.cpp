@@ -230,18 +230,6 @@ TEST(PolePlace, ErrorsOnBadInput) {
   EXPECT_THROW(place_poles(a, b, {{0.1, 0.0}, {0.2, 0.0}}), std::domain_error);
 }
 
-TEST(PolePlace, StaticFeedforwardTracksDc) {
-  const PhaseDynamics pd = discretize_interval(first_order(), 2e-3, 0.0);
-  ContinuousLTI p = first_order();
-  const Matrix k = place_poles(pd.ad, pd.btot, {{0.5, 0.0}});
-  const double f = static_feedforward(pd.ad, pd.btot, p.c, k);
-  // Steady state: x = (A+BK) x + B F r  =>  C x must equal r.
-  const double r = 3.0;
-  const Matrix xss = catsched::linalg::solve(
-      Matrix::identity(1) - pd.ad - pd.btot * k, pd.btot * (f * r));
-  EXPECT_NEAR((p.c * xss)(0, 0), r, 1e-9);
-}
-
 // --------------------------------------------- lifted system and stability
 
 TEST(Switched, MonodromyMatchesLiftedSpectrum) {
@@ -333,22 +321,6 @@ TEST(Feedforward, ExactHoldsReferenceAtAllSamples) {
   for (std::size_t i = tr.ys.size() - 6; i < tr.ys.size(); ++i) {
     EXPECT_NEAR(tr.ys[i], so.r, 2e-4 * so.r) << "sample " << i;
   }
-}
-
-TEST(Feedforward, PerIntervalReducesToStaticForUniform) {
-  // For a single-phase (uniform) schedule the per-interval formula equals
-  // the classic static feedforward.
-  const ContinuousLTI p = first_order();
-  const auto phases = discretize_phases(p, uniform_intervals(1, 2e-3, 0.0));
-  const Matrix k = place_poles(phases[0].ad, phases[0].btot, {{0.4, 0.0}});
-  const auto f = per_interval_feedforward(phases, p.c, {k});
-  ASSERT_TRUE(f.has_value());
-  EXPECT_NEAR((*f)[0],
-              static_feedforward(phases[0].ad, phases[0].btot, p.c, k), 1e-12);
-  // And for uniform timing the exact variant agrees too.
-  const auto fe = exact_feedforward(phases, p.c, {k});
-  ASSERT_TRUE(fe.has_value());
-  EXPECT_NEAR((*fe)[0], (*f)[0], 1e-9);
 }
 
 namespace {

@@ -916,8 +916,7 @@ TEST(Evaluator, CaseStudyContextModeMatchesPaperBaseAndStaysOrdered) {
 }
 
 TEST(Analyzer, CaseStudyCrossContextsCollapseToColdExactly) {
-  // Promoted from bench_schedule_wcet's sanity assert: on the paper's case
-  // study, EVERY nonzero interference context equals the cold bound in
+  // On the paper's case study, EVERY nonzero interference context equals the cold bound in
   // exact cycles — each app's singleton sets are fully conflicted by each
   // other app, so aging by any interferer evicts everything reusable. Not
   // just ordered within [warm, cold] (the test above): exact equality, per

@@ -8,6 +8,8 @@
 #     fuzz_invariants sweep and bench_snapshot checkpoint-overhead entries
 #     (these surfaces must stay documented, not just listed)
 #   * README must link both documents
+#   * every *.md name cited in src/, tests/, bench/, tools/ or examples/
+#     must resolve to a file
 # Exits non-zero listing everything missing, so adding a module or bench
 # without documenting it fails the build.
 set -u
@@ -103,6 +105,18 @@ for doc in docs/ARCHITECTURE.md docs/BENCHMARKS.md; do
     echo "check_docs: README.md does not link $doc"
     fail=1
   fi
+done
+
+# Every *.md a source file cites must exist: a path from the repo root,
+# or, for a bare name, a file of that name somewhere in the repo.
+for ref in $(grep -rnoE '[A-Za-z0-9_./-]+\.md\b' src tests bench tools examples); do
+  name=${ref#*:*:}
+  case $name in
+    */*) [ -f "$name" ] && continue ;;
+    *) [ -n "$(find . -name "$name" | head -n 1)" ] && continue ;;
+  esac
+  echo "check_docs: ${ref%:*} cites $name, which does not exist"
+  fail=1
 done
 
 if [ "$fail" -eq 0 ]; then
