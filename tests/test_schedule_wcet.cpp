@@ -934,4 +934,53 @@ TEST(Analyzer, CaseStudyCrossContextsCollapseToColdExactly) {
   }
 }
 
+// ----------------------------------------------------------- golden pin
+
+/// Absolute cold/warm and context bounds over a pinned generated
+/// population, folded into one FNV-1a digest: the oracle for refactors of
+/// the abstract domains, the static walk and the context derivation, which
+/// must leave every bound, column and count exactly where it is. Per app
+/// it folds the base cold and warm results (wcet, AM-only and first-miss
+/// penalty cycles, the AH and FM counts, and the misses: every access
+/// classified neither AH nor FM), then the clamped cycles of every context
+/// mask, mask 0 (warm) included.
+TEST(StaticWcetGolden, PopulationBoundsAreBitStable) {
+  std::uint64_t digest = 0xcbf29ce484222325ull;
+  const auto fold = [&digest](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      digest ^= (v >> (8 * byte)) & 0xffu;
+      digest *= 0x100000001b3ull;
+    }
+  };
+  const auto fold_result = [&fold](const cache::StaticWcetResult& r) {
+    fold(r.wcet_cycles);
+    fold(r.am_only_cycles);
+    fold(r.fm_penalty_cycles);
+    fold(r.always_hit);
+    fold(r.first_miss);
+    fold(r.always_miss + r.not_classified);
+  };
+  catsched::testgen::GeneratorConfig g;
+  g.way_choices = {1, 2, 4};
+  g.branchy_chance = 0.5;
+  std::uint64_t entries = 0;
+  for (std::uint64_t seed = 0; seed < 24; ++seed) {
+    const SystemModel model = catsched::testgen::generate_system(g, seed).model;
+    const auto an = model.make_context_analyzer();
+    const std::size_t n = an->num_apps();
+    for (std::size_t app = 0; app < n; ++app) {
+      fold_result(an->base(app).cold);
+      fold_result(an->base(app).warm);
+      ++entries;
+      for (std::uint64_t mask = 0; mask < (std::uint64_t{1} << n); ++mask) {
+        if ((mask >> app) & 1u) continue;
+        fold(an->analyze_context(app, mask).cycles);
+        ++entries;
+      }
+    }
+  }
+  EXPECT_EQ(entries, 893u);
+  EXPECT_EQ(digest, 1562642468433955197ull);
+}
+
 }  // namespace
