@@ -1,8 +1,9 @@
 // Static WCET analysis demo: bound a structured control program (blocks,
-// branches, a bounded loop) with abstract must/may cache interpretation,
-// compare the bound against concrete simulation of every execution path,
-// and certify the guaranteed warm-cache reduction without replaying a
-// single fetch -- the analysis-side counterpart of the paper's Sec. II-B.
+// branches, a bounded loop) with abstract must/persistence cache
+// interpretation, compare the bound against concrete simulation of every
+// execution path, and certify the guaranteed warm-cache reduction without
+// replaying a single fetch -- the analysis-side counterpart of the paper's
+// Sec. II-B. Exits 1 if the bound falls below the worst simulated path.
 //
 // Build & run:  ./build/examples/wcet_analysis
 
@@ -43,10 +44,10 @@ int main() {
   // -- Static bound (cold entry) ---------------------------------------
   const auto cold = cache::analyze_static_wcet(prog, cfg);
   std::printf("\ncold analysis:  WCET bound %llu cycles  "
-              "(AH %llu / AM %llu / NC %llu)\n",
+              "(AH %llu / FM %llu / NC %llu)\n",
               static_cast<unsigned long long>(cold.wcet_cycles),
               static_cast<unsigned long long>(cold.always_hit),
-              static_cast<unsigned long long>(cold.always_miss),
+              static_cast<unsigned long long>(cold.first_miss),
               static_cast<unsigned long long>(cold.not_classified));
 
   // -- Exhaustive concrete check ---------------------------------------
@@ -56,18 +57,20 @@ int main() {
     cache::CacheSim sim(cfg);
     worst = std::max(worst, sim.run_trace(p));
   }
+  const bool sound = cold.wcet_cycles >= worst;
   std::printf("simulation:     worst path of %zu paths costs %llu cycles "
               "(bound is %s)\n",
               paths.size(), static_cast<unsigned long long>(worst),
-              cold.wcet_cycles >= worst ? "sound" : "UNSOUND?!");
+              sound ? "sound" : "UNSOUND?!");
+  if (!sound) return 1;
 
   // -- Warm re-execution bound (paper's guaranteed reuse) ---------------
   const auto app = cache::analyze_static_app_wcet(prog, cfg);
   std::printf("\nwarm analysis:  WCET bound %llu cycles  "
-              "(AH %llu / AM %llu / NC %llu)\n",
+              "(AH %llu / FM %llu / NC %llu)\n",
               static_cast<unsigned long long>(app.warm.wcet_cycles),
               static_cast<unsigned long long>(app.warm.always_hit),
-              static_cast<unsigned long long>(app.warm.always_miss),
+              static_cast<unsigned long long>(app.warm.first_miss),
               static_cast<unsigned long long>(app.warm.not_classified));
   std::printf("guaranteed reduction E^gu = %llu cycles (%.1f%% of cold)\n",
               static_cast<unsigned long long>(app.reduction_cycles()),

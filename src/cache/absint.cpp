@@ -109,11 +109,9 @@ void AbstractCacheState::access(std::uint64_t line) {
     return;
   }
   if (ways_ == 1) {
-    // Direct-mapped: whatever the prior contents, the accessed line evicts
-    // every other tracked line (must holds at most one entry; in a may set
-    // every other entry has lower bound 0 <= lb(line), so all age out) and
-    // the set collapses to {line, age 0} for both kinds. The usual case,
-    // one entry already, is overwritten in place.
+    // Direct-mapped: the set holds at most one entry, and the accessed line
+    // evicts it, so the set collapses to {line, age 0}. The usual case, one
+    // entry already, is overwritten in place.
     if (last - first == 1) {
       *first = LineAge{line, 0};
     } else {
@@ -125,24 +123,18 @@ void AbstractCacheState::access(std::uint64_t line) {
   const bool tracked = hit != last && hit->line == line;
   const std::uint32_t ways = static_cast<std::uint32_t>(ways_);
   const std::uint32_t accessed_age = tracked ? hit->age : ways;
-  const bool is_must = kind_ == Kind::must;
 
   // One in-place compaction pass: age the affected lines, drop evictions.
-  // Must: lines strictly younger than the accessed line's upper bound age
-  // by one (if the accessed line is untracked, everything ages).
-  // May: lower bounds advance only when ageing is certain, i.e.
-  // lb(m) <= lb(accessed) (see Ferdinand's update; an untracked accessed
-  // line is a definite miss, which ages every line). The accessed line
+  // Lines strictly younger than the accessed line's upper bound age by one
+  // (if the accessed line is untracked, everything ages). The accessed line
   // itself is never dropped, so a tracked one survives the pass.
   LineAge* out = first;
   for (LineAge* it = first; it != last; ++it) {
     LineAge e = *it;
     if (e.line == line) {
       e.age = 0;
-    } else {
-      const bool ages = is_must ? e.age < accessed_age
-                                : (!tracked || e.age <= accessed_age);
-      if (ages && ++e.age >= ways) continue;  // bound hit associativity
+    } else if (e.age < accessed_age && ++e.age >= ways) {
+      continue;  // bound hit associativity
     }
     *out++ = e;
   }
@@ -164,9 +156,9 @@ void AbstractCacheState::join(const AbstractCacheState& other) {
     throw std::invalid_argument("AbstractCacheState::join: mismatched states");
   }
   // One linear merge over both (set, line)-sorted arrays, then one pass to
-  // rebuild the offsets. Must's result is a subset of this state and the
-  // unions' a superset, so an unchanged size means unchanged lines and
-  // offsets, and the rebuild is skipped.
+  // rebuild the offsets. Must's result is a subset of this state and
+  // persistence's a superset, so an unchanged size means unchanged lines
+  // and offsets, and the rebuild is skipped.
   const auto before = [this](const LineAge& a, const LineAge& b) {
     const std::size_t sa = set_of(a.line);
     const std::size_t sb = set_of(b.line);
@@ -197,15 +189,13 @@ void AbstractCacheState::join(const AbstractCacheState& other) {
     rebuild_offsets();
     return;
   }
-  if (b == b_end && kind_ == Kind::may) return;
-  // May: union with minimal (most optimistic) age. Persistence: union with
-  // MAXIMAL age (both are upper bounds on the conflict count); one-sided
-  // entries survive — on the path that never accessed the line the
-  // first-miss claim is vacuous — but their age is bumped to at least 1:
-  // age 0 must keep certifying "most recent access of this set on EVERY
-  // joined path" (access() skips its aging sweep on that certificate), and
-  // the untracked side cannot vouch.
-  const std::uint32_t floor = kind_ == Kind::persistence ? 1u : 0u;
+  // Persistence: union with MAXIMAL age (both are upper bounds on the
+  // conflict count); one-sided entries survive — on the path that never
+  // accessed the line the first-miss claim is vacuous — but their age is
+  // bumped to at least 1: age 0 must keep certifying "most recent access of
+  // this set on EVERY joined path" (access() skips its aging sweep on that
+  // certificate), and the untracked side cannot vouch.
+  constexpr std::uint32_t floor = 1;
   std::vector<LineAge> merged;
   merged.reserve(entries_.size() + other.entries_.size());
   while (a != a_end || b != b_end) {
@@ -216,9 +206,7 @@ void AbstractCacheState::join(const AbstractCacheState& other) {
       merged.push_back(LineAge{b->line, std::max(b->age, floor)});
       ++b;
     } else {
-      merged.push_back(LineAge{a->line, kind_ == Kind::may
-                                            ? std::min(a->age, b->age)
-                                            : std::max(a->age, b->age)});
+      merged.push_back(LineAge{a->line, std::max(a->age, b->age)});
       ++a;
       ++b;
     }
@@ -280,9 +268,7 @@ constexpr std::uint64_t hash_mix(std::uint64_t x) noexcept {
 std::size_t AbstractCacheState::hash() const noexcept {
   // Entries are kept sorted by (set, line), so iterating them yields a
   // canonical sequence: equal states (operator==) produce identical streams.
-  const std::uint64_t kind_tag = kind_ == Kind::must  ? 1u
-                                 : kind_ == Kind::may ? 2u
-                                                      : 3u;
+  const std::uint64_t kind_tag = kind_ == Kind::must ? 1u : 2u;
   std::uint64_t h = 0x8f1bbcdcbfa53e0bull ^ kind_tag;
   h = hash_mix(h ^ sets_);
   for (const LineAge& e : entries_) {
@@ -297,8 +283,6 @@ const char* to_string(Classification c) noexcept {
   switch (c) {
     case Classification::always_hit:
       return "AH";
-    case Classification::always_miss:
-      return "AM";
     case Classification::first_miss:
       return "FM";
     case Classification::not_classified:
@@ -309,19 +293,16 @@ const char* to_string(Classification c) noexcept {
 
 CachePair::CachePair(const CacheConfig& config)
     : must_(config, AbstractCacheState::Kind::must),
-      may_(config, AbstractCacheState::Kind::may),
       persistence_(config, AbstractCacheState::Kind::persistence) {}
 
 Classification CachePair::classify(std::uint64_t line) const noexcept {
   if (must_.contains(line)) return Classification::always_hit;
-  if (!may_.contains(line)) return Classification::always_miss;
   if (persistence_.persistent(line)) return Classification::first_miss;
   return Classification::not_classified;
 }
 
 void CachePair::access(std::uint64_t line) {
   must_.access(line);
-  may_.access(line);
   persistence_.access(line);
 }
 
@@ -335,14 +316,12 @@ void CachePair::reset_persistence() { persistence_.clear(); }
 
 void CachePair::join(const CachePair& other) {
   must_.join(other.must_);
-  may_.join(other.may_);
   persistence_.join(other.persistence_);
 }
 
 std::size_t CachePair::hash() const noexcept {
   const std::uint64_t phi = 0x9e3779b97f4a7c15ull;
-  std::uint64_t h = must_.hash() * phi ^ may_.hash();
-  return static_cast<std::size_t>(h * phi ^ persistence_.hash());
+  return static_cast<std::size_t>(must_.hash() * phi ^ persistence_.hash());
 }
 
 }  // namespace catsched::cache

@@ -1,15 +1,14 @@
 #pragma once
 /// \file absint.hpp
 /// \brief Abstract-interpretation cache domains for set-associative LRU
-///        caches: the classic must/may age analyses of Ferdinand & Wilhelm
+///        caches: the classic must age analysis of Ferdinand & Wilhelm
 ///        (the technique behind the static WCET tools the paper cites as
 ///        [12]/[13]) plus a persistence ("first-miss") domain. A must state
 ///        underapproximates cache contents (line present => guaranteed
-///        hit); a may state overapproximates them (line absent =>
-///        guaranteed miss); a persistence state bounds, per tracked line,
-///        how many conflicting accesses hit its set since the line's last
-///        access — if that bound stays below the associativity the line can
-///        never have been evicted after a load, so every access point to it
+///        hit); a persistence state bounds, per tracked line, how many
+///        conflicting accesses hit its set since the line's last access —
+///        if that bound stays below the associativity the line can never
+///        have been evicted after a load, so every access point to it
 ///        misses at most ONCE over the analyzed execution (the FM
 ///        classification cache/static_wcet charges as one miss plus hits).
 ///        The persistence state is RUN-LOCAL: every analysis starts it
@@ -37,7 +36,6 @@ struct LineAge {
 
 /// One abstract cache state: per set, an age bound for every tracked line.
 /// Kind::must        -> ages are upper bounds, join = intersection, max age.
-/// Kind::may         -> ages are lower bounds, join = union, min age.
 /// Kind::persistence -> ages are upper bounds on the number of OTHER-line
 ///                      accesses that hit the line's set since the line's
 ///                      last access, saturated at the associativity (the
@@ -81,7 +79,7 @@ struct LineAge {
 /// a large cache are empty.
 class AbstractCacheState {
 public:
-  enum class Kind { must, may, persistence };
+  enum class Kind { must, persistence };
 
   /// Cold must-state over the default CacheConfig (for default-constructed
   /// result aggregates; real analyses always pass an explicit config).
@@ -95,16 +93,16 @@ public:
   const CacheConfig& config() const noexcept { return config_; }
 
   /// Abstract LRU update for an access to \p line (Ferdinand's transfer
-  /// functions: must ages lines strictly younger than the accessed line,
-  /// may ages lines at least as young; persistence ages every other
-  /// tracked line of the set saturating at `ways` — unconditionally,
-  /// except that an access to a line already at age 0 ages nothing, since
-  /// age 0 proves the set's most recent access was this very line on every
-  /// covered path, so it is already counted in every other line's bound).
+  /// function: must ages lines strictly younger than the accessed line;
+  /// persistence ages every other tracked line of the set saturating at
+  /// `ways` — unconditionally, except that an access to a line already at
+  /// age 0 ages nothing, since age 0 proves the set's most recent access
+  /// was this very line on every covered path, so it is already counted in
+  /// every other line's bound).
   void access(std::uint64_t line);
 
-  /// Must: line is definitely cached. May: line is possibly cached.
-  /// Persistence: line was accessed on at least one covered path.
+  /// Must: line is definitely cached. Persistence: line was accessed on at
+  /// least one covered path.
   bool contains(std::uint64_t line) const noexcept;
 
   /// Age bound of a line, or `ways` if not tracked.
@@ -130,9 +128,7 @@ public:
   /// age a surviving line by at most `d`, so aging a MUST state by an
   /// upper bound on the interfering distinct-line count per set keeps it a
   /// sound under-approximation, and the same count bounds the growth of a
-  /// persistence conflict counter. For a MAY state the caller must instead
-  /// guarantee \p amount is a lower bound on the interference (aging a may
-  /// line discards "possibly cached" facts).
+  /// persistence conflict counter.
   /// \throws std::out_of_range if set_index is not a valid set.
   void age_set(std::size_t set_index, std::uint32_t amount);
 
@@ -189,42 +185,43 @@ private:
   std::vector<std::uint32_t> begin_;  ///< sets_ + 1 offsets into entries_
 };
 
-/// Static classification of one instruction-fetch access point.
+/// Static classification of one instruction-fetch access point. There is
+/// no always-miss class: a WCET bound charges it exactly like NC, so no may
+/// domain is carried to prove it.
 enum class Classification {
   always_hit,      ///< in the must cache: guaranteed hit
-  always_miss,     ///< not in the may cache: guaranteed miss
   /// Persistent but not guaranteed cached: the access point misses at most
   /// once over the analyzed run (first-miss). The timing schema charges
   /// it as a hit plus a one-time miss-minus-hit penalty — see
   /// cache/static_wcet.
   first_miss,
-  not_classified   ///< none of the above: treated as a miss in WCET bounds
+  not_classified   ///< neither: charged a miss in WCET bounds
 };
 
 const char* to_string(Classification c) noexcept;
 
-/// The must+may+persistence triple every analysis carries around (the
+/// The must+persistence pair every analysis carries around (the
 /// static-WCET memo key — see StaticAnalysisMemo — so equality and hash
-/// cover all three components).
+/// cover both components).
 class CachePair {
 public:
   /// Cold pair over the default CacheConfig (see AbstractCacheState()).
   CachePair() : CachePair(CacheConfig{}) {}
 
-  /// Cold triple (all states empty: nothing guaranteed, nothing possible,
-  /// nothing ever accessed). "Cold" here means *no line of this program*
-  /// can be cached -- the right entry assumption both for a truly empty
-  /// cache and for a cache filled by other applications (the paper assumes
-  /// no inter-application sharing).
+  /// Cold pair (both states empty: nothing guaranteed, nothing ever
+  /// accessed). "Cold" here means *no line of this program* can be cached
+  /// -- the right entry assumption both for a truly empty cache and for a
+  /// cache filled by other applications (the paper assumes no
+  /// inter-application sharing).
   explicit CachePair(const CacheConfig& config);
 
-  /// Classify an access *before* performing it: AH (must), else AM (not in
-  /// may), else FM (persistent: not guaranteed cached now, but provably
-  /// never evicted since its last load, so it misses at most once over the
-  /// analyzed run), else NC.
+  /// Classify an access *before* performing it: AH (must), else FM
+  /// (persistent: not guaranteed cached now, but provably never evicted
+  /// since its last load, so it misses at most once over the analyzed
+  /// run), else NC.
   Classification classify(std::uint64_t line) const noexcept;
 
-  /// Perform the access on all three states.
+  /// Perform the access on both states.
   void access(std::uint64_t line);
 
   /// Classify, update, and return the classification in one step.
@@ -234,10 +231,7 @@ public:
 
   /// Interference transfer for the schedule-dependent entry derivation:
   /// age one set of the MUST state (dropping evicted lines); see
-  /// AbstractCacheState::age_set. The may state is deliberately untouched
-  /// — interference never inserts this program's lines, so the "possibly
-  /// cached" superset stays sound, and may only affects AM/NC reporting,
-  /// never the cycle bound. The persistence state is untouched as well:
+  /// AbstractCacheState::age_set. The persistence state is untouched:
   /// it is run-local (reset at every analysis entry, see
   /// cache/static_wcet), so there is nothing interference could void.
   void age_interference_set(std::size_t set_index, std::uint32_t amount) {
@@ -252,20 +246,18 @@ public:
   void reset_persistence();
 
   const AbstractCacheState& must() const noexcept { return must_; }
-  const AbstractCacheState& may() const noexcept { return may_; }
   const AbstractCacheState& persistence() const noexcept {
     return persistence_;
   }
   const CacheConfig& config() const noexcept { return must_.config(); }
 
-  /// Combined hash of the three abstract states (AbstractCacheState::hash).
+  /// Combined hash of the two abstract states (AbstractCacheState::hash).
   std::size_t hash() const noexcept;
 
   bool operator==(const CachePair& other) const = default;
 
 private:
   AbstractCacheState must_;
-  AbstractCacheState may_;
   AbstractCacheState persistence_;
 };
 

@@ -9,19 +9,16 @@
 ///
 /// Derivation per (app, interference mask):
 ///   1. take the app's generic exit state (cache/static_wcet's
-///      StaticSteadyWcet: the must/may join over every per-run exit — sound
-///      for a burst of any length);
+///      StaticSteadyWcet: the join over every per-run exit — sound for a
+///      burst of any length);
 ///   2. age its must state through the interfering programs' union cache
 ///      footprint (per set, `d` distinct conflicting lines age a surviving
 ///      LRU line by at most `d` — the CRPD evicting-cache-block
-///      argument); the may state is left untouched (interference
-///      never inserts this app's lines, so "possibly cached" can only
-///      shrink concretely — keeping the superset is sound, and may only
-///      affects AM/NC reporting, never the cycle bound), and so is the
-///      persistence state — it is run-local (reset at every analysis
-///      entry, see cache/absint), which is precisely what makes its
-///      first-miss guarantees interference-proof: the one covered miss IS
-///      the re-fetch after whatever the interference evicted;
+///      argument); the persistence state is left untouched — it is
+///      run-local (reset at every analysis entry, see cache/absint), which
+///      is precisely what makes its first-miss guarantees
+///      interference-proof: the one covered miss IS the re-fetch after
+///      whatever the interference evicted;
 ///   3. re-analyze the program from that entry state through the existing
 ///      analyze_static_wcet(program, entry, memo) path — the shared
 ///      per-app StaticAnalysisMemo turns repeated loop fixpoints into
@@ -84,8 +81,8 @@ void merge_footprint(CacheFootprint& into, const CacheFootprint& other);
 /// Entry-state derivation: age \p state's must component through the
 /// interference \p footprint — per set, by the number of distinct
 /// interfering lines (an upper bound on how much LRU aging the
-/// interferers can inflict on a surviving line). The may and persistence
-/// components are left unchanged (see the file header).
+/// interferers can inflict on a surviving line). The persistence component
+/// is left unchanged (see the file header).
 void age_through_interference(CachePair& state,
                               const CacheFootprint& footprint);
 

@@ -18,7 +18,6 @@ struct PassCounts {
   std::uint64_t penalty = 0;    ///< one-time FM penalty: NEVER scaled
   std::uint64_t am_cycles = 0;  ///< AM-only column (penalty-free)
   std::uint64_t ah = 0;
-  std::uint64_t am = 0;
   std::uint64_t fm = 0;
   std::uint64_t nc = 0;
 
@@ -27,7 +26,6 @@ struct PassCounts {
     penalty += rhs.penalty;
     am_cycles += rhs.am_cycles;
     ah += rhs.ah;
-    am += rhs.am;
     fm += rhs.fm;
     nc += rhs.nc;
     return *this;
@@ -39,7 +37,6 @@ struct PassCounts {
     cycles *= n;
     am_cycles *= n;
     ah *= n;
-    am *= n;
     fm *= n;
     nc *= n;
     return *this;
@@ -61,16 +58,15 @@ PassCounts analyze_body(const Stmt& body, CachePair& state,
   StaticAnalysisMemo::Key key{&body, state};
   if (const StaticAnalysisMemo::SubtreeResult* cached = memo->find(key)) {
     state = cached->exit;
-    return PassCounts{cached->cycles,     cached->fm_penalty,
+    return PassCounts{cached->cycles,         cached->fm_penalty,
                       cached->am_only_cycles, cached->always_hit,
-                      cached->always_miss,    cached->first_miss,
-                      cached->not_classified};
+                      cached->first_miss,     cached->not_classified};
   }
   const PassCounts counts = analyze(body, state, config, memo);
   memo->store(std::move(key), StaticAnalysisMemo::SubtreeResult{
                                   counts.cycles, counts.penalty,
-                                  counts.am_cycles, counts.ah, counts.am,
-                                  counts.fm, counts.nc, state});
+                                  counts.am_cycles, counts.ah, counts.fm,
+                                  counts.nc, state});
   return counts;
 }
 
@@ -87,11 +83,6 @@ PassCounts analyze(const Stmt& stmt, CachePair& state,
             ++out.ah;
             out.cycles += config.hit_cycles;
             out.am_cycles += config.hit_cycles;
-            break;
-          case Classification::always_miss:
-            ++out.am;
-            out.cycles += config.miss_cycles;
-            out.am_cycles += config.miss_cycles;
             break;
           case Classification::first_miss: {
             // At most one real miss at this point over the whole
@@ -219,7 +210,6 @@ StaticWcetResult analyze_static_wcet(const StructuredProgram& program,
     res.not_classified = counts.nc + counts.fm;
   }
   res.always_hit = counts.ah;
-  res.always_miss = counts.am;
   res.exit_state = std::move(state);
   return res;
 }

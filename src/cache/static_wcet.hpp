@@ -1,8 +1,8 @@
 #pragma once
 /// \file static_wcet.hpp
 /// \brief Structural static WCET analysis: walk the program tree with
-///        abstract must/may/persistence cache states, classify every
-///        instruction fetch (AH/AM/FM/NC), and compose a guaranteed
+///        abstract must/persistence cache states, classify every
+///        instruction fetch (AH/FM/NC), and compose a guaranteed
 ///        execution-cycle upper bound with the classic timing schema
 ///        (seq = sum, branch = max, loop = first iteration + (bound-1) x
 ///        steady iteration).
@@ -79,14 +79,13 @@ public:
     std::uint64_t fm_penalty = 0;      ///< one-time (never scaled) penalty
     std::uint64_t am_only_cycles = 0;  ///< classic AM-only composition
     std::uint64_t always_hit = 0;
-    std::uint64_t always_miss = 0;
     std::uint64_t first_miss = 0;
     std::uint64_t not_classified = 0;
     CachePair exit;
   };
 
   /// Analysis-internal lookup (the key pairs a statement address with the
-  /// entry must/may/persistence triple). Exposed for the analyzer only.
+  /// entry must/persistence pair). Exposed for the analyzer only.
   using Key = std::pair<const void*, CachePair>;
   struct KeyHash {
     std::size_t operator()(const Key& k) const noexcept {
@@ -134,14 +133,10 @@ struct StaticWcetResult {
   /// bodies weighted by their iteration counts). With FirstMiss::off,
   /// first-miss points are reported as not_classified.
   std::uint64_t always_hit = 0;
-  std::uint64_t always_miss = 0;
   std::uint64_t first_miss = 0;
   std::uint64_t not_classified = 0;
   CachePair exit_state;  ///< abstract cache after the program
 
-  std::uint64_t classified_accesses() const noexcept {
-    return always_hit + always_miss + first_miss + not_classified;
-  }
   double wcet_seconds(const CacheConfig& config) const noexcept {
     return static_cast<double>(wcet_cycles) * config.cycle_seconds();
   }

@@ -392,19 +392,6 @@ DesignResult design_controller(const DesignSpec& spec,
   return objective.report(best, evals);
 }
 
-std::vector<DesignResult> design_batch(
-    const std::vector<DesignProblem>& problems, const DesignOptions& opts,
-    core::ThreadPool* pool) {
-  std::vector<DesignResult> results(problems.size());
-  // Problems land in index-addressed slots; each design may itself batch
-  // its particle generations on the same pool (parallel_for nests safely).
-  core::parallel_for(pool, problems.size(), [&](std::size_t i) {
-    results[i] =
-        design_controller(problems[i].spec, problems[i].intervals, opts, pool);
-  });
-  return results;
-}
-
 DesignResult evaluate_gains(const DesignSpec& spec,
                             const std::vector<sched::Interval>& intervals,
                             const PhaseGains& gains,

