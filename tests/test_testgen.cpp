@@ -13,12 +13,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <set>
 #include <vector>
 
 #include "cache/schedule_wcet.hpp"
 #include "cache/wcet.hpp"
+#include "core/case_study.hpp"
 #include "testgen/generator.hpp"
 #include "testgen/invariants.hpp"
 #include "testgen/rng.hpp"
@@ -331,6 +333,45 @@ TEST(Shrinker, PassingSystemShrinksToNothing) {
   EXPECT_EQ(shrunk.model.apps.size(), sys.model.apps.size());
   EXPECT_EQ(shrunk.removed_apps, 0);
   EXPECT_EQ(shrunk.sets_after, shrunk.sets_before);
+}
+
+TEST(SystemWcetGolden, FingerprintsAndWcetPairsAreBitStable) {
+  // Pins what the searches start from: every generated system's
+  // fingerprint (it covers tidle, which the generator draws as a multiple
+  // of the summed cold WCET) and the bits of every analyze_wcets() pair,
+  // over a population that mixes trace-only and structured apps, plus the
+  // case study. One FNV-1a digest; any drift in either moves it.
+  std::uint64_t digest = 0xcbf29ce484222325ull;
+  const auto fold = [&digest](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      digest ^= (v >> (8 * byte)) & 0xffu;
+      digest *= 0x100000001b3ull;
+    }
+  };
+  const auto fold_seconds = [&fold](double s) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &s, sizeof bits);
+    fold(bits);
+  };
+  std::uint64_t entries = 0;
+  const auto fold_system = [&](const catsched::core::SystemModel& model) {
+    fold(system_fingerprint(model));
+    ++entries;
+    for (const catsched::sched::AppWcet& w : model.analyze_wcets()) {
+      fold_seconds(w.cold_seconds);
+      fold_seconds(w.warm_seconds);
+      ++entries;
+    }
+  };
+  GeneratorConfig g;
+  g.way_choices = {1, 2, 4};
+  g.branchy_chance = 0.5;
+  for (std::uint64_t seed = 0; seed < 24; ++seed) {
+    fold_system(generate_system(g, seed).model);
+  }
+  fold_system(catsched::core::date18_case_study());
+  EXPECT_EQ(entries, 117u);
+  EXPECT_EQ(digest, 14211818649879086393ull);
 }
 
 }  // namespace
