@@ -21,12 +21,8 @@ It line_lower_bound(It first, It last, std::uint64_t line) noexcept {
 
 AbstractCacheState::AbstractCacheState(const CacheConfig& config, Kind kind)
     : config_(config), kind_(kind) {
+  config.validate();
   ways_ = config.ways();
-  if (config.num_lines == 0 || ways_ == 0 ||
-      config.num_lines % ways_ != 0) {
-    throw std::invalid_argument(
-        "AbstractCacheState: lines must be a positive multiple of ways");
-  }
   sets_ = config.num_sets();
   if ((sets_ & (sets_ - 1)) == 0) set_mask_ = sets_ - 1;
   begin_.assign(sets_ + 1, 0);

@@ -86,7 +86,7 @@ public:
   AbstractCacheState() : AbstractCacheState(CacheConfig{}, Kind::must) {}
 
   /// Empty (cold) abstract cache.
-  /// \throws std::invalid_argument on inconsistent configuration.
+  /// \throws std::invalid_argument as CacheConfig::validate does.
   AbstractCacheState(const CacheConfig& config, Kind kind);
 
   Kind kind() const noexcept { return kind_; }

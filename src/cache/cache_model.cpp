@@ -1,21 +1,30 @@
 #include "cache/cache_model.hpp"
 
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 namespace catsched::cache {
 
-CacheSim::CacheSim(const CacheConfig& config) : config_(config) {
-  if (config.line_bytes == 0 || config.num_lines == 0 || config.clock_hz <= 0) {
-    throw std::invalid_argument("CacheSim: zero-sized configuration field");
+void CacheConfig::validate() const {
+  if (line_bytes == 0 || num_lines == 0) {
+    throw std::invalid_argument("CacheConfig: zero-sized configuration field");
   }
-  ways_ = config.ways();
-  if (ways_ == 0 || config.num_lines % ways_ != 0) {
+  if (num_lines % ways() != 0) {
     throw std::invalid_argument(
-        "CacheSim: num_lines must be a positive multiple of associativity");
+        "CacheConfig: num_lines must be a multiple of associativity");
   }
-  sets_ = config.num_lines / ways_;
+  // Written so that NaN fails too (every comparison with NaN is false).
+  if (!(std::isfinite(clock_hz) && clock_hz > 0.0)) {
+    throw std::invalid_argument("CacheConfig: clock_hz must be positive");
+  }
+}
+
+CacheSim::CacheSim(const CacheConfig& config) : config_(config) {
+  config.validate();
+  ways_ = config.ways();
+  sets_ = config.num_sets();
   if ((sets_ & (sets_ - 1)) == 0) set_mask_ = sets_ - 1;
   lines_.assign(sets_ * ways_, Way{});
 }

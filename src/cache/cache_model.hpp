@@ -29,10 +29,15 @@ struct CacheConfig {
   std::size_t ways() const noexcept {
     return associativity == 0 ? num_lines : associativity;
   }
-  /// Number of sets = num_lines / ways.
-  /// \throws std::invalid_argument if num_lines is not divisible by ways
-  ///         or any field is zero (validated by CacheSim).
+  /// Number of sets = num_lines / ways (meaningful once validate() passes).
   std::size_t num_sets() const noexcept { return num_lines / ways(); }
+
+  /// The one consistency check every cache model runs (CacheSim,
+  /// AbstractCacheState, SystemModel::validate).
+  /// \throws std::invalid_argument if line_bytes or num_lines is zero,
+  ///         num_lines is not a multiple of the ways, or clock_hz is not a
+  ///         finite positive number (NaN included).
+  void validate() const;
 
   /// Seconds per clock cycle.
   double cycle_seconds() const noexcept { return 1.0 / clock_hz; }
@@ -53,7 +58,7 @@ struct CacheConfig {
 /// accumulates cycle counts.
 class CacheSim {
 public:
-  /// \throws std::invalid_argument on inconsistent configuration.
+  /// \throws std::invalid_argument as CacheConfig::validate does.
   explicit CacheSim(const CacheConfig& config);
 
   const CacheConfig& config() const noexcept { return config_; }

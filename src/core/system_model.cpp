@@ -14,6 +14,7 @@ void SystemModel::validate() const {
   if (apps.empty()) {
     throw std::invalid_argument("SystemModel: no applications");
   }
+  cache_config.validate();
   double wsum = 0.0;
   for (const Application& a : apps) {
     a.plant.validate();

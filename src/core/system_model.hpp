@@ -60,8 +60,9 @@ struct SystemModel {
 
   std::size_t num_apps() const noexcept { return apps.size(); }
 
-  /// \throws std::invalid_argument if empty, weights do not sum to ~1, or
-  ///         any application field is out of range.
+  /// \throws std::invalid_argument if empty, weights do not sum to ~1, any
+  ///         application field is out of range, or the cache config fails
+  ///         CacheConfig::validate.
   void validate() const;
 
   /// Run the WCET analysis (cold + guaranteed warm) for every application

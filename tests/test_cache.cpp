@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
+#include "cache/absint.hpp"
 #include "cache/cache_model.hpp"
 #include "cache/program.hpp"
 #include "cache/wcet.hpp"
@@ -41,6 +45,27 @@ TEST(CacheSim, RejectsBadConfig) {
   cfg = small_cache(128, 1);
   cfg.clock_hz = 0.0;
   EXPECT_THROW(cc::CacheSim{cfg}, std::invalid_argument);
+}
+
+TEST(CacheConfig, ValidateRejectsEveryInconsistentField) {
+  EXPECT_NO_THROW(small_cache(128, 4).validate());
+  EXPECT_NO_THROW(small_cache(128, 0).validate());  // fully associative
+  cc::CacheConfig cfg = small_cache(128, 1);
+  cfg.line_bytes = 0;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg = small_cache(0, 0);
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  EXPECT_THROW(small_cache(130, 4).validate(), std::invalid_argument);
+  for (const double clock_hz :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    cfg = small_cache(128, 1);
+    cfg.clock_hz = clock_hz;
+    EXPECT_THROW(cfg.validate(), std::invalid_argument) << clock_hz;
+    // Both cache models run the same check.
+    EXPECT_THROW(cc::CacheSim{cfg}, std::invalid_argument) << clock_hz;
+    EXPECT_THROW(cc::CachePair{cfg}, std::invalid_argument) << clock_hz;
+  }
 }
 
 TEST(CacheSim, ColdMissThenHit) {

@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/case_study.hpp"
 #include "core/codesign.hpp"
 #include "core/evaluator.hpp"
 #include "core/parallel.hpp"
+#include "testgen/generator.hpp"
 
 using namespace catsched;
 using namespace catsched::core;
@@ -69,6 +71,30 @@ TEST(SystemModel, ValidatesWeights) {
   EXPECT_THROW(sys.validate(), std::invalid_argument);
   sys = tiny_system();
   sys.apps.clear();
+  EXPECT_THROW(sys.validate(), std::invalid_argument);
+}
+
+TEST(SystemModel, ValidatesTheCacheConfigOfAnAllStructuredSystem) {
+  // No app here is trace-only, so no CacheSim is ever built for it: the
+  // config check must come from validate() itself. Unchecked, clock_hz 0
+  // turned the cold WCET into inf and clock_hz -1 into a negative time.
+  testgen::GeneratorConfig g;
+  g.branchy_chance = 1.0;
+  const SystemModel good = testgen::generate_system(g, 3).model;
+  for (const Application& a : good.apps) ASSERT_TRUE(a.has_structured());
+  EXPECT_NO_THROW(good.validate());
+  for (const double clock_hz :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    SystemModel sys = good;
+    sys.cache_config.clock_hz = clock_hz;
+    EXPECT_THROW(sys.validate(), std::invalid_argument) << clock_hz;
+  }
+  SystemModel sys = good;
+  sys.cache_config.line_bytes = 0;
+  EXPECT_THROW(sys.validate(), std::invalid_argument);
+  sys = good;
+  sys.cache_config.num_lines = 0;
   EXPECT_THROW(sys.validate(), std::invalid_argument);
 }
 
