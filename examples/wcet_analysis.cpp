@@ -65,7 +65,7 @@ int main() {
   if (!sound) return 1;
 
   // -- Warm re-execution bound (paper's guaranteed reuse) ---------------
-  const auto app = cache::analyze_static_app_wcet(prog, cfg);
+  const auto app = cache::analyze_static_steady_wcet(prog, cfg);
   std::printf("\nwarm analysis:  WCET bound %llu cycles  "
               "(AH %llu / FM %llu / NC %llu)\n",
               static_cast<unsigned long long>(app.warm.wcet_cycles),
@@ -78,9 +78,8 @@ int main() {
                   static_cast<double>(app.cold.wcet_cycles));
 
   // The scheduler consumes exactly two numbers per task:
-  const sched::AppWcet wcet = cache::to_app_wcet(app, cfg);
   std::printf("\nscheduler view: cold %.2f us, warm %.2f us @ %.0f MHz\n",
-              wcet.cold_seconds * 1e6, wcet.warm_seconds * 1e6,
-              cfg.clock_hz / 1e6);
+              app.cold.wcet_seconds(cfg) * 1e6,
+              app.warm.wcet_seconds(cfg) * 1e6, cfg.clock_hz / 1e6);
   return 0;
 }

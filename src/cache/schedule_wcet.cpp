@@ -37,17 +37,6 @@ std::size_t CacheFootprint::total_lines() const noexcept {
   return n;
 }
 
-CacheFootprint compute_footprint(const Program& program,
-                                 const CacheConfig& config) {
-  CacheFootprint out;
-  out.lines_per_set.resize(config.num_sets());
-  for (const std::uint64_t line : program.trace) {
-    out.lines_per_set[config.set_of(line)].push_back(line);
-  }
-  for (auto& set : out.lines_per_set) sort_unique(set);
-  return out;
-}
-
 CacheFootprint compute_footprint(const Stmt& root, const CacheConfig& config) {
   CacheFootprint out;
   out.lines_per_set.resize(config.num_sets());
@@ -80,9 +69,8 @@ void age_through_interference(CachePair& state,
 }
 
 ScheduleWcetAnalyzer::ScheduleWcetAnalyzer(
-    std::vector<StructuredProgram> programs, const CacheConfig& config,
-    FirstMiss first_miss)
-    : config_(config), first_miss_(first_miss) {
+    std::vector<StructuredProgram> programs, const CacheConfig& config)
+    : config_(config) {
   if (programs.empty()) {
     throw std::invalid_argument("ScheduleWcetAnalyzer: no programs");
   }
@@ -94,8 +82,7 @@ ScheduleWcetAnalyzer::ScheduleWcetAnalyzer(
   for (StructuredProgram& p : programs) {
     auto st = std::make_unique<AppState>();
     st->program = std::move(p);
-    st->steady = analyze_static_steady_wcet(st->program, config_, &st->memo,
-                                            64, first_miss_);
+    st->steady = analyze_static_steady_wcet(st->program, config_, &st->memo);
     st->footprint = compute_footprint(st->program.root, config_);
     const AbstractCacheState& must = st->steady.generic_exit.must();
     const auto ways = static_cast<std::uint32_t>(config_.ways());
@@ -109,17 +96,6 @@ ScheduleWcetAnalyzer::ScheduleWcetAnalyzer(
     }
     apps_.push_back(std::move(st));
   }
-}
-
-std::unique_ptr<ScheduleWcetAnalyzer> ScheduleWcetAnalyzer::from_traces(
-    const std::vector<Program>& programs, const CacheConfig& config) {
-  std::vector<StructuredProgram> structured;
-  structured.reserve(programs.size());
-  for (const Program& p : programs) {
-    structured.push_back(StructuredProgram{p.name, Stmt::block(p.trace)});
-  }
-  return std::make_unique<ScheduleWcetAnalyzer>(std::move(structured),
-                                                config);
 }
 
 const StaticSteadyWcet& ScheduleWcetAnalyzer::base(std::size_t app) const {
@@ -208,8 +184,7 @@ const ContextWcet& ScheduleWcetAnalyzer::compute_context_locked(
     }
   }
   ContextWcet out;
-  out.analysis = analyze_static_wcet(st.program, config_, entry, &st.memo,
-                                     first_miss_);
+  out.analysis = analyze_static_wcet(st.program, config_, entry, &st.memo);
   const std::uint64_t raw = out.analysis.wcet_cycles;
   const std::uint64_t warm = st.steady.warm.wcet_cycles;
   const std::uint64_t cold = st.steady.cold.wcet_cycles;

@@ -49,7 +49,6 @@
 #include <utility>
 #include <vector>
 
-#include "cache/program.hpp"
 #include "cache/static_wcet.hpp"
 #include "cache/structure.hpp"
 #include "sched/timing.hpp"
@@ -67,9 +66,6 @@ struct CacheFootprint {
   std::size_t total_lines() const noexcept;
 };
 
-/// Footprint of a concrete worst-case-path trace.
-CacheFootprint compute_footprint(const Program& program,
-                                 const CacheConfig& config);
 /// Footprint of a structured program: every line in the tree (all branch
 /// arms), an upper bound on what any path fetches.
 CacheFootprint compute_footprint(const Stmt& root, const CacheConfig& config);
@@ -110,29 +106,15 @@ struct ContextWcet {
 /// into the context-sensitive derive_timing overloads.
 class ScheduleWcetAnalyzer final : public sched::ContextWcetLookup {
 public:
-  /// \p first_miss selects whether bounds may exploit the persistence
-  /// (first-miss) classification; FirstMiss::off reproduces the AM-only
-  /// bounds exactly (the walk is shared, see cache/static_wcet).
+  /// One program per app, as core::Application::analysis_program() gives
+  /// it (a trace-only app is one block).
   /// \throws std::invalid_argument if \p programs is empty or num_apps
-  ///         exceeds 64 (interference-mask width); std::runtime_error if
-  ///         any program has no steady warm state.
+  ///         exceeds 64 (interference-mask width).
   ScheduleWcetAnalyzer(std::vector<StructuredProgram> programs,
-                       const CacheConfig& config,
-                       FirstMiss first_miss = FirstMiss::on);
-
-  /// Lift concrete worst-case-path traces (core::SystemModel's program
-  /// images) into single-block structured programs. The analysis of a
-  /// single path is exact, so cold/warm agree with the simulator's
-  /// analyze_wcet (gtest-enforced) — and since a branch-free sequential
-  /// walk keeps every persistence counter at or above the corresponding
-  /// must age, first-miss never fires on lifted traces and the bounds are
-  /// bit-identical in both FirstMiss modes.
-  static std::unique_ptr<ScheduleWcetAnalyzer> from_traces(
-      const std::vector<Program>& programs, const CacheConfig& config);
+                       const CacheConfig& config);
 
   std::size_t num_apps() const noexcept { return apps_.size(); }
   const CacheConfig& config() const noexcept { return config_; }
-  FirstMiss first_miss() const noexcept { return first_miss_; }
 
   /// Cold/steady-warm analysis of one app (mask-independent base).
   const StaticSteadyWcet& base(std::size_t app) const;
@@ -207,7 +189,6 @@ private:
                                             std::uint64_t mask) const;
 
   CacheConfig config_;
-  FirstMiss first_miss_ = FirstMiss::on;
   /// unique_ptr elements: AppState holds a (non-movable) shared_mutex.
   std::vector<std::unique_ptr<AppState>> apps_;
   mutable std::atomic<std::uint64_t> context_requests_{0};

@@ -44,6 +44,8 @@ struct PassCounts {
 };
 
 constexpr int kFixpointCap = 4096;
+/// Cap on the warm passes of analyze_static_steady_wcet.
+constexpr int kWarmPassCap = 64;
 
 PassCounts analyze(const Stmt& stmt, CachePair& state,
                    const CacheConfig& config, StaticAnalysisMemo* memo);
@@ -183,8 +185,7 @@ PassCounts analyze(const Stmt& stmt, CachePair& state,
 StaticWcetResult analyze_static_wcet(const StructuredProgram& program,
                                      const CacheConfig& config,
                                      const std::optional<CachePair>& entry,
-                                     StaticAnalysisMemo* memo,
-                                     FirstMiss first_miss) {
+                                     StaticAnalysisMemo* memo) {
   CachePair state = entry ? *entry : CachePair(config);
   // First-miss guarantees are per run: "not accessed yet" is true for
   // every line at run start whatever the entry cache holds, and a
@@ -194,53 +195,29 @@ StaticWcetResult analyze_static_wcet(const StructuredProgram& program,
   state.reset_persistence();
   const PassCounts counts = analyze(program.root, state, config, memo);
   StaticWcetResult res;
+  // The reported bound is the tighter of the two independently sound
+  // compositions, so first-miss can never loosen it (see the header).
+  res.wcet_cycles = std::min(counts.cycles + counts.penalty, counts.am_cycles);
   res.am_only_cycles = counts.am_cycles;
-  if (first_miss == FirstMiss::on) {
-    // The reported bound is the tighter of the two independently sound
-    // compositions, so first-miss can never loosen it (see the header).
-    res.wcet_cycles =
-        std::min(counts.cycles + counts.penalty, counts.am_cycles);
-    res.fm_penalty_cycles = counts.penalty;
-    res.first_miss = counts.fm;
-    res.not_classified = counts.nc;
-  } else {
-    res.wcet_cycles = counts.am_cycles;
-    res.fm_penalty_cycles = 0;
-    res.first_miss = 0;
-    res.not_classified = counts.nc + counts.fm;
-  }
+  res.fm_penalty_cycles = counts.penalty;
   res.always_hit = counts.ah;
+  res.first_miss = counts.fm;
+  res.not_classified = counts.nc;
   res.exit_state = std::move(state);
   return res;
 }
 
-StaticAppWcet analyze_static_app_wcet(const StructuredProgram& program,
-                                      const CacheConfig& config,
-                                      StaticAnalysisMemo* memo,
-                                      FirstMiss first_miss) {
-  StaticAppWcet out;
-  out.cold =
-      analyze_static_wcet(program, config, std::nullopt, memo, first_miss);
-  out.warm = analyze_static_wcet(program, config, out.cold.exit_state, memo,
-                                 first_miss);
-  return out;
-}
-
 StaticSteadyWcet analyze_static_steady_wcet(const StructuredProgram& program,
                                             const CacheConfig& config,
-                                            StaticAnalysisMemo* memo,
-                                            int max_iterations,
-                                            FirstMiss first_miss) {
+                                            StaticAnalysisMemo* memo) {
   StaticSteadyWcet out;
-  out.cold =
-      analyze_static_wcet(program, config, std::nullopt, memo, first_miss);
+  out.cold = analyze_static_wcet(program, config, std::nullopt, memo);
   out.generic_exit = out.cold.exit_state;
   CachePair entry = out.cold.exit_state;
   bool steady = false;
-  for (int it = 0; it < max_iterations; ++it) {
+  for (int it = 0; it < kWarmPassCap; ++it) {
     const StaticWcetResult pass =
-        analyze_static_wcet(program, config, entry, memo, first_miss);
-    out.warm_iterations = it + 1;
+        analyze_static_wcet(program, config, entry, memo);
     out.generic_exit.join(pass.exit_state);
     // The warm bound must cover EVERY run >= 2 of a burst, whose entry is
     // only guaranteed to refine the cold exit — so keep the WORST pass of
@@ -260,14 +237,6 @@ StaticSteadyWcet analyze_static_steady_wcet(const StructuredProgram& program,
         "analyze_static_steady_wcet: warm exit state did not stabilize");
   }
   return out;
-}
-
-sched::AppWcet to_app_wcet(const StaticAppWcet& analysis,
-                           const CacheConfig& config) {
-  sched::AppWcet w;
-  w.cold_seconds = analysis.cold.wcet_seconds(config);
-  w.warm_seconds = analysis.warm.wcet_seconds(config);
-  return w;
 }
 
 }  // namespace catsched::cache

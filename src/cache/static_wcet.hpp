@@ -23,18 +23,18 @@
 ///
 /// Because a per-field max can exceed the single-arm maximum the AM-only
 /// schema takes, the walk carries a second, penalty-free cycle column
-/// that reproduces the classic AM-only bound exactly, and the reported
-/// WCET is the minimum of the two compositions — so the persistence-aware
-/// bound is never looser than the AM-only one, by construction. The walk
-/// itself is mode-independent (both columns are always maintained, and
-/// classification never alters the abstract states), so one
-/// StaticAnalysisMemo serves FM-on and FM-off analyses interchangeably
-/// and the two modes are bit-identical wherever no FM point fires.
+/// that reproduces the classic AM-only bound exactly (reported as
+/// `am_only_cycles`), and the reported WCET is the minimum of the two
+/// compositions — so the persistence-aware bound is never looser than the
+/// AM-only one, by construction.
 ///
-/// This is the analysis-side counterpart of analyze_wcet() in wcet.hpp
-/// (which *simulates* one concrete trace): it bounds all paths, and its
-/// warm-entry mode certifies the paper's "guaranteed WCET reduction"
-/// E^gu (Sec. II-B) without replaying a single fetch.
+/// This is the one WCET analysis of the pipeline: every app's cold/warm
+/// pair (core::SystemModel::analyze_wcets) is analyze_static_steady_wcet on
+/// its core::Application::analysis_program(), a trace-only app being a
+/// single block. On a single path the analysis is exact, so there it
+/// equals the CacheSim replay of cache/wcet (the test reference). It bounds
+/// all paths, and its warm-entry mode certifies the paper's "guaranteed
+/// WCET reduction" E^gu (Sec. II-B) without replaying a single fetch.
 
 #include <cstdint>
 #include <optional>
@@ -43,7 +43,6 @@
 
 #include "cache/absint.hpp"
 #include "cache/structure.hpp"
-#include "sched/timing.hpp"
 
 namespace catsched::cache {
 
@@ -72,8 +71,7 @@ public:
 
   /// Memoized subtree outcome: both cycle columns (FM-mode cycles + one-
   /// time penalty, and the AM-only composition), classification counts,
-  /// and the exit state. Mode-independent — see the file header — so one
-  /// memo serves FM-on and FM-off analyses of the same program.
+  /// and the exit state.
   struct SubtreeResult {
     std::uint64_t cycles = 0;          ///< FM-mode scalable cycle column
     std::uint64_t fm_penalty = 0;      ///< one-time (never scaled) penalty
@@ -112,26 +110,18 @@ private:
   Stats stats_;
 };
 
-/// Whether the reported bound may exploit first-miss (persistence)
-/// classifications. The abstract walk is identical in both modes (see the
-/// file header); `off` reproduces the classic AM-only bound exactly, which
-/// is what the benches and invariants compare against.
-enum class FirstMiss { off, on };
-
 /// Outcome of one static analysis pass.
 struct StaticWcetResult {
   std::uint64_t wcet_cycles = 0;  ///< guaranteed upper bound on any path
   /// The classic AM-only bound (every non-AH access charged a miss on
-  /// every occurrence). With FirstMiss::on, wcet_cycles =
-  /// min(FM composition, am_only_cycles) <= am_only_cycles; with
-  /// FirstMiss::off the two are equal.
+  /// every occurrence): what the bound would be without first-miss.
+  /// wcet_cycles = min(FM composition, am_only_cycles) <= am_only_cycles.
   std::uint64_t am_only_cycles = 0;
   /// One-time first-miss penalty cycles folded into wcet_cycles (0 when
-  /// first-miss is off or never fires).
+  /// first-miss never fires).
   std::uint64_t fm_penalty_cycles = 0;
   /// Access classification counts over the worst-case composition (loop
-  /// bodies weighted by their iteration counts). With FirstMiss::off,
-  /// first-miss points are reported as not_classified.
+  /// bodies weighted by their iteration counts).
   std::uint64_t always_hit = 0;
   std::uint64_t first_miss = 0;
   std::uint64_t not_classified = 0;
@@ -153,37 +143,14 @@ struct StaticWcetResult {
 StaticWcetResult analyze_static_wcet(
     const StructuredProgram& program, const CacheConfig& config,
     const std::optional<CachePair>& entry = std::nullopt,
-    StaticAnalysisMemo* memo = nullptr, FirstMiss first_miss = FirstMiss::on);
-
-/// Cold + warm analysis in one call: the warm pass re-analyzes the program
-/// starting from the cold pass's exit state, which is exactly the paper's
-/// consecutive-execution scenario (the previous task of the same
-/// application just ran; no other application touched the cache).
-struct StaticAppWcet {
-  StaticWcetResult cold;
-  StaticWcetResult warm;
-
-  /// Guaranteed reduction E^gu = cold bound - warm bound (>= 0 by
-  /// monotonicity of the must domain).
-  std::uint64_t reduction_cycles() const noexcept {
-    return cold.wcet_cycles - warm.wcet_cycles;
-  }
-};
-/// Both passes share one subtree memo (\p memo optional): loop fixpoints
-/// the warm pass re-reaches from the same abstract states as the cold pass
-/// are handed back instead of re-iterated.
-StaticAppWcet analyze_static_app_wcet(const StructuredProgram& program,
-                                      const CacheConfig& config,
-                                      StaticAnalysisMemo* memo = nullptr,
-                                      FirstMiss first_miss = FirstMiss::on);
-
-/// Convert to the scheduler-facing WCET pair (seconds).
-sched::AppWcet to_app_wcet(const StaticAppWcet& analysis,
-                           const CacheConfig& config);
+    StaticAnalysisMemo* memo = nullptr);
 
 /// Cold analysis plus the warm analysis iterated to its exit-state
-/// fixpoint: the warm bound then holds for steady re-execution (mirroring
-/// analyze_wcet's `steady` contract on the simulator side), and
+/// fixpoint: the warm pass re-analyzes the program from the previous
+/// pass's exit state — the paper's consecutive-execution scenario (the
+/// previous task of the same application just ran; no other application
+/// touched the cache) — so the warm bound holds for steady re-execution,
+/// and
 /// `generic_exit` — the join over every per-run exit state in the chain —
 /// is a sound abstract cache for "this application just finished a burst
 /// of ANY length", the state the schedule-dependent entry derivation
@@ -197,8 +164,9 @@ struct StaticSteadyWcet {
   /// equals the simulator's steady warm value).
   StaticWcetResult warm;
   CachePair generic_exit;  ///< join of cold + every warm exit state
-  int warm_iterations = 0; ///< warm passes until the exit state stabilized
 
+  /// Guaranteed reduction E^gu = cold bound - warm bound (>= 0 by
+  /// monotonicity of the must domain).
   std::uint64_t reduction_cycles() const noexcept {
     return cold.wcet_cycles - warm.wcet_cycles;
   }
@@ -206,15 +174,13 @@ struct StaticSteadyWcet {
 
 /// Iterate warm re-analyses from the cold exit until the exit state maps to
 /// itself (a finite-domain fixpoint; typically 1-2 passes). All passes
-/// share \p memo, so later passes mostly replay memoized subtrees.
+/// share \p memo (optional), so later passes mostly replay memoized
+/// subtrees.
 /// \throws std::runtime_error if the exit chain does not stabilize within
-///         \p max_iterations (the analysis-side analogue of analyze_wcet's
-///         "no steady warm state").
+///         64 passes (cannot happen for finite age domains unless the
+///         implementation is broken -- the cap turns a hang into an error).
 StaticSteadyWcet analyze_static_steady_wcet(const StructuredProgram& program,
                                             const CacheConfig& config,
-                                            StaticAnalysisMemo* memo = nullptr,
-                                            int max_iterations = 64,
-                                            FirstMiss first_miss =
-                                                FirstMiss::on);
+                                            StaticAnalysisMemo* memo = nullptr);
 
 }  // namespace catsched::cache

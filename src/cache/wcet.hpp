@@ -1,8 +1,14 @@
 #pragma once
 /// \file wcet.hpp
-/// \brief WCET analysis on top of the cache simulator: cold-cache WCET,
-///        guaranteed warm-cache reduction (cache reuse, paper Sec. II-B),
-///        and whole-schedule instruction-stream simulation.
+/// \brief Concrete trace replay on the cache simulator: the cold and
+///        steady warm cycles of one trace, and whole-schedule
+///        instruction-stream simulation.
+///
+/// The pipeline's WCETs come from the static analysis
+/// (cache::analyze_static_steady_wcet on
+/// core::Application::analysis_program()). analyze_wcet is the reference
+/// the tests and the fuzz harness hold it to: on a single trace the static
+/// analysis is exact, so the two agree bit for bit.
 
 #include <cstdint>
 #include <vector>

@@ -48,9 +48,8 @@ Evaluator::Evaluator(SystemModel model, control::DesignOptions design_opts,
       fault_(opts.fault) {
   model_.validate();
   if (opts.context_wcets) {
-    // The analyzer's static cold/warm base replaces the simulator-derived
-    // pair so every bound in the evaluator comes from one sound analysis
-    // (they agree bit-for-bit on trace programs; gtest-enforced).
+    // The analyzer already ran the steady analysis analyze_wcets() would
+    // repeat: its base is the same pair, bit for bit.
     context_ = model_.make_context_analyzer();
     wcets_ = context_->app_wcets();
   } else {

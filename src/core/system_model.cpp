@@ -35,27 +35,20 @@ void SystemModel::validate() const {
   }
 }
 
+cache::StructuredProgram Application::analysis_program() const {
+  if (has_structured()) return structured;
+  return cache::StructuredProgram{program.name,
+                                  cache::Stmt::block(program.trace)};
+}
+
 std::vector<sched::AppWcet> SystemModel::analyze_wcets() const {
   std::vector<sched::AppWcet> out;
   out.reserve(apps.size());
   for (const Application& a : apps) {
-    if (a.has_structured()) {
-      // All-paths bound for branchy programs: the static analysis always
-      // reaches a steady warm state (finite abstract domain), and its
-      // single-path specialization agrees with the simulator bit-for-bit,
-      // so mixing the two kinds in one system stays consistent.
-      const cache::StaticSteadyWcet w =
-          cache::analyze_static_steady_wcet(a.structured, cache_config);
-      out.push_back(sched::AppWcet{w.cold.wcet_seconds(cache_config),
-                                   w.warm.wcet_seconds(cache_config)});
-      continue;
-    }
-    const cache::WcetResult w = cache::analyze_wcet(a.program, cache_config);
-    if (!w.steady) {
-      throw std::runtime_error("SystemModel: program '" + a.name +
-                               "' has no steady warm-cache WCET");
-    }
-    out.push_back(sched::AppWcet{w.cold_seconds, w.warm_seconds});
+    const cache::StaticSteadyWcet w =
+        cache::analyze_static_steady_wcet(a.analysis_program(), cache_config);
+    out.push_back(sched::AppWcet{w.cold.wcet_seconds(cache_config),
+                                 w.warm.wcet_seconds(cache_config)});
   }
   return out;
 }
@@ -64,20 +57,9 @@ std::unique_ptr<cache::ScheduleWcetAnalyzer>
 SystemModel::make_context_analyzer() const {
   std::vector<cache::StructuredProgram> programs;
   programs.reserve(apps.size());
-  for (const Application& a : apps) {
-    if (a.has_structured()) {
-      programs.push_back(a.structured);
-    } else {
-      programs.push_back(cache::StructuredProgram{
-          a.program.name, cache::Stmt::block(a.program.trace)});
-    }
-  }
+  for (const Application& a : apps) programs.push_back(a.analysis_program());
   return std::make_unique<cache::ScheduleWcetAnalyzer>(std::move(programs),
                                                        cache_config);
-}
-
-sched::ContextWcetTable SystemModel::analyze_context_wcets() const {
-  return make_context_analyzer()->full_table();
 }
 
 std::vector<double> SystemModel::tidle_vector() const {

@@ -10,7 +10,6 @@
 #include "cache/cache_model.hpp"
 #include "cache/program.hpp"
 #include "cache/structure.hpp"
-#include "cache/wcet.hpp"
 #include "control/design.hpp"
 #include "sched/timing.hpp"
 
@@ -33,10 +32,9 @@ struct Application {
   cache::Program program;  ///< worst-case-path instruction trace
   /// Optional structured control-flow image (branches + bounded loops).
   /// When present (see has_structured), the WCET analyses bound EVERY path
-  /// of this tree via the static must/persistence analysis, and
-  /// `program.trace` must hold ONE concrete path of it (by convention a
-  /// maximal-access path) — the trace stays required because replay
-  /// invariants and shrinking both consume a concrete path.
+  /// of this tree, and `program.trace` must hold ONE concrete path of it
+  /// (by convention a maximal-access path) — the trace stays required
+  /// because replay invariants and shrinking both consume a concrete path.
   cache::StructuredProgram structured;
   double weight = 1.0;     ///< w_i, sum over apps must be 1
   double smax = 1.0;       ///< settling deadline s_i^max [s] (also s_i^0)
@@ -51,6 +49,12 @@ struct Application {
     return structured.root.kind != cache::Stmt::Kind::block ||
            !structured.root.lines.empty();
   }
+
+  /// The program every WCET analysis of this app runs on: the structured
+  /// tree, or the trace lifted to one block. The static analysis of a
+  /// single path is exact, so a lifted trace's cold/warm pair equals the
+  /// CacheSim replay of cache/wcet (gtest- and fuzz-enforced).
+  cache::StructuredProgram analysis_program() const;
 };
 
 /// The full system: applications plus the shared cache/platform.
@@ -65,27 +69,18 @@ struct SystemModel {
   ///         CacheConfig::validate.
   void validate() const;
 
-  /// Run the WCET analysis (cold + guaranteed warm) for every application
-  /// on the shared cache. Trace-only apps are simulated (cache/wcet);
-  /// structured apps are bounded over EVERY path by the static
-  /// must/persistence analysis (cache/static_wcet, first-miss on).
-  /// \throws std::runtime_error if any program does not reach a steady warm
-  /// state (its guaranteed reuse would be unsound).
+  /// The cold and guaranteed-warm WCET of every application on the shared
+  /// cache: the static must/persistence analysis
+  /// (cache::analyze_static_steady_wcet) of each app's analysis_program(),
+  /// which bounds EVERY path of a structured app.
   std::vector<sched::AppWcet> analyze_wcets() const;
 
   /// Build the schedule-dependent WCET engine for the shared cache: lazy,
   /// memoized per-(app, interference-mask) bounds sitting strictly between
-  /// the guaranteed-warm and cold extremes. Its cold/warm base agrees with
-  /// analyze_wcets() bit-for-bit: trace-only apps are lifted to single-block
-  /// programs (the single-path static analysis is exact; gtest-enforced)
-  /// and structured apps hand their tree to the analyzer directly.
-  /// \throws std::runtime_error like analyze_wcets on a non-steady program.
+  /// the guaranteed-warm and cold extremes. It analyzes the same
+  /// analysis_program()s, so its cold/warm base equals analyze_wcets()
+  /// bit for bit.
   std::unique_ptr<cache::ScheduleWcetAnalyzer> make_context_analyzer() const;
-
-  /// The fully materialized per-context WCET table alongside the cold/warm
-  /// pair — every interference mask of every app, eagerly analyzed (small
-  /// systems; the lazy analyzer above serves large ones).
-  sched::ContextWcetTable analyze_context_wcets() const;
 
   /// Table II-style constraint vector.
   std::vector<double> tidle_vector() const;

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "cache/static_wcet.hpp"
-#include "cache/wcet.hpp"
 #include "testgen/rng.hpp"
 
 namespace catsched::testgen {
@@ -208,15 +207,11 @@ GeneratedSystem generate_system(const GeneratorConfig& config,
     raw_weights[i] = rng.real(0.5, 2.0);
     weight_sum += raw_weights[i];
 
-    // The same cold bound the searches will see (SystemModel::analyze_wcets
-    // uses the static all-paths analysis for structured apps), so the
-    // tidle >= 2 * cold_sum feasibility guarantee carries over.
-    if (app.has_structured()) {
-      cold_sum += cache::analyze_static_steady_wcet(app.structured, cc)
-                      .cold.wcet_seconds(cc);
-    } else {
-      cold_sum += cache::analyze_wcet(app.program, cc).cold_seconds;
-    }
+    // The same cold bound the searches will see (the cold pass of
+    // SystemModel::analyze_wcets), so the tidle >= 2 * cold_sum
+    // feasibility guarantee carries over.
+    cold_sum += cache::analyze_static_wcet(app.analysis_program(), cc)
+                    .wcet_seconds(cc);
   }
   for (std::size_t i = 0; i < n; ++i) {
     out.model.apps[i].weight = raw_weights[i] / weight_sum;

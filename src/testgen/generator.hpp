@@ -97,12 +97,8 @@ struct GeneratorConfig {
 };
 
 /// One generated problem instance. `model` passes SystemModel::validate()
-/// and analyze_wcets() by construction (steady warm state is structural:
-/// a fixed trace replayed back-to-back reaches its per-set fixpoint after
-/// one pass, and structured apps go through the static analysis, which
-/// always stabilizes). With branchy_chance > 0 some apps carry a
-/// structured tree (Application::has_structured) next to their
-/// representative trace.
+/// by construction. With branchy_chance > 0 some apps carry a structured
+/// tree (Application::has_structured) next to their representative trace.
 struct GeneratedSystem {
   core::SystemModel model;
   std::uint64_t seed = 0;

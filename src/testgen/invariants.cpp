@@ -151,99 +151,87 @@ InvariantReport check_invariants(const core::SystemModel& model,
       return rep;
     }
   }
-  {
-    // The analyzer's single-path static analysis must agree with the
-    // simulator-backed cold/warm pair bit-for-bit.
-    const std::vector<sched::AppWcet> base = analyzer->app_wcets();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!fail.require(same_bits(base[i].cold_seconds, wcets[i].cold_seconds) &&
-                            same_bits(base[i].warm_seconds,
-                                      wcets[i].warm_seconds),
-                        "analyzer-base", loc(i, 0))) {
-        return rep;
-      }
+  for (std::size_t i = 0; i < n; ++i) {
+    // A trace-only app is one path, where the static analysis is exact: its
+    // pair must equal the CacheSim replay of the trace bit for bit.
+    if (model.apps[i].has_structured()) continue;
+    const cache::WcetResult sim =
+        cache::analyze_wcet(model.apps[i].program, model.cache_config);
+    if (!fail.require(sim.steady &&
+                          same_bits(sim.cold_seconds, wcets[i].cold_seconds) &&
+                          same_bits(sim.warm_seconds, wcets[i].warm_seconds),
+                      "analyzer-base", loc(i, 0))) {
+      return rep;
     }
   }
 
-  std::vector<cache::StructuredProgram> lifted;
-  lifted.reserve(n);
+  std::vector<cache::StructuredProgram> programs;
+  programs.reserve(n);
   for (const core::Application& a : model.apps) {
-    lifted.push_back(a.has_structured()
-                         ? a.structured
-                         : cache::StructuredProgram{
-                               a.program.name,
-                               cache::Stmt::block(a.program.trace)});
+    programs.push_back(a.analysis_program());
   }
 
   // ---------------------- A2. first-miss (persistence) soundness surface
-  {
-    // FM-off twin: the abstract walk is mode-independent, so its cold
-    // bound must equal the FM analyzer's AM-only column bit-for-bit, and
-    // its warm bound can never be tighter than the FM one.
-    const cache::ScheduleWcetAnalyzer am_only(lifted, model.cache_config,
-                                              cache::FirstMiss::off);
-    for (std::size_t i = 0; i < n; ++i) {
-      const cache::StaticSteadyWcet& on = analyzer->base(i);
-      const cache::StaticSteadyWcet& off = am_only.base(i);
-      const bool ok = on.cold.wcet_cycles <= on.cold.am_only_cycles &&
-                      on.warm.wcet_cycles <= on.warm.am_only_cycles &&
-                      off.cold.wcet_cycles == on.cold.am_only_cycles &&
-                      off.warm.wcet_cycles >= on.warm.wcet_cycles;
-      if (!fail.require(ok, "fm-le-am", loc(i, 0))) return rep;
-      if (model.apps[i].has_structured()) {
-        ++rep.fm_apps;
-        const std::uint64_t d =
-            (off.cold.wcet_cycles - on.cold.wcet_cycles) +
-            (off.warm.wcet_cycles - on.warm.wcet_cycles);
-        if (d > 0) ++rep.fm_tightened_apps;
-        rep.fm_reduction_cycles += d;
-      }
-      // Memo on/off bit identity: a memo-free re-analysis reproduces the
-      // analyzer's (memoized) base exactly.
-      const cache::StaticSteadyWcet fresh =
-          cache::analyze_static_steady_wcet(lifted[i], model.cache_config);
-      if (!fail.require(fresh.cold.wcet_cycles == on.cold.wcet_cycles &&
-                            fresh.warm.wcet_cycles == on.warm.wcet_cycles &&
-                            fresh.cold.am_only_cycles ==
-                                on.cold.am_only_cycles,
-                        "fm-memo", loc(i, 0))) {
-        return rep;
-      }
-      // Sampled concrete paths of a structured program never exceed the
-      // FM bound: cold runs against the cold bound, and any second run of
-      // a back-to-back pair against the warm bound.
-      if (model.apps[i].has_structured()) {
-        const auto paths = cache::sample_paths(
-            model.apps[i].structured.root, 6,
-            static_cast<std::uint32_t>(seed ^ (0x5bd1e995ull * (i + 1))));
-        for (const auto& path : paths) {
-          cache::Program p;
-          p.name = "sampled-path";
-          p.trace = path;
-          const cache::WcetResult w =
-              cache::analyze_wcet(p, model.cache_config, 1);
-          std::ostringstream os;
-          os << loc(i, 0) << ": cold path replay " << w.cold_cycles
-             << " cycles > FM cold bound " << on.cold.wcet_cycles;
-          if (!fail.require(w.cold_cycles <= on.cold.wcet_cycles,
-                            "fm-replay", os.str())) {
-            return rep;
-          }
+  for (std::size_t i = 0; i < n; ++i) {
+    // The first-miss bound is the minimum of its own composition and the
+    // walk's AM-only column, so it can never exceed the latter.
+    const cache::StaticSteadyWcet& on = analyzer->base(i);
+    const bool ok = on.cold.wcet_cycles <= on.cold.am_only_cycles &&
+                    on.warm.wcet_cycles <= on.warm.am_only_cycles;
+    if (!fail.require(ok, "fm-le-am", loc(i, 0))) return rep;
+    if (model.apps[i].has_structured()) {
+      ++rep.fm_apps;
+      const std::uint64_t d =
+          (on.cold.am_only_cycles - on.cold.wcet_cycles) +
+          (on.warm.am_only_cycles - on.warm.wcet_cycles);
+      if (d > 0) ++rep.fm_tightened_apps;
+      rep.fm_reduction_cycles += d;
+    }
+    // Memo on/off bit identity: a memo-free re-analysis reproduces the
+    // analyzer's (memoized) base exactly.
+    const cache::StaticSteadyWcet fresh =
+        cache::analyze_static_steady_wcet(programs[i], model.cache_config);
+    if (!fail.require(fresh.cold.wcet_cycles == on.cold.wcet_cycles &&
+                          fresh.warm.wcet_cycles == on.warm.wcet_cycles &&
+                          fresh.cold.am_only_cycles ==
+                              on.cold.am_only_cycles,
+                      "fm-memo", loc(i, 0))) {
+      return rep;
+    }
+    // Sampled concrete paths of a structured program never exceed the
+    // FM bound: cold runs against the cold bound, and any second run of
+    // a back-to-back pair against the warm bound.
+    if (model.apps[i].has_structured()) {
+      const auto paths = cache::sample_paths(
+          model.apps[i].structured.root, 6,
+          static_cast<std::uint32_t>(seed ^ (0x5bd1e995ull * (i + 1))));
+      for (const auto& path : paths) {
+        cache::Program p;
+        p.name = "sampled-path";
+        p.trace = path;
+        const cache::WcetResult w =
+            cache::analyze_wcet(p, model.cache_config, 1);
+        std::ostringstream os;
+        os << loc(i, 0) << ": cold path replay " << w.cold_cycles
+           << " cycles > FM cold bound " << on.cold.wcet_cycles;
+        if (!fail.require(w.cold_cycles <= on.cold.wcet_cycles,
+                          "fm-replay", os.str())) {
+          return rep;
         }
-        if (paths.size() >= 2) {
-          std::vector<cache::Program> pp(2);
-          pp[0].name = pp[1].name = "sampled-path";
-          pp[0].trace = paths[0];
-          pp[1].trace = paths[1];
-          const std::vector<cache::TaskExecution> execs =
-              cache::simulate_task_sequence(pp, {0, 1, 0},
-                                            model.cache_config);
-          if (!fail.require(execs[1].cycles <= on.warm.wcet_cycles &&
-                                execs[2].cycles <= on.warm.wcet_cycles,
-                            "fm-replay",
-                            loc(i, 0) + ": warm path pair exceeds bound")) {
-            return rep;
-          }
+      }
+      if (paths.size() >= 2) {
+        std::vector<cache::Program> pp(2);
+        pp[0].name = pp[1].name = "sampled-path";
+        pp[0].trace = paths[0];
+        pp[1].trace = paths[1];
+        const std::vector<cache::TaskExecution> execs =
+            cache::simulate_task_sequence(pp, {0, 1, 0},
+                                          model.cache_config);
+        if (!fail.require(execs[1].cycles <= on.warm.wcet_cycles &&
+                              execs[2].cycles <= on.warm.wcet_cycles,
+                          "fm-replay",
+                          loc(i, 0) + ": warm path pair exceeds bound")) {
+          return rep;
         }
       }
     }
@@ -275,7 +263,7 @@ InvariantReport check_invariants(const core::SystemModel& model,
         cache::CachePair entry = analyzer->base(app).generic_exit;
         cache::age_through_interference(entry, interference);
         const cache::StaticWcetResult ref = cache::analyze_static_wcet(
-            lifted[app], model.cache_config, entry, &reference_memo);
+            programs[app], model.cache_config, entry, &reference_memo);
         if (!fail.require(ref.wcet_cycles == cw.analysis.wcet_cycles,
                           "context-reference", loc(app, mask))) {
           return rep;

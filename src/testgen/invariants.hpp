@@ -72,7 +72,8 @@ struct InvariantReport {
   // First-miss (persistence) surface, for the nightly tightening rate:
   std::size_t fm_apps = 0;            ///< apps carrying a structured tree
   std::size_t fm_tightened_apps = 0;  ///< of those, FM bound < AM-only bound
-  /// Summed (cold + warm) cycle reduction of FM-on vs FM-off across apps.
+  /// Summed (cold + warm) cycle reduction of the first-miss bound below the
+  /// AM-only bound (StaticWcetResult::am_only_cycles) across apps.
   std::uint64_t fm_reduction_cycles = 0;
 };
 

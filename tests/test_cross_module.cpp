@@ -17,16 +17,18 @@ TEST(CrossModule, StaticAnalysisEqualsSimulationOnCaseStudyTraces) {
   // reproduce the simulator's cold AND warm cycles exactly -- which are in
   // turn Table I. This pins the two WCET stacks to each other.
   const auto sys = catsched::core::date18_case_study();
-  for (const auto& app : sys.apps) {
+  const auto wcets = sys.analyze_wcets();
+  for (std::size_t i = 0; i < sys.apps.size(); ++i) {
+    const auto& app = sys.apps[i];
     const auto sim = catsched::cache::analyze_wcet(app.program,
                                                    sys.cache_config);
-    catsched::cache::StructuredProgram prog;
-    prog.name = app.name;
-    prog.root = catsched::cache::Stmt::block(app.program.trace);
-    const auto stat =
-        catsched::cache::analyze_static_app_wcet(prog, sys.cache_config);
+    const auto stat = catsched::cache::analyze_static_steady_wcet(
+        app.analysis_program(), sys.cache_config);
     EXPECT_EQ(stat.cold.wcet_cycles, sim.cold_cycles) << app.name;
     EXPECT_EQ(stat.warm.wcet_cycles, sim.warm_cycles) << app.name;
+    // The pipeline's pair is that analysis, in seconds.
+    EXPECT_EQ(wcets[i].cold_seconds, sim.cold_seconds) << app.name;
+    EXPECT_EQ(wcets[i].warm_seconds, sim.warm_seconds) << app.name;
     // And the accesses charged a miss are exactly the concrete misses of
     // the first (cold) and second (warm) run.
     catsched::cache::CacheSim replay(sys.cache_config);

@@ -485,9 +485,9 @@ TEST(StaticMemo, MemoizedAnalysisBitIdenticalWithGuaranteedHits) {
     cfg.num_lines = 32;
     cfg.associativity = 2;
 
-    const auto plain = cache::analyze_static_app_wcet(prog, cfg);
+    const auto plain = cache::analyze_static_steady_wcet(prog, cfg);
     cache::StaticAnalysisMemo memo;
-    const auto memoized = cache::analyze_static_app_wcet(prog, cfg, &memo);
+    const auto memoized = cache::analyze_static_steady_wcet(prog, cfg, &memo);
 
     EXPECT_EQ(plain.cold.wcet_cycles, memoized.cold.wcet_cycles);
     EXPECT_EQ(plain.cold.always_hit, memoized.cold.always_hit);
@@ -495,6 +495,7 @@ TEST(StaticMemo, MemoizedAnalysisBitIdenticalWithGuaranteedHits) {
     EXPECT_TRUE(plain.cold.exit_state == memoized.cold.exit_state);
     EXPECT_EQ(plain.warm.wcet_cycles, memoized.warm.wcet_cycles);
     EXPECT_TRUE(plain.warm.exit_state == memoized.warm.exit_state);
+    EXPECT_TRUE(plain.generic_exit == memoized.generic_exit);
     // Every stabilized multi-iteration loop replays its final probe in the
     // steady pass: with any such loop present the memo must hit.
     if (memo.size() > 0) {

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <random>
 #include <thread>
 #include <vector>
@@ -56,6 +57,20 @@ namespace linalg = catsched::linalg;
 
 bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// The context analyzer of a system of trace-only apps, built the way the
+/// pipeline builds it (each trace lifted by Application::analysis_program).
+std::unique_ptr<cache::ScheduleWcetAnalyzer> trace_analyzer(
+    const std::vector<cache::Program>& programs, const cache::CacheConfig& c) {
+  SystemModel sys;
+  sys.cache_config = c;
+  for (const cache::Program& p : programs) {
+    Application a;
+    a.program = p;
+    sys.apps.push_back(std::move(a));
+  }
+  return sys.make_context_analyzer();
 }
 
 ::testing::AssertionResult timing_identical(const ScheduleTiming& a,
@@ -134,18 +149,17 @@ std::vector<std::uint64_t> linear_masks(const std::vector<std::size_t>& seq,
 
 TEST(CacheFootprint, DistinctLinesPerSetAndUnion) {
   const cache::CacheConfig c = cfg(16, 2);  // 8 sets
-  cache::Program p;
-  p.trace = {0, 8, 0, 16, 3, 3, 11};  // sets 0 (lines 0,8,16) and 3 (3,11)
-  const cache::CacheFootprint f = cache::compute_footprint(p, c);
+  // Sets 0 (lines 0, 8, 16) and 3 (lines 3, 11).
+  const cache::CacheFootprint f =
+      cache::compute_footprint(cache::Stmt::block({0, 8, 0, 16, 3, 3, 11}), c);
   ASSERT_EQ(f.lines_per_set.size(), 8u);
   EXPECT_EQ(f.lines_per_set[0], (std::vector<std::uint64_t>{0, 8, 16}));
   EXPECT_EQ(f.lines_per_set[3], (std::vector<std::uint64_t>{3, 11}));
   EXPECT_EQ(f.total_lines(), 5u);
 
-  cache::Program q;
-  q.trace = {8, 24, 5};  // set 0: {8, 24}, set 5: {5}
-  cache::CacheFootprint u = f;
-  cache::merge_footprint(u, cache::compute_footprint(q, c));
+  cache::CacheFootprint u = f;  // set 0 gains {8, 24}, set 5 {5}
+  cache::merge_footprint(
+      u, cache::compute_footprint(cache::Stmt::block({8, 24, 5}), c));
   EXPECT_EQ(u.lines_per_set[0], (std::vector<std::uint64_t>{0, 8, 16, 24}));
   EXPECT_EQ(u.lines_per_set[5], (std::vector<std::uint64_t>{5}));
   EXPECT_EQ(u.total_lines(), 7u);
@@ -186,10 +200,9 @@ TEST(AgeThroughInterference, MustAgedPersistenceUntouched) {
   state.access(8);  // set 0 holds {0 @ age 1, 8 @ age 0}
   const cache::AbstractCacheState persistence_before = state.persistence();
 
-  cache::Program interferer;
-  interferer.trace = {16, 24, 16, 32};  // 3 distinct conflicting set-0 lines
-  cache::age_through_interference(state,
-                                  cache::compute_footprint(interferer, c));
+  // The interferer fetches 3 distinct conflicting set-0 lines.
+  cache::age_through_interference(
+      state, cache::compute_footprint(cache::Stmt::block({16, 24, 16, 32}), c));
   EXPECT_EQ(state.must().age(8), 3u);      // 0 + 3
   EXPECT_FALSE(state.must().contains(0));  // 1 + 3 >= ways
   EXPECT_TRUE(state.persistence() == persistence_before);
@@ -230,7 +243,7 @@ TEST(ContextBounds, OrderedAndMonotoneOverRandomSystems) {
       programs.push_back(random_trace(rng, "p", a * 17, 20 + rng() % 40,
                                       60 + rng() % 120));
     }
-    const auto analyzer = cache::ScheduleWcetAnalyzer::from_traces(programs, c);
+    const auto analyzer = trace_analyzer(programs, c);
     const std::uint64_t all = (std::uint64_t{1} << n) - 1;
     for (std::size_t app = 0; app < n; ++app) {
       const std::uint64_t warm = analyzer->base(app).warm.wcet_cycles;
@@ -268,7 +281,7 @@ TEST(ContextBounds, NeverExceededByConcreteTraceReplay) {
       programs.push_back(random_trace(rng, "p", a * 13, 16 + rng() % 48,
                                       50 + rng() % 150));
     }
-    const auto analyzer = cache::ScheduleWcetAnalyzer::from_traces(programs, c);
+    const auto analyzer = trace_analyzer(programs, c);
 
     // Random task sequence containing every app, replayed concretely
     // through one shared cache — the ground truth the bounds must cover.
@@ -359,7 +372,7 @@ TEST(ContextBounds, SteadyScheduleReplayWithinPerTaskBounds) {
       programs.push_back(random_trace(rng, "p", a * 23, 16 + rng() % 40,
                                       60 + rng() % 100));
     }
-    const auto analyzer = cache::ScheduleWcetAnalyzer::from_traces(programs, c);
+    const auto analyzer = trace_analyzer(programs, c);
     std::vector<std::size_t> period_seq;
     for (std::size_t a = 0; a < n; ++a) period_seq.push_back(a);
     for (int k = 0; k < 8; ++k) period_seq.push_back(rng() % n);
@@ -452,7 +465,7 @@ TEST(Analyzer, TableAndLookupAgreeAndFallBackCold) {
   for (std::size_t a = 0; a < 3; ++a) {
     programs.push_back(random_trace(rng, "p", a * 29, 40, 120));
   }
-  const auto analyzer = cache::ScheduleWcetAnalyzer::from_traces(programs, c);
+  const auto analyzer = trace_analyzer(programs, c);
   const ContextWcetTable table = analyzer->full_table();
   ASSERT_EQ(table.base.size(), 3u);
   for (std::size_t app = 0; app < 3; ++app) {
@@ -480,12 +493,11 @@ TEST(Analyzer, MemoHitDeterminismAcrossThreads) {
     programs.push_back(random_trace(rng, "p", a * 19, 40, 150));
   }
   // Serial reference values.
-  const auto ref = cache::ScheduleWcetAnalyzer::from_traces(programs, c);
+  const auto ref = trace_analyzer(programs, c);
   const ContextWcetTable ref_table = ref->full_table();
 
   for (const int threads : {1, 2, 4}) {
-    const auto analyzer =
-        cache::ScheduleWcetAnalyzer::from_traces(programs, c);
+    const auto analyzer = trace_analyzer(programs, c);
     // Every thread hammers every (app, mask) pair in its own order.
     std::vector<std::thread> workers;
     std::vector<int> mismatches(static_cast<std::size_t>(threads), 0);
@@ -527,16 +539,10 @@ TEST(Analyzer, MemoHitDeterminismAcrossThreads) {
   }
 }
 
-/// The apps of a generated system as the analyzer sees them (structured
-/// tree if any, else the trace lifted to one block).
+/// The apps of a generated system as the analyzer sees them.
 std::vector<cache::StructuredProgram> analyzer_programs(const SystemModel& m) {
   std::vector<cache::StructuredProgram> out;
-  for (const Application& a : m.apps) {
-    out.push_back(a.has_structured()
-                      ? a.structured
-                      : cache::StructuredProgram{
-                            a.program.name, cache::Stmt::block(a.program.trace)});
-  }
+  for (const Application& a : m.apps) out.push_back(a.analysis_program());
   return out;
 }
 
@@ -567,61 +573,61 @@ TEST(Analyzer, EntryClassesMatchReferenceDerivationBitForBit) {
           analyzer_programs(model);
       const cache::CacheConfig& c = model.cache_config;
       const std::size_t n = programs.size();
-      for (const cache::FirstMiss fm :
-           {cache::FirstMiss::on, cache::FirstMiss::off}) {
-        const cache::ScheduleWcetAnalyzer an(programs, c, fm);
-        std::uint64_t classes = 0;
-        std::uint64_t nonzero = 0;
-        for (std::size_t app = 0; app < n; ++app) {
-          const std::uint64_t warm = an.base(app).warm.wcet_cycles;
-          const std::uint64_t cold = an.base(app).cold.wcet_cycles;
-          cache::StaticAnalysisMemo memo;
-          std::vector<cache::CachePair> entries;
-          std::vector<const cache::ContextWcet*> results;
-          for (std::uint64_t mask = 1; mask < (std::uint64_t{1} << n); ++mask) {
-            if ((mask >> app) & 1u) continue;
-            const std::string where = "ways " + std::to_string(ways) +
-                                      " seed " + std::to_string(seed) +
-                                      " app " + std::to_string(app) +
-                                      " mask " + std::to_string(mask);
-            const cache::ContextWcet& got = an.analyze_context(app, mask);
-            entries.push_back(reference_entry(an, app, mask));
-            results.push_back(&got);
-            ++nonzero;
-            const cache::StaticWcetResult ref = cache::analyze_static_wcet(
-                programs[app], c, entries.back(), &memo, fm);
-            const std::uint64_t cycles =
-                std::min(std::max(ref.wcet_cycles, warm), cold);
-            EXPECT_EQ(got.cycles, cycles) << where;
-            EXPECT_TRUE(same_bits(
-                got.seconds, static_cast<double>(cycles) * c.cycle_seconds()))
-                << where;
-            EXPECT_EQ(got.naturally_ordered,
-                      ref.wcet_cycles >= warm && ref.wcet_cycles <= cold)
-                << where;
-            EXPECT_EQ(got.analysis.wcet_cycles, ref.wcet_cycles) << where;
-            EXPECT_EQ(got.analysis.am_only_cycles, ref.am_only_cycles) << where;
-            EXPECT_EQ(got.analysis.first_miss, ref.first_miss) << where;
-            EXPECT_EQ(got.analysis.not_classified, ref.not_classified) << where;
-          }
-          // A class is shared exactly when the reference entries coincide.
-          for (std::size_t i = 0; i < entries.size(); ++i) {
-            bool first_of_class = true;
-            for (std::size_t j = 0; j < entries.size(); ++j) {
-              const bool same_entry = entries[i] == entries[j];
-              EXPECT_EQ(same_entry, results[i] == results[j])
-                  << "ways " << ways << " seed " << seed << " app " << app
-                  << " masks #" << i << ", #" << j;
-              if (j < i && same_entry) first_of_class = false;
-            }
-            if (first_of_class) ++classes;
-          }
+      const cache::ScheduleWcetAnalyzer an(programs, c);
+      std::uint64_t classes = 0;
+      std::uint64_t nonzero = 0;
+      for (std::size_t app = 0; app < n; ++app) {
+        const std::uint64_t warm = an.base(app).warm.wcet_cycles;
+        const std::uint64_t cold = an.base(app).cold.wcet_cycles;
+        cache::StaticAnalysisMemo memo;
+        std::vector<cache::CachePair> entries;
+        std::vector<const cache::ContextWcet*> results;
+        for (std::uint64_t mask = 1; mask < (std::uint64_t{1} << n); ++mask) {
+          if ((mask >> app) & 1u) continue;
+          const std::string where = "ways " + std::to_string(ways) +
+                                    " seed " + std::to_string(seed) +
+                                    " app " + std::to_string(app) +
+                                    " mask " + std::to_string(mask);
+          const cache::ContextWcet& got = an.analyze_context(app, mask);
+          entries.push_back(reference_entry(an, app, mask));
+          results.push_back(&got);
+          ++nonzero;
+          const cache::StaticWcetResult ref = cache::analyze_static_wcet(
+              programs[app], c, entries.back(), &memo);
+          const std::uint64_t cycles =
+              std::min(std::max(ref.wcet_cycles, warm), cold);
+          EXPECT_EQ(got.cycles, cycles) << where;
+          EXPECT_TRUE(same_bits(
+              got.seconds, static_cast<double>(cycles) * c.cycle_seconds()))
+              << where;
+          EXPECT_EQ(got.naturally_ordered,
+                    ref.wcet_cycles >= warm && ref.wcet_cycles <= cold)
+              << where;
+          EXPECT_EQ(got.analysis.wcet_cycles, ref.wcet_cycles) << where;
+          // The AM-only column, the bound without first-miss, matches too.
+          EXPECT_EQ(got.analysis.am_only_cycles, ref.am_only_cycles) << where;
+          EXPECT_EQ(got.analysis.fm_penalty_cycles, ref.fm_penalty_cycles)
+              << where;
+          EXPECT_EQ(got.analysis.first_miss, ref.first_miss) << where;
+          EXPECT_EQ(got.analysis.not_classified, ref.not_classified) << where;
         }
-        const cache::ScheduleWcetAnalyzer::Stats stats = an.stats();
-        EXPECT_EQ(stats.context_analyses, nonzero);
-        EXPECT_EQ(stats.reanalyses, classes)
-            << "ways " << ways << " seed " << seed;
+        // A class is shared exactly when the reference entries coincide.
+        for (std::size_t i = 0; i < entries.size(); ++i) {
+          bool first_of_class = true;
+          for (std::size_t j = 0; j < entries.size(); ++j) {
+            const bool same_entry = entries[i] == entries[j];
+            EXPECT_EQ(same_entry, results[i] == results[j])
+                << "ways " << ways << " seed " << seed << " app " << app
+                << " masks #" << i << ", #" << j;
+            if (j < i && same_entry) first_of_class = false;
+          }
+          if (first_of_class) ++classes;
+        }
       }
+      const cache::ScheduleWcetAnalyzer::Stats stats = an.stats();
+      EXPECT_EQ(stats.context_analyses, nonzero);
+      EXPECT_EQ(stats.reanalyses, classes)
+          << "ways " << ways << " seed " << seed;
     }
   }
 }
@@ -689,27 +695,27 @@ std::vector<cache::StructuredProgram> branchy_fm_programs() {
 TEST(Analyzer, FirstMissTightensEveryContextAndPreservesOrdering) {
   const cache::CacheConfig c = cfg(16, 2);
   const auto programs = branchy_fm_programs();
-  const cache::ScheduleWcetAnalyzer on(programs, c, cache::FirstMiss::on);
-  const cache::ScheduleWcetAnalyzer off(programs, c, cache::FirstMiss::off);
+  const cache::ScheduleWcetAnalyzer an(programs, c);
   for (std::size_t app = 0; app < 3; ++app) {
-    // First-miss really fires and strictly tightens the base bounds.
-    EXPECT_GT(on.base(app).cold.first_miss, 0u);
-    EXPECT_LT(on.base(app).cold.wcet_cycles,
-              off.base(app).cold.wcet_cycles);
+    // First-miss really fires and strictly tightens the base bounds below
+    // the AM-only column (the bound without first-miss).
+    const cache::StaticSteadyWcet& base = an.base(app);
+    EXPECT_GT(base.cold.first_miss, 0u);
+    EXPECT_LT(base.cold.wcet_cycles, base.cold.am_only_cycles);
     for (std::uint64_t mask = 0; mask < 8; ++mask) {
-      const auto& ctx_on = on.analyze_context(app, mask);
-      const auto& ctx_off = off.analyze_context(app, mask);
-      // FM never loosens a context, and the AM-only column is mode-free.
-      EXPECT_LE(ctx_on.cycles, ctx_off.cycles) << app << "/" << mask;
-      EXPECT_EQ(ctx_on.analysis.am_only_cycles,
-                ctx_off.analysis.am_only_cycles)
+      const auto& ctx = an.analyze_context(app, mask);
+      // FM never loosens a context.
+      EXPECT_LE(ctx.cycles, ctx.analysis.am_only_cycles) << app << "/" << mask;
+      // warm <= context <= cold holds WITHOUT the defensive clamp, for the
+      // bound and for its AM-only column alike (run-local persistence
+      // keeps the derivation monotone).
+      EXPECT_TRUE(ctx.naturally_ordered) << app << "/" << mask;
+      EXPECT_LE(base.warm.am_only_cycles, ctx.analysis.am_only_cycles)
           << app << "/" << mask;
-      // warm <= context <= cold holds WITHOUT the defensive clamp in both
-      // modes (run-local persistence keeps the derivation monotone).
-      EXPECT_TRUE(ctx_on.naturally_ordered) << app << "/" << mask;
-      EXPECT_TRUE(ctx_off.naturally_ordered) << app << "/" << mask;
-      EXPECT_LE(on.base(app).warm.wcet_cycles, ctx_on.cycles);
-      EXPECT_LE(ctx_on.cycles, on.base(app).cold.wcet_cycles);
+      EXPECT_LE(ctx.analysis.am_only_cycles, base.cold.am_only_cycles)
+          << app << "/" << mask;
+      EXPECT_LE(base.warm.wcet_cycles, ctx.cycles);
+      EXPECT_LE(ctx.cycles, base.cold.wcet_cycles);
     }
   }
 }
@@ -717,7 +723,7 @@ TEST(Analyzer, FirstMissTightensEveryContextAndPreservesOrdering) {
 TEST(Analyzer, FirstMissContextsBitIdenticalAcrossThreadCounts) {
   const cache::CacheConfig c = cfg(16, 2);
   const auto programs = branchy_fm_programs();
-  // Serial reference values, FM on (the default mode the system ships).
+  // Serial reference values.
   const cache::ScheduleWcetAnalyzer ref(programs, c);
   const ContextWcetTable ref_table = ref.full_table();
 
@@ -805,13 +811,13 @@ control::DesignOptions fast_options() {
 
 TEST(SystemModel, ContextTableSitsBetweenWarmAndColdPairs) {
   const SystemModel sys = partial_overlap_system();
-  const std::vector<AppWcet> sim = sys.analyze_wcets();
-  const ContextWcetTable table = sys.analyze_context_wcets();
-  ASSERT_EQ(table.base.size(), sim.size());
-  for (std::size_t i = 0; i < sim.size(); ++i) {
-    // Static cold/warm base agrees with the simulator-derived pair.
-    EXPECT_TRUE(same_bits(table.base[i].cold_seconds, sim[i].cold_seconds));
-    EXPECT_TRUE(same_bits(table.base[i].warm_seconds, sim[i].warm_seconds));
+  const std::vector<AppWcet> wcets = sys.analyze_wcets();
+  const ContextWcetTable table = sys.make_context_analyzer()->full_table();
+  ASSERT_EQ(table.base.size(), wcets.size());
+  for (std::size_t i = 0; i < wcets.size(); ++i) {
+    // The analyzer's cold/warm base is the analyze_wcets() pair.
+    EXPECT_TRUE(same_bits(table.base[i].cold_seconds, wcets[i].cold_seconds));
+    EXPECT_TRUE(same_bits(table.base[i].warm_seconds, wcets[i].warm_seconds));
   }
   // The partial overlap makes the cross-context bound land STRICTLY
   // between warm and cold (20 singleton sets survive the other app).

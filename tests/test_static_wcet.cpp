@@ -16,7 +16,7 @@
 
 namespace {
 
-using catsched::cache::analyze_static_app_wcet;
+using catsched::cache::analyze_static_steady_wcet;
 using catsched::cache::analyze_static_wcet;
 using catsched::cache::CacheConfig;
 using catsched::cache::CacheSim;
@@ -172,7 +172,7 @@ TEST(StaticWcet, WarmEntryCertifiesReduction) {
   StructuredProgram p;
   p.root = Stmt::block({0, 1, 2, 3});
   const CacheConfig c = cfg(8, 1);
-  const auto app = analyze_static_app_wcet(p, c);
+  const auto app = analyze_static_steady_wcet(p, c);
   EXPECT_EQ(app.cold.not_classified, 4u);
   EXPECT_EQ(app.warm.always_hit, 4u);
   EXPECT_EQ(app.reduction_cycles(), 4u * (c.miss_cycles - c.hit_cycles));
@@ -189,7 +189,7 @@ TEST(StaticWcet, WarmReductionMatchesSimulatorOnBranchFreePrograms) {
     opts.address_lines = 24;
     const auto prog = make_random_program("bf", opts);
     const CacheConfig c = cfg(16, 2);
-    const auto stat = analyze_static_app_wcet(prog, c);
+    const auto stat = analyze_static_steady_wcet(prog, c);
     const auto sim = catsched::cache::analyze_wcet(flatten_to_program(prog),
                                                    c, 4);
     EXPECT_GE(stat.cold.wcet_cycles, sim.cold_cycles) << "seed " << seed;
@@ -236,8 +236,7 @@ TEST(FirstMiss, BranchyLoopChargesEachArmLineOneMissThenHits) {
   EXPECT_EQ(r.wcet_cycles, worst_sim);
 }
 
-TEST(FirstMiss, NeverLoosensAndOffModeReproducesAmOnly) {
-  using catsched::cache::FirstMiss;
+TEST(FirstMiss, NeverLoosensAndMemoIsBitIdentical) {
   using catsched::cache::StaticAnalysisMemo;
   for (const std::uint32_t seed : {201u, 202u, 203u, 204u}) {
     RandomProgramOptions opts;
@@ -249,18 +248,12 @@ TEST(FirstMiss, NeverLoosensAndOffModeReproducesAmOnly) {
     const auto prog = make_random_program("fm", opts);
     for (const CacheConfig& c : {cfg(8, 1), cfg(16, 2), cfg(32, 4)}) {
       const StaticWcetResult on = analyze_static_wcet(prog, c);
-      const StaticWcetResult off = analyze_static_wcet(
-          prog, c, std::nullopt, nullptr, FirstMiss::off);
-      // FM can only tighten, and off-mode is the exact AM-only bound.
+      // FM can only tighten the AM-only column, and where no FM point
+      // fires anywhere in the walk (no penalty) the two coincide.
       EXPECT_LE(on.wcet_cycles, on.am_only_cycles);
-      EXPECT_EQ(off.wcet_cycles, off.am_only_cycles);
-      EXPECT_EQ(off.am_only_cycles, on.am_only_cycles);
-      EXPECT_EQ(off.first_miss, 0u);
-      EXPECT_EQ(off.fm_penalty_cycles, 0u);
-      // Off-mode reports would-be FM points as NC; AH is mode-free.
-      EXPECT_EQ(off.not_classified, on.not_classified + on.first_miss);
-      EXPECT_EQ(off.always_hit, on.always_hit);
-      EXPECT_EQ(off.exit_state, on.exit_state);
+      if (on.fm_penalty_cycles == 0) {
+        EXPECT_EQ(on.wcet_cycles, on.am_only_cycles);
+      }
 
       // Memoized analyses are bit-identical to memo-less ones, cold run
       // and pure-hit rerun alike.
@@ -281,11 +274,10 @@ TEST(FirstMiss, NeverLoosensAndOffModeReproducesAmOnly) {
   }
 }
 
-TEST(FirstMiss, BranchFreeProgramsAreBitIdenticalInBothModes) {
+TEST(FirstMiss, BranchFreeProgramsEqualTheAmOnlyBound) {
   // On a single path the persistence age never undercuts the must age, so
-  // first-miss cannot fire and FM-on reproduces the legacy AM-only result
-  // bit for bit — the compatibility guarantee for trace-lifted programs.
-  using catsched::cache::FirstMiss;
+  // first-miss cannot fire and the bound is the AM-only one bit for bit —
+  // the guarantee that lifting a trace reproduces its CacheSim replay.
   for (const std::uint32_t seed : {31u, 32u, 33u}) {
     RandomProgramOptions opts;
     opts.seed = seed;
@@ -296,11 +288,8 @@ TEST(FirstMiss, BranchFreeProgramsAreBitIdenticalInBothModes) {
     const auto prog = make_random_program("single", opts);
     const CacheConfig c = cfg(16, 2);
     const StaticWcetResult on = analyze_static_wcet(prog, c);
-    const StaticWcetResult off = analyze_static_wcet(
-        prog, c, std::nullopt, nullptr, FirstMiss::off);
     EXPECT_EQ(on.first_miss, 0u);
     EXPECT_EQ(on.fm_penalty_cycles, 0u);
-    EXPECT_EQ(on.wcet_cycles, off.wcet_cycles);
     EXPECT_EQ(on.wcet_cycles, on.am_only_cycles);
   }
 }
@@ -370,7 +359,7 @@ TEST_P(WarmSoundnessSweep, WarmBoundDominatesBackToBackPaths) {
   const auto prog = make_random_program("warm", opts);
   const CacheConfig c = cfg(16, 2);
 
-  const auto stat = analyze_static_app_wcet(prog, c);
+  const auto stat = analyze_static_steady_wcet(prog, c);
   const auto paths = enumerate_paths(prog.root, 512);
   for (const auto& first : paths) {
     for (const auto& second : paths) {
