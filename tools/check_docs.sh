@@ -10,6 +10,10 @@
 #   * README must link both documents
 #   * every *.md name cited in src/, tests/, bench/, tools/ or examples/
 #     must resolve to a file
+#   * every backticked qualified name (`ns::name`, `Type::member`) in the
+#     README, ARCHITECTURE, BENCHMARKS or the verify skill must name only
+#     words that occur in src/, tools/ or perfbench/, so a deleted function
+#     cannot stay cited
 # Exits non-zero listing everything missing, so adding a module or bench
 # without documenting it fails the build.
 set -u
@@ -117,6 +121,25 @@ for ref in $(grep -rnoE '[A-Za-z0-9_./-]+\.md\b' src tests bench tools examples)
   esac
   echo "check_docs: ${ref%:*} cites $name, which does not exist"
   fail=1
+done
+
+# Every part of a backticked qualified name must still be a word of the
+# code: a removed or renamed symbol fails here instead of rotting in prose.
+# (Only spans that open and close on one line are seen.)
+for doc in README.md docs/ARCHITECTURE.md docs/BENCHMARKS.md \
+    .claude/skills/verify/SKILL.md; do
+  [ -f "$doc" ] || continue
+  for name in $(grep -oE '`[^`]*`' "$doc" |
+      grep -oE '[A-Za-z_][A-Za-z0-9_]*(::~?[A-Za-z_][A-Za-z0-9_]*)+' |
+      sort -u); do
+    for part in $(echo "$name" | sed 's/::~\{0,1\}/ /g'); do
+      if ! grep -rqw -- "$part" src tools perfbench; then
+        echo "check_docs: $doc cites \`$name\`, but $part is not in src/, tools/ or perfbench/"
+        fail=1
+        break
+      fi
+    done
+  done
 done
 
 if [ "$fail" -eq 0 ]; then
