@@ -150,11 +150,10 @@ StaticWcetResult analyze_static_wcet(
 /// pass's exit state — the paper's consecutive-execution scenario (the
 /// previous task of the same application just ran; no other application
 /// touched the cache) — so the warm bound holds for steady re-execution,
-/// and
-/// `generic_exit` — the join over every per-run exit state in the chain —
-/// is a sound abstract cache for "this application just finished a burst
-/// of ANY length", the state the schedule-dependent entry derivation
-/// (cache/schedule_wcet) ages through interfering programs.
+/// and `generic_exit` — the join over every per-run exit state in the
+/// chain — is a sound abstract cache for "this application just finished
+/// a burst of ANY length", the state the schedule-dependent entry
+/// derivation (cache/schedule_wcet) ages through interfering programs.
 struct StaticSteadyWcet {
   StaticWcetResult cold;
   /// Warm-re-execution bound: the WORST pass of the warm chain, sound for

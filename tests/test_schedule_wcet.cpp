@@ -539,13 +539,6 @@ TEST(Analyzer, MemoHitDeterminismAcrossThreads) {
   }
 }
 
-/// The apps of a generated system as the analyzer sees them.
-std::vector<cache::StructuredProgram> analyzer_programs(const SystemModel& m) {
-  std::vector<cache::StructuredProgram> out;
-  for (const Application& a : m.apps) out.push_back(a.analysis_program());
-  return out;
-}
-
 /// Reference entry derivation: the generic exit aged through the merged
 /// footprint of every interfering app.
 cache::CachePair reference_entry(const cache::ScheduleWcetAnalyzer& an,
@@ -569,8 +562,10 @@ TEST(Analyzer, EntryClassesMatchReferenceDerivationBitForBit) {
     g.way_choices = {ways};
     for (std::uint64_t seed = 500; seed < 503; ++seed) {
       const SystemModel model = catsched::testgen::generate_system(g, seed).model;
-      const std::vector<cache::StructuredProgram> programs =
-          analyzer_programs(model);
+      std::vector<cache::StructuredProgram> programs;
+      for (const Application& a : model.apps) {
+        programs.push_back(a.analysis_program());
+      }
       const cache::CacheConfig& c = model.cache_config;
       const std::size_t n = programs.size();
       const cache::ScheduleWcetAnalyzer an(programs, c);
