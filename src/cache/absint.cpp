@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -243,6 +244,20 @@ void AbstractCacheState::age_set(std::size_t set_index, std::uint32_t amount) {
   commit_set(set_index, static_cast<std::size_t>(out - first), std::nullopt);
 }
 
+AbstractCacheState AbstractCacheState::slice_set(std::size_t set_index) const {
+  if (set_index >= sets_) {
+    throw std::out_of_range("AbstractCacheState::slice_set: set out of range");
+  }
+  CacheConfig one = config_;
+  one.num_lines = ways_;
+  one.associativity = ways_;
+  AbstractCacheState out(one, kind_);
+  const std::span<const LineAge> set = set_entries(set_index);
+  out.entries_.assign(set.begin(), set.end());
+  out.begin_[1] = static_cast<std::uint32_t>(set.size());
+  return out;
+}
+
 void AbstractCacheState::clear() noexcept {
   entries_.clear();
   std::fill(begin_.begin(), begin_.end(), 0u);
@@ -306,6 +321,13 @@ Classification CachePair::classify_and_access(std::uint64_t line) {
   const Classification c = classify(line);
   access(line);
   return c;
+}
+
+CachePair CachePair::slice_set(std::size_t set_index) const {
+  CachePair out;
+  out.must_ = must_.slice_set(set_index);
+  out.persistence_ = persistence_.slice_set(set_index);
+  return out;
 }
 
 void CachePair::reset_persistence() { persistence_.clear(); }

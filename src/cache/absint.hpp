@@ -139,6 +139,13 @@ public:
             entries_.data() + begin_[set_index + 1]};
   }
 
+  /// Set \p set_index alone, as a state of a one-set cache with the same
+  /// ways and cycle costs. Every operation of both domains reads and writes
+  /// one set, so analyzing the program's lines of that set, in order, from
+  /// the slice tracks the set exactly as the whole analysis does.
+  /// \throws std::out_of_range if set_index is not a valid set.
+  AbstractCacheState slice_set(std::size_t set_index) const;
+
   /// Number of tracked lines over all sets.
   std::size_t tracked_lines() const noexcept { return entries_.size(); }
 
@@ -237,6 +244,10 @@ public:
   void age_interference_set(std::size_t set_index, std::uint32_t amount) {
     must_.age_set(set_index, amount);
   }
+
+  /// Both states' slices of one set (AbstractCacheState::slice_set).
+  /// \throws std::out_of_range if set_index is not a valid set.
+  CachePair slice_set(std::size_t set_index) const;
 
   /// Drop the whole persistence state back to "nothing accessed yet":
   /// analyze_static_wcet calls this on its entry state so first-miss

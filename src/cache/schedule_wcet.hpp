@@ -19,10 +19,11 @@
 ///      is precisely what makes its first-miss guarantees
 ///      interference-proof: the one covered miss IS the re-fetch after
 ///      whatever the interference evicted;
-///   3. re-analyze the program from that entry state through the existing
-///      analyze_static_wcet(program, entry, memo) path — the shared
-///      per-app StaticAnalysisMemo turns repeated loop fixpoints into
-///      lookups.
+///   3. analyze the program from that entry state. A program with a
+///      branch is re-analyzed whole through analyze_static_wcet(program,
+///      entry, memo) — the shared per-app StaticAnalysisMemo turns
+///      repeated loop fixpoints into lookups. A branch-free program is
+///      answered as a sum of per-set parts (below).
 ///
 /// merge_footprint + age_through_interference is the reference form of
 /// step 2. The analyzer derives the same entry state without building the
@@ -36,6 +37,24 @@
 /// are, and step 3 runs once per distinct key ("entry class"); every
 /// other mask of the class shares its bit-identical result.
 ///
+/// Sum of parts. Both abstract domains work per set (access, join and
+/// age_set each touch one set), and a loop fixpoint restricted to one set
+/// is that set's own fixpoint. So on a branch-free program every column
+/// analyze_static_wcet sums (the AM-only and penalty columns and the AH,
+/// FM and NC counts) is the sum over sets of the same analysis of the
+/// program restricted to each set, and the FM cycle column is
+/// ah·hit + fm·min(hit, miss) + nc·miss. A class is then
+///   base + Σ_{live s, a_s > 0} (part_s(a_s) − part_s(0))
+/// per column, with wcet = min(cycles + penalty, am_only) from the sums:
+/// `base` is the whole program from the unaged generic exit, and
+/// part_s(a) the program's lines of set s analyzed under a one-set cache
+/// from that set of the generic exit aged by a — at most ways + 1 parts
+/// per live set, each computed once. A branch takes each column's
+/// maximum over its arms, which does not split by set, so a program with
+/// a branch keeps the whole re-analysis. The split of the tree, `base`
+/// and the parts are built on the app's first non-zero mask: an app the
+/// search only ever asks for warm costs nothing extra.
+///
 /// Soundness contract (gtest-enforced, randomized + differential):
 ///   warm <= context(mask) <= cold for every mask, and no concrete CacheSim
 ///   replay of the same interference sequence ever exceeds the bound.
@@ -43,6 +62,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -84,7 +104,7 @@ void age_through_interference(CachePair& state,
 
 /// One context-sensitive bound.
 struct ContextWcet {
-  StaticWcetResult analysis;  ///< re-analysis from the derived entry state
+  StaticWcetCounts analysis;  ///< analysis from the derived entry state
   std::uint64_t cycles = 0;   ///< bound clamped into [warm, cold]
   double seconds = 0.0;       ///< cycles in seconds
   /// True iff the raw analysis already satisfied warm <= raw <= cold (it
@@ -145,8 +165,9 @@ public:
   struct Stats {
     std::uint64_t context_requests = 0;  ///< analyze_context calls
     std::uint64_t context_analyses = 0;  ///< distinct (app, mask) computed
-    /// Entry classes actually re-analyzed (distinct aged entry states over
-    /// the non-zero masks computed); the other analyses reused a class.
+    /// Entry classes computed (distinct aged entry states over the
+    /// non-zero masks computed), by whole re-analysis or as a sum of
+    /// per-set parts; the other analyses reused a class.
     std::uint64_t reanalyses = 0;
   };
   Stats stats() const;
@@ -161,6 +182,18 @@ private:
     std::uint32_t cap = 0;  ///< ways - youngest must age in the set
   };
 
+  /// One live set's share of a branch-free program (see the file header).
+  struct SetShare {
+    StructuredProgram program;  ///< the program's lines of this set
+    /// parts[a]: the share analyzed from the set aged by a (0..cap).
+    std::vector<std::optional<StaticWcetCounts>> parts;
+    StaticAnalysisMemo memo;  ///< bound to `program` and the one-set cache
+  };
+  struct SetShares {
+    StaticWcetCounts base;       ///< the program from the unaged generic exit
+    std::vector<SetShare> sets;  ///< parallel to AppState::live
+  };
+
   struct AppState {
     StructuredProgram program;
     StaticSteadyWcet steady;
@@ -168,6 +201,10 @@ private:
     /// Sets where steady.generic_exit's must state holds entries, ascending.
     std::vector<LiveSet> live;
     StaticAnalysisMemo memo;  ///< shared across this app's contexts
+    bool branch_free = false;  ///< program.root has no branch
+    /// A branch-free app's classes as sums of parts; built on its first
+    /// non-zero mask.
+    std::unique_ptr<SetShares> shares;
     ContextWcet warm;         ///< mask 0, filled on its first request
     std::unordered_map<EntryKey, ContextWcet> classes;
     /// Every computed mask, pointing at `warm` or into `classes`.
@@ -178,13 +215,19 @@ private:
     EntryKey key;
     /// Scratch: unmerged tails of the interferers' lines in one set.
     std::vector<std::pair<const std::uint64_t*, const std::uint64_t*>> heads;
-    /// Guards memo + contexts + classes + scratch (shared = lookup,
-    /// exclusive = compute).
+    /// Guards memo + shares + contexts + classes + scratch (shared =
+    /// lookup, exclusive = compute).
     mutable std::shared_mutex mu;
   };
 
   /// Fills st.amounts and st.key for \p mask (non-zero, canonical).
   void entry_key_locked(AppState& st, std::uint64_t mask) const;
+  void build_shares_locked(AppState& st) const;
+  /// Part \p amount of live set number \p i, computed on first use.
+  const StaticWcetCounts& part_locked(AppState& st, std::size_t i,
+                                      std::uint32_t amount) const;
+  /// The class of st.amounts as base plus the aged parts' changes.
+  StaticWcetCounts sum_of_parts_locked(AppState& st) const;
   const ContextWcet& compute_context_locked(AppState& st,
                                             std::uint64_t mask) const;
 

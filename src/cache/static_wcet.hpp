@@ -110,8 +110,9 @@ private:
   Stats stats_;
 };
 
-/// Outcome of one static analysis pass.
-struct StaticWcetResult {
+/// The numbers of one static analysis pass (the bound, its columns and the
+/// classification counts), without the exit state.
+struct StaticWcetCounts {
   std::uint64_t wcet_cycles = 0;  ///< guaranteed upper bound on any path
   /// The classic AM-only bound (every non-AH access charged a miss on
   /// every occurrence): what the bound would be without first-miss.
@@ -125,11 +126,15 @@ struct StaticWcetResult {
   std::uint64_t always_hit = 0;
   std::uint64_t first_miss = 0;
   std::uint64_t not_classified = 0;
-  CachePair exit_state;  ///< abstract cache after the program
 
   double wcet_seconds(const CacheConfig& config) const noexcept {
     return static_cast<double>(wcet_cycles) * config.cycle_seconds();
   }
+};
+
+/// Outcome of one static analysis pass: its counts plus the exit state.
+struct StaticWcetResult : StaticWcetCounts {
+  CachePair exit_state;  ///< abstract cache after the program
 };
 
 /// Analyze a structured program from a given abstract entry state (cold

@@ -252,8 +252,9 @@ InvariantReport check_invariants(const core::SystemModel& model,
         return rep;
       }
       if (mask != 0) {
-        // The analyzer re-analyzes one mask per entry class; the reference
-        // derivation ages the generic exit through the merged footprint.
+        // The analyzer computes one mask per entry class; the reference
+        // derivation ages the generic exit through the merged footprint
+        // and re-analyzes the whole program. Every column must agree.
         cache::CacheFootprint interference;
         for (std::size_t a = 0; a < n; ++a) {
           if ((mask >> a) & 1u) {
@@ -264,7 +265,13 @@ InvariantReport check_invariants(const core::SystemModel& model,
         cache::age_through_interference(entry, interference);
         const cache::StaticWcetResult ref = cache::analyze_static_wcet(
             programs[app], model.cache_config, entry, &reference_memo);
-        if (!fail.require(ref.wcet_cycles == cw.analysis.wcet_cycles,
+        const cache::StaticWcetCounts& got = cw.analysis;
+        if (!fail.require(ref.wcet_cycles == got.wcet_cycles &&
+                              ref.am_only_cycles == got.am_only_cycles &&
+                              ref.fm_penalty_cycles == got.fm_penalty_cycles &&
+                              ref.always_hit == got.always_hit &&
+                              ref.first_miss == got.first_miss &&
+                              ref.not_classified == got.not_classified,
                           "context-reference", loc(app, mask))) {
           return rep;
         }

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <memory>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -552,6 +553,113 @@ cache::CachePair reference_entry(const cache::ScheduleWcetAnalyzer& an,
   return entry;
 }
 
+/// Every non-zero context of every app against the reference derivation,
+/// every field bit for bit, and masks share a class exactly when their
+/// reference entries coincide. Returns the number of entry classes.
+std::uint64_t check_classes_against_reference(
+    const std::vector<cache::StructuredProgram>& programs,
+    const cache::CacheConfig& c, const std::string& label) {
+  const std::size_t n = programs.size();
+  const cache::ScheduleWcetAnalyzer an(programs, c);
+  std::uint64_t classes = 0;
+  std::uint64_t nonzero = 0;
+  for (std::size_t app = 0; app < n; ++app) {
+    const std::uint64_t warm = an.base(app).warm.wcet_cycles;
+    const std::uint64_t cold = an.base(app).cold.wcet_cycles;
+    cache::StaticAnalysisMemo memo;
+    std::vector<cache::CachePair> entries;
+    std::vector<const cache::ContextWcet*> results;
+    for (std::uint64_t mask = 1; mask < (std::uint64_t{1} << n); ++mask) {
+      if ((mask >> app) & 1u) continue;
+      const std::string where = label + " app " + std::to_string(app) +
+                                " mask " + std::to_string(mask);
+      const cache::ContextWcet& got = an.analyze_context(app, mask);
+      entries.push_back(reference_entry(an, app, mask));
+      results.push_back(&got);
+      ++nonzero;
+      const cache::StaticWcetResult ref = cache::analyze_static_wcet(
+          programs[app], c, entries.back(), &memo);
+      const std::uint64_t cycles =
+          std::min(std::max(ref.wcet_cycles, warm), cold);
+      EXPECT_EQ(got.cycles, cycles) << where;
+      EXPECT_TRUE(same_bits(got.seconds,
+                            static_cast<double>(cycles) * c.cycle_seconds()))
+          << where;
+      EXPECT_EQ(got.naturally_ordered,
+                ref.wcet_cycles >= warm && ref.wcet_cycles <= cold)
+          << where;
+      EXPECT_EQ(got.analysis.wcet_cycles, ref.wcet_cycles) << where;
+      // The AM-only column, the bound without first-miss, matches too.
+      EXPECT_EQ(got.analysis.am_only_cycles, ref.am_only_cycles) << where;
+      EXPECT_EQ(got.analysis.fm_penalty_cycles, ref.fm_penalty_cycles)
+          << where;
+      EXPECT_EQ(got.analysis.always_hit, ref.always_hit) << where;
+      EXPECT_EQ(got.analysis.first_miss, ref.first_miss) << where;
+      EXPECT_EQ(got.analysis.not_classified, ref.not_classified) << where;
+    }
+    // A class is shared exactly when the reference entries coincide.
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      bool first_of_class = true;
+      for (std::size_t j = 0; j < entries.size(); ++j) {
+        const bool same_entry = entries[i] == entries[j];
+        EXPECT_EQ(same_entry, results[i] == results[j])
+            << label << " app " << app << " masks #" << i << ", #" << j;
+        if (j < i && same_entry) first_of_class = false;
+      }
+      if (first_of_class) ++classes;
+    }
+  }
+  const cache::ScheduleWcetAnalyzer::Stats stats = an.stats();
+  EXPECT_EQ(stats.context_analyses, nonzero) << label;
+  EXPECT_EQ(stats.reanalyses, classes) << label;
+  return classes;
+}
+
+/// Four branch-free apps built from blocks and loops only, offset by
+/// \p stride lines each so their sets overlap in part: nested loops, a
+/// loop of bound 1, and loop bodies that touch none of some live sets
+/// (app 2's body sits in one set, its prefix in three others).
+std::vector<cache::StructuredProgram> loop_only_programs(std::size_t sets,
+                                                         std::uint64_t stride) {
+  using cache::Stmt;
+  const std::uint64_t s = sets;
+  std::vector<cache::StructuredProgram> programs(4);
+  for (std::uint64_t a = 0; a < 4; ++a) {
+    const std::uint64_t b = a * stride;
+    Stmt root;
+    switch (a) {
+      case 0:
+        root = Stmt::seq(
+            {Stmt::block({b, b + 1, b + s, b + 2}),
+             Stmt::loop(
+                 Stmt::seq({Stmt::block({b + 3, b + s + 1}),
+                            Stmt::loop(Stmt::block({b + 4, b + 2 * s + 4,
+                                                    b + 4}),
+                                       3)}),
+                 4),
+             Stmt::block({b + 1})});
+        break;
+      case 1:
+        root = Stmt::seq({Stmt::loop(Stmt::block({b + 5, b + 6}), 1),
+                          Stmt::block({b, b + s + 5, b + 6})});
+        break;
+      case 2:
+        root = Stmt::seq(
+            {Stmt::block({b + 7, b + 8, b + 9, b + s + 10}),
+             Stmt::loop(Stmt::block({b + 10, b + 2 * s + 10, b + 10}), 5)});
+        break;
+      default:
+        root = Stmt::loop(
+            Stmt::loop(Stmt::block({b, b + 11, b + s + 11, b + 12}), 2), 3);
+        break;
+    }
+    programs[a].name = "loop-app";
+    programs[a].root = std::move(root);
+    EXPECT_EQ(programs[a].root.branch_count(), 0u);
+  }
+  return programs;
+}
+
 TEST(Analyzer, EntryClassesMatchReferenceDerivationBitForBit) {
   catsched::testgen::GeneratorConfig g;
   g.min_apps = 4;
@@ -566,63 +674,37 @@ TEST(Analyzer, EntryClassesMatchReferenceDerivationBitForBit) {
       for (const Application& a : model.apps) {
         programs.push_back(a.analysis_program());
       }
-      const cache::CacheConfig& c = model.cache_config;
-      const std::size_t n = programs.size();
-      const cache::ScheduleWcetAnalyzer an(programs, c);
-      std::uint64_t classes = 0;
-      std::uint64_t nonzero = 0;
-      for (std::size_t app = 0; app < n; ++app) {
-        const std::uint64_t warm = an.base(app).warm.wcet_cycles;
-        const std::uint64_t cold = an.base(app).cold.wcet_cycles;
-        cache::StaticAnalysisMemo memo;
-        std::vector<cache::CachePair> entries;
-        std::vector<const cache::ContextWcet*> results;
-        for (std::uint64_t mask = 1; mask < (std::uint64_t{1} << n); ++mask) {
-          if ((mask >> app) & 1u) continue;
-          const std::string where = "ways " + std::to_string(ways) +
-                                    " seed " + std::to_string(seed) +
-                                    " app " + std::to_string(app) +
-                                    " mask " + std::to_string(mask);
-          const cache::ContextWcet& got = an.analyze_context(app, mask);
-          entries.push_back(reference_entry(an, app, mask));
-          results.push_back(&got);
-          ++nonzero;
-          const cache::StaticWcetResult ref = cache::analyze_static_wcet(
-              programs[app], c, entries.back(), &memo);
-          const std::uint64_t cycles =
-              std::min(std::max(ref.wcet_cycles, warm), cold);
-          EXPECT_EQ(got.cycles, cycles) << where;
-          EXPECT_TRUE(same_bits(
-              got.seconds, static_cast<double>(cycles) * c.cycle_seconds()))
-              << where;
-          EXPECT_EQ(got.naturally_ordered,
-                    ref.wcet_cycles >= warm && ref.wcet_cycles <= cold)
-              << where;
-          EXPECT_EQ(got.analysis.wcet_cycles, ref.wcet_cycles) << where;
-          // The AM-only column, the bound without first-miss, matches too.
-          EXPECT_EQ(got.analysis.am_only_cycles, ref.am_only_cycles) << where;
-          EXPECT_EQ(got.analysis.fm_penalty_cycles, ref.fm_penalty_cycles)
-              << where;
-          EXPECT_EQ(got.analysis.first_miss, ref.first_miss) << where;
-          EXPECT_EQ(got.analysis.not_classified, ref.not_classified) << where;
-        }
-        // A class is shared exactly when the reference entries coincide.
-        for (std::size_t i = 0; i < entries.size(); ++i) {
-          bool first_of_class = true;
-          for (std::size_t j = 0; j < entries.size(); ++j) {
-            const bool same_entry = entries[i] == entries[j];
-            EXPECT_EQ(same_entry, results[i] == results[j])
-                << "ways " << ways << " seed " << seed << " app " << app
-                << " masks #" << i << ", #" << j;
-            if (j < i && same_entry) first_of_class = false;
-          }
-          if (first_of_class) ++classes;
-        }
-      }
-      const cache::ScheduleWcetAnalyzer::Stats stats = an.stats();
-      EXPECT_EQ(stats.context_analyses, nonzero);
-      EXPECT_EQ(stats.reanalyses, classes)
-          << "ways " << ways << " seed " << seed;
+      check_classes_against_reference(
+          programs, model.cache_config,
+          "ways " + std::to_string(ways) + " seed " + std::to_string(seed));
+    }
+  }
+  // Branch-free structured apps, which generated systems never have, on
+  // geometries they never draw: a set count that is not a power of two,
+  // a fully associative cache (associativity 0) and a hit dearer than a
+  // miss. Each must split into several entry classes.
+  struct Geometry {
+    std::size_t lines;
+    std::size_t assoc;
+    std::uint32_t hit;
+    std::uint32_t miss;
+  };
+  for (const Geometry geo : {Geometry{48, 2, 1, 100}, Geometry{96, 4, 1, 100},
+                             Geometry{8, 0, 1, 100}, Geometry{64, 4, 7, 3},
+                             Geometry{48, 2, 9, 2}}) {
+    cache::CacheConfig c = cfg(geo.lines, geo.assoc);
+    c.hit_cycles = geo.hit;
+    c.miss_cycles = geo.miss;
+    for (const std::uint64_t stride : {3u, 13u}) {
+      const std::string label =
+          "loop apps, " + std::to_string(c.num_sets()) + " sets x " +
+          std::to_string(c.ways()) + " ways, hit " + std::to_string(geo.hit) +
+          " miss " + std::to_string(geo.miss) + ", stride " +
+          std::to_string(stride);
+      EXPECT_GT(check_classes_against_reference(
+                    loop_only_programs(c.num_sets(), stride), c, label),
+                4u)
+          << label;
     }
   }
 }
