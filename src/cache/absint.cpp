@@ -324,10 +324,8 @@ Classification CachePair::classify_and_access(std::uint64_t line) {
 }
 
 CachePair CachePair::slice_set(std::size_t set_index) const {
-  CachePair out;
-  out.must_ = must_.slice_set(set_index);
-  out.persistence_ = persistence_.slice_set(set_index);
-  return out;
+  return CachePair(must_.slice_set(set_index),
+                   persistence_.slice_set(set_index));
 }
 
 void CachePair::reset_persistence() { persistence_.clear(); }

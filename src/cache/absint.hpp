@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "cache/cache_model.hpp"
@@ -268,6 +269,9 @@ public:
   bool operator==(const CachePair& other) const = default;
 
 private:
+  CachePair(AbstractCacheState must, AbstractCacheState persistence)
+      : must_(std::move(must)), persistence_(std::move(persistence)) {}
+
   AbstractCacheState must_;
   AbstractCacheState persistence_;
 };
