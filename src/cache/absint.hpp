@@ -141,9 +141,10 @@ public:
   }
 
   /// Set \p set_index alone, as a state of a one-set cache with the same
-  /// ways and cycle costs. Every operation of both domains reads and writes
-  /// one set, so analyzing the program's lines of that set, in order, from
-  /// the slice tracks the set exactly as the whole analysis does.
+  /// ways and cycle costs. Both domains' access, join and age_set act on
+  /// each set independently, so analyzing the program's lines of that set,
+  /// in order, from the slice tracks the set exactly as the whole analysis
+  /// does.
   /// \throws std::out_of_range if set_index is not a valid set.
   AbstractCacheState slice_set(std::size_t set_index) const;
 

@@ -47,7 +47,9 @@ std::vector<Stmt> split_by_set(const Stmt& stmt,
     case Stmt::Kind::block:
       for (const std::uint64_t line : stmt.lines) {
         const std::int32_t slot = slot_of[config.set_of(line)];
-        if (slot >= 0) out[static_cast<std::size_t>(slot)].lines.push_back(line);
+        if (slot >= 0) {
+          out[static_cast<std::size_t>(slot)].lines.push_back(line);
+        }
       }
       break;
     case Stmt::Kind::seq:
@@ -55,7 +57,9 @@ std::vector<Stmt> split_by_set(const Stmt& stmt,
       for (const Stmt& child : stmt.children) {
         std::vector<Stmt> parts = split_by_set(child, slot_of, slots, config);
         for (std::size_t i = 0; i < slots; ++i) {
-          if (!is_empty(parts[i])) out[i].children.push_back(std::move(parts[i]));
+          if (!is_empty(parts[i])) {
+            out[i].children.push_back(std::move(parts[i]));
+          }
         }
       }
       for (Stmt& o : out) {
@@ -66,7 +70,9 @@ std::vector<Stmt> split_by_set(const Stmt& stmt,
       std::vector<Stmt> parts =
           split_by_set(stmt.children[0], slot_of, slots, config);
       for (std::size_t i = 0; i < slots; ++i) {
-        if (!is_empty(parts[i])) out[i] = Stmt::loop(std::move(parts[i]), stmt.bound);
+        if (!is_empty(parts[i])) {
+          out[i] = Stmt::loop(std::move(parts[i]), stmt.bound);
+        }
       }
       break;
     }

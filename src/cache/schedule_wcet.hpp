@@ -222,6 +222,7 @@ private:
 
   /// Fills st.amounts and st.key for \p mask (non-zero, canonical).
   void entry_key_locked(AppState& st, std::uint64_t mask) const;
+  /// Fills st.shares: `base`, the split by live set and no part yet.
   void build_shares_locked(AppState& st) const;
   /// Part \p amount of live set number \p i, computed on first use.
   const StaticWcetCounts& part_locked(AppState& st, std::size_t i,
