@@ -7,7 +7,8 @@
 ///        sampled structured paths), context-mask derivation, the
 ///        context-sensitive derive_timing overloads, analyzer memo
 ///        determinism at 1/2/4 threads, the entry-class dedup against the
-///        reference merge-and-age derivation on generated systems,
+///        reference merge-and-age derivation on generated and hand-built
+///        loop-only systems (every column, bit for bit),
 ///        evaluator/search bit-identity in context mode (neighbor path and
 ///        serial-vs-parallel search), and a golden digest of every base
 ///        and context bound over a pinned generated population.
