@@ -30,56 +30,47 @@ void collect_lines(const Stmt& stmt, CacheFootprint& out,
   for (const Stmt& child : stmt.children) collect_lines(child, out, config);
 }
 
-bool is_empty(const Stmt& stmt) {
-  return stmt.kind == Stmt::Kind::block && stmt.lines.empty();
-}
-
-/// One pass over a branch-free tree: slot i of the result is the same tree
-/// restricted to the lines of the set that \p slot_of maps to i, in fetch
-/// order (sets mapped to -1 are dropped). A subtree with no line of a set
-/// is left out of that set's slice: it would cost nothing and leave the
-/// set's state as it was. An all-empty slot is an empty block.
+/// One pass over the tree: slot i of the result is the same tree, every
+/// seq, loop and branch kept, with each block restricted to the lines of
+/// the set that \p slot_of maps to i, in fetch order (sets mapped to -1
+/// are dropped). The shape is kept so that leaf k of every slice's walk
+/// is leaf k of the whole program's (see analyze_static_wcet).
 std::vector<Stmt> split_by_set(const Stmt& stmt,
                                const std::vector<std::int32_t>& slot_of,
                                std::size_t slots, const CacheConfig& config) {
   std::vector<Stmt> out(slots);
-  switch (stmt.kind) {
-    case Stmt::Kind::block:
-      for (const std::uint64_t line : stmt.lines) {
-        const std::int32_t slot = slot_of[config.set_of(line)];
-        if (slot >= 0) {
-          out[static_cast<std::size_t>(slot)].lines.push_back(line);
-        }
-      }
-      break;
-    case Stmt::Kind::seq:
-      for (Stmt& o : out) o = Stmt::seq({});
-      for (const Stmt& child : stmt.children) {
-        std::vector<Stmt> parts = split_by_set(child, slot_of, slots, config);
-        for (std::size_t i = 0; i < slots; ++i) {
-          if (!is_empty(parts[i])) {
-            out[i].children.push_back(std::move(parts[i]));
-          }
-        }
-      }
-      for (Stmt& o : out) {
-        if (o.children.empty()) o = Stmt{};
-      }
-      break;
-    case Stmt::Kind::loop: {
-      std::vector<Stmt> parts =
-          split_by_set(stmt.children[0], slot_of, slots, config);
-      for (std::size_t i = 0; i < slots; ++i) {
-        if (!is_empty(parts[i])) {
-          out[i] = Stmt::loop(std::move(parts[i]), stmt.bound);
-        }
-      }
-      break;
+  if (stmt.kind == Stmt::Kind::block) {
+    for (const std::uint64_t line : stmt.lines) {
+      const std::int32_t slot = slot_of[config.set_of(line)];
+      if (slot >= 0) out[static_cast<std::size_t>(slot)].lines.push_back(line);
     }
-    case Stmt::Kind::branch:
-      throw std::logic_error("split_by_set: the program has a branch");
+    return out;
+  }
+  for (Stmt& o : out) {
+    o.kind = stmt.kind;
+    o.bound = stmt.bound;
+    o.children.reserve(stmt.children.size());
+  }
+  for (const Stmt& child : stmt.children) {
+    std::vector<Stmt> parts = split_by_set(child, slot_of, slots, config);
+    for (std::size_t i = 0; i < slots; ++i) {
+      out[i].children.push_back(std::move(parts[i]));
+    }
   }
   return out;
+}
+
+/// The leaves of a set's slice analyzed under a one-set cache from that set
+/// of \p generic_exit aged by \p amount: the set's part of every leaf of
+/// the whole program from the correspondingly aged entry.
+void slice_leaves(const CachePair& generic_exit, std::uint32_t set,
+                  const StructuredProgram& slice, std::uint32_t amount,
+                  std::vector<PassCounts>& leaves) {
+  CachePair entry = generic_exit.slice_set(set);
+  entry.age_interference_set(0, amount);
+  leaves.clear();
+  const CacheConfig config = entry.config();
+  analyze_static_wcet(slice, config, std::move(entry), nullptr, &leaves);
 }
 
 }  // namespace
@@ -147,7 +138,6 @@ ScheduleWcetAnalyzer::ScheduleWcetAnalyzer(
       st->live.push_back(LiveSet{static_cast<std::uint32_t>(s),
                                  ways - youngest});
     }
-    st->branch_free = st->program.root.branch_count() == 0;
     apps_.push_back(std::move(st));
   }
 }
@@ -210,8 +200,8 @@ void ScheduleWcetAnalyzer::entry_key_locked(AppState& st,
 
 void ScheduleWcetAnalyzer::build_shares_locked(AppState& st) const {
   auto shares = std::make_unique<SetShares>();
-  shares->base = analyze_static_wcet(st.program, config_,
-                                     st.steady.generic_exit, &st.memo);
+  analyze_static_wcet(st.program, config_, st.steady.generic_exit, &st.memo,
+                      &shares->base);
   std::vector<std::int32_t> slot_of(config_.num_sets(), -1);
   for (std::size_t i = 0; i < st.live.size(); ++i) {
     slot_of[st.live[i].set] = static_cast<std::int32_t>(i);
@@ -221,48 +211,55 @@ void ScheduleWcetAnalyzer::build_shares_locked(AppState& st) const {
   shares->sets.resize(st.live.size());
   for (std::size_t i = 0; i < st.live.size(); ++i) {
     shares->sets[i].program.root = std::move(roots[i]);
-    shares->sets[i].parts.resize(st.live[i].cap + std::size_t{1});
   }
   st.shares = std::move(shares);
 }
 
-const StaticWcetCounts& ScheduleWcetAnalyzer::part_locked(
+const std::vector<PassCounts>& ScheduleWcetAnalyzer::change_locked(
     AppState& st, std::size_t i, std::uint32_t amount) const {
   SetShare& share = st.shares->sets[i];
-  std::optional<StaticWcetCounts>& part = share.parts[amount];
-  if (!part) {
-    CachePair entry = st.steady.generic_exit.slice_set(st.live[i].set);
-    entry.age_interference_set(0, amount);
-    part = analyze_static_wcet(share.program, entry.config(), entry,
-                               &share.memo);
+  if (share.changes.empty()) {
+    // The unaged part fixes the support: the leaves whose block fetches a
+    // line of the set (every fetch counts in AH, FM or NC, so exactly the
+    // non-zero ones). Every other leaf is zero at every amount.
+    slice_leaves(st.steady.generic_exit, st.live[i].set, share.program, 0,
+                 st.part);
+    for (std::size_t k = 0; k < st.part.size(); ++k) {
+      if (st.part[k] == PassCounts{}) continue;
+      share.support.push_back(static_cast<std::uint32_t>(k));
+      share.unaged.push_back(st.part[k]);
+    }
+    share.changes.resize(st.live[i].cap + std::size_t{1});
   }
-  return *part;
+  std::optional<std::vector<PassCounts>>& change = share.changes[amount];
+  if (!change) {
+    slice_leaves(st.steady.generic_exit, st.live[i].set, share.program,
+                 amount, st.part);
+    change.emplace();
+    change->reserve(share.support.size());
+    for (std::size_t j = 0; j < share.support.size(); ++j) {
+      change->push_back(st.part[share.support[j]]);
+      change->back() -= share.unaged[j];
+    }
+  }
+  return *change;
 }
 
 StaticWcetCounts ScheduleWcetAnalyzer::sum_of_parts_locked(
     AppState& st) const {
   if (!st.shares) build_shares_locked(st);
-  // Unsigned wrap-around cancels: each part minus its unaged part is the
-  // set's exact change, and the total is the whole analysis' column.
-  StaticWcetCounts sum = st.shares->base;
+  // Unsigned wrap-around cancels: each change is its set's exact change to
+  // the leaf, and every leaf is then the whole analysis' leaf.
+  st.leaves = st.shares->base;
   for (std::size_t i = 0; i < st.live.size(); ++i) {
     if (st.amounts[i] == 0) continue;
-    const StaticWcetCounts& aged = part_locked(st, i, st.amounts[i]);
-    const StaticWcetCounts& unaged = part_locked(st, i, 0);
-    sum.am_only_cycles += aged.am_only_cycles - unaged.am_only_cycles;
-    sum.fm_penalty_cycles += aged.fm_penalty_cycles - unaged.fm_penalty_cycles;
-    sum.always_hit += aged.always_hit - unaged.always_hit;
-    sum.first_miss += aged.first_miss - unaged.first_miss;
-    sum.not_classified += aged.not_classified - unaged.not_classified;
+    const std::vector<PassCounts>& change = change_locked(st, i, st.amounts[i]);
+    const std::vector<std::uint32_t>& support = st.shares->sets[i].support;
+    for (std::size_t j = 0; j < support.size(); ++j) {
+      st.leaves[support[j]] += change[j];
+    }
   }
-  // The FM-mode cycle column, as the analysis charges it per access.
-  const std::uint64_t cycles =
-      sum.always_hit * config_.hit_cycles +
-      sum.first_miss * std::min(config_.hit_cycles, config_.miss_cycles) +
-      sum.not_classified * config_.miss_cycles;
-  sum.wcet_cycles = std::min(cycles + sum.fm_penalty_cycles,
-                             sum.am_only_cycles);
-  return sum;
+  return fold_leaves(st.program.root, st.leaves);
 }
 
 const ContextWcet& ScheduleWcetAnalyzer::compute_context_locked(
@@ -284,22 +281,7 @@ const ContextWcet& ScheduleWcetAnalyzer::compute_context_locked(
     return *st.contexts.emplace(mask, &it->second).first->second;
   }
   ContextWcet out;
-  if (st.branch_free) {
-    out.analysis = sum_of_parts_locked(st);
-  } else {
-    // Entry derivation: the app's generic exit state with every live set
-    // aged by its key — the same must state as aging through the merged
-    // interference footprint (see the file header) — then a full
-    // re-analysis from that entry (memoized subtrees resolve through
-    // st.memo).
-    CachePair entry = st.steady.generic_exit;
-    for (std::size_t i = 0; i < st.live.size(); ++i) {
-      if (st.amounts[i] != 0) {
-        entry.age_interference_set(st.live[i].set, st.amounts[i]);
-      }
-    }
-    out.analysis = analyze_static_wcet(st.program, config_, entry, &st.memo);
-  }
+  out.analysis = sum_of_parts_locked(st);
   const std::uint64_t raw = out.analysis.wcet_cycles;
   const std::uint64_t warm = st.steady.warm.wcet_cycles;
   const std::uint64_t cold = st.steady.cold.wcet_cycles;

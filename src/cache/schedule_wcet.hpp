@@ -19,11 +19,9 @@
 ///      is precisely what makes its first-miss guarantees
 ///      interference-proof: the one covered miss IS the re-fetch after
 ///      whatever the interference evicted;
-///   3. analyze the program from that entry state. A program with a
-///      branch is re-analyzed whole through analyze_static_wcet(program,
-///      entry, memo) — the shared per-app StaticAnalysisMemo turns
-///      repeated loop fixpoints into lookups. A branch-free program is
-///      answered as a sum of per-set parts (below).
+///   3. analyze the program from that entry state — for every app, as a
+///      fold of per-set parts (below); analyze_static_wcet from the aged
+///      entry is the reference it equals in every column.
 ///
 /// merge_footprint + age_through_interference is the reference form of
 /// step 2. The analyzer derives the same entry state without building the
@@ -39,21 +37,24 @@
 ///
 /// Sum of parts. Both abstract domains work per set (access, join and
 /// age_set each touch one set), and a loop fixpoint restricted to one set
-/// is that set's own fixpoint. So on a branch-free program every column
-/// analyze_static_wcet sums (the AM-only and penalty columns and the AH,
-/// FM and NC counts) is the sum over sets of the same analysis of the
-/// program restricted to each set, and the FM cycle column is
-/// ah·hit + fm·min(hit, miss) + nc·miss. A class is then
-///   base + Σ_{live s, a_s > 0} (part_s(a_s) − part_s(0))
-/// per column, with wcet = min(cycles + penalty, am_only) from the sums:
-/// `base` is the whole program from the unaged generic exit, and
-/// part_s(a) the program's lines of set s analyzed under a one-set cache
-/// from that set of the generic exit aged by a — at most ways + 1 parts
-/// per live set, each computed once. A branch takes each column's
-/// maximum over its arms, which does not split by set, so a program with
-/// a branch keeps the whole re-analysis. The split of the tree, `base`
-/// and the parts are built on the app's first non-zero mask: an app the
-/// search only ever asks for warm costs nothing extra.
+/// is that set's own fixpoint. So every block instance the walk counts (a
+/// "leaf", see analyze_static_wcet) is the sum over sets of the same
+/// leaf in the walk of the program restricted to each set, in every
+/// column. Only the composition above the leaves does not split: a branch
+/// takes each column's maximum over its arms. So the restriction keeps
+/// the whole tree shape (every seq, loop and branch; each block cut to
+/// the set's lines), leaf k of every part is leaf k of `base`, and a class
+/// is
+///   fold(base + Σ_{live s, a_s > 0} (part_s(a_s) − part_s(0)))
+/// leaf by leaf, where fold_leaves composes the leaves with the walk's
+/// own timing schema and wcet = min(cycles + penalty, am_only). `base` is
+/// the whole program's leaves from the unaged generic exit, and part_s(a)
+/// the leaves of set s's restriction analyzed under a one-set cache from
+/// that set of the generic exit aged by a — at most ways + 1 parts per
+/// live set, each computed once and kept as its change on the leaves that
+/// fetch a line of s. The split of the tree and `base` are built on the
+/// app's first non-zero mask, a set's parts on its first non-zero amount:
+/// an app the search only ever asks for warm costs nothing extra.
 ///
 /// Soundness contract (gtest-enforced, randomized + differential):
 ///   warm <= context(mask) <= cold for every mask, and no concrete CacheSim
@@ -117,8 +118,8 @@ struct ContextWcet {
 /// shared cache. Thread-safe and lazily memoized: analyze_context computes
 /// each (app, mask) bound exactly once — concurrent searches observe
 /// bit-identical values — masks with the same entry class share one
-/// re-analysis, and repeated loop fixpoints across classes of one app
-/// resolve through a shared StaticAnalysisMemo. Locking is per
+/// fold, and the classes of one app share its per-set parts. Locking is
+/// per
 /// app (shared_mutex: memoized lookups take the shared side and proceed
 /// concurrently; only a first-time analysis of the SAME app serializes),
 /// so the parallel searches' hot path — pure memo hits — never contends
@@ -166,8 +167,8 @@ public:
     std::uint64_t context_requests = 0;  ///< analyze_context calls
     std::uint64_t context_analyses = 0;  ///< distinct (app, mask) computed
     /// Entry classes computed (distinct aged entry states over the
-    /// non-zero masks computed), by whole re-analysis or as a sum of
-    /// per-set parts; the other analyses reused a class.
+    /// non-zero masks computed), each a fold of per-set parts; the other
+    /// analyses reused a class.
     std::uint64_t reanalyses = 0;
   };
   Stats stats() const;
@@ -182,15 +183,21 @@ private:
     std::uint32_t cap = 0;  ///< ways - youngest must age in the set
   };
 
-  /// One live set's share of a branch-free program (see the file header).
+  /// One live set's share of the program (see the file header).
   struct SetShare {
-    StructuredProgram program;  ///< the program's lines of this set
-    /// parts[a]: the share analyzed from the set aged by a (0..cap).
-    std::vector<std::optional<StaticWcetCounts>> parts;
-    StaticAnalysisMemo memo;  ///< bound to `program` and the one-set cache
+    /// The whole tree, each block restricted to this set's lines.
+    StructuredProgram program;
+    /// The leaves whose block fetches a line of this set, ascending; every
+    /// other leaf of `program` is zero from any entry.
+    std::vector<std::uint32_t> support;
+    std::vector<PassCounts> unaged;  ///< part(0)'s leaves on `support`
+    /// changes[a]: part(a) − part(0) on `support` (a in 1..cap), computed
+    /// on first use; `support`, `unaged` and the slots on the set's first.
+    std::vector<std::optional<std::vector<PassCounts>>> changes;
   };
   struct SetShares {
-    StaticWcetCounts base;       ///< the program from the unaged generic exit
+    /// The program's leaves from the unaged generic exit.
+    std::vector<PassCounts> base;
     std::vector<SetShare> sets;  ///< parallel to AppState::live
   };
 
@@ -200,19 +207,20 @@ private:
     CacheFootprint footprint;
     /// Sets where steady.generic_exit's must state holds entries, ascending.
     std::vector<LiveSet> live;
-    StaticAnalysisMemo memo;  ///< shared across this app's contexts
-    bool branch_free = false;  ///< program.root has no branch
-    /// A branch-free app's classes as sums of parts; built on its first
-    /// non-zero mask.
+    StaticAnalysisMemo memo;  ///< the steady passes' and the base's
+    /// The parts the classes are summed from; built on the first non-zero
+    /// mask.
     std::unique_ptr<SetShares> shares;
     ContextWcet warm;         ///< mask 0, filled on its first request
     std::unordered_map<EntryKey, ContextWcet> classes;
     /// Every computed mask, pointing at `warm` or into `classes`.
     std::unordered_map<std::uint64_t, const ContextWcet*> contexts;
-    /// Scratch for the exclusive side: the capped counts per live set and
-    /// their encoding.
+    /// Scratch for the exclusive side: the capped counts per live set,
+    /// their encoding, one class' leaves and one part's.
     std::vector<std::uint32_t> amounts;
     EntryKey key;
+    std::vector<PassCounts> leaves;
+    std::vector<PassCounts> part;
     /// Scratch: unmerged tails of the interferers' lines in one set.
     std::vector<std::pair<const std::uint64_t*, const std::uint64_t*>> heads;
     /// Guards memo + shares + contexts + classes + scratch (shared =
@@ -224,10 +232,12 @@ private:
   void entry_key_locked(AppState& st, std::uint64_t mask) const;
   /// Fills st.shares: `base`, the split by live set and no part yet.
   void build_shares_locked(AppState& st) const;
-  /// Part \p amount of live set number \p i, computed on first use.
-  const StaticWcetCounts& part_locked(AppState& st, std::size_t i,
-                                      std::uint32_t amount) const;
-  /// The class of st.amounts as base plus the aged parts' changes.
+  /// Live set number \p i's change at aging \p amount (>= 1), computed on
+  /// first use.
+  const std::vector<PassCounts>& change_locked(AppState& st, std::size_t i,
+                                               std::uint32_t amount) const;
+  /// The class of st.amounts: base plus the aged parts' changes, leaf by
+  /// leaf, folded through the timing schema.
   StaticWcetCounts sum_of_parts_locked(AppState& st) const;
   const ContextWcet& compute_context_locked(AppState& st,
                                             std::uint64_t mask) const;

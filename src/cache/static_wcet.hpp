@@ -38,13 +38,62 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "cache/absint.hpp"
 #include "cache/structure.hpp"
 
 namespace catsched::cache {
+
+/// The counts one walk of a subtree (or one block instance) adds up: both
+/// cycle columns (see the file header: `cycles` plus the one-time
+/// `penalty` is the first-miss composition, `am_cycles` the classic
+/// AM-only one) and the classification counts. Also the unit of the leaf
+/// sink of analyze_static_wcet.
+struct PassCounts {
+  std::uint64_t cycles = 0;     ///< FM-mode scalable column
+  std::uint64_t penalty = 0;    ///< one-time FM penalty: NEVER scaled
+  std::uint64_t am_cycles = 0;  ///< AM-only column (penalty-free)
+  std::uint64_t ah = 0;
+  std::uint64_t fm = 0;
+  std::uint64_t nc = 0;
+
+  PassCounts& operator+=(const PassCounts& rhs) {
+    cycles += rhs.cycles;
+    penalty += rhs.penalty;
+    am_cycles += rhs.am_cycles;
+    ah += rhs.ah;
+    fm += rhs.fm;
+    nc += rhs.nc;
+    return *this;
+  }
+  /// Column-wise difference; unsigned wrap-around, so adding it back to
+  /// the subtrahend restores the minuend exactly.
+  PassCounts& operator-=(const PassCounts& rhs) {
+    cycles -= rhs.cycles;
+    penalty -= rhs.penalty;
+    am_cycles -= rhs.am_cycles;
+    ah -= rhs.ah;
+    fm -= rhs.fm;
+    nc -= rhs.nc;
+    return *this;
+  }
+  /// Loop steady-pass scaling: a first-miss point misses at most once over
+  /// the WHOLE execution, so its penalty is charged once per pass, not per
+  /// iteration — everything scales except `penalty`.
+  PassCounts& scale(std::uint64_t n) {
+    cycles *= n;
+    am_cycles *= n;
+    ah *= n;
+    fm *= n;
+    nc *= n;
+    return *this;
+  }
+  bool operator==(const PassCounts&) const = default;
+};
 
 /// Subtree-analysis memo keyed on (statement identity, entry abstract
 /// state): a loop body analyzed twice from the same CachePair — which
@@ -52,10 +101,9 @@ namespace catsched::cache {
 /// final probe) and whenever warm-entry re-analysis revisits states the
 /// cold pass already saw — is computed once. One instance is bound to one
 /// StructuredProgram (keys hold statement addresses) and one CacheConfig:
-/// the per-(app, entry-state) reuse unit, and the foundation for
-/// schedule-dependent WCET re-analysis where the same program is re-walked
-/// from many entry states. Not thread-safe; use one memo per analysis
-/// thread.
+/// the per-(app, entry-state) reuse unit of an app's steady passes and of
+/// the reference re-analyses of its contexts. Not thread-safe; use one
+/// memo per analysis thread.
 class StaticAnalysisMemo {
 public:
   struct Stats {
@@ -69,16 +117,9 @@ public:
     stats_ = Stats{};
   }
 
-  /// Memoized subtree outcome: both cycle columns (FM-mode cycles + one-
-  /// time penalty, and the AM-only composition), classification counts,
-  /// and the exit state.
+  /// Memoized subtree outcome: its counts and the exit state.
   struct SubtreeResult {
-    std::uint64_t cycles = 0;          ///< FM-mode scalable cycle column
-    std::uint64_t fm_penalty = 0;      ///< one-time (never scaled) penalty
-    std::uint64_t am_only_cycles = 0;  ///< classic AM-only composition
-    std::uint64_t always_hit = 0;
-    std::uint64_t first_miss = 0;
-    std::uint64_t not_classified = 0;
+    PassCounts counts;
     CachePair exit;
   };
 
@@ -138,17 +179,41 @@ struct StaticWcetResult : StaticWcetCounts {
 };
 
 /// Analyze a structured program from a given abstract entry state (cold
-/// pair if omitted). With a non-null \p memo, loop-body analyses are
+/// pair if omitted; taken by value, so a caller done with its state can
+/// move it in). With a non-null \p memo, loop-body analyses are
 /// memoized per (statement, entry-state) — bit-identical results
 /// (gtest-enforced differentially), repeated fixpoint work computed once.
 /// The memo must only ever be used with this program/config pair.
+///
+/// With a non-null \p leaves, the walk also appends one PassCounts per
+/// counted block instance, in walk order: a seq's children in order, a
+/// branch's then arm before its else arm, and a loop's first pass before
+/// its steady pass (the steady pass only when bound > 1). Fixpoint probes
+/// are not counted, so a block contributes 2^(enclosing loops with
+/// bound > 1) leaves. A memo hit carries no leaves, so the first and
+/// steady passes then walk the body directly; probes still use the memo.
+/// fold_leaves turns the leaves back into this result's counts.
 /// \throws std::runtime_error if a loop fixpoint fails to stabilize within
 ///         the safety cap (cannot happen for finite age domains unless the
 ///         implementation is broken -- the cap turns a hang into an error).
 StaticWcetResult analyze_static_wcet(
     const StructuredProgram& program, const CacheConfig& config,
-    const std::optional<CachePair>& entry = std::nullopt,
-    StaticAnalysisMemo* memo = nullptr);
+    std::optional<CachePair> entry = std::nullopt,
+    StaticAnalysisMemo* memo = nullptr,
+    std::vector<PassCounts>* leaves = nullptr);
+
+/// Compose leaves (in analyze_static_wcet's leaf order for \p root) with
+/// the walk's own timing schema: a seq sums its children, a loop is its
+/// first pass plus its steady pass scaled by bound - 1 (the penalty never
+/// scaled), a branch takes each cycle column's maximum with the counts of
+/// the arm of more cycles (a tie goes to the then arm). Folding a walk's
+/// own leaves reproduces its counts; so does folding leaves summed column
+/// by column over per-set walks of the same tree shape, since every leaf
+/// is a sum over sets (cache/schedule_wcet).
+/// \throws std::invalid_argument if \p leaves does not hold exactly one
+///         entry per counted block instance of \p root.
+StaticWcetCounts fold_leaves(const Stmt& root,
+                             std::span<const PassCounts> leaves);
 
 /// Cold analysis plus the warm analysis iterated to its exit-state
 /// fixpoint: the warm pass re-analyzes the program from the previous

@@ -8,7 +8,7 @@
 ///        context-sensitive derive_timing overloads, analyzer memo
 ///        determinism at 1/2/4 threads, the entry-class dedup against the
 ///        reference merge-and-age derivation on generated and hand-built
-///        loop-only systems (every column, bit for bit),
+///        loop-only and branchy systems (every column, bit for bit),
 ///        evaluator/search bit-identity in context mode (neighbor path and
 ///        serial-vs-parallel search), and a golden digest of every base
 ///        and context bound over a pinned generated population.
@@ -661,6 +661,71 @@ std::vector<cache::StructuredProgram> loop_only_programs(std::size_t sets,
   return programs;
 }
 
+/// Four branchy apps, offset by \p stride lines each like the loop-only
+/// ones: a top-level branch outside any loop whose arms nest a branch and
+/// cost the same when hit and miss do (app 0); a branch in the innermost
+/// loop of a three-deep nest (app 1); a loop of bound 1 around a branch
+/// with an empty arm, then branches whose arms hold no line of a set the
+/// other arm fetches (app 2); and an arm line that only first-miss covers,
+/// beside arms of one fetch each (app 3).
+std::vector<cache::StructuredProgram> branchy_programs(std::size_t sets,
+                                                       std::uint64_t stride) {
+  using cache::Stmt;
+  const std::uint64_t s = sets;
+  std::vector<cache::StructuredProgram> programs(4);
+  for (std::uint64_t a = 0; a < 4; ++a) {
+    const std::uint64_t b = a * stride;
+    Stmt root;
+    switch (a) {
+      case 0:
+        root = Stmt::seq(
+            {Stmt::block({b, b + 1, b + s}),
+             Stmt::branch(Stmt::block({b, b + 2}),
+                          Stmt::block({b + 1, b + s + 2})),
+             Stmt::branch(Stmt::branch(Stmt::block({b + 2}),
+                                       Stmt::block({b + s})),
+                          Stmt::block({b + 3})),
+             Stmt::block({b + 2, b + 1})});
+        break;
+      case 1:
+        root = Stmt::loop(
+            Stmt::seq(
+                {Stmt::block({b + 4}),
+                 Stmt::loop(
+                     Stmt::seq({Stmt::block({b}),
+                                Stmt::loop(
+                                    Stmt::branch(
+                                        Stmt::block({b + 1, b + s + 1}),
+                                        Stmt::block({b + 2})),
+                                    3)}),
+                     2)}),
+            3);
+        break;
+      case 2:
+        root = Stmt::seq(
+            {Stmt::block({b, b + s, b + 2 * s}),
+             Stmt::loop(Stmt::branch(Stmt::block({b, b + 1}), Stmt::block({})),
+                        1),
+             Stmt::loop(Stmt::seq({Stmt::branch(Stmt::block({b + s}),
+                                                Stmt::block({b + 2})),
+                                   Stmt::block({b + 2 * s})}),
+                        4)});
+        break;
+      default:
+        root = Stmt::loop(
+            Stmt::seq({Stmt::branch(Stmt::block({b + 3}),
+                                    Stmt::branch(Stmt::block({b + 4}),
+                                                 Stmt::block({b + s + 3}))),
+                       Stmt::block({b + 1, b + s + 1})}),
+            4);
+        break;
+    }
+    programs[a].name = "branchy-app";
+    programs[a].root = std::move(root);
+  }
+  return programs;
+}
+
 TEST(Analyzer, EntryClassesMatchReferenceDerivationBitForBit) {
   catsched::testgen::GeneratorConfig g;
   g.min_apps = 4;
@@ -680,10 +745,11 @@ TEST(Analyzer, EntryClassesMatchReferenceDerivationBitForBit) {
           "ways " + std::to_string(ways) + " seed " + std::to_string(seed));
     }
   }
-  // Branch-free structured apps, which generated systems never have, on
-  // geometries they never draw: a set count that is not a power of two,
-  // a fully associative cache (associativity 0) and a hit dearer than a
-  // miss. Each must split into several entry classes.
+  // Hand-built apps, branch-free ones (which generated systems never have)
+  // and branchy ones of shapes the generator never draws, on geometries it
+  // never draws either: a set count that is not a power of two, a fully
+  // associative cache (associativity 0) and a hit dearer than a miss. Each
+  // must split into several entry classes.
   struct Geometry {
     std::size_t lines;
     std::size_t assoc;
@@ -706,6 +772,11 @@ TEST(Analyzer, EntryClassesMatchReferenceDerivationBitForBit) {
                     loop_only_programs(c.num_sets(), stride), c, label),
                 4u)
           << label;
+      EXPECT_GT(check_classes_against_reference(
+                    branchy_programs(c.num_sets(), stride), c,
+                    "branchy " + label),
+                4u)
+          << "branchy " << label;
     }
   }
 }

@@ -1,29 +1,42 @@
 /// \file test_static_wcet.cpp
 /// \brief Structured-program and static-WCET tests: tree construction, path
 ///        enumeration, timing-schema composition, loop first/steady
-///        distinction, warm-entry reduction, and the global soundness
-///        property (static bound >= simulated cycles on EVERY path) over
-///        randomized programs and cache geometries.
+///        distinction, warm-entry reduction, the leaf sink and its fold
+///        (folding a walk's own leaves gives back its counts), and the
+///        global soundness property (static bound >= simulated cycles on
+///        EVERY path) over randomized programs and cache geometries.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cache/cache_model.hpp"
 #include "cache/static_wcet.hpp"
 #include "cache/structure.hpp"
 #include "cache/wcet.hpp"
+#include "core/system_model.hpp"
+#include "testgen/generator.hpp"
 
 namespace {
 
 using catsched::cache::analyze_static_steady_wcet;
 using catsched::cache::analyze_static_wcet;
 using catsched::cache::CacheConfig;
+using catsched::cache::CachePair;
 using catsched::cache::CacheSim;
 using catsched::cache::enumerate_paths;
 using catsched::cache::flatten_to_program;
+using catsched::cache::fold_leaves;
 using catsched::cache::make_random_program;
+using catsched::cache::PassCounts;
 using catsched::cache::RandomProgramOptions;
+using catsched::cache::StaticAnalysisMemo;
+using catsched::cache::StaticWcetCounts;
 using catsched::cache::StaticWcetResult;
 using catsched::cache::Stmt;
 using catsched::cache::StructuredProgram;
@@ -33,6 +46,18 @@ CacheConfig cfg(std::size_t lines, std::size_t assoc) {
   c.num_lines = lines;
   c.associativity = assoc;
   return c;
+}
+
+/// loop(4) { if (c) {0} else {1}; {2, 3} }: on 8 sets x 2 ways neither arm
+/// line ever enters the must state, so first-miss fires (the pin below).
+StructuredProgram branchy_pin() {
+  StructuredProgram p;
+  p.name = "branchy";
+  p.root = Stmt::loop(
+      Stmt::seq({Stmt::branch(Stmt::block({0}), Stmt::block({1})),
+                 Stmt::block({2, 3})}),
+      4);
+  return p;
 }
 
 TEST(Stmt, FactoriesEnforceInvariants) {
@@ -209,12 +234,7 @@ TEST(FirstMiss, BranchyLoopChargesEachArmLineOneMissThenHits) {
   // access a miss in EVERY iteration; persistence proves each arm line
   // misses at most once over the run, so iterations 2..4 charge a hit plus
   // a single one-time penalty.
-  StructuredProgram p;
-  p.name = "branchy";
-  p.root = Stmt::loop(
-      Stmt::seq({Stmt::branch(Stmt::block({0}), Stmt::block({1})),
-                 Stmt::block({2, 3})}),
-      4);
+  const StructuredProgram p = branchy_pin();
   const CacheConfig c = cfg(16, 2);  // 8 sets x 2 ways
   const StaticWcetResult r = analyze_static_wcet(p, c);
   EXPECT_EQ(r.not_classified, 3u);  // iteration 1: arm + both shared lines
@@ -292,6 +312,118 @@ TEST(FirstMiss, BranchFreeProgramsEqualTheAmOnlyBound) {
     EXPECT_EQ(on.fm_penalty_cycles, 0u);
     EXPECT_EQ(on.wcet_cycles, on.am_only_cycles);
   }
+}
+
+// --------------------------------------------------------------------------
+// Leaf sink and fold: the walk's counted block instances, composed again by
+// fold_leaves, give back the walk's own counts (the identity the context
+// analyzer's per-set derivation rests on).
+
+/// Counted block instances: each block contributes 2^(enclosing loops of
+/// bound > 1), a loop of bound > 1 walking its body twice (first, steady).
+std::size_t counted_instances(const Stmt& stmt, std::size_t weight = 1) {
+  if (stmt.kind == Stmt::Kind::block) return weight;
+  if (stmt.kind == Stmt::Kind::loop && stmt.bound > 1) weight *= 2;
+  std::size_t n = 0;
+  for (const Stmt& child : stmt.children) n += counted_instances(child, weight);
+  return n;
+}
+
+void expect_same_counts(const StaticWcetCounts& got,
+                        const StaticWcetCounts& want, const std::string& where) {
+  EXPECT_EQ(got.wcet_cycles, want.wcet_cycles) << where;
+  EXPECT_EQ(got.am_only_cycles, want.am_only_cycles) << where;
+  EXPECT_EQ(got.fm_penalty_cycles, want.fm_penalty_cycles) << where;
+  EXPECT_EQ(got.always_hit, want.always_hit) << where;
+  EXPECT_EQ(got.first_miss, want.first_miss) << where;
+  EXPECT_EQ(got.not_classified, want.not_classified) << where;
+}
+
+/// From the cold pair, the warm exit and an aged generic exit, with and
+/// without a memo (a warmed one too: hits carry no leaves), the leaves
+/// number the counted block instances and fold to the walk's counts.
+void check_fold_identity(const StructuredProgram& p, const CacheConfig& c,
+                         const std::string& label) {
+  const auto steady = analyze_static_steady_wcet(p, c);
+  CachePair aged = steady.generic_exit;
+  for (std::size_t s = 0; s < c.num_sets(); s += 2) {
+    aged.age_interference_set(s, static_cast<std::uint32_t>(1 + s % 3));
+  }
+  const std::vector<std::pair<std::string, std::optional<CachePair>>> entries{
+      {"cold", std::nullopt},
+      {"warm exit", steady.warm.exit_state},
+      {"aged generic exit", aged}};
+  const std::size_t instances = counted_instances(p.root);
+  for (const auto& [name, entry] : entries) {
+    const StaticWcetResult want = analyze_static_wcet(p, c, entry);
+    StaticAnalysisMemo memo;
+    for (StaticAnalysisMemo* m : {static_cast<StaticAnalysisMemo*>(nullptr),
+                                  &memo, &memo}) {
+      const std::string where = label + ", " + name +
+                                (m == nullptr ? "" : ", memo") +
+                                (m != nullptr && m->size() > 0 ? " warmed" : "");
+      std::vector<PassCounts> leaves;
+      const StaticWcetResult walked = analyze_static_wcet(p, c, entry, m, &leaves);
+      ASSERT_EQ(leaves.size(), instances) << where;
+      expect_same_counts(walked, want, where);
+      EXPECT_TRUE(walked.exit_state == want.exit_state) << where;
+      expect_same_counts(fold_leaves(p.root, leaves), want, where);
+    }
+  }
+}
+
+TEST(FoldLeaves, RebuildsTheWalkOnTheBranchyFirstMissPin) {
+  for (const CacheConfig& c : {cfg(16, 2), cfg(8, 1), cfg(8, 0)}) {
+    check_fold_identity(branchy_pin(), c,
+                        "pin on " + std::to_string(c.num_sets()) + " sets");
+  }
+  // First-miss fires in the pin, so the penalty column is exercised.
+  std::vector<PassCounts> leaves;
+  analyze_static_wcet(branchy_pin(), cfg(16, 2), std::nullopt, nullptr,
+                      &leaves);
+  EXPECT_GT(fold_leaves(branchy_pin().root, leaves).fm_penalty_cycles, 0u);
+}
+
+TEST(FoldLeaves, RebuildsTheWalkOnGeneratedStructuredPrograms) {
+  catsched::testgen::GeneratorConfig g;
+  g.min_apps = 4;
+  g.max_apps = 6;
+  g.set_choices = {8, 16};
+  g.branchy_chance = 1.0;
+  std::size_t structured = 0;
+  for (const std::size_t ways : {1u, 2u, 4u}) {
+    g.way_choices = {ways};
+    for (std::uint64_t seed = 900; seed < 904; ++seed) {
+      const auto sys = catsched::testgen::generate_system(g, seed).model;
+      for (std::size_t i = 0; i < sys.apps.size(); ++i) {
+        if (!sys.apps[i].has_structured()) continue;
+        ++structured;
+        CacheConfig c = sys.cache_config;
+        check_fold_identity(sys.apps[i].analysis_program(), c,
+                            "seed " + std::to_string(seed) + " ways " +
+                                std::to_string(ways) + " app " +
+                                std::to_string(i));
+        // The same tree with a hit dearer than a miss, where first-miss
+        // and not-classified accesses cost the same.
+        c.hit_cycles = 9;
+        c.miss_cycles = 2;
+        check_fold_identity(sys.apps[i].analysis_program(), c,
+                            "hit 9 miss 2, seed " + std::to_string(seed));
+      }
+    }
+  }
+  EXPECT_GT(structured, 20u);
+}
+
+TEST(FoldLeaves, RejectsALeafCountThatDoesNotMatchTheTree) {
+  const StructuredProgram p = branchy_pin();
+  std::vector<PassCounts> leaves;
+  analyze_static_wcet(p, cfg(16, 2), std::nullopt, nullptr, &leaves);
+  ASSERT_EQ(leaves.size(), 6u);  // 3 blocks, each in a first and a steady pass
+  std::vector<PassCounts> short_by_one(leaves.begin(), leaves.end() - 1);
+  EXPECT_THROW(fold_leaves(p.root, short_by_one), std::invalid_argument);
+  leaves.push_back(PassCounts{});
+  EXPECT_THROW(fold_leaves(p.root, leaves), std::invalid_argument);
 }
 
 struct SoundnessCase {
