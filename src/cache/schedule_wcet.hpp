@@ -192,7 +192,8 @@ private:
     std::vector<std::uint32_t> support;
     std::vector<PassCounts> unaged;  ///< part(0)'s leaves on `support`
     /// changes[a]: part(a) − part(0) on `support` (a in 1..cap), computed
-    /// on first use; `support`, `unaged` and the slots on the set's first.
+    /// on first use. `support`, `unaged` and these slots are filled on the
+    /// set's first non-zero amount.
     std::vector<std::optional<std::vector<PassCounts>>> changes;
   };
   struct SetShares {
