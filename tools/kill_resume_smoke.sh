@@ -1,11 +1,16 @@
 #!/bin/sh
 # Kill-and-resume determinism smoke (CI runs it under ctest, label: fuzz).
 #
-#   kill_resume_smoke.sh <path-to-search_server> [search] [crash-at-eval]
+#   kill_resume_smoke.sh <path-to-search_server> <search> <crash-at-eval>
+#                        <expected-file>
 #
 # Proves the anytime layer's crash-recovery contract end to end on a real
 # process boundary, not just in-process gtest:
-#   1. fresh run           -> reference RESULT line
+#   1. fresh run           -> reference RESULT line; its invariant part
+#                             must equal <expected-file> (one line under
+#                             tests/golden/), so a change that moves the
+#                             best schedule, a Pall bit or the evaluation
+#                             count fails here too
 #   2. crash run           -> search_server kills itself (std::_Exit 137)
 #                             mid-controller-design, leaving whatever
 #                             checkpoint the atomic rename path last
@@ -19,9 +24,11 @@
 #                             converge bit-identically
 set -u
 
-BIN=${1:?usage: kill_resume_smoke.sh <path-to-search_server> [search] [crash-at-eval]}
-SEARCH=${2:-hybrid}
-CRASH_AT=${3:-15}
+USAGE="usage: kill_resume_smoke.sh <path-to-search_server> <search> <crash-at-eval> <expected-file>"
+BIN=${1:?$USAGE}
+SEARCH=${2:?$USAGE}
+CRASH_AT=${3:?$USAGE}
+EXPECTED=${4:?$USAGE}
 
 TMP=$(mktemp -d) || exit 1
 trap 'rm -rf "$TMP"' EXIT INT TERM
@@ -44,6 +51,11 @@ if [ $? -ne 0 ]; then
   exit 1
 fi
 echo "fresh:   $fresh"
+if [ "$(echo "$fresh" | invariant)" != "$(cat "$EXPECTED")" ]; then
+  echo "FAIL: fresh result differs from $EXPECTED:"
+  echo "  expected: $(cat "$EXPECTED")"
+  fail=1
+fi
 
 "$BIN" --search "$SEARCH" --checkpoint "$CK" --crash-at-eval "$CRASH_AT"
 status=$?
