@@ -19,6 +19,7 @@
 #include "sched/timing.hpp"
 #include "testgen/generator.hpp"
 #include "testgen/invariants.hpp"
+#include "../tests/random_program.hpp"
 
 using namespace catsched;
 
@@ -116,13 +117,13 @@ void BM_SwitchedSimulationTrace(benchmark::State& state) {
 BENCHMARK(BM_SwitchedSimulationTrace);
 
 void BM_StaticWcetAnalysis(benchmark::State& state) {
-  cache::RandomProgramOptions opts;
+  testref::RandomProgramOptions opts;
   opts.seed = 42;
   opts.max_depth = 3;
   opts.branch_probability = 0.4;
   opts.max_loop_bound = 6;
   opts.address_lines = 256;
-  const auto prog = cache::make_random_program("bench", opts);
+  const auto prog = testref::make_random_program("bench", opts);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         cache::analyze_static_wcet(prog, sys().cache_config));
@@ -210,14 +211,14 @@ cache::CacheConfig population_cache() {
 }
 
 cache::StructuredProgram branchy_program(std::uint32_t seed) {
-  cache::RandomProgramOptions opts;
+  testref::RandomProgramOptions opts;
   opts.seed = seed;
   opts.max_depth = 3;
   opts.branch_probability = 0.6;
   opts.max_loop_bound = 6;
   opts.max_block_lines = 16;
   opts.address_lines = 4096;
-  return cache::make_random_program("bench", opts);
+  return testref::make_random_program("bench", opts);
 }
 
 cache::CachePair population_exit_state(std::uint32_t seed) {

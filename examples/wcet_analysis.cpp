@@ -13,6 +13,7 @@
 #include "cache/cache_model.hpp"
 #include "cache/static_wcet.hpp"
 #include "cache/structure.hpp"
+#include "../tests/random_program.hpp"
 
 using namespace catsched;
 
@@ -37,7 +38,7 @@ int main() {
   });
 
   std::printf("program: %zu branches, longest path %llu fetches\n",
-              prog.root.branch_count(),
+              testref::branch_count(prog.root),
               static_cast<unsigned long long>(
                   prog.root.max_path_accesses()));
 
@@ -51,7 +52,7 @@ int main() {
               static_cast<unsigned long long>(cold.not_classified));
 
   // -- Exhaustive concrete check ---------------------------------------
-  const auto paths = cache::enumerate_paths(prog.root);
+  const auto paths = testref::enumerate_paths(prog.root);
   std::uint64_t worst = 0;
   for (const auto& p : paths) {
     cache::CacheSim sim(cfg);

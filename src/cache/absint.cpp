@@ -290,18 +290,6 @@ std::size_t AbstractCacheState::hash() const noexcept {
   return static_cast<std::size_t>(h);
 }
 
-const char* to_string(Classification c) noexcept {
-  switch (c) {
-    case Classification::always_hit:
-      return "AH";
-    case Classification::first_miss:
-      return "FM";
-    case Classification::not_classified:
-      return "NC";
-  }
-  return "?";
-}
-
 CachePair::CachePair(const CacheConfig& config)
     : must_(config, AbstractCacheState::Kind::must),
       persistence_(config, AbstractCacheState::Kind::persistence) {}

@@ -207,8 +207,6 @@ enum class Classification {
   not_classified   ///< neither: charged a miss in WCET bounds
 };
 
-const char* to_string(Classification c) noexcept;
-
 /// The must+persistence pair every analysis carries around (the
 /// static-WCET memo key — see StaticAnalysisMemo — so equality and hash
 /// cover both components).

@@ -57,29 +57,4 @@ std::uint64_t CacheSim::run_trace(const std::vector<std::uint64_t>& lines) {
   return cycles_ - before;
 }
 
-void CacheSim::flush() {
-  for (Way& w : lines_) w.valid = false;
-}
-
-bool CacheSim::contains(std::uint64_t line_addr) const noexcept {
-  const std::size_t set = set_of(line_addr);
-  const Way* base = &lines_[set * ways_];
-  for (std::size_t w = 0; w < ways_; ++w) {
-    if (base[w].valid && base[w].tag == line_addr) return true;
-  }
-  return false;
-}
-
-std::size_t CacheSim::resident_lines() const noexcept {
-  std::size_t n = 0;
-  for (const Way& w : lines_) n += w.valid ? 1 : 0;
-  return n;
-}
-
-void CacheSim::reset_counters() noexcept {
-  hits_ = 0;
-  misses_ = 0;
-  cycles_ = 0;
-}
-
 }  // namespace catsched::cache

@@ -70,21 +70,9 @@ public:
   /// Fetch a whole trace of line addresses; returns cycles consumed by it.
   std::uint64_t run_trace(const std::vector<std::uint64_t>& lines);
 
-  /// Invalidate every line (cold cache).
-  void flush();
-
-  /// True if the line is currently resident.
-  bool contains(std::uint64_t line_addr) const noexcept;
-
-  /// Number of resident lines.
-  std::size_t resident_lines() const noexcept;
-
   std::uint64_t hits() const noexcept { return hits_; }
   std::uint64_t misses() const noexcept { return misses_; }
   std::uint64_t total_cycles() const noexcept { return cycles_; }
-
-  /// Zero the hit/miss/cycle counters (cache contents untouched).
-  void reset_counters() noexcept;
 
 private:
   struct Way {

@@ -75,12 +75,6 @@ void slice_leaves(const CachePair& generic_exit, std::uint32_t set,
 
 }  // namespace
 
-std::size_t CacheFootprint::total_lines() const noexcept {
-  std::size_t n = 0;
-  for (const auto& set : lines_per_set) n += set.size();
-  return n;
-}
-
 CacheFootprint compute_footprint(const Stmt& root, const CacheConfig& config) {
   CacheFootprint out;
   out.lines_per_set.resize(config.num_sets());

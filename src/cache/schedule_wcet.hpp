@@ -83,8 +83,6 @@ namespace catsched::cache {
 struct CacheFootprint {
   /// One sorted, deduplicated line vector per cache set.
   std::vector<std::vector<std::uint64_t>> lines_per_set;
-
-  std::size_t total_lines() const noexcept;
 };
 
 /// Footprint of a structured program: every line in the tree (all branch

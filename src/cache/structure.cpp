@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <random>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -73,71 +72,6 @@ std::uint64_t Stmt::max_path_accesses() const {
   return 0;
 }
 
-std::size_t Stmt::branch_count() const {
-  std::size_t n = kind == Kind::branch ? 1 : 0;
-  for (const auto& c : children) n += c.branch_count();
-  return n;
-}
-
-namespace {
-
-/// Append every extension of `prefixes` through `stmt` (cross product of
-/// path choices), respecting the cap.
-void extend_paths(const Stmt& stmt,
-                  std::vector<std::vector<std::uint64_t>>& prefixes,
-                  std::size_t max_paths) {
-  switch (stmt.kind) {
-    case Stmt::Kind::block:
-      for (auto& p : prefixes) {
-        p.insert(p.end(), stmt.lines.begin(), stmt.lines.end());
-      }
-      return;
-    case Stmt::Kind::seq:
-      for (const auto& c : stmt.children) {
-        extend_paths(c, prefixes, max_paths);
-      }
-      return;
-    case Stmt::Kind::branch: {
-      auto else_prefixes = prefixes;  // copy before then-arm mutates
-      extend_paths(stmt.children[0], prefixes, max_paths);
-      extend_paths(stmt.children[1], else_prefixes, max_paths);
-      if (prefixes.size() + else_prefixes.size() > max_paths) {
-        throw std::length_error("enumerate_paths: path explosion");
-      }
-      prefixes.insert(prefixes.end(),
-                      std::make_move_iterator(else_prefixes.begin()),
-                      std::make_move_iterator(else_prefixes.end()));
-      return;
-    }
-    case Stmt::Kind::loop:
-      for (int i = 0; i < stmt.bound; ++i) {
-        extend_paths(stmt.children[0], prefixes, max_paths);
-      }
-      return;
-  }
-}
-
-}  // namespace
-
-std::vector<std::vector<std::uint64_t>> enumerate_paths(
-    const Stmt& root, std::size_t max_paths) {
-  std::vector<std::vector<std::uint64_t>> paths{{}};
-  extend_paths(root, paths, max_paths);
-  return paths;
-}
-
-Program flatten_to_program(const StructuredProgram& program) {
-  if (program.root.branch_count() != 0) {
-    throw std::invalid_argument(
-        "flatten_to_program: tree contains branches (no single path)");
-  }
-  auto paths = enumerate_paths(program.root, 1);
-  Program p;
-  p.name = program.name;
-  p.trace = std::move(paths.front());
-  return p;
-}
-
 namespace {
 
 void sample_one(const Stmt& stmt, testgen::SplitMix64& rng,
@@ -169,52 +103,6 @@ std::vector<std::vector<std::uint64_t>> sample_paths(const Stmt& root,
   std::vector<std::vector<std::uint64_t>> paths(count);
   for (auto& p : paths) sample_one(root, rng, p);
   return paths;
-}
-
-namespace {
-
-Stmt random_stmt(std::mt19937& rng, const RandomProgramOptions& opts,
-                 std::size_t depth) {
-  std::uniform_real_distribution<double> coin(0.0, 1.0);
-  std::uniform_int_distribution<std::uint64_t> addr(
-      0, static_cast<std::uint64_t>(opts.address_lines) - 1);
-  std::uniform_int_distribution<std::size_t> block_len(1,
-                                                       opts.max_block_lines);
-
-  auto random_block = [&] {
-    std::vector<std::uint64_t> lines(block_len(rng));
-    for (auto& l : lines) l = addr(rng);
-    return Stmt::block(std::move(lines));
-  };
-
-  if (depth >= opts.max_depth) return random_block();
-
-  std::vector<Stmt> stmts;
-  for (std::size_t i = 0; i < opts.stmts_per_seq; ++i) {
-    const double roll = coin(rng);
-    if (roll < 0.5) {
-      stmts.push_back(random_block());
-    } else if (roll < 0.5 + 0.5 * opts.branch_probability) {
-      stmts.push_back(Stmt::branch(random_stmt(rng, opts, depth + 1),
-                                   random_stmt(rng, opts, depth + 1)));
-    } else {
-      std::uniform_int_distribution<int> bound(1, opts.max_loop_bound);
-      stmts.push_back(
-          Stmt::loop(random_stmt(rng, opts, depth + 1), bound(rng)));
-    }
-  }
-  return Stmt::seq(std::move(stmts));
-}
-
-}  // namespace
-
-StructuredProgram make_random_program(std::string name,
-                                      const RandomProgramOptions& opts) {
-  std::mt19937 rng(opts.seed);
-  StructuredProgram p;
-  p.name = std::move(name);
-  p.root = random_stmt(rng, opts, 0);
-  return p;
 }
 
 }  // namespace catsched::cache

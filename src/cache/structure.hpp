@@ -38,10 +38,6 @@ struct Stmt {
   /// Total instruction-fetch accesses on the longest (fully unrolled,
   /// max-branch) path. \throws std::overflow_error on absurd loop nests.
   std::uint64_t max_path_accesses() const;
-
-  /// Number of branch nodes in the tree (path count is <= 2^this per
-  /// loop-free program).
-  std::size_t branch_count() const;
 };
 
 /// A named structured program.
@@ -50,37 +46,11 @@ struct StructuredProgram {
   Stmt root;
 };
 
-/// Enumerate every execution path of the tree as a concrete line trace
-/// (loops unrolled `bound` times; both branch arms taken).
-/// \throws std::length_error if the path count would exceed \p max_paths.
-std::vector<std::vector<std::uint64_t>> enumerate_paths(
-    const Stmt& root, std::size_t max_paths = 4096);
-
-/// The single path of a branch-free tree, as a Program replayable on the
-/// CacheSim. \throws std::invalid_argument if the tree contains branches.
-Program flatten_to_program(const StructuredProgram& program);
-
 /// Draw \p count random execution paths (every branch decided by a fair
-/// deterministic coin, independently per loop iteration). Used when full
-/// enumeration explodes; sampling cannot *prove* soundness but probes it.
+/// deterministic coin, independently per loop iteration): concrete traces
+/// that probe a bound's soundness without enumerating every path.
 std::vector<std::vector<std::uint64_t>> sample_paths(const Stmt& root,
                                                      std::size_t count,
                                                      std::uint32_t seed);
-
-/// Options for the seeded random program generator (property tests and the
-/// analysis-vs-simulation benches).
-struct RandomProgramOptions {
-  std::uint32_t seed = 1;
-  std::size_t max_depth = 3;        ///< nesting depth of branch/loop nodes
-  std::size_t max_block_lines = 8;  ///< lines per straight-line block
-  std::size_t address_lines = 64;   ///< line addresses drawn from [0, this)
-  int max_loop_bound = 6;
-  double branch_probability = 0.3;  ///< vs. loop at interior nodes
-  std::size_t stmts_per_seq = 3;
-};
-
-/// Deterministic random structured program (same seed -> same tree).
-StructuredProgram make_random_program(std::string name,
-                                      const RandomProgramOptions& opts);
 
 }  // namespace catsched::cache

@@ -53,8 +53,4 @@ Matrix controllability_matrix(const Matrix& a, const Matrix& b) {
   return ctrb;
 }
 
-bool is_controllable(const Matrix& a, const Matrix& b, double rel_tol) {
-  return linalg::rank(controllability_matrix(a, b), rel_tol) == a.rows();
-}
-
 }  // namespace catsched::control

@@ -1,7 +1,7 @@
 #pragma once
 /// \file lti.hpp
 /// \brief Continuous-time LTI SISO plant models (paper eq. (1) before
-///        discretization), equilibria, and controllability tests.
+///        discretization), equilibria, and the controllability matrix.
 
 #include "linalg/matrix.hpp"
 
@@ -40,8 +40,5 @@ Equilibrium equilibrium_at(const ContinuousLTI& plant, double y_eq);
 /// Controllability matrix [B, AB, ..., A^{l-1}B] for a (possibly discrete)
 /// pair. \throws std::invalid_argument on dimension mismatch.
 Matrix controllability_matrix(const Matrix& a, const Matrix& b);
-
-/// Full-rank test of the controllability matrix.
-bool is_controllable(const Matrix& a, const Matrix& b, double rel_tol = 1e-10);
 
 }  // namespace catsched::control

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -56,47 +55,6 @@ Matrix closed_loop_monodromy(const std::vector<PhaseDynamics>& phases,
   return phi;
 }
 
-Matrix lifted_closed_loop(const std::vector<PhaseDynamics>& phases,
-                          const std::vector<Matrix>& k) {
-  check_gain_dims(phases, k);
-  const std::size_t m = phases.size();
-  if (m < 2) {
-    throw std::invalid_argument(
-        "lifted_closed_loop: needs >= 2 phases (use closed_loop_monodromy "
-        "for single-phase schedules, whose delay coupling exceeds one "
-        "period)");
-  }
-  const std::size_t l = phases.front().ad.rows();
-  auto selector = [&](std::size_t j) {
-    Matrix s(l, m * l);
-    s.set_block(0, j * l, Matrix::identity(l));
-    return s;
-  };
-  // Propagate coefficient matrices over z_k = [x_0^k; ...; x_{m-1}^k].
-  // The first new-period state is produced by phase m-1 acting on x_{m-1}^k
-  // with held input u_{m-2}^k = K_{m-2} x_{m-2}^k.
-  Matrix cur = selector(m - 1);
-  Matrix u_prev = k[m - 2] * selector(m - 2);
-  Matrix ahol(m * l, m * l);
-  for (std::size_t step = 0; step < m; ++step) {
-    const std::size_t j = (m - 1 + step) % m;  // phase applied at this step
-    Matrix next = (phases[j].ad + phases[j].b2 * k[j]) * cur +
-                  phases[j].b1 * u_prev;
-    u_prev = k[j] * cur;
-    cur = next;
-    ahol.set_block(step * l, 0, cur);  // x_step^{k+1}
-  }
-  return ahol;
-}
-
-std::optional<std::vector<double>> exact_feedforward(
-    const std::vector<PhaseDynamics>& phases, const Matrix& c,
-    const std::vector<Matrix>& k) {
-  std::vector<double> f;
-  if (!exact_feedforward_into(f, phases, c, k)) return std::nullopt;
-  return f;
-}
-
 bool exact_feedforward_into(std::vector<double>& f,
                             const std::vector<PhaseDynamics>& phases,
                             const Matrix& c, const std::vector<Matrix>& k) {
@@ -104,7 +62,7 @@ bool exact_feedforward_into(std::vector<double>& f,
   const std::size_t m = phases.size();
   const std::size_t l = phases.front().ad.rows();
   if (c.rows() != 1 || c.cols() != l) {
-    throw std::invalid_argument("exact_feedforward: C must be 1 x l");
+    throw std::invalid_argument("exact_feedforward_into: C must be 1 x l");
   }
   // The system, its right-hand side, the solution and the factorization
   // keep their storage across calls on this thread.
@@ -246,17 +204,6 @@ SimResult SwitchedSimulator::simulate(const PhaseGains& gains,
   }
   start_trace(*trace, opts);
   return run_order<true>(gains, x0, u_prev0, opts, trace, inf, Unbounded{});
-}
-
-SettlingInfo settling_time(const std::vector<double>& t,
-                           const std::vector<double>& y, double r,
-                           double band) {
-  if (t.size() != y.size() || t.empty()) {
-    throw std::invalid_argument("settling_time: bad trace");
-  }
-  detail::SettlingScan scan{r, band * std::max(std::abs(r), 1e-12)};
-  for (std::size_t i = 0; i < t.size(); ++i) scan.see(t[i], y[i]);
-  return scan.at;
 }
 
 }  // namespace catsched::control

@@ -37,24 +37,11 @@ struct PhaseGains {
 Matrix closed_loop_monodromy(const std::vector<PhaseDynamics>& phases,
                              const std::vector<Matrix>& k);
 
-/// The paper's lifted closed-loop matrix Ahol over one schedule period
-/// (eq. (16) generalized to m phases): the one-period map of the stacked
-/// state z = [x_0; x_1; ...; x_{m-1}] under the per-phase feedback.
-/// Provided for fidelity/tests; stability via closed_loop_monodromy is
-/// equivalent and cheaper.
-Matrix lifted_closed_loop(const std::vector<PhaseDynamics>& phases,
-                          const std::vector<Matrix>& k);
-
 /// Exact periodic feedforward: choose F_0..F_{m-1} so that the closed
 /// loop's periodic steady state satisfies C x_j = r at *every* sampling
-/// instant (per unit reference; scale-invariant). Returns std::nullopt when
-/// the steady-state system is singular (e.g. a pole at +1).
-std::optional<std::vector<double>> exact_feedforward(
-    const std::vector<PhaseDynamics>& phases, const Matrix& c,
-    const std::vector<Matrix>& k);
-
-/// exact_feedforward() into \p f (resized to one F per phase); returns
-/// false, leaving \p f unspecified, when the system is singular. The
+/// instant (per unit reference; scale-invariant). Writes them into \p f
+/// (resized to one F per phase); returns false, leaving \p f unspecified,
+/// when the steady-state system is singular (e.g. a pole at +1). The
 /// system is assembled and factored in a per-thread workspace, so once
 /// that and \p f have grown to size a call allocates nothing.
 bool exact_feedforward_into(std::vector<double>& f,
@@ -80,7 +67,7 @@ struct SimOptions {
 
 /// Metrics of one simulated step response, all streamed while stepping.
 /// Every number equals what the post-hoc reading of the matching SimTrace
-/// gives: settling_time/settled are settling_time() on (ts, ys) or (t, y),
+/// gives: settling_time/settled are the SettlingInfo of (ts, ys) or (t, y),
 /// tail_error and iae walk the dense points in order.
 struct SimResult {
   double settling_time = 0.0;  ///< first time after which |y-r| stays within
@@ -192,15 +179,12 @@ private:
 };
 
 /// Settling time of a sampled trajectory: the earliest time t_s such that
-/// |y(t) - r| <= band * |r| for every sample with t >= t_s. Returns
-/// infinity (settled=false) when the last sample still violates the band.
+/// |y(t) - r| <= band * |r| for every sample with t >= t_s; infinity
+/// (settled=false) when the last sample still violates the band.
 struct SettlingInfo {
   double time = 0.0;
   bool settled = false;
 };
-SettlingInfo settling_time(const std::vector<double>& t,
-                           const std::vector<double>& y, double r,
-                           double band);
 
 // ----------------------------------------------------------- step loop
 // The body of SwitchedSimulator::simulate. It lives in the header so a
@@ -208,8 +192,9 @@ SettlingInfo settling_time(const std::vector<double>& t,
 
 namespace detail {
 
-/// settling_time() read one point at a time: the earliest point after the
-/// last violation of |y - r| <= tol; unsettled while the latest violates.
+/// The settling time read one point at a time: the earliest point after
+/// the last violation of |y - r| <= tol; unsettled while the latest
+/// violates.
 struct SettlingScan {
   double r;
   double tol;

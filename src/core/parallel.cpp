@@ -118,11 +118,6 @@ std::size_t ThreadPool::default_chunk(std::size_t n,
   return std::clamp<std::size_t>(chunk, 1, 64);
 }
 
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& body) {
-  parallel_for(n, 0, body);
-}
-
 void ThreadPool::parallel_for(std::size_t n, std::size_t chunk,
                               const std::function<void(std::size_t)>& body,
                               const RunBudget* budget) {
@@ -154,11 +149,6 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t chunk,
     });
     if (state->error) std::rethrow_exception(state->error);
   }
-}
-
-ThreadPool& ThreadPool::shared() {
-  static ThreadPool pool(hardware_threads());
-  return pool;
 }
 
 void parallel_for(ThreadPool* pool, std::size_t n,

@@ -68,16 +68,13 @@ public:
   /// still finish). Iteration order across threads is unspecified; callers
   /// needing determinism must write to per-index slots.
   ///
-  /// Scheduling is dynamic in chunks of default_chunk() iterations: threads
-  /// claim the next unclaimed chunk from a shared atomic index, so a few
+  /// Scheduling is dynamic in chunks of \p chunk iterations: threads claim
+  /// the next unclaimed chunk from a shared atomic index, so a few
   /// expensive iterations (e.g. candidates that survive the feasibility
   /// early-outs) cannot strand the rest of the index space on one worker.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
-
-  /// Same, with an explicit chunk size (iterations claimed per atomic
-  /// increment). chunk == 0 means default_chunk(n). Larger chunks amortize
-  /// the claim for very cheap bodies; chunk 1 balances best when per-
-  /// iteration cost varies wildly.
+  /// chunk == 0 means default_chunk(n). Larger chunks amortize the claim
+  /// for very cheap bodies; chunk 1 balances best when per-iteration cost
+  /// varies wildly.
   ///
   /// When \p budget is non-null it is consulted at every chunk claim: once
   /// the budget fires, remaining chunks are skipped (their bodies never
@@ -95,9 +92,6 @@ public:
   /// chunk of a huge loop cannot serialize on one worker. Always >= 1.
   static std::size_t default_chunk(std::size_t n,
                                    std::size_t participants) noexcept;
-
-  /// Process-wide pool sized to the hardware (lazily created).
-  static ThreadPool& shared();
 
 private:
   void worker_loop();

@@ -15,10 +15,9 @@ constexpr std::uint8_t kMagic[4] = {'C', 'S', 'N', 'P'};
 constexpr std::size_t kHeaderSize = 4 + 4 + 4 + 8;
 constexpr std::size_t kTrailerSize = 8;
 
-void put_u32_le(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+/// The low \p n bytes of \p v at \p p, least significant first.
+void store_le(std::uint8_t* p, std::uint64_t v, int n) noexcept {
+  for (int i = 0; i < n; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
 void put_u64_le(std::vector<std::uint8_t>& out, std::uint64_t v) {
@@ -72,7 +71,6 @@ std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n) noexcept {
   return h;
 }
 
-void SnapshotWriter::put_u32(std::uint32_t v) { put_u32_le(buf_, v); }
 void SnapshotWriter::put_u64(std::uint64_t v) { put_u64_le(buf_, v); }
 
 void SnapshotWriter::put_i64(std::int64_t v) {
@@ -81,15 +79,6 @@ void SnapshotWriter::put_i64(std::int64_t v) {
 
 void SnapshotWriter::put_f64(double v) {
   put_u64(std::bit_cast<std::uint64_t>(v));
-}
-
-void SnapshotWriter::put_bytes(const std::uint8_t* data, std::size_t n) {
-  buf_.insert(buf_.end(), data, data + n);
-}
-
-void SnapshotWriter::put_string(const std::string& s) {
-  put_u64(s.size());
-  put_bytes(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
 }
 
 void SnapshotWriter::put_int_vector(const std::vector<int>& v) {
@@ -109,13 +98,6 @@ std::uint8_t SnapshotReader::get_u8() {
   return data_[pos_++];
 }
 
-std::uint32_t SnapshotReader::get_u32() {
-  need(4);
-  const std::uint32_t v = get_u32_le(data_ + pos_);
-  pos_ += 4;
-  return v;
-}
-
 std::uint64_t SnapshotReader::get_u64() {
   need(8);
   const std::uint64_t v = get_u64_le(data_ + pos_);
@@ -128,15 +110,6 @@ std::int64_t SnapshotReader::get_i64() {
 }
 
 double SnapshotReader::get_f64() { return std::bit_cast<double>(get_u64()); }
-
-std::string SnapshotReader::get_string() {
-  const std::uint64_t len = get_u64();
-  need(static_cast<std::size_t>(len));
-  std::string s(reinterpret_cast<const char*>(data_ + pos_),
-                static_cast<std::size_t>(len));
-  pos_ += static_cast<std::size_t>(len);
-  return s;
-}
 
 std::vector<int> SnapshotReader::get_int_vector() {
   const std::uint64_t count = get_u64();
@@ -159,10 +132,11 @@ std::vector<std::uint8_t> frame_snapshot(
     std::uint32_t kind, const std::vector<std::uint8_t>& payload) {
   std::vector<std::uint8_t> out;
   out.reserve(kHeaderSize + payload.size() + kTrailerSize);
-  out.insert(out.end(), kMagic, kMagic + 4);
-  put_u32_le(out, kSnapshotVersion);
-  put_u32_le(out, kind);
-  put_u64_le(out, payload.size());
+  out.resize(kHeaderSize);
+  std::copy(kMagic, kMagic + 4, out.data());
+  store_le(out.data() + 4, kSnapshotVersion, 4);
+  store_le(out.data() + 8, kind, 4);
+  store_le(out.data() + 12, payload.size(), 8);
   out.insert(out.end(), payload.begin(), payload.end());
   put_u64_le(out, fnv1a64(payload.data(), payload.size()));
   return out;

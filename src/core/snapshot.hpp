@@ -89,13 +89,9 @@ std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n) noexcept;
 class SnapshotWriter {
  public:
   void put_u8(std::uint8_t v) { buf_.push_back(v); }
-  void put_u32(std::uint32_t v);
   void put_u64(std::uint64_t v);
   void put_i64(std::int64_t v);  ///< two's-complement via u64
   void put_f64(double v);        ///< IEEE-754 bit pattern, bit-exact
-  void put_bytes(const std::uint8_t* data, std::size_t n);
-  /// u64 length prefix + raw bytes.
-  void put_string(const std::string& s);
   /// u64 count prefix + elements as i64 (schedule bursts, search points).
   void put_int_vector(const std::vector<int>& v);
 
@@ -116,11 +112,9 @@ class SnapshotReader {
       : SnapshotReader(bytes.data(), bytes.size()) {}
 
   std::uint8_t get_u8();
-  std::uint32_t get_u32();
   std::uint64_t get_u64();
   std::int64_t get_i64();
   double get_f64();
-  std::string get_string();
   std::vector<int> get_int_vector();
 
   std::size_t remaining() const noexcept { return size_ - pos_; }

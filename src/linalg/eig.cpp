@@ -261,8 +261,4 @@ double spectral_radius(const Matrix& a) {
   return best;
 }
 
-bool is_schur_stable(const Matrix& a, double margin) {
-  return spectral_radius(a) < 1.0 - margin;
-}
-
 }  // namespace catsched::linalg

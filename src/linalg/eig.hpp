@@ -30,8 +30,4 @@ std::vector<std::complex<double>> eigenvalues(const Matrix& a);
 /// max |lambda_i| over all eigenvalues; 0 for an empty matrix.
 double spectral_radius(const Matrix& a);
 
-/// True if every eigenvalue lies strictly inside the unit circle with the
-/// given margin, i.e. spectral_radius(a) < 1 - margin.
-bool is_schur_stable(const Matrix& a, double margin = 0.0);
-
 }  // namespace catsched::linalg

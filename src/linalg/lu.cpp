@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -98,50 +97,6 @@ void LU::solve_into(Matrix& x, const Matrix& b) const {
     const double d = lu_(ii, ii);
     for (std::size_t j = 0; j < k; ++j) x(ii, j) /= d;
   }
-}
-
-Matrix LU::inverse() const {
-  return solve(Matrix::identity(lu_.rows()));
-}
-
-Matrix solve(const Matrix& a, const Matrix& b) { return LU(a).solve(b); }
-
-Matrix inverse(const Matrix& a) { return LU(a).inverse(); }
-
-double determinant(const Matrix& a) { return LU(a).determinant(); }
-
-std::size_t rank(const Matrix& a, double rel_tol) {
-  Matrix m = a;
-  const std::size_t nr = m.rows();
-  const std::size_t nc = m.cols();
-  const double scale = std::max(m.max_abs(), 1.0);
-  const double tol = rel_tol * scale;
-  std::size_t rank = 0;
-  std::size_t row = 0;
-  for (std::size_t col = 0; col < nc && row < nr; ++col) {
-    // Find pivot in this column.
-    std::size_t p = row;
-    double best = std::abs(m(row, col));
-    for (std::size_t i = row + 1; i < nr; ++i) {
-      const double v = std::abs(m(i, col));
-      if (v > best) {
-        best = v;
-        p = i;
-      }
-    }
-    if (best <= tol) continue;
-    if (p != row) {
-      for (std::size_t j = 0; j < nc; ++j) std::swap(m(p, j), m(row, j));
-    }
-    for (std::size_t i = row + 1; i < nr; ++i) {
-      const double f = m(i, col) / m(row, col);
-      if (f == 0.0) continue;
-      for (std::size_t j = col; j < nc; ++j) m(i, j) -= f * m(row, j);
-    }
-    ++rank;
-    ++row;
-  }
-  return rank;
 }
 
 }  // namespace catsched::linalg

@@ -1,7 +1,7 @@
 #pragma once
 /// \file lu.hpp
-/// \brief LU decomposition with partial pivoting: linear solves, inverse,
-///        determinant, and rank estimation for small dense systems.
+/// \brief LU decomposition with partial pivoting: linear solves and the
+///        determinant for small dense systems.
 
 #include <array>
 #include <cstdint>
@@ -44,9 +44,6 @@ public:
   /// Determinant of A (0.0 when flagged singular).
   double determinant() const noexcept { return det_; }
 
-  /// Inverse of A. \throws std::domain_error if singular.
-  Matrix inverse() const;
-
 private:
   /// Row permutation with the same small-buffer strategy as Matrix: the
   /// design hot path factors 2x2..8x8 systems millions of times per
@@ -70,18 +67,5 @@ private:
   bool singular_ = false;
   double det_ = 0.0;
 };
-
-/// One-shot convenience: solve A x = b.
-Matrix solve(const Matrix& a, const Matrix& b);
-
-/// One-shot convenience: inverse of A.
-Matrix inverse(const Matrix& a);
-
-/// One-shot convenience: determinant of A.
-double determinant(const Matrix& a);
-
-/// Numerical rank via row-echelon elimination with the given relative
-/// tolerance (used by controllability tests).
-std::size_t rank(const Matrix& a, double rel_tol = 1e-10);
 
 }  // namespace catsched::linalg

@@ -2,11 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
-#include <ostream>
-#include <sstream>
 #include <stdexcept>
-#include <vector>
 
 namespace catsched::linalg {
 
@@ -96,15 +92,6 @@ Matrix& Matrix::operator=(Matrix&& other) noexcept {
   return *this;
 }
 
-void Matrix::reserve(std::size_t cap) {
-  if (cap <= cap_) return;
-  double* p = new double[cap];
-  std::copy(ptr_, ptr_ + size(), p);
-  release();
-  ptr_ = p;
-  cap_ = cap;
-}
-
 void Matrix::resize(std::size_t rows, std::size_t cols) {
   const std::size_t n = rows * cols;
   if (n > cap_) {
@@ -123,48 +110,6 @@ Matrix Matrix::identity(std::size_t n) {
   Matrix m(n, n);
   for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
   return m;
-}
-
-Matrix Matrix::zero(std::size_t rows, std::size_t cols) {
-  return Matrix(rows, cols);
-}
-
-Matrix Matrix::column(std::initializer_list<double> entries) {
-  Matrix m(entries.size(), 1);
-  std::copy(entries.begin(), entries.end(), m.ptr_);
-  return m;
-}
-
-Matrix Matrix::column(const std::vector<double>& entries) {
-  Matrix m(entries.size(), 1);
-  std::copy(entries.begin(), entries.end(), m.ptr_);
-  return m;
-}
-
-Matrix Matrix::diagonal(const std::vector<double>& diag) {
-  Matrix m(diag.size(), diag.size());
-  for (std::size_t i = 0; i < diag.size(); ++i) m(i, i) = diag[i];
-  return m;
-}
-
-double& Matrix::at(std::size_t r, std::size_t c) {
-  if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix::at");
-  return (*this)(r, c);
-}
-
-double Matrix::at(std::size_t r, std::size_t c) const {
-  if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix::at");
-  return (*this)(r, c);
-}
-
-double& Matrix::operator[](std::size_t i) {
-  if (i >= size()) throw std::out_of_range("Matrix::operator[]");
-  return ptr_[i];
-}
-
-double Matrix::operator[](std::size_t i) const {
-  if (i >= size()) throw std::out_of_range("Matrix::operator[]");
-  return ptr_[i];
 }
 
 Matrix& Matrix::operator+=(const Matrix& rhs) {
@@ -191,27 +136,11 @@ Matrix& Matrix::operator*=(double s) noexcept {
   return *this;
 }
 
-Matrix& Matrix::operator/=(double s) {
-  if (s == 0.0) throw std::invalid_argument("Matrix/=: division by zero");
-  const std::size_t n = size();
-  for (std::size_t i = 0; i < n; ++i) ptr_[i] /= s;
-  return *this;
-}
-
 Matrix Matrix::operator-() const {
   Matrix m(*this);
   const std::size_t n = m.size();
   for (std::size_t i = 0; i < n; ++i) m.ptr_[i] = -m.ptr_[i];
   return m;
-}
-
-bool Matrix::operator==(const Matrix& rhs) const noexcept {
-  if (rows_ != rhs.rows_ || cols_ != rhs.cols_) return false;
-  const std::size_t n = size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (ptr_[i] != rhs.ptr_[i]) return false;
-  }
-  return true;
 }
 
 void multiply_into(Matrix& out, const Matrix& a, const Matrix& b) {
@@ -289,93 +218,6 @@ void Matrix::set_block(std::size_t r0, std::size_t c0, const Matrix& src) {
   }
 }
 
-Matrix Matrix::row(std::size_t r) const { return block(r, 0, 1, cols_); }
-Matrix Matrix::col(std::size_t c) const { return block(0, c, rows_, 1); }
-
-Matrix Matrix::from_blocks(
-    std::initializer_list<std::initializer_list<Matrix>> blocks) {
-  if (blocks.size() == 0) return Matrix{};
-  // Determine block-row heights and block-column widths, checking agreement.
-  std::vector<std::size_t> heights;
-  std::vector<std::size_t> widths;
-  std::size_t ncols_blocks = blocks.begin()->size();
-  for (const auto& brow : blocks) {
-    if (brow.size() != ncols_blocks) {
-      throw std::invalid_argument("from_blocks: ragged block rows");
-    }
-  }
-  widths.assign(ncols_blocks, 0);
-  for (const auto& brow : blocks) {
-    std::size_t h = brow.begin()->rows();
-    std::size_t j = 0;
-    for (const auto& b : brow) {
-      if (b.rows() != h) {
-        throw std::invalid_argument("from_blocks: block height mismatch");
-      }
-      if (widths[j] == 0) {
-        widths[j] = b.cols();
-      } else if (widths[j] != b.cols()) {
-        throw std::invalid_argument("from_blocks: block width mismatch");
-      }
-      ++j;
-    }
-    heights.push_back(h);
-  }
-  std::size_t total_r = 0;
-  for (auto h : heights) total_r += h;
-  std::size_t total_c = 0;
-  for (auto w : widths) total_c += w;
-  Matrix out(total_r, total_c);
-  std::size_t r0 = 0;
-  std::size_t bi = 0;
-  for (const auto& brow : blocks) {
-    std::size_t c0 = 0;
-    for (const auto& b : brow) {
-      out.set_block(r0, c0, b);
-      c0 += b.cols();
-    }
-    r0 += heights[bi++];
-  }
-  return out;
-}
-
-Matrix Matrix::hcat(const Matrix& a, const Matrix& b) {
-  if (a.rows() != b.rows()) {
-    throw std::invalid_argument("hcat: row count mismatch");
-  }
-  Matrix out(a.rows(), a.cols() + b.cols());
-  out.set_block(0, 0, a);
-  out.set_block(0, a.cols(), b);
-  return out;
-}
-
-Matrix Matrix::vcat(const Matrix& a, const Matrix& b) {
-  if (a.cols() != b.cols()) {
-    throw std::invalid_argument("vcat: column count mismatch");
-  }
-  Matrix out(a.rows() + b.rows(), a.cols());
-  out.set_block(0, 0, a);
-  out.set_block(a.rows(), 0, b);
-  return out;
-}
-
-double Matrix::norm() const noexcept {
-  double s = 0.0;
-  const std::size_t n = size();
-  for (std::size_t i = 0; i < n; ++i) s += ptr_[i] * ptr_[i];
-  return std::sqrt(s);
-}
-
-double Matrix::norm_inf() const noexcept {
-  double best = 0.0;
-  for (std::size_t i = 0; i < rows_; ++i) {
-    double s = 0.0;
-    for (std::size_t j = 0; j < cols_; ++j) s += std::abs((*this)(i, j));
-    best = std::max(best, s);
-  }
-  return best;
-}
-
 double Matrix::norm_1() const noexcept {
   double best = 0.0;
   for (std::size_t j = 0; j < cols_; ++j) {
@@ -391,45 +233,6 @@ double Matrix::max_abs() const noexcept {
   const std::size_t n = size();
   for (std::size_t i = 0; i < n; ++i) best = std::max(best, std::abs(ptr_[i]));
   return best;
-}
-
-double Matrix::trace() const {
-  if (!is_square()) throw std::invalid_argument("trace: matrix not square");
-  double s = 0.0;
-  for (std::size_t i = 0; i < rows_; ++i) s += (*this)(i, i);
-  return s;
-}
-
-std::ostream& operator<<(std::ostream& os, const Matrix& m) {
-  os << "[" << m.rows() << "x" << m.cols() << "]\n";
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    os << "  [";
-    for (std::size_t j = 0; j < m.cols(); ++j) {
-      os << (j ? ", " : "") << std::setw(12) << std::setprecision(6)
-         << m(i, j);
-    }
-    os << "]\n";
-  }
-  return os;
-}
-
-bool approx_equal(const Matrix& a, const Matrix& b, double tol) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t j = 0; j < a.cols(); ++j) {
-      if (std::abs(a(i, j) - b(i, j)) > tol) return false;
-    }
-  }
-  return true;
-}
-
-double dot(const Matrix& a, const Matrix& b) {
-  if (a.size() != b.size()) {
-    throw std::invalid_argument("dot: size mismatch");
-  }
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) s += a.data()[i] * b.data()[i];
-  return s;
 }
 
 }  // namespace catsched::linalg

@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <initializer_list>
-#include <iosfwd>
 #include <vector>
 
 namespace catsched::linalg {
@@ -50,18 +49,6 @@ public:
   /// Identity matrix of size n.
   static Matrix identity(std::size_t n);
 
-  /// All-zero matrix.
-  static Matrix zero(std::size_t rows, std::size_t cols);
-
-  /// Column vector from a flat list of entries.
-  static Matrix column(std::initializer_list<double> entries);
-
-  /// Column vector from a std::vector of entries.
-  static Matrix column(const std::vector<double>& entries);
-
-  /// Diagonal matrix with the given diagonal entries.
-  static Matrix diagonal(const std::vector<double>& diag);
-
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }
   std::size_t size() const noexcept { return rows_ * cols_; }
@@ -77,12 +64,6 @@ public:
   /// Entry capacity of the current storage (>= kInlineCapacity).
   std::size_t capacity() const noexcept { return cap_; }
 
-  /// Grow storage to hold at least \p cap entries, preserving contents.
-  /// Capacities beyond kInlineCapacity force the heap ("spilled") layout —
-  /// the differential tests use this to pin small values into the
-  /// pre-refactor heap storage and compare against the inline fast path.
-  void reserve(std::size_t cap);
-
   /// Re-dimension in place, reusing the current storage when it is large
   /// enough. Entry values are unspecified afterwards — this is the
   /// workspace primitive behind multiply_into and friends, not a
@@ -97,16 +78,6 @@ public:
     return ptr_[r * cols_ + c];
   }
 
-  /// Bounds-checked element access.
-  /// \throws std::out_of_range
-  double& at(std::size_t r, std::size_t c);
-  double at(std::size_t r, std::size_t c) const;
-
-  /// Flat access for vectors (either orientation).
-  /// \throws std::out_of_range if index exceeds size().
-  double& operator[](std::size_t i);
-  double operator[](std::size_t i) const;
-
   const double* data() const noexcept { return ptr_; }
   double* data() noexcept { return ptr_; }
 
@@ -114,21 +85,15 @@ public:
   Matrix& operator+=(const Matrix& rhs);
   Matrix& operator-=(const Matrix& rhs);
   Matrix& operator*=(double s) noexcept;
-  Matrix& operator/=(double s);
   Matrix operator-() const;
 
   friend Matrix operator+(Matrix lhs, const Matrix& rhs) { return lhs += rhs; }
   friend Matrix operator-(Matrix lhs, const Matrix& rhs) { return lhs -= rhs; }
   friend Matrix operator*(Matrix lhs, double s) noexcept { return lhs *= s; }
   friend Matrix operator*(double s, Matrix rhs) noexcept { return rhs *= s; }
-  friend Matrix operator/(Matrix lhs, double s) { return lhs /= s; }
 
   /// Matrix product. \throws std::invalid_argument on inner-dim mismatch.
   friend Matrix operator*(const Matrix& lhs, const Matrix& rhs);
-
-  /// Deep equality: same dimensions and entry-wise double equality
-  /// (storage mode — inline vs spilled — is irrelevant).
-  bool operator==(const Matrix& rhs) const noexcept;
 
   // -- Structure -------------------------------------------------------
   Matrix transposed() const;
@@ -142,32 +107,11 @@ public:
   /// \throws std::out_of_range if src does not fit.
   void set_block(std::size_t r0, std::size_t c0, const Matrix& src);
 
-  /// Copy of row r as a 1 x cols matrix.
-  Matrix row(std::size_t r) const;
-  /// Copy of column c as a rows x 1 matrix.
-  Matrix col(std::size_t c) const;
-
-  /// Stack blocks: [[A, B], [C, D]] etc. Every row of blocks must agree on
-  /// height, every column on width. \throws std::invalid_argument.
-  static Matrix from_blocks(
-      std::initializer_list<std::initializer_list<Matrix>> blocks);
-
-  /// Horizontal concatenation [A B].
-  static Matrix hcat(const Matrix& a, const Matrix& b);
-  /// Vertical concatenation [A; B].
-  static Matrix vcat(const Matrix& a, const Matrix& b);
-
   // -- Reductions ------------------------------------------------------
-  /// Frobenius norm.
-  double norm() const noexcept;
-  /// Induced infinity norm (max absolute row sum).
-  double norm_inf() const noexcept;
   /// Induced 1-norm (max absolute column sum).
   double norm_1() const noexcept;
   /// Largest absolute entry.
   double max_abs() const noexcept;
-  /// Sum of diagonal entries. \throws std::invalid_argument if not square.
-  double trace() const;
 
 private:
   /// Point ptr_ at storage for n entries (contents uninitialized).
@@ -185,15 +129,6 @@ private:
   double* ptr_ = inline_;
   double inline_[kInlineCapacity];
 };
-
-/// Pretty-print with aligned columns (for logs and examples).
-std::ostream& operator<<(std::ostream& os, const Matrix& m);
-
-/// Entry-wise approximate equality with absolute tolerance.
-bool approx_equal(const Matrix& a, const Matrix& b, double tol = 1e-9);
-
-/// Dot product of two vectors (any orientation, sizes must match).
-double dot(const Matrix& a, const Matrix& b);
 
 // -- In-place multiply-accumulate primitives ---------------------------
 // The allocation-free kernels behind the switched-system simulator and the

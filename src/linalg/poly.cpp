@@ -35,26 +35,6 @@ Poly poly_from_roots(const std::vector<std::complex<double>>& roots,
   return out;
 }
 
-Poly char_poly(const Matrix& a) {
-  if (!a.is_square()) {
-    throw std::invalid_argument("char_poly: matrix must be square");
-  }
-  const std::size_t n = a.rows();
-  // Faddeev–LeVerrier: M_0 = I, c_n = 1;
-  // c_{n-k} = -trace(A M_{k-1}) / k; M_k = A M_{k-1} + c_{n-k} I.
-  Poly c(n + 1, 0.0);
-  c[n] = 1.0;
-  Matrix m = Matrix::identity(n);
-  for (std::size_t k = 1; k <= n; ++k) {
-    Matrix am = a * m;
-    const double ck = -am.trace() / static_cast<double>(k);
-    c[n - k] = ck;
-    m = am;
-    for (std::size_t i = 0; i < n; ++i) m(i, i) += ck;
-  }
-  return c;
-}
-
 Matrix poly_eval(const Poly& p, const Matrix& a) {
   if (!a.is_square()) {
     throw std::invalid_argument("poly_eval: matrix must be square");
@@ -70,53 +50,6 @@ Matrix poly_eval(const Poly& p, const Matrix& a) {
     for (std::size_t i = 0; i < n; ++i) acc(i, i) += p[k];
   }
   return acc;
-}
-
-std::complex<double> poly_eval(const Poly& p, std::complex<double> x) {
-  std::complex<double> acc = 0.0;
-  for (std::size_t k = p.size(); k-- > 0;) acc = acc * x + p[k];
-  return acc;
-}
-
-std::vector<std::complex<double>> poly_roots(const Poly& p, int max_iter,
-                                             double tol) {
-  // Strip trailing (near-)zero leading coefficients.
-  Poly q = p;
-  while (q.size() > 1 && q.back() == 0.0) q.pop_back();
-  if (q.size() < 2) {
-    throw std::invalid_argument("poly_roots: polynomial must have degree >= 1");
-  }
-  const std::size_t deg = q.size() - 1;
-  // Normalize to monic.
-  for (std::size_t i = 0; i < q.size(); ++i) q[i] /= q[q.size() - 1];
-
-  // Deterministic start: points on a circle of radius based on the Cauchy
-  // bound, at non-symmetric angles (avoids stalling on symmetric root sets).
-  double bound = 0.0;
-  for (std::size_t i = 0; i < deg; ++i) bound = std::max(bound, std::abs(q[i]));
-  const double radius = 1.0 + bound;
-  std::vector<std::complex<double>> z(deg);
-  for (std::size_t i = 0; i < deg; ++i) {
-    const double angle =
-        2.0 * M_PI * static_cast<double>(i) / static_cast<double>(deg) + 0.4;
-    z[i] = std::polar(radius * 0.8, angle);
-  }
-
-  for (int it = 0; it < max_iter; ++it) {
-    double max_step = 0.0;
-    for (std::size_t i = 0; i < deg; ++i) {
-      std::complex<double> denom = 1.0;
-      for (std::size_t j = 0; j < deg; ++j) {
-        if (j != i) denom *= (z[i] - z[j]);
-      }
-      if (std::abs(denom) < 1e-300) denom = 1e-300;
-      const std::complex<double> step = poly_eval(q, z[i]) / denom;
-      z[i] -= step;
-      max_step = std::max(max_step, std::abs(step));
-    }
-    if (max_step < tol * std::max(1.0, radius)) return z;
-  }
-  throw std::runtime_error("poly_roots: Durand-Kerner did not converge");
 }
 
 }  // namespace catsched::linalg

@@ -1,9 +1,7 @@
 #pragma once
 /// \file poly.hpp
-/// \brief Real polynomial utilities: characteristic polynomials, building a
-///        polynomial from desired roots (pole placement), evaluating a
-///        polynomial at a matrix (Ackermann), and root finding
-///        (Durand–Kerner) used to cross-check the QR eigensolver.
+/// \brief Real polynomial utilities: building a polynomial from desired
+///        roots (pole placement) and evaluating it at a matrix (Ackermann).
 
 #include <complex>
 #include <vector>
@@ -22,24 +20,8 @@ using Poly = std::vector<double>;
 Poly poly_from_roots(const std::vector<std::complex<double>>& roots,
                      double tol = 1e-8);
 
-/// Characteristic polynomial det(xI - A) of a square matrix via the
-/// Faddeev–LeVerrier recursion. Ascending degree, monic.
-/// \throws std::invalid_argument if not square.
-Poly char_poly(const Matrix& a);
-
 /// Evaluate p at a square matrix: p(A) = c0 I + c1 A + ... (Horner form).
 /// \throws std::invalid_argument if not square or p empty.
 Matrix poly_eval(const Poly& p, const Matrix& a);
-
-/// Evaluate p at a complex scalar.
-std::complex<double> poly_eval(const Poly& p, std::complex<double> x);
-
-/// All complex roots via the Durand–Kerner (Weierstrass) iteration.
-/// Deterministic start; intended for modest degrees (< ~30).
-/// \throws std::invalid_argument on empty/constant polynomial,
-///         std::runtime_error if the iteration fails to converge.
-std::vector<std::complex<double>> poly_roots(const Poly& p,
-                                             int max_iter = 500,
-                                             double tol = 1e-12);
 
 }  // namespace catsched::linalg

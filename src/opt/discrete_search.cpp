@@ -154,11 +154,6 @@ void EvalCache::save_checkpoint() {
   save_locked();
 }
 
-EvaluationTable EvalCache::dump_table() const {
-  std::lock_guard<std::mutex> lock(journal_mu_);
-  return journal_;
-}
-
 int EvalCache::checkpoints_written() const {
   std::lock_guard<std::mutex> lock(journal_mu_);
   return writes_;
@@ -191,18 +186,6 @@ PortfolioOptions lane_race(const HybridOptions& opts) {
 }
 
 }  // namespace
-
-HybridResult hybrid_search(EvalCache& cache, const CheapFeasible& cheap,
-                           const std::vector<int>& start,
-                           const HybridOptions& opts, core::ThreadPool* pool) {
-  HybridDriver lane("hybrid", cheap, start, opts);
-  PortfolioOptions race = lane_race(opts);
-  race.anytime.checkpoint_path.clear();  // the caller owns the cache
-  const PortfolioResult raced = race_drivers({&lane}, cache, race, pool);
-  HybridResult res = lane_result(lane, raced.strategies.front());
-  res.telemetry.stop = raced.telemetry.stop;
-  return res;
-}
 
 MultiStartResult hybrid_search_multistart(
     const DiscreteObjective& objective, const CheapFeasible& cheap,

@@ -164,10 +164,6 @@ public:
   /// on exit so the final state is always on disk.
   void save_checkpoint();
 
-  /// Copy of the completed-evaluation journal (only finished entries —
-  /// safe to call while a batch is in flight).
-  EvaluationTable dump_table() const;
-
   /// Snapshot files written so far (observability for tests/benches).
   int checkpoints_written() const;
 
@@ -206,10 +202,7 @@ struct HybridOptions {
   int max_value = 64;      ///< safety upper bound per dimension
 
   /// Shared anytime/checkpoint knobs (see core/anytime.hpp for the
-  /// budget-quantization and resume-by-replay contracts). The checkpoint
-  /// path only applies to the entry points that own their cache
-  /// (hybrid_search_multistart, exhaustive_search); callers of the plain
-  /// hybrid_search own the cache and arm it themselves.
+  /// budget-quantization and resume-by-replay contracts).
   core::AnytimeOptions anytime;
 };
 
@@ -222,27 +215,9 @@ struct HybridResult {
   int new_evaluations = 0;             ///< memo misses this run won
   std::vector<std::vector<int>> path;  ///< accepted points, start first
   /// Anytime observability; only `stop` is meaningful for a single run
-  /// (checkpointing lives on the cache the caller owns).
+  /// (checkpointing lives on the multi-start's shared cache).
   core::RunTelemetry telemetry;
 };
-
-/// One hybrid search from \p start: the hybrid driver (opt::HybridDriver,
-/// the one implementation of the Sec. IV walk) raced alone through
-/// opt::race_drivers on \p cache. The run's `new_evaluations` field reports
-/// how many *new* points it cost. With a \p pool, each step's <= 2n
-/// neighbor candidates are evaluated concurrently; the accepted path and
-/// best point are bit-identical to the serial run (the step decision
-/// itself stays sequential).
-/// opts.anytime.budget makes the run anytime (checked per step; a
-/// mid-batch deadline discards the partial batch — its finished
-/// evaluations stay in the cache). opts.anytime's checkpoint path is
-/// ignored: the caller owns the cache.
-/// \throws std::invalid_argument if start is empty, out of bounds, or
-///         cheap-infeasible.
-HybridResult hybrid_search(EvalCache& cache, const CheapFeasible& cheap,
-                           const std::vector<int>& start,
-                           const HybridOptions& opts,
-                           core::ThreadPool* pool = nullptr);
 
 /// Multi-start driver: runs the hybrid walk from every start against one
 /// shared cache and combines the best feasible outcome.

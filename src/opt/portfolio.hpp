@@ -99,8 +99,8 @@ struct PortfolioResult {
 };
 
 /// The one round loop behind every search in this header and behind
-/// opt::hybrid_search, opt::hybrid_search_multistart,
-/// opt::exhaustive_search and core::interleaved_search: races \p roster
+/// opt::hybrid_search_multistart, opt::exhaustive_search and
+/// core::interleaved_search: races \p roster
 /// (its order is the tie-break order) against \p cache in the
 /// deterministic rounds described above.
 /// Reads only opts.max_rounds, opts.elimination_rounds and opts.anytime;

@@ -26,16 +26,6 @@ std::size_t PeriodicSchedule::tasks_per_period() const noexcept {
   return n;
 }
 
-PeriodicSchedule PeriodicSchedule::with_burst(std::size_t app,
-                                              int value) const {
-  if (app >= m_.size()) {
-    throw std::invalid_argument("with_burst: app out of range");
-  }
-  std::vector<int> m = m_;
-  m[app] = value;
-  return PeriodicSchedule(std::move(m));  // re-validates value >= 1
-}
-
 std::string PeriodicSchedule::to_string() const {
   std::ostringstream os;
   os << "(";
@@ -120,14 +110,6 @@ std::vector<std::size_t> InterleavedSchedule::task_sequence() const {
     for (int j = 0; j < s.count; ++j) seq.push_back(s.app);
   }
   return seq;
-}
-
-int InterleavedSchedule::tasks_of(std::size_t app) const {
-  int n = 0;
-  for (const Segment& s : segments_) {
-    if (s.app == app) n += s.count;
-  }
-  return n;
 }
 
 std::string InterleavedSchedule::to_string() const {

@@ -192,18 +192,6 @@ std::size_t AppTiming::longest_interval() const {
   return best;
 }
 
-double AppTiming::period() const {
-  double p = 0.0;
-  for (const Interval& iv : intervals) p += iv.h;
-  return p;
-}
-
-double AppTiming::idle_total() const {
-  double busy = 0.0;
-  for (const Interval& iv : intervals) busy += iv.tau;
-  return period() - busy;
-}
-
 ScheduleTiming derive_timing(const std::vector<AppWcet>& wcets,
                              const PeriodicSchedule& schedule) {
   return derive_timing(wcets, InterleavedSchedule::from_periodic(schedule));

@@ -83,10 +83,6 @@ struct AppTiming {
   /// Index of the interval with the longest h (the idle gap; the paper's
   /// worst-case settling phase starts here).
   std::size_t longest_interval() const;
-  /// Sum of h over intervals == schedule period.
-  double period() const;
-  /// Time not executing this app = period() - sum(tau).
-  double idle_total() const;
 
   bool operator==(const AppTiming&) const = default;
 };

@@ -49,9 +49,21 @@ DesignOptions tiny_options() {
   return o;
 }
 
+/// Same count, and each pair of the same shape and entries (compared as
+/// doubles).
+bool same_matrices(const std::vector<catsched::linalg::Matrix>& a,
+                   const std::vector<catsched::linalg::Matrix>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const auto& x, const auto& y) {
+                      return x.rows() == y.rows() && x.cols() == y.cols() &&
+                             std::equal(x.data(), x.data() + x.size(),
+                                        y.data());
+                    });
+}
+
 ::testing::AssertionResult same_result(const DesignResult& a,
                                        const DesignResult& b) {
-  if (a.gains.k != b.gains.k) {
+  if (!same_matrices(a.gains.k, b.gains.k)) {
     return ::testing::AssertionFailure() << "gain matrices differ";
   }
   if (a.gains.f != b.gains.f) {
@@ -190,7 +202,7 @@ TEST(DesignBatch, PsoBatchHookIsOrderInvariant) {
     pooled.batch_eval = [&](const std::vector<std::vector<double>>& xs,
                             const std::vector<double>& bounds,
                             std::vector<double>& costs) {
-      pool.parallel_for(xs.size(), [&](std::size_t i) {
+      pool.parallel_for(xs.size(), 0, [&](std::size_t i) {
         costs[i] = rosenbrock(xs[i], bounds[i]);
       });
     };
@@ -243,7 +255,7 @@ TEST(DesignBatch, PsoBoundedObjectiveKeepsEveryBit) {
       pooled.batch_eval = [&](const std::vector<std::vector<double>>& xs,
                               const std::vector<double>& bounds,
                               std::vector<double>& costs) {
-        pool.parallel_for(xs.size(), [&](std::size_t i) {
+        pool.parallel_for(xs.size(), 0, [&](std::size_t i) {
           costs[i] = adversarial(xs[i], bounds[i]);
         });
       };

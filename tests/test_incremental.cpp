@@ -24,6 +24,7 @@
 #include "core/codesign.hpp"
 #include "core/interleaved_codesign.hpp"
 #include "core/parallel.hpp"
+#include "random_program.hpp"
 #include "sched/timing.hpp"
 
 namespace {
@@ -475,12 +476,12 @@ TEST(IncrementalHybrid, DeltaRoutedCodesignMatchesPlainObjective) {
 
 TEST(StaticMemo, MemoizedAnalysisBitIdenticalWithGuaranteedHits) {
   for (std::uint32_t seed : {1u, 7u, 23u}) {
-    cache::RandomProgramOptions opts;
+    catsched::testref::RandomProgramOptions opts;
     opts.seed = seed;
     opts.max_depth = 3;
     opts.branch_probability = 0.25;  // bias toward loops (the memo's prey)
     const cache::StructuredProgram prog =
-        cache::make_random_program("p", opts);
+        catsched::testref::make_random_program("p", opts);
     cache::CacheConfig cfg;
     cfg.num_lines = 32;
     cfg.associativity = 2;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
@@ -60,7 +61,8 @@ TEST(InterleavedNeighbors, AllNeighborsSatisfyInvariants) {
     }
     // Every app still appears.
     for (std::size_t app = 0; app < 3; ++app) {
-      EXPECT_GT(n.tasks_of(app), 0) << n.to_string();
+      const auto seq = n.task_sequence();
+      EXPECT_GT(std::count(seq.begin(), seq.end(), app), 0) << n.to_string();
     }
     seen.insert(n.to_string());
   }

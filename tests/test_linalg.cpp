@@ -11,10 +11,51 @@
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/poly.hpp"
+#include "linalg_reference.hpp"
 
 using namespace catsched::linalg;
+using catsched::testref::approx_equal;
 
 namespace {
+
+/// Sum of the diagonal entries of a square matrix.
+double trace(const Matrix& a) {
+  double s = 0.0;
+  for (std::size_t i = 0; i < a.rows(); ++i) s += a(i, i);
+  return s;
+}
+
+/// Characteristic polynomial det(xI - A) via the Faddeev–LeVerrier
+/// recursion (ascending degree, monic): the reference the eigensolver and
+/// the matrix polynomial evaluation are checked against.
+Poly char_poly(const Matrix& a) {
+  const std::size_t n = a.rows();
+  // M_0 = I, c_n = 1; c_{n-k} = -trace(A M_{k-1}) / k; M_k = A M_{k-1} +
+  // c_{n-k} I.
+  Poly c(n + 1, 0.0);
+  c[n] = 1.0;
+  Matrix m = Matrix::identity(n);
+  for (std::size_t k = 1; k <= n; ++k) {
+    Matrix am = a * m;
+    const double ck = -trace(am) / static_cast<double>(k);
+    c[n - k] = ck;
+    m = am;
+    for (std::size_t i = 0; i < n; ++i) m(i, i) += ck;
+  }
+  return c;
+}
+
+/// p at a complex scalar (Horner form).
+std::complex<double> poly_eval(const Poly& p, std::complex<double> x) {
+  std::complex<double> acc = 0.0;
+  for (std::size_t k = p.size(); k-- > 0;) acc = acc * x + p[k];
+  return acc;
+}
+
+/// The inverse of A through its LU factorization.
+Matrix inverse(const Matrix& a) {
+  return LU(a).solve(Matrix::identity(a.rows()));
+}
 
 Matrix random_matrix(std::size_t n, std::uint64_t seed, double scale = 1.0) {
   std::mt19937_64 rng(seed);
@@ -35,16 +76,12 @@ TEST(Matrix, ConstructionAndAccess) {
   EXPECT_EQ(m.rows(), 2u);
   EXPECT_EQ(m.cols(), 2u);
   EXPECT_DOUBLE_EQ(m(1, 0), 3.0);
-  EXPECT_THROW(m.at(2, 0), std::out_of_range);
   EXPECT_THROW((Matrix{{1.0}, {2.0, 3.0}}), std::invalid_argument);
 }
 
-TEST(Matrix, IdentityAndDiagonal) {
+TEST(Matrix, Identity) {
   const Matrix i3 = Matrix::identity(3);
-  EXPECT_DOUBLE_EQ(i3.trace(), 3.0);
-  const Matrix d = Matrix::diagonal({1.0, 2.0, 3.0});
-  EXPECT_DOUBLE_EQ(d(1, 1), 2.0);
-  EXPECT_DOUBLE_EQ(d(0, 1), 0.0);
+  EXPECT_DOUBLE_EQ(trace(i3), 3.0);
 }
 
 TEST(Matrix, ArithmeticAndDimensionChecks) {
@@ -59,30 +96,19 @@ TEST(Matrix, ArithmeticAndDimensionChecks) {
   Matrix c(3, 2);
   EXPECT_THROW(a + c, std::invalid_argument);
   EXPECT_THROW(a * Matrix(3, 3), std::invalid_argument);
-  EXPECT_THROW(a / 0.0, std::invalid_argument);
 }
 
-TEST(Matrix, BlocksAndConcat) {
+TEST(Matrix, Blocks) {
   Matrix a{{1.0, 2.0}, {3.0, 4.0}};
   EXPECT_TRUE(approx_equal(a.block(0, 1, 2, 1), Matrix{{2.0}, {4.0}}));
   EXPECT_THROW(a.block(1, 1, 2, 1), std::out_of_range);
   Matrix z(2, 2);
   z.set_block(0, 0, Matrix{{9.0}});
   EXPECT_DOUBLE_EQ(z(0, 0), 9.0);
-  const Matrix h = Matrix::hcat(a, a);
-  EXPECT_EQ(h.cols(), 4u);
-  const Matrix v = Matrix::vcat(a, a);
-  EXPECT_EQ(v.rows(), 4u);
-  const Matrix fb = Matrix::from_blocks({{a, a}, {a, a}});
-  EXPECT_EQ(fb.rows(), 4u);
-  EXPECT_EQ(fb.cols(), 4u);
-  EXPECT_DOUBLE_EQ(fb(2, 2), 1.0);
 }
 
 TEST(Matrix, NormsAndTranspose) {
   Matrix a{{3.0, -4.0}, {0.0, 0.0}};
-  EXPECT_DOUBLE_EQ(a.norm(), 5.0);
-  EXPECT_DOUBLE_EQ(a.norm_inf(), 7.0);
   EXPECT_DOUBLE_EQ(a.norm_1(), 4.0);
   EXPECT_DOUBLE_EQ(a.max_abs(), 4.0);
   EXPECT_TRUE(approx_equal(a.transposed(),
@@ -93,14 +119,14 @@ TEST(Matrix, NormsAndTranspose) {
 
 TEST(LU, SolveRoundTrip) {
   const Matrix a{{4.0, 2.0, 0.6}, {2.0, 5.0, 1.0}, {0.6, 1.0, 3.0}};
-  const Matrix b = Matrix::column({1.0, -2.0, 0.5});
-  const Matrix x = solve(a, b);
+  const Matrix b{{1.0}, {-2.0}, {0.5}};
+  const Matrix x = LU(a).solve(b);
   EXPECT_TRUE(approx_equal(a * x, b, 1e-10));
 }
 
 TEST(LU, InverseAndDeterminant) {
   const Matrix a{{2.0, 1.0}, {1.0, 3.0}};
-  EXPECT_NEAR(determinant(a), 5.0, 1e-12);
+  EXPECT_NEAR(LU(a).determinant(), 5.0, 1e-12);
   EXPECT_TRUE(approx_equal(a * inverse(a), Matrix::identity(2), 1e-12));
 }
 
@@ -109,7 +135,7 @@ TEST(LU, SingularDetected) {
   LU lu(a);
   EXPECT_TRUE(lu.singular());
   EXPECT_DOUBLE_EQ(lu.determinant(), 0.0);
-  EXPECT_THROW(lu.solve(Matrix::column({1.0, 1.0})), std::domain_error);
+  EXPECT_THROW(lu.solve(Matrix{{1.0}, {1.0}}), std::domain_error);
   EXPECT_THROW(LU(Matrix(2, 3)), std::invalid_argument);
 }
 
@@ -119,17 +145,10 @@ TEST(LU, PropertyRandomRoundTrips) {
     Matrix a = random_matrix(n, seed);
     for (std::size_t i = 0; i < n; ++i) a(i, i) += 3.0;  // well-conditioned
     const Matrix b = random_matrix(n, seed + 1000).block(0, 0, n, 1);
-    const Matrix x = solve(a, b);
+    const Matrix x = LU(a).solve(b);
     EXPECT_TRUE(approx_equal(a * x, b, 1e-8)) << "seed " << seed;
     EXPECT_TRUE(approx_equal(a * inverse(a), Matrix::identity(n), 1e-8));
   }
-}
-
-TEST(Rank, DetectsDeficiency) {
-  EXPECT_EQ(rank(Matrix::identity(4)), 4u);
-  EXPECT_EQ(rank(Matrix{{1.0, 2.0}, {2.0, 4.0}}), 1u);
-  EXPECT_EQ(rank(Matrix(3, 3)), 0u);
-  EXPECT_EQ(rank(Matrix{{1.0, 0.0, 0.0}, {0.0, 1.0, 0.0}}), 2u);
 }
 
 // ------------------------------------------------------------ Polynomials
@@ -149,14 +168,6 @@ TEST(Poly, FromRootsRealAndComplex) {
   EXPECT_THROW(poly_from_roots({{1.0, 2.0}}), std::invalid_argument);
 }
 
-TEST(Poly, CharPolyMatchesKnownMatrix) {
-  // charpoly of [[2,1],[0,3]] = (x-2)(x-3) = x^2 -5x + 6.
-  const Poly p = char_poly(Matrix{{2.0, 1.0}, {0.0, 3.0}});
-  EXPECT_NEAR(p[0], 6.0, 1e-12);
-  EXPECT_NEAR(p[1], -5.0, 1e-12);
-  EXPECT_NEAR(p[2], 1.0, 1e-12);
-}
-
 TEST(Poly, CayleyHamiltonProperty) {
   // p(A) = 0 for the characteristic polynomial of A.
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
@@ -167,26 +178,15 @@ TEST(Poly, CayleyHamiltonProperty) {
   }
 }
 
-TEST(Poly, RootsRecoverKnownSet) {
-  const Poly p = poly_from_roots(
-      {{0.5, 0.0}, {-0.25, 0.6}, {-0.25, -0.6}, {0.9, 0.0}});
-  auto roots = poly_roots(p);
-  ASSERT_EQ(roots.size(), 4u);
-  // Every recovered root must satisfy p(root) ~ 0.
-  for (const auto& r : roots) {
-    EXPECT_LT(std::abs(poly_eval(p, r)), 1e-8);
-  }
-}
-
-TEST(Poly, RootsRejectDegenerate) {
-  EXPECT_THROW(poly_roots(Poly{1.0}), std::invalid_argument);
+TEST(Poly, EvalRejectsEmptyPolynomial) {
   EXPECT_THROW(poly_eval(Poly{}, Matrix::identity(2)), std::invalid_argument);
 }
 
 // ------------------------------------------------------------ Eigenvalues
 
 TEST(Eig, DiagonalMatrix) {
-  auto ev = eigenvalues(Matrix::diagonal({3.0, -1.0, 0.5}));
+  auto ev = eigenvalues(
+      Matrix{{3.0, 0.0, 0.0}, {0.0, -1.0, 0.0}, {0.0, 0.0, 0.5}});
   std::vector<double> re;
   for (auto& e : ev) {
     EXPECT_NEAR(e.imag(), 0.0, 1e-10);
@@ -210,7 +210,7 @@ TEST(Eig, ComplexPairFromRotation) {
   EXPECT_NEAR(std::abs(ev[0].imag()), rho * std::sin(th), 1e-10);
   EXPECT_NEAR(ev[0].real(), rho * std::cos(th), 1e-10);
   EXPECT_NEAR(spectral_radius(a), rho, 1e-10);
-  EXPECT_TRUE(is_schur_stable(a));
+  EXPECT_LT(spectral_radius(a), 1.0);
 }
 
 TEST(Eig, AgreesWithCharPolyRoots) {
@@ -238,9 +238,9 @@ TEST(Eig, TraceAndDetInvariants) {
       sum += e;
       prod *= e;
     }
-    EXPECT_NEAR(sum.real(), a.trace(), 1e-7) << "seed " << seed;
+    EXPECT_NEAR(sum.real(), trace(a), 1e-7) << "seed " << seed;
     EXPECT_NEAR(sum.imag(), 0.0, 1e-7);
-    EXPECT_NEAR(prod.real(), determinant(a), 1e-6) << "seed " << seed;
+    EXPECT_NEAR(prod.real(), LU(a).determinant(), 1e-6) << "seed " << seed;
   }
 }
 
@@ -253,14 +253,14 @@ TEST(Eig, HessenbergPreservesEigenvalues) {
       EXPECT_NEAR(h(i, j), 0.0, 1e-12);
     }
   }
-  EXPECT_NEAR(h.trace(), a.trace(), 1e-9);
+  EXPECT_NEAR(trace(h), trace(a), 1e-9);
   EXPECT_NEAR(spectral_radius(h), spectral_radius(a), 1e-8);
 }
 
 TEST(Eig, ZeroAndIdentity) {
   EXPECT_DOUBLE_EQ(spectral_radius(Matrix(3, 3)), 0.0);
   EXPECT_DOUBLE_EQ(spectral_radius(Matrix::identity(3)), 1.0);
-  EXPECT_FALSE(is_schur_stable(Matrix::identity(2)));
+  EXPECT_FALSE(spectral_radius(Matrix::identity(2)) < 1.0);
 }
 
 // ------------------------------------------------------------------ expm
@@ -273,7 +273,8 @@ TEST(Expm, IdentityAndZero) {
 }
 
 TEST(Expm, DiagonalExact) {
-  const Matrix e = expm(Matrix::diagonal({1.0, -2.0, 0.1}));
+  const Matrix e =
+      expm(Matrix{{1.0, 0.0, 0.0}, {0.0, -2.0, 0.0}, {0.0, 0.0, 0.1}});
   EXPECT_NEAR(e(0, 0), std::exp(1.0), 1e-12);
   EXPECT_NEAR(e(1, 1), std::exp(-2.0), 1e-12);
   EXPECT_NEAR(e(2, 2), std::exp(0.1), 1e-12);
@@ -342,7 +343,8 @@ TEST_P(ExpmScaleTest, PairConsistency) {
   // Phi(t) = integral: differentiate numerically: Phi(t+e)-Phi(t) ~ e*exp(At)
   const double e = t * 1e-6 + 1e-12;
   const Matrix dphi = expm_integral(a, t + e) - pair.phi;
-  EXPECT_TRUE(approx_equal(dphi / e, pair.ad, 1e-3 * pair.ad.max_abs() + 1e-6))
+  EXPECT_TRUE(approx_equal(dphi * (1.0 / e), pair.ad,
+                           1e-3 * pair.ad.max_abs() + 1e-6))
       << "t=" << t;
 }
 

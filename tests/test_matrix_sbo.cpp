@@ -35,19 +35,19 @@ Matrix random_matrix(std::size_t rows, std::size_t cols, std::uint64_t seed,
   return m;
 }
 
-/// Copy of \p m pinned into the pre-refactor heap layout: reserve() beyond
-/// the inline capacity forces the spill no matter how small the value is,
-/// and the move out of the factory steals the heap block, so the result
-/// stays spilled at the call site.
+/// Copy of \p m pinned into the pre-refactor heap layout: a matrix one
+/// entry beyond the inline capacity lives on the heap, and copy assignment
+/// reuses storage that is large enough, so the copy stays spilled however
+/// small the value is; the move out of the factory steals the heap block.
 Matrix spilled(const Matrix& m) {
-  Matrix s = m;
-  s.reserve(Matrix::kInlineCapacity + 1);
+  Matrix s(Matrix::kInlineCapacity + 1, 1);
+  s = m;
   return s;
 }
 
 /// Bit-level equality: dimensions plus memcmp over the payload, so even
 /// -0.0 vs +0.0 or NaN-payload differences would be caught (stronger than
-/// operator==, which uses double comparison).
+/// an entry-wise double comparison).
 ::testing::AssertionResult bit_equal(const Matrix& a, const Matrix& b) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) {
     return ::testing::AssertionFailure()
@@ -77,7 +77,6 @@ TEST(MatrixSbo, SpillHelperForcesHeapWithoutChangingValue) {
     EXPECT_EQ(a.is_inline(), n <= 8);
     EXPECT_FALSE(s.is_inline());
     EXPECT_TRUE(bit_equal(a, s));
-    EXPECT_TRUE(a == s);
   }
 }
 
@@ -96,16 +95,12 @@ TEST(MatrixSbo, ArithmeticIsStorageInvariant) {
     EXPECT_TRUE(bit_equal(a * 3.25, sa * 3.25)) << "scale n=" << n;
     EXPECT_TRUE(bit_equal(-a, -sa)) << "negate n=" << n;
     EXPECT_TRUE(bit_equal(a.transposed(), sa.transposed())) << "T n=" << n;
-    EXPECT_EQ(a.norm(), sa.norm());
     EXPECT_EQ(a.norm_1(), sa.norm_1());
-    EXPECT_EQ(a.norm_inf(), sa.norm_inf());
     EXPECT_EQ(a.max_abs(), sa.max_abs());
-    EXPECT_EQ(a.trace(), sa.trace());
-    EXPECT_EQ(dot(a.col(0), b.col(0)), dot(sa.col(0), sb.col(0)));
   }
 }
 
-TEST(MatrixSbo, LuSolveInverseDeterminantAreStorageInvariant) {
+TEST(MatrixSbo, LuSolveDeterminantAreStorageInvariant) {
   for (std::size_t n = 1; n <= 12; ++n) {
     // Diagonally dominated so every instance is comfortably invertible.
     Matrix a = random_matrix(n, n, 40 + n);
@@ -119,7 +114,6 @@ TEST(MatrixSbo, LuSolveInverseDeterminantAreStorageInvariant) {
     EXPECT_EQ(lu.singular(), slu.singular());
     EXPECT_EQ(lu.determinant(), slu.determinant()) << "det n=" << n;
     EXPECT_TRUE(bit_equal(lu.solve(rhs), slu.solve(srhs))) << "solve n=" << n;
-    EXPECT_TRUE(bit_equal(lu.inverse(), slu.inverse())) << "inv n=" << n;
   }
 }
 
@@ -155,26 +149,24 @@ TEST(MatrixSbo, EigenvaluesAreStorageInvariant) {
   }
 }
 
-// Joins across the boundary in both directions: inline inputs whose
-// concatenation spills, and a spilled input whose extracted block is
-// inline again.
-TEST(MatrixSbo, JoinsAndBlocksCrossTheBoundaryBothWays) {
+// Blocks across the boundary in both directions: inline inputs written
+// side by side into a matrix that spills, and a spilled input whose
+// extracted block is inline again.
+TEST(MatrixSbo, BlocksCrossTheBoundaryBothWays) {
   for (std::size_t n = 1; n <= 12; ++n) {
     const Matrix a = random_matrix(n, n, 700 + n);
     const Matrix b = random_matrix(n, n, 800 + n);
-    const Matrix h = Matrix::hcat(a, b);
-    const Matrix sh = Matrix::hcat(spilled(a), spilled(b));
-    EXPECT_TRUE(bit_equal(h, sh)) << "hcat n=" << n;
+    Matrix h(n, 2 * n);
+    h.set_block(0, 0, a);
+    h.set_block(0, n, b);
     EXPECT_EQ(h.is_inline(), h.size() <= Matrix::kInlineCapacity);
-    const Matrix v = Matrix::vcat(a, b);
-    EXPECT_TRUE(bit_equal(v, Matrix::vcat(spilled(a), spilled(b))));
 
-    // Inline 6x6 hcat'ed with itself spills (6x12 = 72 > 64)...
+    // Two inline 6x6 blocks side by side spill (6x12 = 72 > 64)...
     if (n == 6) {
       EXPECT_FALSE(h.is_inline());
     }
     // ...and a block carved out of a spilled matrix is inline again.
-    const Matrix blk = sh.block(0, 0, n, n);
+    const Matrix blk = spilled(h).block(0, 0, n, n);
     EXPECT_TRUE(bit_equal(blk, a));
     EXPECT_EQ(blk.is_inline(), n <= 8);
 
@@ -263,15 +255,9 @@ TEST(MatrixSbo, CopyAndMoveSemanticsAcrossTheBoundary) {
   EXPECT_TRUE(bit_equal(sself, small));
 }
 
-TEST(MatrixSbo, ReserveAndResizeReuseStorage) {
-  Matrix m = random_matrix(4, 4, 77);
-  const Matrix orig = m;
-  m.reserve(2);  // below current capacity: no-op
-  EXPECT_TRUE(m.is_inline());
-  EXPECT_TRUE(bit_equal(m, orig));
-  m.reserve(Matrix::kInlineCapacity + 8);  // spill, preserving contents
+TEST(MatrixSbo, ResizeReusesStorage) {
+  Matrix m = spilled(random_matrix(4, 4, 77));
   EXPECT_FALSE(m.is_inline());
-  EXPECT_TRUE(bit_equal(m, orig));
 
   // resize within capacity keeps the allocation (workspace contract).
   const std::size_t cap = m.capacity();

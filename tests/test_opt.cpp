@@ -185,14 +185,26 @@ bool cheap_box(const std::vector<int>& m) {
   return sum <= 14;  // downward-closed
 }
 
+/// One hybrid walk from \p start: the multi-start search with one start.
+HybridResult hybrid_walk(const DiscreteObjective& objective,
+                         const CheapFeasible& cheap,
+                         const std::vector<int>& start,
+                         const HybridOptions& opts,
+                         catsched::core::ThreadPool* pool = nullptr) {
+  const MultiStartResult ms =
+      hybrid_search_multistart(objective, cheap, {start}, opts, pool);
+  HybridResult run = ms.runs.front();
+  run.telemetry.stop = ms.telemetry.stop;
+  return run;
+}
+
 }  // namespace
 
 TEST(HybridSearch, ClimbsToOptimumFromBothPaperStarts) {
   HybridOptions opts;
   opts.max_value = 8;
   for (const std::vector<int>& start : {std::vector<int>{4, 2, 2}, {1, 2, 1}}) {
-    EvalCache cache(bowl);
-    const auto res = hybrid_search(cache, cheap_box, start, opts);
+    const auto res = hybrid_walk(bowl, cheap_box, start, opts);
     EXPECT_TRUE(res.found_feasible);
     EXPECT_EQ(res.best, (std::vector<int>{3, 2, 3})) << "start " << start[0];
     EXPECT_GT(res.new_evaluations, 0);
@@ -222,8 +234,7 @@ TEST(HybridSearch, ToleranceEscapesLocalOptimum) {
   HybridOptions greedy;
   greedy.tolerance = 0.0;
   greedy.max_value = 4;
-  EvalCache c1(f);
-  const auto r1 = hybrid_search(c1, cheap, {1}, greedy);
+  const auto r1 = hybrid_walk(f, cheap, {1}, greedy);
   // Greedy sees f(2) < f(1) beyond tolerance: cannot move; but it still
   // *evaluated* the neighbors, so best-seen may include them. The path
   // must not have left the start.
@@ -232,8 +243,7 @@ TEST(HybridSearch, ToleranceEscapesLocalOptimum) {
   HybridOptions tol;
   tol.tolerance = 0.02;
   tol.max_value = 4;
-  EvalCache c2(f);
-  const auto r2 = hybrid_search(c2, cheap, {1}, tol);
+  const auto r2 = hybrid_walk(f, cheap, {1}, tol);
   EXPECT_EQ(r2.best, (std::vector<int>{3}));
   EXPECT_GE(r2.path.size(), 3u);
 }
@@ -248,8 +258,7 @@ TEST(HybridSearch, SkipsControlInfeasibleMoves) {
   auto cheap = [](const std::vector<int>& m) { return m[0] <= 3; };
   HybridOptions opts;
   opts.max_value = 3;
-  EvalCache cache(f);
-  const auto res = hybrid_search(cache, cheap, {1}, opts);
+  const auto res = hybrid_walk(f, cheap, {1}, opts);
   // best-seen tracks only feasible points.
   EXPECT_EQ(res.best, (std::vector<int>{1}));
   for (const auto& p : res.path) EXPECT_NE(p[0], 2);
@@ -262,8 +271,7 @@ TEST(HybridSearch, BudgetIsChargedEveryMissIncludingTheStart) {
   HybridOptions opts;
   opts.max_value = 8;
   opts.anytime.budget = &budget;
-  EvalCache cache(bowl);
-  const auto res = hybrid_search(cache, cheap_box, {1, 2, 1}, opts);
+  const auto res = hybrid_walk(bowl, cheap_box, {1, 2, 1}, opts);
   EXPECT_EQ(res.telemetry.stop, catsched::core::StopReason::completed);
   EXPECT_GT(res.new_evaluations, 0);
   EXPECT_EQ(budget.evaluations(),
@@ -271,11 +279,9 @@ TEST(HybridSearch, BudgetIsChargedEveryMissIncludingTheStart) {
 }
 
 TEST(HybridSearch, RejectsInfeasibleStart) {
-  EvalCache cache(bowl);
-  EXPECT_THROW(hybrid_search(cache, cheap_box, {9, 9, 9}, {}),
+  EXPECT_THROW(hybrid_walk(bowl, cheap_box, {9, 9, 9}, {}),
                std::invalid_argument);
-  EXPECT_THROW(hybrid_search(cache, cheap_box, {}, {}),
-               std::invalid_argument);
+  EXPECT_THROW(hybrid_walk(bowl, cheap_box, {}, {}), std::invalid_argument);
 }
 
 // ------------------------------------------- hybrid walk vs. reference
@@ -387,12 +393,11 @@ TEST(HybridReference, SearchesWalkTheReferenceRuleAtEveryThreadCount) {
                                 std::to_string(tolerance) + " pool " +
                                 std::to_string(t);
         for (std::size_t i = 0; i < starts.size(); ++i) {
-          EvalCache cache(f);
           const HybridResult solo =
-              hybrid_search(cache, cheap, starts[i], opts, pool);
+              hybrid_walk(f, cheap, starts[i], opts, pool);
           expect_walk(refs[i], solo.path, solo.steps, solo.best,
                       solo.best_value, solo.found_feasible,
-                      tag + " hybrid_search start " + std::to_string(i));
+                      tag + " one-start walk " + std::to_string(i));
         }
         const MultiStartResult ms =
             hybrid_search_multistart(f, cheap, starts, opts, pool);

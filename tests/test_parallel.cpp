@@ -35,7 +35,7 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   constexpr std::size_t n = 1000;
   std::vector<std::atomic<int>> hits(n);
-  pool.parallel_for(n, [&](std::size_t i) { hits[i].fetch_add(1); });
+  pool.parallel_for(n, 0, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < n; ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
@@ -44,11 +44,11 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
 TEST(ThreadPool, ParallelForHandlesEdgeSizes) {
   ThreadPool pool(2);
   int zero_calls = 0;
-  pool.parallel_for(0, [&](std::size_t) { ++zero_calls; });
+  pool.parallel_for(0, 0, [&](std::size_t) { ++zero_calls; });
   EXPECT_EQ(zero_calls, 0);
 
   std::atomic<int> one_calls{0};
-  pool.parallel_for(1, [&](std::size_t) { ++one_calls; });
+  pool.parallel_for(1, 0, [&](std::size_t) { ++one_calls; });
   EXPECT_EQ(one_calls.load(), 1);
 }
 
@@ -130,8 +130,8 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
   // progress even when every worker is busy (the caller participates).
   ThreadPool pool(2);
   std::atomic<int> total{0};
-  pool.parallel_for(8, [&](std::size_t) {
-    pool.parallel_for(8, [&](std::size_t) { total.fetch_add(1); });
+  pool.parallel_for(8, 0, [&](std::size_t) {
+    pool.parallel_for(8, 0, [&](std::size_t) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 64);
 }
@@ -139,7 +139,7 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
 TEST(ThreadPool, ParallelForPropagatesException) {
   ThreadPool pool(4);
   std::atomic<int> ran{0};
-  EXPECT_THROW(pool.parallel_for(100,
+  EXPECT_THROW(pool.parallel_for(100, 0,
                                  [&](std::size_t i) {
                                    ran.fetch_add(1);
                                    if (i == 17) {
@@ -227,10 +227,10 @@ TEST(ThreadPool, NestedParallelForPropagatesInnerException) {
   // surface to the caller — with every worker released (no deadlock).
   ThreadPool pool(2);
   std::atomic<int> outer_ran{0};
-  EXPECT_THROW(pool.parallel_for(8,
+  EXPECT_THROW(pool.parallel_for(8, 0,
                                  [&](std::size_t) {
                                    outer_ran.fetch_add(1);
-                                   pool.parallel_for(8, [&](std::size_t j) {
+                                   pool.parallel_for(8, 0, [&](std::size_t j) {
                                      if (j == 3) {
                                        throw std::runtime_error("inner");
                                      }
@@ -240,12 +240,8 @@ TEST(ThreadPool, NestedParallelForPropagatesInnerException) {
   EXPECT_GE(outer_ran.load(), 1);
   // The pool must still be fully serviceable afterwards.
   std::atomic<int> after{0};
-  pool.parallel_for(16, [&](std::size_t) { after.fetch_add(1); });
+  pool.parallel_for(16, 0, [&](std::size_t) { after.fetch_add(1); });
   EXPECT_EQ(after.load(), 16);
-}
-
-TEST(ThreadPool, SharedPoolExists) {
-  EXPECT_GE(ThreadPool::shared().size(), 1u);
 }
 
 // ------------------------------------------------------------- VectorHash
@@ -273,7 +269,7 @@ TEST(ConcurrentMemoMap, ComputesEachKeyExactlyOnceUnderContention) {
   std::atomic<int> computes{0};
   ThreadPool pool(8);
   constexpr int kKeys = 20;
-  pool.parallel_for(800, [&](std::size_t i) {
+  pool.parallel_for(800, 0, [&](std::size_t i) {
     const std::vector<int> key{static_cast<int>(i) % kKeys};
     const int v = memo.get_or_compute(key, [&] {
       computes.fetch_add(1);
@@ -294,7 +290,7 @@ TEST(EvalCache, ConcurrentEvaluationsDeduplicate) {
     return opt::EvalOutcome{static_cast<double>(p[0] + p[1]), true};
   });
   ThreadPool pool(8);
-  pool.parallel_for(400, [&](std::size_t i) {
+  pool.parallel_for(400, 0, [&](std::size_t i) {
     const std::vector<int> p{static_cast<int>(i % 10), static_cast<int>(i % 7)};
     const opt::EvalOutcome& out =
         *cache.evaluate_batch({&p}, {nullptr}, nullptr).front().outcome;
@@ -479,6 +475,6 @@ TEST(EvaluatorFaults, InjectedDesignFaultPropagatesAndMemoStaysRetryable) {
 
   // The pool survived the exceptional batch and still services work.
   std::atomic<int> after{0};
-  pool.parallel_for(32, [&](std::size_t) { after.fetch_add(1); });
+  pool.parallel_for(32, 0, [&](std::size_t) { after.fetch_add(1); });
   EXPECT_EQ(after.load(), 32);
 }

@@ -405,13 +405,16 @@ TEST(SearchDriver, BeamWiderThanOneDominatesNarrowBeamOnTheRoughLandscape) {
 }
 
 TEST(SearchDriver, StochasticDriversAreSeedDeterministic) {
-  // Serial evaluation journals first-seen points in proposal order; with
-  // the round and proposal counts that fingerprints the proposal stream.
+  // Serial evaluation reaches the objective with first-seen points in
+  // proposal order; with the round and proposal counts that fingerprints
+  // the proposal stream.
   const auto run = [&](const std::unique_ptr<SearchDriver>& drv) {
-    EvalCache cache(two_basins);
-    const auto res = race_alone(*drv, cache);
     std::vector<std::vector<int>> journal;
-    for (const auto& entry : cache.dump_table()) journal.push_back(entry.first);
+    EvalCache cache([&journal](const std::vector<int>& p) {
+      journal.push_back(p);
+      return two_basins(p);
+    });
+    const auto res = race_alone(*drv, cache);
     return std::make_tuple(journal, res.best, res.rounds, drv->proposals());
   };
   for (const std::uint64_t seed : kSeeds) {
@@ -450,14 +453,18 @@ TEST(SearchDriver, AnnealAndGeneticConvergeOnTheBowl) {
 TEST(SearchDriver, AnnealAndGeneticRespectTheCheapWedge) {
   const auto check = [](const std::unique_ptr<SearchDriver>& drv,
                         std::uint64_t seed) {
-    EvalCache cache(bowl57);
+    std::vector<std::vector<int>> evaluated;
+    EvalCache cache([&evaluated](const std::vector<int>& p) {
+      evaluated.push_back(p);
+      return bowl57(p);
+    });
     const auto res = race_alone(*drv, cache);
     ASSERT_TRUE(res.found_feasible) << drv->name() << " seed " << seed;
     EXPECT_NEAR(res.best_value, kWedgeBest, 1e-12)
         << drv->name() << " seed " << seed;
     // Every proposal, not only the best, is cheap-feasible.
-    for (const auto& entry : cache.dump_table()) {
-      EXPECT_TRUE(wedge(entry.first)) << drv->name() << " seed " << seed;
+    for (const auto& p : evaluated) {
+      EXPECT_TRUE(wedge(p)) << drv->name() << " seed " << seed;
     }
   };
   for (const std::uint64_t seed : kSeeds) {
@@ -473,16 +480,17 @@ TEST(SearchDriver, AnnealCrossesTheInfeasibleGapWithoutChoosingIt) {
   for (const std::uint64_t seed : kSeeds) {
     AnnealDriverOptions o = anneal_opts(seed, 2000, 1.0, 0.9995);
     o.max_value = 12;
-    EvalCache cache(gap);
+    bool crossed = false;
+    EvalCache cache([&crossed](const std::vector<int>& p) {
+      const EvalOutcome out = gap(p);
+      crossed = crossed || !out.feasible;
+      return out;
+    });
     auto drv = make_anneal_driver("sa", cheap_all, {1, 7}, o);
     const auto res = race_alone(*drv, cache);
     ASSERT_TRUE(res.found_feasible) << "seed " << seed;
     EXPECT_EQ(res.best, (std::vector<int>{9, 7})) << "seed " << seed;
     // The walk did evaluate gap points on its way across.
-    bool crossed = false;
-    for (const auto& entry : cache.dump_table()) {
-      crossed = crossed || !entry.second.feasible;
-    }
     EXPECT_TRUE(crossed) << "seed " << seed;
   }
 }

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <string>
+#include <utility>
 
 #include "control/c2d.hpp"
 #include "control/lti.hpp"
@@ -13,6 +17,48 @@
 namespace {
 
 using catsched::control::ContinuousLTI;
+using catsched::linalg::Matrix;
+
+/// Numerical rank via row-echelon elimination with a tolerance relative
+/// to the largest entry.
+std::size_t rank(Matrix m, double rel_tol) {
+  const std::size_t nr = m.rows();
+  const std::size_t nc = m.cols();
+  const double tol = rel_tol * std::max(m.max_abs(), 1.0);
+  std::size_t rank = 0;
+  std::size_t row = 0;
+  for (std::size_t col = 0; col < nc && row < nr; ++col) {
+    // Find pivot in this column.
+    std::size_t p = row;
+    double best = std::abs(m(row, col));
+    for (std::size_t i = row + 1; i < nr; ++i) {
+      const double v = std::abs(m(i, col));
+      if (v > best) {
+        best = v;
+        p = i;
+      }
+    }
+    if (best <= tol) continue;
+    if (p != row) {
+      for (std::size_t j = 0; j < nc; ++j) std::swap(m(p, j), m(row, j));
+    }
+    for (std::size_t i = row + 1; i < nr; ++i) {
+      const double f = m(i, col) / m(row, col);
+      if (f == 0.0) continue;
+      for (std::size_t j = col; j < nc; ++j) m(i, j) -= f * m(row, j);
+    }
+    ++rank;
+    ++row;
+  }
+  return rank;
+}
+
+/// Full-rank test of the controllability matrix.
+bool is_controllable(const Matrix& a, const Matrix& b,
+                     double rel_tol = 1e-10) {
+  return rank(catsched::control::controllability_matrix(a, b), rel_tol) ==
+         a.rows();
+}
 
 TEST(PlantFamilies, EveryFamilyIsControllableAtItsDefaultDiscretization) {
   // The workload generator's validity contract: any family instance it can
@@ -24,7 +70,6 @@ TEST(PlantFamilies, EveryFamilyIsControllableAtItsDefaultDiscretization) {
   using catsched::control::discretize_interval;
   using catsched::control::family_default_period;
   using catsched::control::family_timescale;
-  using catsched::control::is_controllable;
   using catsched::control::kAllPlantFamilies;
   using catsched::control::make_family_plant;
   using catsched::control::plant_family_name;

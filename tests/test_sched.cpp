@@ -13,6 +13,13 @@ namespace {
 const std::vector<AppWcet> kDate18 = {
     {907.55e-6, 452.15e-6}, {645.25e-6, 175.00e-6}, {749.15e-6, 234.35e-6}};
 
+/// Sum of one field (h or tau) over an app's intervals.
+double interval_sum(const AppTiming& app, double Interval::*field) {
+  double sum = 0.0;
+  for (const Interval& iv : app.intervals) sum += iv.*field;
+  return sum;
+}
+
 }  // namespace
 
 TEST(PeriodicSchedule, ValidationAndBasics) {
@@ -24,14 +31,10 @@ TEST(PeriodicSchedule, ValidationAndBasics) {
             (std::vector<std::size_t>{0, 0, 1, 2, 2, 2}));
   EXPECT_THROW(PeriodicSchedule(std::vector<int>{}), std::invalid_argument);
   EXPECT_THROW(PeriodicSchedule({1, 0}), std::invalid_argument);
-  EXPECT_EQ(s.with_burst(1, 4).burst(1), 4);
-  EXPECT_THROW(s.with_burst(1, 0), std::invalid_argument);
-  EXPECT_THROW(s.with_burst(9, 1), std::invalid_argument);
 }
 
 TEST(InterleavedSchedule, ValidationAndBasics) {
   InterleavedSchedule s({{0, 2}, {1, 1}, {0, 1}, {2, 2}}, 3);
-  EXPECT_EQ(s.tasks_of(0), 3);
   EXPECT_EQ(s.task_sequence(),
             (std::vector<std::size_t>{0, 0, 1, 0, 2, 2}));
   // Adjacent same-app segments rejected (incl. cyclic adjacency).
@@ -65,7 +68,7 @@ TEST(Timing, PaperExampleSchedule222) {
 
   // tau never exceeds h; per-app interval sums equal the period.
   for (const auto& app : t.apps) {
-    EXPECT_NEAR(app.period(), period, 1e-12);
+    EXPECT_NEAR(interval_sum(app, &Interval::h), period, 1e-12);
     for (const auto& iv : app.intervals) {
       EXPECT_LE(iv.tau, iv.h + 1e-15);
     }
@@ -99,7 +102,8 @@ TEST(Timing, HmaxAndLongestInterval) {
   const auto& c1 = t.apps[0];
   EXPECT_EQ(c1.longest_interval(), 2u);  // the idle-gap interval
   EXPECT_NEAR(c1.h_max(), c1.intervals[2].h, 1e-15);
-  EXPECT_GT(c1.idle_total(), 0.0);
+  EXPECT_GT(interval_sum(c1, &Interval::h) - interval_sum(c1, &Interval::tau),
+            0.0);
 }
 
 TEST(Timing, IdleFeasibilityTableII) {
@@ -164,7 +168,7 @@ TEST_P(TimingSweep, Invariants) {
   const double period = 1.0e-3 + (m1 - 1) * 0.4e-3 + 0.8e-3 + (m2 - 1) * 0.3e-3;
   EXPECT_NEAR(t.period, period, 1e-12);
   for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_NEAR(t.apps[i].period(), period, 1e-12);
+    EXPECT_NEAR(interval_sum(t.apps[i], &Interval::h), period, 1e-12);
     const auto& ivs = t.apps[i].intervals;
     for (std::size_t j = 0; j < ivs.size(); ++j) {
       EXPECT_LE(ivs[j].tau, ivs[j].h + 1e-15);

@@ -33,6 +33,7 @@
 #include "core/case_study.hpp"
 #include "core/interleaved_codesign.hpp"
 #include "core/parallel.hpp"
+#include "random_program.hpp"
 #include "sched/timing.hpp"
 #include "testgen/generator.hpp"
 
@@ -150,6 +151,11 @@ std::vector<std::uint64_t> linear_masks(const std::vector<std::size_t>& seq,
 // ------------------------------------------------------------ primitives
 
 TEST(CacheFootprint, DistinctLinesPerSetAndUnion) {
+  const auto total_lines = [](const cache::CacheFootprint& f) {
+    std::size_t n = 0;
+    for (const auto& set : f.lines_per_set) n += set.size();
+    return n;
+  };
   const cache::CacheConfig c = cfg(16, 2);  // 8 sets
   // Sets 0 (lines 0, 8, 16) and 3 (lines 3, 11).
   const cache::CacheFootprint f =
@@ -157,14 +163,14 @@ TEST(CacheFootprint, DistinctLinesPerSetAndUnion) {
   ASSERT_EQ(f.lines_per_set.size(), 8u);
   EXPECT_EQ(f.lines_per_set[0], (std::vector<std::uint64_t>{0, 8, 16}));
   EXPECT_EQ(f.lines_per_set[3], (std::vector<std::uint64_t>{3, 11}));
-  EXPECT_EQ(f.total_lines(), 5u);
+  EXPECT_EQ(total_lines(f), 5u);
 
   cache::CacheFootprint u = f;  // set 0 gains {8, 24}, set 5 {5}
   cache::merge_footprint(
       u, cache::compute_footprint(cache::Stmt::block({8, 24, 5}), c));
   EXPECT_EQ(u.lines_per_set[0], (std::vector<std::uint64_t>{0, 8, 16, 24}));
   EXPECT_EQ(u.lines_per_set[5], (std::vector<std::uint64_t>{5}));
-  EXPECT_EQ(u.total_lines(), 7u);
+  EXPECT_EQ(total_lines(u), 7u);
 
   // Structured footprint covers both branch arms and loop bodies.
   const cache::Stmt tree = cache::Stmt::seq(
@@ -319,12 +325,12 @@ TEST(ContextBounds, SoundOnSampledStructuredPaths) {
     const std::size_t n = 2 + rng() % 2;
     std::vector<cache::StructuredProgram> programs;
     for (std::size_t a = 0; a < n; ++a) {
-      cache::RandomProgramOptions opts;
+      catsched::testref::RandomProgramOptions opts;
       opts.seed = static_cast<std::uint32_t>(rng());
       opts.max_depth = 2;
       opts.address_lines = 24;
       opts.max_loop_bound = 4;
-      programs.push_back(cache::make_random_program("sp", opts));
+      programs.push_back(catsched::testref::make_random_program("sp", opts));
     }
     const cache::ScheduleWcetAnalyzer analyzer(programs, c);
 
@@ -656,7 +662,7 @@ std::vector<cache::StructuredProgram> loop_only_programs(std::size_t sets,
     }
     programs[a].name = "loop-app";
     programs[a].root = std::move(root);
-    EXPECT_EQ(programs[a].root.branch_count(), 0u);
+    EXPECT_EQ(catsched::testref::branch_count(programs[a].root), 0u);
   }
   return programs;
 }

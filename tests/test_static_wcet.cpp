@@ -20,6 +20,7 @@
 #include "cache/structure.hpp"
 #include "cache/wcet.hpp"
 #include "core/system_model.hpp"
+#include "random_program.hpp"
 #include "testgen/generator.hpp"
 
 namespace {
@@ -29,17 +30,16 @@ using catsched::cache::analyze_static_wcet;
 using catsched::cache::CacheConfig;
 using catsched::cache::CachePair;
 using catsched::cache::CacheSim;
-using catsched::cache::enumerate_paths;
-using catsched::cache::flatten_to_program;
 using catsched::cache::fold_leaves;
-using catsched::cache::make_random_program;
 using catsched::cache::PassCounts;
-using catsched::cache::RandomProgramOptions;
 using catsched::cache::StaticAnalysisMemo;
 using catsched::cache::StaticWcetCounts;
 using catsched::cache::StaticWcetResult;
 using catsched::cache::Stmt;
 using catsched::cache::StructuredProgram;
+using catsched::testref::enumerate_paths;
+using catsched::testref::make_random_program;
+using catsched::testref::RandomProgramOptions;
 
 CacheConfig cfg(std::size_t lines, std::size_t assoc) {
   CacheConfig c;
@@ -109,12 +109,6 @@ TEST(SamplePaths, KnownAnswerForFixedSeed) {
   const std::vector<std::vector<std::uint64_t>> expected = {
       {2, 1, 1, 3}, {1, 2, 1, 4}, {1, 2, 1, 3}, {2, 2, 2, 3}};
   EXPECT_EQ(catsched::cache::sample_paths(root, 4, 42), expected);
-}
-
-TEST(FlattenToProgram, RejectsBranches) {
-  StructuredProgram p;
-  p.root = Stmt::branch(Stmt::block({1}), Stmt::block({2}));
-  EXPECT_THROW(flatten_to_program(p), std::invalid_argument);
 }
 
 TEST(StaticWcet, StraightLineColdAllMisses) {
@@ -215,8 +209,9 @@ TEST(StaticWcet, WarmReductionMatchesSimulatorOnBranchFreePrograms) {
     const auto prog = make_random_program("bf", opts);
     const CacheConfig c = cfg(16, 2);
     const auto stat = analyze_static_steady_wcet(prog, c);
-    const auto sim = catsched::cache::analyze_wcet(flatten_to_program(prog),
-                                                   c, 4);
+    catsched::cache::Program single_path;
+    single_path.trace = enumerate_paths(prog.root, 1).front();
+    const auto sim = catsched::cache::analyze_wcet(single_path, c, 4);
     EXPECT_GE(stat.cold.wcet_cycles, sim.cold_cycles) << "seed " << seed;
     EXPECT_GE(stat.warm.wcet_cycles, sim.warm_cycles) << "seed " << seed;
   }
@@ -497,7 +492,6 @@ TEST_P(WarmSoundnessSweep, WarmBoundDominatesBackToBackPaths) {
     for (const auto& second : paths) {
       CacheSim sim(c);
       sim.run_trace(first);
-      sim.reset_counters();
       const std::uint64_t warm_cycles = sim.run_trace(second);
       ASSERT_LE(warm_cycles, stat.warm.wcet_cycles)
           << "unsound warm bound, seed " << GetParam();

@@ -21,6 +21,7 @@
 #include "cache/schedule_wcet.hpp"
 #include "cache/wcet.hpp"
 #include "core/case_study.hpp"
+#include "random_program.hpp"
 #include "testgen/generator.hpp"
 #include "testgen/invariants.hpp"
 #include "testgen/rng.hpp"
@@ -148,7 +149,7 @@ TEST(Generator, BranchyModeIsDeterministicAndTraceIsAConcretePath) {
       ++structured_apps;
       // The shrink/replay contract: app.program.trace stays a single
       // CONCRETE path of the structured tree, verbatim.
-      const auto paths = cache::enumerate_paths(app.structured.root, 4096);
+      const auto paths = catsched::testref::enumerate_paths(app.structured.root, 4096);
       EXPECT_NE(std::find(paths.begin(), paths.end(), app.program.trace),
                 paths.end())
           << "trace of " << app.name << " is not a path of its tree";

@@ -37,11 +37,7 @@ fail=0
 # Grandfathered std-RNG users: every engine here is constructed from an
 # explicit opts.seed, so runs replay on ONE toolchain; they predate the
 # SplitMix64 contract and migrate opportunistically.
-#   structure.cpp: only make_random_program, whose trees feed the
-#     BM_StaticWcetAnalysis* kernels; it stays on std::mt19937 so their
-#     history stays comparable (sample_paths is on SplitMix64).
 ALLOW_STD_RNG="
-src/cache/structure.cpp
 src/opt/pso.cpp
 "
 
