@@ -7,8 +7,10 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
+#include "cache/schedule_wcet.hpp"
 #include "cache/static_wcet.hpp"
 #include "cache/structure.hpp"
 #include "cache/wcet.hpp"
@@ -263,6 +265,47 @@ void BM_AbstractCacheEquality_512x8(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AbstractCacheEquality_512x8);
+
+// The context-table kernels of perfbench's population_wcet workload. One
+// iteration of BM_ContextTable is that workload's largest system (8 apps,
+// 512 sets x 8 ways: testgen seed 7059 under the same GeneratorConfig):
+// make_context_analyzer, then full_table, every context of every app.
+void BM_ContextTable(benchmark::State& state) {
+  testgen::GeneratorConfig g;
+  g.min_apps = g.max_apps = 8;
+  g.set_choices = {512};
+  g.way_choices = {8};
+  g.branchy_chance = 0.5;
+  const core::SystemModel model = testgen::generate_system(g, 7059).model;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.make_context_analyzer()->full_table());
+  }
+}
+BENCHMARK(BM_ContextTable)->Unit(benchmark::kMillisecond);
+
+// One per-set part as the context analyzer walks it: slice one set of an
+// exit state, age it, and analyze a 4-fetch block of that set's lines
+// under the one-set cache, collecting the leaves.
+void BM_OnePartWalk(benchmark::State& state) {
+  const cache::CachePair exit = population_exit_state(42);
+  const cache::CacheConfig cfg = population_cache();
+  const std::uint64_t sets = cfg.num_sets();
+  std::size_t set = 0;
+  while (exit.must().set_entries(set).empty()) ++set;
+  cache::StructuredProgram part;
+  part.root = cache::Stmt::block({set, set + sets, set, set + 2 * sets});
+  std::vector<cache::PassCounts> leaves;
+  for (auto _ : state) {
+    cache::CachePair entry = exit.slice_set(set);
+    entry.age_interference_set(0, 1);
+    leaves.clear();
+    const cache::CacheConfig one = entry.config();
+    cache::analyze_static_wcet(part, one, std::move(entry), nullptr, &leaves);
+    benchmark::DoNotOptimize(leaves.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_OnePartWalk);
 
 // ---------------------------------------------------------- design kernels
 // The controller-design hot path (ISSUE 3): everything design_controller

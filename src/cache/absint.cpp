@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -25,62 +26,191 @@ AbstractCacheState::AbstractCacheState(const CacheConfig& config, Kind kind)
   config.validate();
   ways_ = config.ways();
   sets_ = config.num_sets();
-  if ((sets_ & (sets_ - 1)) == 0) set_mask_ = sets_ - 1;
-  begin_.assign(sets_ + 1, 0);
+  pow2_sets_ = (sets_ & (sets_ - 1)) == 0;
+  blocks_ = (sets_ >> kBlockBits) + 1;
+  header_bytes_ = header_bytes_for(sets_);
+  if (header_bytes_ > kInlineBytes) {
+    // Room for a few entries too, so the first inserts do not each grow
+    // (and copy) the offsets.
+    capacity_bytes_ = header_bytes_ + 8 * sizeof(LineAge);
+    buf_ = static_cast<std::byte*>(::operator new(capacity_bytes_));
+  }
+  std::memset(buf_, 0, header_bytes_);
+}
+
+std::size_t AbstractCacheState::header_bytes_for(std::size_t sets) noexcept {
+  // Round the offsets up to the entries' alignment.
+  const std::size_t words = (sets >> kBlockBits) + 1 + sets + 1;
+  return (words * sizeof(std::uint32_t) + alignof(LineAge) - 1) /
+         alignof(LineAge) * alignof(LineAge);
+}
+
+AbstractCacheState::AbstractCacheState(const AbstractCacheState& other) {
+  copy_shape(other);
+  const std::size_t used = other.used_bytes();
+  if (used > kInlineBytes) {
+    buf_ = static_cast<std::byte*>(::operator new(used));
+    capacity_bytes_ = used;
+  }
+  if (is_inline()) {
+    std::memcpy(inline_, other.buf_, kInlineBytes);
+  } else {
+    std::memcpy(buf_, other.buf_, used);
+  }
+}
+
+AbstractCacheState::AbstractCacheState(AbstractCacheState&& other) noexcept {
+  copy_shape(other);
+  if (other.is_inline()) {
+    // The whole buffer: a fixed-size copy beats a call for the used part.
+    std::memcpy(inline_, other.inline_, kInlineBytes);
+    return;
+  }
+  buf_ = other.buf_;
+  capacity_bytes_ = other.capacity_bytes_;
+  other.buf_ = other.inline_;
+  other.capacity_bytes_ = kInlineBytes;
+  other.size_ = 0;
+}
+
+AbstractCacheState& AbstractCacheState::operator=(
+    const AbstractCacheState& other) {
+  if (this == &other) return *this;
+  const std::size_t used = other.used_bytes();
+  if (used > capacity_bytes_) {
+    std::byte* const grown = static_cast<std::byte*>(::operator new(used));
+    if (!is_inline()) ::operator delete(buf_);
+    buf_ = grown;
+    capacity_bytes_ = used;
+  }
+  copy_shape(other);
+  std::memcpy(buf_, other.buf_, used);
+  return *this;
+}
+
+AbstractCacheState& AbstractCacheState::operator=(
+    AbstractCacheState&& other) noexcept {
+  if (this == &other) return *this;
+  if (other.is_inline()) {
+    // An inline buffer fits in this one, inline or heap (a heap buffer is
+    // only ever larger than the inline one).
+    copy_shape(other);
+    std::memcpy(buf_, other.buf_, other.used_bytes());
+    return *this;
+  }
+  if (!is_inline()) ::operator delete(buf_);
+  copy_shape(other);
+  buf_ = other.buf_;
+  capacity_bytes_ = other.capacity_bytes_;
+  other.buf_ = other.inline_;
+  other.capacity_bytes_ = kInlineBytes;
+  other.size_ = 0;
+  return *this;
+}
+
+void AbstractCacheState::copy_shape(const AbstractCacheState& other) noexcept {
+  config_ = other.config_;
+  kind_ = other.kind_;
+  sets_ = other.sets_;
+  ways_ = other.ways_;
+  pow2_sets_ = other.pow2_sets_;
+  blocks_ = other.blocks_;
+  header_bytes_ = other.header_bytes_;
+  size_ = other.size_;
+}
+
+AbstractCacheState::~AbstractCacheState() {
+  if (!is_inline()) ::operator delete(buf_);
+}
+
+void AbstractCacheState::reserve_entries(std::size_t n) {
+  const std::size_t need = header_bytes_ + n * sizeof(LineAge);
+  if (need <= capacity_bytes_) return;
+  // Grow geometrically, so a run of inserts costs amortized O(1) copies.
+  const std::size_t bytes = std::max(
+      need, header_bytes_ + 2 * std::size_t{size_} * sizeof(LineAge));
+  std::byte* const grown = static_cast<std::byte*>(::operator new(bytes));
+  std::memcpy(grown, buf_, used_bytes());
+  if (!is_inline()) ::operator delete(buf_);
+  buf_ = grown;
+  capacity_bytes_ = bytes;
 }
 
 const LineAge* AbstractCacheState::find(std::uint64_t line) const noexcept {
   const std::size_t s = set_of(line);
-  const LineAge* first = entries_.data() + begin_[s];
-  const LineAge* last = entries_.data() + begin_[s + 1];
+  const LineAge* first = entries() + begin_of(s);
+  const LineAge* last = entries() + begin_of(s + 1);
   const LineAge* it = line_lower_bound(first, last, line);
   return (it != last && it->line == line) ? it : nullptr;
 }
 
+void AbstractCacheState::shift_offsets(std::size_t s,
+                                       std::uint32_t delta) noexcept {
+  // Unsigned wrap-around: a delta of -k is passed as 2^32 - k.
+  std::uint32_t* const w = words();
+  const std::size_t block = s >> kBlockBits;
+  const std::size_t block_end =
+      std::min(sets_, ((block + 1) << kBlockBits) - 1);
+  for (std::size_t t = s + 1; t <= block_end; ++t) w[blocks_ + t] += delta;
+  for (std::size_t b = block + 1; b < blocks_; ++b) w[b] += delta;
+}
+
 void AbstractCacheState::commit_set(std::size_t s, std::size_t kept,
                                     std::optional<std::uint64_t> line) {
-  const auto first = entries_.begin() + begin_[s];
-  const auto last = entries_.begin() + begin_[s + 1];
-  auto kept_end = first + static_cast<std::ptrdiff_t>(kept);
+  const std::size_t first = begin_of(s);
+  const std::size_t last = begin_of(s + 1);
+  std::size_t kept_end = first + kept;
   if (line.has_value()) {
-    const auto pos = line_lower_bound(first, kept_end, *line);
     if (kept_end == last) {
       // No slot was freed: one insert, which is the whole structural change.
-      entries_.insert(pos, LineAge{*line, 0});
-      for (std::size_t t = s + 1; t <= sets_; ++t) ++begin_[t];
+      reserve_entries(std::size_t{size_} + 1);
+      LineAge* const e = entries();
+      LineAge* const pos = line_lower_bound(e + first, e + kept_end, *line);
+      std::memmove(pos + 1, pos,
+                   static_cast<std::size_t>(e + size_ - pos) * sizeof(LineAge));
+      *pos = LineAge{*line, 0};
+      ++size_;
+      shift_offsets(s, 1);
       return;
     }
     // Reuse the first freed slot: shift the larger survivors up by one.
-    std::move_backward(pos, kept_end, kept_end + 1);
+    LineAge* const e = entries();
+    LineAge* const pos = line_lower_bound(e + first, e + kept_end, *line);
+    std::move_backward(pos, e + kept_end, e + kept_end + 1);
     *pos = LineAge{*line, 0};
     ++kept_end;
   }
   if (kept_end == last) return;
   const auto removed = static_cast<std::uint32_t>(last - kept_end);
-  entries_.erase(kept_end, last);
-  for (std::size_t t = s + 1; t <= sets_; ++t) begin_[t] -= removed;
+  LineAge* const e = entries();
+  std::memmove(e + kept_end, e + last, (size_ - last) * sizeof(LineAge));
+  size_ -= removed;
+  shift_offsets(s, 0u - removed);
 }
 
 void AbstractCacheState::rebuild_offsets() noexcept {
-  // begin_[t] for every set t in (previous entry's set, this entry's set]
-  // is this entry's index; sets after the last entry start at the end.
+  // Set t's first entry is the first entry of a set >= t (or the end): walk
+  // the entries once, filling every set up to each entry's set.
+  std::uint32_t* const w = words();
+  const LineAge* const e = entries();
+  const auto fill = [&](std::size_t t, std::uint32_t begin) {
+    if ((t & ((std::size_t{1} << kBlockBits) - 1)) == 0) {
+      w[t >> kBlockBits] = begin;
+    }
+    w[blocks_ + t] = begin - w[t >> kBlockBits];
+  };
   std::size_t t = 0;
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    const std::size_t s = set_of(entries_[i].line);
-    if (s < t) continue;
-    std::fill(begin_.begin() + static_cast<std::ptrdiff_t>(t),
-              begin_.begin() + static_cast<std::ptrdiff_t>(s + 1),
-              static_cast<std::uint32_t>(i));
-    t = s + 1;
+  for (std::uint32_t i = 0; i < size_; ++i) {
+    const std::size_t s = set_of(e[i].line);
+    for (; t <= s; ++t) fill(t, i);
   }
-  std::fill(begin_.begin() + static_cast<std::ptrdiff_t>(t), begin_.end(),
-            static_cast<std::uint32_t>(entries_.size()));
+  for (; t <= sets_; ++t) fill(t, size_);
 }
 
 void AbstractCacheState::access(std::uint64_t line) {
   const std::size_t s = set_of(line);
-  LineAge* const first = entries_.data() + begin_[s];
-  LineAge* const last = entries_.data() + begin_[s + 1];
+  LineAge* const first = entries() + begin_of(s);
+  LineAge* const last = entries() + begin_of(s + 1);
   if (kind_ == Kind::persistence) {
     // Conflict-counter update: every OTHER tracked line of the set took one
     // more conflicting access, saturating at the top (= ways). The sweep is
@@ -135,8 +265,11 @@ void AbstractCacheState::access(std::uint64_t line) {
     }
     *out++ = e;
   }
-  commit_set(s, static_cast<std::size_t>(out - first),
-             tracked ? std::nullopt : std::optional<std::uint64_t>(line));
+  // A hit that evicts nothing changes no offset.
+  if (!tracked || out != last) {
+    commit_set(s, static_cast<std::size_t>(out - first),
+               tracked ? std::nullopt : std::optional<std::uint64_t>(line));
+  }
 }
 
 bool AbstractCacheState::contains(std::uint64_t line) const noexcept {
@@ -161,14 +294,14 @@ void AbstractCacheState::join(const AbstractCacheState& other) {
     const std::size_t sb = set_of(b.line);
     return sa != sb ? sa < sb : a.line < b.line;
   };
-  const LineAge* a = entries_.data();
-  const LineAge* const a_end = a + entries_.size();
-  const LineAge* b = other.entries_.data();
-  const LineAge* const b_end = b + other.entries_.size();
+  const LineAge* a = entries();
+  const LineAge* const a_end = a + size_;
+  const LineAge* b = other.entries();
+  const LineAge* const b_end = b + other.size_;
   if (kind_ == Kind::must) {
     // Intersection with maximal (most pessimistic) age, written back in
     // place (the result is a subset of this state).
-    LineAge* out = entries_.data();
+    LineAge* out = entries();
     while (a != a_end && b != b_end) {
       if (a->line == b->line) {
         *out++ = LineAge{a->line, std::max(a->age, b->age)};
@@ -180,9 +313,9 @@ void AbstractCacheState::join(const AbstractCacheState& other) {
         ++b;
       }
     }
-    const auto kept = static_cast<std::size_t>(out - entries_.data());
-    if (kept == entries_.size()) return;
-    entries_.resize(kept);
+    const auto kept = static_cast<std::uint32_t>(out - entries());
+    if (kept == size_) return;
+    size_ = kept;
     rebuild_offsets();
     return;
   }
@@ -193,24 +326,52 @@ void AbstractCacheState::join(const AbstractCacheState& other) {
   // this set on EVERY joined path" (access() skips its aging sweep on that
   // certificate), and the untracked side cannot vouch.
   constexpr std::uint32_t floor = 1;
-  std::vector<LineAge> merged;
-  merged.reserve(entries_.size() + other.entries_.size());
-  while (a != a_end || b != b_end) {
-    if (b == b_end || (a != a_end && before(*a, *b))) {
-      merged.push_back(LineAge{a->line, std::max(a->age, floor)});
-      ++a;
-    } else if (a == a_end || a->line != b->line) {
-      merged.push_back(LineAge{b->line, std::max(b->age, floor)});
+  std::size_t merged = 0;
+  for (const LineAge* x = a; x != a_end || b != b_end; ++merged) {
+    if (b == b_end || (x != a_end && before(*x, *b))) {
+      ++x;
+    } else if (x == a_end || x->line != b->line) {
       ++b;
     } else {
-      merged.push_back(LineAge{a->line, std::max(a->age, b->age)});
-      ++a;
+      ++x;
       ++b;
     }
   }
-  const bool grew = merged.size() != entries_.size();
-  entries_ = std::move(merged);
-  if (grew) rebuild_offsets();
+  if (merged == size_) {
+    // No new line: the other side's lines are all here; update in place.
+    b = other.entries();
+    for (LineAge* x = entries(); x != entries() + size_; ++x) {
+      if (b != b_end && b->line == x->line) {
+        x->age = std::max(x->age, b->age);
+        ++b;
+      } else {
+        x->age = std::max(x->age, floor);
+      }
+    }
+    return;
+  }
+  // Merge from the back into the grown buffer: the write position never
+  // passes the unread part of this state's entries.
+  reserve_entries(merged);
+  LineAge* const e = entries();
+  const LineAge* const theirs = other.entries();
+  std::size_t i = size_;
+  std::size_t j = other.size_;
+  for (std::size_t k = merged; k-- > 0;) {
+    if (j == 0 || (i != 0 && before(theirs[j - 1], e[i - 1]))) {
+      --i;
+      e[k] = LineAge{e[i].line, std::max(e[i].age, floor)};
+    } else if (i == 0 || e[i - 1].line != theirs[j - 1].line) {
+      --j;
+      e[k] = LineAge{theirs[j].line, std::max(theirs[j].age, floor)};
+    } else {
+      --i;
+      --j;
+      e[k] = LineAge{e[i].line, std::max(e[i].age, theirs[j].age)};
+    }
+  }
+  size_ = static_cast<std::uint32_t>(merged);
+  rebuild_offsets();
 }
 
 void AbstractCacheState::age_set(std::size_t set_index, std::uint32_t amount) {
@@ -218,8 +379,8 @@ void AbstractCacheState::age_set(std::size_t set_index, std::uint32_t amount) {
     throw std::out_of_range("AbstractCacheState::age_set: set out of range");
   }
   if (amount == 0) return;
-  LineAge* const first = entries_.data() + begin_[set_index];
-  LineAge* const last = entries_.data() + begin_[set_index + 1];
+  LineAge* const first = entries() + begin_of(set_index);
+  LineAge* const last = entries() + begin_of(set_index + 1);
   const std::uint32_t ways = static_cast<std::uint32_t>(ways_);
   if (kind_ == Kind::persistence) {
     // Saturating advance: conflict counters cap at the top (= ways) and
@@ -248,19 +409,31 @@ AbstractCacheState AbstractCacheState::slice_set(std::size_t set_index) const {
   if (set_index >= sets_) {
     throw std::out_of_range("AbstractCacheState::slice_set: set out of range");
   }
-  CacheConfig one = config_;
-  one.num_lines = ways_;
-  one.associativity = ways_;
-  AbstractCacheState out(one, kind_);
-  const std::span<const LineAge> set = set_entries(set_index);
-  out.entries_.assign(set.begin(), set.end());
-  out.begin_[1] = static_cast<std::uint32_t>(set.size());
-  return out;
+  return AbstractCacheState(*this, set_index);
+}
+
+AbstractCacheState::AbstractCacheState(const AbstractCacheState& whole,
+                                       std::size_t set_index)
+    : config_(whole.config_),
+      kind_(whole.kind_),
+      sets_(1),
+      ways_(whole.ways_),
+      pow2_sets_(true),
+      blocks_(1),
+      header_bytes_(header_bytes_for(1)) {
+  // A one-set cache of the same ways is valid whenever the whole one is.
+  config_.num_lines = ways_;
+  config_.associativity = ways_;
+  const std::span<const LineAge> set = whole.set_entries(set_index);
+  reserve_entries(set.size());
+  std::copy(set.begin(), set.end(), entries());
+  size_ = static_cast<std::uint32_t>(set.size());
+  rebuild_offsets();
 }
 
 void AbstractCacheState::clear() noexcept {
-  entries_.clear();
-  std::fill(begin_.begin(), begin_.end(), 0u);
+  size_ = 0;
+  std::memset(buf_, 0, header_bytes_);
 }
 
 namespace {
@@ -277,17 +450,24 @@ constexpr std::uint64_t hash_mix(std::uint64_t x) noexcept {
 }  // namespace
 
 std::size_t AbstractCacheState::hash() const noexcept {
-  // Entries are kept sorted by (set, line), so iterating them yields a
-  // canonical sequence: equal states (operator==) produce identical streams.
+  // A state is a set of (line, age) pairs with distinct lines (the line
+  // fixes the set), so a sum of per-pair mixes is canonical: equal states
+  // (operator==) hash equal. The mixes are independent of each other, so
+  // they overlap in the pipeline instead of forming one chain.
   const std::uint64_t kind_tag = kind_ == Kind::must ? 1u : 2u;
-  std::uint64_t h = 0x8f1bbcdcbfa53e0bull ^ kind_tag;
-  h = hash_mix(h ^ sets_);
-  for (const LineAge& e : entries_) {
-    const std::uint64_t s = set_of(e.line);
-    h = hash_mix(h ^ (s << 32 ^ e.age));
-    h = hash_mix(h ^ e.line);
+  std::uint64_t sum = 0;
+  for (const LineAge& e : std::span<const LineAge>(entries(), size_)) {
+    sum += hash_mix(e.line ^ (std::uint64_t{e.age} << 48));
   }
-  return static_cast<std::size_t>(h);
+  const std::uint64_t h = hash_mix(0x8f1bbcdcbfa53e0bull ^ kind_tag ^ sets_);
+  return static_cast<std::size_t>(hash_mix(h ^ sum));
+}
+
+bool AbstractCacheState::operator==(
+    const AbstractCacheState& other) const noexcept {
+  return kind_ == other.kind_ && config_ == other.config_ &&
+         size_ == other.size_ &&
+         std::equal(entries(), entries() + size_, other.entries());
 }
 
 CachePair::CachePair(const CacheConfig& config)
@@ -312,8 +492,7 @@ Classification CachePair::classify_and_access(std::uint64_t line) {
 }
 
 CachePair CachePair::slice_set(std::size_t set_index) const {
-  return CachePair(must_.slice_set(set_index),
-                   persistence_.slice_set(set_index));
+  return CachePair(*this, set_index);
 }
 
 void CachePair::reset_persistence() { persistence_.clear(); }

@@ -17,11 +17,10 @@
 ///        whatever the concrete entry cache holds — see the Kind doc below
 ///        for why carrying it across runs would also break monotonicity.
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <utility>
-#include <vector>
 
 #include "cache/cache_model.hpp"
 
@@ -69,15 +68,21 @@ struct LineAge {
 /// same-set lines x,y,z the trace z,x,y,z,x really misses twice on x, yet
 /// conditional aging would keep age(x) < 2 and wrongly certify it.
 ///
-/// Storage is two flat arrays of trivially copyable elements: every tracked
-/// entry in one vector sorted by (set, line), plus `num_sets + 1` offsets
-/// where `begin_[s]` is the first entry of set `s`, so a set's range is an
-/// O(1) lookup. access() and age_set() rewrite that range in place and then
-/// make at most one insert or erase, shifting the later offsets by the net
-/// change; join() is one linear merge of both arrays plus one offset
-/// rebuild. Copy, ==, hash and destruction cost what the state tracks plus
-/// one small offset array, not one container per cache set — most sets of
-/// a large cache are empty.
+/// Storage is one buffer of trivially copyable words: the set offsets, then
+/// every tracked entry sorted by (set, line). The offsets are two-level: a
+/// base per block of 32 sets (the first entry of the block's first set)
+/// plus each set's offset from its block's base, so a set's range is an
+/// O(1) lookup, and an insert or erase in set `s` shifts at most the 31
+/// in-block offsets after `s` and one base per later block, not every
+/// later set. access() and age_set() rewrite that range in place and then
+/// make at most one insert or erase; join() is one linear merge (in place,
+/// from the back, for the persistence union) plus one offset rebuild.
+/// A state whose offsets and entries fit in a small inline buffer (a
+/// one-set state of a few lines, as the per-set parts of cache/
+/// schedule_wcet walk) lives there and never touches the heap; a larger
+/// one makes a single allocation. Copy, ==, hash and destruction cost what
+/// the state tracks plus its offsets, not one container per cache set —
+/// most sets of a large cache are empty.
 class AbstractCacheState {
 public:
   enum class Kind { must, persistence };
@@ -136,8 +141,8 @@ public:
   /// Read-only view of one set's tracked (line, age) entries.
   /// \pre set_index < config().num_sets().
   std::span<const LineAge> set_entries(std::size_t set_index) const noexcept {
-    return {entries_.data() + begin_[set_index],
-            entries_.data() + begin_[set_index + 1]};
+    return {entries() + begin_of(set_index),
+            entries() + begin_of(set_index + 1)};
   }
 
   /// Set \p set_index alone, as a state of a one-set cache with the same
@@ -149,7 +154,7 @@ public:
   AbstractCacheState slice_set(std::size_t set_index) const;
 
   /// Number of tracked lines over all sets.
-  std::size_t tracked_lines() const noexcept { return entries_.size(); }
+  std::size_t tracked_lines() const noexcept { return size_; }
 
   /// Drop every tracked line (back to the cold state).
   void clear() noexcept;
@@ -159,18 +164,70 @@ public:
   /// hash maps — the static-WCET subtree memo keys on them.
   std::size_t hash() const noexcept;
 
-  bool operator==(const AbstractCacheState& other) const = default;
+  /// Logical equality: same kind, configuration and (line, age) entries
+  /// (the offsets are derived from the entries).
+  bool operator==(const AbstractCacheState& other) const noexcept;
+
+  // The buffer is owned: copies duplicate it (reusing this state's buffer
+  // on assignment when it is large enough), moves of a heap buffer hand it
+  // over. A moved-from state may only be assigned to or destroyed.
+  AbstractCacheState(const AbstractCacheState& other);
+  AbstractCacheState(AbstractCacheState&& other) noexcept;
+  AbstractCacheState& operator=(const AbstractCacheState& other);
+  AbstractCacheState& operator=(AbstractCacheState&& other) noexcept;
+  ~AbstractCacheState();
 
 private:
+  /// log2 of the sets per offset block (32).
+  static constexpr unsigned kBlockBits = 5;
+  /// Inline buffer: the offsets of a one-set state plus 8 entries.
+  static constexpr std::size_t kInlineBytes = 16 + 8 * sizeof(LineAge);
+
   std::size_t set_of(std::uint64_t line) const noexcept {
     // Caches almost always have a power-of-two set count; the masked path
     // avoids a hardware divide in the innermost fixpoint loop.
-    return static_cast<std::size_t>(set_mask_ != 0 ? (line & set_mask_)
-                                                   : line % sets_);
+    return static_cast<std::size_t>(pow2_sets_ ? (line & (sets_ - 1))
+                                               : line % sets_);
   }
+
+  // Buffer layout: `blocks_` block bases, then `sets_ + 1` in-block set
+  // offsets (slot `sets_` ends the last set), padded to `header_bytes_`,
+  // then the entries.
+  const std::uint32_t* words() const noexcept {
+    return reinterpret_cast<const std::uint32_t*>(buf_);
+  }
+  std::uint32_t* words() noexcept {
+    return reinterpret_cast<std::uint32_t*>(buf_);
+  }
+  const LineAge* entries() const noexcept {
+    return reinterpret_cast<const LineAge*>(buf_ + header_bytes_);
+  }
+  LineAge* entries() noexcept {
+    return reinterpret_cast<LineAge*>(buf_ + header_bytes_);
+  }
+  /// Index of the first entry of set \p s (s == sets_: the entry count).
+  std::uint32_t begin_of(std::size_t s) const noexcept {
+    return words()[s >> kBlockBits] + words()[blocks_ + s];
+  }
+  std::size_t used_bytes() const noexcept {
+    return header_bytes_ + std::size_t{size_} * sizeof(LineAge);
+  }
+  bool is_inline() const noexcept { return buf_ == inline_; }
+
+  /// The one-set state slice_set returns.
+  AbstractCacheState(const AbstractCacheState& whole, std::size_t set_index);
+
+  /// Bytes of the offsets of a \p sets-set state, padded for the entries.
+  static std::size_t header_bytes_for(std::size_t sets) noexcept;
 
   /// Entry for \p line, or nullptr.
   const LineAge* find(std::uint64_t line) const noexcept;
+
+  /// Copy every member but the buffer and its capacity.
+  void copy_shape(const AbstractCacheState& other) noexcept;
+
+  /// Room for \p n entries (may move the buffer).
+  void reserve_entries(std::size_t n);
 
   /// Finish an in-place update of set \p s whose first \p kept entries
   /// survive: insert \p line at age 0 in sorted position if given (it must
@@ -179,6 +236,9 @@ private:
   void commit_set(std::size_t s, std::size_t kept,
                   std::optional<std::uint64_t> line);
 
+  /// Add \p delta to the offsets of every set after \p s.
+  void shift_offsets(std::size_t s, std::uint32_t delta) noexcept;
+
   /// Recompute every set offset from the sorted entries.
   void rebuild_offsets() noexcept;
 
@@ -186,12 +246,15 @@ private:
   Kind kind_ = Kind::must;
   std::size_t sets_ = 0;
   std::size_t ways_ = 0;
-  std::uint64_t set_mask_ = 0;  ///< sets_ - 1 when sets_ is a power of two
-  // Both arrays are canonical for the logical contents (entries sorted by
-  // (set, line), offsets derived from them), so the defaulted operator==
-  // is logical equality and hash() streams entries in a fixed order.
-  std::vector<LineAge> entries_;
-  std::vector<std::uint32_t> begin_;  ///< sets_ + 1 offsets into entries_
+  bool pow2_sets_ = false;
+  std::size_t blocks_ = 0;      ///< (sets_ >> kBlockBits) + 1
+  std::size_t header_bytes_ = 0;
+  std::uint32_t size_ = 0;  ///< tracked entries
+  std::size_t capacity_bytes_ = kInlineBytes;
+  // The entries are canonical for the logical contents (sorted by (set,
+  // line)) and the offsets derive from them, so == compares entries only.
+  std::byte* buf_ = inline_;
+  alignas(LineAge) std::byte inline_[kInlineBytes];
 };
 
 /// Static classification of one instruction-fetch access point. There is
@@ -268,8 +331,10 @@ public:
   bool operator==(const CachePair& other) const = default;
 
 private:
-  CachePair(AbstractCacheState must, AbstractCacheState persistence)
-      : must_(std::move(must)), persistence_(std::move(persistence)) {}
+  /// slice_set: both slices built in place.
+  CachePair(const CachePair& whole, std::size_t set_index)
+      : must_(whole.must_.slice_set(set_index)),
+        persistence_(whole.persistence_.slice_set(set_index)) {}
 
   AbstractCacheState must_;
   AbstractCacheState persistence_;

@@ -30,10 +30,15 @@
 /// above its cap `ways - (youngest age in s)` evicts every entry in it,
 /// while below the cap the youngest entry survives at an age that tells
 /// the amounts apart. So the per-live-set key min(d_s, cap_s) — a capped
-/// distinct-line count read straight off the interferers' sorted per-set
-/// footprints — is equal for two masks exactly when their entry states
-/// are, and step 3 runs once per distinct key ("entry class"); every
-/// other mask of the class shares its bit-identical result.
+/// distinct-line count — is equal for two masks exactly when their entry
+/// states are, and step 3 runs once per distinct key ("entry class");
+/// every other mask of the class shares its bit-identical result. The key
+/// covers only the "contested" live sets, those some other app's
+/// footprint touches: every other live set's count is 0 under every mask.
+/// Where the touching apps share no line in a set, d_s is the sum of the
+/// masked apps' line counts there, added a whole column of sets at a time
+/// for each group of sets the same apps touch; only a set where a line is
+/// shared merges the interferers' sorted lines.
 ///
 /// Sum of parts. Both abstract domains work per set (access, join and
 /// age_set each touch one set), and a loop fixpoint restricted to one set
@@ -41,18 +46,27 @@
 /// "leaf", see analyze_static_wcet) is the sum over sets of the same
 /// leaf in the walk of the program restricted to each set, in every
 /// column. Only the composition above the leaves does not split: a branch
-/// takes each column's maximum over its arms. So the restriction keeps
-/// the whole tree shape (every seq, loop and branch; each block cut to
-/// the set's lines), leaf k of every part is leaf k of `base`, and a class
-/// is
-///   fold(base + Σ_{live s, a_s > 0} (part_s(a_s) − part_s(0)))
+/// takes each column's maximum over its arms. A class is
+///   fold(base + Σ_{contested s, a_s > 0} (part_s(a_s) − part_s(0)))
 /// leaf by leaf, where fold_leaves composes the leaves with the walk's
 /// own timing schema and wcet = min(cycles + penalty, am_only). `base` is
 /// the whole program's leaves from the unaged generic exit, and part_s(a)
-/// the leaves of set s's restriction analyzed under a one-set cache from
-/// that set of the generic exit aged by a — at most ways + 1 parts per
-/// live set, each computed once and kept as its change on the leaves that
-/// fetch a line of s. The split of the tree and `base` are built on the
+/// set s's share of each leaf under a one-set cache from that set of the
+/// generic exit aged by a. A leaf whose block fetches no line of s has no
+/// share of it, so part_s lives on the "support", the leaves whose block
+/// does, which one walk of the whole tree's leaf order lists for every
+/// set. part_s(a) itself is the walk of the tree pruned to the subtrees
+/// that fetch a line of s (each block cut to those lines, a seq of one
+/// child replaced by the child, a branch arm with none an empty seq):
+/// what is pruned leaves the set's state unchanged, so the pruned walk's
+/// leaves are exactly the support's, in order. Each part is computed once
+/// — at most ways + 1 per contested set — and kept as its change on the
+/// support. Both domains compare lines only for identity, so two sets
+/// whose pruned trees and aged must entries agree once their lines are
+/// renamed in order of first use share one walk; most sets of a program
+/// look alike, so few parts walk at all. The one-set states of a walk sit
+/// in AbstractCacheState's inline buffer: it does not touch the heap. The
+/// contested sets, pruned trees, supports and `base` are built on the
 /// app's first non-zero mask, a set's parts on its first non-zero amount:
 /// an app the search only ever asks for warm costs nothing extra.
 ///
@@ -63,7 +77,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -172,52 +185,100 @@ public:
   Stats stats() const;
 
 private:
-  /// Per live set (see the file header), the capped interference count,
-  /// LEB128-encoded into a byte string: one byte per set below 128 ways,
-  /// so a class costs little next to its ContextWcet.
+  /// Per contested set (see the file header), the capped interference
+  /// count, LEB128-encoded into a byte string: one byte per set below 128
+  /// ways, so a class costs little next to its ContextWcet.
   using EntryKey = std::string;
-  struct LiveSet {
+
+  /// One other app's footprint in a contested set where a line is shared.
+  struct Interferer {
+    std::uint32_t app = 0;
+    std::uint32_t size = 0;               ///< its distinct lines in the set
+    const std::uint64_t* lines = nullptr;  ///< those lines, ascending
+  };
+  /// One contested set: a live set some other app touches, with where its
+  /// support and parts sit in SetShares.
+  struct Contested {
     std::uint32_t set = 0;
     std::uint32_t cap = 0;  ///< ways - youngest must age in the set
+    /// A set where two interferers share a line: its interferers are
+    /// SetShares::interferers[first, last), merged per mask.
+    std::uint32_t first = 0;
+    std::uint32_t last = 0;
+    /// The support: SetShares::support[support_begin, + support_size), the
+    /// leaves whose block fetches a line of this set, ascending; every
+    /// other leaf of the whole walk has no share of the set.
+    std::uint32_t support_begin = 0;
+    std::uint32_t support_size = 0;
+    /// SetShares::part_at[parts_begin, + cap + 1): slot 0 locates part(0)
+    /// on the support in SetShares::walked, slot a the change
+    /// part(a) - part(0) in SetShares::parts; kUnset until first used.
+    std::uint32_t parts_begin = 0;
+    /// The pruned tree's shape (equal ids for equal shapes) and the set's
+    /// must entries in the generic exit, SetShares::must[must_begin,
+    /// + must_size), both with lines renamed (see SetShares::walks).
+    std::uint32_t shape = 0;
+    std::uint32_t must_begin = 0;
+    std::uint32_t must_size = 0;
+  };
+  /// Contested sets where the same apps interfere and no line is shared:
+  /// a mask's count in each is min(sum of the masked apps' sizes, cap).
+  struct Group {
+    std::uint64_t touch = 0;  ///< bit j: app j interferes
+    std::uint32_t first = 0;  ///< SetShares::contested[first, + count)
+    std::uint32_t count = 0;
+    /// SetShares::sizes[sizes + r * count + k]: the lines the r-th app of
+    /// `touch` has in set first + k, capped at its cap (one column per
+    /// app, so a mask adds whole columns).
+    std::uint32_t sizes = 0;
   };
 
-  /// One live set's share of the program (see the file header).
-  struct SetShare {
-    /// The whole tree, each block restricted to this set's lines.
-    StructuredProgram program;
-    /// The leaves whose block fetches a line of this set, ascending; every
-    /// other leaf of `program` is zero from any entry.
-    std::vector<std::uint32_t> support;
-    std::vector<PassCounts> unaged;  ///< part(0)'s leaves on `support`
-    /// changes[a]: part(a) − part(0) on `support` (a in 1..cap), computed
-    /// on first use. `support`, `unaged` and these slots are filled on the
-    /// set's first non-zero amount.
-    std::vector<std::optional<std::vector<PassCounts>>> changes;
-  };
   struct SetShares {
     /// The program's leaves from the unaged generic exit.
     std::vector<PassCounts> base;
-    std::vector<SetShare> sets;  ///< parallel to AppState::live
+    /// The groups' sets, group by group, then the sets where a line is
+    /// shared (from `shared_begin` on).
+    std::vector<Contested> contested;
+    std::vector<Group> groups;
+    std::vector<std::uint32_t> sizes;
+    std::size_t shared_begin = 0;
+    std::vector<Interferer> interferers;
+    /// Per contested set, the tree pruned to the subtrees that fetch a
+    /// line of the set, each block restricted to the set's lines: its
+    /// walk's leaves are the whole walk's leaves on the support, in order.
+    std::vector<StructuredProgram> programs;
+    std::vector<std::uint32_t> support;
+    std::vector<std::uint32_t> part_at;
+    std::vector<PassCounts> parts;
+    /// Both domains compare lines only for identity, so a part walk's
+    /// leaves depend on its pruned tree and aged must entries only up to
+    /// a renaming of the lines. Lines are renamed to their first use in
+    /// the tree, and `walks` maps a renamed (shape, aged must entries) to
+    /// its leaves in `walked`, so sets that look alike share one walk.
+    std::vector<LineAge> must;
+    std::unordered_map<std::string, std::uint32_t> walks;
+    std::vector<PassCounts> walked;
   };
+  static constexpr std::uint32_t kUnset = UINT32_MAX;
 
   struct AppState {
     StructuredProgram program;
     StaticSteadyWcet steady;
     CacheFootprint footprint;
-    /// Sets where steady.generic_exit's must state holds entries, ascending.
-    std::vector<LiveSet> live;
     StaticAnalysisMemo memo;  ///< the steady passes' and the base's
-    /// The parts the classes are summed from; built on the first non-zero
-    /// mask.
+    /// The contested sets and the parts the classes are summed from;
+    /// built on the first non-zero mask.
     std::unique_ptr<SetShares> shares;
     ContextWcet warm;         ///< mask 0, filled on its first request
     std::unordered_map<EntryKey, ContextWcet> classes;
     /// Every computed mask, pointing at `warm` or into `classes`.
     std::unordered_map<std::uint64_t, const ContextWcet*> contexts;
-    /// Scratch for the exclusive side: the capped counts per live set,
-    /// their encoding, one class' leaves and one part's.
+    /// Scratch for the exclusive side: the capped counts per contested
+    /// set, their encoding, one part walk's key, one class' leaves and one
+    /// part's.
     std::vector<std::uint32_t> amounts;
     EntryKey key;
+    std::string walk_key;
     std::vector<PassCounts> leaves;
     std::vector<PassCounts> part;
     /// Scratch: unmerged tails of the interferers' lines in one set.
@@ -229,16 +290,19 @@ private:
 
   /// Fills st.amounts and st.key for \p mask (non-zero, canonical).
   void entry_key_locked(AppState& st, std::uint64_t mask) const;
-  /// Fills st.shares: `base`, the split by live set and no part yet.
-  void build_shares_locked(AppState& st) const;
-  /// Live set number \p i's change at aging \p amount (>= 1), computed on
-  /// first use.
-  const std::vector<PassCounts>& change_locked(AppState& st, std::size_t i,
-                                               std::uint32_t amount) const;
-  /// The class of st.amounts: base plus the aged parts' changes, leaf by
-  /// leaf, folded through the timing schema.
-  StaticWcetCounts sum_of_parts_locked(AppState& st) const;
-  const ContextWcet& compute_context_locked(AppState& st,
+  /// Fills st.shares: `base`, the contested sets with their groups or
+  /// interferers, pruned programs, supports, shapes and renamed must
+  /// entries, and no part yet.
+  void build_shares_locked(std::size_t app, AppState& st) const;
+  /// Computes contested set number \p i's change at aging \p amount
+  /// (>= 1) on its support, and part(0) first if need be; returns where it
+  /// sits in SetShares::parts.
+  std::uint32_t change_locked(AppState& st, std::size_t i,
+                              std::uint32_t amount) const;
+  /// The class of st.amounts (those of \p mask): base plus the aged
+  /// parts' changes, leaf by leaf, folded through the timing schema.
+  StaticWcetCounts sum_of_parts_locked(AppState& st, std::uint64_t mask) const;
+  const ContextWcet& compute_context_locked(std::size_t app, AppState& st,
                                             std::uint64_t mask) const;
 
   CacheConfig config_;

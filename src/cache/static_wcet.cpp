@@ -147,18 +147,20 @@ PassCounts analyze(const Stmt& stmt, CachePair& state,
 
       // `state` is rewritten with the steady exit below, so the fixpoint
       // starts from it moved, and each probe joins the previous iterate
-      // into itself (join commutes).
+      // into itself (join commutes). The probe is one scratch state that
+      // carries each new iterate into the next round, and `fix` takes a
+      // copy of it in its own buffer.
       CachePair fix = std::move(state);
+      CachePair probe = fix;
       bool stable = false;
       for (int it = 0; it < kFixpointCap; ++it) {
-        CachePair probe = fix;
         analyze_body(body, probe, config, memo, nullptr);  // counts unused
         probe.join(fix);
         if (probe == fix) {
           stable = true;
           break;
         }
-        fix = std::move(probe);
+        fix = probe;
       }
       if (!stable) {
         throw std::runtime_error(
@@ -209,7 +211,7 @@ StaticWcetResult analyze_static_wcet(const StructuredProgram& program,
                                      std::optional<CachePair> entry,
                                      StaticAnalysisMemo* memo,
                                      std::vector<PassCounts>* leaves) {
-  CachePair state = entry ? std::move(*entry) : CachePair(config);
+  CachePair& state = entry ? *entry : entry.emplace(config);
   // First-miss guarantees are per run: "not accessed yet" is true for
   // every line at run start whatever the entry cache holds, and a
   // persistence state carried across runs can analyze LOOSER than the

@@ -24,6 +24,7 @@ using catsched::cache::CacheConfig;
 using catsched::cache::CachePair;
 using catsched::cache::CacheSim;
 using catsched::cache::Classification;
+using catsched::cache::LineAge;
 
 CacheConfig small_cache(std::size_t lines, std::size_t assoc) {
   CacheConfig c;
@@ -580,6 +581,85 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(12, 2),    // non-power-of-two sets
                       std::make_tuple(8, 0),     // fully associative
                       std::make_tuple(4096, 8),  // 512 sets x 8 ways
-                      std::make_tuple(600, 4)));  // 150 sets (not 2^k)
+                      std::make_tuple(600, 4),   // 150 sets (not 2^k)
+                      // Set counts that are not powers of two and span
+                      // many 32-set offset blocks, the last one partial.
+                      std::make_tuple(600, 2),     // 300 sets x 2 ways
+                      std::make_tuple(1000, 1)));  // 1000 sets x 1 way
+
+// A state small enough lives in an inline buffer; one set holding more
+// tracked lines than that buffer fits moves the state to the heap. Every
+// transfer, copy, move and join across that boundary must still match the
+// reference, and a one-set slice of such a set must hold exactly its lines.
+TEST(FlatStorage, SetBeyondInlineCapacityMatchesReference) {
+  // One set of 4 ways: persistence never drops a line, so 24 distinct
+  // lines overflow any inline capacity.
+  const CacheConfig one = small_cache(4, 0);
+  const std::uint64_t max_line = 24;
+  AbstractCacheState grown(one, Kind::persistence);
+  MapRefState ref(one, Kind::persistence);
+  AbstractCacheState small(one, Kind::persistence);
+  MapRefState small_ref(one, Kind::persistence);
+  for (std::uint64_t line = 0; line < max_line; ++line) {
+    grown.access(line);
+    ref.access(line);
+    expect_equivalent(grown, ref, max_line, "growing");
+    if (line % 8 == 0) {
+      small.access(line);
+      small_ref.access(line);
+    }
+  }
+  ASSERT_EQ(grown.tracked_lines(), max_line);
+
+  // Copies and moves of the heap state, into fresh and into inline states.
+  const AbstractCacheState copied = grown;
+  expect_equivalent(copied, ref, max_line, "copy");
+  AbstractCacheState assigned = small;
+  assigned = grown;
+  expect_equivalent(assigned, ref, max_line, "copy-assign over inline");
+  AbstractCacheState moved = std::move(assigned);
+  expect_equivalent(moved, ref, max_line, "move");
+  AbstractCacheState move_assigned(one, Kind::persistence);
+  move_assigned = std::move(moved);
+  expect_equivalent(move_assigned, ref, max_line, "move-assign");
+  // And of the inline state over the heap one.
+  move_assigned = small;
+  expect_equivalent(move_assigned, small_ref, max_line, "inline over heap");
+  EXPECT_TRUE(move_assigned == small);
+  EXPECT_EQ(move_assigned.hash(), small.hash());
+
+  // Joins across the boundary, both ways round.
+  AbstractCacheState joined = small;
+  MapRefState joined_ref = small_ref;
+  joined.join(grown);
+  joined_ref.join(ref);
+  expect_equivalent(joined, joined_ref, max_line, "inline joins heap");
+  AbstractCacheState joined_back = grown;
+  MapRefState joined_back_ref = ref;
+  joined_back.join(small);
+  joined_back_ref.join(small_ref);
+  expect_equivalent(joined_back, joined_back_ref, max_line,
+                    "heap joins inline");
+
+  // The same set inside a multi-set cache, sliced out: the slice holds
+  // exactly that set's lines and then tracks it as the whole state does.
+  const CacheConfig four = small_cache(8, 2);  // 4 sets x 2 ways
+  AbstractCacheState whole(four, Kind::persistence);
+  for (std::uint64_t line = 1; line < 4 * max_line; line += 4) {
+    whole.access(line);
+  }
+  AbstractCacheState slice = whole.slice_set(1);
+  ASSERT_EQ(slice.tracked_lines(), max_line);
+  const auto set_one = [](const AbstractCacheState& st, std::size_t set) {
+    const auto entries = st.set_entries(set);
+    return std::vector<LineAge>(entries.begin(), entries.end());
+  };
+  EXPECT_EQ(set_one(slice, 0), set_one(whole, 1));
+  for (const std::uint64_t line : {5u, 41u, 97u, 5u}) {
+    slice.access(line);
+    whole.access(line);
+    EXPECT_EQ(set_one(slice, 0), set_one(whole, 1)) << "line " << line;
+  }
+}
 
 }  // namespace

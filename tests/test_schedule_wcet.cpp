@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <random>
 #include <string>
@@ -808,6 +809,53 @@ TEST(Analyzer, EntryClassCapSitsAtTheYoungestSurvivor) {
   EXPECT_NE(&an.analyze_context(0, 0b100), &three);
   EXPECT_EQ(an.stats().context_analyses, 3u);
   EXPECT_EQ(an.stats().reanalyses, 2u);
+}
+
+TEST(Analyzer, EntryKeysCoverEveryKindOfSet) {
+  // 4 sets x 4 ways. App 0 holds lines 0, 1 and 2 (sets 0, 1 and 2) in its
+  // generic exit. Set 0 is live but no other app touches it; in set 1 the
+  // interferers share line 5 (apps 1 and 2) and line 9 (apps 1 and 3), so
+  // a mask's distinct count is below the sum of the sizes; in set 2 every
+  // interferer's lines are its own, so the count is that sum.
+  const cache::CacheConfig c = cfg(16, 4);
+  std::vector<cache::StructuredProgram> programs(4);
+  programs[0].root = cache::Stmt::block({0, 1, 2, 0, 1, 2});
+  programs[1].root = cache::Stmt::block({5, 9, 6});
+  programs[2].root = cache::Stmt::block({5, 13, 10});
+  programs[3].root = cache::Stmt::block({9, 14});
+  const cache::ScheduleWcetAnalyzer an(programs, c);
+  const cache::AbstractCacheState& must = an.base(0).generic_exit.must();
+  for (std::size_t set = 0; set < 3; ++set) {
+    ASSERT_FALSE(must.set_entries(set).empty()) << "set " << set;
+  }
+  const auto lines_in = [&](std::size_t app, std::size_t set)
+      -> const std::vector<std::uint64_t>& {
+    return an.footprint(app).lines_per_set[set];
+  };
+  // Set 0: no interferer, so its amount is 0 under every mask.
+  for (std::size_t app = 1; app < 4; ++app) {
+    ASSERT_TRUE(lines_in(app, 0).empty()) << "app " << app;
+  }
+  // Set 1: the k-way merge path (a line in two interferers' footprints).
+  std::vector<std::uint64_t> shared;
+  std::set_intersection(lines_in(1, 1).begin(), lines_in(1, 1).end(),
+                        lines_in(2, 1).begin(), lines_in(2, 1).end(),
+                        std::back_inserter(shared));
+  ASSERT_EQ(shared, std::vector<std::uint64_t>{5});
+  // Set 2: the disjoint-sum path (several interferers, no line in two).
+  std::vector<std::uint64_t> all;
+  for (std::size_t app = 1; app < 4; ++app) {
+    ASSERT_EQ(lines_in(app, 2).size(), 1u) << "app " << app;
+    all.push_back(lines_in(app, 2).front());
+  }
+  std::sort(all.begin(), all.end());
+  ASSERT_EQ(std::adjacent_find(all.begin(), all.end()), all.end());
+
+  // Every mask of every app against the reference, every column; app 0's
+  // seven masks fall into more than one class, and the classes are exactly
+  // the masks whose reference entries coincide.
+  EXPECT_GT(check_classes_against_reference(programs, c, "every kind of set"),
+            4u);
 }
 
 TEST(Analyzer, CollapsingMasksShareOneReanalysis) {

@@ -12,8 +12,10 @@
 #     must resolve to a file
 #   * every backticked qualified name (`ns::name`, `Type::member`) in the
 #     README, ARCHITECTURE, BENCHMARKS or the verify skill must name only
-#     words that occur in src/, tools/ or perfbench/, so a deleted function
-#     cannot stay cited
+#     words that occur in the C++ code of src/, tools/ or perfbench/ —
+#     comments and string and character literals stripped — so a deleted
+#     function cannot stay cited because a comment or a message still
+#     mentions it
 # Exits non-zero listing everything missing, so adding a module or bench
 # without documenting it fails the build.
 set -u
@@ -125,7 +127,42 @@ done
 
 # Every part of a backticked qualified name must still be a word of the
 # code: a removed or renamed symbol fails here instead of rotting in prose.
-# (Only spans that open and close on one line are seen.)
+# (Only spans that open and close on one line are seen.) The code is the
+# C++ sources with every comment and string or character literal blanked
+# (a quote right after a letter or digit is a digit separator, not a
+# literal), so a word that survives only in prose or in a message does not
+# count.
+code=$(mktemp)
+trap 'rm -f "$code"' EXIT
+find src tools perfbench \( -name '*.cpp' -o -name '*.hpp' -o -name '*.h' \) \
+    -exec awk '
+  FNR == 1 { state = "" }
+  {
+    line = $0; out = ""; prev = ""; i = 1; n = length(line)
+    while (i <= n) {
+      c = substr(line, i, 1)
+      if (state == "block") {
+        if (substr(line, i, 2) == "*/") { state = ""; out = out " "; i += 2 }
+        else i++
+        continue
+      }
+      if (state == "str" || state == "chr") {
+        if (c == "\\") { i += 2; continue }
+        if ((state == "str" && c == "\"") || (state == "chr" && c == "\047")) {
+          state = ""; out = out " "
+        }
+        i++
+        continue
+      }
+      if (substr(line, i, 2) == "//") break
+      if (substr(line, i, 2) == "/*") { state = "block"; i += 2; continue }
+      if (c == "\"") { state = "str"; i++; continue }
+      if (c == "\047" && prev !~ /[0-9A-Za-z_]/) { state = "chr"; i++; continue }
+      out = out c; prev = c; i++
+    }
+    if (state != "block") state = ""
+    print out
+  }' {} + > "$code"
 for doc in README.md docs/ARCHITECTURE.md docs/BENCHMARKS.md \
     .claude/skills/verify/SKILL.md; do
   [ -f "$doc" ] || continue
@@ -133,8 +170,8 @@ for doc in README.md docs/ARCHITECTURE.md docs/BENCHMARKS.md \
       grep -oE '[A-Za-z_][A-Za-z0-9_]*(::~?[A-Za-z_][A-Za-z0-9_]*)+' |
       sort -u); do
     for part in $(echo "$name" | sed 's/::~\{0,1\}/ /g'); do
-      if ! grep -rqw -- "$part" src tools perfbench; then
-        echo "check_docs: $doc cites \`$name\`, but $part is not in src/, tools/ or perfbench/"
+      if ! grep -qw -- "$part" "$code"; then
+        echo "check_docs: $doc cites \`$name\`, but $part is not in the code of src/, tools/ or perfbench/"
         fail=1
         break
       fi
