@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "cache/schedule_wcet.hpp"
+#include "cache/set_steady.hpp"
 #include "cache/static_wcet.hpp"
 #include "cache/structure.hpp"
 #include "cache/wcet.hpp"
@@ -283,20 +284,25 @@ void BM_ContextTable(benchmark::State& state) {
 }
 BENCHMARK(BM_ContextTable)->Unit(benchmark::kMillisecond);
 
-// One per-set part as the context analyzer walks it: slice one set of an
-// exit state, age it, and analyze a 4-fetch block of that set's lines
-// under the one-set cache, collecting the leaves.
+// One per-set part as the context analyzer walks it: copy a one-set
+// generic exit (the first live set of branchy_program(42)'s split), age
+// it, and analyze a 4-fetch block of renamed lines under the one-set
+// cache, collecting the leaves.
 void BM_OnePartWalk(benchmark::State& state) {
-  const cache::CachePair exit = population_exit_state(42);
-  const cache::CacheConfig cfg = population_cache();
-  const std::uint64_t sets = cfg.num_sets();
-  std::size_t set = 0;
-  while (exit.must().set_entries(set).empty()) ++set;
+  const std::vector<cache::StructuredProgram> programs{branchy_program(42)};
+  const std::vector<cache::SetSteady> split =
+      cache::analyze_set_steady(programs, population_cache());
+  const cache::SetSteady::Shape* shape = nullptr;
+  for (const cache::SetSteady::Set& set : split[0].sets()) {
+    shape = &split[0].shapes()[set.shape];
+    if (!shape->exit.must().set_entries(0).empty()) break;
+  }
+  const cache::CachePair& exit = shape->exit;
   cache::StructuredProgram part;
-  part.root = cache::Stmt::block({set, set + sets, set, set + 2 * sets});
+  part.root = cache::Stmt::block({0, 1, 0, 2});
   std::vector<cache::PassCounts> leaves;
   for (auto _ : state) {
-    cache::CachePair entry = exit.slice_set(set);
+    cache::CachePair entry = exit;
     entry.age_interference_set(0, 1);
     leaves.clear();
     const cache::CacheConfig one = entry.config();
@@ -306,6 +312,42 @@ void BM_OnePartWalk(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OnePartWalk);
+
+// One app's cold/warm pair through cache::analyze_set_steady, the routine
+// SystemModel::analyze_wcets and the context analyzer run for every app:
+// the split by set, the one-set steady walks and the folds. The app is the
+// largest of perfbench's population_wcet population (testgen seeds
+// 7000-7059 under its GeneratorConfig), by fetches on its longest path.
+void BM_AppSteady(benchmark::State& state) {
+  std::vector<cache::StructuredProgram> largest(1);
+  cache::CacheConfig cfg;
+  std::uint64_t most = 0;
+  std::uint64_t seed = 7000;
+  for (const std::size_t apps : {4u, 5u, 6u, 7u, 8u}) {
+    for (const std::size_t sets : {128u, 256u, 512u}) {
+      for (const std::size_t ways : {1u, 2u, 4u, 8u}) {
+        testgen::GeneratorConfig g;
+        g.min_apps = g.max_apps = apps;
+        g.set_choices = {sets};
+        g.way_choices = {ways};
+        g.branchy_chance = 0.5;
+        const core::SystemModel model = testgen::generate_system(g, seed++).model;
+        for (const core::Application& a : model.apps) {
+          cache::StructuredProgram p = a.analysis_program();
+          const std::uint64_t fetches = p.root.max_path_accesses();
+          if (fetches <= most) continue;
+          most = fetches;
+          largest[0] = std::move(p);
+          cfg = model.cache_config;
+        }
+      }
+    }
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache::analyze_set_steady(largest, cfg));
+  }
+}
+BENCHMARK(BM_AppSteady);
 
 // ---------------------------------------------------------- design kernels
 // The controller-design hot path (ISSUE 3): everything design_controller

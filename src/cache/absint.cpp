@@ -405,32 +405,6 @@ void AbstractCacheState::age_set(std::size_t set_index, std::uint32_t amount) {
   commit_set(set_index, static_cast<std::size_t>(out - first), std::nullopt);
 }
 
-AbstractCacheState AbstractCacheState::slice_set(std::size_t set_index) const {
-  if (set_index >= sets_) {
-    throw std::out_of_range("AbstractCacheState::slice_set: set out of range");
-  }
-  return AbstractCacheState(*this, set_index);
-}
-
-AbstractCacheState::AbstractCacheState(const AbstractCacheState& whole,
-                                       std::size_t set_index)
-    : config_(whole.config_),
-      kind_(whole.kind_),
-      sets_(1),
-      ways_(whole.ways_),
-      pow2_sets_(true),
-      blocks_(1),
-      header_bytes_(header_bytes_for(1)) {
-  // A one-set cache of the same ways is valid whenever the whole one is.
-  config_.num_lines = ways_;
-  config_.associativity = ways_;
-  const std::span<const LineAge> set = whole.set_entries(set_index);
-  reserve_entries(set.size());
-  std::copy(set.begin(), set.end(), entries());
-  size_ = static_cast<std::uint32_t>(set.size());
-  rebuild_offsets();
-}
-
 void AbstractCacheState::clear() noexcept {
   size_ = 0;
   std::memset(buf_, 0, header_bytes_);
@@ -489,10 +463,6 @@ Classification CachePair::classify_and_access(std::uint64_t line) {
   const Classification c = classify(line);
   access(line);
   return c;
-}
-
-CachePair CachePair::slice_set(std::size_t set_index) const {
-  return CachePair(*this, set_index);
 }
 
 void CachePair::reset_persistence() { persistence_.clear(); }

@@ -78,8 +78,8 @@ struct LineAge {
 /// make at most one insert or erase; join() is one linear merge (in place,
 /// from the back, for the persistence union) plus one offset rebuild.
 /// A state whose offsets and entries fit in a small inline buffer (a
-/// one-set state of a few lines, as the per-set parts of cache/
-/// schedule_wcet walk) lives there and never touches the heap; a larger
+/// one-set state of a few lines, as the one-set walks of cache/set_steady
+/// and cache/schedule_wcet use) lives there and never touches the heap; a larger
 /// one makes a single allocation. Copy, ==, hash and destruction cost what
 /// the state tracks plus its offsets, not one container per cache set —
 /// most sets of a large cache are empty.
@@ -145,14 +145,6 @@ public:
             entries() + begin_of(set_index + 1)};
   }
 
-  /// Set \p set_index alone, as a state of a one-set cache with the same
-  /// ways and cycle costs. Both domains' access, join and age_set act on
-  /// each set independently, so analyzing the program's lines of that set,
-  /// in order, from the slice tracks the set exactly as the whole analysis
-  /// does.
-  /// \throws std::out_of_range if set_index is not a valid set.
-  AbstractCacheState slice_set(std::size_t set_index) const;
-
   /// Number of tracked lines over all sets.
   std::size_t tracked_lines() const noexcept { return size_; }
 
@@ -213,9 +205,6 @@ private:
     return header_bytes_ + std::size_t{size_} * sizeof(LineAge);
   }
   bool is_inline() const noexcept { return buf_ == inline_; }
-
-  /// The one-set state slice_set returns.
-  AbstractCacheState(const AbstractCacheState& whole, std::size_t set_index);
 
   /// Bytes of the offsets of a \p sets-set state, padded for the entries.
   static std::size_t header_bytes_for(std::size_t sets) noexcept;
@@ -308,10 +297,6 @@ public:
     must_.age_set(set_index, amount);
   }
 
-  /// Both states' slices of one set (AbstractCacheState::slice_set).
-  /// \throws std::out_of_range if set_index is not a valid set.
-  CachePair slice_set(std::size_t set_index) const;
-
   /// Drop the whole persistence state back to "nothing accessed yet":
   /// analyze_static_wcet calls this on its entry state so first-miss
   /// guarantees are established per run — true for any concrete entry
@@ -331,11 +316,6 @@ public:
   bool operator==(const CachePair& other) const = default;
 
 private:
-  /// slice_set: both slices built in place.
-  CachePair(const CachePair& whole, std::size_t set_index)
-      : must_(whole.must_.slice_set(set_index)),
-        persistence_(whole.persistence_.slice_set(set_index)) {}
-
   AbstractCacheState must_;
   AbstractCacheState persistence_;
 };

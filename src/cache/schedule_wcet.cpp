@@ -32,221 +32,6 @@ void collect_lines(const Stmt& stmt, CacheFootprint& out,
   for (const Stmt& child : stmt.children) collect_lines(child, out, config);
 }
 
-/// The subtrees of a statement that fetch a line of a slot's set, for
-/// every slot it touches, ascending by slot.
-using Pruned = std::vector<std::pair<std::uint32_t, Stmt>>;
-
-/// Splits a program by contested set (`slot_of` maps a set to its slot, or
-/// to -1 for a set that is not contested): each slot's pruned program and
-/// support.
-class SetSplitter {
-public:
-  SetSplitter(const std::vector<std::int32_t>& slot_of, std::size_t slots,
-              const CacheConfig& config)
-      : slot_of_(slot_of), config_(config), count_(slots, 0), pos_(slots, 0) {}
-
-  /// One pass over the tree: for every slot whose set \p stmt fetches a
-  /// line of, \p stmt pruned to the subtrees that do, each block
-  /// restricted to the set's lines in fetch order. A pruned-away subtree
-  /// leaves the set's state unchanged and adds nothing to its leaves, and
-  /// a seq of one child is that child, so the pruned walk's leaves are the
-  /// whole walk's leaves that fetch a line of the set, in order.
-  Pruned prune(const Stmt& stmt) {
-    Pruned out;
-    switch (stmt.kind) {
-      case Stmt::Kind::block:
-        for (const std::uint64_t line : stmt.lines) {
-          if (const std::int32_t slot = slot_of_[config_.set_of(line)];
-              slot >= 0) {
-            touch(static_cast<std::uint32_t>(slot));
-          }
-        }
-        open(out, [](Stmt& b, std::uint32_t n) { b.lines.reserve(n); });
-        for (const std::uint64_t line : stmt.lines) {
-          if (const std::int32_t slot = slot_of_[config_.set_of(line)];
-              slot >= 0) {
-            out[pos_[static_cast<std::size_t>(slot)]].second.lines.push_back(
-                line);
-          }
-        }
-        return out;
-      case Stmt::Kind::seq: {
-        std::vector<Pruned> kids;
-        kids.reserve(stmt.children.size());
-        for (const Stmt& child : stmt.children) kids.push_back(prune(child));
-        for (const Pruned& kid : kids) {
-          for (const auto& p : kid) touch(p.first);
-        }
-        // A slot one child touches takes that child itself, the others a
-        // seq of their children in program order.
-        std::vector<bool> single;
-        open(out, [&](Stmt& b, std::uint32_t n) {
-          single.push_back(n == 1);
-          if (n == 1) return;
-          b.kind = Stmt::Kind::seq;
-          b.children.reserve(n);
-        });
-        for (Pruned& kid : kids) {
-          for (auto& [slot, sub] : kid) {
-            const std::uint32_t i = pos_[slot];
-            if (single[i]) {
-              out[i].second = std::move(sub);
-            } else {
-              out[i].second.children.push_back(std::move(sub));
-            }
-          }
-        }
-        return out;
-      }
-      case Stmt::Kind::branch: {
-        Pruned then_arm = prune(stmt.children[0]);
-        Pruned else_arm = prune(stmt.children[1]);
-        auto t = then_arm.begin();
-        auto e = else_arm.begin();
-        while (t != then_arm.end() || e != else_arm.end()) {
-          // An arm that fetches nothing of the set is an empty seq.
-          if (e == else_arm.end() ||
-              (t != then_arm.end() && t->first < e->first)) {
-            out.emplace_back(t->first, Stmt::branch(std::move(t->second),
-                                                    Stmt::seq({})));
-            ++t;
-          } else if (t == then_arm.end() || e->first < t->first) {
-            out.emplace_back(e->first, Stmt::branch(Stmt::seq({}),
-                                                    std::move(e->second)));
-            ++e;
-          } else {
-            out.emplace_back(t->first, Stmt::branch(std::move(t->second),
-                                                    std::move(e->second)));
-            ++t;
-            ++e;
-          }
-        }
-        return out;
-      }
-      case Stmt::Kind::loop:
-        out = prune(stmt.children[0]);
-        for (auto& p : out) {
-          p.second = Stmt::loop(std::move(p.second), stmt.bound);
-        }
-        return out;
-    }
-    return out;
-  }
-
-  /// One walk of the whole tree's leaf order (analyze_static_wcet's): the
-  /// (slot, leaf) pairs of every leaf and every slot whose set its block
-  /// fetches a line of, in leaf order.
-  void enumerate_support(
-      const Stmt& stmt, std::uint32_t& leaf,
-      std::vector<std::pair<std::uint32_t, std::uint32_t>>& out) {
-    switch (stmt.kind) {
-      case Stmt::Kind::block:
-        for (const std::uint64_t line : stmt.lines) {
-          if (const std::int32_t slot = slot_of_[config_.set_of(line)];
-              slot >= 0) {
-            touch(static_cast<std::uint32_t>(slot));
-          }
-        }
-        for (const std::uint32_t slot : touched_) {
-          out.emplace_back(slot, leaf);
-          count_[slot] = 0;
-        }
-        touched_.clear();
-        ++leaf;
-        return;
-      case Stmt::Kind::seq:
-      case Stmt::Kind::branch:
-        for (const Stmt& child : stmt.children) {
-          enumerate_support(child, leaf, out);
-        }
-        return;
-      case Stmt::Kind::loop:
-        enumerate_support(stmt.children[0], leaf, out);
-        if (stmt.bound > 1) enumerate_support(stmt.children[0], leaf, out);
-        return;
-    }
-  }
-
-private:
-  void touch(std::uint32_t slot) {
-    if (count_[slot]++ == 0) touched_.push_back(slot);
-  }
-
-  /// One entry of \p out per touched slot, ascending, each made by
-  /// \p init(stmt, touch count); pos_ maps a slot to its entry. Clears the
-  /// counts.
-  template <typename Init>
-  void open(Pruned& out, Init init) {
-    std::sort(touched_.begin(), touched_.end());
-    out.reserve(touched_.size());
-    for (const std::uint32_t slot : touched_) {
-      pos_[slot] = static_cast<std::uint32_t>(out.size());
-      out.emplace_back(slot, Stmt{});
-      init(out.back().second, count_[slot]);
-      count_[slot] = 0;
-    }
-    touched_.clear();
-  }
-
-  const std::vector<std::int32_t>& slot_of_;
-  const CacheConfig& config_;
-  std::vector<std::uint32_t> count_;  ///< per slot; 0 between uses
-  std::vector<std::uint32_t> pos_;    ///< per slot: its entry in `out`
-  std::vector<std::uint32_t> touched_;
-};
-
-void append_word(std::string& out, std::uint32_t word) {
-  char bytes[sizeof word];
-  std::memcpy(bytes, &word, sizeof word);
-  out.append(bytes, sizeof word);
-}
-
-/// The id of \p line: its index in \p ids, appended if new.
-std::uint32_t rename(std::vector<std::uint64_t>& ids, std::uint64_t line) {
-  const auto it = std::find(ids.begin(), ids.end(), line);
-  if (it != ids.end()) return static_cast<std::uint32_t>(it - ids.begin());
-  ids.push_back(line);
-  return static_cast<std::uint32_t>(ids.size() - 1);
-}
-
-/// Appends \p stmt's shape to \p out: every node's kind, each loop's
-/// bound, each seq's or branch's child count and each block's lines
-/// renamed by \p ids, in walk order.
-void append_shape(const Stmt& stmt, std::vector<std::uint64_t>& ids,
-                  std::string& out) {
-  append_word(out, static_cast<std::uint32_t>(stmt.kind));
-  switch (stmt.kind) {
-    case Stmt::Kind::block:
-      append_word(out, static_cast<std::uint32_t>(stmt.lines.size()));
-      for (const std::uint64_t line : stmt.lines) {
-        append_word(out, rename(ids, line));
-      }
-      return;
-    case Stmt::Kind::loop:
-      append_word(out, static_cast<std::uint32_t>(stmt.bound));
-      append_shape(stmt.children[0], ids, out);
-      return;
-    case Stmt::Kind::seq:
-    case Stmt::Kind::branch:
-      append_word(out, static_cast<std::uint32_t>(stmt.children.size()));
-      for (const Stmt& child : stmt.children) append_shape(child, ids, out);
-      return;
-  }
-}
-
-/// The leaves of a set's pruned program analyzed under a one-set cache from
-/// that set of \p generic_exit aged by \p amount: the set's part of every
-/// leaf on its support, from the correspondingly aged entry.
-void set_leaves(const CachePair& generic_exit, std::uint32_t set,
-                const StructuredProgram& pruned, std::uint32_t amount,
-                std::vector<PassCounts>& leaves) {
-  CachePair entry = generic_exit.slice_set(set);
-  entry.age_interference_set(0, amount);
-  leaves.clear();
-  const CacheConfig config = entry.config();
-  analyze_static_wcet(pruned, config, std::move(entry), nullptr, &leaves);
-}
-
 }  // namespace
 
 CacheFootprint compute_footprint(const Stmt& root, const CacheConfig& config) {
@@ -290,30 +75,27 @@ ScheduleWcetAnalyzer::ScheduleWcetAnalyzer(
     throw std::invalid_argument(
         "ScheduleWcetAnalyzer: more than 64 apps cannot be mask-encoded");
   }
+  std::vector<SetSteady> steady = analyze_set_steady(programs, config_);
   apps_.reserve(programs.size());
-  for (StructuredProgram& p : programs) {
+  for (std::size_t i = 0; i < programs.size(); ++i) {
     auto st = std::make_unique<AppState>();
-    st->program = std::move(p);
-    st->steady = analyze_static_steady_wcet(st->program, config_, &st->memo);
-    st->footprint = compute_footprint(st->program.root, config_);
+    st->program = std::move(programs[i]);
+    st->steady = std::move(steady[i]);
     apps_.push_back(std::move(st));
   }
 }
 
-const StaticSteadyWcet& ScheduleWcetAnalyzer::base(std::size_t app) const {
-  return apps_.at(app)->steady;
-}
-
-const CacheFootprint& ScheduleWcetAnalyzer::footprint(std::size_t app) const {
-  return apps_.at(app)->footprint;
+const SteadyPair& ScheduleWcetAnalyzer::base(std::size_t app) const {
+  return apps_.at(app)->steady.pair();
 }
 
 std::vector<sched::AppWcet> ScheduleWcetAnalyzer::app_wcets() const {
   std::vector<sched::AppWcet> out;
   out.reserve(apps_.size());
   for (const auto& st : apps_) {
-    out.push_back(sched::AppWcet{st->steady.cold.wcet_seconds(config_),
-                                 st->steady.warm.wcet_seconds(config_)});
+    const SteadyPair& pair = st->steady.pair();
+    out.push_back(sched::AppWcet{pair.cold.wcet_seconds(config_),
+                                 pair.warm.wcet_seconds(config_)});
   }
   return out;
 }
@@ -390,29 +172,37 @@ void ScheduleWcetAnalyzer::build_shares_locked(std::size_t app,
   std::vector<Found> found;
   std::vector<Interferer> in;
   std::vector<std::uint64_t> lines;
-  const AbstractCacheState& must = st.steady.generic_exit.must();
+  const SetSteady& steady = st.steady;
   const auto ways = static_cast<std::uint32_t>(config_.ways());
-  for (std::size_t s = 0; s < config_.num_sets(); ++s) {
-    const std::span<const LineAge> entries = must.set_entries(s);
+  // Only a set the program fetches a line of can be live.
+  for (const SetSteady::Set& set : steady.sets()) {
+    const std::span<const LineAge> entries =
+        steady.shapes()[set.shape].exit.must().set_entries(0);
     if (entries.empty()) continue;
+    const std::size_t s = set.set;
     Found f;
     f.set.first = static_cast<std::uint32_t>(in.size());
     for (std::size_t j = 0; j < apps_.size(); ++j) {
       if (j == app) continue;
-      const std::vector<std::uint64_t>& lines_j =
-          apps_[j]->footprint.lines_per_set[s];
-      if (lines_j.empty()) continue;
-      in.push_back(Interferer{static_cast<std::uint32_t>(j),
-                              static_cast<std::uint32_t>(lines_j.size()),
-                              lines_j.data()});
+      // App j's footprint in the set, if it fetches a line of it.
+      const SetSteady& other = apps_[j]->steady;
+      const auto it = std::lower_bound(
+          other.sets().begin(), other.sets().end(), s,
+          [](const SetSteady::Set& x, std::size_t set) { return x.set < set; });
+      if (it == other.sets().end() || it->set != s) continue;
+      in.push_back(Interferer{static_cast<std::uint32_t>(j), it->lines_size,
+                              other.lines().data() + it->lines_begin});
       f.touch |= std::uint64_t{1} << j;
     }
     f.set.last = static_cast<std::uint32_t>(in.size());
     if (f.set.first == f.set.last) continue;
     std::uint32_t youngest = ways;
     for (const LineAge& e : entries) youngest = std::min(youngest, e.age);
-    f.set.set = static_cast<std::uint32_t>(s);
+    f.set.set = set.set;
     f.set.cap = ways - youngest;
+    f.set.support_begin = set.support_begin;
+    f.set.support_size = set.support_size;
+    f.set.shape = set.shape;
     if (f.set.last - f.set.first > 1) {
       lines.clear();
       for (std::uint32_t k = f.set.first; k < f.set.last; ++k) {
@@ -461,55 +251,8 @@ void ScheduleWcetAnalyzer::build_shares_locked(std::size_t app,
     c.last = static_cast<std::uint32_t>(sh.interferers.size());
     sh.contested.push_back(c);
   }
-  analyze_static_wcet(st.program, config_, st.steady.generic_exit, &st.memo,
-                      &sh.base);
-  std::vector<std::int32_t> slot_of(config_.num_sets(), -1);
-  for (std::size_t i = 0; i < sh.contested.size(); ++i) {
-    slot_of[sh.contested[i].set] = static_cast<std::int32_t>(i);
-  }
-  SetSplitter splitter(slot_of, sh.contested.size(), config_);
-  // The supports, grouped by slot with a counting sort (stable: each stays
-  // in leaf order).
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
-  std::uint32_t leaf = 0;
-  splitter.enumerate_support(st.program.root, leaf, pairs);
-  std::vector<std::uint32_t> begin(sh.contested.size() + 1, 0);
-  for (const auto& p : pairs) ++begin[p.first + 1];
-  for (std::size_t i = 0; i < sh.contested.size(); ++i) {
-    begin[i + 1] += begin[i];
-  }
-  sh.support.resize(pairs.size());
-  std::vector<std::uint32_t> next(begin.begin(), begin.end() - 1);
-  for (const auto& [slot, l] : pairs) sh.support[next[slot]++] = l;
-  sh.programs.resize(sh.contested.size());
-  for (auto& [slot, pruned] : splitter.prune(st.program.root)) {
-    sh.programs[slot].root = std::move(pruned);
-  }
-  std::unordered_map<std::string, std::uint32_t> shapes;
-  std::vector<std::uint64_t> ids;
-  std::string shape;
-  for (std::size_t i = 0; i < sh.contested.size(); ++i) {
-    Contested& c = sh.contested[i];
-    c.support_begin = begin[i];
-    c.support_size = begin[i + 1] - begin[i];
-    c.parts_begin = static_cast<std::uint32_t>(sh.part_at.size());
-    sh.part_at.resize(sh.part_at.size() + c.cap + 1, kUnset);
-    ids.clear();
-    shape.clear();
-    append_shape(sh.programs[i].root, ids, shape);
-    c.shape = shapes
-                  .try_emplace(shape,
-                               static_cast<std::uint32_t>(shapes.size()))
-                  .first->second;
-    c.must_begin = static_cast<std::uint32_t>(sh.must.size());
-    for (const LineAge& e : must.set_entries(c.set)) {
-      sh.must.push_back(LineAge{rename(ids, e.line), e.age});
-    }
-    c.must_size = static_cast<std::uint32_t>(sh.must.size()) - c.must_begin;
-    std::sort(
-        sh.must.begin() + c.must_begin, sh.must.end(),
-        [](const LineAge& a, const LineAge& b) { return a.line < b.line; });
-  }
+  steady.exit_leaves(sh.base);
+  sh.part_at.assign(steady.shapes().size() * (std::size_t{ways} + 1), kUnset);
   st.shares = std::move(shares);
 }
 
@@ -517,43 +260,26 @@ std::uint32_t ScheduleWcetAnalyzer::change_locked(AppState& st, std::size_t i,
                                                   std::uint32_t amount) const {
   SetShares& sh = *st.shares;
   const Contested& c = sh.contested[i];
-  const auto walk = [&](std::uint32_t a) {
-    set_leaves(st.steady.generic_exit, c.set, sh.programs[i], a, st.part);
-    if (st.part.size() != c.support_size) {
-      throw std::logic_error(
-          "ScheduleWcetAnalyzer: a set's part left its support");
-    }
-  };
-  // part(a)'s leaves in `walked`: walked once per renamed shape and aged
-  // must entries.
-  const auto part = [&](std::uint32_t a) {
-    const auto ways = static_cast<std::uint32_t>(config_.ways());
-    st.walk_key.clear();
-    append_word(st.walk_key, c.shape);
-    for (std::uint32_t k = 0; k < c.must_size; ++k) {
-      const LineAge& e = sh.must[c.must_begin + k];
-      if (e.age + a >= ways) continue;  // evicted by the aging
-      append_word(st.walk_key, static_cast<std::uint32_t>(e.line));
-      append_word(st.walk_key, e.age + a);
-    }
-    const auto [it, fresh] = sh.walks.try_emplace(
-        st.walk_key, static_cast<std::uint32_t>(sh.walked.size()));
-    if (fresh) {
-      walk(a);
-      sh.walked.insert(sh.walked.end(), st.part.begin(), st.part.end());
-    }
-    return it->second;
-  };
-  std::uint32_t* const slots = sh.part_at.data() + c.parts_begin;
-  if (slots[0] == kUnset) slots[0] = part(0);
-  const std::uint32_t aged = part(amount);
-  slots[amount] = static_cast<std::uint32_t>(sh.parts.size());
+  const SetSteady::Shape& shape = st.steady.shapes()[c.shape];
+  // part(amount): the shape walked from its generic exit aged by amount.
+  CachePair entry = shape.exit;
+  entry.age_interference_set(0, amount);
+  st.part.clear();
+  const CacheConfig one = entry.config();
+  analyze_static_wcet(shape.tree, one, std::move(entry), nullptr, &st.part);
+  if (st.part.size() != c.support_size) {
+    throw std::logic_error(
+        "ScheduleWcetAnalyzer: a set's part left its support");
+  }
+  const auto at = static_cast<std::uint32_t>(sh.parts.size());
+  sh.part_at[c.shape * (config_.ways() + 1) + amount] = at;
+  const PassCounts* const zero = st.steady.walked().data() + shape.from_exit;
   for (std::size_t j = 0; j < c.support_size; ++j) {
-    PassCounts change = sh.walked[aged + j];
-    change -= sh.walked[slots[0] + j];
+    PassCounts change = st.part[j];
+    change -= zero[j];
     sh.parts.push_back(change);
   }
-  return slots[amount];
+  return at;
 }
 
 StaticWcetCounts ScheduleWcetAnalyzer::sum_of_parts_locked(
@@ -566,10 +292,11 @@ StaticWcetCounts ScheduleWcetAnalyzer::sum_of_parts_locked(
     const std::uint32_t amount = st.amounts[i];
     if (amount == 0) return;
     const Contested& c = sh.contested[i];
-    std::uint32_t at = sh.part_at[c.parts_begin + amount];
+    std::uint32_t at = sh.part_at[c.shape * (config_.ways() + 1) + amount];
     if (at == kUnset) at = change_locked(st, i, amount);
     const PassCounts* const change = sh.parts.data() + at;
-    const std::uint32_t* const support = sh.support.data() + c.support_begin;
+    const std::uint32_t* const support =
+        st.steady.support().data() + c.support_begin;
     for (std::size_t j = 0; j < c.support_size; ++j) {
       st.leaves[support[j]] += change[j];
     }
@@ -591,9 +318,10 @@ const ContextWcet& ScheduleWcetAnalyzer::compute_context_locked(
     out.seconds = static_cast<double>(out.cycles) * config_.cycle_seconds();
     return *st.contexts.emplace(mask, &out).first->second;
   };
+  const SteadyPair& pair = st.steady.pair();
   if (mask == 0) {
-    st.warm.analysis = st.steady.warm;
-    st.warm.cycles = st.steady.warm.wcet_cycles;
+    st.warm.analysis = pair.warm;
+    st.warm.cycles = pair.warm.wcet_cycles;
     st.warm.naturally_ordered = true;
     return publish(st.warm);
   }
@@ -605,8 +333,8 @@ const ContextWcet& ScheduleWcetAnalyzer::compute_context_locked(
   ContextWcet out;
   out.analysis = sum_of_parts_locked(st, mask);
   const std::uint64_t raw = out.analysis.wcet_cycles;
-  const std::uint64_t warm = st.steady.warm.wcet_cycles;
-  const std::uint64_t cold = st.steady.cold.wcet_cycles;
+  const std::uint64_t warm = pair.warm.wcet_cycles;
+  const std::uint64_t cold = pair.cold.wcet_cycles;
   out.naturally_ordered = raw >= warm && raw <= cold;
   out.cycles = std::min(std::max(raw, warm), cold);
   ++reanalyses_;

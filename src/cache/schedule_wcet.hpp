@@ -8,9 +8,9 @@
 ///        the cold bound; real schedules live strictly in between.
 ///
 /// Derivation per (app, interference mask):
-///   1. take the app's generic exit state (cache/static_wcet's
-///      StaticSteadyWcet: the join over every per-run exit — sound for a
-///      burst of any length);
+///   1. take the app's generic exit state (the join over every per-run
+///      exit of its steady chain — sound for a burst of any length; the
+///      analyzer holds it set by set, see cache/set_steady);
 ///   2. age its must state through the interfering programs' union cache
 ///      footprint (per set, `d` distinct conflicting lines age a surviving
 ///      LRU line by at most `d` — the CRPD evicting-cache-block
@@ -40,35 +40,30 @@
 /// for each group of sets the same apps touch; only a set where a line is
 /// shared merges the interferers' sorted lines.
 ///
-/// Sum of parts. Both abstract domains work per set (access, join and
-/// age_set each touch one set), and a loop fixpoint restricted to one set
-/// is that set's own fixpoint. So every block instance the walk counts (a
-/// "leaf", see analyze_static_wcet) is the sum over sets of the same
-/// leaf in the walk of the program restricted to each set, in every
-/// column. Only the composition above the leaves does not split: a branch
-/// takes each column's maximum over its arms. A class is
+/// Sum of parts. Every block instance the walk counts (a "leaf", see
+/// analyze_static_wcet) is, in every column, the sum over sets of the
+/// same leaf in the walk of the program pruned to each set (see
+/// cache/set_steady). Only the composition above the leaves does not
+/// split: a branch takes each column's maximum over its arms. A class is
 ///   fold(base + Σ_{contested s, a_s > 0} (part_s(a_s) − part_s(0)))
 /// leaf by leaf, where fold_leaves composes the leaves with the walk's
-/// own timing schema and wcet = min(cycles + penalty, am_only). `base` is
-/// the whole program's leaves from the unaged generic exit, and part_s(a)
-/// set s's share of each leaf under a one-set cache from that set of the
-/// generic exit aged by a. A leaf whose block fetches no line of s has no
-/// share of it, so part_s lives on the "support", the leaves whose block
-/// does, which one walk of the whole tree's leaf order lists for every
-/// set. part_s(a) itself is the walk of the tree pruned to the subtrees
-/// that fetch a line of s (each block cut to those lines, a seq of one
-/// child replaced by the child, a branch arm with none an empty seq):
-/// what is pruned leaves the set's state unchanged, so the pruned walk's
-/// leaves are exactly the support's, in order. Each part is computed once
-/// — at most ways + 1 per contested set — and kept as its change on the
-/// support. Both domains compare lines only for identity, so two sets
-/// whose pruned trees and aged must entries agree once their lines are
-/// renamed in order of first use share one walk; most sets of a program
-/// look alike, so few parts walk at all. The one-set states of a walk sit
-/// in AbstractCacheState's inline buffer: it does not touch the heap. The
-/// contested sets, pruned trees, supports and `base` are built on the
-/// app's first non-zero mask, a set's parts on its first non-zero amount:
-/// an app the search only ever asks for warm costs nothing extra.
+/// own timing schema and wcet = min(cycles + penalty, am_only). part_s(a)
+/// is the walk of set s's pruned tree under a one-set cache from the
+/// set's generic exit aged by a; it lives on the set's "support", the
+/// leaves whose block fetches a line of s. `base` is the whole program's
+/// leaves from the unaged generic exit: the sum of every touched set's
+/// part_s(0), which is the set's first warm pass whenever its generic
+/// exit's must state is its cold exit's. The constructor's
+/// analyze_set_steady gives all of it: the split by set, each set's
+/// renamed pruned tree ("shape"), support and generic exit, and the
+/// cold/warm pair. A set's generic exit is a function of its shape, so
+/// each shape's part at each amount is walked once — at most ways + 1 —
+/// and kept as its change on the support; most sets of a program look
+/// alike, so few parts walk at all. The one-set states of a walk sit in
+/// AbstractCacheState's inline buffer: it does not touch the heap. The
+/// contested sets and `base` are built on the app's first non-zero mask,
+/// a shape's parts on its first non-zero amount: an app the search only
+/// ever asks for warm costs nothing beyond its pair.
 ///
 /// Soundness contract (gtest-enforced, randomized + differential):
 ///   warm <= context(mask) <= cold for every mask, and no concrete CacheSim
@@ -83,6 +78,7 @@
 #include <utility>
 #include <vector>
 
+#include "cache/set_steady.hpp"
 #include "cache/static_wcet.hpp"
 #include "cache/structure.hpp"
 #include "sched/timing.hpp"
@@ -148,10 +144,8 @@ public:
   std::size_t num_apps() const noexcept { return apps_.size(); }
   const CacheConfig& config() const noexcept { return config_; }
 
-  /// Cold/steady-warm analysis of one app (mask-independent base).
-  const StaticSteadyWcet& base(std::size_t app) const;
-  /// Union footprint the app inflicts on others.
-  const CacheFootprint& footprint(std::size_t app) const;
+  /// Cold/steady-warm pair of one app (mask-independent base).
+  const SteadyPair& base(std::size_t app) const;
 
   /// Scheduler-facing cold/warm pairs (seconds), ordered like the apps.
   std::vector<sched::AppWcet> app_wcets() const;
@@ -205,21 +199,13 @@ private:
     /// SetShares::interferers[first, last), merged per mask.
     std::uint32_t first = 0;
     std::uint32_t last = 0;
-    /// The support: SetShares::support[support_begin, + support_size), the
+    /// The support: SetSteady::support()[support_begin, + support_size), the
     /// leaves whose block fetches a line of this set, ascending; every
     /// other leaf of the whole walk has no share of the set.
     std::uint32_t support_begin = 0;
     std::uint32_t support_size = 0;
-    /// SetShares::part_at[parts_begin, + cap + 1): slot 0 locates part(0)
-    /// on the support in SetShares::walked, slot a the change
-    /// part(a) - part(0) in SetShares::parts; kUnset until first used.
-    std::uint32_t parts_begin = 0;
-    /// The pruned tree's shape (equal ids for equal shapes) and the set's
-    /// must entries in the generic exit, SetShares::must[must_begin,
-    /// + must_size), both with lines renamed (see SetShares::walks).
+    /// The set's renamed pruned tree: SetSteady::shapes()[shape].
     std::uint32_t shape = 0;
-    std::uint32_t must_begin = 0;
-    std::uint32_t must_size = 0;
   };
   /// Contested sets where the same apps interfere and no line is shared:
   /// a mask's count in each is min(sum of the masked apps' sizes, cap).
@@ -234,7 +220,8 @@ private:
   };
 
   struct SetShares {
-    /// The program's leaves from the unaged generic exit.
+    /// The program's leaves from the unaged generic exit
+    /// (SetSteady::exit_leaves).
     std::vector<PassCounts> base;
     /// The groups' sets, group by group, then the sets where a line is
     /// shared (from `shared_begin` on).
@@ -243,29 +230,19 @@ private:
     std::vector<std::uint32_t> sizes;
     std::size_t shared_begin = 0;
     std::vector<Interferer> interferers;
-    /// Per contested set, the tree pruned to the subtrees that fetch a
-    /// line of the set, each block restricted to the set's lines: its
-    /// walk's leaves are the whole walk's leaves on the support, in order.
-    std::vector<StructuredProgram> programs;
-    std::vector<std::uint32_t> support;
+    /// part_at[shape * (ways + 1) + a]: where the change part(a) - part(0)
+    /// of that shape sits in `parts`, on its support; kUnset until first
+    /// used. A set's generic exit is a function of its renamed pruned
+    /// tree, so sets of one shape share every part.
     std::vector<std::uint32_t> part_at;
     std::vector<PassCounts> parts;
-    /// Both domains compare lines only for identity, so a part walk's
-    /// leaves depend on its pruned tree and aged must entries only up to
-    /// a renaming of the lines. Lines are renamed to their first use in
-    /// the tree, and `walks` maps a renamed (shape, aged must entries) to
-    /// its leaves in `walked`, so sets that look alike share one walk.
-    std::vector<LineAge> must;
-    std::unordered_map<std::string, std::uint32_t> walks;
-    std::vector<PassCounts> walked;
   };
   static constexpr std::uint32_t kUnset = UINT32_MAX;
 
   struct AppState {
     StructuredProgram program;
-    StaticSteadyWcet steady;
-    CacheFootprint footprint;
-    StaticAnalysisMemo memo;  ///< the steady passes' and the base's
+    /// The split by set, its one-set walks and the cold/warm pair.
+    SetSteady steady;
     /// The contested sets and the parts the classes are summed from;
     /// built on the first non-zero mask.
     std::unique_ptr<SetShares> shares;
@@ -274,29 +251,25 @@ private:
     /// Every computed mask, pointing at `warm` or into `classes`.
     std::unordered_map<std::uint64_t, const ContextWcet*> contexts;
     /// Scratch for the exclusive side: the capped counts per contested
-    /// set, their encoding, one part walk's key, one class' leaves and one
-    /// part's.
+    /// set, their encoding, one class' leaves and one part's.
     std::vector<std::uint32_t> amounts;
     EntryKey key;
-    std::string walk_key;
     std::vector<PassCounts> leaves;
     std::vector<PassCounts> part;
     /// Scratch: unmerged tails of the interferers' lines in one set.
     std::vector<std::pair<const std::uint64_t*, const std::uint64_t*>> heads;
-    /// Guards memo + shares + contexts + classes + scratch (shared =
-    /// lookup, exclusive = compute).
+    /// Guards shares + contexts + classes + scratch (shared = lookup,
+    /// exclusive = compute).
     mutable std::shared_mutex mu;
   };
 
   /// Fills st.amounts and st.key for \p mask (non-zero, canonical).
   void entry_key_locked(AppState& st, std::uint64_t mask) const;
   /// Fills st.shares: `base`, the contested sets with their groups or
-  /// interferers, pruned programs, supports, shapes and renamed must
-  /// entries, and no part yet.
+  /// interferers, supports and shapes, and no part yet.
   void build_shares_locked(std::size_t app, AppState& st) const;
   /// Computes contested set number \p i's change at aging \p amount
-  /// (>= 1) on its support, and part(0) first if need be; returns where it
-  /// sits in SetShares::parts.
+  /// (>= 1) on its support; returns where it sits in SetShares::parts.
   std::uint32_t change_locked(AppState& st, std::size_t i,
                               std::uint32_t amount) const;
   /// The class of st.amounts (those of \p mask): base plus the aged

@@ -28,13 +28,17 @@
 /// compositions — so the persistence-aware bound is never looser than the
 /// AM-only one, by construction.
 ///
-/// This is the one WCET analysis of the pipeline: every app's cold/warm
-/// pair (core::SystemModel::analyze_wcets) is analyze_static_steady_wcet on
-/// its core::Application::analysis_program(), a trace-only app being a
-/// single block. On a single path the analysis is exact, so there it
-/// equals the CacheSim replay of cache/wcet (the test reference). It bounds
-/// all paths, and its warm-entry mode certifies the paper's "guaranteed
-/// WCET reduction" E^gu (Sec. II-B) without replaying a single fetch.
+/// This is the one WCET analysis of the pipeline, which runs it one cache
+/// set at a time: every app's cold/warm pair (core::SystemModel::
+/// analyze_wcets, and the context analyzer's base) is cache/set_steady's
+/// walks of the app's core::Application::analysis_program() pruned to each
+/// set, folded back with fold_leaves, and equals
+/// analyze_static_steady_wcet on the whole program bit for bit in every
+/// column; a trace-only app is a single block. On a single path the
+/// analysis is exact, so there it equals the CacheSim replay of cache/wcet
+/// (the test reference). It bounds all paths, and its warm-entry mode
+/// certifies the paper's "guaranteed WCET reduction" E^gu (Sec. II-B)
+/// without replaying a single fetch.
 
 #include <cstdint>
 #include <optional>
@@ -100,10 +104,11 @@ struct PassCounts {
 /// happens on every stabilized fixpoint (the steady-state pass re-runs the
 /// final probe) and whenever warm-entry re-analysis revisits states the
 /// cold pass already saw — is computed once. One instance is bound to one
-/// StructuredProgram (keys hold statement addresses) and one CacheConfig:
-/// the per-(app, entry-state) reuse unit of an app's steady passes and of
-/// the reference re-analyses of its contexts. Not thread-safe; use one
-/// memo per analysis thread.
+/// StructuredProgram (keys hold statement addresses) and one CacheConfig.
+/// The pipeline's one-set walks take none; it serves the whole-program
+/// reference walks: the fuzz harness's steady walks and re-analyses of
+/// every context (testgen/invariants.cpp) and perfbench's traced replay.
+/// Not thread-safe; use one memo per analysis thread.
 class StaticAnalysisMemo {
 public:
   struct Stats {
@@ -209,7 +214,7 @@ StaticWcetResult analyze_static_wcet(
 /// the arm of more cycles (a tie goes to the then arm). Folding a walk's
 /// own leaves reproduces its counts; so does folding leaves summed column
 /// by column over per-set walks of the same tree shape, since every leaf
-/// is a sum over sets (cache/schedule_wcet).
+/// is a sum over sets (cache/set_steady).
 /// \throws std::invalid_argument if \p leaves does not hold exactly one
 ///         entry per counted block instance of \p root.
 StaticWcetCounts fold_leaves(const Stmt& root,

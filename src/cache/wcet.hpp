@@ -5,8 +5,8 @@
 ///        instruction-stream simulation.
 ///
 /// The pipeline's WCETs come from the static analysis
-/// (cache::analyze_static_steady_wcet on
-/// core::Application::analysis_program()). analyze_wcet is the reference
+/// (cache::analyze_set_steady on core::Application::analysis_program(),
+/// equal to cache::analyze_static_steady_wcet). analyze_wcet is the reference
 /// the tests and the fuzz harness hold it to: on a single trace the static
 /// analysis is exact, so the two agree bit for bit.
 

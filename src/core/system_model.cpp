@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "cache/schedule_wcet.hpp"
-#include "cache/static_wcet.hpp"
+#include "cache/set_steady.hpp"
 
 namespace catsched::core {
 
@@ -42,13 +42,15 @@ cache::StructuredProgram Application::analysis_program() const {
 }
 
 std::vector<sched::AppWcet> SystemModel::analyze_wcets() const {
+  std::vector<cache::StructuredProgram> programs;
+  programs.reserve(apps.size());
+  for (const Application& a : apps) programs.push_back(a.analysis_program());
   std::vector<sched::AppWcet> out;
   out.reserve(apps.size());
-  for (const Application& a : apps) {
-    const cache::StaticSteadyWcet w =
-        cache::analyze_static_steady_wcet(a.analysis_program(), cache_config);
-    out.push_back(sched::AppWcet{w.cold.wcet_seconds(cache_config),
-                                 w.warm.wcet_seconds(cache_config)});
+  for (const cache::SetSteady& s :
+       cache::analyze_set_steady(programs, cache_config)) {
+    out.push_back(sched::AppWcet{s.pair().cold.wcet_seconds(cache_config),
+                                 s.pair().warm.wcet_seconds(cache_config)});
   }
   return out;
 }

@@ -70,9 +70,10 @@ struct SystemModel {
   void validate() const;
 
   /// The cold and guaranteed-warm WCET of every application on the shared
-  /// cache: the static must/persistence analysis
-  /// (cache::analyze_static_steady_wcet) of each app's analysis_program(),
-  /// which bounds EVERY path of a structured app.
+  /// cache: the static must/persistence analysis of each app's
+  /// analysis_program(), which bounds EVERY path of a structured app, run
+  /// one cache set at a time (cache::analyze_set_steady; bit-identical to
+  /// cache::analyze_static_steady_wcet on the whole program).
   std::vector<sched::AppWcet> analyze_wcets() const;
 
   /// Build the schedule-dependent WCET engine for the shared cache: lazy,

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "cache/schedule_wcet.hpp"
+#include "cache/set_steady.hpp"
 #include "cache/wcet.hpp"
 #include "core/codesign.hpp"
 #include "core/interleaved_codesign.hpp"
@@ -172,10 +173,18 @@ InvariantReport check_invariants(const core::SystemModel& model,
   }
 
   // ---------------------- A2. first-miss (persistence) soundness surface
+  // The whole-program steady walks, the reference of the analyzer's
+  // per-set pairs; their generic exits feed the context reference below.
+  const std::vector<cache::SetSteady> split =
+      cache::analyze_set_steady(programs, model.cache_config);
+  std::vector<cache::CacheFootprint> footprints;
+  footprints.reserve(n);
+  std::vector<cache::CachePair> generic_exits;
+  generic_exits.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     // The first-miss bound is the minimum of its own composition and the
     // walk's AM-only column, so it can never exceed the latter.
-    const cache::StaticSteadyWcet& on = analyzer->base(i);
+    const cache::SteadyPair& on = analyzer->base(i);
     const bool ok = on.cold.wcet_cycles <= on.cold.am_only_cycles &&
                     on.warm.wcet_cycles <= on.warm.am_only_cycles;
     if (!fail.require(ok, "fm-le-am", loc(i, 0))) return rep;
@@ -187,17 +196,56 @@ InvariantReport check_invariants(const core::SystemModel& model,
       if (d > 0) ++rep.fm_tightened_apps;
       rep.fm_reduction_cycles += d;
     }
-    // Memo on/off bit identity: a memo-free re-analysis reproduces the
-    // analyzer's (memoized) base exactly.
+    // The analyzer's pair, folded from one-set walks, against the whole
+    // program's walk without and with the subtree memo: every column of
+    // both bounds; and the split's every set against the whole walk's
+    // generic exit and the program's footprint.
     const cache::StaticSteadyWcet fresh =
         cache::analyze_static_steady_wcet(programs[i], model.cache_config);
-    if (!fail.require(fresh.cold.wcet_cycles == on.cold.wcet_cycles &&
-                          fresh.warm.wcet_cycles == on.warm.wcet_cycles &&
-                          fresh.cold.am_only_cycles ==
-                              on.cold.am_only_cycles,
+    cache::StaticAnalysisMemo memo;
+    cache::StaticSteadyWcet memoized = cache::analyze_static_steady_wcet(
+        programs[i], model.cache_config, &memo);
+    const auto same = [](const cache::StaticWcetCounts& a,
+                         const cache::StaticWcetCounts& b) {
+      return a.wcet_cycles == b.wcet_cycles &&
+             a.am_only_cycles == b.am_only_cycles &&
+             a.fm_penalty_cycles == b.fm_penalty_cycles &&
+             a.always_hit == b.always_hit && a.first_miss == b.first_miss &&
+             a.not_classified == b.not_classified;
+    };
+    footprints.push_back(
+        cache::compute_footprint(programs[i].root, model.cache_config));
+    bool split_agrees = memoized.generic_exit == fresh.generic_exit;
+    const std::span<const cache::SetSteady::Set> sets = split[i].sets();
+    for (std::size_t s = 0, k = 0; s < model.cache_config.num_sets(); ++s) {
+      const auto whole = [&](const cache::AbstractCacheState& state) {
+        const std::span<const cache::LineAge> e = state.set_entries(s);
+        return std::vector<cache::LineAge>(e.begin(), e.end());
+      };
+      cache::SetSteady::SetExit set_exit;
+      std::vector<std::uint64_t> lines;
+      if (k < sets.size() && sets[k].set == s) {
+        const std::span<const std::uint64_t> in_set =
+            split[i].lines().subspan(sets[k].lines_begin, sets[k].lines_size);
+        lines.assign(in_set.begin(), in_set.end());
+        set_exit = split[i].set_exit(k++);
+      }
+      split_agrees = split_agrees &&
+                     whole(fresh.generic_exit.must()) == set_exit.must &&
+                     whole(fresh.generic_exit.persistence()) ==
+                         set_exit.persistence &&
+                     footprints.back().lines_per_set[s] == lines;
+    }
+    if (!fail.require(same(fresh.cold, on.cold) &&
+                          same(fresh.warm, on.warm) &&
+                          same(memoized.cold, on.cold) &&
+                          same(memoized.warm, on.warm) &&
+                          same(split[i].pair().cold, on.cold) &&
+                          same(split[i].pair().warm, on.warm) && split_agrees,
                       "fm-memo", loc(i, 0))) {
       return rep;
     }
+    generic_exits.push_back(std::move(memoized.generic_exit));
     // Sampled concrete paths of a structured program never exceed the
     // FM bound: cold runs against the cold bound, and any second run of
     // a back-to-back pair against the warm bound.
@@ -258,10 +306,10 @@ InvariantReport check_invariants(const core::SystemModel& model,
         cache::CacheFootprint interference;
         for (std::size_t a = 0; a < n; ++a) {
           if ((mask >> a) & 1u) {
-            cache::merge_footprint(interference, analyzer->footprint(a));
+            cache::merge_footprint(interference, footprints[a]);
           }
         }
-        cache::CachePair entry = analyzer->base(app).generic_exit;
+        cache::CachePair entry = generic_exits[app];
         cache::age_through_interference(entry, interference);
         const cache::StaticWcetResult ref = cache::analyze_static_wcet(
             programs[app], model.cache_config, entry, &reference_memo);

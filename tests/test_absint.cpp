@@ -590,7 +590,8 @@ INSTANTIATE_TEST_SUITE_P(
 // A state small enough lives in an inline buffer; one set holding more
 // tracked lines than that buffer fits moves the state to the heap. Every
 // transfer, copy, move and join across that boundary must still match the
-// reference, and a one-set slice of such a set must hold exactly its lines.
+// reference, and a one-set state fed such a set's lines must track the set
+// exactly as the whole state does.
 TEST(FlatStorage, SetBeyondInlineCapacityMatchesReference) {
   // One set of 4 ways: persistence never drops a line, so 24 distinct
   // lines overflow any inline capacity.
@@ -641,24 +642,26 @@ TEST(FlatStorage, SetBeyondInlineCapacityMatchesReference) {
   expect_equivalent(joined_back, joined_back_ref, max_line,
                     "heap joins inline");
 
-  // The same set inside a multi-set cache, sliced out: the slice holds
-  // exactly that set's lines and then tracks it as the whole state does.
+  // The same set inside a multi-set cache, walked alone: a one-set state
+  // of the same ways fed that set's lines holds exactly those lines and
+  // tracks the set as the whole state does (cache/set_steady's walks).
   const CacheConfig four = small_cache(8, 2);  // 4 sets x 2 ways
   AbstractCacheState whole(four, Kind::persistence);
+  AbstractCacheState one_set(small_cache(2, 2), Kind::persistence);
   for (std::uint64_t line = 1; line < 4 * max_line; line += 4) {
     whole.access(line);
+    one_set.access(line);
   }
-  AbstractCacheState slice = whole.slice_set(1);
-  ASSERT_EQ(slice.tracked_lines(), max_line);
+  ASSERT_EQ(one_set.tracked_lines(), max_line);
   const auto set_one = [](const AbstractCacheState& st, std::size_t set) {
     const auto entries = st.set_entries(set);
     return std::vector<LineAge>(entries.begin(), entries.end());
   };
-  EXPECT_EQ(set_one(slice, 0), set_one(whole, 1));
+  EXPECT_EQ(set_one(one_set, 0), set_one(whole, 1));
   for (const std::uint64_t line : {5u, 41u, 97u, 5u}) {
-    slice.access(line);
+    one_set.access(line);
     whole.access(line);
-    EXPECT_EQ(set_one(slice, 0), set_one(whole, 1)) << "line " << line;
+    EXPECT_EQ(set_one(one_set, 0), set_one(whole, 1)) << "line " << line;
   }
 }
 

@@ -21,13 +21,16 @@
 #include <iterator>
 #include <memory>
 #include <random>
+#include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cache/cache_model.hpp"
 #include "cache/program.hpp"
 #include "cache/schedule_wcet.hpp"
+#include "cache/set_steady.hpp"
 #include "cache/static_wcet.hpp"
 #include "cache/structure.hpp"
 #include "cache/wcet.hpp"
@@ -548,15 +551,21 @@ TEST(Analyzer, MemoHitDeterminismAcrossThreads) {
   }
 }
 
-/// Reference entry derivation: the generic exit aged through the merged
-/// footprint of every interfering app.
-cache::CachePair reference_entry(const cache::ScheduleWcetAnalyzer& an,
-                                 std::size_t app, std::uint64_t mask) {
+/// Reference entry derivation: the generic exit of the app's whole-program
+/// steady walk, \p generic_exit, aged through the merged footprint of every
+/// interfering program.
+cache::CachePair reference_entry(
+    const std::vector<cache::StructuredProgram>& programs,
+    const cache::CacheConfig& c, const cache::CachePair& generic_exit,
+    std::uint64_t mask) {
   cache::CacheFootprint interference;
-  for (std::size_t a = 0; a < an.num_apps(); ++a) {
-    if ((mask >> a) & 1u) cache::merge_footprint(interference, an.footprint(a));
+  for (std::size_t a = 0; a < programs.size(); ++a) {
+    if ((mask >> a) & 1u) {
+      cache::merge_footprint(interference,
+                             cache::compute_footprint(programs[a].root, c));
+    }
   }
-  cache::CachePair entry = an.base(app).generic_exit;
+  cache::CachePair entry = generic_exit;
   cache::age_through_interference(entry, interference);
   return entry;
 }
@@ -575,6 +584,9 @@ std::uint64_t check_classes_against_reference(
     const std::uint64_t warm = an.base(app).warm.wcet_cycles;
     const std::uint64_t cold = an.base(app).cold.wcet_cycles;
     cache::StaticAnalysisMemo memo;
+    const cache::CachePair generic_exit =
+        cache::analyze_static_steady_wcet(programs[app], c, &memo)
+            .generic_exit;
     std::vector<cache::CachePair> entries;
     std::vector<const cache::ContextWcet*> results;
     for (std::uint64_t mask = 1; mask < (std::uint64_t{1} << n); ++mask) {
@@ -582,7 +594,7 @@ std::uint64_t check_classes_against_reference(
       const std::string where = label + " app " + std::to_string(app) +
                                 " mask " + std::to_string(mask);
       const cache::ContextWcet& got = an.analyze_context(app, mask);
-      entries.push_back(reference_entry(an, app, mask));
+      entries.push_back(reference_entry(programs, c, generic_exit, mask));
       results.push_back(&got);
       ++nonzero;
       const cache::StaticWcetResult ref = cache::analyze_static_wcet(
@@ -733,6 +745,177 @@ std::vector<cache::StructuredProgram> branchy_programs(std::size_t sets,
   return programs;
 }
 
+/// Two apps on 4 sets x 4 ways whose sets stabilize after different
+/// numbers of warm passes. In set 0 of app 0 and set 2 of app 1 a line
+/// stays in the must state only once an entry already holds a younger one,
+/// so the second warm pass still gains an entry (K = 2); the other set of
+/// each app is steady after one pass (K = 1).
+std::vector<cache::StructuredProgram> two_pass_programs() {
+  using cache::Stmt;
+  std::vector<cache::StructuredProgram> programs(2);
+  // Set 0: lines 0, 4, 8, 12, 20; set 1: lines 1 and 5.
+  programs[0].root = Stmt::seq(
+      {Stmt::branch(Stmt::seq({Stmt::block({20, 12, 4, 1}),
+                               Stmt::block({20, 0})}),
+                    Stmt::seq({Stmt::block({0, 5}), Stmt::block({12, 8, 12})})),
+       Stmt::block({12, 4, 4, 1})});
+  // Set 2: lines 2, 6, 10, 14, 22; set 3: lines 3 and 7.
+  programs[1].root = Stmt::seq(
+      {Stmt::branch(
+           Stmt::seq({Stmt::block({22, 3}), Stmt::block({6, 10})}),
+           Stmt::seq({Stmt::block({14, 7}), Stmt::block({14, 22, 14})})),
+       Stmt::loop(Stmt::seq({Stmt::block({10, 14, 3}), Stmt::block({10})}),
+                  2)});
+  programs[0].name = programs[1].name = "two-pass-app";
+  return programs;
+}
+
+/// analyze_set_steady against the whole-program steady walk of every
+/// program: both bounds in every column, every set's generic exit (must
+/// and persistence) against that set of the whole generic exit (a set the
+/// program fetches nothing from is empty there), and every set's lines
+/// against the program's footprint. Returns, per program, the fewest and
+/// the most warm passes any of its sets took.
+std::vector<std::pair<std::uint32_t, std::uint32_t>> check_set_steady(
+    const std::vector<cache::StructuredProgram>& programs,
+    const cache::CacheConfig& c, const std::string& label) {
+  const std::vector<cache::SetSteady> split =
+      cache::analyze_set_steady(programs, c);
+  EXPECT_EQ(split.size(), programs.size()) << label;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> passes;
+  for (std::size_t app = 0; app < programs.size(); ++app) {
+    const std::string where = label + " app " + std::to_string(app);
+    const cache::StaticSteadyWcet whole =
+        cache::analyze_static_steady_wcet(programs[app], c);
+    const cache::SteadyPair& pair = split[app].pair();
+    const auto same = [&](const cache::StaticWcetCounts& got,
+                          const cache::StaticWcetCounts& want,
+                          const std::string& which) {
+      EXPECT_EQ(got.wcet_cycles, want.wcet_cycles) << where << which;
+      EXPECT_EQ(got.am_only_cycles, want.am_only_cycles) << where << which;
+      EXPECT_EQ(got.fm_penalty_cycles, want.fm_penalty_cycles)
+          << where << which;
+      EXPECT_EQ(got.always_hit, want.always_hit) << where << which;
+      EXPECT_EQ(got.first_miss, want.first_miss) << where << which;
+      EXPECT_EQ(got.not_classified, want.not_classified) << where << which;
+    };
+    same(pair.cold, whole.cold, " cold");
+    same(pair.warm, whole.warm, " warm");
+    const cache::CacheFootprint footprint =
+        cache::compute_footprint(programs[app].root, c);
+    const std::span<const cache::SetSteady::Set> sets = split[app].sets();
+    std::uint32_t fewest = UINT32_MAX;
+    std::uint32_t most = 0;
+    for (std::size_t s = 0, k = 0; s < c.num_sets(); ++s) {
+      const auto entries = [s](const cache::AbstractCacheState& state) {
+        const std::span<const cache::LineAge> e = state.set_entries(s);
+        return std::vector<cache::LineAge>(e.begin(), e.end());
+      };
+      const std::vector<cache::LineAge> must = entries(whole.generic_exit.must());
+      const std::vector<cache::LineAge> persistence =
+          entries(whole.generic_exit.persistence());
+      if (k == sets.size() || sets[k].set != s) {
+        EXPECT_TRUE(must.empty()) << where << " set " << s;
+        EXPECT_TRUE(persistence.empty()) << where << " set " << s;
+        EXPECT_TRUE(footprint.lines_per_set[s].empty()) << where << " set " << s;
+        continue;
+      }
+      const cache::SetSteady::SetExit exit = split[app].set_exit(k);
+      EXPECT_EQ(exit.must, must) << where << " set " << s;
+      EXPECT_EQ(exit.persistence, persistence) << where << " set " << s;
+      const std::span<const std::uint64_t> lines =
+          split[app].lines().subspan(sets[k].lines_begin, sets[k].lines_size);
+      EXPECT_EQ(std::vector<std::uint64_t>(lines.begin(), lines.end()),
+                footprint.lines_per_set[s])
+          << where << " set " << s;
+      const std::uint32_t k_s = split[app].shapes()[sets[k].shape].passes;
+      fewest = std::min(fewest, k_s);
+      most = std::max(most, k_s);
+      ++k;
+    }
+    passes.emplace_back(fewest, most);
+  }
+  return passes;
+}
+
+TEST(SetSteady, MatchesTheWholeProgramWalkInEveryColumnAndSet) {
+  // Generated structured apps on every way count.
+  catsched::testgen::GeneratorConfig g;
+  g.min_apps = 4;
+  g.max_apps = 6;
+  g.set_choices = {16, 32, 128};
+  g.branchy_chance = 0.5;
+  for (const std::size_t ways : {1u, 2u, 4u, 8u}) {
+    g.way_choices = {ways};
+    for (std::uint64_t seed = 600; seed < 604; ++seed) {
+      const SystemModel model = catsched::testgen::generate_system(g, seed).model;
+      std::vector<cache::StructuredProgram> programs;
+      for (const Application& a : model.apps) {
+        programs.push_back(a.analysis_program());
+      }
+      check_set_steady(programs, model.cache_config,
+                       "ways " + std::to_string(ways) + " seed " +
+                           std::to_string(seed));
+    }
+  }
+  // Hand-built branchy and loop-only apps on the geometries the generator
+  // never draws.
+  struct Geometry {
+    std::size_t lines;
+    std::size_t assoc;
+    std::uint32_t hit;
+    std::uint32_t miss;
+  };
+  for (const Geometry geo : {Geometry{48, 2, 1, 100}, Geometry{96, 4, 1, 100},
+                             Geometry{8, 0, 1, 100}, Geometry{64, 4, 7, 3}}) {
+    cache::CacheConfig c = cfg(geo.lines, geo.assoc);
+    c.hit_cycles = geo.hit;
+    c.miss_cycles = geo.miss;
+    for (const std::uint64_t stride : {3u, 13u}) {
+      const std::string label = std::to_string(c.num_sets()) + " sets x " +
+                                std::to_string(c.ways()) + " ways, stride " +
+                                std::to_string(stride);
+      check_set_steady(branchy_programs(c.num_sets(), stride), c,
+                       "branchy " + label);
+      check_set_steady(loop_only_programs(c.num_sets(), stride), c,
+                       "loop " + label);
+    }
+  }
+  // The case study: three trace-only apps, one block each.
+  const SystemModel paper = catsched::core::date18_case_study();
+  std::vector<cache::StructuredProgram> traces;
+  for (const Application& a : paper.apps) traces.push_back(a.analysis_program());
+  check_set_steady(traces, paper.cache_config, "case study");
+}
+
+TEST(SetSteady, SetsOfOneAppStabilizeAfterDifferentWarmPasses) {
+  // The whole chain runs two passes; pass 2 adds each K = 1 set's pass 1
+  // to the K = 2 set's pass 2. Every column and set still matches, and so
+  // does every context, whose parts start from the K = 2 sets' exits.
+  // Where a hit costs more than a miss, the must entry pass 2 gains makes
+  // it the dearer pass, so the warm bound is pass 2's.
+  const auto programs = two_pass_programs();
+  for (const std::uint32_t hit : {1u, 7u}) {
+    cache::CacheConfig c = cfg(16, 4);
+    c.hit_cycles = hit;
+    c.miss_cycles = hit == 1 ? 100 : 3;
+    const std::string label = "two-pass apps, hit " + std::to_string(hit);
+    const auto passes = check_set_steady(programs, c, label);
+    bool pass_two_is_warm = false;
+    for (std::size_t app = 0; app < programs.size(); ++app) {
+      EXPECT_EQ(passes[app].first, 1u) << label << " app " << app;
+      EXPECT_EQ(passes[app].second, 2u) << label << " app " << app;
+      const cache::StaticSteadyWcet whole =
+          cache::analyze_static_steady_wcet(programs[app], c);
+      const cache::StaticWcetResult pass_one =
+          cache::analyze_static_wcet(programs[app], c, whole.cold.exit_state);
+      pass_two_is_warm |= whole.warm.wcet_cycles > pass_one.wcet_cycles;
+    }
+    EXPECT_EQ(pass_two_is_warm, hit == 7) << label;
+    check_classes_against_reference(programs, c, label);
+  }
+}
+
 TEST(Analyzer, EntryClassesMatchReferenceDerivationBitForBit) {
   catsched::testgen::GeneratorConfig g;
   g.min_apps = 4;
@@ -799,11 +982,15 @@ TEST(Analyzer, EntryClassCapSitsAtTheYoungestSurvivor) {
   programs[1].root = cache::Stmt::block({12, 16, 20});  // 3 set-0 lines
   programs[2].root = cache::Stmt::block({24});          // 1 more
   const cache::ScheduleWcetAnalyzer an(programs, c);
-  ASSERT_EQ(an.base(0).generic_exit.must().age(0), 1u);
+  const cache::CachePair exit =
+      cache::analyze_static_steady_wcet(programs[0], c).generic_exit;
+  ASSERT_EQ(exit.must().age(0), 1u);
 
   // 3 and 4 interfering lines both reach the cap: one class. 1 does not.
-  EXPECT_TRUE(reference_entry(an, 0, 0b010) == reference_entry(an, 0, 0b110));
-  EXPECT_FALSE(reference_entry(an, 0, 0b100) == reference_entry(an, 0, 0b010));
+  EXPECT_TRUE(reference_entry(programs, c, exit, 0b010) ==
+              reference_entry(programs, c, exit, 0b110));
+  EXPECT_FALSE(reference_entry(programs, c, exit, 0b100) ==
+               reference_entry(programs, c, exit, 0b010));
   const cache::ContextWcet& three = an.analyze_context(0, 0b010);
   EXPECT_EQ(&an.analyze_context(0, 0b110), &three);
   EXPECT_NE(&an.analyze_context(0, 0b100), &three);
@@ -823,14 +1010,19 @@ TEST(Analyzer, EntryKeysCoverEveryKindOfSet) {
   programs[1].root = cache::Stmt::block({5, 9, 6});
   programs[2].root = cache::Stmt::block({5, 13, 10});
   programs[3].root = cache::Stmt::block({9, 14});
-  const cache::ScheduleWcetAnalyzer an(programs, c);
-  const cache::AbstractCacheState& must = an.base(0).generic_exit.must();
+  const cache::CachePair exit =
+      cache::analyze_static_steady_wcet(programs[0], c).generic_exit;
+  const cache::AbstractCacheState& must = exit.must();
   for (std::size_t set = 0; set < 3; ++set) {
     ASSERT_FALSE(must.set_entries(set).empty()) << "set " << set;
   }
+  std::vector<cache::CacheFootprint> footprints;
+  for (const cache::StructuredProgram& p : programs) {
+    footprints.push_back(cache::compute_footprint(p.root, c));
+  }
   const auto lines_in = [&](std::size_t app, std::size_t set)
       -> const std::vector<std::uint64_t>& {
-    return an.footprint(app).lines_per_set[set];
+    return footprints[app].lines_per_set[set];
   };
   // Set 0: no interferer, so its amount is 0 under every mask.
   for (std::size_t app = 1; app < 4; ++app) {
@@ -902,7 +1094,7 @@ TEST(Analyzer, FirstMissTightensEveryContextAndPreservesOrdering) {
   for (std::size_t app = 0; app < 3; ++app) {
     // First-miss really fires and strictly tightens the base bounds below
     // the AM-only column (the bound without first-miss).
-    const cache::StaticSteadyWcet& base = an.base(app);
+    const cache::SteadyPair& base = an.base(app);
     EXPECT_GT(base.cold.first_miss, 0u);
     EXPECT_LT(base.cold.wcet_cycles, base.cold.am_only_cycles);
     for (std::uint64_t mask = 0; mask < 8; ++mask) {
@@ -1165,7 +1357,7 @@ TEST(StaticWcetGolden, PopulationBoundsAreBitStable) {
       digest *= 0x100000001b3ull;
     }
   };
-  const auto fold_result = [&fold](const cache::StaticWcetResult& r) {
+  const auto fold_result = [&fold](const cache::StaticWcetCounts& r) {
     fold(r.wcet_cycles);
     fold(r.am_only_cycles);
     fold(r.fm_penalty_cycles);

@@ -309,6 +309,62 @@ TEST(FirstMiss, BranchFreeProgramsEqualTheAmOnlyBound) {
   }
 }
 
+TEST(FirstMiss, NeverFiresOnBranchFreeTreesFromAnyEntry) {
+  // On a tree without a branch, every fetch's classification equals its
+  // must-only one (AH exactly when the must state holds the line): the
+  // only joins are loop heads, after a peeled first iteration that already
+  // accessed every line of the body, so a line accessed in this run keeps
+  // its must age at or below its persistence age (docs/ARCHITECTURE.md,
+  // "First-miss on branch-free trees"). Whatever the entry, cold, a warm
+  // exit or an aged one, no counted block instance holds a first-miss
+  // point.
+  struct Geometry {
+    std::size_t lines;
+    std::size_t assoc;
+  };
+  for (const Geometry geo : {Geometry{16, 1}, Geometry{16, 2},
+                             Geometry{32, 4}, Geometry{8, 0}}) {
+    const CacheConfig c = cfg(geo.lines, geo.assoc);
+    for (std::uint32_t seed = 1; seed <= 60; ++seed) {
+      RandomProgramOptions opts;
+      opts.seed = seed;
+      opts.max_depth = 3;
+      opts.branch_probability = 0.0;  // loops and blocks only
+      opts.max_loop_bound = 5;
+      opts.address_lines = 3 * geo.lines;
+      const auto prog = make_random_program("branch-free", opts);
+      ASSERT_EQ(catsched::testref::branch_count(prog.root), 0u);
+      const auto steady = analyze_static_steady_wcet(prog, c);
+      CachePair aged = steady.generic_exit;
+      for (std::size_t s = 0; s < c.num_sets(); ++s) {
+        aged.age_interference_set(
+            s, static_cast<std::uint32_t>(1 + (s + seed) % c.ways()));
+      }
+      const std::vector<std::pair<std::string, std::optional<CachePair>>>
+          entries{{"cold", std::nullopt},
+                  {"cold exit", steady.cold.exit_state},
+                  {"warm exit", steady.warm.exit_state},
+                  {"generic exit", steady.generic_exit},
+                  {"aged generic exit", aged}};
+      for (const auto& [name, entry] : entries) {
+        const std::string where = std::to_string(c.num_sets()) + " sets x " +
+                                  std::to_string(c.ways()) + " ways, seed " +
+                                  std::to_string(seed) + ", " + name;
+        std::vector<PassCounts> leaves;
+        const StaticWcetResult r =
+            analyze_static_wcet(prog, c, entry, nullptr, &leaves);
+        EXPECT_EQ(r.first_miss, 0u) << where;
+        EXPECT_EQ(r.fm_penalty_cycles, 0u) << where;
+        EXPECT_EQ(r.wcet_cycles, r.am_only_cycles) << where;
+        for (std::size_t i = 0; i < leaves.size(); ++i) {
+          EXPECT_EQ(leaves[i].fm, 0u) << where << ", leaf " << i;
+          EXPECT_EQ(leaves[i].penalty, 0u) << where << ", leaf " << i;
+        }
+      }
+    }
+  }
+}
+
 // --------------------------------------------------------------------------
 // Leaf sink and fold: the walk's counted block instances, composed again by
 // fold_leaves, give back the walk's own counts (the identity the context
