@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -267,10 +266,6 @@ std::uint32_t ScheduleWcetAnalyzer::change_locked(AppState& st, std::size_t i,
   st.part.clear();
   const CacheConfig one = entry.config();
   analyze_static_wcet(shape.tree, one, std::move(entry), nullptr, &st.part);
-  if (st.part.size() != c.support_size) {
-    throw std::logic_error(
-        "ScheduleWcetAnalyzer: a set's part left its support");
-  }
   const auto at = static_cast<std::uint32_t>(sh.parts.size());
   sh.part_at[c.shape * (config_.ways() + 1) + amount] = at;
   const PassCounts* const zero = st.steady.walked().data() + shape.from_exit;

@@ -190,8 +190,8 @@ private:
     std::uint32_t size = 0;               ///< its distinct lines in the set
     const std::uint64_t* lines = nullptr;  ///< those lines, ascending
   };
-  /// One contested set: a live set some other app touches, with where its
-  /// support and parts sit in SetShares.
+  /// One contested set: a live set some other app touches, with its
+  /// support and shape in the app's SetSteady.
   struct Contested {
     std::uint32_t set = 0;
     std::uint32_t cap = 0;  ///< ways - youngest must age in the set

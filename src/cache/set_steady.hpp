@@ -104,8 +104,6 @@ public:
   /// Every set's lines, set by set (see Set).
   std::span<const std::uint64_t> lines() const noexcept { return lines_; }
   std::span<const PassCounts> walked() const noexcept { return walked_; }
-  /// Leaves of one whole-program walk (analyze_static_wcet's count).
-  std::size_t leaf_count() const noexcept { return leaf_count_; }
 
   /// The whole program's leaves from its generic exit: every set's
   /// from-exit leaves added onto its support (\p out is overwritten).
@@ -133,7 +131,7 @@ private:
   /// Parallel to lines_, set by set: the line renamed k sits at + ids_[k].
   std::vector<std::uint32_t> ids_;
   std::vector<PassCounts> walked_;
-  std::size_t leaf_count_ = 0;
+  std::size_t leaf_count_ = 0;  ///< leaves of one whole-program walk
 };
 
 /// Split and walk every program (one SetSteady each, in order) on the
