@@ -173,6 +173,9 @@ void ScheduleWcetAnalyzer::build_shares_locked(std::size_t app,
   std::vector<std::uint64_t> lines;
   const SetSteady& steady = st.steady;
   const auto ways = static_cast<std::uint32_t>(config_.ways());
+  // Per other app, its first set not below the current one: both walks
+  // ascend by set.
+  std::vector<std::size_t> cursor(apps_.size(), 0);
   // Only a set the program fetches a line of can be live.
   for (const SetSteady::Set& set : steady.sets()) {
     const std::span<const LineAge> entries =
@@ -185,12 +188,12 @@ void ScheduleWcetAnalyzer::build_shares_locked(std::size_t app,
       if (j == app) continue;
       // App j's footprint in the set, if it fetches a line of it.
       const SetSteady& other = apps_[j]->steady;
-      const auto it = std::lower_bound(
-          other.sets().begin(), other.sets().end(), s,
-          [](const SetSteady::Set& x, std::size_t set) { return x.set < set; });
-      if (it == other.sets().end() || it->set != s) continue;
-      in.push_back(Interferer{static_cast<std::uint32_t>(j), it->lines_size,
-                              other.lines().data() + it->lines_begin});
+      const std::span<const SetSteady::Set> sets = other.sets();
+      std::size_t& k = cursor[j];
+      while (k < sets.size() && sets[k].set < s) ++k;
+      if (k == sets.size() || sets[k].set != s) continue;
+      in.push_back(Interferer{static_cast<std::uint32_t>(j), sets[k].lines_size,
+                              other.lines().data() + sets[k].lines_begin});
       f.touch |= std::uint64_t{1} << j;
     }
     f.set.last = static_cast<std::uint32_t>(in.size());
