@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <span>
 #include <sstream>
 
 #include "cache/schedule_wcet.hpp"
@@ -173,8 +174,9 @@ InvariantReport check_invariants(const core::SystemModel& model,
   }
 
   // ---------------------- A2. first-miss (persistence) soundness surface
-  // The whole-program steady walks, the reference of the analyzer's
-  // per-set pairs; their generic exits feed the context reference below.
+  // Each app's split by set, as the analyzer builds it, checked set by set
+  // against the whole-program steady walk below; that walk's generic exit
+  // and the footprints feed the context reference.
   const std::vector<cache::SetSteady> split =
       cache::analyze_set_steady(programs, model.cache_config);
   std::vector<cache::CacheFootprint> footprints;
