@@ -881,6 +881,27 @@ TEST(SetSteady, MatchesTheWholeProgramWalkInEveryColumnAndSet) {
                        "loop " + label);
     }
   }
+  // Random trees of every shape the generator draws (branch-free to all
+  // branches, loop bounds 1 to 5) on small caches, a third of them with a
+  // hit dearer than a miss.
+  for (std::uint32_t seed = 1; seed <= 300; ++seed) {
+    catsched::testref::RandomProgramOptions opts;
+    opts.seed = seed;
+    opts.max_depth = 1 + seed % 4;
+    opts.max_block_lines = 1 + seed % 6;
+    opts.address_lines = 8 + seed % 40;
+    opts.branch_probability = static_cast<double>(seed % 5) * 0.25;
+    opts.max_loop_bound = 1 + static_cast<int>(seed % 5);
+    opts.stmts_per_seq = 1 + seed % 4;
+    const std::size_t ways = seed % 7 == 0 ? 0 : 1 + seed % 5;
+    cache::CacheConfig c = cfg(ways == 0 ? 4 : ways * (1 + seed % 6), ways);
+    if (seed % 3 == 0) {
+      c.hit_cycles = 5 + seed % 4;
+      c.miss_cycles = 2 + seed % 3;
+    }
+    check_set_steady({catsched::testref::make_random_program("random", opts)},
+                     c, "random seed " + std::to_string(seed));
+  }
   // The case study: three trace-only apps, one block each.
   const SystemModel paper = catsched::core::date18_case_study();
   std::vector<cache::StructuredProgram> traces;
