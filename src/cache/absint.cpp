@@ -27,22 +27,6 @@ AbstractCacheState::AbstractCacheState(const CacheConfig& config, Kind kind)
   ways_ = config.ways();
   sets_ = config.num_sets();
   pow2_sets_ = (sets_ & (sets_ - 1)) == 0;
-  blocks_ = (sets_ >> kBlockBits) + 1;
-  header_bytes_ = header_bytes_for(sets_);
-  if (header_bytes_ > kInlineBytes) {
-    // Room for a few entries too, so the first inserts do not each grow
-    // (and copy) the offsets.
-    capacity_bytes_ = header_bytes_ + 8 * sizeof(LineAge);
-    buf_ = static_cast<std::byte*>(::operator new(capacity_bytes_));
-  }
-  std::memset(buf_, 0, header_bytes_);
-}
-
-std::size_t AbstractCacheState::header_bytes_for(std::size_t sets) noexcept {
-  // Round the offsets up to the entries' alignment.
-  const std::size_t words = (sets >> kBlockBits) + 1 + sets + 1;
-  return (words * sizeof(std::uint32_t) + alignof(LineAge) - 1) /
-         alignof(LineAge) * alignof(LineAge);
 }
 
 AbstractCacheState::AbstractCacheState(const AbstractCacheState& other) {
@@ -114,8 +98,6 @@ void AbstractCacheState::copy_shape(const AbstractCacheState& other) noexcept {
   sets_ = other.sets_;
   ways_ = other.ways_;
   pow2_sets_ = other.pow2_sets_;
-  blocks_ = other.blocks_;
-  header_bytes_ = other.header_bytes_;
   size_ = other.size_;
 }
 
@@ -124,11 +106,10 @@ AbstractCacheState::~AbstractCacheState() {
 }
 
 void AbstractCacheState::reserve_entries(std::size_t n) {
-  const std::size_t need = header_bytes_ + n * sizeof(LineAge);
+  const std::size_t need = n * sizeof(LineAge);
   if (need <= capacity_bytes_) return;
   // Grow geometrically, so a run of inserts costs amortized O(1) copies.
-  const std::size_t bytes = std::max(
-      need, header_bytes_ + 2 * std::size_t{size_} * sizeof(LineAge));
+  const std::size_t bytes = std::max(need, 2 * used_bytes());
   std::byte* const grown = static_cast<std::byte*>(::operator new(bytes));
   std::memcpy(grown, buf_, used_bytes());
   if (!is_inline()) ::operator delete(buf_);
@@ -136,29 +117,28 @@ void AbstractCacheState::reserve_entries(std::size_t n) {
   capacity_bytes_ = bytes;
 }
 
+AbstractCacheState::Range AbstractCacheState::search_range(
+    std::size_t s) const noexcept {
+  const LineAge* const e = entries();
+  const LineAge* const first = std::partition_point(
+      e, e + size_, [&](const LineAge& x) { return set_of(x.line) < s; });
+  const LineAge* const last = std::partition_point(
+      first, e + size_, [&](const LineAge& x) { return set_of(x.line) == s; });
+  return Range{static_cast<std::uint32_t>(first - e),
+               static_cast<std::uint32_t>(last - e)};
+}
+
 const LineAge* AbstractCacheState::find(std::uint64_t line) const noexcept {
-  const std::size_t s = set_of(line);
-  const LineAge* first = entries() + begin_of(s);
-  const LineAge* last = entries() + begin_of(s + 1);
-  const LineAge* it = line_lower_bound(first, last, line);
+  const Range r = range_of(set_of(line));
+  const LineAge* const last = entries() + r.last;
+  const LineAge* it = line_lower_bound(entries() + r.first, last, line);
   return (it != last && it->line == line) ? it : nullptr;
 }
 
-void AbstractCacheState::shift_offsets(std::size_t s,
-                                       std::uint32_t delta) noexcept {
-  // Unsigned wrap-around: a delta of -k is passed as 2^32 - k.
-  std::uint32_t* const w = words();
-  const std::size_t block = s >> kBlockBits;
-  const std::size_t block_end =
-      std::min(sets_, ((block + 1) << kBlockBits) - 1);
-  for (std::size_t t = s + 1; t <= block_end; ++t) w[blocks_ + t] += delta;
-  for (std::size_t b = block + 1; b < blocks_; ++b) w[b] += delta;
-}
-
-void AbstractCacheState::commit_set(std::size_t s, std::size_t kept,
+void AbstractCacheState::commit_set(Range range, std::size_t kept,
                                     std::optional<std::uint64_t> line) {
-  const std::size_t first = begin_of(s);
-  const std::size_t last = begin_of(s + 1);
+  const std::size_t first = range.first;
+  const std::size_t last = range.last;
   std::size_t kept_end = first + kept;
   if (line.has_value()) {
     if (kept_end == last) {
@@ -170,7 +150,6 @@ void AbstractCacheState::commit_set(std::size_t s, std::size_t kept,
                    static_cast<std::size_t>(e + size_ - pos) * sizeof(LineAge));
       *pos = LineAge{*line, 0};
       ++size_;
-      shift_offsets(s, 1);
       return;
     }
     // Reuse the first freed slot: shift the larger survivors up by one.
@@ -181,36 +160,15 @@ void AbstractCacheState::commit_set(std::size_t s, std::size_t kept,
     ++kept_end;
   }
   if (kept_end == last) return;
-  const auto removed = static_cast<std::uint32_t>(last - kept_end);
   LineAge* const e = entries();
   std::memmove(e + kept_end, e + last, (size_ - last) * sizeof(LineAge));
-  size_ -= removed;
-  shift_offsets(s, 0u - removed);
-}
-
-void AbstractCacheState::rebuild_offsets() noexcept {
-  // Set t's first entry is the first entry of a set >= t (or the end): walk
-  // the entries once, filling every set up to each entry's set.
-  std::uint32_t* const w = words();
-  const LineAge* const e = entries();
-  const auto fill = [&](std::size_t t, std::uint32_t begin) {
-    if ((t & ((std::size_t{1} << kBlockBits) - 1)) == 0) {
-      w[t >> kBlockBits] = begin;
-    }
-    w[blocks_ + t] = begin - w[t >> kBlockBits];
-  };
-  std::size_t t = 0;
-  for (std::uint32_t i = 0; i < size_; ++i) {
-    const std::size_t s = set_of(e[i].line);
-    for (; t <= s; ++t) fill(t, i);
-  }
-  for (; t <= sets_; ++t) fill(t, size_);
+  size_ -= static_cast<std::uint32_t>(last - kept_end);
 }
 
 void AbstractCacheState::access(std::uint64_t line) {
-  const std::size_t s = set_of(line);
-  LineAge* const first = entries() + begin_of(s);
-  LineAge* const last = entries() + begin_of(s + 1);
+  const Range range = range_of(set_of(line));
+  LineAge* const first = entries() + range.first;
+  LineAge* const last = entries() + range.last;
   if (kind_ == Kind::persistence) {
     // Conflict-counter update: every OTHER tracked line of the set took one
     // more conflicting access, saturating at the top (= ways). The sweep is
@@ -231,7 +189,7 @@ void AbstractCacheState::access(std::uint64_t line) {
     if (self != nullptr) {
       self->age = 0;
     } else {
-      commit_set(s, static_cast<std::size_t>(last - first), line);
+      commit_set(range, static_cast<std::size_t>(last - first), line);
     }
     return;
   }
@@ -242,7 +200,7 @@ void AbstractCacheState::access(std::uint64_t line) {
     if (last - first == 1) {
       *first = LineAge{line, 0};
     } else {
-      commit_set(s, 0, line);
+      commit_set(range, 0, line);
     }
     return;
   }
@@ -265,9 +223,9 @@ void AbstractCacheState::access(std::uint64_t line) {
     }
     *out++ = e;
   }
-  // A hit that evicts nothing changes no offset.
+  // A hit that evicts nothing is already in place.
   if (!tracked || out != last) {
-    commit_set(s, static_cast<std::size_t>(out - first),
+    commit_set(range, static_cast<std::size_t>(out - first),
                tracked ? std::nullopt : std::optional<std::uint64_t>(line));
   }
 }
@@ -285,10 +243,9 @@ void AbstractCacheState::join(const AbstractCacheState& other) {
   if (kind_ != other.kind_ || sets_ != other.sets_ || ways_ != other.ways_) {
     throw std::invalid_argument("AbstractCacheState::join: mismatched states");
   }
-  // One linear merge over both (set, line)-sorted arrays, then one pass to
-  // rebuild the offsets. Must's result is a subset of this state and
-  // persistence's a superset, so an unchanged size means unchanged lines
-  // and offsets, and the rebuild is skipped.
+  // One linear merge over both (set, line)-sorted arrays. Persistence's
+  // result is a superset of this state, so an unchanged size means
+  // unchanged lines, and the ages are updated in place.
   const auto before = [this](const LineAge& a, const LineAge& b) {
     const std::size_t sa = set_of(a.line);
     const std::size_t sb = set_of(b.line);
@@ -313,10 +270,7 @@ void AbstractCacheState::join(const AbstractCacheState& other) {
         ++b;
       }
     }
-    const auto kept = static_cast<std::uint32_t>(out - entries());
-    if (kept == size_) return;
-    size_ = kept;
-    rebuild_offsets();
+    size_ = static_cast<std::uint32_t>(out - entries());
     return;
   }
   // Persistence: union with MAXIMAL age (both are upper bounds on the
@@ -371,7 +325,6 @@ void AbstractCacheState::join(const AbstractCacheState& other) {
     }
   }
   size_ = static_cast<std::uint32_t>(merged);
-  rebuild_offsets();
 }
 
 void AbstractCacheState::age_set(std::size_t set_index, std::uint32_t amount) {
@@ -379,8 +332,9 @@ void AbstractCacheState::age_set(std::size_t set_index, std::uint32_t amount) {
     throw std::out_of_range("AbstractCacheState::age_set: set out of range");
   }
   if (amount == 0) return;
-  LineAge* const first = entries() + begin_of(set_index);
-  LineAge* const last = entries() + begin_of(set_index + 1);
+  const Range range = range_of(set_index);
+  LineAge* const first = entries() + range.first;
+  LineAge* const last = entries() + range.last;
   const std::uint32_t ways = static_cast<std::uint32_t>(ways_);
   if (kind_ == Kind::persistence) {
     // Saturating advance: conflict counters cap at the top (= ways) and
@@ -402,13 +356,10 @@ void AbstractCacheState::age_set(std::size_t set_index, std::uint32_t amount) {
     e.age += amount;
     *out++ = e;
   }
-  commit_set(set_index, static_cast<std::size_t>(out - first), std::nullopt);
+  commit_set(range, static_cast<std::size_t>(out - first), std::nullopt);
 }
 
-void AbstractCacheState::clear() noexcept {
-  size_ = 0;
-  std::memset(buf_, 0, header_bytes_);
-}
+void AbstractCacheState::clear() noexcept { size_ = 0; }
 
 namespace {
 

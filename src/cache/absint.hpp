@@ -68,21 +68,17 @@ struct LineAge {
 /// same-set lines x,y,z the trace z,x,y,z,x really misses twice on x, yet
 /// conditional aging would keep age(x) < 2 and wrongly certify it.
 ///
-/// Storage is one buffer of trivially copyable words: the set offsets, then
-/// every tracked entry sorted by (set, line). The offsets are two-level: a
-/// base per block of 32 sets (the first entry of the block's first set)
-/// plus each set's offset from its block's base, so a set's range is an
-/// O(1) lookup, and an insert or erase in set `s` shifts at most the 31
-/// in-block offsets after `s` and one base per later block, not every
-/// later set. access() and age_set() rewrite that range in place and then
-/// make at most one insert or erase; join() is one linear merge (in place,
-/// from the back, for the persistence union) plus one offset rebuild.
-/// A state whose offsets and entries fit in a small inline buffer (a
-/// one-set state of a few lines, as the one-set walks of cache/set_steady
-/// and cache/schedule_wcet use) lives there and never touches the heap; a larger
-/// one makes a single allocation. Copy, ==, hash and destruction cost what
-/// the state tracks plus its offsets, not one container per cache set —
-/// most sets of a large cache are empty.
+/// Storage is one buffer of every tracked entry, sorted by (set, line).
+/// A set's entries are one contiguous range: the whole buffer in a one-set
+/// state (the states every timed walk uses, see cache/set_steady and
+/// cache/schedule_wcet), else found by a binary search on the entries'
+/// sets. access() and age_set() find that range once, rewrite it in place
+/// and then make at most one insert or erase; join() is one linear merge
+/// (in place, from the back, for the persistence union). A state of up to
+/// nine entries lives in an inline buffer and never touches the heap; a
+/// larger one makes a single allocation. Copy, ==, hash and destruction
+/// cost what the state tracks, not one container per cache set — most
+/// sets of a large cache are empty.
 class AbstractCacheState {
 public:
   enum class Kind { must, persistence };
@@ -141,8 +137,8 @@ public:
   /// Read-only view of one set's tracked (line, age) entries.
   /// \pre set_index < config().num_sets().
   std::span<const LineAge> set_entries(std::size_t set_index) const noexcept {
-    return {entries() + begin_of(set_index),
-            entries() + begin_of(set_index + 1)};
+    const Range r = range_of(set_index);
+    return {entries() + r.first, entries() + r.last};
   }
 
   /// Number of tracked lines over all sets.
@@ -156,8 +152,7 @@ public:
   /// hash maps — the static-WCET subtree memo keys on them.
   std::size_t hash() const noexcept;
 
-  /// Logical equality: same kind, configuration and (line, age) entries
-  /// (the offsets are derived from the entries).
+  /// Logical equality: same kind, configuration and (line, age) entries.
   bool operator==(const AbstractCacheState& other) const noexcept;
 
   // The buffer is owned: copies duplicate it (reusing this state's buffer
@@ -170,10 +165,14 @@ public:
   ~AbstractCacheState();
 
 private:
-  /// log2 of the sets per offset block (32).
-  static constexpr unsigned kBlockBits = 5;
-  /// Inline buffer: the offsets of a one-set state plus 8 entries.
-  static constexpr std::size_t kInlineBytes = 16 + 8 * sizeof(LineAge);
+  /// Inline buffer: nine entries.
+  static constexpr std::size_t kInlineBytes = 9 * sizeof(LineAge);
+
+  /// One set's entries: [first, last) of the buffer.
+  struct Range {
+    std::uint32_t first = 0;
+    std::uint32_t last = 0;
+  };
 
   std::size_t set_of(std::uint64_t line) const noexcept {
     // Caches almost always have a power-of-two set count; the masked path
@@ -182,32 +181,20 @@ private:
                                                : line % sets_);
   }
 
-  // Buffer layout: `blocks_` block bases, then `sets_ + 1` in-block set
-  // offsets (slot `sets_` ends the last set), padded to `header_bytes_`,
-  // then the entries.
-  const std::uint32_t* words() const noexcept {
-    return reinterpret_cast<const std::uint32_t*>(buf_);
-  }
-  std::uint32_t* words() noexcept {
-    return reinterpret_cast<std::uint32_t*>(buf_);
-  }
   const LineAge* entries() const noexcept {
-    return reinterpret_cast<const LineAge*>(buf_ + header_bytes_);
+    return reinterpret_cast<const LineAge*>(buf_);
   }
-  LineAge* entries() noexcept {
-    return reinterpret_cast<LineAge*>(buf_ + header_bytes_);
+  LineAge* entries() noexcept { return reinterpret_cast<LineAge*>(buf_); }
+  /// The entries of set \p s.
+  Range range_of(std::size_t s) const noexcept {
+    return sets_ == 1 ? Range{0, size_} : search_range(s);
   }
-  /// Index of the first entry of set \p s (s == sets_: the entry count).
-  std::uint32_t begin_of(std::size_t s) const noexcept {
-    return words()[s >> kBlockBits] + words()[blocks_ + s];
-  }
+  /// range_of for a state of several sets: a binary search on set_of.
+  Range search_range(std::size_t s) const noexcept;
   std::size_t used_bytes() const noexcept {
-    return header_bytes_ + std::size_t{size_} * sizeof(LineAge);
+    return std::size_t{size_} * sizeof(LineAge);
   }
   bool is_inline() const noexcept { return buf_ == inline_; }
-
-  /// Bytes of the offsets of a \p sets-set state, padded for the entries.
-  static std::size_t header_bytes_for(std::size_t sets) noexcept;
 
   /// Entry for \p line, or nullptr.
   const LineAge* find(std::uint64_t line) const noexcept;
@@ -218,30 +205,22 @@ private:
   /// Room for \p n entries (may move the buffer).
   void reserve_entries(std::size_t n);
 
-  /// Finish an in-place update of set \p s whose first \p kept entries
-  /// survive: insert \p line at age 0 in sorted position if given (it must
-  /// not be among the survivors), drop the rest of the old range and shift
-  /// the later sets' offsets by the net change.
-  void commit_set(std::size_t s, std::size_t kept,
+  /// Finish an in-place update of the set whose entries are \p range and
+  /// whose first \p kept entries survive: insert \p line at age 0 in
+  /// sorted position if given (it must not be among the survivors) and
+  /// drop the rest of the old range.
+  void commit_set(Range range, std::size_t kept,
                   std::optional<std::uint64_t> line);
-
-  /// Add \p delta to the offsets of every set after \p s.
-  void shift_offsets(std::size_t s, std::uint32_t delta) noexcept;
-
-  /// Recompute every set offset from the sorted entries.
-  void rebuild_offsets() noexcept;
 
   CacheConfig config_;
   Kind kind_ = Kind::must;
   std::size_t sets_ = 0;
   std::size_t ways_ = 0;
   bool pow2_sets_ = false;
-  std::size_t blocks_ = 0;      ///< (sets_ >> kBlockBits) + 1
-  std::size_t header_bytes_ = 0;
   std::uint32_t size_ = 0;  ///< tracked entries
   std::size_t capacity_bytes_ = kInlineBytes;
   // The entries are canonical for the logical contents (sorted by (set,
-  // line)) and the offsets derive from them, so == compares entries only.
+  // line)), so == compares entries only.
   std::byte* buf_ = inline_;
   alignas(LineAge) std::byte inline_[kInlineBytes];
 };

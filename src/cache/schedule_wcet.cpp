@@ -1,14 +1,12 @@
 #include "cache/schedule_wcet.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <span>
 #include <stdexcept>
-#include <tuple>
 #include <utility>
 
 namespace catsched::cache {
@@ -107,43 +105,18 @@ void ScheduleWcetAnalyzer::entry_key_locked(AppState& st,
   std::uint32_t* const amounts = st.amounts.data();
   for (const Group& g : sh.groups) {
     if ((mask & g.touch) == 0) continue;
-    // Disjoint footprints: the distinct count is the sum of the sizes.
+    // The distinct lines the masked apps fetch: the sizes of the classes
+    // the mask meets, added a whole column at a time.
     std::uint32_t* const out = amounts + g.first;
+    const std::uint64_t* const classes = sh.classes.data() + g.classes;
     const std::uint32_t* col = sh.sizes.data() + g.sizes;
-    for (std::uint64_t t = g.touch; t != 0; t &= t - 1, col += g.count) {
-      if (((mask >> std::countr_zero(t)) & 1u) == 0) continue;
+    for (std::uint32_t r = 0; r < g.columns; ++r, col += g.count) {
+      if ((mask & classes[r]) == 0) continue;
       for (std::uint32_t k = 0; k < g.count; ++k) out[k] += col[k];
     }
     for (std::uint32_t k = 0; k < g.count; ++k) {
       out[k] = std::min(out[k], sh.contested[g.first + k].cap);
     }
-  }
-  for (std::size_t i = sh.shared_begin; i < n; ++i) {
-    // Distinct lines over the interferers' sorted lines in this set: a
-    // k-way merge that stops at the cap (every entry evicted beyond it).
-    const Contested& c = sh.contested[i];
-    st.heads.clear();
-    for (std::uint32_t k = c.first; k < c.last; ++k) {
-      const Interferer& in = sh.interferers[k];
-      if ((mask >> in.app) & 1u) {
-        st.heads.emplace_back(in.lines, in.lines + in.size);
-      }
-    }
-    std::uint32_t count = 0;
-    for (; count < c.cap && !st.heads.empty(); ++count) {
-      std::uint64_t next = *st.heads[0].first;
-      for (const auto& h : st.heads) next = std::min(next, *h.first);
-      for (std::size_t j = 0; j < st.heads.size();) {
-        auto& h = st.heads[j];
-        if (*h.first == next && ++h.first == h.second) {
-          h = st.heads.back();
-          st.heads.pop_back();
-        } else {
-          ++j;
-        }
-      }
-    }
-    amounts[i] = count;
   }
   st.key.clear();
   for (std::size_t i = 0; i < n; ++i) {
@@ -161,16 +134,21 @@ void ScheduleWcetAnalyzer::build_shares_locked(std::size_t app,
   SetShares& sh = *shares;
   // Contested sets: live sets (the generic exit's must state holds an
   // entry) that some other app's footprint touches. Every other set's
-  // amount is 0 under every mask. Disjoint ones go to the group of their
-  // interfering apps, the others (a line shared) after all groups.
+  // amount is 0 under every mask. Each goes to the group of its list of
+  // owner classes.
   struct Found {
-    bool shared = false;
-    std::uint64_t touch = 0;
-    Contested set;  ///< first, last: into `in`
+    Contested set;
+    /// Its classes: masks[classes, + columns), with their sizes.
+    std::uint32_t classes = 0;
+    std::uint32_t columns = 0;
   };
   std::vector<Found> found;
-  std::vector<Interferer> in;
-  std::vector<std::uint64_t> lines;
+  std::vector<std::uint64_t> masks;
+  std::vector<std::uint32_t> sizes;
+  // Scratch for one set: its interferers' (line, owner bit) pairs, then
+  // every distinct line's owner mask.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> owned;
+  std::vector<std::uint64_t> owners;
   const SetSteady& steady = st.steady;
   const auto ways = static_cast<std::uint32_t>(config_.ways());
   // Per other app, its first set not below the current one: both walks
@@ -182,8 +160,7 @@ void ScheduleWcetAnalyzer::build_shares_locked(std::size_t app,
         steady.shapes()[set.shape].exit.must().set_entries(0);
     if (entries.empty()) continue;
     const std::size_t s = set.set;
-    Found f;
-    f.set.first = static_cast<std::uint32_t>(in.size());
+    owned.clear();
     for (std::size_t j = 0; j < apps_.size(); ++j) {
       if (j == app) continue;
       // App j's footprint in the set, if it fetches a line of it.
@@ -192,12 +169,33 @@ void ScheduleWcetAnalyzer::build_shares_locked(std::size_t app,
       std::size_t& k = cursor[j];
       while (k < sets.size() && sets[k].set < s) ++k;
       if (k == sets.size() || sets[k].set != s) continue;
-      in.push_back(Interferer{static_cast<std::uint32_t>(j), sets[k].lines_size,
-                              other.lines().data() + sets[k].lines_begin});
-      f.touch |= std::uint64_t{1} << j;
+      const std::uint64_t* const lines =
+          other.lines().data() + sets[k].lines_begin;
+      for (std::uint32_t i = 0; i < sets[k].lines_size; ++i) {
+        owned.emplace_back(lines[i], std::uint64_t{1} << j);
+      }
     }
-    f.set.last = static_cast<std::uint32_t>(in.size());
-    if (f.set.first == f.set.last) continue;
+    if (owned.empty()) continue;
+    // A line's class is the mask of the apps that fetch it.
+    std::sort(owned.begin(), owned.end());
+    owners.clear();
+    for (std::size_t i = 0; i < owned.size(); ++i) {
+      if (i == 0 || owned[i].first != owned[i - 1].first) {
+        owners.push_back(0);
+      }
+      owners.back() |= owned[i].second;
+    }
+    std::sort(owners.begin(), owners.end());
+    Found f;
+    f.classes = static_cast<std::uint32_t>(masks.size());
+    for (std::size_t i = 0; i < owners.size(); ++i) {
+      if (i == 0 || owners[i] != owners[i - 1]) {
+        masks.push_back(owners[i]);
+        sizes.push_back(0);
+      }
+      ++sizes.back();
+    }
+    f.columns = static_cast<std::uint32_t>(masks.size()) - f.classes;
     std::uint32_t youngest = ways;
     for (const LineAge& e : entries) youngest = std::min(youngest, e.age);
     f.set.set = set.set;
@@ -205,53 +203,40 @@ void ScheduleWcetAnalyzer::build_shares_locked(std::size_t app,
     f.set.support_begin = set.support_begin;
     f.set.support_size = set.support_size;
     f.set.shape = set.shape;
-    if (f.set.last - f.set.first > 1) {
-      lines.clear();
-      for (std::uint32_t k = f.set.first; k < f.set.last; ++k) {
-        lines.insert(lines.end(), in[k].lines, in[k].lines + in[k].size);
-      }
-      std::sort(lines.begin(), lines.end());
-      f.shared = std::adjacent_find(lines.begin(), lines.end()) != lines.end();
-    }
     found.push_back(f);
   }
-  // The groups, then the shared sets; each run stays ascending by set.
+  // Group by class list; each group stays ascending by set.
+  const auto classes_of = [&](const Found& f) {
+    return std::span<const std::uint64_t>(masks).subspan(f.classes,
+                                                          f.columns);
+  };
   std::stable_sort(found.begin(), found.end(),
-                   [](const Found& a, const Found& b) {
-                     return std::tie(a.shared, a.touch) <
-                            std::tie(b.shared, b.touch);
+                   [&](const Found& a, const Found& b) {
+                     const auto x = classes_of(a);
+                     const auto y = classes_of(b);
+                     return std::lexicographical_compare(x.begin(), x.end(),
+                                                         y.begin(), y.end());
                    });
-  auto f = found.begin();
-  while (f != found.end() && !f->shared) {
+  for (auto f = found.begin(); f != found.end();) {
+    const auto list = classes_of(*f);
     const auto end = std::find_if(f, found.end(), [&](const Found& x) {
-      return x.shared || x.touch != f->touch;
+      return !std::ranges::equal(classes_of(x), list);
     });
     Group g;
-    g.touch = f->touch;
     g.first = static_cast<std::uint32_t>(sh.contested.size());
     g.count = static_cast<std::uint32_t>(end - f);
+    g.classes = static_cast<std::uint32_t>(sh.classes.size());
+    g.columns = f->columns;
     g.sizes = static_cast<std::uint32_t>(sh.sizes.size());
-    const std::uint32_t apps = f->set.last - f->set.first;
-    for (std::uint32_t r = 0; r < apps; ++r) {
+    for (const std::uint64_t mask : list) g.touch |= mask;
+    sh.classes.insert(sh.classes.end(), list.begin(), list.end());
+    for (std::uint32_t r = 0; r < g.columns; ++r) {
       for (auto x = f; x != end; ++x) {
-        sh.sizes.push_back(std::min(in[x->set.first + r].size, x->set.cap));
+        sh.sizes.push_back(std::min(sizes[x->classes + r], x->set.cap));
       }
     }
-    for (; f != end; ++f) {
-      Contested c = f->set;
-      c.first = c.last = 0;
-      sh.contested.push_back(c);
-    }
+    for (; f != end; ++f) sh.contested.push_back(f->set);
     sh.groups.push_back(g);
-  }
-  sh.shared_begin = sh.contested.size();
-  for (; f != found.end(); ++f) {
-    Contested c = f->set;
-    c.first = static_cast<std::uint32_t>(sh.interferers.size());
-    sh.interferers.insert(sh.interferers.end(), in.begin() + f->set.first,
-                          in.begin() + f->set.last);
-    c.last = static_cast<std::uint32_t>(sh.interferers.size());
-    sh.contested.push_back(c);
   }
   steady.exit_leaves(sh.base);
   sh.part_at.assign(steady.shapes().size() * (std::size_t{ways} + 1), kUnset);
@@ -271,7 +256,9 @@ std::uint32_t ScheduleWcetAnalyzer::change_locked(AppState& st, std::size_t i,
   analyze_static_wcet(shape.tree, one, std::move(entry), nullptr, &st.part);
   const auto at = static_cast<std::uint32_t>(sh.parts.size());
   sh.part_at[c.shape * (config_.ways() + 1) + amount] = at;
-  const PassCounts* const zero = st.steady.walked().data() + shape.from_exit;
+  // part(0) is warm pass 1: the walk from the unaged generic exit.
+  const PassCounts* const zero =
+      st.steady.walked().data() + shape.walked + shape.leaves;
   for (std::size_t j = 0; j < c.support_size; ++j) {
     PassCounts change = st.part[j];
     change -= zero[j];
@@ -304,7 +291,6 @@ StaticWcetCounts ScheduleWcetAnalyzer::sum_of_parts_locked(
     if ((mask & g.touch) == 0) continue;
     for (std::uint32_t k = 0; k < g.count; ++k) add(g.first + k);
   }
-  for (std::size_t i = sh.shared_begin; i < sh.contested.size(); ++i) add(i);
   return fold_leaves(st.program.root, st.leaves);
 }
 

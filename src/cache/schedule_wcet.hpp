@@ -9,8 +9,9 @@
 ///
 /// Derivation per (app, interference mask):
 ///   1. take the app's generic exit state (the join over every per-run
-///      exit of its steady chain — sound for a burst of any length; the
-///      analyzer holds it set by set, see cache/set_steady);
+///      exit of its steady chain — sound for a burst of any length; set by
+///      set it is the cold exit, and the analyzer holds it so, see
+///      cache/set_steady);
 ///   2. age its must state through the interfering programs' union cache
 ///      footprint (per set, `d` distinct conflicting lines age a surviving
 ///      LRU line by at most `d` — the CRPD evicting-cache-block
@@ -35,10 +36,12 @@
 /// every other mask of the class shares its bit-identical result. The key
 /// covers only the "contested" live sets, those some other app's
 /// footprint touches: every other live set's count is 0 under every mask.
-/// Where the touching apps share no line in a set, d_s is the sum of the
-/// masked apps' line counts there, added a whole column of sets at a time
-/// for each group of sets the same apps touch; only a set where a line is
-/// shared merges the interferers' sorted lines.
+/// The other apps' lines in a contested set fall into "owner classes": a
+/// line's class is the mask of the apps that fetch it. The distinct lines
+/// the masked apps fetch are the lines of the classes the mask meets, so
+/// d_s is the sum of those classes' sizes (where no line is shared, every
+/// class is one app). Sets with the same list of classes form a group,
+/// with one column of sizes per class, and a mask adds whole columns.
 ///
 /// Sum of parts. Every block instance the walk counts (a "leaf", see
 /// analyze_static_wcet) is, in every column, the sum over sets of the
@@ -52,8 +55,8 @@
 /// set's generic exit aged by a; it lives on the set's "support", the
 /// leaves whose block fetches a line of s. `base` is the whole program's
 /// leaves from the unaged generic exit: the sum of every touched set's
-/// part_s(0), which is the set's first warm pass whenever its generic
-/// exit's must state is its cold exit's. The constructor's
+/// part_s(0), which is the set's first warm pass, since its generic exit
+/// is its cold exit (see cache/set_steady). The constructor's
 /// analyze_set_steady gives all of it: the split by set, each set's
 /// renamed pruned tree ("shape"), support and generic exit, and the
 /// cold/warm pair. A set's generic exit is a function of its shape, so
@@ -75,7 +78,6 @@
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "cache/set_steady.hpp"
@@ -184,21 +186,11 @@ private:
   /// ways, so a class costs little next to its ContextWcet.
   using EntryKey = std::string;
 
-  /// One other app's footprint in a contested set where a line is shared.
-  struct Interferer {
-    std::uint32_t app = 0;
-    std::uint32_t size = 0;               ///< its distinct lines in the set
-    const std::uint64_t* lines = nullptr;  ///< those lines, ascending
-  };
   /// One contested set: a live set some other app touches, with its
   /// support and shape in the app's SetSteady.
   struct Contested {
     std::uint32_t set = 0;
     std::uint32_t cap = 0;  ///< ways - youngest must age in the set
-    /// A set where two interferers share a line: its interferers are
-    /// SetShares::interferers[first, last), merged per mask.
-    std::uint32_t first = 0;
-    std::uint32_t last = 0;
     /// The support: SetSteady::support()[support_begin, + support_size), the
     /// leaves whose block fetches a line of this set, ascending; every
     /// other leaf of the whole walk has no share of the set.
@@ -207,15 +199,19 @@ private:
     /// The set's renamed pruned tree: SetSteady::shapes()[shape].
     std::uint32_t shape = 0;
   };
-  /// Contested sets where the same apps interfere and no line is shared:
-  /// a mask's count in each is min(sum of the masked apps' sizes, cap).
+  /// Contested sets whose interferers' lines fall into the same owner
+  /// classes (see the file header): a mask's count in each is min(the sum
+  /// of the sizes of the classes it meets, cap).
   struct Group {
     std::uint64_t touch = 0;  ///< bit j: app j interferes
     std::uint32_t first = 0;  ///< SetShares::contested[first, + count)
     std::uint32_t count = 0;
-    /// SetShares::sizes[sizes + r * count + k]: the lines the r-th app of
-    /// `touch` has in set first + k, capped at its cap (one column per
-    /// app, so a mask adds whole columns).
+    /// SetShares::classes[classes, + columns): the class masks, ascending.
+    std::uint32_t classes = 0;
+    std::uint32_t columns = 0;
+    /// SetShares::sizes[sizes + r * count + k]: the lines of class r in
+    /// set first + k, capped at its cap (one column per class, so a mask
+    /// adds whole columns).
     std::uint32_t sizes = 0;
   };
 
@@ -223,13 +219,11 @@ private:
     /// The program's leaves from the unaged generic exit
     /// (SetSteady::exit_leaves).
     std::vector<PassCounts> base;
-    /// The groups' sets, group by group, then the sets where a line is
-    /// shared (from `shared_begin` on).
+    /// The groups' sets, group by group.
     std::vector<Contested> contested;
     std::vector<Group> groups;
+    std::vector<std::uint64_t> classes;
     std::vector<std::uint32_t> sizes;
-    std::size_t shared_begin = 0;
-    std::vector<Interferer> interferers;
     /// part_at[shape * (ways + 1) + a]: where the change part(a) - part(0)
     /// of that shape sits in `parts`, on its support; kUnset until first
     /// used. A set's generic exit is a function of its renamed pruned
@@ -256,8 +250,6 @@ private:
     EntryKey key;
     std::vector<PassCounts> leaves;
     std::vector<PassCounts> part;
-    /// Scratch: unmerged tails of the interferers' lines in one set.
-    std::vector<std::pair<const std::uint64_t*, const std::uint64_t*>> heads;
     /// Guards shares + contexts + classes + scratch (shared = lookup,
     /// exclusive = compute).
     mutable std::shared_mutex mu;
@@ -265,8 +257,8 @@ private:
 
   /// Fills st.amounts and st.key for \p mask (non-zero, canonical).
   void entry_key_locked(AppState& st, std::uint64_t mask) const;
-  /// Fills st.shares: `base`, the contested sets with their groups or
-  /// interferers, supports and shapes, and no part yet.
+  /// Fills st.shares: `base`, the contested sets with their groups,
+  /// supports and shapes, and no part yet.
   void build_shares_locked(std::size_t app, AppState& st) const;
   /// Computes contested set number \p i's change at aging \p amount
   /// (>= 1) on its support; returns where it sits in SetShares::parts.

@@ -284,7 +284,8 @@ Stmt decode(std::span<const std::uint32_t> enc) {
 
 /// Walks one renamed pruned tree under the one-set cache \p one: cold,
 /// then the warm chain until its exit maps to itself, each pass's leaves
-/// appended to \p walked.
+/// appended to \p walked. The cold exit is the generic exit (see the
+/// file header).
 SetSteady::Shape walk_shape(Stmt tree, const CacheConfig& one,
                             std::vector<PassCounts>& walked) {
   SetSteady::Shape shape;
@@ -293,7 +294,6 @@ SetSteady::Shape walk_shape(Stmt tree, const CacheConfig& one,
   StaticWcetResult pass =
       analyze_static_wcet(shape.tree, one, std::nullopt, nullptr, &walked);
   shape.leaves = static_cast<std::uint32_t>(walked.size()) - shape.walked;
-  const AbstractCacheState cold_must = pass.exit_state.must();
   shape.exit = pass.exit_state;
   CachePair entry = std::move(pass.exit_state);
   for (shape.passes = 1;; ++shape.passes) {
@@ -302,19 +302,8 @@ SetSteady::Shape walk_shape(Stmt tree, const CacheConfig& one,
           "analyze_set_steady: warm exit state did not stabilize");
     }
     pass = analyze_static_wcet(shape.tree, one, entry, nullptr, &walked);
-    shape.exit.join(pass.exit_state);
     if (pass.exit_state == entry) break;
     entry = std::move(pass.exit_state);
-  }
-  // The walk from the generic exit. A walk resets the persistence state,
-  // so only the must state matters; where it is the cold exit's (the
-  // chain's entries only ever gain must entries, so the join is the
-  // first), that walk is warm pass 1.
-  if (shape.exit.must() == cold_must) {
-    shape.from_exit = shape.walked + shape.leaves;
-  } else {
-    shape.from_exit = static_cast<std::uint32_t>(walked.size());
-    analyze_static_wcet(shape.tree, one, shape.exit, nullptr, &walked);
   }
   return shape;
 }
@@ -326,11 +315,9 @@ void SetSteady::scatter(std::uint32_t pass,
   out.assign(leaf_count_, PassCounts{});
   for (const Set& set : sets_) {
     const Shape& shape = shapes_[set.shape];
-    const std::uint32_t from =
-        pass == kFromExit
-            ? shape.from_exit
-            : shape.walked + std::min(pass, shape.passes) * shape.leaves;
-    const PassCounts* const leaves = walked_.data() + from;
+    const PassCounts* const leaves =
+        walked_.data() + shape.walked +
+        std::min(pass, shape.passes) * shape.leaves;
     const std::uint32_t* const to = support_.data() + set.support_begin;
     for (std::uint32_t j = 0; j < set.support_size; ++j) {
       out[to[j]] += leaves[j];
@@ -339,7 +326,7 @@ void SetSteady::scatter(std::uint32_t pass,
 }
 
 void SetSteady::exit_leaves(std::vector<PassCounts>& out) const {
-  scatter(kFromExit, out);
+  scatter(1, out);
 }
 
 SetSteady::SetExit SetSteady::set_exit(std::size_t i) const {

@@ -20,8 +20,16 @@
 /// pass whose exit equals its entry: the whole chain's exit equals its
 /// entry exactly when every set's does, after max_s K_s passes. The warm
 /// bound is the first of those passes with the greatest wcet_cycles, as in
-/// analyze_static_steady_wcet, and a set's generic exit, the join of its
-/// cold exit and every warm exit, is that set of the whole generic exit.
+/// analyze_static_steady_wcet.
+///
+/// A set's generic exit, the join of its cold exit and every warm exit
+/// (that set of the whole generic exit), is its cold exit. Persistence:
+/// every walk starts it empty and its transfer never reads the must
+/// state, so every pass ends in the same persistence state. Must: the
+/// transfer is monotone and the cold entry is the empty state, which every
+/// entry refines, so every warm exit refines the cold exit, and the join
+/// (intersection, maximal age) of states that refine the cold exit is the
+/// cold exit. So the leaves from the generic exit are warm pass 1's.
 ///
 /// The split. A set's pruned tree keeps the subtrees that fetch a line of
 /// the set, each block cut to those lines, a seq of one such child
@@ -76,16 +84,15 @@ public:
   /// of the program's ways and cycle costs.
   struct Shape {
     StructuredProgram tree;  ///< lines renamed 0, 1, ... by first use
-    /// The generic exit: the join of the cold exit and every warm exit.
+    /// The cold exit, which is the generic exit (see the file header).
     CachePair exit;
     /// K: the first warm pass whose exit equals its entry (>= 1).
     std::uint32_t passes = 0;
     std::uint32_t leaves = 0;  ///< leaves per walk, the support's size
     /// walked()[walked + p * leaves, + leaves): pass p's leaves, the cold
-    /// pass at p = 0, warm pass p for p = 1..passes.
+    /// pass at p = 0, warm pass p for p = 1..passes. Warm pass 1 is the
+    /// walk from `exit`.
     std::uint32_t walked = 0;
-    /// walked()[from_exit, + leaves): the leaves of the walk from `exit`.
-    std::uint32_t from_exit = 0;
   };
 
   /// The generic exit of one set in its own lines: the (line, age) entries
@@ -105,8 +112,8 @@ public:
   std::span<const std::uint64_t> lines() const noexcept { return lines_; }
   std::span<const PassCounts> walked() const noexcept { return walked_; }
 
-  /// The whole program's leaves from its generic exit: every set's
-  /// from-exit leaves added onto its support (\p out is overwritten).
+  /// The whole program's leaves from its generic exit: every set's warm
+  /// pass 1 leaves added onto its support (\p out is overwritten).
   void exit_leaves(std::vector<PassCounts>& out) const;
 
   /// Set \p i's generic exit with its own lines.
@@ -118,10 +125,8 @@ private:
       std::span<const StructuredProgram> programs, const CacheConfig& config);
 
   /// Zeroes \p out, then adds every set's leaves of warm pass
-  /// min(pass, K_s) (pass 0: the cold pass; kFromExit: the walk from the
-  /// generic exit) onto its support.
+  /// min(pass, K_s) (pass 0: the cold pass) onto its support.
   void scatter(std::uint32_t pass, std::vector<PassCounts>& out) const;
-  static constexpr std::uint32_t kFromExit = UINT32_MAX;
 
   SteadyPair pair_;
   std::vector<Set> sets_;

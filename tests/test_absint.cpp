@@ -331,12 +331,12 @@ TEST(AbsintSoundness, JoinCoversBothConcreteStates) {
 }
 
 // --------------------------------------------------------------------------
-// Differential check of the flat domain (one (set, line)-sorted entry array
-// plus per-set offsets) against an independent std::map-per-set reference
-// implementation of the transfer functions of both kinds. Any
-// divergence in tracked lines, ages, entry order or join results over
-// randomized traces with joins and interference aging is a bug in one of
-// the two.
+// Differential check of the flat domain (one (set, line)-sorted entry array,
+// a set's range found by binary search) against an independent
+// std::map-per-set reference implementation of the transfer functions of
+// both kinds. Any divergence in tracked lines, ages, entry order or join
+// results over randomized traces with joins and interference aging is a
+// bug in one of the two.
 
 using Kind = AbstractCacheState::Kind;
 
@@ -482,7 +482,7 @@ TEST_P(FlatVsMapDifferential, RandomTracesWithJoinsMatchReference) {
   const std::size_t ways = cfg.ways();
   const std::uint64_t max_line = 3 * lines;
   // Enough accesses that every set sees several conflicting lines, so
-  // inserts and evictions move the offsets of many sets.
+  // inserts and evictions shift the entries of many later sets.
   const int steps = static_cast<int>(std::max<std::size_t>(80, 2 * lines));
   std::mt19937_64 rng(lines * 1000 + assoc);
   std::uniform_int_distribution<std::uint64_t> addr(0, max_line);
@@ -582,8 +582,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(8, 0),     // fully associative
                       std::make_tuple(4096, 8),  // 512 sets x 8 ways
                       std::make_tuple(600, 4),   // 150 sets (not 2^k)
-                      // Set counts that are not powers of two and span
-                      // many 32-set offset blocks, the last one partial.
+                      // Many sets, not a power of two: set_of divides and
+                      // the binary search spans hundreds of sets.
                       std::make_tuple(600, 2),     // 300 sets x 2 ways
                       std::make_tuple(1000, 1)));  // 1000 sets x 1 way
 

@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstring>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <random>
 #include <span>
@@ -774,8 +775,10 @@ std::vector<cache::StructuredProgram> two_pass_programs() {
 /// program: both bounds in every column, every set's generic exit (must
 /// and persistence) against that set of the whole generic exit (a set the
 /// program fetches nothing from is empty there), and every set's lines
-/// against the program's footprint. Returns, per program, the fewest and
-/// the most warm passes any of its sets took.
+/// against the program's footprint. Also pins the argument set_steady
+/// stands on: the whole generic exit, the join of the cold exit and every
+/// warm exit, is the cold exit. Returns, per program, the fewest and the
+/// most warm passes any of its sets took.
 std::vector<std::pair<std::uint32_t, std::uint32_t>> check_set_steady(
     const std::vector<cache::StructuredProgram>& programs,
     const cache::CacheConfig& c, const std::string& label) {
@@ -801,6 +804,8 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> check_set_steady(
     };
     same(pair.cold, whole.cold, " cold");
     same(pair.warm, whole.warm, " warm");
+    EXPECT_TRUE(whole.generic_exit == whole.cold.exit_state)
+        << where << " generic exit is not the cold exit";
     const cache::CacheFootprint footprint =
         cache::compute_footprint(programs[app].root, c);
     const std::span<const cache::SetSteady::Set> sets = split[app].sets();
@@ -1020,21 +1025,26 @@ TEST(Analyzer, EntryClassCapSitsAtTheYoungestSurvivor) {
 }
 
 TEST(Analyzer, EntryKeysCoverEveryKindOfSet) {
-  // 4 sets x 4 ways. App 0 holds lines 0, 1 and 2 (sets 0, 1 and 2) in its
-  // generic exit. Set 0 is live but no other app touches it; in set 1 the
-  // interferers share line 5 (apps 1 and 2) and line 9 (apps 1 and 3), so
-  // a mask's distinct count is below the sum of the sizes; in set 2 every
-  // interferer's lines are its own, so the count is that sum.
+  // 4 sets x 4 ways. App 0 holds lines 0, 1 and 2 (sets 0, 1 and 2) and
+  // fills set 3 with lines 3, 23, 27 and 31 in its generic exit, so every
+  // amount of set-3 aging evicts another of them. Set 0 is live but no
+  // other app touches it; in set 1 the interferers share line 5 (apps 1
+  // and 2) and line 9 (apps 1 and 3), so a mask's distinct count is below
+  // the sum of the sizes; in set 2 every interferer's lines are its own,
+  // so the count is that sum; in set 3 all three interferers fetch line 7
+  // and apps 1 and 2 share three more lines, so the shared classes alone
+  // reach the cap.
   const cache::CacheConfig c = cfg(16, 4);
   std::vector<cache::StructuredProgram> programs(4);
-  programs[0].root = cache::Stmt::block({0, 1, 2, 0, 1, 2});
-  programs[1].root = cache::Stmt::block({5, 9, 6});
-  programs[2].root = cache::Stmt::block({5, 13, 10});
-  programs[3].root = cache::Stmt::block({9, 14});
+  programs[0].root = cache::Stmt::block(
+      {0, 1, 2, 3, 23, 27, 31, 0, 1, 2, 3, 23, 27, 31});
+  programs[1].root = cache::Stmt::block({5, 9, 6, 7, 11, 15, 19});
+  programs[2].root = cache::Stmt::block({5, 13, 10, 7, 11, 15, 19});
+  programs[3].root = cache::Stmt::block({9, 14, 7});
   const cache::CachePair exit =
       cache::analyze_static_steady_wcet(programs[0], c).generic_exit;
   const cache::AbstractCacheState& must = exit.must();
-  for (std::size_t set = 0; set < 3; ++set) {
+  for (std::size_t set = 0; set < 4; ++set) {
     ASSERT_FALSE(must.set_entries(set).empty()) << "set " << set;
   }
   std::vector<cache::CacheFootprint> footprints;
@@ -1049,13 +1059,15 @@ TEST(Analyzer, EntryKeysCoverEveryKindOfSet) {
   for (std::size_t app = 1; app < 4; ++app) {
     ASSERT_TRUE(lines_in(app, 0).empty()) << "app " << app;
   }
-  // Set 1: the k-way merge path (a line in two interferers' footprints).
+  // Set 1: an owner class of two apps (a line in two interferers'
+  // footprints).
   std::vector<std::uint64_t> shared;
   std::set_intersection(lines_in(1, 1).begin(), lines_in(1, 1).end(),
                         lines_in(2, 1).begin(), lines_in(2, 1).end(),
                         std::back_inserter(shared));
   ASSERT_EQ(shared, std::vector<std::uint64_t>{5});
-  // Set 2: the disjoint-sum path (several interferers, no line in two).
+  // Set 2: every owner class is one app (several interferers, no line in
+  // two).
   std::vector<std::uint64_t> all;
   for (std::size_t app = 1; app < 4; ++app) {
     ASSERT_EQ(lines_in(app, 2).size(), 1u) << "app " << app;
@@ -1063,6 +1075,24 @@ TEST(Analyzer, EntryKeysCoverEveryKindOfSet) {
   }
   std::sort(all.begin(), all.end());
   ASSERT_EQ(std::adjacent_find(all.begin(), all.end()), all.end());
+  // Set 3: a line in all three interferers' footprints, and the lines of
+  // the classes of two or more apps at least fill the set's cap.
+  std::map<std::uint64_t, std::size_t> owners;
+  for (std::size_t app = 1; app < 4; ++app) {
+    for (const std::uint64_t line : lines_in(app, 3)) ++owners[line];
+  }
+  std::size_t in_shared_classes = 0;
+  bool in_three = false;
+  for (const auto& [line, n] : owners) {
+    in_shared_classes += n >= 2 ? 1 : 0;
+    in_three |= n == 3;
+  }
+  ASSERT_TRUE(in_three);
+  std::size_t youngest = c.ways();
+  for (const cache::LineAge& e : must.set_entries(3)) {
+    youngest = std::min<std::size_t>(youngest, e.age);
+  }
+  ASSERT_GE(in_shared_classes, c.ways() - youngest);
 
   // Every mask of every app against the reference, every column; app 0's
   // seven masks fall into more than one class, and the classes are exactly
