@@ -28,8 +28,8 @@
 /// state, so every pass ends in the same persistence state. Must: the
 /// transfer is monotone and the cold entry is the empty state, which every
 /// entry refines, so every warm exit refines the cold exit, and the join
-/// (intersection, maximal age) of states that refine the cold exit is the
-/// cold exit. So the leaves from the generic exit are warm pass 1's.
+/// (intersection, maximal age) of the cold exit with states that refine it
+/// is the cold exit. So the leaves from the generic exit are warm pass 1's.
 ///
 /// The split. A set's pruned tree keeps the subtrees that fetch a line of
 /// the set, each block cut to those lines, a seq of one such child
