@@ -363,7 +363,7 @@ DesignResult design_controller(const DesignSpec& spec,
 
   std::vector<double> best;
   double best_cost = std::numeric_limits<double>::infinity();
-  int evals = grid_evals;
+  int swarm_evals = 0;
   if (!seeds.empty()) {
     best = seeds.front();
     best_cost = ranked.front().first;
@@ -373,7 +373,7 @@ DesignResult design_controller(const DesignSpec& spec,
     const opt::PsoResult pr = opt::pso_minimize(
         std::cref(objective), lo, hi, pso,
         restart == 0 ? seeds : std::vector<std::vector<double>>{best});
-    evals += pr.evaluations;
+    swarm_evals += pr.evaluations;
     if (pr.cost < best_cost) {
       best_cost = pr.cost;
       best = pr.x;
@@ -382,14 +382,15 @@ DesignResult design_controller(const DesignSpec& spec,
   if (best.empty()) best.assign(m * l, 0.0);
   // Deterministic polish: compass search removes the swarm's run-to-run
   // variance so schedule comparisons see design quality, not PSO noise.
-  opt::PatternSearchOptions ps;
-  ps.initial_step = 0.2;
-  ps.max_evaluations = 3000;
   const opt::PatternSearchResult pol =
-      opt::pattern_search(std::cref(objective), best, ps);
-  evals += pol.evaluations;
+      opt::pattern_search(std::cref(objective), best, opts.polish);
   if (pol.cost < best_cost) best = pol.x;
-  return objective.report(best, evals);
+  DesignResult res = objective.report(
+      best, grid_evals + swarm_evals + pol.evaluations);
+  res.grid_evaluations = grid_evals;
+  res.swarm_evaluations = swarm_evals;
+  res.polish_evaluations = pol.evaluations;
+  return res;
 }
 
 DesignResult evaluate_gains(const DesignSpec& spec,

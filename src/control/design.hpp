@@ -16,6 +16,7 @@
 /// Ackermann solutions on the average-rate system seed the swarm.
 
 #include "control/switched.hpp"
+#include "opt/pattern_search.hpp"
 #include "opt/pso.hpp"
 
 namespace catsched::core {
@@ -37,6 +38,14 @@ struct DesignSpec {
 /// Knobs of the design search.
 struct DesignOptions {
   opt::PsoOptions pso{};
+  /// The compass polish after the swarm. The evaluation cap is the lowest
+  /// of tools/price_design's grid that keeps best Pall within 0.5% and the
+  /// searches' paths within their bounds (docs/BENCHMARKS.md): late polish
+  /// moves mostly trade the 0.05 IAE tie-break, which Pall never reads.
+  opt::PatternSearchOptions polish{.initial_step = 0.2,
+                                   .min_step = 1e-4,
+                                   .max_evaluations = 700,
+                                   .step_floor_abs = 1e-9};
   double dense_dt = 1.0e-4;      ///< dense simulation resolution
   double horizon_factor = 1.6;   ///< sim horizon = factor * smax
   bool settle_on_samples = true; ///< measure settling on y[k] (Sec. II-A)
@@ -61,9 +70,12 @@ struct DesignResult {
   double u_max_abs = 0.0;
   double spectral_radius = 0.0;  ///< of the closed-loop monodromy
   bool feasible = false;  ///< settled within smax, |u| within umax, stable
-  /// Objective evaluations of the whole design: seed grid, PSO and compass
-  /// polish, including evaluations cut short by their bound.
+  /// Objective evaluations of the whole design, including evaluations cut
+  /// short by their bound: the sum of the three stage counts below.
   int pso_evaluations = 0;
+  int grid_evaluations = 0;    ///< Ackermann seed grid (failed ones omitted)
+  int swarm_evaluations = 0;   ///< every PSO restart
+  int polish_evaluations = 0;  ///< compass polish, its start point included
 };
 
 /// The objective design_controller minimizes: the cost of a candidate's

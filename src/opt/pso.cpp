@@ -24,8 +24,13 @@ PsoResult pso_minimize(const Objective& f, const std::vector<double>& lo,
     throw std::invalid_argument("pso_minimize: bad particle/iteration count");
   }
 
+  // The standard fixes mt19937_64's output sequence, but not what
+  // uniform_real_distribution makes of it, so the unit draw is spelled
+  // out: the top 53 bits scaled into [0, 1), the same on every toolchain.
   std::mt19937_64 rng(opts.seed);
-  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const auto unit = [](std::mt19937_64& g) {
+    return static_cast<double>(g() >> 11) * 0x1p-53;
+  };
 
   const std::size_t n = static_cast<std::size_t>(opts.particles);
   std::vector<std::vector<double>> x(n, std::vector<double>(d));

@@ -949,6 +949,44 @@ TEST(Design, FindsFeasibleControllerForCaseStudyLikePlant) {
   EXPECT_LT(res.spectral_radius, 1.0);
 }
 
+TEST(Design, PolishOptionsReachThePolish) {
+  DesignSpec spec;
+  spec.plant = oscillator(110.0, 0.2, 3.0e6);
+  spec.umax = 60.0;
+  spec.r = 2000.0;
+  spec.smax = 17.5e-3;
+  const auto ivs = uniform_intervals(2, 2.3e-3, 0.75e-3);
+  DesignOptions opts;
+  opts.pso.particles = 6;
+  opts.pso.iterations = 4;
+  opts.pso_restarts = 1;
+  opts.scale_budget_with_dims = false;
+  const DesignResult full = design_controller(spec, ivs, opts);
+  EXPECT_GT(full.polish_evaluations, 1);
+  EXPECT_LE(full.polish_evaluations, opts.polish.max_evaluations);
+  opts.polish.max_evaluations = 1;  // the start point only
+  const DesignResult start = design_controller(spec, ivs, opts);
+  EXPECT_EQ(start.polish_evaluations, 1);
+  // The stages before the polish do not see its budget.
+  EXPECT_EQ(start.grid_evaluations, full.grid_evaluations);
+  EXPECT_EQ(start.swarm_evaluations, full.swarm_evaluations);
+  for (const DesignResult& r : {full, start}) {
+    EXPECT_GT(r.grid_evaluations, 0);
+    EXPECT_EQ(r.swarm_evaluations, 6 * 5);  // 6 particles, 1 + 4 generations
+    EXPECT_EQ(r.pso_evaluations, r.grid_evaluations + r.swarm_evaluations +
+                                     r.polish_evaluations);
+  }
+}
+
+TEST(Design, PolishDefaultIsThePricedBudget) {
+  // tools/price_design's table (docs/BENCHMARKS.md) prices the cap.
+  const opt::PatternSearchOptions polish = DesignOptions{}.polish;
+  EXPECT_EQ(polish.initial_step, 0.2);
+  EXPECT_EQ(polish.min_step, 1e-4);
+  EXPECT_EQ(polish.max_evaluations, 700);
+  EXPECT_EQ(polish.step_floor_abs, 1e-9);
+}
+
 TEST(Design, EvaluateGainsConsistentWithDesign) {
   DesignSpec spec;
   spec.plant = oscillator(110.0, 0.2, 3.0e6);

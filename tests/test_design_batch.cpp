@@ -73,7 +73,10 @@ bool same_matrices(const std::vector<catsched::linalg::Matrix>& a,
   // what an infeasible-design match should be).
   if (a.settling_time != b.settling_time || a.settled != b.settled ||
       a.u_max_abs != b.u_max_abs || a.spectral_radius != b.spectral_radius ||
-      a.feasible != b.feasible || a.pso_evaluations != b.pso_evaluations) {
+      a.feasible != b.feasible || a.pso_evaluations != b.pso_evaluations ||
+      a.grid_evaluations != b.grid_evaluations ||
+      a.swarm_evaluations != b.swarm_evaluations ||
+      a.polish_evaluations != b.polish_evaluations) {
     return ::testing::AssertionFailure() << "metrics differ";
   }
   return ::testing::AssertionSuccess();

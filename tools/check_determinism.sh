@@ -10,16 +10,14 @@
 #      time(NULL)/time(nullptr), and clock/chrono-seeded engines. Banned
 #      everywhere, no allowlist: a single call makes a run unreproducible.
 #
-#   2. Standard-library RNG engines and distributions (std::mt19937*,
-#      std::minstd_*, std::uniform_*_distribution, std::normal_distribution,
-#      std::bernoulli_distribution). Distribution output is implementation-
-#      defined (libstdc++ and libc++ disagree), so seeds do not replay
-#      across toolchains. New code must use testgen::SplitMix64
-#      (src/testgen/rng.hpp), whose draw sequence is pinned by
-#      known-answer tests. Pre-existing deterministically-seeded uses are
-#      grandfathered in ALLOW_STD_RNG below — shrink this list, never grow
-#      it. Every listed file must exist and still hit the std-RNG pattern,
-#      so a stale entry fails the gate and the list can only shrink.
+#   2. Implementation-defined draws — every std::*_distribution,
+#      std::generate_canonical, std::shuffle and std::sample. The standard
+#      fixes the output of its engines (std::mt19937_64's 10000th value is
+#      pinned in [rand.predef]), but not what these make of it: libstdc++
+#      and libc++ disagree, so seeds would not replay across toolchains.
+#      Draw from an engine directly (src/opt/pso.cpp scales the top 53 bits
+#      of mt19937_64 into [0, 1)) or use testgen::SplitMix64
+#      (src/testgen/rng.hpp); known-answer tests pin both. No allowlist.
 #
 #   3. Range-for iteration over std::unordered_ containers — iteration
 #      order is unspecified, so any reduction over it is a portability
@@ -34,23 +32,7 @@ set -u
 
 fail=0
 
-# Grandfathered std-RNG users: every engine here is constructed from an
-# explicit opts.seed, so runs replay on ONE toolchain; they predate the
-# SplitMix64 contract and migrate opportunistically.
-ALLOW_STD_RNG="
-src/opt/pso.cpp
-"
-
-STD_RNG_RE='std::(mt19937|minstd_rand|uniform_int_distribution|uniform_real_distribution|normal_distribution|bernoulli_distribution)'
-
-allowed() {
-  # NB: POSIX sh has no local variables — do not reuse the caller's names.
-  needle=$1
-  for allow_f in $ALLOW_STD_RNG; do
-    [ "$allow_f" = "$needle" ] && return 0
-  done
-  return 1
-}
+STD_DRAW_RE='std::([a-z_]+_distribution|generate_canonical|shuffle|sample)\b'
 
 scan_files=$(find src tools -name '*.hpp' -o -name '*.cpp' | sort)
 
@@ -73,27 +55,12 @@ for f in $scan_files; do
   fi
 done
 
-# --- 2. std RNG engines/distributions outside the grandfather list --------
+# --- 2. implementation-defined draws: banned outright --------------------
 for f in $scan_files; do
-  if allowed "$f"; then
-    continue
-  fi
-  hits=$(grep -nE "$STD_RNG_RE" "$f")
+  hits=$(grep -nE "$STD_DRAW_RE" "$f" | grep -vE '^\s*[0-9]+:\s*(//|\*|///)')
   if [ -n "$hits" ]; then
-    echo "check_determinism: std RNG in non-allowlisted file $f (use testgen::SplitMix64):"
+    echo "check_determinism: implementation-defined draw in $f (draw from the engine or use testgen::SplitMix64):"
     echo "$hits" | sed 's/^/  /'
-    fail=1
-  fi
-done
-
-# Stale allowlist entries: a file that is gone or no longer draws from a
-# std RNG must leave the list.
-for allow_f in $ALLOW_STD_RNG; do
-  if [ ! -f "$allow_f" ]; then
-    echo "check_determinism: ALLOW_STD_RNG lists missing file $allow_f (drop the entry)"
-    fail=1
-  elif ! grep -qE "$STD_RNG_RE" "$allow_f"; then
-    echo "check_determinism: ALLOW_STD_RNG lists $allow_f, which has no std RNG left (drop the entry)"
     fail=1
   fi
 done
