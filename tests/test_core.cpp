@@ -309,5 +309,5 @@ TEST(ControlGolden, PallBitsAreStable) {
     fold_evaluation(ev.evaluate(sched::PeriodicSchedule(bursts)));
   }
   EXPECT_EQ(entries, 84u);
-  EXPECT_EQ(digest, 5671846584445403486ull);
+  EXPECT_EQ(digest, 17937953750588404017ull);
 }
