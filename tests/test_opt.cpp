@@ -125,7 +125,9 @@ TEST(PsoDraws, UnitDrawsArePinnedBitPatterns) {
                                     0x3fc175c928118c7cull,
                                     0x3fdce0b479deb990ull,
                                     0x3f95876015e4d700ull};
-  for (std::size_t j = 0; j < 4; ++j) EXPECT_EQ(bits(seen[j]), expected[j]) << j;
+  for (std::size_t j = 0; j < 4; ++j) {
+    EXPECT_EQ(bits(seen[j]), expected[j]) << j;
+  }
 }
 
 // --------------------------------------------------------- pattern search

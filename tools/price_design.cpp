@@ -2,61 +2,57 @@
 // DesignOptions::polish.max_evaluations costs in objective evaluations and
 // design time, and what it buys in best Pall.
 //
-// Two problem sets, every design problem each one holds:
+// Two problem sets, each system evaluated on every idle-feasible periodic
+// schedule of its region through core::Evaluator (so every distinct
+// (app, timing pattern) is designed once per cap, as in the searches):
 //   * population: the pinned population_search systems (testgen seeds 1,
 //     14, 29, 36, 43, 51 with max_apps 3 and branchy_chance 0.35, context
 //     WCETs) at testgen::fuzz_design_options(), dense_dt raised to
-//     1.6 smax / 400; every idle-feasible periodic schedule with bursts in
-//     [1, 5];
-//   * case study: the Sec. V region (every idle-feasible periodic
-//     schedule, binary cold/warm WCETs) at core::date18_design_options().
+//     1.6 smax / 400; bursts in [1, 5];
+//   * case study: the Sec. V region (binary cold/warm WCETs) at
+//     core::date18_design_options().
 //
-// Each distinct (app, timing pattern) is designed once per cap, as the
-// evaluator's design memo would. A schedule's Pall is the evaluator's
-// weighted sum, and a system's best Pall the highest over its
-// control-feasible schedules. Per cap and problem set the tool prints:
-//   loss mean/worst  per-system loss of best Pall against the first cap
-//                    of the grid, in percent (a system with no feasible
-//                    schedule loses 100%)
-//   feasible         control-feasible schedules, and systems with one
-//   argmax moved     systems whose best schedule differs from the first cap's
-//   designs ok       designs that meet their spec (settled within smax,
-//                    input within umax, stable)
-//   grid/pso/polish  objective evaluations by design stage, summed
-//   capped           designs whose polish ran to the cap
-//   design_s         summed wall time of the design calls
+// A system's best Pall is the highest over its control-feasible
+// schedules. Per cap and problem set the tool prints:
+//   loss_mean/max  per-system loss of best Pall against the first cap of
+//                  the grid, in percent (a system with no feasible
+//                  schedule loses 100%)
+//   feasible       control-feasible schedules
+//   systems        systems with at least one of them
+//   moved          systems whose best schedule differs from the first cap's
+//   designs        distinct designs that meet their spec (settled within
+//                  smax, input within umax, stable)
+//   grid/pso/polish  objective evaluations by design stage, summed over
+//                  the distinct designs
+//   capped         distinct designs whose polish ran to the cap
+//   design_s       wall time of the cap's evaluations
 // Every column but design_s is deterministic. Report only: the exit status
-// is 0 unless the tool itself fails (its Pall reduction disagrees with
-// core::Evaluator's, or a flag is malformed).
+// is 0 unless a flag is malformed (2).
 //
 // Usage:
 //   price_design [--smoke] [--jobs N]
 //
 //   --smoke   caps 3000 and 700 on population system 1 only (seconds)
-//   --jobs N  designs run on N threads at once (default 4); each design
-//             itself is serial, so design_s sums single-thread times
+//   --jobs N  schedules evaluated on N threads at once (default 4)
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "cache/schedule_wcet.hpp"
-#include "control/design.hpp"
 #include "core/case_study.hpp"
 #include "core/codesign.hpp"
 #include "core/evaluator.hpp"
 #include "core/parallel.hpp"
 #include "opt/discrete_search.hpp"
-#include "sched/timing.hpp"
 #include "testgen/generator.hpp"
 #include "testgen/invariants.hpp"
 #include "flag_parse.hpp"
@@ -70,145 +66,116 @@ constexpr std::uint64_t kPopulation[] = {1, 14, 29, 36, 43, 51};
 constexpr int kMaxBurst = 5;
 constexpr double kDenseSteps = 400.0;
 
-/// One system of a problem set: its region and, per schedule and app, the
-/// index of the design problem the schedule hands that app.
 struct System {
   std::string name;
   core::SystemModel model;
-  std::vector<std::vector<int>> schedules;
-  std::vector<std::vector<std::size_t>> design_of;
+  control::DesignOptions design;
+  core::EvaluatorOptions eopts;
+  std::vector<std::vector<int>> schedules;  ///< the idle-feasible region
 };
 
 struct ProblemSet {
   std::string name;
   std::vector<System> systems;
-  std::vector<control::DesignProblem> problems;
-  std::vector<control::DesignOptions> options;  ///< per problem
-  bool context_wcets = false;
 };
 
-/// Adds \p sys (its region, deduplicated design problems and all) to
-/// \p set, designing nothing.
-void add_system(ProblemSet& set, System sys,
-                const control::DesignOptions& design, int max_burst) {
-  core::EvaluatorOptions eopts;
-  eopts.context_wcets = set.context_wcets;
-  const core::Evaluator ev(sys.model, design, nullptr, eopts);
+System make_system(std::string name, core::SystemModel model,
+                   control::DesignOptions design, bool context_wcets,
+                   int max_burst) {
+  System sys{std::move(name), std::move(model), design, {}, {}};
+  sys.eopts.context_wcets = context_wcets;
+  const core::Evaluator ev(sys.model, design, nullptr, sys.eopts);
   opt::HybridOptions region;
-  if (max_burst > 0) region.max_value = max_burst;
+  region.max_value = max_burst;
   sys.schedules = opt::enumerate_feasible(core::make_cheap_feasible(ev),
                                           sys.model.num_apps(), region);
-  std::map<std::pair<std::size_t, std::vector<std::int64_t>>, std::size_t>
-      index;
-  for (const std::vector<int>& m : sys.schedules) {
-    const auto s = sched::InterleavedSchedule::from_periodic(
-        sched::PeriodicSchedule(m));
-    const sched::ScheduleTiming timing =
-        ev.context_analyzer() != nullptr
-            ? sched::derive_timing(ev.wcets(), *ev.context_analyzer(), s)
-            : sched::derive_timing(ev.wcets(), s);
-    std::vector<std::size_t> apps;
-    for (std::size_t i = 0; i < sys.model.num_apps(); ++i) {
-      const std::vector<sched::Interval>& iv = timing.apps[i].intervals;
-      const auto [it, fresh] = index.try_emplace(
-          {i, core::quantize_intervals(iv)}, set.problems.size());
-      if (fresh) {
-        const core::Application& a = sys.model.apps[i];
-        control::DesignProblem p;
-        p.spec.plant = a.plant;
-        p.spec.umax = a.umax;
-        p.spec.r = a.r;
-        p.spec.y0 = a.y0;
-        p.spec.smax = a.smax;
-        p.intervals = iv;
-        set.problems.push_back(std::move(p));
-        set.options.push_back(design);
-      }
-      apps.push_back(it->second);
-    }
-    sys.design_of.push_back(std::move(apps));
-  }
-  set.systems.push_back(std::move(sys));
+  return sys;
 }
 
 ProblemSet population(bool smoke) {
-  ProblemSet set;
-  set.name = "population_search systems (fuzz design budget, context WCETs)";
-  set.context_wcets = true;
+  ProblemSet set{"population_search systems (fuzz design budget, context "
+                 "WCETs)",
+                 {}};
   testgen::GeneratorConfig g;
   g.max_apps = 3;
   g.branchy_chance = 0.35;
   for (const std::uint64_t seed : kPopulation) {
-    System sys;
-    sys.name = "testgen " + std::to_string(seed);
-    sys.model = testgen::generate_system(g, seed).model;
+    core::SystemModel model = testgen::generate_system(g, seed).model;
     control::DesignOptions design = testgen::fuzz_design_options();
     double max_smax = 0.0;
-    for (const core::Application& a : sys.model.apps) {
+    for (const core::Application& a : model.apps) {
       max_smax = std::max(max_smax, a.smax);
     }
     design.dense_dt = std::max(design.dense_dt,
                                design.horizon_factor * max_smax / kDenseSteps);
-    add_system(set, std::move(sys), design, kMaxBurst);
+    set.systems.push_back(make_system("testgen " + std::to_string(seed),
+                                      std::move(model), design, true,
+                                      kMaxBurst));
     if (smoke) break;
   }
   return set;
 }
 
 ProblemSet case_study() {
-  ProblemSet set;
-  set.name = "case study, Sec. V region (date18 design budget)";
-  System sys;
-  sys.name = "date18";
-  sys.model = core::date18_case_study();
-  add_system(set, std::move(sys), core::date18_design_options(), 0);
+  ProblemSet set{"case study, Sec. V region (date18 design budget)", {}};
+  set.systems.push_back(make_system("date18", core::date18_case_study(),
+                                    core::date18_design_options(), false,
+                                    opt::HybridOptions{}.max_value));
   return set;
 }
 
-/// A system's best control-feasible schedule under one cap.
-struct Best {
-  double pall = -std::numeric_limits<double>::infinity();
-  std::size_t schedule = 0;
+/// A system's best control-feasible schedule under one cap, and what its
+/// distinct designs cost.
+struct Outcome {
+  double best_pall = -std::numeric_limits<double>::infinity();
+  std::size_t best = 0;
   bool found = false;
-  int feasible_schedules = 0;
+  int feasible = 0;
+  int designs = 0;
+  int designs_ok = 0;
+  int capped = 0;
+  long long grid = 0;
+  long long swarm = 0;
+  long long polish = 0;
 };
 
-/// Pall of one schedule exactly as core::Evaluator reduces it: the
-/// weighted sum of 1 - s_i / smax_i in app order.
-std::pair<double, bool> schedule_pall(
-    const System& sys, const std::vector<std::size_t>& designs,
-    const std::vector<control::DesignResult>& results) {
-  double pall = 0.0;
-  bool feasible = true;
-  for (std::size_t i = 0; i < designs.size(); ++i) {
-    const control::DesignResult& d = results[designs[i]];
-    const core::Application& a = sys.model.apps[i];
-    const double performance =
-        std::isfinite(d.settling_time)
-            ? 1.0 - d.settling_time / a.smax
-            : -std::numeric_limits<double>::infinity();
-    feasible = feasible && d.feasible && performance >= 0.0;
-    if (std::isfinite(performance)) {
-      pall += a.weight * performance;
-    } else {
-      pall = -std::numeric_limits<double>::infinity();
-    }
-  }
-  return {pall, feasible};
-}
+Outcome evaluate(const System& sys, int cap, core::ThreadPool* pool) {
+  control::DesignOptions design = sys.design;
+  design.polish.max_evaluations = cap;
+  core::Evaluator ev(sys.model, design, nullptr, sys.eopts);
+  const std::size_t n = sys.schedules.size();
+  std::vector<const core::ScheduleEvaluation*> evs(n);
+  core::parallel_for(pool, n, [&](std::size_t k) {
+    evs[k] = &ev.evaluate_cached(sched::InterleavedSchedule::from_periodic(
+        sched::PeriodicSchedule(sys.schedules[k])));
+  });
 
-Best best_of(const System& sys,
-             const std::vector<control::DesignResult>& results) {
-  Best b;
-  for (std::size_t k = 0; k < sys.schedules.size(); ++k) {
-    const auto [pall, feasible] = schedule_pall(sys, sys.design_of[k], results);
-    if (!feasible) continue;
-    ++b.feasible_schedules;
-    if (!b.found || pall > b.pall) {
-      b = {pall, k, true, b.feasible_schedules};
+  Outcome out;
+  std::set<std::pair<std::size_t, std::vector<std::int64_t>>> seen;
+  for (std::size_t k = 0; k < n; ++k) {
+    const core::ScheduleEvaluation& e = *evs[k];
+    if (e.control_feasible) {
+      ++out.feasible;
+      if (!out.found || e.pall > out.best_pall) {
+        out.best_pall = e.pall;
+        out.best = k;
+        out.found = true;
+      }
+    }
+    for (std::size_t i = 0; i < e.apps.size(); ++i) {
+      // The evaluator's design-memo key: one design per distinct pattern.
+      const std::vector<sched::Interval>& iv = e.timing.apps[i].intervals;
+      if (!seen.emplace(i, core::quantize_intervals(iv)).second) continue;
+      const control::DesignResult& d = e.apps[i].design;
+      ++out.designs;
+      out.designs_ok += d.feasible ? 1 : 0;
+      out.capped += d.polish_evaluations >= cap ? 1 : 0;
+      out.grid += d.grid_evaluations;
+      out.swarm += d.swarm_evaluations;
+      out.polish += d.polish_evaluations;
     }
   }
-  return b;
+  return out;
 }
 
 std::string schedule_name(const std::vector<int>& m) {
@@ -219,114 +186,67 @@ std::string schedule_name(const std::vector<int>& m) {
   return s + ")";
 }
 
-/// The tool's reduction must equal the evaluator's on \p sys's best
-/// schedule, or its figures are not what the searches see.
-bool cross_check(const ProblemSet& set, const System& sys, const Best& best,
-                 const control::DesignOptions& design) {
-  if (!best.found) return true;
-  core::EvaluatorOptions eopts;
-  eopts.context_wcets = set.context_wcets;
-  core::Evaluator ev(sys.model, design, nullptr, eopts);
-  const double pall =
-      ev.evaluate(sched::PeriodicSchedule(sys.schedules[best.schedule])).pall;
-  if (std::memcmp(&pall, &best.pall, sizeof pall) == 0) return true;
-  std::fprintf(stderr,
-               "price_design: %s %s: Pall %.17g here, %.17g from the "
-               "evaluator\n",
-               sys.name.c_str(),
-               schedule_name(sys.schedules[best.schedule]).c_str(), best.pall,
-               pall);
-  return false;
-}
-
-bool price(const ProblemSet& set, const std::vector<int>& caps,
+void price(const ProblemSet& set, const std::vector<int>& caps,
            core::ThreadPool* pool) {
-  int schedules = 0;
-  for (const System& sys : set.systems) {
-    schedules += static_cast<int>(sys.schedules.size());
-  }
-  std::printf("%s: %zu system(s), %d schedules, %zu designs per cap\n",
-              set.name.c_str(), set.systems.size(), schedules,
-              set.problems.size());
+  std::size_t schedules = 0;
+  for (const System& sys : set.systems) schedules += sys.schedules.size();
+  std::printf("%s: %zu system(s), %zu schedules\n", set.name.c_str(),
+              set.systems.size(), schedules);
   std::printf("%6s %9s %9s %9s %7s %7s %9s %8s %9s %9s %7s %9s\n", "cap",
               "loss_mean", "loss_max", "feasible", "systems", "moved",
               "designs", "grid", "pso", "polish", "capped", "design_s");
 
-  std::vector<Best> reference;
+  std::vector<Outcome> reference;
   for (const int cap : caps) {
-    std::vector<control::DesignResult> results(set.problems.size());
-    std::vector<double> seconds(set.problems.size());
-    core::parallel_for(pool, set.problems.size(), [&](std::size_t k) {
-      control::DesignOptions o = set.options[k];
-      o.polish.max_evaluations = cap;
-      const Clock::time_point t0 = Clock::now();
-      results[k] = control::design_controller(set.problems[k].spec,
-                                              set.problems[k].intervals, o);
-      seconds[k] = std::chrono::duration<double>(Clock::now() - t0).count();
-    });
-
-    std::vector<Best> bests;
-    for (const System& sys : set.systems) bests.push_back(best_of(sys, results));
-    if (reference.empty()) {
-      reference = bests;
-      control::DesignOptions o = set.options.front();
-      o.polish.max_evaluations = cap;
-      if (!cross_check(set, set.systems.front(), bests.front(), o)) {
-        return false;
-      }
+    const Clock::time_point t0 = Clock::now();
+    std::vector<Outcome> outs;
+    for (const System& sys : set.systems) {
+      outs.push_back(evaluate(sys, cap, pool));
     }
+    const double seconds =
+        std::chrono::duration<double>(Clock::now() - t0).count();
+    if (reference.empty()) reference = outs;
 
+    Outcome sum;
     double loss_sum = 0.0;
     double loss_max = 0.0;
-    int feasible = 0;
     int systems = 0;
     int moved = 0;
-    for (std::size_t s = 0; s < bests.size(); ++s) {
-      const Best& b = bests[s];
-      const Best& r = reference[s];
-      feasible += b.feasible_schedules;
-      systems += b.found ? 1 : 0;
-      moved += (b.found != r.found || b.schedule != r.schedule) ? 1 : 0;
+    for (std::size_t s = 0; s < outs.size(); ++s) {
+      const Outcome& o = outs[s];
+      const Outcome& r = reference[s];
+      systems += o.found ? 1 : 0;
+      moved += (o.found != r.found || o.best != r.best) ? 1 : 0;
       double loss = 0.0;
       if (r.found) {
-        loss = b.found ? 100.0 * (r.pall - b.pall) / r.pall : 100.0;
+        loss = o.found ? 100.0 * (r.best_pall - o.best_pall) / r.best_pall
+                       : 100.0;
       }
       loss_sum += loss;
       loss_max = std::max(loss_max, loss);
-    }
-
-    int designs_ok = 0;
-    int capped = 0;
-    long long grid = 0;
-    long long swarm = 0;
-    long long polish = 0;
-    double design_s = 0.0;
-    for (std::size_t k = 0; k < results.size(); ++k) {
-      const control::DesignResult& d = results[k];
-      designs_ok += d.feasible ? 1 : 0;
-      capped += d.polish_evaluations >= cap ? 1 : 0;
-      grid += d.grid_evaluations;
-      swarm += d.swarm_evaluations;
-      polish += d.polish_evaluations;
-      design_s += seconds[k];
+      sum.feasible += o.feasible;
+      sum.designs_ok += o.designs_ok;
+      sum.capped += o.capped;
+      sum.grid += o.grid;
+      sum.swarm += o.swarm;
+      sum.polish += o.polish;
     }
     std::printf("%6d %8.4f%% %8.4f%% %9d %4d/%-2zu %7d %9d %8lld %9lld %9lld "
                 "%7d %9.2f\n",
-                cap, loss_sum / static_cast<double>(bests.size()), loss_max,
-                feasible, systems, bests.size(), moved, designs_ok, grid,
-                swarm, polish, capped, design_s);
+                cap, loss_sum / static_cast<double>(outs.size()), loss_max,
+                sum.feasible, systems, outs.size(), moved, sum.designs_ok,
+                sum.grid, sum.swarm, sum.polish, sum.capped, seconds);
   }
   for (std::size_t s = 0; s < reference.size(); ++s) {
     const System& sys = set.systems[s];
-    const Best& r = reference[s];
-    std::printf("  %s: best at cap %d: %s Pall=%.6f\n", sys.name.c_str(),
-                caps.front(),
-                r.found ? schedule_name(sys.schedules[r.schedule]).c_str()
+    const Outcome& r = reference[s];
+    std::printf("  %s: %d designs, best at cap %d: %s Pall=%.6f\n",
+                sys.name.c_str(), r.designs, caps.front(),
+                r.found ? schedule_name(sys.schedules[r.best]).c_str()
                         : "none",
-                r.pall);
+                r.best_pall);
   }
   std::printf("\n");
-  return true;
 }
 
 [[noreturn]] void usage(const char* argv0) {
@@ -350,14 +270,14 @@ int main(int argc, char** argv) {
       usage(argv[0]);
     }
   }
-  // The calling thread runs designs too.
+  // The calling thread evaluates schedules too.
   std::unique_ptr<core::ThreadPool> pool;
   if (jobs > 1) pool = std::make_unique<core::ThreadPool>(jobs - 1);
 
   const std::vector<int> caps =
       smoke ? std::vector<int>{3000, 700}
             : std::vector<int>{3000, 2000, 1000, 700, 500, 300, 100, 1};
-  if (!price(population(smoke), caps, pool.get())) return 1;
-  if (!smoke && !price(case_study(), caps, pool.get())) return 1;
+  price(population(smoke), caps, pool.get());
+  if (!smoke) price(case_study(), caps, pool.get());
   return 0;
 }
