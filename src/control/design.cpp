@@ -152,11 +152,9 @@ double DesignObjective::operator()(const std::vector<double>& theta,
   }
 }
 
-DesignResult DesignObjective::report(const std::vector<double>& theta,
-                                     int pso_evaluations) const {
+DesignResult DesignObjective::report(const std::vector<double>& theta) const {
   const std::size_t m = sim_.num_phases();
   DesignResult res;
-  res.pso_evaluations = pso_evaluations;
   PhaseGains gains;
   unpack_gains(gains.k, theta, m, sim_.plant().order());
   res.spectral_radius = linalg::spectral_radius(
@@ -385,8 +383,8 @@ DesignResult design_controller(const DesignSpec& spec,
   const opt::PatternSearchResult pol =
       opt::pattern_search(std::cref(objective), best, opts.polish);
   if (pol.cost < best_cost) best = pol.x;
-  DesignResult res = objective.report(
-      best, grid_evals + swarm_evals + pol.evaluations);
+  DesignResult res = objective.report(best);
+  res.pso_evaluations = grid_evals + swarm_evals + pol.evaluations;
   res.grid_evaluations = grid_evals;
   res.swarm_evaluations = swarm_evals;
   res.polish_evaluations = pol.evaluations;
@@ -409,7 +407,7 @@ DesignResult evaluate_gains(const DesignSpec& spec,
   for (std::size_t j = 0; j < m; ++j) {
     for (std::size_t q = 0; q < l; ++q) theta[j * l + q] = gains.k[j](0, q);
   }
-  return objective.report(theta, 0);
+  return objective.report(theta);
 }
 
 }  // namespace catsched::control

@@ -111,9 +111,9 @@ public:
   /// std::runtime_error (the seed grid drops such candidates).
   double cost(const std::vector<double>& theta, double bound) const;
 
-  /// What design_controller reports for \p theta, unbounded.
-  DesignResult report(const std::vector<double>& theta,
-                      int pso_evaluations) const;
+  /// What design_controller reports for \p theta, unbounded, with every
+  /// evaluation count 0.
+  DesignResult report(const std::vector<double>& theta) const;
 
   const SwitchedSimulator& simulator() const noexcept { return sim_; }
   /// The simulated horizon H.
