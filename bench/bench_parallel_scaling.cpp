@@ -38,7 +38,6 @@ control::DesignOptions fast_options() {
   o.pso.particles = 10;
   o.pso.iterations = 15;
   o.pso.stall_iterations = 6;
-  o.pso_restarts = 1;
   o.scale_budget_with_dims = false;
   return o;
 }

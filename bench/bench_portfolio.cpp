@@ -1,8 +1,8 @@
 // Portfolio racing vs. the steepest-ascent hybrid baseline: on generated
 // systems, how many unique schedule evaluations does each spend before it
 // reaches the baseline's final best Pall? The portfolio races hybrid
-// lanes, a beam variant, compass search, SA and a GA against ONE shared
-// EvalCache, retiring trailing strategies — the claim measured here is
+// lanes, compass search, SA and a GA against ONE shared EvalCache,
+// retiring trailing strategies — the claim measured here is
 // that the race reaches the steepest-ascent best with strictly fewer
 // unique evaluations on a meaningful share of systems (the acceptance
 // floor is >= 3 pinned wins; the process exits nonzero below it).

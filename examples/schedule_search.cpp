@@ -57,7 +57,6 @@ int main() {
   auto dopts = core::date18_design_options();
   dopts.pso.particles = 24;
   dopts.pso.iterations = 50;
-  dopts.pso_restarts = 1;
   dopts.scale_budget_with_dims = false;
   core::Evaluator ev(std::move(sys), dopts);
 

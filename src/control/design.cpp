@@ -19,6 +19,12 @@ namespace catsched::control {
 
 namespace {
 
+/// A closed loop counts as stable when its monodromy's spectral radius is
+/// below 1 - kStabilityMargin.
+constexpr double kStabilityMargin = 1e-9;
+/// Each swarm-box halfwidth over |its center entry|.
+constexpr double kGainBoxFactor = 3.0;
+
 /// Write \p theta into \p k as m rows of 1 x l, reusing their storage.
 void unpack_gains(std::vector<Matrix>& k, const std::vector<double>& theta,
                   std::size_t m, std::size_t l) {
@@ -80,8 +86,7 @@ DesignObjective::DesignObjective(const DesignSpec& spec,
     : sim_(spec.plant, intervals, opts.dense_dt),
       eq_(equilibrium_at(spec.plant, spec.y0)),
       umax_(spec.umax),
-      smax_(spec.smax),
-      stability_margin_(opts.stability_margin) {
+      smax_(spec.smax) {
   sched::AppTiming at;
   at.intervals = intervals;
   sim_opts_.r = spec.r;
@@ -120,7 +125,7 @@ double DesignObjective::cost(const std::vector<double>& theta,
   unpack_gains(gains.k, theta, sim_.num_phases(), sim_.plant().order());
   // The stability barrier: no unstable or singular candidate costs less.
   const double barrier = 1.0e3 * sim_opts_.horizon;
-  const double unstable = 1.0 - stability_margin_;
+  const double unstable = 1.0 - kStabilityMargin;
   if (!(bound <= barrier)) {
     // Such a candidate can still beat the bound, so its exact barrier
     // counts: the spectral radius comes first.
@@ -160,7 +165,7 @@ DesignResult DesignObjective::report(const std::vector<double>& theta) const {
   res.spectral_radius = linalg::spectral_radius(
       closed_loop_monodromy(sim_.phases(), gains.k));
   if (!feedforward(gains) ||
-      res.spectral_radius >= 1.0 - stability_margin_) {
+      res.spectral_radius >= 1.0 - kStabilityMargin) {
     res.settled = false;
     res.feasible = false;
     res.settling_time = std::numeric_limits<double>::infinity();
@@ -330,7 +335,7 @@ DesignResult design_controller(const DesignSpec& spec,
   std::vector<double> lo(m * l);
   std::vector<double> hi(m * l);
   for (std::size_t d = 0; d < m * l; ++d) {
-    const double half = opts.gain_box_factor *
+    const double half = kGainBoxFactor *
                         std::max(std::abs(center[d]), 0.1 * scale);
     lo[d] = center[d] - half;
     hi[d] = center[d] + half;

@@ -49,13 +49,11 @@ struct DesignOptions {
   double dense_dt = 1.0e-4;      ///< dense simulation resolution
   double horizon_factor = 1.6;   ///< sim horizon = factor * smax
   bool settle_on_samples = true; ///< measure settling on y[k] (Sec. II-A)
-  double stability_margin = 1e-9;
   /// Pole-pattern grid for the Ackermann seeding stage (average-rate
   /// system): every (radius, angle) pair becomes a candidate pole set.
   std::vector<double> seed_pole_radii = {0.05, 0.15, 0.3, 0.45, 0.6,
                                          0.7,  0.8,  0.88, 0.94};
   std::vector<double> seed_pole_angles = {0.0, 0.2, 0.45, 0.8};
-  double gain_box_factor = 3.0;  ///< per-dim box halfwidth / |center entry|
   int pso_restarts = 2;          ///< independent swarm restarts (best kept)
   /// Grow the swarm with the number of gain dimensions (m*l); disable for
   /// fast unit tests that provide an explicit small budget.
@@ -83,7 +81,7 @@ struct DesignResult {
 /// on the worst-case step response (the reference steps at the start of
 /// the longest interval). Lower is better:
 ///   - a candidate whose closed-loop monodromy has spectral radius
-///     rho >= 1 - stability_margin, or whose feedforward is singular,
+///     rho >= 1 - 1e-9, or whose feedforward is singular,
 ///     costs 1e3 H (1 + rho), with H = horizon_factor * smax the
 ///     simulated horizon;
 ///   - any other costs its worst-case settling time plus 0.05 IAE when it
@@ -128,7 +126,6 @@ private:
   SimOptions sim_opts_;
   double umax_;
   double smax_;
-  double stability_margin_;
 };
 
 /// Design per-phase gains for the application over the given schedule

@@ -26,11 +26,6 @@ std::vector<std::unique_ptr<SearchDriver>> build_roster(
     roster.push_back(std::make_unique<HybridDriver>(
         "hybrid:" + std::to_string(i), cheap, starts[i], hybrid));
   }
-  BeamDriverOptions beam = opts.beam;
-  beam.tolerance = opts.tolerance;
-  beam.min_value = opts.min_value;
-  beam.max_value = opts.max_value;
-  roster.push_back(make_beam_driver("beam", cheap, starts.front(), beam));
   PatternDriverOptions pattern = opts.pattern;
   pattern.min_value = opts.min_value;
   pattern.max_value = opts.max_value;

@@ -1,9 +1,9 @@
 #pragma once
 /// \file portfolio.hpp
 /// \brief Racing metaheuristic portfolio on the unified anytime-search
-///        API: N SearchDrivers (hybrid walks from diverse starts, a beam
-///        variant, simulated annealing, a GA, integer compass search)
-///        race against ONE shared EvalCache and ONE ThreadPool in
+///        API: N SearchDrivers (hybrid walks from diverse starts,
+///        integer compass search, simulated annealing, a GA) race
+///        against ONE shared EvalCache and ONE ThreadPool in
 ///        deterministic rounds. A point any strategy evaluates is free for
 ///        all the others — the paper's "a schedule costs once" accounting
 ///        (Sec. IV) extended across heterogeneous strategies.
@@ -33,11 +33,10 @@
 namespace catsched::opt {
 
 /// Portfolio knobs. The per-strategy option blocks feed the drivers
-/// verbatim except bounds/tolerance, which the portfolio-level fields
-/// override so every strategy searches the same box under the same
-/// acceptance slack.
+/// verbatim except bounds and seeds, which the portfolio-level fields
+/// override so every strategy searches the same box.
 struct PortfolioOptions {
-  double tolerance = 0.0;  ///< hybrid/beam acceptance slack (Sec. IV)
+  double tolerance = 0.0;  ///< hybrid acceptance slack (Sec. IV)
   int min_value = 1;
   int max_value = 64;
   int max_rounds = 200;        ///< safety cap on race rounds
@@ -45,7 +44,6 @@ struct PortfolioOptions {
                                ///< <= 0 disables racing elimination
   std::uint64_t seed = 1;      ///< base seed; strategy index offsets it
 
-  BeamDriverOptions beam;        ///< width/max_steps (bounds overridden)
   AnnealDriverOptions anneal;    ///< schedule/batch (bounds overridden)
   GeneticDriverOptions genetic;  ///< GA shape (bounds overridden)
   PatternDriverOptions pattern;  ///< initial_step (bounds overridden)
@@ -113,12 +111,12 @@ PortfolioResult race_drivers(const std::vector<SearchDriver*>& roster,
                              core::ThreadPool* pool = nullptr);
 
 /// Race the standard roster from \p starts: one hybrid walk per start,
-/// plus one beam / pattern / anneal / genetic strategy (beam, pattern and
-/// anneal launch from the first start; the GA seeds its own population).
-/// Strategy order is fixed (hybrid:0..k-1, beam, pattern, anneal,
-/// genetic) and every portfolio-side decision is serial, so the result is
-/// bit-identical at every thread count (gtest-enforced) and across
-/// kill/resume through opts.anytime.checkpoint_path.
+/// plus one pattern / anneal / genetic strategy (pattern and anneal launch
+/// from the first start; the GA seeds its own population). Strategy order
+/// is fixed (hybrid:0..k-1, pattern, anneal, genetic) and every
+/// portfolio-side decision is serial, so the result is bit-identical at
+/// every thread count (gtest-enforced) and across kill/resume through
+/// opts.anytime.checkpoint_path.
 /// \throws std::invalid_argument if starts is empty or any start is
 ///         out of bounds / cheap-infeasible.
 PortfolioResult portfolio_search(const DiscreteObjective& objective,

@@ -8,6 +8,18 @@
 
 namespace catsched::opt {
 
+namespace {
+
+// The canonical constricted swarm (Clerc–Kennedy coefficients): inertia,
+// then the pulls toward each particle's best and toward the global best.
+constexpr double kInertia = 0.7298;
+constexpr double kCognitive = 1.49618;
+constexpr double kSocial = 1.49618;
+constexpr double kVelocityClamp = 0.5;  // max |v| / box width
+constexpr double kStallTolerance = 1e-9;
+
+}  // namespace
+
 PsoResult pso_minimize(const Objective& f, const std::vector<double>& lo,
                        const std::vector<double>& hi, const PsoOptions& opts,
                        const std::vector<std::vector<double>>& seeds) {
@@ -103,10 +115,10 @@ PsoResult pso_minimize(const Objective& f, const std::vector<double>& lo,
       for (std::size_t j = 0; j < d; ++j) {
         const double r1 = unit(rng);
         const double r2 = unit(rng);
-        v[i][j] = opts.inertia * v[i][j] +
-                  opts.cognitive * r1 * (pbest[i][j] - x[i][j]) +
-                  opts.social * r2 * (res.x[j] - x[i][j]);
-        const double vmax = opts.velocity_clamp * width[j];
+        v[i][j] = kInertia * v[i][j] +
+                  kCognitive * r1 * (pbest[i][j] - x[i][j]) +
+                  kSocial * r2 * (res.x[j] - x[i][j]);
+        const double vmax = kVelocityClamp * width[j];
         v[i][j] = std::clamp(v[i][j], -vmax, vmax);
         x[i][j] += v[i][j];
       }
@@ -115,7 +127,7 @@ PsoResult pso_minimize(const Objective& f, const std::vector<double>& lo,
     evaluate_all();
     res.iterations_run = it + 1;
     if (opts.stall_iterations > 0) {
-      if (last_best - res.cost <= opts.stall_tolerance) {
+      if (last_best - res.cost <= kStallTolerance) {
         if (++stall >= opts.stall_iterations) break;
       } else {
         stall = 0;

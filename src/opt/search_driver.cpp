@@ -39,6 +39,15 @@ void SearchDriver::note(const std::vector<int>& point,
 
 namespace {
 
+/// Fixed driver shapes: the anneal's resamples per cheap-feasible proposal,
+/// then the GA's crossover probability, per-gene +-1 mutation probability,
+/// contestants per parent selection and best individuals copied unchanged.
+constexpr int kProposalTries = 32;
+constexpr double kCrossoverRate = 0.9;
+constexpr double kMutationRate = 0.3;
+constexpr int kTournament = 3;
+constexpr std::size_t kElites = 2;
+
 bool in_box(const std::vector<int>& p, int lo, int hi) {
   for (int v : p) {
     if (v < lo || v > hi) return false;
@@ -68,92 +77,6 @@ std::vector<std::size_t> rank_desc(const std::vector<double>& score) {
   });
   return order;
 }
-
-// ---------------------------------------------------------------------------
-// Beam: the move-ordering variant — expand the top-k, not only the argmax.
-// ---------------------------------------------------------------------------
-
-class BeamDriver final : public SearchDriver {
- public:
-  BeamDriver(std::string name, CheapFeasible cheap, std::vector<int> start,
-             const BeamDriverOptions& opts)
-      : SearchDriver(std::move(name)), cheap_(std::move(cheap)), opts_(opts) {
-    require_start("beam driver", cheap_, start, opts_.min_value,
-                  opts_.max_value);
-    if (opts_.width < 1) {
-      throw std::invalid_argument("beam driver: width < 1");
-    }
-    beam_.push_back(Entry{std::move(start), 0.0});
-    visited_.insert(beam_.front().point);
-  }
-
- protected:
-  std::vector<std::vector<int>> propose() override {
-    if (!seeded_) return {beam_.front().point};
-    if (steps_ >= opts_.max_steps) return {};
-    std::vector<std::vector<int>> batch;
-    for (const Entry& e : beam_) {
-      for (std::size_t i = 0; i < e.point.size(); ++i) {
-        for (int dir : {-1, +1}) {
-          std::vector<int> p = e.point;
-          p[i] += dir;
-          if (!in_box(p, opts_.min_value, opts_.max_value) || !cheap_(p)) {
-            continue;
-          }
-          // visited_ doubles as the in-batch dedup (insertion rejects
-          // duplicates), so the batch holds each frontier point once.
-          if (!visited_.insert(p).second) continue;
-          batch.push_back(std::move(p));
-        }
-      }
-    }
-    return batch;  // empty = frontier exhausted: converged
-  }
-
-  void observe(const std::vector<std::vector<int>>& points,
-               const std::vector<const EvalOutcome*>& outcomes) override {
-    if (!seeded_) {
-      beam_.front().walk = walk_value(*outcomes[0]);
-      note(points[0], *outcomes[0]);
-      seeded_ = true;
-      return;
-    }
-    std::vector<double> walk(points.size());
-    for (std::size_t k = 0; k < points.size(); ++k) {
-      note(points[k], *outcomes[k]);
-      walk[k] = walk_value(*outcomes[k]);
-    }
-    const std::vector<std::size_t> order = rank_desc(walk);
-    double beam_best = beam_.front().walk;
-    for (const Entry& e : beam_) beam_best = std::max(beam_best, e.walk);
-    if (walk[order.front()] < beam_best - opts_.tolerance) {
-      finish();  // the whole frontier lost more than the tolerance allows
-      return;
-    }
-    std::vector<Entry> next;
-    const std::size_t k = std::min<std::size_t>(
-        static_cast<std::size_t>(opts_.width), order.size());
-    next.reserve(k);
-    for (std::size_t j = 0; j < k; ++j) {
-      next.push_back(Entry{points[order[j]], walk[order[j]]});
-    }
-    beam_ = std::move(next);
-    ++steps_;
-  }
-
- private:
-  struct Entry {
-    std::vector<int> point;
-    double walk;
-  };
-
-  CheapFeasible cheap_;
-  BeamDriverOptions opts_;
-  std::vector<Entry> beam_;
-  bool seeded_ = false;
-  int steps_ = 0;
-  std::unordered_set<std::vector<int>, core::VectorHash> visited_;
-};
 
 // ---------------------------------------------------------------------------
 // Anneal: batch-synchronous SA, first-accepted-move-wins per round.
@@ -187,7 +110,7 @@ class AnnealDriver final : public SearchDriver {
     std::vector<std::vector<int>> batch;
     batch.reserve(static_cast<std::size_t>(want));
     for (int j = 0; j < want; ++j) {
-      for (int tries = 0; tries < opts_.max_proposal_tries; ++tries) {
+      for (int tries = 0; tries < kProposalTries; ++tries) {
         std::vector<int> p = cur_;
         const std::size_t dim = rng_.index(p.size());
         p[dim] += rng_.chance(0.5) ? 1 : -1;
@@ -303,14 +226,13 @@ class GeneticDriver final : public SearchDriver {
     const std::vector<std::size_t> order = rank_desc(fitness);
     std::vector<std::vector<int>> next;
     next.reserve(points.size());
-    const std::size_t elites = std::min<std::size_t>(
-        static_cast<std::size_t>(std::max(opts_.elites, 0)), order.size());
+    const std::size_t elites = std::min(kElites, order.size());
     for (std::size_t j = 0; j < elites; ++j) {
       next.push_back(points[order[j]]);
     }
     const auto tournament = [&]() -> const std::vector<int>& {
       std::size_t best = rng_.index(points.size());
-      for (int c = 1; c < opts_.tournament; ++c) {
+      for (int c = 1; c < kTournament; ++c) {
         const std::size_t cand = rng_.index(points.size());
         if (fitness[cand] > fitness[best]) best = cand;
       }
@@ -320,7 +242,7 @@ class GeneticDriver final : public SearchDriver {
       const std::vector<int>& p1 = tournament();
       const std::vector<int>& p2 = tournament();
       std::vector<int> base = p1;
-      if (rng_.chance(opts_.crossover_rate)) {
+      if (rng_.chance(kCrossoverRate)) {
         for (std::size_t g = 0; g < dims_; ++g) {
           base[g] = rng_.chance(0.5) ? p1[g] : p2[g];
         }
@@ -330,7 +252,7 @@ class GeneticDriver final : public SearchDriver {
       for (int tries = 0; tries < opts_.max_repair_tries && !ok; ++tries) {
         child = base;
         for (std::size_t g = 0; g < dims_; ++g) {
-          if (rng_.chance(opts_.mutation_rate)) {
+          if (rng_.chance(kMutationRate)) {
             child[g] += rng_.chance(0.5) ? 1 : -1;
             child[g] = std::clamp(child[g], opts_.min_value, opts_.max_value);
           }
@@ -527,14 +449,6 @@ void HybridDriver::observe(const std::vector<std::vector<int>>& points,
     return;
   }
   finish();  // no acceptable move: local optimum
-}
-
-std::unique_ptr<SearchDriver> make_beam_driver(std::string name,
-                                               CheapFeasible cheap,
-                                               std::vector<int> start,
-                                               const BeamDriverOptions& opts) {
-  return std::make_unique<BeamDriver>(std::move(name), std::move(cheap),
-                                      std::move(start), opts);
 }
 
 std::unique_ptr<SearchDriver> make_anneal_driver(

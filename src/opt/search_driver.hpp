@@ -1,11 +1,11 @@
 #pragma once
 /// \file search_driver.hpp
 /// \brief Proposal-batch step interface over the discrete schedule space:
-///        the repo's metaheuristics (the paper's hybrid gradient walk, a
-///        top-k beam variant of it, simulated annealing, a genetic
-///        algorithm, and deterministic integer compass search) restated as
-///        SearchDrivers that *propose* a batch of points per round and
-///        *observe* their outcomes — never evaluating anything themselves.
+///        the repo's metaheuristics (the paper's hybrid gradient walk,
+///        simulated annealing, a genetic algorithm, and deterministic
+///        integer compass search) restated as SearchDrivers that
+///        *propose* a batch of points per round and *observe* their
+///        outcomes — never evaluating anything themselves.
 ///
 /// The portfolio (opt/portfolio.hpp) races drivers against one shared
 /// EvalCache and one ThreadPool. The propose/observe split is what makes
@@ -148,24 +148,6 @@ class HybridDriver final : public SearchDriver {
   std::unordered_set<std::vector<int>, core::VectorHash> visited_;
 };
 
-/// The beam (move-ordering) variant of the hybrid walk.
-struct BeamDriverOptions {
-  int width = 3;           ///< beam width k (k = 1 ~ plain hill climb)
-  double tolerance = 0.0;  ///< accept a round losing at most this much
-  int max_steps = 200;     ///< rounds cap
-  int min_value = 1;
-  int max_value = 64;
-};
-
-/// Beam search over the +-1 move graph: each round expands the top-k
-/// unvisited neighbors of the whole beam (not only the argmax), ranked by
-/// walk_value with proposal order breaking ties. Finishes when the best
-/// candidate falls more than `tolerance` below the best beam member.
-std::unique_ptr<SearchDriver> make_beam_driver(std::string name,
-                                               CheapFeasible cheap,
-                                               std::vector<int> start,
-                                               const BeamDriverOptions& opts);
-
 /// Batch-synchronous simulated annealing.
 struct AnnealDriverOptions {
   double initial_temperature = 0.05;  ///< in objective units (Pall ~ 0..1)
@@ -175,15 +157,16 @@ struct AnnealDriverOptions {
   int min_value = 1;
   int max_value = 64;
   std::uint64_t seed = 1;
-  int max_proposal_tries = 32;  ///< resamples per cheap-feasible proposal
 };
 
 /// SA adapted to rounds: each round proposes `batch` independent +-1 moves
-/// from the current point; observation scans them in order, cooling once
-/// per proposal, and the FIRST accepted move (improvements always, losses
-/// with probability exp(delta/T) on walk_value) becomes the new current
-/// point — the rest of the round only feeds best-tracking. At a zero
-/// temperature only non-worsening moves are accepted. RNG is SplitMix64.
+/// from the current point (each resampled up to 32 times until it is
+/// in-box and cheap-feasible, else dropped); observation scans them in
+/// order, cooling once per proposal, and the FIRST accepted move
+/// (improvements always, losses with probability exp(delta/T) on
+/// walk_value) becomes the new current point — the rest of the round only
+/// feeds best-tracking. At a zero temperature only non-worsening moves are
+/// accepted. RNG is SplitMix64.
 std::unique_ptr<SearchDriver> make_anneal_driver(
     std::string name, CheapFeasible cheap, std::vector<int> start,
     const AnnealDriverOptions& opts);
@@ -192,10 +175,6 @@ std::unique_ptr<SearchDriver> make_anneal_driver(
 struct GeneticDriverOptions {
   int population = 12;
   int generations = 15;
-  double crossover_rate = 0.9;
-  double mutation_rate = 0.3;  ///< per-gene probability of a +-1 step
-  int tournament = 3;          ///< contestants per parent selection
-  int elites = 2;              ///< best individuals copied unchanged
   int min_value = 1;
   int max_value = 64;
   std::uint64_t seed = 1;
@@ -203,12 +182,13 @@ struct GeneticDriverOptions {
 };
 
 /// GA in driver form: a round proposes the current population, observation
-/// assigns walk_value fitness and breeds the next generation (tournament
-/// selection, uniform crossover, +-1 mutation with cheap-feasibility
-/// repair, elitism). Half the initial population is biased low (genes in
-/// [min, min+3]); all randomness is SplitMix64. The all-min point
-/// backstops an initial draw that found nothing cheap-feasible, when the
-/// filter accepts it.
+/// assigns walk_value fitness and breeds the next generation (3-way
+/// tournament selection, uniform crossover with probability 0.9, per-gene
+/// +-1 mutation with probability 0.3 and cheap-feasibility repair, the 2
+/// best copied unchanged). Half the initial population is biased low
+/// (genes in [min, min+3]); all randomness is SplitMix64. The all-min
+/// point backstops an initial draw that found nothing cheap-feasible, when
+/// the filter accepts it.
 /// \throws std::invalid_argument if dims == 0 or population < 2, or
 ///         std::runtime_error if an initial draw and the all-min backstop
 ///         are both cheap-infeasible.

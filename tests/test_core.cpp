@@ -11,7 +11,6 @@
 #include "core/case_study.hpp"
 #include "core/codesign.hpp"
 #include "core/evaluator.hpp"
-#include "core/parallel.hpp"
 #include "testgen/generator.hpp"
 #include "testgen/invariants.hpp"
 
@@ -27,7 +26,6 @@ control::DesignOptions fast_options() {
   o.pso.particles = 12;
   o.pso.iterations = 20;
   o.pso.stall_iterations = 8;
-  o.pso_restarts = 1;
   o.scale_budget_with_dims = false;
   return o;
 }
@@ -229,39 +227,6 @@ TEST(Date18Integration, FeasibleRegionContainsPaperSchedules) {
     if (p == std::vector<int>{2, 6, 2}) found = true;
   }
   EXPECT_TRUE(found);
-}
-
-TEST(Date18Integration, SecVSearchCounts) {
-  // Sec. V as tools/reproduce_paper prints it, at the full design budget.
-  // The pool only decides where designs run, so the counts are the serial
-  // ones. The paper reports 76 schedules, 74 control-feasible, and 9 and
-  // 18 evaluations per start; the gaps are open (docs/ARCHITECTURE.md).
-  const SystemModel sys = date18_case_study();
-  ThreadPool pool(4);
-  opt::HybridOptions hopts;
-  hopts.tolerance = 0.005;
-  const std::vector<int> best{2, 6, 2};
-
-  Evaluator ex_ev(sys, date18_design_options(), &pool);
-  const auto ex = exhaustive_codesign(ex_ev, hopts, &pool);
-  ASSERT_TRUE(ex.found);
-  EXPECT_EQ(ex.details.enumerated, 77);
-  EXPECT_EQ(ex.details.control_feasible, 77);
-  EXPECT_EQ(ex.best_schedule.bursts(), best);
-  const double pall = 0.67761411043745534;
-  EXPECT_LE(std::abs(ex.details.best_value - pall), 1e-9 * pall);
-
-  Evaluator hy_ev(sys, date18_design_options(), &pool);
-  const auto hy =
-      find_optimal_schedule(hy_ev, {{4, 2, 2}, {1, 2, 1}}, hopts, &pool);
-  ASSERT_TRUE(hy.found);
-  EXPECT_EQ(hy.best_schedule.bursts(), best);
-  ASSERT_EQ(hy.search.runs.size(), 2u);
-  EXPECT_EQ(hy.search.runs[0].best, best);
-  EXPECT_EQ(hy.search.runs[1].best, best);
-  EXPECT_EQ(hy.search.runs[0].new_evaluations, 30);
-  EXPECT_EQ(hy.search.runs[1].new_evaluations, 10);
-  EXPECT_EQ(hy.schedules_evaluated, 40);
 }
 
 TEST(ControlGolden, PallBitsAreStable) {

@@ -44,7 +44,6 @@ DesignOptions tiny_options() {
   o.pso.particles = 6;
   o.pso.iterations = 8;
   o.pso.stall_iterations = 4;
-  o.pso_restarts = 1;
   o.scale_budget_with_dims = false;
   return o;
 }

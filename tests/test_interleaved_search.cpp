@@ -131,7 +131,6 @@ control::DesignOptions fast_options() {
   o.pso.particles = 12;
   o.pso.iterations = 20;
   o.pso.stall_iterations = 8;
-  o.pso_restarts = 1;
   o.scale_budget_with_dims = false;
   return o;
 }

@@ -457,9 +457,10 @@ TEST(HybridReference, SearchesWalkTheReferenceRuleAtEveryThreadCount) {
           roster.push_back(std::make_unique<HybridDriver>(
               "hybrid:" + std::to_string(i), cheap, starts[i], opts));
         }
-        BeamDriverOptions beam;
-        beam.max_value = Landscape::kHi;
-        roster.push_back(make_beam_driver("beam", cheap, starts[0], beam));
+        PatternDriverOptions pattern = popts.pattern;
+        pattern.max_value = Landscape::kHi;
+        roster.push_back(
+            make_pattern_driver("pattern", cheap, starts[0], pattern));
         AnnealDriverOptions anneal = popts.anneal;
         anneal.max_value = Landscape::kHi;
         roster.push_back(

@@ -11,9 +11,9 @@
 // Takes no arguments; any argument prints the usage and exits with
 // status 2. Every search and design runs on one thread pool; serial and
 // parallel runs are bit-identical, so only the bracketed wall times depend
-// on the machine. The same numbers are pinned by Date18.TableIExact,
-// Date18Integration.RoundRobinVsCacheAware and
-// Date18Integration.SecVSearchCounts.
+// on the machine. Table I is also pinned by Date18.TableIExact and Table
+// III by Date18Integration.RoundRobinVsCacheAware; the Sec. V counts and
+// Pall values only by this output's golden (ctest reproduce_paper_golden).
 //
 // Paper reference values:
 //   Table I (Infineon XC23xxB-class, 20 MHz, 128 x 16 B direct-mapped
@@ -178,7 +178,7 @@ void sec5(const core::SystemModel& sys, core::ThreadPool& pool) {
     const auto ex = core::exhaustive_codesign(ev, hopts, &pool);
     const double secs = seconds_since(t0);
     std::printf("exhaustive search: evaluated %d schedules, %d control-"
-                "feasible, best %s with Pall=%.4f  [%.1f s, %d designs]\n",
+                "feasible, best %s with Pall=%.12f  [%.1f s, %d designs]\n",
                 ex.details.enumerated, ex.details.control_feasible,
                 ex.best_schedule.to_string().c_str(), ex.details.best_value,
                 secs, ev.designs_run());
@@ -194,12 +194,12 @@ void sec5(const core::SystemModel& sys, core::ThreadPool& pool) {
                 hopts.tolerance);
     for (std::size_t i = 0; i < hy.search.runs.size(); ++i) {
       const auto& run = hy.search.runs[i];
-      std::printf("  start %zu (%s): reached (%d, %d, %d) Pall=%.4f, "
+      std::printf("  start %zu (%s): reached (%d, %d, %d) Pall=%.12f, "
                   "%d new schedule evaluations, %d moves\n",
                   i, i == 0 ? "4,2,2" : "1,2,1", run.best[0], run.best[1],
                   run.best[2], run.best_value, run.new_evaluations, run.steps);
     }
-    std::printf("  combined: best %s Pall=%.4f with %d unique evaluations "
+    std::printf("  combined: best %s Pall=%.12f with %d unique evaluations "
                 "[%.1f s]   (paper: 9 and 18 evaluations of 76)\n",
                 hy.best_schedule.to_string().c_str(), hy.best_evaluation.pall,
                 hy.schedules_evaluated, secs);
