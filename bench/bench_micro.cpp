@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -398,54 +399,67 @@ void BM_PsoParticleEval(benchmark::State& state) {
 BENCHMARK(BM_PsoParticleEval);
 
 // population_search geometry: testgen seed 1 of perfbench's pinned
-// population (3 apps, branchy_chance 0.35), its order-3 app 0 under
-// (3,2,2), dense_dt = max(fuzz dense_dt, 1.6 max smax / 400) = 2 ms. Every
-// interval (0.53, 0.011 and 1.42 ms) is shorter than dense_dt, so each
-// segment is one substep.
+// population (3 apps, branchy_chance 0.35), its order-3 app 0 under the
+// first schedule of kPopulationSchedules whose design of that app settles,
+// dense_dt = max(fuzz dense_dt, horizon_factor * max smax / 400) = 2 ms as
+// perfbench sets it. Under (2,2,2) both intervals (0.53 and 1.42 ms) are
+// shorter than dense_dt, so each segment is one substep.
 struct PopulationDesign {
   control::DesignSpec spec;
   std::vector<sched::Interval> intervals;
   control::DesignOptions opts;
+  control::DesignResult design;  ///< design_controller's, settled
 };
 
-PopulationDesign population_design() {
+/// Candidate schedules, in order. (3,2,2), the first pin, stopped
+/// settling when the polish cap fell to 700.
+const std::vector<std::vector<int>> kPopulationSchedules = {
+    {2, 2, 2}, {3, 2, 2}, {1, 1, 1}};
+
+/// The pinned geometry, or nullopt when no candidate schedule gives a
+/// settling order-3 app 0.
+std::optional<PopulationDesign> population_design() {
   testgen::GeneratorConfig gen;
   gen.max_apps = 3;
   gen.branchy_chance = 0.35;
   const core::SystemModel model = testgen::generate_system(gen, 1).model;
   const core::Application& a = model.apps[0];
+  if (a.plant.order() != 3) return std::nullopt;
   double max_smax = 0.0;
   for (const core::Application& app : model.apps) {
     max_smax = std::max(max_smax, app.smax);
   }
   PopulationDesign d;
   d.opts = testgen::fuzz_design_options();
-  d.opts.dense_dt = std::max(d.opts.dense_dt, 1.6 * max_smax / 400.0);
-  d.intervals = sched::derive_timing(model.analyze_wcets(),
-                                     sched::PeriodicSchedule({3, 2, 2}))
-                    .apps[0]
-                    .intervals;
+  d.opts.dense_dt = std::max(d.opts.dense_dt,
+                             d.opts.horizon_factor * max_smax / 400.0);
   d.spec.plant = a.plant;
   d.spec.umax = a.umax;
   d.spec.r = a.r;
   d.spec.y0 = a.y0;
   d.spec.smax = a.smax;
-  return d;
+  const auto wcets = model.analyze_wcets();
+  for (const std::vector<int>& m : kPopulationSchedules) {
+    d.intervals = sched::derive_timing(wcets, sched::PeriodicSchedule(m))
+                      .apps[0]
+                      .intervals;
+    d.design = control::design_controller(d.spec, d.intervals, d.opts);
+    if (d.design.settled) return d;
+  }
+  return std::nullopt;
 }
 
-// The particle is the gains a design under those options returns: stable,
-// settling within the horizon (after smax). \p bound_factor scales its cost
-// into the bound it is evaluated at (+infinity: unbounded).
+// The particle is the gains a design under those options returns: stable
+// and settling. \p bound_factor scales its cost into the bound it is
+// evaluated at (+infinity: unbounded).
 void population_particle_eval(benchmark::State& state, double bound_factor) {
-  const PopulationDesign d = population_design();
-  const control::DesignResult design =
-      control::design_controller(d.spec, d.intervals, d.opts);
-  if (d.spec.plant.order() != 3 || !design.settled) {
+  const std::optional<PopulationDesign> d = population_design();
+  if (!d) {
     state.SkipWithError("pinned system changed: no settling order-3 app 0");
     return;
   }
-  const control::DesignObjective objective(d.spec, d.intervals, d.opts);
-  const std::vector<double> theta = flatten_gains(design.gains.k);
+  const control::DesignObjective objective(d->spec, d->intervals, d->opts);
+  const std::vector<double> theta = flatten_gains(d->design.gains.k);
   const double inf = std::numeric_limits<double>::infinity();
   pso_particle_eval(
       state, objective, theta,
@@ -473,13 +487,17 @@ void BM_PsoParticleEvalPopulationAccept(benchmark::State& state) {
 BENCHMARK(BM_PsoParticleEvalPopulationAccept);
 
 // One full design (grid, PSO, compass polish) at that geometry with the
-// fuzz design budget: the unit of work population_search repeats (673
+// fuzz design budget: the unit of work population_search repeats (680
 // designs in one traced run).
 void BM_FullControllerDesignPopulation(benchmark::State& state) {
-  const PopulationDesign d = population_design();
+  const std::optional<PopulationDesign> d = population_design();
+  if (!d) {
+    state.SkipWithError("pinned system changed: no settling order-3 app 0");
+    return;
+  }
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        control::design_controller(d.spec, d.intervals, d.opts));
+        control::design_controller(d->spec, d->intervals, d->opts));
   }
 }
 BENCHMARK(BM_FullControllerDesignPopulation)->Unit(benchmark::kMillisecond);

@@ -24,6 +24,10 @@ namespace {
 constexpr double kStabilityMargin = 1e-9;
 /// Each swarm-box halfwidth over |its center entry|.
 constexpr double kGainBoxFactor = 3.0;
+/// report() checks each design over at least this many smax, whatever
+/// the search's horizon: reported settling times, peak inputs and
+/// feasibility keep the window the goldens and Table III are pinned over.
+constexpr double kReportHorizonFactor = 1.6;
 
 /// Write \p theta into \p k as m rows of 1 x l, reusing their storage.
 void unpack_gains(std::vector<Matrix>& k, const std::vector<double>& theta,
@@ -95,6 +99,9 @@ DesignObjective::DesignObjective(const DesignSpec& spec,
   sim_opts_.hold_first_interval = true;
   sim_opts_.settle_band = spec.settle_band;
   sim_opts_.settle_on_samples = opts.settle_on_samples;
+  report_opts_ = sim_opts_;
+  report_opts_.horizon =
+      std::max(opts.horizon_factor, kReportHorizonFactor) * spec.smax;
 }
 
 /// The feedforward of \p gains' feedback rows into gains.f; false when
@@ -174,7 +181,7 @@ DesignResult DesignObjective::report(const std::vector<double>& theta) const {
     return res;
   }
   res.gains = std::move(gains);
-  const SimResult sr = sim_.simulate(res.gains, eq_.x, eq_.u, sim_opts_);
+  const SimResult sr = sim_.simulate(res.gains, eq_.x, eq_.u, report_opts_);
   res.settling_time =
       sr.settled ? sr.settling_time : std::numeric_limits<double>::infinity();
   res.settled = sr.settled;

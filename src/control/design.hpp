@@ -47,7 +47,16 @@ struct DesignOptions {
                                    .max_evaluations = 700,
                                    .step_floor_abs = 1e-9};
   double dense_dt = 1.0e-4;      ///< dense simulation resolution
-  double horizon_factor = 1.6;   ///< sim horizon = factor * smax
+  /// The search scores each candidate's step response over
+  /// horizon_factor * smax; report() checks the chosen gains over
+  /// max(horizon_factor, 1.6) * smax. At 1.0 the score ends at the
+  /// deadline, the window the feasibility test reads: on
+  /// tools/price_design's horizon grid it keeps every population system's
+  /// best Pall, every schedule's feasibility and the searches' paths
+  /// (docs/BENCHMARKS.md). A lower factor scores candidates that settle
+  /// before their deadline as unsettled. The case study loses feasible
+  /// schedules below 1.6 and keeps it (core::date18_design_options()).
+  double horizon_factor = 1.0;
   bool settle_on_samples = true; ///< measure settling on y[k] (Sec. II-A)
   /// Pole-pattern grid for the Ackermann seeding stage (average-rate
   /// system): every (radius, angle) pair becomes a candidate pole set.
@@ -110,11 +119,12 @@ public:
   double cost(const std::vector<double>& theta, double bound) const;
 
   /// What design_controller reports for \p theta, unbounded, with every
-  /// evaluation count 0.
+  /// evaluation count 0. The step response is simulated over
+  /// max(horizon_factor, 1.6) * smax, which may be longer than horizon().
   DesignResult report(const std::vector<double>& theta) const;
 
   const SwitchedSimulator& simulator() const noexcept { return sim_; }
-  /// The simulated horizon H.
+  /// The horizon H the search's scores simulate.
   double horizon() const noexcept { return sim_opts_.horizon; }
 
 private:
@@ -123,7 +133,8 @@ private:
 
   SwitchedSimulator sim_;
   Equilibrium eq_;
-  SimOptions sim_opts_;
+  SimOptions sim_opts_;     ///< the search's scores, over horizon()
+  SimOptions report_opts_;  ///< report()'s check, over >= 1.6 smax
   double umax_;
   double smax_;
 };

@@ -153,6 +153,8 @@ control::DesignOptions date18_design_options() {
   // One swarm: a second restart changes no printed design (docs/BENCHMARKS).
   opts.pso_restarts = 1;
   opts.dense_dt = 1.0e-4;
+  // Every lower search horizon loses control-feasible Sec. V schedules
+  // (tools/price_design's horizon grid, docs/BENCHMARKS).
   opts.horizon_factor = 1.6;
   // Settling is measured on the dense trajectory (continuous reading of
   // Fig. 6); stricter than the sampled y[k] metric and free of the

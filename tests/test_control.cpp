@@ -20,6 +20,7 @@
 #include "control/pole_place.hpp"
 #include "control/scenarios.hpp"
 #include "control/switched.hpp"
+#include "core/case_study.hpp"
 #include "core/parallel.hpp"
 #include "linalg/eig.hpp"
 #include "linalg/expm.hpp"
@@ -985,6 +986,71 @@ TEST(Design, PolishDefaultIsThePricedBudget) {
   EXPECT_EQ(polish.min_step, 1e-4);
   EXPECT_EQ(polish.max_evaluations, 700);
   EXPECT_EQ(polish.step_floor_abs, 1e-9);
+}
+
+TEST(Design, ReportChecksTheLongHorizon) {
+  // The search scores candidates over horizon_factor * smax = smax, but
+  // report() checks the chosen gains over 1.6 smax: the same bits as one
+  // direct simulation over 1.6 smax.
+  // Weakened gains settle later: 0.8 of the design's settles after smax,
+  // inside the window only the longer horizon sees; 0.6 of it never
+  // settles.
+  DesignSpec spec;
+  spec.plant = oscillator(110.0, 0.2, 3.0e6);
+  spec.umax = 60.0;
+  spec.r = 2000.0;
+  spec.smax = 17.5e-3;
+  std::vector<sched::Interval> ivs(2);
+  ivs[0] = {645.25e-6, 645.25e-6, false};
+  ivs[1] = {3204.7e-6, 175.0e-6, true};
+  DesignOptions opts;
+  opts.pso.particles = 16;
+  opts.pso.iterations = 20;
+  opts.scale_budget_with_dims = false;
+  opts.settle_on_samples = false;
+  opts.horizon_factor = 1.0;
+  const DesignResult designed = design_controller(spec, ivs, opts);
+  const DesignObjective objective(spec, ivs, opts);
+  EXPECT_EQ(objective.horizon(), spec.smax);
+
+  SimOptions so;
+  so.r = spec.r;
+  so.horizon = 1.6 * spec.smax;
+  so.start_phase = 1;  // the longest interval
+  so.settle_band = spec.settle_band;
+  so.settle_on_samples = opts.settle_on_samples;
+  const Equilibrium eq = equilibrium_at(spec.plant, spec.y0);
+  const std::size_t l = spec.plant.order();
+  int late = 0;
+  int never = 0;
+  for (const double scale : {1.0, 0.9, 0.8, 0.6}) {
+    std::vector<double> theta;
+    for (const Matrix& kj : designed.gains.k) {
+      for (std::size_t q = 0; q < l; ++q) theta.push_back(scale * kj(0, q));
+    }
+    const DesignResult got = objective.report(theta);
+    const SimResult want =
+        objective.simulator().simulate(got.gains, eq.x, eq.u, so);
+    const std::string where = "scale " + std::to_string(scale);
+    ASSERT_LT(got.spectral_radius, 1.0) << where;
+    EXPECT_EQ(got.settled, want.settled) << where;
+    EXPECT_EQ(bits(got.settling_time),
+              bits(want.settled ? want.settling_time
+                                : std::numeric_limits<double>::infinity()))
+        << where;
+    EXPECT_EQ(bits(got.u_max_abs), bits(want.u_max_abs)) << where;
+    late += want.settled && want.settling_time > spec.smax ? 1 : 0;
+    never += want.settled ? 0 : 1;
+  }
+  EXPECT_GT(late, 0);
+  EXPECT_GT(never, 0);
+}
+
+TEST(Design, CaseStudyKeepsTheLongHorizon) {
+  EXPECT_EQ(core::date18_design_options().horizon_factor, 1.6)
+      << "tools/price_design's horizon grid: the case study loses "
+         "control-feasible Sec. V schedules at every factor below 1.6 "
+         "(docs/BENCHMARKS.md)";
 }
 
 TEST(Design, EvaluateGainsConsistentWithDesign) {

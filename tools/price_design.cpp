@@ -1,38 +1,48 @@
-// Prices the controller design's compass-polish budget: what each cap on
-// DesignOptions::polish.max_evaluations costs in objective evaluations and
-// design time, and what it buys in best Pall.
+// Prices two knobs of the controller design: what each value costs in
+// objective evaluations and design time, and what it buys in best Pall.
+//   * the compass polish's cap, DesignOptions::polish.max_evaluations;
+//   * the simulated horizon the search scores candidates over,
+//     DesignOptions::horizon_factor (report() checks every design over at
+//     least 1.6 smax whatever the factor).
+// Each grid varies one knob and keeps the other at the problem set's
+// value.
 //
 // Two problem sets, each system evaluated on every idle-feasible periodic
 // schedule of its region through core::Evaluator (so every distinct
-// (app, timing pattern) is designed once per cap, as in the searches):
+// (app, timing pattern) is designed once per grid row, as in the
+// searches):
 //   * population: the pinned population_search systems (testgen seeds 1,
 //     14, 29, 36, 43, 51 with max_apps 3 and branchy_chance 0.35, context
 //     WCETs) at testgen::fuzz_design_options(), dense_dt raised to
-//     1.6 smax / 400; bursts in [1, 5];
+//     horizon_factor * smax / 400 as perfbench raises it; bursts in
+//     [1, 5];
 //   * case study: the Sec. V region (binary cold/warm WCETs) at
 //     core::date18_design_options().
 //
 // A system's best Pall is the highest over its control-feasible
-// schedules. Per cap and problem set the tool prints:
-//   loss_mean/max  per-system loss of best Pall against the first cap of
+// schedules. Per grid row and problem set the tool prints:
+//   loss_mean/max  per-system loss of best Pall against the first row of
 //                  the grid, in percent (a system with no feasible
 //                  schedule loses 100%)
 //   feasible       control-feasible schedules
+//   flips          schedules whose control feasibility differs from the
+//                  first row's
 //   systems        systems with at least one of them
-//   moved          systems whose best schedule differs from the first cap's
+//   moved          systems whose best schedule differs from the first row's
 //   designs        distinct designs that meet their spec (settled within
 //                  smax, input within umax, stable)
 //   grid/pso/polish  objective evaluations by design stage, summed over
 //                  the distinct designs
 //   capped         distinct designs whose polish ran to the cap
-//   design_s       wall time of the cap's evaluations
+//   design_s       wall time of the row's evaluations
 // Every column but design_s is deterministic. Report only: the exit status
 // is 0 unless a flag is malformed (2).
 //
 // Usage:
 //   price_design [--smoke] [--jobs N]
 //
-//   --smoke   caps 3000 and 700 on population system 1 only (seconds)
+//   --smoke   caps 3000 and 700, horizons 1.6 and 1.0, on population
+//             system 1 only (seconds)
 //   --jobs N  schedules evaluated on N threads at once (default 4)
 
 #include <algorithm>
@@ -70,9 +80,31 @@ struct System {
   std::string name;
   core::SystemModel model;
   control::DesignOptions design;
+  /// When positive, dense_dt is raised to horizon_factor * this / 400.
+  double dense_smax = 0.0;
   core::EvaluatorOptions eopts;
   std::vector<std::vector<int>> schedules;  ///< the idle-feasible region
 };
+
+/// The knob a grid varies.
+enum class Knob { cap, horizon };
+
+/// \p sys's design options with \p knob set to \p value.
+control::DesignOptions options_at(const System& sys, Knob knob,
+                                  double value) {
+  control::DesignOptions design = sys.design;
+  if (knob == Knob::cap) {
+    design.polish.max_evaluations = static_cast<int>(value);
+  } else {
+    design.horizon_factor = value;
+  }
+  if (sys.dense_smax > 0.0) {
+    design.dense_dt =
+        std::max(design.dense_dt,
+                 design.horizon_factor * sys.dense_smax / kDenseSteps);
+  }
+  return design;
+}
 
 struct ProblemSet {
   std::string name;
@@ -80,9 +112,9 @@ struct ProblemSet {
 };
 
 System make_system(std::string name, core::SystemModel model,
-                   control::DesignOptions design, bool context_wcets,
-                   int max_burst) {
-  System sys{std::move(name), std::move(model), design, {}, {}};
+                   control::DesignOptions design, double dense_smax,
+                   bool context_wcets, int max_burst) {
+  System sys{std::move(name), std::move(model), design, dense_smax, {}, {}};
   sys.eopts.context_wcets = context_wcets;
   const core::Evaluator ev(sys.model, design, nullptr, sys.eopts);
   opt::HybridOptions region;
@@ -101,16 +133,13 @@ ProblemSet population(bool smoke) {
   g.branchy_chance = 0.35;
   for (const std::uint64_t seed : kPopulation) {
     core::SystemModel model = testgen::generate_system(g, seed).model;
-    control::DesignOptions design = testgen::fuzz_design_options();
     double max_smax = 0.0;
     for (const core::Application& a : model.apps) {
       max_smax = std::max(max_smax, a.smax);
     }
-    design.dense_dt = std::max(design.dense_dt,
-                               design.horizon_factor * max_smax / kDenseSteps);
-    set.systems.push_back(make_system("testgen " + std::to_string(seed),
-                                      std::move(model), design, true,
-                                      kMaxBurst));
+    set.systems.push_back(make_system(
+        "testgen " + std::to_string(seed), std::move(model),
+        testgen::fuzz_design_options(), max_smax, true, kMaxBurst));
     if (smoke) break;
   }
   return set;
@@ -119,17 +148,18 @@ ProblemSet population(bool smoke) {
 ProblemSet case_study() {
   ProblemSet set{"case study, Sec. V region (date18 design budget)", {}};
   set.systems.push_back(make_system("date18", core::date18_case_study(),
-                                    core::date18_design_options(), false,
-                                    opt::HybridOptions{}.max_value));
+                                    core::date18_design_options(), 0.0,
+                                    false, opt::HybridOptions{}.max_value));
   return set;
 }
 
-/// A system's best control-feasible schedule under one cap, and what its
-/// distinct designs cost.
+/// A system's best control-feasible schedule under one grid row, and what
+/// its distinct designs cost.
 struct Outcome {
   double best_pall = -std::numeric_limits<double>::infinity();
   std::size_t best = 0;
   bool found = false;
+  std::vector<char> feasible_at;  ///< per schedule
   int feasible = 0;
   int designs = 0;
   int designs_ok = 0;
@@ -139,9 +169,9 @@ struct Outcome {
   long long polish = 0;
 };
 
-Outcome evaluate(const System& sys, int cap, core::ThreadPool* pool) {
-  control::DesignOptions design = sys.design;
-  design.polish.max_evaluations = cap;
+Outcome evaluate(const System& sys, const control::DesignOptions& design,
+                 core::ThreadPool* pool) {
+  const int cap = design.polish.max_evaluations;
   core::Evaluator ev(sys.model, design, nullptr, sys.eopts);
   const std::size_t n = sys.schedules.size();
   std::vector<const core::ScheduleEvaluation*> evs(n);
@@ -154,6 +184,7 @@ Outcome evaluate(const System& sys, int cap, core::ThreadPool* pool) {
   std::set<std::pair<std::size_t, std::vector<std::int64_t>>> seen;
   for (std::size_t k = 0; k < n; ++k) {
     const core::ScheduleEvaluation& e = *evs[k];
+    out.feasible_at.push_back(e.control_feasible ? 1 : 0);
     if (e.control_feasible) {
       ++out.feasible;
       if (!out.found || e.pall > out.best_pall) {
@@ -186,22 +217,24 @@ std::string schedule_name(const std::vector<int>& m) {
   return s + ")";
 }
 
-void price(const ProblemSet& set, const std::vector<int>& caps,
-           core::ThreadPool* pool) {
+void price(const ProblemSet& set, Knob knob,
+           const std::vector<double>& values, core::ThreadPool* pool) {
   std::size_t schedules = 0;
   for (const System& sys : set.systems) schedules += sys.schedules.size();
-  std::printf("%s: %zu system(s), %zu schedules\n", set.name.c_str(),
-              set.systems.size(), schedules);
-  std::printf("%6s %9s %9s %9s %7s %7s %9s %8s %9s %9s %7s %9s\n", "cap",
-              "loss_mean", "loss_max", "feasible", "systems", "moved",
-              "designs", "grid", "pso", "polish", "capped", "design_s");
+  const char* knob_name = knob == Knob::cap ? "cap" : "horizon";
+  std::printf("%s, %s grid: %zu system(s), %zu schedules\n",
+              set.name.c_str(), knob_name, set.systems.size(), schedules);
+  std::printf("%7s %9s %9s %9s %6s %7s %7s %9s %8s %9s %9s %7s %9s\n",
+              knob_name, "loss_mean", "loss_max", "feasible", "flips",
+              "systems", "moved", "designs", "grid", "pso", "polish",
+              "capped", "design_s");
 
   std::vector<Outcome> reference;
-  for (const int cap : caps) {
+  for (const double value : values) {
     const Clock::time_point t0 = Clock::now();
     std::vector<Outcome> outs;
     for (const System& sys : set.systems) {
-      outs.push_back(evaluate(sys, cap, pool));
+      outs.push_back(evaluate(sys, options_at(sys, knob, value), pool));
     }
     const double seconds =
         std::chrono::duration<double>(Clock::now() - t0).count();
@@ -210,6 +243,7 @@ void price(const ProblemSet& set, const std::vector<int>& caps,
     Outcome sum;
     double loss_sum = 0.0;
     double loss_max = 0.0;
+    int flips = 0;
     int systems = 0;
     int moved = 0;
     for (std::size_t s = 0; s < outs.size(); ++s) {
@@ -224,6 +258,9 @@ void price(const ProblemSet& set, const std::vector<int>& caps,
       }
       loss_sum += loss;
       loss_max = std::max(loss_max, loss);
+      for (std::size_t k = 0; k < o.feasible_at.size(); ++k) {
+        flips += o.feasible_at[k] != r.feasible_at[k] ? 1 : 0;
+      }
       sum.feasible += o.feasible;
       sum.designs_ok += o.designs_ok;
       sum.capped += o.capped;
@@ -231,17 +268,18 @@ void price(const ProblemSet& set, const std::vector<int>& caps,
       sum.swarm += o.swarm;
       sum.polish += o.polish;
     }
-    std::printf("%6d %8.4f%% %8.4f%% %9d %4d/%-2zu %7d %9d %8lld %9lld %9lld "
-                "%7d %9.2f\n",
-                cap, loss_sum / static_cast<double>(outs.size()), loss_max,
-                sum.feasible, systems, outs.size(), moved, sum.designs_ok,
-                sum.grid, sum.swarm, sum.polish, sum.capped, seconds);
+    std::printf("%7g %8.4f%% %8.4f%% %9d %6d %4d/%-2zu %7d %9d %8lld %9lld "
+                "%9lld %7d %9.2f\n",
+                value, loss_sum / static_cast<double>(outs.size()), loss_max,
+                sum.feasible, flips, systems, outs.size(), moved,
+                sum.designs_ok, sum.grid, sum.swarm, sum.polish, sum.capped,
+                seconds);
   }
   for (std::size_t s = 0; s < reference.size(); ++s) {
     const System& sys = set.systems[s];
     const Outcome& r = reference[s];
-    std::printf("  %s: %d designs, best at cap %d: %s Pall=%.6f\n",
-                sys.name.c_str(), r.designs, caps.front(),
+    std::printf("  %s: %d designs, best at %s %g: %s Pall=%.6f\n",
+                sys.name.c_str(), r.designs, knob_name, values.front(),
                 r.found ? schedule_name(sys.schedules[r.best]).c_str()
                         : "none",
                 r.best_pall);
@@ -274,10 +312,18 @@ int main(int argc, char** argv) {
   std::unique_ptr<core::ThreadPool> pool;
   if (jobs > 1) pool = std::make_unique<core::ThreadPool>(jobs - 1);
 
-  const std::vector<int> caps =
-      smoke ? std::vector<int>{3000, 700}
-            : std::vector<int>{3000, 2000, 1000, 700, 500, 300, 100, 1};
-  price(population(smoke), caps, pool.get());
-  if (!smoke) price(case_study(), caps, pool.get());
+  const std::vector<double> caps =
+      smoke ? std::vector<double>{3000, 700}
+            : std::vector<double>{3000, 2000, 1000, 700, 500, 300, 100, 1};
+  const std::vector<double> horizons =
+      smoke ? std::vector<double>{1.6, 1.0}
+            : std::vector<double>{1.6, 1.3, 1.2, 1.0, 0.8, 0.6, 0.4};
+  std::vector<ProblemSet> sets;
+  sets.push_back(population(smoke));
+  if (!smoke) sets.push_back(case_study());
+  for (const ProblemSet& set : sets) {
+    price(set, Knob::cap, caps, pool.get());
+    price(set, Knob::horizon, horizons, pool.get());
+  }
   return 0;
 }
