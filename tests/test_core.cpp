@@ -229,50 +229,78 @@ TEST(Date18Integration, FeasibleRegionContainsPaperSchedules) {
   EXPECT_TRUE(found);
 }
 
-TEST(ControlGolden, PallBitsAreStable) {
-  // Pins the controller-design output bit for bit: Pall and every app's
-  // settling time, peak input and closed-loop spectral radius, for the
-  // case study's (1,1,1), (3,2,3) and (2,6,2) at a reduced design budget
-  // and for all-ones plus one more schedule on a pinned testgen population
-  // at the fuzz design budget. One FNV-1a digest. Settling times sit on
-  // the simulation grid, so an arithmetic drift in the discretization or
-  // the simulation often keeps them; the peak input and the spectral
-  // radius move with it.
-  std::uint64_t digest = 0xcbf29ce484222325ull;
-  std::uint64_t entries = 0;
-  const auto fold = [&](double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof bits);
-    for (int byte = 0; byte < 8; ++byte) {
-      digest ^= (bits >> (8 * byte)) & 0xffu;
-      digest *= 0x100000001b3ull;
-    }
-    ++entries;
-  };
-  const auto fold_evaluation = [&fold](const ScheduleEvaluation& e) {
-    fold(e.pall);
-    for (const AppEvaluation& a : e.apps) {
-      fold(a.settling_time);
-      fold(a.design.u_max_abs);
-      fold(a.design.spectral_radius);
-    }
-  };
+namespace {
 
-  Evaluator case_study(date18_case_study(), fast_options());
-  for (const std::vector<int>& m :
-       {std::vector<int>{1, 1, 1}, {3, 2, 3}, {2, 6, 2}}) {
-    fold_evaluation(case_study.evaluate(sched::PeriodicSchedule(m)));
+/// Two FNV-1a digests of the controller-design outputs: one of Pall and
+/// every app's settling time and closed-loop spectral radius, one of every
+/// app's peak input.
+struct ControlDigests {
+  std::uint64_t outcome = 0xcbf29ce484222325ull;
+  std::uint64_t outcome_entries = 0;
+  std::uint64_t peak_input = 0xcbf29ce484222325ull;
+  std::uint64_t peak_input_entries = 0;
+};
+
+void fold(std::uint64_t& digest, std::uint64_t& entries, double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  for (int byte = 0; byte < 8; ++byte) {
+    digest ^= (bits >> (8 * byte)) & 0xffu;
+    digest *= 0x100000001b3ull;
   }
-  testgen::GeneratorConfig g;
-  g.max_apps = 3;
-  for (std::uint64_t seed : {1u, 2u, 3u}) {
-    const testgen::GeneratedSystem sys = testgen::generate_system(g, seed);
-    Evaluator ev(sys.model, testgen::fuzz_design_options());
-    std::vector<int> bursts(sys.model.apps.size(), 1);
-    fold_evaluation(ev.evaluate(sched::PeriodicSchedule(bursts)));
-    bursts.front() = 2;
-    fold_evaluation(ev.evaluate(sched::PeriodicSchedule(bursts)));
-  }
-  EXPECT_EQ(entries, 84u);
-  EXPECT_EQ(digest, 17937953750588404017ull);
+  ++entries;
+}
+
+/// The case study's (1,1,1), (3,2,3) and (2,6,2) at a reduced design
+/// budget, and all-ones plus one more schedule on a pinned testgen
+/// population at the fuzz design budget; computed once per process.
+const ControlDigests& control_digests() {
+  static const ControlDigests digests = [] {
+    ControlDigests d;
+    const auto fold_evaluation = [&d](const ScheduleEvaluation& e) {
+      fold(d.outcome, d.outcome_entries, e.pall);
+      for (const AppEvaluation& a : e.apps) {
+        fold(d.outcome, d.outcome_entries, a.settling_time);
+        fold(d.outcome, d.outcome_entries, a.design.spectral_radius);
+        fold(d.peak_input, d.peak_input_entries, a.design.u_max_abs);
+      }
+    };
+    Evaluator case_study(date18_case_study(), fast_options());
+    for (const std::vector<int>& m :
+         {std::vector<int>{1, 1, 1}, {3, 2, 3}, {2, 6, 2}}) {
+      fold_evaluation(case_study.evaluate(sched::PeriodicSchedule(m)));
+    }
+    testgen::GeneratorConfig g;
+    g.max_apps = 3;
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+      const testgen::GeneratedSystem sys = testgen::generate_system(g, seed);
+      Evaluator ev(sys.model, testgen::fuzz_design_options());
+      std::vector<int> bursts(sys.model.apps.size(), 1);
+      fold_evaluation(ev.evaluate(sched::PeriodicSchedule(bursts)));
+      bursts.front() = 2;
+      fold_evaluation(ev.evaluate(sched::PeriodicSchedule(bursts)));
+    }
+    return d;
+  }();
+  return digests;
+}
+
+}  // namespace
+
+// The controller-design outputs, bit for bit, in two digests. Settling
+// times sit on the simulation grid, so an arithmetic drift in the
+// discretization or the simulation often keeps them; the spectral radius
+// moves with it. The peak input reads the feedforward's last bits, which a
+// same-math change of its solve may move while every Pall, settling time
+// and spectral radius keeps its bits, so it has a digest of its own.
+TEST(ControlGolden, PallBitsAreStable) {
+  const ControlDigests& d = control_digests();
+  EXPECT_EQ(d.outcome_entries, 59u);
+  EXPECT_EQ(d.outcome, 3368041171042818746ull);
+}
+
+TEST(ControlGolden, PeakInputBitsAreStable) {
+  const ControlDigests& d = control_digests();
+  EXPECT_EQ(d.peak_input_entries, 25u);
+  EXPECT_EQ(d.peak_input, 235708970731571642ull);
 }
