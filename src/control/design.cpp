@@ -89,6 +89,7 @@ DesignObjective::DesignObjective(const DesignSpec& spec,
                                  const DesignOptions& opts)
     : sim_(spec.plant, intervals, opts.dense_dt),
       eq_(equilibrium_at(spec.plant, spec.y0)),
+      steady_(periodic_steady_state(sim_.phases(), sim_.plant().c)),
       umax_(spec.umax),
       smax_(spec.smax) {
   sched::AppTiming at;
@@ -105,10 +106,11 @@ DesignObjective::DesignObjective(const DesignSpec& spec,
 }
 
 /// The feedforward of \p gains' feedback rows into gains.f; false when
-/// its system is singular.
+/// the problem's steady state is singular.
 bool DesignObjective::feedforward(PhaseGains& gains) const {
-  return exact_feedforward_into(gains.f, sim_.phases(), sim_.plant().c,
-                                gains.k);
+  if (!steady_) return false;
+  steady_->feedforward_into(gains.f, gains.k);
+  return true;
 }
 
 /// response_cost of the simulated step response, or, once its running

@@ -90,7 +90,8 @@ struct DesignResult {
 /// on the worst-case step response (the reference steps at the start of
 /// the longest interval). Lower is better:
 ///   - a candidate whose closed-loop monodromy has spectral radius
-///     rho >= 1 - 1e-9, or whose feedforward is singular,
+///     rho >= 1 - 1e-9, or any candidate when the problem's periodic
+///     steady state is singular (so no feedforward exists),
 ///     costs 1e3 H (1 + rho), with H = horizon_factor * smax the
 ///     simulated horizon;
 ///   - any other costs its worst-case settling time plus 0.05 IAE when it
@@ -133,6 +134,9 @@ private:
 
   SwitchedSimulator sim_;
   Equilibrium eq_;
+  /// The steady state every candidate's feedforward derives from; empty
+  /// when it is singular, which makes every candidate singular.
+  std::optional<PeriodicSteadyState> steady_;
   SimOptions sim_opts_;     ///< the search's scores, over horizon()
   SimOptions report_opts_;  ///< report()'s check, over >= 1.6 smax
   double umax_;

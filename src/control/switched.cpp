@@ -55,57 +55,36 @@ Matrix closed_loop_monodromy(const std::vector<PhaseDynamics>& phases,
   return phi;
 }
 
-bool exact_feedforward_into(std::vector<double>& f,
-                            const std::vector<PhaseDynamics>& phases,
-                            const Matrix& c, const std::vector<Matrix>& k) {
-  check_gain_dims(phases, k);
+std::optional<PeriodicSteadyState> periodic_steady_state(
+    const std::vector<PhaseDynamics>& phases, const Matrix& c) {
+  if (phases.empty()) {
+    throw std::invalid_argument("periodic_steady_state: no phases");
+  }
   const std::size_t m = phases.size();
   const std::size_t l = phases.front().ad.rows();
   if (c.rows() != 1 || c.cols() != l) {
-    throw std::invalid_argument("exact_feedforward_into: C must be 1 x l");
+    throw std::invalid_argument("periodic_steady_state: C must be 1 x l");
   }
-  // The system, its right-hand side, the solution and the factorization
-  // keep their storage across calls on this thread.
-  struct Workspace {
-    Matrix sys;
-    Matrix rhs;
-    Matrix sol;
-    linalg::LU lu;
-  };
-  thread_local Workspace ws;
-  // Unknowns: [x_0 .. x_{m-1}, F_0 .. F_{m-1}] for unit reference.
+  // Unknowns: [x_0 .. x_{m-1}, u_0 .. u_{m-1}] for unit reference.
   const std::size_t n = m * l + m;
-  Matrix& sys = ws.sys;
-  Matrix& rhs = ws.rhs;
-  sys.resize(n, n);
-  rhs.resize(n, 1);
-  std::fill(sys.data(), sys.data() + sys.size(), 0.0);
-  std::fill(rhs.data(), rhs.data() + rhs.size(), 0.0);
+  Matrix sys(n, n);
+  Matrix rhs(n, 1);
   auto xcol = [&](std::size_t j) { return j * l; };
-  auto fcol = [&](std::size_t j) { return m * l + j; };
-  // Entry (i, q) of the product of an l x 1 column and a 1 x l row, as
-  // operator* forms it: accumulated onto 0.0, skipped for a zero b_i.
-  const auto outer = [](double bi, double kq) {
-    return bi == 0.0 ? 0.0 : 0.0 + bi * kq;
-  };
-  // Dynamics rows: x_{j+1} = (A_j + B2_j K_j) x_j + B1_j K_{j-1} x_{j-1}
-  //                + B2_j F_j + B1_j F_{j-1}   (indices cyclic).
+  auto ucol = [&](std::size_t j) { return m * l + j; };
+  // Dynamics rows: x_{j+1} = A_j x_j + B2_j u_j + B1_j u_{j-1}
+  // (indices cyclic).
   for (std::size_t j = 0; j < m; ++j) {
     const std::size_t jn = (j + 1) % m;
     const std::size_t jp = (j + m - 1) % m;
     const std::size_t row = j * l;
     const PhaseDynamics& pd = phases[j];
-    // x_{j+1} coefficient: identity.
     for (std::size_t i = 0; i < l; ++i) sys(row + i, xcol(jn) + i) += 1.0;
     for (std::size_t i = 0; i < l; ++i) {
-      const double b2 = pd.b2(i, 0);
-      const double b1 = pd.b1(i, 0);
       for (std::size_t q = 0; q < l; ++q) {
-        sys(row + i, xcol(j) + q) -= pd.ad(i, q) + outer(b2, k[j](0, q));
-        sys(row + i, xcol(jp) + q) -= outer(b1, k[jp](0, q));
+        sys(row + i, xcol(j) + q) -= pd.ad(i, q);
       }
-      sys(row + i, fcol(j)) -= b2;
-      sys(row + i, fcol(jp)) -= b1;
+      sys(row + i, ucol(j)) -= pd.b2(i, 0);
+      sys(row + i, ucol(jp)) -= pd.b1(i, 0);
     }
   }
   // Output rows: C x_j = 1.
@@ -114,12 +93,33 @@ bool exact_feedforward_into(std::vector<double>& f,
     for (std::size_t q = 0; q < l; ++q) sys(row, xcol(j) + q) = c(0, q);
     rhs(row, 0) = 1.0;
   }
-  ws.lu.factor(sys);
-  if (ws.lu.singular()) return false;
-  ws.lu.solve_into(ws.sol, rhs);
+  const linalg::LU lu(sys);
+  if (lu.singular()) return std::nullopt;
+  const Matrix sol = lu.solve(rhs);
+  PeriodicSteadyState ss;
+  ss.x.assign(sol.data(), sol.data() + m * l);
+  ss.u.assign(sol.data() + m * l, sol.data() + n);
+  return ss;
+}
+
+void PeriodicSteadyState::feedforward_into(
+    std::vector<double>& f, const std::vector<Matrix>& k) const {
+  const std::size_t m = u.size();
+  const std::size_t l = x.size() / m;
+  if (k.size() != m) {
+    throw std::invalid_argument("feedforward_into: gain count != phase count");
+  }
   f.resize(m);
-  for (std::size_t j = 0; j < m; ++j) f[j] = ws.sol(fcol(j), 0);
-  return true;
+  for (std::size_t j = 0; j < m; ++j) {
+    if (k[j].rows() != 1 || k[j].cols() != l) {
+      throw std::invalid_argument("feedforward_into: each K_j must be 1 x l");
+    }
+    const double* kj = k[j].data();
+    const double* xj = x.data() + j * l;
+    double kx = 0.0;
+    for (std::size_t q = 0; q < l; ++q) kx += kj[q] * xj[q];
+    f[j] = u[j] - kx;
+  }
 }
 
 SwitchedSimulator::SwitchedSimulator(const ContinuousLTI& plant,

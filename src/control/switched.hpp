@@ -37,16 +37,32 @@ struct PhaseGains {
 Matrix closed_loop_monodromy(const std::vector<PhaseDynamics>& phases,
                              const std::vector<Matrix>& k);
 
-/// Exact periodic feedforward: choose F_0..F_{m-1} so that the closed
-/// loop's periodic steady state satisfies C x_j = r at *every* sampling
-/// instant (per unit reference; scale-invariant). Writes them into \p f
-/// (resized to one F per phase); returns false, leaving \p f unspecified,
-/// when the steady-state system is singular (e.g. a pole at +1). The
-/// system is assembled and factored in a per-thread workspace, so once
-/// that and \p f have grown to size a call allocates nothing.
-bool exact_feedforward_into(std::vector<double>& f,
-                            const std::vector<PhaseDynamics>& phases,
-                            const Matrix& c, const std::vector<Matrix>& k);
+/// The periodic steady state of the loop under a unit reference: the
+/// state x_j at each phase's sampling instant and the input u_j its task
+/// applies, such that C x_j = 1 at every instant. With u_j = K_j x_j + F_j
+/// the loop's rows are the open-loop x_{j+1} = A_j x_j + B2_j u_j +
+/// B1_j u_{j-1} whatever the gains, so one steady state serves every gain
+/// candidate of a design problem.
+struct PeriodicSteadyState {
+  std::vector<double> x;  ///< m states of l entries: x_j(q) at j * l + q
+  std::vector<double> u;  ///< one input per phase
+
+  /// The exact periodic feedforward of feedback rows \p k,
+  /// F_j = u_j - K_j x_j (per unit reference; scale-invariant), written
+  /// into \p f, which is resized to one F per phase.
+  /// \throws std::invalid_argument if \p k is not one 1 x l row per phase.
+  void feedforward_into(std::vector<double>& f,
+                        const std::vector<Matrix>& k) const;
+};
+
+/// Solve the periodic steady state of \p phases with output row \p c;
+/// std::nullopt when its system is singular, for instance when one phase's
+/// input never acts (a tau = h phase followed by a tau = 0 phase). The
+/// change of variables F_j = u_j - K_j x_j is unit triangular, so the
+/// verdict holds for every gain set.
+/// \throws std::invalid_argument on no phases or a C that is not 1 x l.
+std::optional<PeriodicSteadyState> periodic_steady_state(
+    const std::vector<PhaseDynamics>& phases, const Matrix& c);
 
 /// Options for closed-loop simulation.
 struct SimOptions {

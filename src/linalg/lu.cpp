@@ -12,13 +12,10 @@ namespace {
 constexpr double kPivotEps = 1e-13;
 }  // namespace
 
-void LU::factor(const Matrix& a) {
+LU::LU(const Matrix& a) : lu_(a) {
   if (!a.is_square()) {
     throw std::invalid_argument("LU: matrix must be square");
   }
-  lu_ = a;
-  singular_ = false;
-  det_ = 0.0;
   const std::size_t n = a.rows();
   piv_spill_.resize(n > piv_inline_.size() ? n : 0);
   for (std::size_t i = 0; i < n; ++i) piv(i) = static_cast<std::uint32_t>(i);
@@ -60,12 +57,6 @@ void LU::factor(const Matrix& a) {
 }
 
 Matrix LU::solve(const Matrix& b) const {
-  Matrix x;
-  solve_into(x, b);
-  return x;
-}
-
-void LU::solve_into(Matrix& x, const Matrix& b) const {
   const std::size_t n = lu_.rows();
   if (b.rows() != n) {
     throw std::invalid_argument("LU::solve: rhs row count mismatch");
@@ -74,7 +65,7 @@ void LU::solve_into(Matrix& x, const Matrix& b) const {
     throw std::domain_error("LU::solve: matrix is singular");
   }
   const std::size_t k = b.cols();
-  x.resize(n, k);
+  Matrix x(n, k);
   // Apply permutation: x = P*b.
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < k; ++j) x(i, j) = b(piv(i), j);
@@ -97,6 +88,7 @@ void LU::solve_into(Matrix& x, const Matrix& b) const {
     const double d = lu_(ii, ii);
     for (std::size_t j = 0; j < k; ++j) x(ii, j) /= d;
   }
+  return x;
 }
 
 }  // namespace catsched::linalg

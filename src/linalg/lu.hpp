@@ -13,21 +13,11 @@ namespace catsched::linalg {
 /// LU factorization with partial pivoting of a square matrix: P*A = L*U.
 ///
 /// Built once, reused for repeated solves against different right-hand
-/// sides (the schedule evaluator solves the same steady-state system for
-/// several references). A workspace LU is refactored in place and solves
-/// into a caller's buffer, so a hot loop that factors one system per call
-/// allocates nothing once its buffers have grown to size.
+/// sides (one factorization serves every column of b).
 class LU {
 public:
-  /// The factorization of the 0 x 0 matrix: a workspace to factor() into.
-  LU() = default;
-
   /// Factor \p a. \throws std::invalid_argument if not square.
-  explicit LU(const Matrix& a) { factor(a); }
-
-  /// Factor \p a in place of the current factorization, reusing its
-  /// storage. \throws std::invalid_argument if not square.
-  void factor(const Matrix& a);
+  explicit LU(const Matrix& a);
 
   /// True if a pivot fell below the singularity threshold.
   bool singular() const noexcept { return singular_; }
@@ -37,18 +27,14 @@ public:
   ///         std::domain_error if the matrix is singular.
   Matrix solve(const Matrix& b) const;
 
-  /// solve() into \p x, which is re-dimensioned to n x k and overwritten
-  /// (same arithmetic). \p x must not alias \p b. Same exceptions.
-  void solve_into(Matrix& x, const Matrix& b) const;
-
   /// Determinant of A (0.0 when flagged singular).
   double determinant() const noexcept { return det_; }
 
 private:
   /// Row permutation with the same small-buffer strategy as Matrix: the
-  /// design hot path factors 2x2..8x8 systems millions of times per
-  /// search, so pivots of small systems live inline (no allocation);
-  /// larger systems spill to the heap. Selecting the
+  /// control kernel factors small systems (expm's Pade solves, the
+  /// steady state of a design problem), so pivots of small systems live
+  /// inline (no allocation); larger systems spill to the heap. Selecting the
   /// buffer per access (rather than keeping a pointer to the active one)
   /// lets the implicit copy/move special members stay correct without a
   /// user-defined rebind step.

@@ -96,12 +96,16 @@ std::uint64_t bits(double v) {
   return b;
 }
 
-/// The exact feedforward as a fresh vector; std::nullopt when singular.
+/// The exact feedforward of gains \p k as a fresh vector, derived from
+/// the periodic steady state; std::nullopt when that is singular.
 std::optional<std::vector<double>> exact_feedforward(
     const std::vector<PhaseDynamics>& phases, const Matrix& c,
     const std::vector<Matrix>& k) {
+  const std::optional<PeriodicSteadyState> ss =
+      periodic_steady_state(phases, c);
+  if (!ss) return std::nullopt;
   std::vector<double> f;
-  if (!exact_feedforward_into(f, phases, c, k)) return std::nullopt;
+  ss->feedforward_into(f, k);
   return f;
 }
 
@@ -360,9 +364,10 @@ TEST(Feedforward, ExactHoldsReferenceAtAllSamples) {
 
 namespace {
 
-/// The exact feedforward written with Matrix temporaries and a fresh
-/// linalg::LU per call: the reference the workspace version must match
-/// bit for bit.
+/// The exact feedforward solved directly: one lifted system over
+/// (x_0..x_{m-1}, F_0..F_{m-1}) per gain set, assembled with Matrix
+/// temporaries and factored by a fresh linalg::LU. At zero gains it is the
+/// steady-state system itself.
 std::optional<std::vector<double>> reference_exact_feedforward(
     const std::vector<PhaseDynamics>& phases, const Matrix& c,
     const std::vector<Matrix>& k) {
@@ -410,9 +415,10 @@ struct FeedforwardCase {
 };
 
 /// Plants of orders 1-4 over 1-6 phases; tau = 0, tau = h and split
-/// phases; zero, random and partly zero gains. The integrating plant
-/// under zero gains has a pole at +1, which leaves the steady-state
-/// system singular.
+/// phases; zero, random and partly zero gains, three consecutive cases
+/// (gains 0, 1, 2) per plant, phase count and timing. Timing 0 with
+/// m >= 3 has a tau = h phase followed by a tau = 0 phase, whose input
+/// never acts, so its steady-state system is singular.
 std::vector<FeedforwardCase> feedforward_cases() {
   testgen::SplitMix64 rng(20260417);
   const std::vector<ContinuousLTI> plants = {
@@ -459,45 +465,68 @@ std::vector<FeedforwardCase> feedforward_cases() {
   return cases;
 }
 
-void expect_same_feedforward(
-    const std::optional<std::vector<double>>& got,
-    const std::optional<std::vector<double>>& want,
-    const std::string& where) {
-  ASSERT_EQ(got.has_value(), want.has_value()) << where;
-  if (!want) return;
-  ASSERT_EQ(got->size(), want->size()) << where;
-  for (std::size_t j = 0; j < want->size(); ++j) {
-    EXPECT_EQ(bits((*got)[j]), bits((*want)[j])) << where << " F" << j;
-  }
-}
-
 }  // namespace
 
-TEST(Feedforward, ExactMatchesMatrixReferenceBitForBit) {
+TEST(Feedforward, SteadyStateMatchesLiftedReference) {
+  // F_j = u_j - K_j x_j from the gain-free steady state against the
+  // lifted system solved per gain set: the same math with different
+  // rounding. At zero gains both solve one system, bit for bit. The
+  // singular verdict is the zero-gain system's for every gain set, since
+  // the change of variables between the two is unit triangular. Where the
+  // loop is stable, F agrees to rounding.
   const std::vector<FeedforwardCase> cases = feedforward_cases();
-  std::vector<std::optional<std::vector<double>>> want;
+  std::vector<std::optional<std::vector<double>>> got;
   int singular = 0;
-  for (const FeedforwardCase& fc : cases) {
-    want.push_back(reference_exact_feedforward(fc.phases, fc.c, fc.k));
-    singular += !want.back().has_value();
+  int stable = 0;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const FeedforwardCase& fc = cases[i];
+    const auto want = reference_exact_feedforward(fc.phases, fc.c, fc.k);
+    const auto want_at_zero =
+        i % 3 == 0 ? want
+                   : reference_exact_feedforward(fc.phases, fc.c,
+                                                 cases[i - i % 3].k);
+    got.push_back(exact_feedforward(fc.phases, fc.c, fc.k));
+    const auto& f = got.back();
+    ASSERT_EQ(f.has_value(), want_at_zero.has_value()) << fc.where;
+    singular += !f.has_value();
+    if (i % 3 == 0) {
+      ASSERT_EQ(f.has_value(), want.has_value()) << fc.where;
+      if (!want) continue;
+      ASSERT_EQ(f->size(), want->size()) << fc.where;
+      for (std::size_t j = 0; j < want->size(); ++j) {
+        EXPECT_EQ(bits((*f)[j]), bits((*want)[j])) << fc.where << " F" << j;
+      }
+    }
+    if (!f || !want ||
+        !(linalg::spectral_radius(closed_loop_monodromy(fc.phases, fc.k)) <
+          1.0)) {
+      continue;
+    }
+    ++stable;
+    double scale = 0.0;
+    for (double v : *want) scale = std::max(scale, std::abs(v));
+    for (std::size_t j = 0; j < want->size(); ++j) {
+      EXPECT_LE(std::abs((*f)[j] - (*want)[j]), 1e-10 * scale)
+          << fc.where << " F" << j;
+    }
   }
   EXPECT_GT(singular, 0);
   EXPECT_LT(singular, static_cast<int>(cases.size()));
-  // Serially (one workspace growing and shrinking across sizes), then
-  // from four pool threads, each with its own workspace.
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const FeedforwardCase& fc = cases[i];
-    expect_same_feedforward(exact_feedforward(fc.phases, fc.c, fc.k),
-                            want[i], fc.where + " (serial)");
-  }
+  EXPECT_GT(stable, static_cast<int>(cases.size()) / 3);
+  // The serial results again from four pool threads, three times.
   core::ThreadPool pool(4);
-  std::vector<std::optional<std::vector<double>>> got(cases.size());
+  std::vector<std::optional<std::vector<double>>> again(cases.size());
   for (int pass = 0; pass < 3; ++pass) {
     core::parallel_for(&pool, cases.size(), [&](std::size_t i) {
-      got[i] = exact_feedforward(cases[i].phases, cases[i].c, cases[i].k);
+      again[i] = exact_feedforward(cases[i].phases, cases[i].c, cases[i].k);
     });
     for (std::size_t i = 0; i < cases.size(); ++i) {
-      expect_same_feedforward(got[i], want[i], cases[i].where + " (pool)");
+      ASSERT_EQ(again[i].has_value(), got[i].has_value()) << cases[i].where;
+      if (!got[i]) continue;
+      for (std::size_t j = 0; j < got[i]->size(); ++j) {
+        EXPECT_EQ(bits((*again[i])[j]), bits((*got[i])[j]))
+            << cases[i].where << " F" << j << " (pool)";
+      }
     }
   }
 }
@@ -1149,6 +1178,69 @@ TEST(Design, ObjectiveKeepsBoundContract) {
   }
   EXPECT_GT(stable, 0);
   EXPECT_GT(unstable, 0);
+}
+
+TEST(Design, SingularSteadyStateIsBarredForEveryCandidate) {
+  // Phase 1 computes with tau = h, so its input acts only after the next
+  // sampling instant, and phase 2 has tau = 0, so it is replaced there
+  // before it acts: u_1 never acts and no periodic steady state exists.
+  // The verdict belongs to the problem: every candidate, stable or not,
+  // costs at least the 1e3 H barrier, and the design is infeasible.
+  DesignSpec spec;
+  spec.plant = oscillator(110.0, 0.2, 3.0e6);
+  spec.umax = 1.0e6;
+  spec.r = 2000.0;
+  spec.smax = 17.5e-3;
+  std::vector<sched::Interval> ivs(3);
+  ivs[0] = {1.1e-3, 0.4e-3, false};
+  ivs[1] = {0.9e-3, 0.9e-3, true};
+  ivs[2] = {2.3e-3, 0.0, true};
+  ASSERT_FALSE(periodic_steady_state(
+                   discretize_phases(spec.plant, ivs), spec.plant.c)
+                   .has_value());
+  DesignOptions opts;
+  opts.pso.particles = 8;
+  opts.pso.iterations = 10;
+  opts.scale_budget_with_dims = false;
+  opts.polish.max_evaluations = 50;
+  const DesignObjective objective(spec, ivs, opts);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double barrier = 1.0e3 * objective.horizon();
+  // Zero gains, per-phase pole placements (stable or not) and random rows.
+  std::vector<std::vector<double>> thetas = {std::vector<double>(6, 0.0)};
+  for (const double radius : {0.3, 0.6, 0.9}) {
+    std::vector<double> theta;
+    for (const PhaseDynamics& pd : objective.simulator().phases()) {
+      const Matrix kj = place_poles(pd.ad, pd.btot,
+                                    {{radius, 0.2}, {radius, -0.2}});
+      theta.push_back(kj(0, 0));
+      theta.push_back(kj(0, 1));
+    }
+    thetas.push_back(theta);
+  }
+  testgen::SplitMix64 rng(38);
+  for (int i = 0; i < 4; ++i) {
+    std::vector<double> theta(6);
+    for (std::size_t d = 0; d < theta.size(); ++d) {
+      theta[d] = rng.real(-2e-3, 2e-3) / (d % 2 == 0 ? 1.0 : 100.0);
+    }
+    thetas.push_back(theta);
+  }
+  int stable = 0;
+  for (const std::vector<double>& theta : thetas) {
+    const DesignResult rep = objective.report(theta);
+    stable += rep.spectral_radius < 1.0 ? 1 : 0;
+    EXPECT_FALSE(rep.feasible);
+    for (const double bound : {1.0e-3, 0.5 * barrier, barrier,
+                               2.0 * barrier, inf}) {
+      EXPECT_GE(objective(theta, bound), barrier) << "bound " << bound;
+      EXPECT_GE(objective.cost(theta, bound), barrier) << "bound " << bound;
+    }
+  }
+  EXPECT_GT(stable, 0);
+  const DesignResult res = design_controller(spec, ivs, opts);
+  EXPECT_FALSE(res.feasible);
+  EXPECT_FALSE(res.settled);
 }
 
 TEST(Design, RejectsBadSpec) {
