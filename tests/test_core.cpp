@@ -302,5 +302,5 @@ TEST(ControlGolden, PallBitsAreStable) {
 TEST(ControlGolden, PeakInputBitsAreStable) {
   const ControlDigests& d = control_digests();
   EXPECT_EQ(d.peak_input_entries, 25u);
-  EXPECT_EQ(d.peak_input, 235708970731571642ull);
+  EXPECT_EQ(d.peak_input, 15106822788718672530ull);
 }
