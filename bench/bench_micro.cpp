@@ -357,7 +357,8 @@ BENCHMARK(BM_AppSteady);
 
 // One PSO particle: the objective design_controller minimizes
 // (control::DesignObjective) on one candidate. At bound +infinity that is
-// the spectral radius of the closed-loop monodromy, the exact feedforward,
+// the spectral radius of the closed-loop monodromy, the exact feedforward
+// (derived from the steady state the objective solved when it was built),
 // then the metrics-only switched simulation -- the body the design search
 // runs thousands of times per design.
 void pso_particle_eval(benchmark::State& state,

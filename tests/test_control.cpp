@@ -465,6 +465,18 @@ std::vector<FeedforwardCase> feedforward_cases() {
   return cases;
 }
 
+void expect_same_feedforward(
+    const std::optional<std::vector<double>>& got,
+    const std::optional<std::vector<double>>& want,
+    const std::string& where) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << where;
+  if (!want) return;
+  ASSERT_EQ(got->size(), want->size()) << where;
+  for (std::size_t j = 0; j < want->size(); ++j) {
+    EXPECT_EQ(bits((*got)[j]), bits((*want)[j])) << where << " F" << j;
+  }
+}
+
 }  // namespace
 
 TEST(Feedforward, SteadyStateMatchesLiftedReference) {
@@ -476,27 +488,20 @@ TEST(Feedforward, SteadyStateMatchesLiftedReference) {
   // loop is stable, F agrees to rounding.
   const std::vector<FeedforwardCase> cases = feedforward_cases();
   std::vector<std::optional<std::vector<double>>> got;
+  std::optional<std::vector<double>> want_at_zero;
   int singular = 0;
   int stable = 0;
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const FeedforwardCase& fc = cases[i];
     const auto want = reference_exact_feedforward(fc.phases, fc.c, fc.k);
-    const auto want_at_zero =
-        i % 3 == 0 ? want
-                   : reference_exact_feedforward(fc.phases, fc.c,
-                                                 cases[i - i % 3].k);
     got.push_back(exact_feedforward(fc.phases, fc.c, fc.k));
     const auto& f = got.back();
-    ASSERT_EQ(f.has_value(), want_at_zero.has_value()) << fc.where;
     singular += !f.has_value();
-    if (i % 3 == 0) {
-      ASSERT_EQ(f.has_value(), want.has_value()) << fc.where;
-      if (!want) continue;
-      ASSERT_EQ(f->size(), want->size()) << fc.where;
-      for (std::size_t j = 0; j < want->size(); ++j) {
-        EXPECT_EQ(bits((*f)[j]), bits((*want)[j])) << fc.where << " F" << j;
-      }
+    if (i % 3 == 0) {  // zero gains open each triple
+      want_at_zero = want;
+      expect_same_feedforward(f, want, fc.where);
     }
+    ASSERT_EQ(f.has_value(), want_at_zero.has_value()) << fc.where;
     if (!f || !want ||
         !(linalg::spectral_radius(closed_loop_monodromy(fc.phases, fc.k)) <
           1.0)) {
@@ -521,12 +526,7 @@ TEST(Feedforward, SteadyStateMatchesLiftedReference) {
       again[i] = exact_feedforward(cases[i].phases, cases[i].c, cases[i].k);
     });
     for (std::size_t i = 0; i < cases.size(); ++i) {
-      ASSERT_EQ(again[i].has_value(), got[i].has_value()) << cases[i].where;
-      if (!got[i]) continue;
-      for (std::size_t j = 0; j < got[i]->size(); ++j) {
-        EXPECT_EQ(bits((*again[i])[j]), bits((*got[i])[j]))
-            << cases[i].where << " F" << j << " (pool)";
-      }
+      expect_same_feedforward(again[i], got[i], cases[i].where + " (pool)");
     }
   }
 }
