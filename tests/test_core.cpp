@@ -231,25 +231,28 @@ TEST(Date18Integration, FeasibleRegionContainsPaperSchedules) {
 
 namespace {
 
-/// Two FNV-1a digests of the controller-design outputs: one of Pall and
-/// every app's settling time and closed-loop spectral radius, one of every
-/// app's peak input.
-struct ControlDigests {
-  std::uint64_t outcome = 0xcbf29ce484222325ull;
-  std::uint64_t outcome_entries = 0;
-  std::uint64_t peak_input = 0xcbf29ce484222325ull;
-  std::uint64_t peak_input_entries = 0;
+/// An FNV-1a digest of doubles' bits and the number folded into it.
+struct Digest {
+  std::uint64_t value = 0xcbf29ce484222325ull;
+  std::uint64_t entries = 0;
+
+  void fold(double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    for (int byte = 0; byte < 8; ++byte) {
+      value ^= (bits >> (8 * byte)) & 0xffu;
+      value *= 0x100000001b3ull;
+    }
+    ++entries;
+  }
 };
 
-void fold(std::uint64_t& digest, std::uint64_t& entries, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof bits);
-  for (int byte = 0; byte < 8; ++byte) {
-    digest ^= (bits >> (8 * byte)) & 0xffu;
-    digest *= 0x100000001b3ull;
-  }
-  ++entries;
-}
+/// The controller-design outputs in two digests: Pall and every app's
+/// settling time and closed-loop spectral radius; every app's peak input.
+struct ControlDigests {
+  Digest outcome;
+  Digest peak_input;
+};
 
 /// The case study's (1,1,1), (3,2,3) and (2,6,2) at a reduced design
 /// budget, and all-ones plus one more schedule on a pinned testgen
@@ -258,11 +261,11 @@ const ControlDigests& control_digests() {
   static const ControlDigests digests = [] {
     ControlDigests d;
     const auto fold_evaluation = [&d](const ScheduleEvaluation& e) {
-      fold(d.outcome, d.outcome_entries, e.pall);
+      d.outcome.fold(e.pall);
       for (const AppEvaluation& a : e.apps) {
-        fold(d.outcome, d.outcome_entries, a.settling_time);
-        fold(d.outcome, d.outcome_entries, a.design.spectral_radius);
-        fold(d.peak_input, d.peak_input_entries, a.design.u_max_abs);
+        d.outcome.fold(a.settling_time);
+        d.outcome.fold(a.design.spectral_radius);
+        d.peak_input.fold(a.design.u_max_abs);
       }
     };
     Evaluator case_study(date18_case_study(), fast_options());
@@ -295,12 +298,12 @@ const ControlDigests& control_digests() {
 // and spectral radius keeps its bits, so it has a digest of its own.
 TEST(ControlGolden, PallBitsAreStable) {
   const ControlDigests& d = control_digests();
-  EXPECT_EQ(d.outcome_entries, 59u);
-  EXPECT_EQ(d.outcome, 3368041171042818746ull);
+  EXPECT_EQ(d.outcome.entries, 59u);
+  EXPECT_EQ(d.outcome.value, 3368041171042818746ull);
 }
 
 TEST(ControlGolden, PeakInputBitsAreStable) {
   const ControlDigests& d = control_digests();
-  EXPECT_EQ(d.peak_input_entries, 25u);
-  EXPECT_EQ(d.peak_input, 15106822788718672530ull);
+  EXPECT_EQ(d.peak_input.entries, 25u);
+  EXPECT_EQ(d.peak_input.value, 15106822788718672530ull);
 }
